@@ -14,12 +14,9 @@ test:
 
 # E12 — differential conformance: every scenario runs on both kernels
 # (SimOs and RealOs); traces must agree on every oracle field or carry
-# a divergence-ledger entry. Zero silent mismatches tolerated. Then
-# E13's engine differential: every scenario and 256 fuzzed sessions
-# run under both evaluation engines; traces must be identical.
+# a divergence-ledger entry. Zero silent mismatches tolerated.
 conform:
 	cargo test -p es-conform --test conform -q
-	cargo test -p es-conform --test engines -q
 
 # E12 — grammar-aware script fuzz: seeded sessions against SimOs
 # (panic/leak/replay invariants, fault weather on a third of seeds) and
@@ -60,13 +57,9 @@ lint:
 bench:
 	cargo bench -p es-bench
 
-# E7 + E13 — evaluator benches: hook-dispatch ablation, then the
-# bytecode-vs-tree engine comparison, which writes BENCH_eval.json
-# (ns/op for the Figure 1 pipeline, a hook-heavy loop, a closure-call
-# loop, and the isolated unspoofed-hook overhead, per engine).
+# E7 — evaluator bench: hook-dispatch ablation.
 bench-eval:
 	cargo bench -p es-bench --bench e7_hook_ablation
-	cargo bench -p es-bench --bench e13_engine
 
 # E14 — serving benches: cold-boot vs recycle slot turnover,
 # sessions/sec, and p50/p99 per-command latency through the server at

@@ -1,31 +1,23 @@
-//! The bytecode compiler: core AST → compact op sequences.
+//! A bytecode compiler: core AST → compact op sequences.
 //!
-//! The tree walker in [`crate::eval`] re-dispatches on the syntax tree
-//! every time a closure body runs. This module compiles a [`Node`]
-//! once into a flat [`Code`] vector that the dispatch loop in
-//! [`crate::vm`] executes, baking in three static facts:
+//! Nothing in the interpreter runs this code: the tree walker in
+//! `es-core::eval` is the only evaluator. The module is kept, with its
+//! public API, only because the `perfbench` benchmark times and counts
+//! it for its `compile.*` calibration rows; it goes once a benchmark
+//! change drops those rows.
+//!
+//! It compiles a [`Node`] into a flat [`Code`] vector, baking in:
 //!
 //! * **Slot references.** Where the lexical binding structure is
 //!   static (closure parameters, `let`/`for` bindings with literal
 //!   names), a `$name` reference compiles to [`ArgC::Slot`] — a hop
 //!   count into the runtime binding chain — instead of a name search.
-//!   Anything the compiler cannot prove (computed names, positional
-//!   parameters, names beyond the compiled frame) falls back to the
-//!   general evaluator.
-//! * **Inline-cached hook sites.** A call whose head is a literal
-//!   `%hook` word known to be bound to a primitive at boot gets a
-//!   [`HookSite`]: a one-entry inline cache keyed on the machine's
-//!   global hook generation (see [`crate::Machine::hook_gen`]). While
-//!   no `fn-%*` binding has changed, the site dispatches straight to
-//!   the primitive without the `fn-%hook` lookup-and-splice dance.
-//! * **Cached bodies.** Compiled code is pure (it holds no heap refs),
-//!   so [`crate::Machine::code_for`] caches it per lambda; a closure
-//!   called a thousand times compiles once.
+//! * **Hook sites.** A call whose head is a literal `%hook` word bound
+//!   to a primitive at boot (see [`HOOK_PRIMS`]) gets a [`HookSite`].
 //!
-//! Statements the compiler does not specialise (`Assign`, `Match`,
-//! and the surface forms that should have been lowered) are carried
-//! as [`Op::Node`] and delegated to the tree walker — the two engines
-//! share one semantics for everything cold.
+//! Statements it does not specialise (`Assign`, `Match`, and the
+//! surface forms that should have been lowered) are carried as
+//! [`Op::Node`].
 
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
@@ -33,33 +25,7 @@ use std::rc::Rc;
 
 use es_syntax::ast::{Expr, Lambda, Node, Word};
 
-/// Hooks bound to bare primitives by `initial.es` at boot. A call
-/// site named here may shortcut to the primitive while the hook
-/// generation says no `fn-%*` binding has changed. `%prompt` is
-/// deliberately absent: boot binds it to an (empty) closure, not a
-/// primitive.
-pub const HOOK_PRIMS: &[(&str, &str)] = &[
-    ("%seq", "seq"),
-    ("%and", "and"),
-    ("%or", "or"),
-    ("%not", "not"),
-    ("%background", "background"),
-    ("%create", "create"),
-    ("%open", "open"),
-    ("%append", "append"),
-    ("%dup", "dup"),
-    ("%close", "close"),
-    ("%here", "here"),
-    ("%pipe", "pipe"),
-    ("%backquote", "backquote"),
-    ("%pathsearch", "pathsearch"),
-    ("%flatten", "flatten"),
-    ("%fsplit", "fsplit"),
-    ("%split", "split"),
-    ("%parse", "parse"),
-    ("%cd", "cd"),
-    ("%limit", "limit"),
-];
+pub use crate::prims::HOOK_PRIMS;
 
 /// Cache key for compiled lambdas: pointer identity fast path (the
 /// same parse tree shared by `Rc` hits without a deep compare),
@@ -92,7 +58,7 @@ pub enum ArgC {
     Glob(Word),
     /// `$name` resolved to a lexical slot: the value sits `hops`
     /// binding frames into the environment chain. The name rides
-    /// along so the VM can verify the frame (and fall back to a
+    /// along so the frame can be verified (with a fallback to a
     /// lookup if the chain ever disagrees).
     Slot { hops: usize, name: String },
     /// A lambda literal: closes over the current environment.
@@ -110,9 +76,6 @@ pub enum BindName {
 
 /// One inline-cached hook call site. `ic` holds the hook generation
 /// this site last dispatched directly under (`u64::MAX` = never).
-/// The cell is shared by forked machines, which is sound: it only
-/// ever holds generations at which the hooks were pristine, and the
-/// generation counter never decreases.
 #[derive(Debug)]
 pub struct HookSite {
     /// The hook's surface name (`%pipe`), for the slow path.

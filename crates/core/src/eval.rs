@@ -16,7 +16,7 @@
 //! experiment E6 measures via [`crate::Machine::max_depth_seen`]).
 
 use crate::exception::{EsError, EsResult};
-use crate::machine::{Engine, Machine};
+use crate::machine::Machine;
 use crate::prims;
 use crate::value::{self, ListBuilder};
 use es_gc::{Obj, Ref, RootSlot};
@@ -47,6 +47,12 @@ pub fn must_value(f: Flow) -> Ref {
 }
 
 /// Evaluates a core node.
+///
+/// Only `Call` and `Seq` are handled inline: every es call recurses
+/// through this function at least twice (`apply_closure` → body `Seq`
+/// → `Call`), so the other arms live in their own never-inlined
+/// functions to keep this frame, and with it the Rust stack spent per
+/// es call, small.
 pub fn eval_node<O: Os + Clone>(
     m: &mut Machine<O>,
     node: &Node,
@@ -60,144 +66,6 @@ pub fn eval_node<O: Os + Clone>(
             let list = eval_exprs(m, exprs, env, true)?;
             let flow = apply_slot(m, list, env, tail)?;
             Ok(pop_scope(m, base, flow))
-        }
-        Node::Assign(lhs, values) => {
-            let base = m.heap.roots_len();
-            let names_list = eval_expr_rooted(m, lhs, env, false)?;
-            let names = m.strings_at(names_list);
-            let values_slot = eval_exprs(m, values, env, false)?;
-            if names.is_empty() {
-                m.heap.truncate_roots(base);
-                return Err(m.error("assignment to empty name list"));
-            }
-            assign_distribute(m, env, &names, values_slot)?;
-            let out = m.heap.root(values_slot);
-            Ok(pop_scope(m, base, Flow::Val(out)))
-        }
-        Node::Let(bindings, body) => {
-            let base = m.heap.roots_len();
-            let chain = m.heap.push_root(m.heap.root(env));
-            for (name_expr, value_exprs) in bindings {
-                let name = single_name(m, name_expr, chain)?;
-                let inner = m.heap.roots_len();
-                let value_slot = eval_exprs(m, value_exprs, chain, false)?;
-                let value = m.heap.root(value_slot);
-                m.note_binding(&name);
-                let binding = m.heap.alloc_binding(&name, value, m.heap.root(chain));
-                m.heap.set_root(chain, binding);
-                m.heap.truncate_roots(inner);
-            }
-            // Tail propagates through let: the bindings live in the
-            // heap, nothing needs unwinding here.
-            let flow = eval_node(m, body, chain, tail)?;
-            Ok(pop_scope(m, base, flow))
-        }
-        Node::Local(bindings, body) => {
-            let base = m.heap.roots_len();
-            let dyn_base = m.dynamics_len();
-            // Evaluate all values in the outer scope first.
-            let mut staged: Vec<(String, RootSlot)> = Vec::new();
-            for (name_expr, value_exprs) in bindings {
-                let name = single_name(m, name_expr, env)?;
-                let value_slot = eval_exprs(m, value_exprs, env, false)?;
-                staged.push((name, value_slot));
-            }
-            // Settors fire on dynamic binding too (harmlessly skipped
-            // when the settor itself is dynamically nulled — that is
-            // exactly the paper's set-path/set-PATH suppression trick).
-            for (name, slot) in &staged {
-                let transformed = run_settor(m, env, name, *slot)?;
-                m.push_dynamic(name, transformed);
-            }
-            let result = eval_node(m, body, env, None);
-            m.pop_dynamics(dyn_base);
-            let flow = result?;
-            let out = must_value(flow);
-            Ok(pop_scope(m, base, Flow::Val(out)))
-        }
-        Node::For(bindings, body) => {
-            let base = m.heap.roots_len();
-            // Evaluate every list once, up front.
-            let mut lists: Vec<(String, RootSlot)> = Vec::new();
-            for (name_expr, value_exprs) in bindings {
-                let name = single_name(m, name_expr, env)?;
-                let slot = eval_exprs(m, value_exprs, env, false)?;
-                lists.push((name, slot));
-            }
-            let n = lists
-                .iter()
-                .map(|(_, s)| value::list_len(&m.heap, m.heap.root(*s)))
-                .max()
-                .unwrap_or(0);
-            let result_slot = m.heap.push_root(Ref::NIL);
-            for i in 1..=n {
-                crate::governor::charge(m)?;
-                let iter_base = m.heap.roots_len();
-                let chain = m.heap.push_root(m.heap.root(env));
-                for (name, slot) in &lists {
-                    let value = match value::list_nth(&m.heap, m.heap.root(*slot), i) {
-                        Some(term) => {
-                            let t = m.heap.push_root(term);
-                            m.heap.alloc_pair(m.heap.root(t), Ref::NIL)
-                        }
-                        None => Ref::NIL,
-                    };
-                    let v = m.heap.push_root(value);
-                    m.note_binding(name);
-                    let binding = m.heap.alloc_binding(name, m.heap.root(v), m.heap.root(chain));
-                    m.heap.set_root(chain, binding);
-                }
-                match eval_node(m, body, chain, None) {
-                    Ok(flow) => {
-                        let v = must_value(flow);
-                        m.heap.truncate_roots(iter_base);
-                        m.heap.set_root(result_slot, v);
-                    }
-                    Err(EsError::Throw(e)) if throw_is(m, e, "break") => {
-                        let v = m.heap.pair_tail(e);
-                        m.heap.truncate_roots(iter_base);
-                        m.heap.set_root(result_slot, v);
-                        break;
-                    }
-                    Err(other) => {
-                        m.heap.truncate_roots(iter_base);
-                        return Err(other);
-                    }
-                }
-            }
-            let out = m.heap.root(result_slot);
-            Ok(pop_scope(m, base, Flow::Val(out)))
-        }
-        Node::Match(subject, patterns) => {
-            let base = m.heap.roots_len();
-            let subj_slot = eval_expr_rooted(m, subject, env, false)?;
-            let subjects = m.strings_at(subj_slot);
-            let mut pats: Vec<Pattern> = Vec::new();
-            for p in patterns {
-                match p {
-                    // Literal pattern words keep their quoting (so a
-                    // quoted `'*'` matches a literal star).
-                    Expr::Word(w) => pats.push(Pattern::from_segments(&w.seg_refs())),
-                    other => {
-                        let slot = eval_expr_rooted(m, other, env, false)?;
-                        for s in m.strings_at(slot) {
-                            pats.push(Pattern::parse(&s));
-                        }
-                    }
-                }
-            }
-            m.heap.truncate_roots(base);
-            let matched = if subjects.is_empty() {
-                pats.is_empty()
-            } else {
-                subjects.iter().any(|s| es_match::match_any(&pats, s))
-            };
-            let out = if matched {
-                value::true_value(&mut m.heap)
-            } else {
-                value::false_value(&mut m.heap)
-            };
-            Ok(Flow::Val(out))
         }
         Node::Seq(nodes) => {
             let mut last = Flow::Val(Ref::NIL);
@@ -213,6 +81,11 @@ pub fn eval_node<O: Os + Clone>(
             }
             Ok(last)
         }
+        Node::Assign(lhs, values) => eval_assign(m, lhs, values, env),
+        Node::Let(bindings, body) => eval_let(m, bindings, body, env, tail),
+        Node::Local(bindings, body) => eval_local(m, bindings, body, env),
+        Node::For(bindings, body) => eval_for(m, bindings, body, env),
+        Node::Match(subject, patterns) => eval_match(m, subject, patterns, env),
         Node::Pipe(..)
         | Node::Redir(..)
         | Node::AndAnd(..)
@@ -224,6 +97,183 @@ pub fn eval_node<O: Os + Clone>(
             Err(m.error("internal error: surface node reached the evaluator (missing lower())"))
         }
     }
+}
+
+/// `let`/`local`/`for` bindings: `(name, values)` pairs.
+type Bindings = [(Expr, Vec<Expr>)];
+
+#[inline(never)]
+fn eval_assign<O: Os + Clone>(
+    m: &mut Machine<O>,
+    lhs: &Expr,
+    values: &[Expr],
+    env: RootSlot,
+) -> EsResult<Flow> {
+    let base = m.heap.roots_len();
+    let names_list = eval_expr_rooted(m, lhs, env, false)?;
+    let names = m.strings_at(names_list);
+    let values_slot = eval_exprs(m, values, env, false)?;
+    if names.is_empty() {
+        m.heap.truncate_roots(base);
+        return Err(m.error("assignment to empty name list"));
+    }
+    assign_distribute(m, env, &names, values_slot)?;
+    let out = m.heap.root(values_slot);
+    Ok(pop_scope(m, base, Flow::Val(out)))
+}
+
+#[inline(never)]
+fn eval_let<O: Os + Clone>(
+    m: &mut Machine<O>,
+    bindings: &Bindings,
+    body: &Node,
+    env: RootSlot,
+    tail: Option<TailSlots>,
+) -> EsResult<Flow> {
+    let base = m.heap.roots_len();
+    let chain = m.heap.push_root(m.heap.root(env));
+    for (name_expr, value_exprs) in bindings {
+        let name = single_name(m, name_expr, chain)?;
+        let inner = m.heap.roots_len();
+        let value_slot = eval_exprs(m, value_exprs, chain, false)?;
+        let value = m.heap.root(value_slot);
+        m.note_binding(&name);
+        let binding = m.heap.alloc_binding(&name, value, m.heap.root(chain));
+        m.heap.set_root(chain, binding);
+        m.heap.truncate_roots(inner);
+    }
+    // Tail propagates through let: the bindings live in the heap,
+    // nothing needs unwinding here.
+    let flow = eval_node(m, body, chain, tail)?;
+    Ok(pop_scope(m, base, flow))
+}
+
+#[inline(never)]
+fn eval_local<O: Os + Clone>(
+    m: &mut Machine<O>,
+    bindings: &Bindings,
+    body: &Node,
+    env: RootSlot,
+) -> EsResult<Flow> {
+    let base = m.heap.roots_len();
+    let dyn_base = m.dynamics_len();
+    // Evaluate all values in the outer scope first.
+    let mut staged: Vec<(String, RootSlot)> = Vec::new();
+    for (name_expr, value_exprs) in bindings {
+        let name = single_name(m, name_expr, env)?;
+        let value_slot = eval_exprs(m, value_exprs, env, false)?;
+        staged.push((name, value_slot));
+    }
+    // Settors fire on dynamic binding too (harmlessly skipped when the
+    // settor itself is dynamically nulled — that is exactly the
+    // paper's set-path/set-PATH suppression trick).
+    for (name, slot) in &staged {
+        let transformed = run_settor(m, env, name, *slot)?;
+        m.push_dynamic(name, transformed);
+    }
+    let result = eval_node(m, body, env, None);
+    m.pop_dynamics(dyn_base);
+    let flow = result?;
+    let out = must_value(flow);
+    Ok(pop_scope(m, base, Flow::Val(out)))
+}
+
+#[inline(never)]
+fn eval_for<O: Os + Clone>(
+    m: &mut Machine<O>,
+    bindings: &Bindings,
+    body: &Node,
+    env: RootSlot,
+) -> EsResult<Flow> {
+    let base = m.heap.roots_len();
+    // Evaluate every list once, up front.
+    let mut lists: Vec<(String, RootSlot)> = Vec::new();
+    for (name_expr, value_exprs) in bindings {
+        let name = single_name(m, name_expr, env)?;
+        let slot = eval_exprs(m, value_exprs, env, false)?;
+        lists.push((name, slot));
+    }
+    let n = lists
+        .iter()
+        .map(|(_, s)| value::list_len(&m.heap, m.heap.root(*s)))
+        .max()
+        .unwrap_or(0);
+    let result_slot = m.heap.push_root(Ref::NIL);
+    for i in 1..=n {
+        crate::governor::charge(m)?;
+        let iter_base = m.heap.roots_len();
+        let chain = m.heap.push_root(m.heap.root(env));
+        for (name, slot) in &lists {
+            let value = match value::list_nth(&m.heap, m.heap.root(*slot), i) {
+                Some(term) => {
+                    let t = m.heap.push_root(term);
+                    m.heap.alloc_pair(m.heap.root(t), Ref::NIL)
+                }
+                None => Ref::NIL,
+            };
+            let v = m.heap.push_root(value);
+            m.note_binding(name);
+            let binding = m.heap.alloc_binding(name, m.heap.root(v), m.heap.root(chain));
+            m.heap.set_root(chain, binding);
+        }
+        match eval_node(m, body, chain, None) {
+            Ok(flow) => {
+                let v = must_value(flow);
+                m.heap.truncate_roots(iter_base);
+                m.heap.set_root(result_slot, v);
+            }
+            Err(EsError::Throw(e)) if throw_is(m, e, "break") => {
+                let v = m.heap.pair_tail(e);
+                m.heap.truncate_roots(iter_base);
+                m.heap.set_root(result_slot, v);
+                break;
+            }
+            Err(other) => {
+                m.heap.truncate_roots(iter_base);
+                return Err(other);
+            }
+        }
+    }
+    let out = m.heap.root(result_slot);
+    Ok(pop_scope(m, base, Flow::Val(out)))
+}
+
+#[inline(never)]
+fn eval_match<O: Os + Clone>(
+    m: &mut Machine<O>,
+    subject: &Expr,
+    patterns: &[Expr],
+    env: RootSlot,
+) -> EsResult<Flow> {
+    let base = m.heap.roots_len();
+    let subj_slot = eval_expr_rooted(m, subject, env, false)?;
+    let subjects = m.strings_at(subj_slot);
+    let mut pats: Vec<Pattern> = Vec::new();
+    for p in patterns {
+        match p {
+            // Literal pattern words keep their quoting (so a quoted
+            // `'*'` matches a literal star).
+            Expr::Word(w) => pats.push(Pattern::from_segments(&w.seg_refs())),
+            other => {
+                let slot = eval_expr_rooted(m, other, env, false)?;
+                for s in m.strings_at(slot) {
+                    pats.push(Pattern::parse(&s));
+                }
+            }
+        }
+    }
+    m.heap.truncate_roots(base);
+    let matched = if subjects.is_empty() {
+        pats.is_empty()
+    } else {
+        subjects.iter().any(|s| es_match::match_any(&pats, s))
+    };
+    let out = if matched {
+        value::true_value(&mut m.heap)
+    } else {
+        value::false_value(&mut m.heap)
+    };
+    Ok(Flow::Val(out))
 }
 
 /// Truncates the scope, keeping a value flow's ref alive by re-rooting
@@ -507,7 +557,7 @@ pub fn eval_expr<O: Os + Clone>(
             Ok(value::list_from_strs(&mut m.heap, &[&format!("$&{name}")]))
         }
         Expr::CmdSub(node) => {
-            let flow = crate::vm::run_node(m, node, env, None)?;
+            let flow = eval_node(m, node, env, None)?;
             Ok(must_value(flow))
         }
         Expr::ClosureLit { bindings, lambda } => {
@@ -565,7 +615,7 @@ pub fn apply_slot<O: Os + Clone>(
                 m.heap.truncate_roots(base);
                 return Ok(Flow::Tail);
             }
-            let flow = apply_closure(m, clo, args, true, "<closure>")?;
+            let flow = apply_closure(m, clo, args, "<closure>")?;
             Ok(pop_scope(m, base, flow))
         }
         Obj::Str(s) => {
@@ -583,7 +633,8 @@ pub fn apply_slot<O: Os + Clone>(
 }
 
 /// Resolves and applies a command named by a string: primitives,
-/// slash-paths, `fn-` variables, then `%pathsearch`.
+/// boot hooks while pristine, slash-paths, `fn-` variables, then
+/// `%pathsearch`.
 fn apply_named<O: Os + Clone>(
     m: &mut Machine<O>,
     name: &str,
@@ -596,8 +647,17 @@ fn apply_named<O: Os + Clone>(
         return Err(m.error(&format!("function definition loop resolving {name}")));
     }
     if let Some(prim) = name.strip_prefix("$&") {
-        let prim = prim.to_string();
-        return prims::call(m, &prim, args, env, tail);
+        return prims::call(m, prim, args, env, tail);
+    }
+    // While the hook generation says no `fn-%*` binding has changed
+    // since boot, a boot hook provably still means its primitive:
+    // dispatch straight to it instead of looking up `fn-%hook` and
+    // splicing `$&prim ++ args`. The arguments have already run, so a
+    // spoof made while evaluating them is seen here.
+    if name.starts_with('%') && m.hooks_pristine() {
+        if let Some(prim) = prims::hook_prim(name) {
+            return prims::call(m, prim, args, env, tail);
+        }
     }
     if name.contains('/') {
         return run_external(m, name, args);
@@ -623,7 +683,7 @@ fn apply_named<O: Os + Clone>(
                     m.heap.truncate_roots(base);
                     return Ok(Flow::Tail);
                 }
-                let flow = apply_closure(m, clo, args, true, name)?;
+                let flow = apply_closure(m, clo, args, name)?;
                 return Ok(pop_scope(m, base, flow));
             }
             // General case: splice `value ++ args` and re-apply.
@@ -699,7 +759,6 @@ pub fn apply_closure<O: Os + Clone>(
     m: &mut Machine<O>,
     clo_slot: RootSlot,
     args_slot: RootSlot,
-    catch_return: bool,
     name: &str,
 ) -> EsResult<Flow> {
     m.depth += 1;
@@ -714,7 +773,7 @@ pub fn apply_closure<O: Os + Clone>(
         }
         crate::governor::soft_warn(m, crate::governor::Kind::Depth, used, max);
     }
-    let result = apply_closure_inner(m, clo_slot, args_slot, catch_return, name);
+    let result = apply_closure_inner(m, clo_slot, args_slot, name);
     m.depth -= 1;
     result
 }
@@ -723,7 +782,6 @@ fn apply_closure_inner<O: Os + Clone>(
     m: &mut Machine<O>,
     clo_slot: RootSlot,
     args_slot: RootSlot,
-    catch_return: bool,
     name: &str,
 ) -> EsResult<Flow> {
     // Only function-form closures (named params or `@ *`) are
@@ -732,7 +790,6 @@ fn apply_closure_inner<O: Os + Clone>(
     // expect from `if {...} {return}`-style code. The boundary is
     // sticky across the tail-call trampoline: once any frame in the
     // (merged) tail chain is a function form, the chain catches.
-    let _ = catch_return;
     let mut catching = m
         .heap
         .closure_code(m.heap.root(clo_slot))
@@ -800,14 +857,7 @@ fn apply_closure_inner<O: Os + Clone>(
             }
         }
 
-        let result = match m.opts.engine {
-            Engine::Bytecode => {
-                let compiled = m.code_for(&code);
-                crate::vm::exec(m, &compiled, chain, Some((tail_clo, tail_args)))
-            }
-            Engine::Tree => eval_node(m, &code.body, chain, Some((tail_clo, tail_args))),
-        };
-        match result {
+        match eval_node(m, &code.body, chain, Some((tail_clo, tail_args))) {
             Ok(Flow::Tail) => {
                 // Rebind and iterate: this is the proper-tail-call.
                 let c = m.heap.root(tail_clo);

@@ -49,7 +49,6 @@ pub mod harness;
 mod machine;
 mod prims;
 mod value;
-mod vm;
 
 #[cfg(test)]
 mod tests;
@@ -57,7 +56,7 @@ mod tests;
 mod tests_prop;
 
 pub use exception::{EsError, EsResult};
-pub use machine::{Engine, Machine, Options, Yield, YieldAction};
+pub use machine::{Machine, Options, Yield, YieldAction};
 pub use value::Term;
 
 /// The bootstrap script, written in es itself (like the original's

@@ -296,7 +296,7 @@ pub fn eval_prim<O: Os + Clone>(
         src: src.clone(),
         pos: src.len(),
     });
-    let result = crate::vm::run_node(m, &node, env, None);
+    let result = crate::eval::eval_node(m, &node, env, None);
     m.pop_input();
     result
 }

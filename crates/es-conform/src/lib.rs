@@ -42,5 +42,5 @@ pub mod run;
 pub mod scenarios;
 
 pub use oracle::{compare, normalize, Divergence, Field};
-pub use run::{have_tools, run_real, run_sim, run_sim_engine};
+pub use run::{have_tools, run_real, run_sim};
 pub use scenarios::{Mode, Scenario, LEDGER, SCENARIOS};

@@ -7,7 +7,6 @@
 //!   -c CMD            run CMD and exit
 //!   --real            run on the real OS (std::fs / std::process)
 //!   --sim             run on the simulated kernel (default)
-//!   --engine ENGINE   evaluation engine: bytecode (default) or tree
 //!   --naive-calls     disable proper tail calls (1993 behaviour)
 //!   --stress-gc       collect on every allocation (debug mode)
 //!   --dump-env        print the encoded environment and exit
@@ -34,7 +33,7 @@
 //! is treated as `drain`, so piping a frame script through `es serve`
 //! terminates cleanly.
 
-use es_core::{Engine, Machine, Options};
+use es_core::{Machine, Options};
 use es_os::{Os, RealOs, SimOs};
 use es_serve::{Frame, ProtoError, ServeConfig, Server};
 use std::io::{Read, Write};
@@ -46,7 +45,6 @@ struct Args {
     script: Option<String>,
     script_args: Vec<String>,
     real: bool,
-    engine: Engine,
     naive_calls: bool,
     stress_gc: bool,
     dump_env: bool,
@@ -59,7 +57,6 @@ fn parse_args() -> Result<Args, String> {
         script: None,
         script_args: Vec::new(),
         real: false,
-        engine: Engine::default(),
         naive_calls: false,
         stress_gc: false,
         dump_env: false,
@@ -73,18 +70,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--real" => out.real = true,
             "--sim" => out.real = false,
-            "--engine" => {
-                let which = argv.next().ok_or("--engine needs an argument")?;
-                out.engine = match which.as_str() {
-                    "tree" => Engine::Tree,
-                    "bytecode" => Engine::Bytecode,
-                    other => {
-                        return Err(format!(
-                            "--engine {other}: expected 'tree' or 'bytecode'"
-                        ))
-                    }
-                };
-            }
             "--naive-calls" => out.naive_calls = true,
             "--stress-gc" => out.stress_gc = true,
             "--dump-env" => out.dump_env = true,
@@ -100,7 +85,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "-h" | "--help" => {
                 println!(
-                    "usage: es [-c CMD] [--real|--sim] [--engine tree|bytecode] \
+                    "usage: es [-c CMD] [--real|--sim] \
                      [--naive-calls] [--stress-gc] [--limit KIND=N] [script [args...]]"
                 );
                 std::process::exit(0);
@@ -115,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
 fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
     let opts = Options {
         tail_calls: !args.naive_calls,
-        engine: args.engine,
         ..Options::default()
     };
     let mut m = match Machine::with_options(os, opts) {
