@@ -43,12 +43,13 @@ soak-limits:
 # server with fault weather, tight budgets, injected panics, and
 # admission churn; asserts zero escaped panics, zero reset-oracle
 # violations, shedding engaged, and byte-identical event-log replay
-# per seed.
+# per seed. The `soak` profile is release with debug assertions on, so
+# every cache oracle runs too.
 SERVE_SESSIONS ?= 10000
 SERVE_SEEDS ?= 2
 serve-soak:
 	SERVE_SESSIONS=$(SERVE_SESSIONS) SERVE_SEEDS=$(SERVE_SEEDS) \
-		cargo test -p es-serve --release --test soak -q -- --nocapture
+		cargo test -p es-serve --profile soak --test soak -q -- --nocapture
 
 # The whole workspace must be clippy-clean.
 lint:

@@ -40,6 +40,17 @@ fn bench_unparse(c: &mut Criterion) {
                 env
             });
         });
+        // `encode` above reuses the cached encodings; reassigning the
+        // function first makes every export unparse it again.
+        group.bench_with_input(BenchmarkId::new("encode-dirty", n), &n, |b, &n| {
+            let mut m = with_captures(n);
+            b.iter(|| {
+                run(&mut m, "fn-subject = $fn-subject");
+                let env = m.export_environment();
+                assert!(env.iter().any(|(k, _)| k == "fn-subject"));
+                env
+            });
+        });
         group.bench_with_input(BenchmarkId::new("decode", n), &n, |b, &n| {
             let m = with_captures(n);
             let env = m.export_environment();

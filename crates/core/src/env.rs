@@ -21,6 +21,7 @@ use crate::value::{self, ListBuilder, Term};
 use es_gc::Ref;
 use es_os::Os;
 use es_syntax::ast::{Expr, Node};
+use std::rc::Rc;
 
 /// List-element separator in environment strings.
 pub const SEP: char = '\u{1}';
@@ -31,33 +32,60 @@ const BUILTIN_NOEXPORT: &[&str] = &[
 ];
 
 /// Encodes every exportable global as `NAME=value` pairs.
+///
+/// Each global's encoding is cached next to its value and reused until
+/// [`Machine::assign_raw`] stores the global again. Two cases bypass
+/// the cache: a `local` binding shadowing the name (the export is what
+/// `lookup` sees), and a value holding a closure with captured
+/// bindings (a lexical assignment can change those without touching
+/// the global).
 pub fn build_environment<O: Os + Clone>(m: &Machine<O>) -> Vec<(String, String)> {
-    let mut skip: Vec<String> = BUILTIN_NOEXPORT.iter().map(|s| s.to_string()).collect();
-    skip.extend(m.get_var("noexport"));
+    let noexport = m.get_var("noexport");
     let mut out = Vec::new();
-    for name in m.global_names() {
-        if skip.iter().any(|s| s == &name) || name.contains('=') {
+    for (name, global) in m.globals() {
+        if BUILTIN_NOEXPORT.contains(&name.as_str())
+            || noexport.contains(name)
+            || name.contains('=')
+        {
             continue;
         }
-        let value = match m.lookup(Ref::NIL, &name) {
-            Some(v) => v,
-            None => continue,
+        let encoded = if let Some(value) = m.dynamic(name) {
+            encode_value(m, value).0
+        } else if let Some(cached) = global.export.get() {
+            debug_assert_eq!(
+                **cached,
+                encode_value(m, m.heap.perm(global.slot)).0,
+                "stale environment cache for {name}"
+            );
+            String::from(&**cached)
+        } else {
+            let (encoded, cacheable) = encode_value(m, m.heap.perm(global.slot));
+            if cacheable {
+                let _ = global.export.set(Rc::from(encoded.as_str()));
+            }
+            encoded
         };
-        out.push((name.clone(), encode_value(m, value)));
+        out.push((name.clone(), encoded));
     }
     out
 }
 
-/// Encodes one value list as an environment string.
-pub fn encode_value<O: Os + Clone>(m: &Machine<O>, list: Ref) -> String {
+/// Encodes one value list as an environment string, and says whether
+/// the encoding can be cached: true unless some closure in the list
+/// captured bindings, which lexical assignment can mutate in place.
+pub fn encode_value<O: Os + Clone>(m: &Machine<O>, list: Ref) -> (String, bool) {
+    let mut cacheable = true;
     let pieces: Vec<String> = value::read_terms(&m.heap, list)
         .into_iter()
         .map(|t| match t {
             Term::Str(s) => s,
-            Term::Closure(code, bindings) => value::unparse_closure(&m.heap, &code, bindings),
+            Term::Closure(code, bindings) => {
+                cacheable &= bindings.is_nil();
+                value::unparse_closure(&m.heap, &code, bindings)
+            }
         })
         .collect();
-    pieces.join(&SEP.to_string())
+    (pieces.join(&SEP.to_string()), cacheable)
 }
 
 /// Imports the kernel's initial environment: every `NAME=value` pair

@@ -9,6 +9,7 @@ use es_gc::{PermSlot, Ref, RootSlot};
 use es_os::{Desc, Os};
 use es_syntax::ast::Lambda;
 use es_syntax::{lower, parse_program};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -70,6 +71,16 @@ pub trait Yield {
     fn tick(&self) -> YieldAction;
 }
 
+/// A global variable: the root slot holding its value, and that
+/// value's environment encoding once an export has computed it.
+/// [`Machine::assign_raw`], the only place a global is stored, resets
+/// the encoding; [`env::build_environment`] decides what may fill it.
+#[derive(Clone)]
+pub(crate) struct Global {
+    pub(crate) slot: PermSlot,
+    pub(crate) export: OnceCell<Rc<str>>,
+}
+
 /// An input source for `$&parse` / `$&dot`.
 #[derive(Debug, Clone)]
 pub enum Input {
@@ -90,7 +101,7 @@ pub struct Machine<O: Os + Clone> {
     /// Evaluator options.
     pub opts: Options,
     os: O,
-    globals: BTreeMap<String, PermSlot>,
+    globals: BTreeMap<String, Global>,
     /// Dynamic-binding stack: `(name, value slot)`, innermost last.
     dynamics: Vec<(String, RootSlot)>,
     /// The shell's fd table: shell fd → kernel descriptor.
@@ -187,6 +198,10 @@ impl<O: Os + Clone> Machine<O> {
         // environment import below — dirties the generation.
         m.hook_boot_gen = m.hook_gen;
         env::import_environment(&mut m)?;
+        // Encode every exportable global now, so the frozen image —
+        // and every recycled slot and fork cloned from it — starts
+        // with the environment cache filled.
+        env::build_environment(&m);
         // Freeze the finished boot state so pooled slots can restore
         // it. The image's own `boot_image` is `None` (no recursion);
         // `recycle` puts the `Rc` back after restoring from it.
@@ -416,12 +431,22 @@ impl<O: Os + Clone> Machine<O> {
             }
             cur = next;
         }
-        for (dname, slot) in self.dynamics.iter().rev() {
-            if dname == name {
-                return Some(self.heap.root(*slot));
-            }
-        }
-        self.globals.get(name).map(|slot| self.heap.perm(*slot))
+        self.dynamic(name)
+            .or_else(|| self.globals.get(name).map(|g| self.heap.perm(g.slot)))
+    }
+
+    /// The value of the innermost dynamic (`local`) binding of `name`.
+    pub(crate) fn dynamic(&self, name: &str) -> Option<Ref> {
+        self.dynamics
+            .iter()
+            .rev()
+            .find(|(dname, _)| dname == name)
+            .map(|(_, slot)| self.heap.root(*slot))
+    }
+
+    /// The global variables, sorted by name.
+    pub(crate) fn globals(&self) -> &BTreeMap<String, Global> {
+        &self.globals
     }
 
     /// Assigns `value` to `name`: mutates the innermost lexical
@@ -452,16 +477,21 @@ impl<O: Os + Clone> Machine<O> {
             // Assigning the empty list removes a global (this is how
             // `fn-x =` undefines a function and how `recache` flushes
             // the Figure 2 path cache).
-            if let Some(slot) = self.globals.remove(name) {
-                self.heap.free_perm(slot);
+            if let Some(g) = self.globals.remove(name) {
+                self.heap.free_perm(g.slot);
             }
             return;
         }
-        match self.globals.get(name) {
-            Some(slot) => self.heap.set_perm(*slot, value),
+        match self.globals.get_mut(name) {
+            Some(g) => {
+                self.heap.set_perm(g.slot, value);
+                g.export.take();
+            }
             None => {
                 let slot = self.heap.alloc_perm(value);
-                self.globals.insert(name.to_string(), slot);
+                let export = OnceCell::new();
+                self.globals
+                    .insert(name.to_string(), Global { slot, export });
             }
         }
     }

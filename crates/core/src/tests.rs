@@ -1057,6 +1057,73 @@ fn noexport_variable_respected() {
     assert!(env.iter().any(|(k, _)| k == "fn-%pipe"), "functions still export");
 }
 
+/// Exports `m`'s environment, checking every entry against a fresh,
+/// uncached encode of the value `lookup` sees.
+fn export_checked(m: &Machine<SimOs>) -> Vec<(String, String)> {
+    let env = m.export_environment();
+    for (name, encoded) in &env {
+        let value = m.lookup(es_gc::Ref::NIL, name).expect("exported names are bound");
+        assert_eq!(*encoded, crate::env::encode_value(m, value).0, "stale export of {name}");
+    }
+    env
+}
+
+fn exported(env: &[(String, String)], name: &str) -> Option<String> {
+    env.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+}
+
+/// The per-global export cache follows every kind of store: global
+/// reassignment and deletion, function redefinition, a lexical
+/// assignment to a captured binding, and `$noexport` changes.
+#[test]
+fn export_cache_tracks_every_store() {
+    let mut m = machine();
+    let steps: &[(&str, &str, Option<&str>)] = &[
+        ("x = a", "x", Some("a")),
+        ("x = b c", "x", Some("b\u{1}c")),
+        ("x =", "x", None),
+        ("x = d", "x", Some("d")),
+        ("fn f v { echo one $v }", "fn-f", Some("@ v {echo one $v}")),
+        ("fn f v { echo two $v }", "fn-f", Some("@ v {echo two $v}")),
+        ("let (k = 1) fn g { k = 2 }", "fn-g", Some("%closure(k=1)@ * {k = 2}")),
+        ("g", "fn-g", Some("%closure(k=2)@ * {k = 2}")),
+        ("noexport = x", "x", None),
+        ("noexport =", "x", Some("d")),
+    ];
+    for (cmd, name, want) in steps {
+        m.run(cmd).unwrap();
+        let env = export_checked(&m);
+        assert_eq!(exported(&env, name).as_deref(), *want, "after `{cmd}`");
+    }
+}
+
+/// A `local` binding shadows a cached global in what a launched
+/// program sees, and the global's cached entry is intact afterwards.
+#[test]
+fn export_cache_defers_to_local_bindings() {
+    let mut m = machine();
+    m.run("x = global").unwrap();
+    export_checked(&m);
+    let seen = output(&mut m, "local (x = shadow) { env; x = changed; env }");
+    let xs: Vec<&str> = seen.lines().filter(|l| l.starts_with("x=")).collect();
+    assert_eq!(xs, ["x=shadow", "x=changed"]);
+    assert!(output(&mut m, "env").lines().any(|l| l == "x=global"));
+    assert_eq!(exported(&export_checked(&m), "x").as_deref(), Some("global"));
+}
+
+/// A forked child's assignments never reach the parent's export.
+#[test]
+fn export_cache_is_per_fork() {
+    let mut m = machine();
+    m.run("x = parent").unwrap();
+    export_checked(&m);
+    let child = output(&mut m, "fork { x = child; fn-h = { echo h }; env }");
+    assert!(child.lines().any(|l| l == "x=child"), "{child}");
+    let env = export_checked(&m);
+    assert_eq!(exported(&env, "x").as_deref(), Some("parent"));
+    assert_eq!(exported(&env, "fn-h"), None);
+}
+
 #[test]
 fn whatis_multiple_names() {
     let mut m = machine();
@@ -1553,6 +1620,7 @@ fn recycled_machine_is_bit_for_bit_cold_equivalent() {
             "fn-%pipe = @ { echo hooked }",
             "echo residue > /tmp/residue",
             "junk",
+            "env",
         ],
     );
     assert!(recycled.recycle());
@@ -1560,6 +1628,11 @@ fn recycled_machine_is_bit_for_bit_cold_equivalent() {
         recycled.os().fingerprint(),
         cold.os().fingerprint(),
         "recycled kernel differs from a cold boot"
+    );
+    assert_eq!(
+        export_checked(&recycled),
+        export_checked(&cold),
+        "the tenant's globals leaked into the recycled export"
     );
     let a = crate::harness::run_session(&mut cold, &probe);
     let b = crate::harness::run_session(&mut recycled, &probe);

@@ -221,7 +221,7 @@ fn unparse_closure_guarded(
     visiting: &mut Vec<Ref>,
     memo: &mut UnparseMemo,
 ) -> String {
-    let lambda_text = print::unparse_lambda(code, true);
+    let lambda_text = print::unparse_lambda(code);
     if !bindings.is_nil() && visiting.contains(&bindings) {
         return lambda_text;
     }

@@ -3,7 +3,7 @@
 //! and admission churn. `make serve-soak` drives this same test at 10k
 //! sessions via `SERVE_SESSIONS` / `SERVE_SEEDS`.
 
-use es_serve::soak::{run_soak, SoakConfig};
+use es_serve::soak::{run_soak, SoakConfig, SoakReport};
 use es_serve::ServeStats;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -39,6 +39,19 @@ fn assert_contained(stats: &ServeStats, sessions: u64) {
     assert!(stats.max_live <= 6, "admission must hold the high-water mark");
 }
 
+/// Every caught panic must be an injected probe. A test-build oracle
+/// (a `debug_assert!`, on under the `soak` profile) that fires panics
+/// inside a slot too, and the server would otherwise contain it
+/// silently.
+fn assert_only_probes_panicked(report: &SoakReport) {
+    let probe = b"injected probe panic";
+    let probes = report.log.windows(probe.len()).filter(|w| w == probe).count();
+    assert_eq!(
+        probes as u64, report.stats.panics,
+        "a panic other than the injected probe was caught"
+    );
+}
+
 /// The acceptance soak: every seed runs twice and must produce
 /// byte-identical event logs (the replay oracle), with zero escaped
 /// panics (the test process surviving IS the assertion — a panic that
@@ -56,6 +69,7 @@ fn soak_is_contained_and_replays_byte_identically() {
         };
         let first = run_soak(&cfg);
         assert_contained(&first.stats, sessions);
+        assert_only_probes_panicked(&first);
         let replay = run_soak(&cfg);
         assert_eq!(
             first.log.len(),

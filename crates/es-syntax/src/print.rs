@@ -57,7 +57,7 @@ pub fn unparse_expr(e: &Expr) -> String {
             let items: Vec<String> = items.iter().map(unparse_expr).collect();
             format!("({})", items.join(" "))
         }
-        Expr::Lambda(l) => unparse_lambda(l, false),
+        Expr::Lambda(l) => unparse_lambda(l),
         Expr::Prim(name) => format!("$&{name}"),
         Expr::CmdSub(n) => format!("<>{{{}}}", unparse_node(n)),
         Expr::Backquote(n) => format!("`{{{}}}", unparse_node(n)),
@@ -69,7 +69,7 @@ pub fn unparse_expr(e: &Expr) -> String {
                     format!("{n}={}", vals.join(" "))
                 })
                 .collect();
-            format!("%closure({}){}", binds.join(";"), unparse_lambda(lambda, true))
+            format!("%closure({}){}", binds.join(";"), unparse_lambda(lambda))
         }
     }
 }
@@ -87,10 +87,8 @@ fn var_target(t: &Expr) -> String {
     }
 }
 
-/// Prints a lambda. With `explicit_star` the no-params form prints as
-/// `@ * {body}` (the paper's `whatis` output); otherwise as `{body}`.
-pub fn unparse_lambda(l: &Lambda, explicit_star: bool) -> String {
-    let _ = explicit_star;
+/// Prints a lambda: `{body}` without parameters, else `@ params {body}`.
+pub fn unparse_lambda(l: &Lambda) -> String {
     match &l.params {
         None => format!("{{{}}}", unparse_node(&l.body)),
         Some(ps) => format!("@ {} {{{}}}", ps.join(" "), unparse_node(&l.body)),
@@ -197,7 +195,7 @@ pub fn unparse_node(n: &Node) -> String {
         Node::Bang(inner) => format!("!{}", unparse_node(inner)),
         Node::Background(inner) => format!("{} &", unparse_node(inner)),
         Node::FnDef(name, Some(l)) => {
-            format!("fn {} {}", unparse_expr(name), unparse_lambda(l, true))
+            format!("fn {} {}", unparse_expr(name), unparse_lambda(l))
         }
         Node::FnDef(name, None) => format!("fn {}", unparse_expr(name)),
     }

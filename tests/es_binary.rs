@@ -2,22 +2,27 @@
 //! the REPL over a pty-less stdin, `-c`, script files, and flags.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::OnceLock;
 
 /// Path of the compiled `es` binary (cargo builds bin deps for
 /// integration tests of the same workspace... it does not, so build it
-/// on demand the first time).
-fn es_binary() -> &'static str {
-    use std::sync::Once;
-    static BUILD: Once = Once::new();
-    BUILD.call_once(|| {
+/// on demand the first time). The build lands in `$CARGO_TARGET_DIR`
+/// when that is set, else in the workspace's `target/`.
+fn es_binary() -> &'static Path {
+    static BINARY: OnceLock<PathBuf> = OnceLock::new();
+    BINARY.get_or_init(|| {
         let status = Command::new(env!("CARGO"))
             .args(["build", "-p", "es-shell"])
             .status()
             .expect("cargo runs");
         assert!(status.success(), "es-shell builds");
-    });
-    concat!(env!("CARGO_MANIFEST_DIR"), "/target/debug/es")
+        let target = std::env::var_os("CARGO_TARGET_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("target"));
+        target.join("debug").join("es")
+    })
 }
 
 fn run_es(args: &[&str], stdin: &str) -> (String, String, i32) {
