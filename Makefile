@@ -1,9 +1,9 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench bench-eval bench-serve clean
+.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench-check bench bench-eval bench-serve clean
 
-all: build test conform fuzz serve-soak lint
+all: build test conform fuzz serve-soak lint bench-check
 
 build:
 	cargo build --release
@@ -54,6 +54,13 @@ serve-soak:
 # The whole workspace must be clippy-clean.
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# perfbench is its own Cargo package (path deps on the crates here), so
+# the workspace build does not compile it. Build it and run its
+# generator and order-statistic tests, so an API change it depends on
+# fails here rather than in a benchmark run.
+bench-check:
+	cargo test --manifest-path perfbench/Cargo.toml
 
 bench:
 	cargo bench -p es-bench

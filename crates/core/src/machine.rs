@@ -214,8 +214,10 @@ impl<O: Os + Clone> Machine<O> {
     /// the kernel itself all return to the exact post-boot state —
     /// a recycled pooled slot is indistinguishable from a cold-started
     /// machine (the serve suite proves this bit-for-bit on a probe
-    /// script). Returns `false` (and does nothing) on a machine with
-    /// no boot image, i.e. one that is itself a boot image.
+    /// script). A `SimOs` kernel's filesystem is not copied here: it
+    /// stays shared with the image until the next write. Returns
+    /// `false` (and does nothing) on a machine with no boot image,
+    /// i.e. one that is itself a boot image.
     pub fn recycle(&mut self) -> bool {
         let Some(image) = self.boot_image.take() else {
             return false;

@@ -1600,7 +1600,8 @@ fn recycle_restores_boot_state() {
 /// Satellite: a recycled machine is bit-for-bit equivalent to a
 /// cold-started one — identical kernel fingerprints and an identical
 /// `SessionTrace` on a probe script that exercises variables, hooks,
-/// pipes, redirections, and the filesystem.
+/// pipes, redirections, and the filesystem, after a dirty session that
+/// wrote, made a directory and removed a `/bin` program.
 #[test]
 fn recycled_machine_is_bit_for_bit_cold_equivalent() {
     let probe = [
@@ -1619,6 +1620,8 @@ fn recycled_machine_is_bit_for_bit_cold_equivalent() {
             "fn junk { echo junk }",
             "fn-%pipe = @ { echo hooked }",
             "echo residue > /tmp/residue",
+            "mkdir /tmp/made",
+            "rm /bin/tr",
             "junk",
             "env",
         ],

@@ -67,9 +67,11 @@ pub struct ProcEntry {
 
 /// The simulated UNIX kernel. See the crate docs for scope.
 ///
-/// `Clone` deep-copies the whole kernel (filesystem, descriptors,
-/// pipes, clock); the interpreter's `fork` clones the kernel together
-/// with the shell state, giving true fork semantics.
+/// `Clone` copies the whole kernel (descriptors, pipes, clock) except
+/// the filesystem, which it shares copy-on-write: the clone pays for
+/// its own copy of the inode table on its first write. The
+/// interpreter's `fork` clones the kernel together with the shell
+/// state, giving true fork semantics.
 #[derive(Clone)]
 pub struct SimOs {
     vfs: Vfs,
@@ -266,6 +268,12 @@ impl SimOs {
         self.files.iter().flatten().count()
     }
 
+    /// Rows in the pipe table, live or waiting for reuse.
+    #[cfg(test)]
+    pub(crate) fn pipe_rows(&self) -> usize {
+        self.pipes.len()
+    }
+
     /// Consults the armed plan for this syscall; `None` means proceed
     /// normally. Injection happens *before* any kernel state changes,
     /// so an injected `EINTR` is always safely retryable.
@@ -431,7 +439,8 @@ impl SimOs {
     }
 
     /// Deterministic digest of every tenant-observable piece of kernel
-    /// state: the filesystem (paths, contents, executable bits), the
+    /// state: the filesystem (paths, contents, executable bits; its
+    /// cached [`Vfs::digest`], so an unwritten tree is not re-walked), the
     /// descriptor table (kinds, cursors, refcounts), pipes and their
     /// buffered bytes, console buffers, working directory, virtual
     /// clock, child rusage, pending and scheduled signals, the process
@@ -441,7 +450,7 @@ impl SimOs {
     /// kernel layer. The armed fault plan is deliberately excluded: it
     /// is per-session *configuration*, not state a tenant mutates.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = FNV_OFFSET;
         fnv(&mut h, self.cwd.as_bytes());
         fnv_u64(&mut h, self.real_ns);
         fnv_u64(&mut h, self.shell_sys_ns);
@@ -449,7 +458,7 @@ impl SimOs {
         fnv_u64(&mut h, self.children.sys_ns);
         fnv_u64(&mut h, self.next_pid as u64);
         fnv_u64(&mut h, self.shell_pid as u64);
-        self.hash_tree("/", &mut h);
+        fnv_u64(&mut h, self.vfs.digest());
         for (i, slot) in self.files.iter().enumerate() {
             let Some(of) = slot else { continue };
             fnv_u64(&mut h, i as u64);
@@ -476,7 +485,7 @@ impl SimOs {
         }
         for (i, pipe) in self.pipes.iter().enumerate() {
             // Only pipes with a live end are observable; fully closed
-            // entries are dead rows kept for index stability.
+            // rows wait to be reused by the next `pipe`.
             if pipe.readers == 0 && pipe.writers == 0 {
                 continue;
             }
@@ -505,42 +514,13 @@ impl SimOs {
         }
         h
     }
-
-    fn hash_tree(&self, path: &str, h: &mut u64) {
-        let Ok(names) = self.vfs.read_dir(path, "/") else {
-            return;
-        };
-        for name in names {
-            let full = if path == "/" {
-                format!("/{name}")
-            } else {
-                format!("{path}/{name}")
-            };
-            fnv(h, full.as_bytes());
-            if self.vfs.is_dir(&full, "/") {
-                fnv(h, b"dir");
-                self.hash_tree(&full, h);
-                continue;
-            }
-            fnv(h, &[self.vfs.is_executable(&full, "/") as u8]);
-            if let Ok(ino) = self.vfs.lookup(&full, "/") {
-                match self.vfs.program_of(ino) {
-                    Some(key) => {
-                        fnv(h, b"prog");
-                        fnv(h, key.as_bytes());
-                    }
-                    None => {
-                        fnv(h, b"file");
-                        fnv(h, self.vfs.file_data(ino));
-                    }
-                }
-            }
-        }
-    }
 }
 
+/// FNV-1a's initial state.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
 /// FNV-1a over a byte run (the fingerprint's mixing step).
-fn fnv(h: &mut u64, bytes: &[u8]) {
+pub(crate) fn fnv(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *h ^= b as u64;
         *h = h.wrapping_mul(0x100000001b3);
@@ -600,12 +580,23 @@ impl Os for SimOs {
         if let Some(kind) = self.inject(Syscall::Pipe, &[FaultKind::Intr, FaultKind::MFile]) {
             return Err(Self::fault_error(kind, "pipe"));
         }
-        let p = self.pipes.len();
-        self.pipes.push(Pipe {
+        // Reuse the lowest fully closed row, like `alloc_desc`, so a
+        // long session's table stays as large as its busiest moment.
+        let fresh = Pipe {
             buf: VecDeque::new(),
             writers: 1,
             readers: 1,
-        });
+        };
+        let p = match self.pipes.iter().position(|p| p.readers == 0 && p.writers == 0) {
+            Some(p) => {
+                self.pipes[p] = fresh;
+                p
+            }
+            None => {
+                self.pipes.push(fresh);
+                self.pipes.len() - 1
+            }
+        };
         let r = self.alloc_desc(FileKind::PipeR(p));
         let w = self.alloc_desc(FileKind::PipeW(p));
         self.charge_sys(0);

@@ -968,3 +968,123 @@ fn fingerprint_is_sensitive_to_observable_state() {
     os.advance_ns(1);
     check(&os, "advancing the virtual clock");
 }
+
+/// A pipe row is reused once both its ends are closed, so opening and
+/// closing pipes forever keeps the table as large as the most pipes
+/// ever open at once (the REPL and long served sessions open one per
+/// pipeline or backquote).
+#[test]
+fn pipe_rows_are_reused_once_fully_closed() {
+    let mut os = SimOs::new();
+    let mut most_open = 0;
+    for i in 0..10_000 {
+        let width = 1 + i % 3;
+        let ends: Vec<_> = (0..width).map(|_| os.pipe().unwrap()).collect();
+        most_open = most_open.max(width);
+        write_all(&mut os, ends[0].1, b"left behind").unwrap();
+        // Close in a varying order, with an extra dup'd reader.
+        let extra = os.dup(ends[width - 1].0).unwrap();
+        for &(r, w) in ends.iter().rev() {
+            os.close(w).unwrap();
+            os.close(r).unwrap();
+        }
+        os.close(extra).unwrap();
+    }
+    assert!(os.pipe_rows() <= most_open, "{} rows", os.pipe_rows());
+    // A reused row starts empty: the bytes left in row 0 are gone.
+    let (r, w) = os.pipe().unwrap();
+    os.close(w).unwrap();
+    assert_eq!(read_all(&mut os, r).unwrap(), b"");
+    os.close(r).unwrap();
+    assert!(os.pipe_rows() <= most_open);
+}
+
+// ----- the shared filesystem and its cached digest -------------------------
+
+/// Every `Vfs` mutator, called directly or from a `/bin` program
+/// through `ProcCtx::vfs_mut`, moves a warm digest to the value a
+/// fresh walk gives.
+#[test]
+fn every_vfs_mutator_moves_a_warm_digest() {
+    type Step = (&'static str, fn(&mut SimOs));
+    let steps: &[Step] = &[
+        ("create_file", |os| {
+            os.vfs_mut().create_file("/tmp/d", "/", true).unwrap();
+        }),
+        ("write_at", |os| {
+            let ino = os.vfs().lookup("/tmp/d", "/").unwrap();
+            os.vfs_mut().write_at(ino, 0, b"bytes");
+        }),
+        ("truncate", |os| {
+            let ino = os.vfs().lookup("/tmp/d", "/").unwrap();
+            os.vfs_mut().truncate(ino);
+        }),
+        ("mkdir", |os| {
+            os.vfs_mut().mkdir("sub", "/tmp").unwrap();
+        }),
+        ("mkdir_all", |os| {
+            os.vfs_mut().mkdir_all("/tmp/sub/a/b").unwrap();
+        }),
+        ("put_file", |os| {
+            os.vfs_mut().put_file("/tmp/sub/a/f", b"x").unwrap();
+        }),
+        ("set_executable", |os| {
+            os.vfs_mut().set_executable("/tmp/sub/a/f", true).unwrap();
+        }),
+        ("put_program", |os| {
+            os.vfs_mut().put_program("/usr/bin/cat2", "cat").unwrap();
+        }),
+        ("unlink", |os| {
+            os.vfs_mut().unlink("/tmp/sub/a/f", "/").unwrap();
+        }),
+        ("rmdir", |os| {
+            os.vfs_mut().rmdir("/tmp/sub/a/b", "/").unwrap();
+        }),
+        ("/bin/mkdir", |os| {
+            assert_eq!(run_prog(os, "mkdir", &["-p", "/tmp/m/n"], "").0, 0);
+        }),
+        ("/bin/rm", |os| {
+            assert_eq!(run_prog(os, "rm", &["/tmp/d"], "").0, 0);
+        }),
+    ];
+    let mut os = SimOs::new();
+    for (what, step) in steps {
+        let warm = os.vfs().digest();
+        step(&mut os);
+        let moved = os.vfs().digest();
+        assert_ne!(moved, warm, "{what} did not move the digest");
+        assert_eq!(moved, os.vfs().walk_digest(), "{what} left a stale digest");
+    }
+}
+
+/// Writing through one of two kernels that share a filesystem leaves
+/// the other's files and fingerprint as they were, whichever of the
+/// two is the clone.
+#[test]
+fn cloned_kernels_do_not_see_each_others_writes() {
+    fn scribble(os: &mut SimOs) {
+        let fd = os.open("/tmp/new", OpenMode::Write).unwrap();
+        write_all(os, fd, b"written").unwrap();
+        os.close(fd).unwrap();
+        os.vfs_mut().unlink("/etc/motd", "/").unwrap();
+        os.vfs_mut().mkdir("/tmp/dir", "/").unwrap();
+    }
+    for clone_writes in [true, false] {
+        let mut a = SimOs::new();
+        let before = a.fingerprint();
+        let mut b = a.clone();
+        let (writer, reader) = if clone_writes {
+            (&mut b, &a)
+        } else {
+            (&mut a, &b)
+        };
+        scribble(writer);
+        assert!(writer.is_file("/tmp/new") && writer.is_dir("/tmp/dir"));
+        assert!(!writer.is_file("/etc/motd"));
+        assert_ne!(writer.fingerprint(), before);
+        assert!(!reader.is_file("/tmp/new"));
+        assert!(!reader.is_dir("/tmp/dir"));
+        assert!(reader.is_file("/etc/motd"));
+        assert_eq!(reader.fingerprint(), before, "clone_writes={clone_writes}");
+    }
+}

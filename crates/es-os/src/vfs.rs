@@ -5,9 +5,18 @@
 //! entry in the simulated-program registry (that is how `/bin/cat`
 //! "executes"). Paths are resolved UNIX-style against a current
 //! working directory, with `.` and `..` handling.
+//!
+//! The inode table is shared copy-on-write: cloning a `Vfs` (and so a
+//! whole [`crate::SimOs`], for `fork`, a pooled slot's recycle, or the
+//! boot image) bumps a refcount, and the first write through a clone
+//! copies the table once. Every write goes through `Vfs::tree_mut`,
+//! which also forgets the table's cached [`Vfs::digest`].
 
 use crate::error::{OsError, OsResult};
+use crate::sim::{fnv, FNV_OFFSET};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,10 +40,19 @@ pub enum Node {
     },
 }
 
-/// The filesystem: an inode table plus the root inode.
+/// The filesystem: a copy-on-write handle on an inode table whose
+/// inode 0 is the root.
 #[derive(Debug, Clone)]
 pub struct Vfs {
+    tree: Rc<Tree>,
+}
+
+/// The shared inode table and its digest, filled on first use and
+/// emptied by every write.
+#[derive(Debug, Clone)]
+struct Tree {
     nodes: Vec<Node>,
+    digest: OnceCell<u64>,
 }
 
 /// Result of a path resolution.
@@ -57,7 +75,10 @@ impl Vfs {
     /// Creates a filesystem containing only an empty root directory.
     pub fn new() -> Vfs {
         Vfs {
-            nodes: vec![Node::Dir(BTreeMap::new())],
+            tree: Rc::new(Tree {
+                nodes: vec![Node::Dir(BTreeMap::new())],
+                digest: OnceCell::new(),
+            }),
         }
     }
 
@@ -67,11 +88,76 @@ impl Vfs {
     }
 
     fn node(&self, ino: Ino) -> &Node {
-        &self.nodes[ino.0]
+        &self.tree.nodes[ino.0]
+    }
+
+    /// The one way to write the table: unshares it (copying it if a
+    /// clone still holds it) and forgets its digest.
+    fn tree_mut(&mut self) -> &mut Tree {
+        let tree = Rc::make_mut(&mut self.tree);
+        tree.digest.take();
+        tree
     }
 
     fn node_mut(&mut self, ino: Ino) -> &mut Node {
-        &mut self.nodes[ino.0]
+        &mut self.tree_mut().nodes[ino.0]
+    }
+
+    fn push_node(&mut self, node: Node) -> Ino {
+        let nodes = &mut self.tree_mut().nodes;
+        nodes.push(node);
+        Ino(nodes.len() - 1)
+    }
+
+    /// Deterministic digest of everything reachable from the root:
+    /// each path, whether it is a directory, and a file's executable
+    /// bit and program key or contents. Cached in the shared table, so
+    /// every clone that has not written since reuses it.
+    pub fn digest(&self) -> u64 {
+        if let Some(&d) = self.tree.digest.get() {
+            debug_assert_eq!(d, self.walk_digest(), "stale cached vfs digest");
+            return d;
+        }
+        *self.tree.digest.get_or_init(|| self.walk_digest())
+    }
+
+    /// The digest recomputed from scratch (the cache's oracle).
+    pub(crate) fn walk_digest(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        self.hash_dir(self.root(), &mut String::new(), &mut h);
+        h
+    }
+
+    fn hash_dir(&self, dir: Ino, path: &mut String, h: &mut u64) {
+        let Node::Dir(entries) = self.node(dir) else {
+            return;
+        };
+        for (name, &ino) in entries {
+            let len = path.len();
+            path.push('/');
+            path.push_str(name);
+            fnv(h, path.as_bytes());
+            match self.node(ino) {
+                Node::Dir(_) => {
+                    fnv(h, b"dir");
+                    self.hash_dir(ino, path, h);
+                }
+                Node::File { data, program, executable } => {
+                    fnv(h, &[(*executable || program.is_some()) as u8]);
+                    match program {
+                        Some(key) => {
+                            fnv(h, b"prog");
+                            fnv(h, key.as_bytes());
+                        }
+                        None => {
+                            fnv(h, b"file");
+                            fnv(h, data);
+                        }
+                    }
+                }
+            }
+            path.truncate(len);
+        }
     }
 
     /// Normalises `path` against `cwd` into absolute components.
@@ -224,8 +310,7 @@ impl Vfs {
                 let name = Self::normalize(path, cwd)
                     .pop()
                     .ok_or_else(|| OsError::Inval(path.to_string()))?;
-                let ino = Ino(self.nodes.len());
-                self.nodes.push(Node::File {
+                let ino = self.push_node(Node::File {
                     data: Vec::new(),
                     program: None,
                     executable: false,
@@ -249,8 +334,7 @@ impl Vfs {
                 let name = Self::normalize(path, cwd)
                     .pop()
                     .ok_or_else(|| OsError::Inval(path.to_string()))?;
-                let ino = Ino(self.nodes.len());
-                self.nodes.push(Node::Dir(BTreeMap::new()));
+                let ino = self.push_node(Node::Dir(BTreeMap::new()));
                 match self.node_mut(parent) {
                     Node::Dir(entries) => {
                         entries.insert(name, ino);

@@ -22,6 +22,15 @@
 //! report quarantines the slot; scrubbing (a fresh boot) is the only
 //! way back, and a slot whose *scrub* still fails the oracle is
 //! retired for good.
+//!
+//! The audit costs O(fd table + live pipes + consoles), not O(files):
+//! a slot's filesystem is shared copy-on-write with its boot image,
+//! and the filesystem's part of the fingerprint is a digest cached
+//! inside the shared tree ([`es_os::Vfs::digest`]). The boot
+//! `snapshot()` fills that cache once for the image and every slot
+//! that shares its tree; only a tenant that wrote the filesystem pays
+//! for one inode walk of its private copy. In builds with debug
+//! assertions every cached digest is checked against a fresh walk.
 
 use crate::gate::{GateYield, SliceGate};
 use es_core::Machine;
@@ -496,5 +505,47 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cached filesystem digest does not blind the reset oracle: a
+    /// session that writes `/tmp`, makes a directory and removes a
+    /// `/bin` program audits dirty until the slot is recycled. Each
+    /// write alone, made straight on the filesystem so that nothing
+    /// else in the kernel (clock, pid counter) moves, does too.
+    #[test]
+    fn audit_catches_filesystem_writes_until_recycled() {
+        let mut m = boot_machine(&None);
+        let boot = snapshot(&m);
+        assert!(audit(&m, &boot).clean(), "a fresh boot audits clean");
+        m.run("echo residue > /tmp/residue; mkdir /tmp/made; rm /bin/tr")
+            .expect("the dirty session runs");
+        m.os_mut().take_console();
+        let dirty = audit(&m, &boot);
+        assert!(!dirty.os_clean, "filesystem writes went unnoticed");
+        assert_eq!(dirty.violations(), vec!["kernel-fingerprint"]);
+        assert!(m.recycle());
+        assert!(audit(&m, &boot).clean(), "recycle restores the boot image");
+
+        type Write = fn(&mut es_os::Vfs);
+        let writes: [(&str, Write); 3] = [
+            ("write /tmp", |fs| {
+                fs.put_file("/tmp/residue", b"x").unwrap();
+            }),
+            ("mkdir", |fs| {
+                fs.mkdir("/tmp/made", "/").unwrap();
+            }),
+            ("rm /bin/tr", |fs| fs.unlink("/bin/tr", "/").unwrap()),
+        ];
+        for (what, write) in writes {
+            write(m.os_mut().vfs_mut());
+            assert!(!audit(&m, &boot).os_clean, "{what} went unnoticed");
+            assert!(m.recycle());
+            assert!(audit(&m, &boot).clean(), "{what} survived recycle");
+        }
     }
 }
