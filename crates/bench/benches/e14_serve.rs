@@ -11,6 +11,11 @@
 //!   release — at 1k and 10k sequential sessions.
 //! * **Tail latency**: p50/p99 of per-command completion (Line fed →
 //!   Done emitted) under the same drive.
+//! * **Live sessions**: the same two numbers on an 8-slot server with
+//!   1 and with 8 sessions open at once, each client sending its next
+//!   command only after the previous one's `Done` — so the baton's
+//!   handoff between tenants is measured, not just one tenant's
+//!   turnover.
 //!
 //! The criterion shim reports only to stderr, so this is a plain
 //! `harness = false` main writing `BENCH_serve.json` at the repo root.
@@ -102,6 +107,92 @@ fn bench_serve(sessions: u64) -> (u64, Vec<u64>) {
     ((sessions as f64 / secs) as u64, lat)
 }
 
+/// A closed-loop client of [`bench_live`]: one open session and the
+/// next command it will send.
+struct Client {
+    sid: u64,
+    next: usize,
+    sent: Instant,
+}
+
+impl Client {
+    fn open(server: &mut Server) -> Client {
+        let resp = server.feed(Frame::Open {
+            limits: vec![],
+            fault_seed: None,
+        });
+        let sid = match resp.first() {
+            Some(Frame::Opened { sid }) => *sid,
+            other => panic!("bench session not admitted: {other:?}"),
+        };
+        let mut c = Client {
+            sid,
+            next: 0,
+            sent: Instant::now(),
+        };
+        c.send(server);
+        c
+    }
+
+    fn send(&mut self, server: &mut Server) {
+        self.sent = Instant::now();
+        server.feed(Frame::Line {
+            sid: self.sid,
+            cmd: SESSION_CMDS[self.next].to_string(),
+        });
+    }
+}
+
+/// Drives `sessions` sessions through an 8-slot server with `live` of
+/// them open at once. Each client sends its next command when the
+/// previous one's `Done` arrives; a client whose session has run every
+/// command closes it and opens the next. One slice per pump, so each
+/// `Done` is stamped when it is emitted. Returns (sessions/sec, sorted
+/// per-command latencies ns).
+fn bench_live(live: usize, sessions: u64) -> (u64, Vec<u64>) {
+    let mut server = Server::new(ServeConfig {
+        capacity: 8,
+        high_water: 8,
+        ..ServeConfig::default()
+    });
+    let mut lat = Vec::with_capacity((sessions as usize) * SESSION_CMDS.len());
+    let started = Instant::now();
+    let mut clients: Vec<Client> = (0..live).map(|_| Client::open(&mut server)).collect();
+    let mut opened = live as u64;
+    while !clients.is_empty() {
+        for f in server.pump(1) {
+            let Frame::Done { sid, .. } = f else {
+                continue;
+            };
+            let i = clients
+                .iter()
+                .position(|c| c.sid == sid)
+                .expect("Done for a live client");
+            lat.push(clients[i].sent.elapsed().as_nanos() as u64);
+            clients[i].next += 1;
+            if clients[i].next < SESSION_CMDS.len() {
+                clients[i].send(&mut server);
+                continue;
+            }
+            server.feed(Frame::Close { sid });
+            if opened < sessions {
+                clients[i] = Client::open(&mut server);
+                opened += 1;
+            } else {
+                clients.swap_remove(i);
+            }
+        }
+    }
+    let secs = started.elapsed().as_secs_f64();
+    assert_eq!(
+        server.stats().oracle_violations,
+        0,
+        "bench sessions leaked state"
+    );
+    lat.sort_unstable();
+    ((sessions as f64 / secs) as u64, lat)
+}
+
 fn main() {
     let mut fields: Vec<(String, u64)> = Vec::new();
 
@@ -117,6 +208,19 @@ fn main() {
         fields.push((format!("serve_sessions_per_sec_{k}k"), per_sec));
         fields.push((format!("serve_cmd_p50_ns_{k}k"), percentile(&lat, 0.50)));
         fields.push((format!("serve_cmd_p99_ns_{k}k"), percentile(&lat, 0.99)));
+    }
+
+    for live in [1usize, 8] {
+        let (per_sec, lat) = bench_live(live, 5_000);
+        fields.push((format!("serve_live{live}_sessions_per_sec"), per_sec));
+        fields.push((
+            format!("serve_live{live}_cmd_p50_ns"),
+            percentile(&lat, 0.50),
+        ));
+        fields.push((
+            format!("serve_live{live}_cmd_p99_ns"),
+            percentile(&lat, 0.99),
+        ));
     }
 
     let mut json = String::from("{\n");

@@ -200,6 +200,12 @@ impl RealOs {
         String::from_utf8_lossy(&std::mem::take(&mut self.console_err)).into_owned()
     }
 
+    /// Rows in the pipe table, free ones included (tests).
+    #[cfg(test)]
+    pub(crate) fn pipe_rows(&self) -> usize {
+        self.pipes.len()
+    }
+
     /// Resolves `path` against this kernel's current directory and
     /// normalizes `.`/`..` lexically (mirroring the simulator's VFS,
     /// so `pwd` and error messages agree across backends).
@@ -324,8 +330,24 @@ impl Os for RealOs {
     }
 
     fn pipe(&mut self) -> OsResult<(Desc, Desc)> {
-        let p = self.pipes.len();
-        self.pipes.push(Vec::new());
+        // Reuse the lowest row no descriptor refers to, emptied, so a
+        // long session's table stays as large as its busiest moment.
+        let mut used = vec![false; self.pipes.len()];
+        for f in self.files.iter().flatten() {
+            if let RealKind::PipeR(p) | RealKind::PipeW(p) = f.kind {
+                used[p] = true;
+            }
+        }
+        let p = match used.iter().position(|&u| !u) {
+            Some(p) => {
+                self.pipes[p] = Vec::new();
+                p
+            }
+            None => {
+                self.pipes.push(Vec::new());
+                self.pipes.len() - 1
+            }
+        };
         let r = self.alloc(RealKind::PipeR(p));
         let w = self.alloc(RealKind::PipeW(p));
         Ok((r, w))

@@ -45,6 +45,33 @@ fn real_pipes_buffer() {
     assert_eq!(read_all(&mut os, r).unwrap(), b"through");
 }
 
+/// Closed pipes give their rows back: the table never grows past the
+/// most pipes ever open at once, and a reused row starts empty.
+#[test]
+fn real_pipe_rows_are_reused_once_closed() {
+    let mut os = RealOs::new();
+    let mut most_open = 0;
+    for i in 0..10_000 {
+        let width = 1 + i % 3;
+        let ends: Vec<_> = (0..width).map(|_| os.pipe().unwrap()).collect();
+        most_open = most_open.max(width);
+        write_all(&mut os, ends[0].1, b"left behind").unwrap();
+        // Close in a varying order, with an extra dup'd reader.
+        let extra = os.dup(ends[width - 1].0).unwrap();
+        for &(r, w) in ends.iter().rev() {
+            os.close(w).unwrap();
+            os.close(r).unwrap();
+        }
+        os.close(extra).unwrap();
+    }
+    assert!(os.pipe_rows() <= most_open, "{} rows", os.pipe_rows());
+    let (r, w) = os.pipe().unwrap();
+    os.close(w).unwrap();
+    assert_eq!(read_all(&mut os, r).unwrap(), b"");
+    os.close(r).unwrap();
+    assert!(os.pipe_rows() <= most_open);
+}
+
 #[test]
 fn real_fs_inspection() {
     let os = RealOs::new();

@@ -3,9 +3,9 @@
 //! A `Machine<SimOs>` is `!Send` (its heap is `Rc`-threaded), so each
 //! pool slot owns a dedicated worker thread that boots the machine
 //! once and keeps it for the slot's whole life. The scheduler never
-//! touches a machine directly — it sends [`WorkerMsg`]s down the
-//! slot's channel and timeslices execution through the slot's
-//! [`SliceGate`]. Booting is the expensive part (parsing and running
+//! touches a machine directly — it hands the worker [`Request`]s and
+//! timeslices through the slot's [`SliceGate`], and takes [`Reply`]s
+//! back from it. Booting is the expensive part (parsing and running
 //! `initial.es`, importing the environment); recycling via
 //! [`es_core::Machine::recycle`] restores the frozen boot image in
 //! place, which is why a pooled session starts orders of magnitude
@@ -37,8 +37,7 @@ use es_core::Machine;
 use es_os::{Os, SimOs};
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Once};
+use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 /// Background fault-injection intensity for sessions opened with a
@@ -53,26 +52,26 @@ pub const WEATHER_PER_1024: u16 = 12;
 pub type OsSetup = Arc<dyn Fn(&mut SimOs) + Send + Sync>;
 
 /// What the scheduler asks a slot worker to do.
-pub enum WorkerMsg {
-    /// Arm per-session limits and (optionally) fault weather for the
-    /// tenant about to use this slot.
-    Arm {
+#[derive(Debug)]
+pub enum Request {
+    /// Run one command line to completion (timesliced via the gate).
+    /// The worker first arms `limits` (each command gets a fresh
+    /// budget) and, when `fault_seed` is set, installs fault weather:
+    /// a session's first command carries its seed.
+    Run {
+        cmd: String,
         limits: Vec<(String, u64)>,
         fault_seed: Option<u64>,
     },
-    /// Run one command line to completion (timesliced via the gate).
-    Run(String),
     /// Restore the boot image and audit it (normal release path).
     Recycle,
     /// Throw the machine away and boot a fresh one (post-panic path).
     Scrub,
-    /// Exit the worker thread.
-    Shutdown,
 }
 
 /// What a slot worker reports back.
+#[derive(Debug)]
 pub enum Reply {
-    Armed(Result<(), String>),
     Ran(Outcome),
     Recycled(ResetReport),
     Scrubbed(ResetReport),
@@ -117,6 +116,15 @@ pub struct ResetReport {
 }
 
 impl ResetReport {
+    /// The report for a slot whose worker thread has ended: every
+    /// check fails, so the slot leaves rotation.
+    const WORKER_GONE: ResetReport = ResetReport {
+        os_clean: false,
+        fd_delta: 0,
+        hooks_pristine: false,
+        limits_ok: false,
+    };
+
     /// True when every check passed — the next tenant cannot observe
     /// the previous one.
     pub fn clean(&self) -> bool {
@@ -159,8 +167,6 @@ pub enum SlotState {
 
 struct Slot {
     gate: Arc<SliceGate>,
-    tx: Sender<WorkerMsg>,
-    rx: Receiver<Reply>,
     handle: Option<JoinHandle<()>>,
     state: SlotState,
 }
@@ -234,92 +240,68 @@ fn audit(m: &Machine<SimOs>, boot: &BootSnapshot) -> ResetReport {
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn worker_main(
-    gate: Arc<SliceGate>,
-    rx: Receiver<WorkerMsg>,
-    tx: Sender<Reply>,
-    setup: Option<OsSetup>,
-    panic_probe: String,
-) {
+fn worker_main(gate: &Arc<SliceGate>, setup: Option<OsSetup>, panic_probe: String) {
     let mut m = boot_machine(&setup);
     let mut boot = snapshot(&m);
-    m.set_yielder(Some(Rc::new(GateYield(Arc::clone(&gate)))));
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Arm { limits, fault_seed } => {
-                let mut res = Ok(());
+    m.set_yielder(Some(Rc::new(GateYield(Arc::clone(gate)))));
+    while let Some(req) = gate.next() {
+        let reply = match req {
+            Request::Run {
+                cmd,
+                limits,
+                fault_seed,
+            } => {
                 for (kind, value) in &limits {
-                    if let Err(e) = m.arm_limit(kind, *value) {
-                        res = Err(e);
-                        break;
-                    }
+                    m.arm_limit(kind, *value)
+                        .expect("open admits only known limit kinds");
                 }
                 if let Some(seed) = fault_seed {
                     m.os_mut().set_fault_plan(Some(
                         es_os::FaultPlan::new(seed).uniform_rate(WEATHER_PER_1024),
                     ));
                 }
-                let _ = tx.send(Reply::Armed(res));
+                Reply::Ran(run_command(&mut m, gate, &cmd, &panic_probe))
             }
-            WorkerMsg::Run(cmd) => {
-                gate.acquire();
-                let steps_before = m.governor().steps();
-                let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                    if cmd == panic_probe {
-                        panic!("injected probe panic");
-                    }
-                    m.run(&cmd)
-                }));
-                let cancelled = gate.cancel_requested();
-                let outcome = match run {
-                    Ok(Ok(values)) => Outcome {
-                        result: Ok(values.join(" ")),
-                        cancelled,
-                        panic: None,
-                        stdout: String::new(),
-                        stderr: String::new(),
-                        steps: m.governor().steps() - steps_before,
-                    },
-                    Ok(Err(e)) => Outcome {
-                        result: Err(e.to_string()),
-                        cancelled,
-                        panic: None,
-                        stdout: String::new(),
-                        stderr: String::new(),
-                        steps: m.governor().steps() - steps_before,
-                    },
-                    Err(payload) => Outcome {
-                        result: Err("panic".to_string()),
-                        cancelled,
-                        panic: Some(panic_message(payload)),
-                        stdout: String::new(),
-                        stderr: String::new(),
-                        steps: m.governor().steps().saturating_sub(steps_before),
-                    },
-                };
-                let (stdout, stderr) = m.os_mut().take_console();
-                let outcome = Outcome {
-                    stdout,
-                    stderr,
-                    ..outcome
-                };
-                let _ = tx.send(Reply::Ran(outcome));
-                gate.done();
-            }
-            WorkerMsg::Recycle => {
+            Request::Recycle => {
                 m.os_mut().set_fault_plan(None);
                 m.recycle();
-                let _ = tx.send(Reply::Recycled(audit(&m, &boot)));
+                Reply::Recycled(audit(&m, &boot))
             }
-            WorkerMsg::Scrub => {
+            Request::Scrub => {
                 m = boot_machine(&setup);
                 boot = snapshot(&m);
-                m.set_yielder(Some(Rc::new(GateYield(Arc::clone(&gate)))));
-                let _ = tx.send(Reply::Scrubbed(audit(&m, &boot)));
+                m.set_yielder(Some(Rc::new(GateYield(Arc::clone(gate)))));
+                Reply::Scrubbed(audit(&m, &boot))
             }
-            WorkerMsg::Shutdown => break,
+        };
+        gate.done(reply);
+    }
+}
+
+/// Runs one command on the slot's machine, catching a panic at the
+/// slot boundary, and harvests its console output.
+fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str, panic_probe: &str) -> Outcome {
+    let steps_before = m.governor().steps();
+    let run = panic::catch_unwind(AssertUnwindSafe(|| {
+        if cmd == panic_probe {
+            panic!("injected probe panic");
         }
+        m.run(cmd)
+    }));
+    let (result, panic) = match run {
+        Ok(Ok(values)) => (Ok(values.join(" ")), None),
+        Ok(Err(e)) => (Err(e.to_string()), None),
+        Err(payload) => (Err("panic".to_string()), Some(panic_message(payload))),
+    };
+    let steps = m.governor().steps().saturating_sub(steps_before);
+    let (stdout, stderr) = m.os_mut().take_console();
+    Outcome {
+        result,
+        cancelled: gate.cancel_requested(),
+        panic,
+        stdout,
+        stderr,
+        steps,
     }
 }
 
@@ -337,20 +319,21 @@ impl Pool {
         let mut slots = Vec::with_capacity(capacity);
         for i in 0..capacity {
             let gate = Arc::new(SliceGate::new());
-            let (msg_tx, msg_rx) = mpsc::channel();
-            let (reply_tx, reply_rx) = mpsc::channel();
             let g = Arc::clone(&gate);
             let s = setup.clone();
             let probe = panic_probe.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("{WORKER_PREFIX}-{i}"))
                 .stack_size(worker_stack)
-                .spawn(move || worker_main(g, msg_rx, reply_tx, s, probe))
+                .spawn(move || {
+                    // A panic outside the command boundary (a failed
+                    // boot) ends the worker; its gate must still answer.
+                    let _ = panic::catch_unwind(AssertUnwindSafe(|| worker_main(&g, s, probe)));
+                    g.exited();
+                })
                 .expect("spawn slot worker");
             slots.push(Slot {
                 gate,
-                tx: msg_tx,
-                rx: reply_rx,
                 handle: Some(handle),
                 state: SlotState::Free,
             });
@@ -404,50 +387,14 @@ impl Pool {
         self.slots[idx].state
     }
 
-    /// Arms session limits/weather on a leased slot (synchronous).
-    pub fn arm(
-        &mut self,
-        idx: usize,
-        limits: Vec<(String, u64)>,
-        fault_seed: Option<u64>,
-    ) -> Result<(), String> {
-        let slot = &self.slots[idx];
-        slot.tx
-            .send(WorkerMsg::Arm { limits, fault_seed })
-            .map_err(|_| "slot worker gone".to_string())?;
-        match slot.rx.recv() {
-            Ok(Reply::Armed(res)) => res,
-            _ => Err("slot worker gone".to_string()),
-        }
-    }
-
-    /// Posts a command to a leased slot. The worker will block in
-    /// `acquire` until the scheduler grants a slice; the reply arrives
-    /// via [`Pool::take_reply`] once the gate reports `Done`.
-    pub fn start_run(&self, idx: usize, cmd: String) {
-        let _ = self.slots[idx].tx.send(WorkerMsg::Run(cmd));
-    }
-
-    /// Receives the worker's pending reply (call after the gate
-    /// reaches `Done`, or after a synchronous message).
-    pub fn take_reply(&self, idx: usize) -> Option<Reply> {
-        self.slots[idx].rx.recv().ok()
-    }
-
     /// Releases a leased slot through the recycle+audit path. A clean
     /// report frees the slot; a dirty one quarantines it (caller
     /// decides whether to scrub now or retire).
     pub fn release(&mut self, idx: usize) -> ResetReport {
         let slot = &mut self.slots[idx];
-        let _ = slot.tx.send(WorkerMsg::Recycle);
-        let report = match slot.rx.recv() {
-            Ok(Reply::Recycled(r)) => r,
-            _ => ResetReport {
-                os_clean: false,
-                fd_delta: 0,
-                hooks_pristine: false,
-                limits_ok: false,
-            },
+        let report = match slot.gate.call(Request::Recycle) {
+            Some(Reply::Recycled(r)) => r,
+            _ => ResetReport::WORKER_GONE,
         };
         slot.state = if report.clean() {
             SlotState::Free
@@ -467,15 +414,9 @@ impl Pool {
     /// back to `Free`; still dirty → `Retired`.
     pub fn scrub(&mut self, idx: usize) -> ResetReport {
         let slot = &mut self.slots[idx];
-        let _ = slot.tx.send(WorkerMsg::Scrub);
-        let report = match slot.rx.recv() {
-            Ok(Reply::Scrubbed(r)) => r,
-            _ => ResetReport {
-                os_clean: false,
-                fd_delta: 0,
-                hooks_pristine: false,
-                limits_ok: false,
-            },
+        let report = match slot.gate.call(Request::Scrub) {
+            Some(Reply::Scrubbed(r)) => r,
+            _ => ResetReport::WORKER_GONE,
         };
         slot.state = if report.clean() {
             SlotState::Free
@@ -485,14 +426,11 @@ impl Pool {
         report
     }
 
-    /// Stops every worker. In-flight commands are cancelled (the gate
-    /// wakes any parked worker with a cancel flag set), pending
-    /// replies are drained, and threads are joined.
+    /// Stops every worker. A parked command is cancelled (the gate
+    /// wakes it with the cancel flag set) and threads are joined.
     pub fn shutdown(&mut self) {
-        for slot in &mut self.slots {
-            slot.gate.cancel();
-            slot.gate.wake();
-            let _ = slot.tx.send(WorkerMsg::Shutdown);
+        for slot in &self.slots {
+            slot.gate.shutdown();
         }
         for slot in &mut self.slots {
             if let Some(h) = slot.handle.take() {

@@ -29,7 +29,7 @@
 //!   audit.
 
 use crate::gate::Phase;
-use crate::pool::{OsSetup, Outcome, Pool, Reply, SlotState};
+use crate::pool::{OsSetup, Outcome, Pool, Reply, Request, SlotState};
 use crate::proto::{FaultClass, Frame};
 use es_core::governor::Kind;
 use std::collections::{BTreeMap, VecDeque};
@@ -108,12 +108,30 @@ struct Session {
     slot: usize,
     /// Merged limit spec, re-armed before every command.
     limits: Vec<(String, u64)>,
+    /// Fault weather for the slot, taken by the first command.
+    fault_seed: Option<u64>,
     /// Commands accepted but not yet started (FIFO).
     queue: VecDeque<String>,
-    /// A command is in flight on the slot worker.
+    /// A command is in flight: `pending` until its first slice
+    /// delivers it to the slot worker.
     running: bool,
+    pending: Option<String>,
     /// Baton grants consumed since drain began (drain deadline).
     drain_used: u64,
+}
+
+impl Session {
+    /// The request that delivers the pending command to the slot
+    /// worker, with its limits and, on the session's first command,
+    /// its fault weather.
+    fn deliver(&mut self) -> Option<Request> {
+        let cmd = self.pending.take()?;
+        Some(Request::Run {
+            cmd,
+            limits: self.limits.clone(),
+            fault_seed: self.fault_seed.take(),
+        })
+    }
 }
 
 /// The multi-tenant session server. See the module docs for the
@@ -142,6 +160,12 @@ impl Server {
     /// Boots the pool (all slots warm) and an empty session table.
     pub fn new(cfg: ServeConfig) -> Server {
         assert!(cfg.high_water <= cfg.capacity, "high_water > capacity");
+        assert!(
+            cfg.session_limits
+                .iter()
+                .all(|(k, _)| Kind::parse(k).is_some()),
+            "unknown limit kind in session_limits"
+        );
         let pool = Pool::new(
             cfg.capacity,
             cfg.os_setup.clone(),
@@ -247,15 +271,6 @@ impl Server {
                 None => merged.push((k, v)),
             }
         }
-        if let Err(e) = self.pool.arm(slot, merged.clone(), fault_seed) {
-            self.pool.release(slot);
-            out.push(Frame::Fault {
-                sid: 0,
-                class: FaultClass::NoSession,
-                detail: e,
-            });
-            return;
-        }
         let sid = self.next_sid;
         self.next_sid += 1;
         self.sessions.insert(
@@ -263,8 +278,10 @@ impl Server {
             Session {
                 slot,
                 limits: merged,
+                fault_seed,
                 queue: VecDeque::new(),
                 running: false,
+                pending: None,
                 drain_used: 0,
             },
         );
@@ -286,7 +303,7 @@ impl Server {
     }
 
     fn close(&mut self, sid: u64, out: &mut Vec<Frame>) {
-        let Some(sess) = self.sessions.remove(&sid) else {
+        let Some(mut sess) = self.sessions.remove(&sid) else {
             out.push(Frame::Fault {
                 sid,
                 class: FaultClass::NoSession,
@@ -295,7 +312,7 @@ impl Server {
             return;
         };
         if sess.running {
-            let outcome = self.cancel_and_reap(sess.slot);
+            let outcome = self.cancel_and_reap(&mut sess);
             self.emit_console(sid, &outcome, out);
             if let Some(msg) = &outcome.panic {
                 self.stats.panics += 1;
@@ -397,8 +414,8 @@ impl Server {
                 if used > self.drain_grace {
                     // Deadline: cancel this straggler instead of
                     // granting another slice.
-                    let sess = self.sessions.remove(&sid).expect("session exists");
-                    let outcome = self.cancel_and_reap(slot);
+                    let mut sess = self.sessions.remove(&sid).expect("session exists");
+                    let outcome = self.cancel_and_reap(&mut sess);
                     self.emit_console(sid, &outcome, &mut out);
                     self.stats.cancelled += 1;
                     self.drain_cancelled += 1;
@@ -419,13 +436,15 @@ impl Server {
                 }
             }
 
-            self.pool.gate(slot).grant(self.cfg.slice_steps);
+            let gate = self.pool.gate(slot);
+            let sess = self.sessions.get_mut(&sid).expect("session exists");
+            match sess.deliver() {
+                Some(req) => gate.start(req, self.cfg.slice_steps),
+                None => gate.grant(self.cfg.slice_steps),
+            }
             granted += 1;
-            if self.pool.gate(slot).wait_parked() == Phase::Done {
-                self.pool.gate(slot).wait_done();
-                let Some(Reply::Ran(outcome)) = self.pool.take_reply(slot) else {
-                    continue;
-                };
+            if gate.wait_parked() == Phase::Done {
+                let outcome = ran(gate.take_reply());
                 self.finish_command(sid, outcome, &mut out);
             }
         }
@@ -435,25 +454,15 @@ impl Server {
         out
     }
 
-    /// Starts the head-of-queue command on every idle session,
-    /// re-arming its limit budget first (a breach disarms the breached
-    /// kind; each command gets a fresh budget).
+    /// Moves the head-of-queue command of every idle session into its
+    /// `pending` slot. Nothing reaches the slot worker yet: the
+    /// session's next slice delivers the command with its limits.
     fn start_pending(&mut self) {
-        let ready: Vec<u64> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| !s.running && !s.queue.is_empty())
-            .map(|(&sid, _)| sid)
-            .collect();
-        for sid in ready {
-            let (slot, limits, cmd) = {
-                let s = self.sessions.get_mut(&sid).expect("session exists");
-                let cmd = s.queue.pop_front().expect("queue non-empty");
+        for s in self.sessions.values_mut().filter(|s| !s.running) {
+            if let Some(cmd) = s.queue.pop_front() {
+                s.pending = Some(cmd);
                 s.running = true;
-                (s.slot, s.limits.clone(), cmd)
-            };
-            let _ = self.pool.arm(slot, limits, None);
-            self.pool.start_run(slot, cmd);
+            }
         }
     }
 
@@ -524,26 +533,17 @@ impl Server {
         }
     }
 
-    /// Cancels the in-flight command on `slot` and waits for the
-    /// worker's reply. The worker may be parked mid-command or still
-    /// waiting for its first slice; `wake` covers the latter without
-    /// racing a completion.
-    fn cancel_and_reap(&mut self, slot: usize) -> Outcome {
-        let gate = self.pool.gate(slot);
+    /// Cancels the session's in-flight command and waits for the
+    /// worker's reply. A parked command is woken to unwind; one never
+    /// delivered is delivered now, already cancelled, and unwinds at
+    /// its first tick exactly as a parked one would.
+    fn cancel_and_reap(&self, sess: &mut Session) -> Outcome {
+        let gate = self.pool.gate(sess.slot);
         gate.cancel();
-        gate.wake();
-        gate.wait_done();
-        match self.pool.take_reply(slot) {
-            Some(Reply::Ran(o)) => o,
-            _ => Outcome {
-                result: Err("slot worker gone".to_string()),
-                cancelled: true,
-                panic: Some("slot worker gone".to_string()),
-                stdout: String::new(),
-                stderr: String::new(),
-                steps: 0,
-            },
-        }
+        ran(match sess.deliver() {
+            Some(req) => gate.call(req),
+            None => gate.take_reply(),
+        })
     }
 
     /// Recycle+audit on session close. A dirty audit is a containment
@@ -571,5 +571,21 @@ impl Server {
         if self.pool.state(slot) == SlotState::Retired {
             self.stats.retired += 1;
         }
+    }
+}
+
+/// The outcome in a worker's reply to a command; a worker that exited
+/// without answering is reported as a panic, which scrubs its slot.
+fn ran(reply: Option<Reply>) -> Outcome {
+    match reply {
+        Some(Reply::Ran(o)) => o,
+        _ => Outcome {
+            result: Err("slot worker gone".to_string()),
+            cancelled: true,
+            panic: Some("slot worker gone".to_string()),
+            stdout: String::new(),
+            stderr: String::new(),
+            steps: 0,
+        },
     }
 }

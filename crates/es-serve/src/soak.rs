@@ -68,6 +68,10 @@ pub struct SoakReport {
     pub log: Vec<u8>,
 }
 
+/// One in this many sessions is closed right after queueing its lines
+/// and one grant, before the pump burst that would run them.
+const CLOSE_EARLY_ONE_IN: u64 = 16;
+
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -162,6 +166,21 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             frames_fed += 1;
             let resp = server.feed(Frame::Line { sid, cmd });
             frames_emitted += resp.len() as u64;
+        }
+
+        // Churn: now and then a client hangs up right after sending.
+        // One grant first, so that its first command has left the
+        // queue: it is cancelled mid-run, or before it ever ran.
+        if splitmix(&mut rng).is_multiple_of(CLOSE_EARLY_ONE_IN) {
+            let pumped = server.pump(1);
+            frames_emitted += pumped.len() as u64;
+            note(&mut alive, &pumped);
+            if alive.back() == Some(&sid) {
+                alive.pop_back();
+                frames_fed += 1;
+                let closed = server.feed(Frame::Close { sid });
+                frames_emitted += closed.len() as u64;
+            }
         }
 
         // Interleave: a burst of baton grants across everything live.

@@ -392,6 +392,54 @@ fn recycled_slot_shows_no_previous_tenant_state() {
     assert_eq!(server.stats().oracle_violations, 0);
 }
 
+/// Closing a session whose command was taken off its queue but never
+/// given a slice cancels that command without running it: the
+/// session gets `Cancelled` and `Closed` and no output, its slot
+/// audits clean, and the slot's next tenant sees none of its state.
+#[test]
+fn closing_before_the_first_slice_cancels_without_running() {
+    let mut server = Server::new(cfg(2, 2));
+    let first = open(&mut server);
+    let second = open(&mut server);
+    line(&mut server, first, "echo first");
+    line(
+        &mut server,
+        second,
+        "x = leaked; echo leaked > /tmp/leak; echo second",
+    );
+    // One slice: the first session's command runs to its end, and the
+    // second's is taken off its queue but not delivered.
+    let frames = server.pump(1);
+    assert_eq!(stdout_of(&frames, first), "first\n");
+    assert!(frames
+        .iter()
+        .all(|f| !matches!(f, Frame::Out { sid, .. } if *sid == second)));
+
+    let closed = server.feed(Frame::Close { sid: second });
+    assert_eq!(
+        closed,
+        vec![
+            Frame::Fault {
+                sid: second,
+                class: FaultClass::Cancelled,
+                detail: "session closed".into(),
+            },
+            Frame::Closed { sid: second },
+        ]
+    );
+    assert_eq!(server.stats().cancelled, 1);
+    assert_eq!(server.stats().oracle_violations, 0);
+
+    // The freed slot is the only one left; its next tenant finds no
+    // trace of the cancelled command.
+    let next = open(&mut server);
+    line(&mut server, next, "echo val: $x");
+    line(&mut server, next, "cat /tmp/leak");
+    let frames = pump_all(&mut server);
+    assert_eq!(stdout_of(&frames, next), "val:\n");
+    assert_ne!(dones_of(&frames, next)[1], (true, "0".into()));
+}
+
 /// The serving path is just a transport: a session's output and
 /// per-command outcomes through the server match a directly-driven
 /// machine byte for byte.

@@ -36,6 +36,10 @@ fn assert_contained(stats: &ServeStats, sessions: u64) {
         stats.failed > 0,
         "tight budgets should breach some runaway commands"
     );
+    assert!(
+        stats.cancelled > 0,
+        "early closes should cancel commands in flight"
+    );
     assert!(stats.max_live <= 6, "admission must hold the high-water mark");
 }
 

@@ -176,6 +176,9 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeConf
                 let value: u64 = value
                     .parse()
                     .map_err(|_| format!("--limit {spec}: '{value}' is not a number"))?;
+                if es_core::governor::Kind::parse(kind).is_none() {
+                    return Err(format!("--limit {spec}: unknown limit kind '{kind}'"));
+                }
                 cfg.session_limits.push((kind.to_string(), value));
             }
             "-h" | "--help" => {

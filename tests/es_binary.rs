@@ -112,6 +112,15 @@ fn limit_flag_arms_budget_and_breach_is_reported() {
     assert_eq!(status, 2);
 }
 
+/// `es serve` refuses an unknown `--limit` kind at start-up, before
+/// any session opens.
+#[test]
+fn serve_rejects_unknown_limit_kind() {
+    let (_, err, status) = run_es(&["serve", "--limit", "bogons=5"], "");
+    assert_eq!(status, 2);
+    assert!(err.contains("unknown limit kind 'bogons'"), "stderr: {err}");
+}
+
 #[test]
 fn dump_env_lists_functions() {
     let (out, _, status) = run_es(&["--dump-env"], "");
