@@ -6,10 +6,16 @@
 //! and (b) the measured GC pause fraction (printed), which is the
 //! paper's number. Smaller spaces collect more often; the fraction
 //! should sit in the low single digits for the default size.
+//!
+//! The `collect` cases drive `es-gc` alone: ~240 live objects, then a
+//! default-sized semispace of garbage (16k dead strings, or 16k dead
+//! pairs) and the one collection it triggers. A copying collection
+//! should cost what is live, so the two cases' pauses should be alike.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use es_bench::{machine, run};
 use es_core::Machine;
+use es_gc::{Heap, Ref};
 use es_os::SimOs;
 use std::time::Instant;
 
@@ -26,6 +32,53 @@ fn prepared() -> Machine<SimOs> {
     let mut m = machine();
     run(&mut m, "fn mk n { return @ { result $n $n $n } }");
     m
+}
+
+/// A default-sized heap with 240 live objects: 120 strings, each in a
+/// rooted list cell.
+fn live_heap() -> Heap<u32> {
+    let mut heap = Heap::new();
+    let list = heap.push_root(Ref::NIL);
+    for i in 0..120 {
+        let s = heap.alloc_string(format!("live word {i}"));
+        let p = heap.alloc_pair(s, heap.root(list));
+        heap.set_root(list, p);
+    }
+    heap
+}
+
+/// Allocates dead objects until one collection has run: a semispace
+/// of garbage (16k objects at the default threshold) and its pause.
+fn churn(heap: &mut Heap<u32>, strings: bool) {
+    let before = heap.stats().collections;
+    while heap.stats().collections == before {
+        if strings {
+            heap.alloc_str("a dead string term");
+        } else {
+            heap.alloc_pair(Ref::NIL, Ref::NIL);
+        }
+    }
+}
+
+fn bench_collect(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e4_gc_overhead");
+    group.sample_size(10);
+    let cases = [("16k dead strings", true), ("16k dead pairs", false)];
+    for (name, strings) in cases {
+        let mut heap = live_heap();
+        group.bench_function(BenchmarkId::new("alloc+collect", name), |b| {
+            b.iter(|| churn(&mut heap, strings));
+        });
+        let s = heap.stats();
+        eprintln!(
+            "collect, {name}: {} collections, live {}, mean pause {:?}, max pause {:?}",
+            s.collections,
+            s.live_after_last,
+            s.pause_total / s.collections.max(1) as u32,
+            s.pause_max
+        );
+    }
+    group.finish();
 }
 
 fn bench_gc(c: &mut Criterion) {
@@ -53,10 +106,11 @@ fn bench_gc(c: &mut Criterion) {
     let elapsed = t0.elapsed();
     let s = m.heap.stats().clone();
     eprintln!(
-        "collections={} allocated={} copied={} survival={:.2}% max_pause={:?}",
+        "collections={} allocated={} copied={} bytes_copied={} survival={:.2}% max_pause={:?}",
         s.collections,
         s.allocated,
         s.copied,
+        s.bytes_copied,
         100.0 * s.survival_rate(),
         s.pause_max
     );
@@ -67,5 +121,5 @@ fn bench_gc(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_gc);
+criterion_group!(benches, bench_collect, bench_gc);
 criterion_main!(benches);

@@ -289,7 +289,8 @@ pub fn throw_is<O: Os + Clone>(m: &Machine<O>, e: Ref, name: &str) -> bool {
     if e.is_nil() {
         return false;
     }
-    matches!(m.heap.get(m.heap.pair_head(e)), Obj::Str(s) if &**s == name)
+    let head = m.heap.pair_head(e);
+    matches!(m.heap.get(head), Obj::Str(_)) && m.heap.str_value(head) == name
 }
 
 /// Evaluates a name expression that must denote exactly one name.
@@ -618,8 +619,8 @@ pub fn apply_slot<O: Os + Clone>(
             let flow = apply_closure(m, clo, args, "<closure>")?;
             Ok(pop_scope(m, base, flow))
         }
-        Obj::Str(s) => {
-            let name = s.to_string();
+        Obj::Str(_) => {
+            let name = m.heap.str_value(head).to_string();
             let base = m.heap.roots_len();
             let args = m.heap.push_root(m.heap.pair_tail(list));
             let flow = apply_named(m, &name, args, env, tail, 0)?;
@@ -693,8 +694,8 @@ fn apply_named<O: Os + Clone>(
             let new_list = b.head_slot();
             let new_head = m.heap.pair_head(m.heap.root(new_list));
             let flow = match m.heap.get(new_head) {
-                Obj::Str(s) => {
-                    let next_name = s.to_string();
+                Obj::Str(_) => {
+                    let next_name = m.heap.str_value(new_head).to_string();
                     let new_args = m.heap.push_root(m.heap.pair_tail(m.heap.root(new_list)));
                     apply_named(m, &next_name, new_args, env, tail, hops + 1)?
                 }

@@ -353,6 +353,7 @@ pub fn gcstats<O: Os + Clone>(m: &mut Machine<O>) -> EsResult<Flow> {
         ("collections", s.collections.to_string()),
         ("allocated", s.allocated.to_string()),
         ("copied", s.copied.to_string()),
+        ("bytes-copied", s.bytes_copied.to_string()),
         ("live", s.live_after_last.to_string()),
         ("budget-collections", s.budget_collections.to_string()),
         ("pause-ns", s.pause_total.as_nanos().to_string()),

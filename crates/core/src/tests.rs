@@ -868,6 +868,24 @@ fn gc_collect_primitive_and_stats() {
     let n_before = m.heap.stats().collections;
     m.run("for (i = 1 2 3 4 5) { x = $i; collect }").unwrap();
     assert!(m.heap.stats().collections >= n_before + 5);
+    // A live string's bytes are copied at every collection, and
+    // `bytes-copied` says so.
+    let bytes_copied = |m: &mut Machine<SimOs>| -> u64 {
+        let stats = val(m, "result <>{gcstats}");
+        let at = stats
+            .iter()
+            .position(|k| k == "bytes-copied")
+            .expect("bytes-copied key");
+        stats[at + 1].parse().expect("a count")
+    };
+    let before = bytes_copied(&mut m);
+    m.run(&format!("big = {}; collect", "x".repeat(10 * 1024)))
+        .unwrap();
+    let after = bytes_copied(&mut m);
+    assert!(
+        after >= before + 10 * 1024,
+        "a live 10 KiB string was copied: {before} -> {after}"
+    );
 }
 
 #[test]

@@ -114,7 +114,7 @@ pub fn read_terms(heap: &Heap, mut list: Ref) -> Vec<Term> {
     while !list.is_nil() {
         let head = heap.pair_head(list);
         match heap.get(head) {
-            Obj::Str(s) => out.push(Term::Str(s.to_string())),
+            Obj::Str(_) => out.push(Term::Str(heap.str_value(head).to_string())),
             Obj::Closure(code, bindings) => out.push(Term::Closure(code.clone(), *bindings)),
             other => unreachable!("list head is {other:?}"),
         }

@@ -23,10 +23,13 @@ fn materialize(script: &[impl AsRef<str>], tmp: &str) -> Vec<String> {
 
 /// Runs a session on a fresh simulator machine. Returns the
 /// normalized trace and the fault log (empty unless `fault_seed`
-/// armed a plan).
+/// armed a plan). `stress_gc` runs the session with the heap
+/// collecting at every allocation (boot runs normally), so a stale
+/// unrooted ref panics at once.
 pub fn run_sim(
     script: &[impl AsRef<str>],
     fault_seed: Option<u64>,
+    stress_gc: bool,
 ) -> (SessionTrace, Vec<String>) {
     let mut os = SimOs::new();
     os.vfs_mut()
@@ -36,6 +39,7 @@ pub fn run_sim(
         .mkdir_all(&format!("{SIM_TMP}/sub"))
         .expect("sim scratch subdir creates");
     let mut m = Machine::new(os).expect("sim machine boots");
+    m.heap.set_stress(stress_gc);
     if let Some(seed) = fault_seed {
         m.os_mut()
             .set_fault_plan(Some(FaultPlan::new(seed).uniform_rate(150)));

@@ -21,7 +21,7 @@ fn conformance_scenarios_agree_or_are_ledgered() {
 
     for sc in SCENARIOS {
         eprintln!("scenario: {}", sc.name);
-        let (sim, _faults) = run_sim(sc.script, sc.fault_seed);
+        let (sim, _faults) = run_sim(sc.script, sc.fault_seed, false);
         assert_eq!(
             sim.fd_delta(),
             0,
@@ -99,4 +99,22 @@ fn conformance_scenarios_agree_or_are_ledgered() {
             Value::Num(started.elapsed().as_millis() as i64),
         ),
     ]);
+}
+
+/// The collector is invisible: every SimOs scenario, run again with
+/// the heap collecting at every allocation, gives the same normalized
+/// trace and fault log. A ref held across an allocation without being
+/// rooted panics under stress, and a collection that loses or moves a
+/// string's bytes wrongly changes a trace.
+#[test]
+fn stress_gc_leaves_every_sim_trace_unchanged() {
+    for sc in SCENARIOS {
+        let normal = run_sim(sc.script, sc.fault_seed, false);
+        let stressed = run_sim(sc.script, sc.fault_seed, true);
+        assert_eq!(
+            normal, stressed,
+            "scenario {} differs under stress GC",
+            sc.name
+        );
+    }
 }

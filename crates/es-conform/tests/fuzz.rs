@@ -34,14 +34,14 @@ fn fuzz_sim_weather_replay() {
         // A third of the seeds run under injected syscall-fault
         // weather; determinism must hold either way.
         let fault = (seed % 3 == 0).then_some(seed);
-        let (trace, log) = run_sim(&script, fault);
+        let (trace, log) = run_sim(&script, fault, false);
         assert_eq!(
             trace.fd_delta(),
             0,
             "seed {seed} leaked descriptors\nscript: {script:#?}"
         );
         injected += log.len();
-        let (trace2, log2) = run_sim(&script, fault);
+        let (trace2, log2) = run_sim(&script, fault, false);
         assert_eq!(
             trace, trace2,
             "seed {seed} trace diverges on replay\nscript: {script:#?}"
@@ -82,7 +82,7 @@ fn fuzz_differential_fault_free() {
         // A distinct stream from the sim fuzz, so the two suites
         // explore different scripts.
         let script = gen.generate(&mut Rng::new(seed ^ 0xD1FF_EB01));
-        let (sim, _) = run_sim(&script, None);
+        let (sim, _) = run_sim(&script, None, false);
         let real = run_real(&script);
         let divergences = compare(&format!("fuzz-seed-{seed}"), &sim, &real);
         assert!(

@@ -56,23 +56,72 @@ impl RootSlot {
     }
 }
 
+/// A byte range in the heap's text arena: where a `Str`'s bytes or a
+/// `Binding`'s name live in the current semispace.
+///
+/// Its fields are private and nothing public reads it. A span is only
+/// meaningful in the epoch that made it (the collector moves the bytes
+/// and rewrites the span), so text is read through
+/// [`Heap::str_value`] and [`Heap::binding_parts`], which take an
+/// epoch-checked [`Ref`]: a stale string panics as any stale ref does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// Appends `s` to an arena and returns its span.
+///
+/// # Panics
+///
+/// Panics if the arena would grow past `u32::MAX` bytes; a span never
+/// wraps.
+fn append_text(text: &mut String, s: &str) -> Span {
+    let fits = text
+        .len()
+        .checked_add(s.len())
+        .is_some_and(|end| u32::try_from(end).is_ok());
+    assert!(
+        fits,
+        "gc text arena full: {} bytes held, {} more would pass u32::MAX",
+        text.len(),
+        s.len()
+    );
+    // The end fits in u32, so the start and the length do too.
+    let span = Span {
+        start: text.len() as u32,
+        len: s.len() as u32,
+    };
+    text.push_str(s);
+    span
+}
+
 /// A heap object. `C` is the closure code payload (opaque to the
 /// collector; cloned on copy), which the interpreter instantiates with
 /// a reference-counted lambda.
 #[derive(Debug, Clone)]
 pub enum Obj<C> {
-    /// An immutable string term.
-    Str(Box<str>),
+    /// An immutable string term; its bytes are in the heap's text arena
+    /// (read them with [`Heap::str_value`]).
+    Str(Span),
     /// A list cell: `(head, tail)`. `head` is a `Str` or `Closure`;
     /// `tail` is a `Pair` or [`Ref::NIL`]. Lists are flat, as the paper
     /// requires ("lists may not contain lists as elements").
     Pair(Ref, Ref),
     /// A closure: code payload plus the chain of captured bindings.
     Closure(C, Ref),
-    /// A lexical binding frame: `(name, value list, next frame)`.
+    /// A lexical binding frame: `(name, value list, next frame)`, its
+    /// name in the text arena (read it with [`Heap::binding_parts`]).
     /// Binding values are mutable — es lets a closure assign to a
     /// captured variable, visibly to other closures sharing the frame.
-    Binding(Box<str>, Ref, Ref),
+    Binding(Span, Ref, Ref),
     /// Forwarding entry, only present mid-collection.
     Forward(u32),
 }
@@ -87,12 +136,15 @@ pub struct PermSlot(usize);
 ///
 /// See the crate docs for the design rationale. The heap is
 /// single-threaded (the es interpreter is too); `Clone` performs a deep
-/// copy of the space and rootset, which is how the interpreter
-/// implements `fork` (a subshell gets a copy-on-fork image of all shell
-/// state, as a real `fork(2)` would provide).
+/// copy of the space, its text arena and the rootset, which is how the
+/// interpreter implements `fork` (a subshell gets a copy-on-fork image
+/// of all shell state, as a real `fork(2)` would provide).
 #[derive(Debug, Clone)]
 pub struct Heap<C> {
     space: Vec<Obj<C>>,
+    /// The semispace's text arena: the bytes of every `Str` and every
+    /// `Binding` name in `space`, addressed by [`Span`].
+    text: String,
     roots: Vec<Ref>,
     perm: Vec<Ref>,
     perm_free: Vec<usize>,
@@ -136,6 +188,7 @@ impl<C> Heap<C> {
     pub fn with_threshold(threshold: usize) -> Self {
         Heap {
             space: Vec::with_capacity(threshold.min(1 << 20)),
+            text: String::new(),
             roots: Vec::new(),
             perm: Vec::new(),
             perm_free: Vec::new(),
@@ -297,8 +350,9 @@ impl<C> Heap<C> {
         }
     }
 
-    fn push(&mut self, obj: Obj<C>) -> Ref {
-        self.maybe_collect();
+    /// Appends `obj` to the space. The caller has already given the
+    /// collector its chance to run.
+    fn bump(&mut self, obj: Obj<C>) -> Ref {
         self.stats.allocated += 1;
         let idx = self.space.len() as u32;
         self.space.push(obj);
@@ -309,13 +363,19 @@ impl<C> Heap<C> {
     }
 
     /// Allocates a string term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the text arena would pass `u32::MAX` bytes.
     pub fn alloc_str(&mut self, s: &str) -> Ref {
-        self.push(Obj::Str(s.into()))
+        self.maybe_collect();
+        let span = append_text(&mut self.text, s);
+        self.bump(Obj::Str(span))
     }
 
     /// Allocates a string term from an owned string.
     pub fn alloc_string(&mut self, s: String) -> Ref {
-        self.push(Obj::Str(s.into_boxed_str()))
+        self.alloc_str(&s)
     }
 
     /// Allocates a list cell.
@@ -335,13 +395,7 @@ impl<C> Heap<C> {
         let tail = self.roots.pop().expect("root stack underflow");
         let head = self.roots.pop().expect("root stack underflow");
         debug_assert_eq!(self.roots.len(), base);
-        self.stats.allocated += 1;
-        let idx = self.space.len() as u32;
-        self.space.push(Obj::Pair(head, tail));
-        Ref {
-            idx,
-            epoch: self.epoch,
-        }
+        self.bump(Obj::Pair(head, tail))
     }
 
     /// Allocates a closure with the given code payload and captured
@@ -353,16 +407,14 @@ impl<C> Heap<C> {
         self.maybe_collect();
         let bindings = self.roots.pop().expect("root stack underflow");
         debug_assert_eq!(self.roots.len(), base);
-        self.stats.allocated += 1;
-        let idx = self.space.len() as u32;
-        self.space.push(Obj::Closure(code, bindings));
-        Ref {
-            idx,
-            epoch: self.epoch,
-        }
+        self.bump(Obj::Closure(code, bindings))
     }
 
     /// Allocates a binding frame `name = value` chained onto `next`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the text arena would pass `u32::MAX` bytes.
     pub fn alloc_binding(&mut self, name: &str, value: Ref, next: Ref) -> Ref {
         self.check(value);
         self.check(next);
@@ -373,13 +425,8 @@ impl<C> Heap<C> {
         let next = self.roots.pop().expect("root stack underflow");
         let value = self.roots.pop().expect("root stack underflow");
         debug_assert_eq!(self.roots.len(), base);
-        self.stats.allocated += 1;
-        let idx = self.space.len() as u32;
-        self.space.push(Obj::Binding(name.into(), value, next));
-        Ref {
-            idx,
-            epoch: self.epoch,
-        }
+        let span = append_text(&mut self.text, name);
+        self.bump(Obj::Binding(span, value, next))
     }
 
     // ----- access ---------------------------------------------------------------
@@ -421,7 +468,7 @@ impl<C> Heap<C> {
     #[track_caller]
     pub fn str_value(&self, r: Ref) -> &str {
         match self.get(r) {
-            Obj::Str(s) => s,
+            Obj::Str(span) => &self.text[span.range()],
             other => panic!("expected Str, found {}", shape_name(other)),
         }
     }
@@ -501,7 +548,7 @@ impl<C> Heap<C> {
     #[track_caller]
     pub fn binding_parts(&self, r: Ref) -> (&str, Ref, Ref) {
         match self.get(r) {
-            Obj::Binding(n, v, next) => (n, *v, *next),
+            Obj::Binding(name, v, next) => (&self.text[name.range()], *v, *next),
             other => panic!("expected Binding, found {}", shape_name(other)),
         }
     }
@@ -526,36 +573,38 @@ impl<C> Heap<C> {
     /// Runs a full collection now.
     ///
     /// All live objects (reachable from the root stack) are copied to a
-    /// fresh space, the epoch is bumped, and all previously issued
+    /// fresh space, the bytes of live strings and binding names to a
+    /// fresh text arena, the epoch is bumped, and all previously issued
     /// [`Ref`]s become stale. Holders must re-read their refs through
-    /// root slots.
+    /// root slots. Dropping the old space frees every dead string at
+    /// once, so the cost is proportional to what is live.
     pub fn collect(&mut self) {
         let start = Instant::now();
-        let mut to: Vec<Obj<C>> = Vec::with_capacity(self.space.len().min(self.threshold));
+        let mut to = ToSpace {
+            objs: Vec::with_capacity(self.space.len().min(self.threshold)),
+            text: String::with_capacity(self.text.len()),
+        };
+        let (from, from_text) = (&mut self.space[..], &self.text[..]);
+        let epoch = self.epoch + 1;
         // Copy the rootset (stack roots + persistent roots), then
         // Cheney-scan the to-space.
-        for i in 0..self.roots.len() {
-            let r = self.roots[i];
-            self.roots[i] = copy_obj(&mut self.space, &mut to, r, self.epoch + 1);
-        }
-        for i in 0..self.perm.len() {
-            let r = self.perm[i];
-            self.perm[i] = copy_obj(&mut self.space, &mut to, r, self.epoch + 1);
+        for r in self.roots.iter_mut().chain(self.perm.iter_mut()) {
+            *r = copy_obj(from, from_text, &mut to, *r, epoch);
         }
         let mut scan = 0;
-        while scan < to.len() {
+        while scan < to.objs.len() {
             // Take the child refs out, copy them, and write them back;
             // splitting the borrow this way keeps the loop safe.
-            let (a, b) = match &to[scan] {
+            let (a, b) = match &to.objs[scan] {
                 Obj::Pair(h, t) => (Some(*h), Some(*t)),
                 Obj::Closure(_, b) => (Some(*b), None),
                 Obj::Binding(_, v, n) => (Some(*v), Some(*n)),
                 Obj::Str(_) => (None, None),
                 Obj::Forward(_) => unreachable!("forward in to-space"),
             };
-            let a2 = a.map(|r| copy_obj(&mut self.space, &mut to, r, self.epoch + 1));
-            let b2 = b.map(|r| copy_obj(&mut self.space, &mut to, r, self.epoch + 1));
-            match &mut to[scan] {
+            let a2 = a.map(|r| copy_obj(from, from_text, &mut to, r, epoch));
+            let b2 = b.map(|r| copy_obj(from, from_text, &mut to, r, epoch));
+            match &mut to.objs[scan] {
                 Obj::Pair(h, t) => {
                     *h = a2.expect("pair head");
                     *t = b2.expect("pair tail");
@@ -570,11 +619,14 @@ impl<C> Heap<C> {
             }
             scan += 1;
         }
-        let live = to.len();
-        // Swap spaces; the old space is dropped, which "poisons" it for
-        // free — any stale Ref now fails the epoch check on deref.
-        self.space = to;
-        self.epoch += 1;
+        let live = to.objs.len();
+        // Swap spaces; the old space and its arena are dropped, which
+        // "poisons" them for free — any stale Ref now fails the epoch
+        // check on deref.
+        self.stats.bytes_copied += to.text.len() as u64;
+        self.space = to.objs;
+        self.text = to.text;
+        self.epoch = epoch;
         self.stats.collections += 1;
         self.stats.copied += live as u64;
         self.stats.live_after_last = live as u64;
@@ -613,10 +665,23 @@ impl<C> Heap<C> {
     }
 }
 
+/// The space a collection copies into: objects and their text arena.
+struct ToSpace<C> {
+    objs: Vec<Obj<C>>,
+    text: String,
+}
+
 /// Copies one object from `from` to `to`, leaving a forwarding entry,
-/// and returns its new ref. Already-forwarded objects are not copied
+/// and returns its new ref. A string's bytes or a binding's name move
+/// to `to`'s arena with it. Already-forwarded objects are not copied
 /// again, which is what preserves sharing and cycles.
-fn copy_obj<C>(from: &mut [Obj<C>], to: &mut Vec<Obj<C>>, r: Ref, new_epoch: u32) -> Ref {
+fn copy_obj<C>(
+    from: &mut [Obj<C>],
+    from_text: &str,
+    to: &mut ToSpace<C>,
+    r: Ref,
+    new_epoch: u32,
+) -> Ref {
     if r.is_nil() {
         return Ref::NIL;
     }
@@ -627,9 +692,16 @@ fn copy_obj<C>(from: &mut [Obj<C>], to: &mut Vec<Obj<C>>, r: Ref, new_epoch: u32
             epoch: new_epoch,
         };
     }
-    let new_idx = to.len() as u32;
-    let obj = std::mem::replace(&mut from[idx], Obj::Forward(new_idx));
-    to.push(obj);
+    let new_idx = to.objs.len() as u32;
+    let mut obj = std::mem::replace(&mut from[idx], Obj::Forward(new_idx));
+    if let Obj::Str(span) | Obj::Binding(span, ..) = &mut obj {
+        // The to-space arena holds a subset of the from-space's bytes,
+        // which fit in u32 offsets, so this cannot overflow.
+        let start = to.text.len() as u32;
+        to.text.push_str(&from_text[span.range()]);
+        span.start = start;
+    }
+    to.objs.push(obj);
     Ref {
         idx: new_idx,
         epoch: new_epoch,

@@ -32,6 +32,31 @@
 //! does not depend on the syntax crate (the interpreter instantiates it
 //! with `Rc<Lambda>`; tests here use `u32`).
 //!
+//! # The text arena
+//!
+//! A semispace is two buffers: a `Vec` of [`Obj`]s and one `String`
+//! holding the bytes of every string term and every binding name. A
+//! `Str` or a `Binding` stores a [`Span`] (offset and length) into that
+//! arena instead of owning an allocation of its own. Allocating a
+//! string appends to the arena; a collection copies a live object's
+//! bytes into the to-space arena as it forwards the object, and then
+//! drops the old arena with one `free`. A collection therefore costs
+//! what is live (objects copied plus [`GcStats::bytes_copied`]), not
+//! what is dead, which is the paper's reason for choosing a copying
+//! collector.
+//!
+//! `Span` is opaque: its fields are private and no public method takes
+//! or returns one. A span means something only in the epoch that made
+//! it, so text is read through [`Heap::str_value`] and
+//! [`Heap::binding_parts`], which take an epoch-checked [`Ref`]. A stale
+//! string thus panics like any stale ref, and the arena is an ordinary
+//! `String` sliced by range — still no `unsafe`. A string that would
+//! push one arena past `u32::MAX` bytes panics rather than wrap.
+//!
+//! `Clone` (the interpreter's fork, session recycle and boot image)
+//! copies the two buffers and the rootset and bumps each closure
+//! payload's reference count; it makes no allocation per string.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,16 +68,15 @@
 //! let root = heap.push_root(cell);
 //! heap.collect();
 //! let cell = heap.root(root); // refs move across collections
-//! match heap.get(heap.pair_head(cell)) {
-//!     Obj::Str(s) => assert_eq!(&**s, "hello"),
-//!     _ => unreachable!(),
-//! }
+//! let head = heap.pair_head(cell);
+//! assert!(matches!(heap.get(head), Obj::Str(_)));
+//! assert_eq!(heap.str_value(head), "hello"); // text is read through a checked Ref
 //! ```
 
 mod heap;
 mod stats;
 
-pub use heap::{Heap, Obj, PermSlot, Ref, RootSlot};
+pub use heap::{Heap, Obj, PermSlot, Ref, RootSlot, Span};
 pub use stats::GcStats;
 
 #[cfg(test)]

@@ -16,6 +16,10 @@ pub struct GcStats {
     pub allocated: u64,
     /// Total objects copied by all collections (live at collection time).
     pub copied: u64,
+    /// Total text bytes (string contents and binding names) copied by
+    /// all collections: the part of a collection's cost that scales
+    /// with live bytes rather than live objects.
+    pub bytes_copied: u64,
     /// Objects live after the most recent collection.
     pub live_after_last: u64,
     /// Allocations that happened while collection was disabled.

@@ -220,7 +220,7 @@ fn read_list(heap: &Heap<u32>, mut r: Ref) -> Vec<String> {
     while !r.is_nil() {
         let head = heap.pair_head(r);
         match heap.get(head) {
-            Obj::Str(s) => out.push(s.to_string()),
+            Obj::Str(_) => out.push(heap.str_value(head).to_string()),
             Obj::Closure(code, _) => out.push(format!("<closure:{code}>")),
             _ => panic!("list head must be Str or Closure"),
         }
@@ -243,10 +243,60 @@ fn build_list(heap: &mut Heap<u32>, items: &[String]) -> crate::RootSlot {
     slot
 }
 
+/// Builds a binding chain named by `names`, first name outermost.
+fn build_bindings(heap: &mut Heap<u32>, names: &[String]) -> crate::RootSlot {
+    let slot = heap.push_root(Ref::NIL);
+    for name in names.iter().rev() {
+        let b = heap.alloc_binding(name, Ref::NIL, heap.root(slot));
+        heap.set_root(slot, b);
+    }
+    slot
+}
+
+/// Reads a binding chain's names back.
+fn read_bindings(heap: &Heap<u32>, mut r: Ref) -> Vec<String> {
+    let mut out = Vec::new();
+    while !r.is_nil() {
+        let (name, _, next) = heap.binding_parts(r);
+        out.push(name.to_string());
+        r = next;
+    }
+    out
+}
+
+/// Any text a string or a binding name can hold: mostly short (empty
+/// included) over ASCII and one-, two-, three- and four-byte UTF-8,
+/// sometimes over 4 KiB, so arena offsets cross multi-byte boundaries
+/// and large spans.
+struct AnyText;
+
+impl Strategy for AnyText {
+    type Value = String;
+
+    fn generate(&self, rng: &mut proptest::Rng) -> String {
+        let len = match rng.below(8) {
+            0 => 4097 + rng.below(512) as usize,
+            _ => rng.below(13) as usize,
+        };
+        (0..len)
+            .map(|_| {
+                let (lo, hi): (u64, u64) = [
+                    (0, 0x80),
+                    (0x80, 0x800),
+                    (0x800, 0x1_0000),
+                    (0x1_0000, 0x11_0000),
+                ][rng.below(4) as usize];
+                let c = (lo + rng.below(hi - lo)) as u32;
+                char::from_u32(c).unwrap_or('\u{fffd}') // surrogates are not chars
+            })
+            .collect()
+    }
+}
+
 proptest! {
     #[test]
     fn prop_lists_survive_any_collection_schedule(
-        items in proptest::collection::vec("[a-z]{0,12}", 0..60),
+        items in proptest::collection::vec(AnyText, 0..60),
         threshold in 8usize..64,
         stress in any::<bool>(),
         extra_collects in 0usize..4,
@@ -254,16 +304,48 @@ proptest! {
         let mut heap: Heap<u32> = Heap::with_threshold(threshold);
         heap.set_stress(stress);
         let slot = build_list(&mut heap, &items);
+        let names = build_bindings(&mut heap, &items);
         for _ in 0..extra_collects {
             heap.collect();
         }
-        let got = read_list(&heap, heap.root(slot));
-        prop_assert_eq!(got, items);
+        prop_assert_eq!(read_list(&heap, heap.root(slot)), items.clone());
+        prop_assert_eq!(read_bindings(&heap, heap.root(names)), items);
+    }
+
+    #[test]
+    fn prop_clones_keep_their_strings(
+        items in proptest::collection::vec(AnyText, 0..40),
+        garbage in proptest::collection::vec(AnyText, 0..40),
+        collect_parent in any::<bool>(),
+    ) {
+        // Fork, session recycle and the boot image all clone a heap and
+        // go on using one side: whatever the other side collects,
+        // allocates or rebinds, this side's text must read back as it was.
+        let mut heap: Heap<u32> = Heap::with_threshold(16);
+        let list = build_list(&mut heap, &items);
+        let names = build_bindings(&mut heap, &items);
+        let mut other = heap.clone();
+        let (busy, kept) = if collect_parent {
+            (&mut heap, &other)
+        } else {
+            (&mut other, &heap)
+        };
+        for g in &garbage {
+            busy.alloc_str(g);
+        }
+        busy.collect();
+        let fresh = build_list(busy, &garbage);
+        busy.set_root(list, busy.root(fresh));
+        busy.collect();
+        prop_assert_eq!(read_list(kept, kept.root(list)), items.clone());
+        prop_assert_eq!(read_bindings(kept, kept.root(names)), items.clone());
+        prop_assert_eq!(read_list(busy, busy.root(list)), garbage);
+        prop_assert_eq!(read_bindings(busy, busy.root(names)), items);
     }
 
     #[test]
     fn prop_garbage_is_reclaimed(
-        live in proptest::collection::vec("[a-z]{1,8}", 1..20),
+        live in proptest::collection::vec(AnyText, 1..20),
         garbage in 1usize..200,
     ) {
         let mut heap: Heap<u32> = Heap::with_threshold(1 << 20);
@@ -279,12 +361,13 @@ proptest! {
 
     #[test]
     fn prop_interleaved_mutation_and_collection(
-        ops in proptest::collection::vec((any::<bool>(), "[a-z]{1,6}"), 1..50),
+        ops in proptest::collection::vec((any::<bool>(), AnyText), 1..50),
+        name in AnyText,
     ) {
         // Model: a single binding holding a list; ops either push a
         // value onto the list (via mutation) or force a collection.
         let mut heap: Heap<u32> = Heap::with_threshold(16);
-        let b = heap.alloc_binding("acc", Ref::NIL, Ref::NIL);
+        let b = heap.alloc_binding(&name, Ref::NIL, Ref::NIL);
         let slot = heap.push_root(b);
         let mut model: Vec<String> = Vec::new();
         for (collect, word) in &ops {
@@ -300,7 +383,8 @@ proptest! {
                 model.insert(0, word.clone());
             }
         }
-        let (_, value, _) = heap.binding_parts(heap.root(slot));
+        let (got_name, value, _) = heap.binding_parts(heap.root(slot));
+        prop_assert_eq!(got_name, name.as_str());
         prop_assert_eq!(read_list(&heap, value), model);
     }
 }

@@ -53,6 +53,7 @@ fn main() {
     println!("collections:          {}", s.collections);
     println!("objects allocated:    {}", s.allocated);
     println!("objects copied:       {} (avg {:.1}/collection)", s.copied, s.avg_copied());
+    println!("text bytes copied:    {}", s.bytes_copied);
     println!("survival rate:        {:.2}% of allocations", 100.0 * s.survival_rate());
     println!("max pause:            {:?}", s.pause_max);
     println!(
