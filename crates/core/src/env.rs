@@ -49,7 +49,7 @@ pub fn build_environment<O: Os + Clone>(m: &Machine<O>) -> Vec<(String, String)>
         {
             continue;
         }
-        let encoded = if let Some(value) = m.dynamic(name) {
+        let encoded = if let Some(value) = m.dynamic("", name) {
             encode_value(m, value).0
         } else if let Some(cached) = global.export.get() {
             debug_assert_eq!(

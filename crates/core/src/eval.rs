@@ -16,13 +16,14 @@
 //! experiment E6 measures via [`crate::Machine::max_depth_seen`]).
 
 use crate::exception::{EsError, EsResult};
-use crate::machine::Machine;
+use crate::machine::{Machine, NameBuf};
 use crate::prims;
 use crate::value::{self, ListBuilder};
 use es_gc::{Obj, Ref, RootSlot};
 use es_match::Pattern;
 use es_os::Os;
 use es_syntax::ast::{Expr, Node, Word};
+use std::borrow::Cow;
 
 /// Evaluation outcome: a value, or a pending tail call (stored in the
 /// apply loop's slots).
@@ -110,14 +111,13 @@ fn eval_assign<O: Os + Clone>(
     env: RootSlot,
 ) -> EsResult<Flow> {
     let base = m.heap.roots_len();
-    let names_list = eval_expr_rooted(m, lhs, env, false)?;
-    let names = m.strings_at(names_list);
+    let names = names(m, lhs, env)?;
     let values_slot = eval_exprs(m, values, env, false)?;
-    if names.is_empty() {
+    if names.as_slice().is_empty() {
         m.heap.truncate_roots(base);
         return Err(m.error("assignment to empty name list"));
     }
-    assign_distribute(m, env, &names, values_slot)?;
+    assign_distribute(m, env, names.as_slice(), values_slot)?;
     let out = m.heap.root(values_slot);
     Ok(pop_scope(m, base, Flow::Val(out)))
 }
@@ -158,7 +158,7 @@ fn eval_local<O: Os + Clone>(
     let base = m.heap.roots_len();
     let dyn_base = m.dynamics_len();
     // Evaluate all values in the outer scope first.
-    let mut staged: Vec<(String, RootSlot)> = Vec::new();
+    let mut staged: Vec<(Cow<str>, RootSlot)> = Vec::new();
     for (name_expr, value_exprs) in bindings {
         let name = single_name(m, name_expr, env)?;
         let value_slot = eval_exprs(m, value_exprs, env, false)?;
@@ -187,7 +187,7 @@ fn eval_for<O: Os + Clone>(
 ) -> EsResult<Flow> {
     let base = m.heap.roots_len();
     // Evaluate every list once, up front.
-    let mut lists: Vec<(String, RootSlot)> = Vec::new();
+    let mut lists: Vec<(Cow<str>, RootSlot)> = Vec::new();
     for (name_expr, value_exprs) in bindings {
         let name = single_name(m, name_expr, env)?;
         let slot = eval_exprs(m, value_exprs, env, false)?;
@@ -293,19 +293,53 @@ pub fn throw_is<O: Os + Clone>(m: &Machine<O>, e: Ref, name: &str) -> bool {
     matches!(m.heap.get(head), Obj::Str(_)) && m.heap.str_value(head) == name
 }
 
-/// Evaluates a name expression that must denote exactly one name.
-pub(crate) fn single_name<O: Os + Clone>(
+/// The names an expression in name position denotes: the target of a
+/// `$`-reference, the left side of an assignment, or a `let`, `local`
+/// or `for` name. A literal word lends its own text, so naming a
+/// variable copies nothing; any other expression (`$$x`, `$(fn-$f)`)
+/// is evaluated, and its strings are owned.
+enum Names<'e> {
+    Literal(Cow<'e, str>),
+    Computed(Vec<Cow<'e, str>>),
+}
+
+impl<'e> Names<'e> {
+    fn as_slice(&self) -> &[Cow<'e, str>] {
+        match self {
+            Names::Literal(name) => std::slice::from_ref(name),
+            Names::Computed(names) => names,
+        }
+    }
+}
+
+/// Evaluates `expr` in name position (see [`Names`]). A literal word
+/// evaluates to exactly its text, so both forms name the same
+/// variables.
+fn names<'e, O: Os + Clone>(
     m: &mut Machine<O>,
-    expr: &Expr,
+    expr: &'e Expr,
     env: RootSlot,
-) -> EsResult<String> {
+) -> EsResult<Names<'e>> {
+    if let Expr::Word(w) = expr {
+        return Ok(Names::Literal(w.text()));
+    }
     let base = m.heap.roots_len();
     let slot = eval_expr_rooted(m, expr, env, false)?;
-    let names = m.strings_at(slot);
+    let names = m.strings_at(slot).into_iter().map(Cow::Owned).collect();
     m.heap.truncate_roots(base);
-    match names.as_slice() {
-        [one] => Ok(one.clone()),
-        _ => Err(m.error("binding name must be a single word")),
+    Ok(Names::Computed(names))
+}
+
+/// Evaluates a name expression that must denote exactly one name.
+fn single_name<'e, O: Os + Clone>(
+    m: &mut Machine<O>,
+    expr: &'e Expr,
+    env: RootSlot,
+) -> EsResult<Cow<'e, str>> {
+    match names(m, expr, env)? {
+        Names::Literal(name) => Ok(name),
+        Names::Computed(mut names) if names.len() == 1 => Ok(names.pop().expect("one name")),
+        Names::Computed(_) => Err(m.error("binding name must be a single word")),
     }
 }
 
@@ -318,7 +352,7 @@ pub(crate) fn single_name<O: Os + Clone>(
 fn assign_distribute<O: Os + Clone>(
     m: &mut Machine<O>,
     env: RootSlot,
-    names: &[String],
+    names: &[Cow<str>],
     values_slot: RootSlot,
 ) -> EsResult<()> {
     let n = names.len();
@@ -365,8 +399,7 @@ pub fn run_settor<O: Os + Clone>(
     name: &str,
     value_slot: RootSlot,
 ) -> EsResult<Ref> {
-    let settor_name = format!("set-{name}");
-    let settor = m.lookup(m.heap.root(env), &settor_name);
+    let settor = m.lookup(m.heap.root(env), "set-", name);
     let settor = match settor {
         Some(s) if !s.is_nil() => s,
         _ => return Ok(m.heap.root(value_slot)),
@@ -432,57 +465,22 @@ pub fn eval_expr<O: Os + Clone>(
                 Ok(value::list_from_strs(&mut m.heap, &[&w.text()]))
             }
         }
-        Expr::Var(target) => {
-            let base = m.heap.roots_len();
-            let names_slot = eval_expr_rooted(m, target, env, false)?;
-            let names = m.strings_at(names_slot);
-            let mut b = ListBuilder::new(&mut m.heap);
-            for name in &names {
-                let value = m.lookup(m.heap.root(env), name);
-                match value {
-                    Some(v) => {
-                        let v_slot = m.heap.push_root(v);
-                        b.append_slot(&mut m.heap, v_slot);
-                        m.heap.truncate_roots(v_slot.index());
-                    }
-                    None => {
-                        // Positional parameters: an unbound all-digit
-                        // name indexes `$*` (`$1` is `$*(1)`).
-                        if let Ok(i) = name.parse::<usize>() {
-                            let star = m.lookup(m.heap.root(env), "*");
-                            if let Some(star) = star {
-                                if let Some(term) = value::list_nth(&m.heap, star, i) {
-                                    let t = m.heap.push_root(term);
-                                    let term = m.heap.root(t);
-                                    b.push(&mut m.heap, term);
-                                    m.heap.truncate_roots(t.index());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            let out = b.finish(&m.heap);
-            m.heap.truncate_roots(base);
-            Ok(out)
-        }
+        Expr::Var(target) => var_value(m, target, env),
         Expr::VarCount(target) => {
-            let base = m.heap.roots_len();
-            let names_slot = eval_expr_rooted(m, target, env, false)?;
-            let names = m.strings_at(names_slot);
-            let mut count = 0usize;
-            for name in &names {
-                if let Some(v) = m.lookup(m.heap.root(env), name) {
-                    count += value::list_len(&m.heap, v);
-                }
-            }
-            m.heap.truncate_roots(base);
+            let names = names(m, target, env)?;
+            let env_ref = m.heap.root(env);
+            let count: usize = names
+                .as_slice()
+                .iter()
+                .filter_map(|name| m.lookup(env_ref, "", name))
+                .map(|v| value::list_len(&m.heap, v))
+                .sum();
             Ok(value::list_from_strs(&mut m.heap, &[&count.to_string()]))
         }
         Expr::VarFlat(target) => {
             let base = m.heap.roots_len();
-            let var = Expr::Var(Box::new((**target).clone()));
-            let slot = eval_expr_rooted(m, &var, env, false)?;
+            let list = var_value(m, target, env)?;
+            let slot = m.heap.push_root(list);
             let joined = m.strings_at(slot).join(" ");
             m.heap.truncate_roots(base);
             Ok(value::list_from_strs(&mut m.heap, &[&joined]))
@@ -587,6 +585,46 @@ pub fn eval_expr<O: Os + Clone>(
     }
 }
 
+/// The value of `$target`, behind `$x`, `$^x` and `$x(i)`: the values
+/// of the target's names, spliced. A single bound name yields its list
+/// itself, not a copy; lists are immutable once built (see
+/// [`crate::value`]). An unbound all-digit name indexes `$*` (`$1` is
+/// `$*(1)`).
+fn var_value<O: Os + Clone>(m: &mut Machine<O>, target: &Expr, env: RootSlot) -> EsResult<Ref> {
+    let names = names(m, target, env)?;
+    let names = names.as_slice();
+    let base = m.heap.roots_len();
+    let mut b = ListBuilder::new(&mut m.heap);
+    for name in names {
+        match m.lookup(m.heap.root(env), "", name) {
+            Some(v) if names.len() == 1 => {
+                m.heap.truncate_roots(base);
+                return Ok(v);
+            }
+            Some(v) => {
+                let v_slot = m.heap.push_root(v);
+                b.append_slot(&mut m.heap, v_slot);
+                m.heap.truncate_roots(v_slot.index());
+            }
+            None => {
+                let Ok(i) = name.parse::<usize>() else {
+                    continue;
+                };
+                let star = m.lookup(m.heap.root(env), "", "*");
+                if let Some(term) = star.and_then(|star| value::list_nth(&m.heap, star, i)) {
+                    let t = m.heap.push_root(term);
+                    let term = m.heap.root(t);
+                    b.push(&mut m.heap, term);
+                    m.heap.truncate_roots(t.index());
+                }
+            }
+        }
+    }
+    let out = b.finish(&m.heap);
+    m.heap.truncate_roots(base);
+    Ok(out)
+}
+
 // ---------------------------------------------------------------------------
 // Application.
 // ---------------------------------------------------------------------------
@@ -620,10 +658,12 @@ pub fn apply_slot<O: Os + Clone>(
             Ok(pop_scope(m, base, flow))
         }
         Obj::Str(_) => {
-            let name = m.heap.str_value(head).to_string();
+            // Copied to the stack: the heap may move the string while
+            // the command runs.
+            let name = NameBuf::new(&[m.heap.str_value(head)]);
             let base = m.heap.roots_len();
             let args = m.heap.push_root(m.heap.pair_tail(list));
-            let flow = apply_named(m, &name, args, env, tail, 0)?;
+            let flow = apply_named(m, name.as_str(), args, env, tail, 0)?;
             Ok(pop_scope(m, base, flow))
         }
         other => {
@@ -663,8 +703,7 @@ fn apply_named<O: Os + Clone>(
     if name.contains('/') {
         return run_external(m, name, args);
     }
-    let fn_name = format!("fn-{name}");
-    let resolved = m.lookup(m.heap.root(env), &fn_name);
+    let resolved = m.lookup(m.heap.root(env), "fn-", name);
     match resolved {
         Some(value) if !value.is_nil() => {
             let base = m.heap.roots_len();
@@ -695,9 +734,9 @@ fn apply_named<O: Os + Clone>(
             let new_head = m.heap.pair_head(m.heap.root(new_list));
             let flow = match m.heap.get(new_head) {
                 Obj::Str(_) => {
-                    let next_name = m.heap.str_value(new_head).to_string();
+                    let next_name = NameBuf::new(&[m.heap.str_value(new_head)]);
                     let new_args = m.heap.push_root(m.heap.pair_tail(m.heap.root(new_list)));
-                    apply_named(m, &next_name, new_args, env, tail, hops + 1)?
+                    apply_named(m, next_name.as_str(), new_args, env, tail, hops + 1)?
                 }
                 _ => apply_slot(m, new_list, env, tail)?,
             };
@@ -714,7 +753,7 @@ fn apply_named<O: Os + Clone>(
                 b.push_str(&mut m.heap, name);
                 prims::call(m, "pathsearch", b.head_slot(), env, None)?
             } else {
-                let hook = m.lookup(m.heap.root(env), "fn-%pathsearch");
+                let hook = m.lookup(m.heap.root(env), "fn-", "%pathsearch");
                 let hook = match hook {
                     Some(h) if !h.is_nil() => h,
                     _ => {
@@ -803,7 +842,7 @@ fn apply_closure_inner<O: Os + Clone>(
     let cur_args = m.heap.push_root(m.heap.root(args_slot));
     let tail_clo = m.heap.push_root(Ref::NIL);
     let tail_args = m.heap.push_root(Ref::NIL);
-    let mut invocation = name.to_string();
+    let mut invocation = name;
     loop {
         let code = m.heap.closure_code(m.heap.root(cur_clo)).clone();
         let captured = m.heap.closure_bindings(m.heap.root(cur_clo));
@@ -838,7 +877,7 @@ fn apply_closure_inner<O: Os + Clone>(
                         .alloc_binding("*", m.heap.root(cur_args), m.heap.root(chain));
                     m.heap.set_root(chain, b);
                 }
-                let zero = m.heap.alloc_str(&invocation);
+                let zero = m.heap.alloc_str(invocation);
                 let z = m.heap.push_root(zero);
                 let zl = m.heap.alloc_pair(m.heap.root(z), Ref::NIL);
                 let zs = m.heap.push_root(zl);
@@ -868,7 +907,7 @@ fn apply_closure_inner<O: Os + Clone>(
                 m.heap.set_root(cur_args, a);
                 m.heap.set_root(tail_clo, Ref::NIL);
                 m.heap.set_root(tail_args, Ref::NIL);
-                invocation = "<tail>".to_string();
+                invocation = "<tail>";
                 m.heap.truncate_roots(iter_base);
                 continue;
             }
@@ -930,7 +969,7 @@ pub(crate) fn glob_word<O: Os + Clone>(
     env: RootSlot,
 ) -> EsResult<Ref> {
     if !m.hooks_pristine() {
-        let hook = m.lookup(m.heap.root(env), "fn-%glob");
+        let hook = m.lookup(m.heap.root(env), "fn-", "%glob");
         if let Some(h) = hook {
             if !h.is_nil() {
                 let base = m.heap.roots_len();

@@ -16,6 +16,53 @@ use std::rc::Rc;
 /// The interpreter heap: closure payloads are shared lambda ASTs.
 pub type Heap = es_gc::Heap<Rc<Lambda>>;
 
+/// True if `s` is `prefix` followed by `name`. Compared byte by byte:
+/// names are short, and a call into the C library's `memcmp` for each
+/// binding a lookup passes cost more than the comparison itself.
+fn spells(s: &str, prefix: &str, name: &str) -> bool {
+    let (p, n) = (prefix.as_bytes(), name.as_bytes());
+    s.len() == p.len() + n.len() && s.bytes().eq(p.iter().chain(n).copied())
+}
+
+/// How many bytes of name a [`NameBuf`] holds without a malloc.
+const NAME_BUF: usize = 40;
+
+/// A name assembled on the stack: the `globals` key for a lookup of
+/// `prefix` followed by `name`, or a command name copied out of the
+/// heap so that it outlives the allocations its application makes.
+/// Only a name longer than [`NAME_BUF`] bytes is built in a `String`.
+pub(crate) enum NameBuf {
+    Short(u8, [u8; NAME_BUF]),
+    Long(String),
+}
+
+impl NameBuf {
+    /// The concatenation of `parts`.
+    pub(crate) fn new(parts: &[&str]) -> NameBuf {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > NAME_BUF {
+            return NameBuf::Long(parts.concat());
+        }
+        let mut bytes = [0; NAME_BUF];
+        let mut at = 0;
+        for p in parts {
+            bytes[at..at + p.len()].copy_from_slice(p.as_bytes());
+            at += p.len();
+        }
+        NameBuf::Short(len as u8, bytes)
+    }
+
+    /// The name.
+    pub(crate) fn as_str(&self) -> &str {
+        match self {
+            NameBuf::Short(len, bytes) => {
+                std::str::from_utf8(&bytes[..*len as usize]).expect("joined from whole strs")
+            }
+            NameBuf::Long(s) => s,
+        }
+    }
+}
+
 /// Tunable interpreter behaviour.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -422,27 +469,69 @@ impl<O: Os + Clone> Machine<O> {
 
     // ----- variables -------------------------------------------------------------
 
-    /// Resolves a variable: lexical chain, then dynamic bindings, then
-    /// globals. The returned ref is valid until the next allocation.
-    pub fn lookup(&self, env: Ref, name: &str) -> Option<Ref> {
+    /// Resolves the variable named `prefix` followed by `name`: the
+    /// lexical chain, then dynamic bindings, then globals. A command
+    /// `f` resolves as `lookup(env, "fn-", "f")`, a settor as
+    /// `lookup(env, "set-", "x")`, a plain variable with prefix `""`.
+    /// The two parts are compared in place and the `globals` key is
+    /// built on the stack, so a lookup makes no malloc unless the two
+    /// together pass 40 bytes. The returned ref is valid until the
+    /// next allocation.
+    pub fn lookup(&self, env: Ref, prefix: &str, name: &str) -> Option<Ref> {
+        let mut cur = env;
+        let found = loop {
+            if cur.is_nil() {
+                break self.dynamic(prefix, name).or_else(|| {
+                    let key;
+                    let full = if prefix.is_empty() {
+                        name
+                    } else {
+                        key = NameBuf::new(&[prefix, name]);
+                        key.as_str()
+                    };
+                    self.globals.get(full).map(|g| self.heap.perm(g.slot))
+                });
+            }
+            let (bname, value, next) = self.heap.binding_parts(cur);
+            if spells(bname, prefix, name) {
+                break Some(value);
+            }
+            cur = next;
+        };
+        debug_assert_eq!(
+            found,
+            self.lookup_joined(env, NameBuf::new(&[prefix, name]).as_str()),
+            "lookup of {prefix:?} ++ {name:?} disagrees with a lookup of the joined name"
+        );
+        found
+    }
+
+    /// The oracle for [`Machine::lookup`] in debug builds: the same
+    /// search, comparing every binding with the whole name.
+    fn lookup_joined(&self, env: Ref, full: &str) -> Option<Ref> {
         let mut cur = env;
         while !cur.is_nil() {
             let (bname, value, next) = self.heap.binding_parts(cur);
-            if bname == name {
+            if bname == full {
                 return Some(value);
             }
             cur = next;
         }
-        self.dynamic(name)
-            .or_else(|| self.globals.get(name).map(|g| self.heap.perm(g.slot)))
-    }
-
-    /// The value of the innermost dynamic (`local`) binding of `name`.
-    pub(crate) fn dynamic(&self, name: &str) -> Option<Ref> {
         self.dynamics
             .iter()
             .rev()
-            .find(|(dname, _)| dname == name)
+            .find(|(dname, _)| dname == full)
+            .map(|(_, slot)| self.heap.root(*slot))
+            .or_else(|| self.globals.get(full).map(|g| self.heap.perm(g.slot)))
+    }
+
+    /// The value of the innermost dynamic (`local`) binding of
+    /// `prefix` followed by `name`.
+    pub(crate) fn dynamic(&self, prefix: &str, name: &str) -> Option<Ref> {
+        self.dynamics
+            .iter()
+            .rev()
+            .find(|(dname, _)| spells(dname, prefix, name))
             .map(|(_, slot)| self.heap.root(*slot))
     }
 
@@ -506,7 +595,7 @@ impl<O: Os + Clone> Machine<O> {
 
     /// Reads a variable as strings (tests/examples convenience).
     pub fn get_var(&self, name: &str) -> Vec<String> {
-        match self.lookup(Ref::NIL, name) {
+        match self.lookup(Ref::NIL, "", name) {
             Some(v) => value::read_strings(&self.heap, v),
             None => Vec::new(),
         }

@@ -187,8 +187,7 @@ pub fn whatis<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) 
     let names = m.strings_at(args);
     let mut lines = String::new();
     for name in &names {
-        let fn_name = format!("fn-{name}");
-        let resolved = m.lookup(m.heap.root(env), &fn_name);
+        let resolved = m.lookup(m.heap.root(env), "fn-", name);
         match resolved {
             Some(v) if !v.is_nil() => {
                 let parts = value::read_strings(&m.heap, v);

@@ -1080,7 +1080,7 @@ fn noexport_variable_respected() {
 fn export_checked(m: &Machine<SimOs>) -> Vec<(String, String)> {
     let env = m.export_environment();
     for (name, encoded) in &env {
-        let value = m.lookup(es_gc::Ref::NIL, name).expect("exported names are bound");
+        let value = m.lookup(es_gc::Ref::NIL, "", name).expect("exported names are bound");
         assert_eq!(*encoded, crate::env::encode_value(m, value).0, "stale export of {name}");
     }
     env

@@ -222,6 +222,115 @@ proptest! {
 }
 
 // --------------------------------------------------------------------------
+// Literal and computed variable references. A literal target (`$n`)
+// is looked up by the word's own text; a computed one (`$$h` with
+// `h = n`) is evaluated first. Both must name the same binding, for
+// every way a name can be bound.
+// --------------------------------------------------------------------------
+
+/// How the name under test is bound.
+#[derive(Debug, Clone, Copy)]
+enum BindingKind {
+    Global,
+    Let,
+    Local,
+    Param,
+    /// `$*`, bound by `@ {...}`.
+    Star,
+    /// An unbound all-digit name: indexes `$*`.
+    Positional,
+}
+
+const BINDING_KINDS: [BindingKind; 6] = [
+    BindingKind::Global,
+    BindingKind::Let,
+    BindingKind::Local,
+    BindingKind::Param,
+    BindingKind::Star,
+    BindingKind::Positional,
+];
+
+/// The name `kind` binds: `name` itself, `*`, or the digits of `index`.
+fn bound_name(kind: BindingKind, name: &str, index: usize) -> String {
+    match kind {
+        BindingKind::Star => "*".into(),
+        BindingKind::Positional => index.to_string(),
+        _ => name.into(),
+    }
+}
+
+/// A program that binds `kind`'s name to `values` and then runs `body`.
+fn bind(kind: BindingKind, name: &str, values: &str, body: &str) -> String {
+    match kind {
+        BindingKind::Global => format!("{name} = {values}; {body}"),
+        BindingKind::Let => format!("let ({name} = {values}) {{{body}}}"),
+        BindingKind::Local => format!("local ({name} = {values}) {{{body}}}"),
+        BindingKind::Param => format!("@ {name} {{{body}}} {values}"),
+        BindingKind::Star | BindingKind::Positional => format!("@ {{{body}}} {values}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `$n` reads what was bound, and `$n`, `$#n`, `$^n` and `$n(i)`
+    /// equal `$$h`, `$#$h`, `$^$h` and `$$h(i)` with `h = n`.
+    #[test]
+    fn prop_literal_and_computed_references_agree(
+        kind in 0usize..BINDING_KINDS.len(),
+        name in "[a-g]{1,3}",
+        index in 1usize..6,
+        items in words(),
+        sub in 0usize..7,
+    ) {
+        let kind = BINDING_KINDS[kind];
+        let values = quoted_list(&items);
+        let n = bound_name(kind, &name, index);
+        let read = bind(kind, &name, &values, &format!("result ${n}"));
+        let want = match kind {
+            BindingKind::Positional => items.get(index - 1).into_iter().cloned().collect(),
+            _ => items.clone(),
+        };
+        prop_assert_eq!(machine().run(&read), Ok(want), "{}", read);
+        let forms = [
+            (format!("${n}"), "$$h".to_string()),
+            (format!("$#{n}"), "$#$h".to_string()),
+            (format!("$^{n}"), "$^$h".to_string()),
+            (format!("${n}({sub})"), format!("$$h({sub})")),
+        ];
+        for (literal, computed) in forms {
+            let lit = bind(kind, &name, &values, &format!("result {literal}"));
+            let comp = bind(
+                kind,
+                &name,
+                &values,
+                &format!("let (h = {}) result {computed}", quote(&n)),
+            );
+            let want = machine().run(&lit);
+            prop_assert_eq!(stress_machine().run(&comp), want, "{} vs {}", lit, comp);
+        }
+    }
+
+    /// `$x` shares the bound list; rebinding `x` afterwards leaves a
+    /// copy taken by `y = $x` unchanged, whether the copy went through
+    /// a settor or a closure captured it.
+    #[test]
+    fn prop_shared_lists_stay_put(first in words(), second in words()) {
+        let (a, b) = (quoted_list(&first), quoted_list(&second));
+        let programs = [
+            format!("x = {a}; y = $x; x = {b}; result $y"),
+            format!("let (x = {a}) {{y = $x; x = {b}; result $y}}"),
+            format!("set-y = @ {{result $*}}; x = {a}; y = $x; x = {b}; result $y"),
+            format!("x = {a}; let (y = $x) f = {{result $y}}; x = {b}; $f"),
+            format!("let (x = {a}) {{f = {{result $x}}; y = <>{{$f}}; x = {b}; result $y}}"),
+        ];
+        for program in &programs {
+            prop_assert_eq!(stress_machine().run(program), Ok(first.clone()), "{}", program);
+        }
+    }
+}
+
+// --------------------------------------------------------------------------
 // Fault-injection soak (experiment E10): hundreds of seeded fault
 // plans against a scripted session exercising the whole I/O surface.
 // Three invariants per seed: the interpreter never panics, the kernel

@@ -6,6 +6,13 @@
 //! module provides the rooted construction and inspection helpers the
 //! evaluator uses; everything allocates through the copying collector,
 //! so builders keep their intermediate state in root slots.
+//!
+//! **A list is immutable once built.** The only write to a pair cell is
+//! [`ListBuilder::push`] linking the tail cell it allocated itself,
+//! before the list is handed out; appending a finished list copies its
+//! spine. So one list may be shared freely: `$x` returns the list bound
+//! to `x`, not a copy, and a later `x = ...` rebinds `x` without
+//! touching the list a reader already holds.
 
 use crate::machine::Heap;
 use es_gc::{Obj, Ref, RootSlot};
@@ -165,16 +172,15 @@ pub fn list_nth(heap: &Heap, mut list: Ref, n: usize) -> Option<Ref> {
 /// Es truth: a list is true iff every string term is `""`, `"0"`, or
 /// `"true"`; closures count as true; the empty list is true. (A
 /// non-zero exit status like `"1"` is false.)
-pub fn truth(heap: &Heap, list: Ref) -> bool {
-    for t in read_terms(heap, list) {
-        match t {
-            Term::Str(s) => {
-                if !(s.is_empty() || s == "0" || s == "true") {
-                    return false;
-                }
-            }
-            Term::Closure(..) => {}
+pub fn truth(heap: &Heap, mut list: Ref) -> bool {
+    while !list.is_nil() {
+        let head = heap.pair_head(list);
+        if matches!(heap.get(head), Obj::Str(_))
+            && !matches!(heap.str_value(head), "" | "0" | "true")
+        {
+            return false;
         }
+        list = heap.pair_tail(list);
     }
     true
 }

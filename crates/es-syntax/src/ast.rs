@@ -6,6 +6,7 @@
 //! bindings, matches). The evaluator rejects surface nodes, which
 //! keeps the sugar→core boundary honest.
 
+use std::borrow::Cow;
 use std::rc::Rc;
 
 /// One quoting segment of a word: `quoted` text contributes no live
@@ -46,9 +47,14 @@ impl Word {
         }
     }
 
-    /// The flattened text, ignoring quoting.
-    pub fn text(&self) -> String {
-        self.segs.iter().map(|s| s.text.as_str()).collect()
+    /// The flattened text, ignoring quoting. Borrowed for a
+    /// one-segment word (every unquoted word); only a word that quoting
+    /// split into segments is joined into a new string.
+    pub fn text(&self) -> Cow<'_, str> {
+        match self.segs.as_slice() {
+            [one] => Cow::Borrowed(&one.text),
+            segs => Cow::Owned(segs.iter().map(|s| s.text.as_str()).collect()),
+        }
     }
 
     /// True if any unquoted segment contains a glob metacharacter.

@@ -204,7 +204,7 @@ fn lower_expr(expr: Expr) -> Expr {
         ),
         Expr::Concat(a, b) => Expr::Concat(Box::new(lower_expr(*a)), Box::new(lower_expr(*b))),
         Expr::List(items) => Expr::List(items.into_iter().map(lower_expr).collect()),
-        Expr::Lambda(l) => Expr::Lambda(lower_lambda(&l)),
+        Expr::Lambda(l) => Expr::Lambda(lower_lambda(l)),
         Expr::CmdSub(n) => Expr::CmdSub(Box::new(lower_node(*n, false))),
         Expr::Backquote(n) => {
             // `{cmd}  ⇒  <>{%backquote {cmd}}
@@ -216,17 +216,18 @@ fn lower_expr(expr: Expr) -> Expr {
                 .into_iter()
                 .map(|(n, vs)| (n, vs.into_iter().map(lower_expr).collect()))
                 .collect(),
-            lambda: lower_lambda(&lambda),
+            lambda: lower_lambda(lambda),
         },
     }
 }
 
-/// Lowers a lambda body, sharing the Rc when nothing changes is not
-/// attempted — lambdas are lowered once at parse time, so a fresh Rc
-/// is fine.
-fn lower_lambda(l: &Lambda) -> Rc<Lambda> {
+/// Lowers a lambda. The parser hands over the only reference, so the
+/// body is moved, not copied; a lambda shared with another tree is
+/// cloned first, leaving that tree as it was.
+fn lower_lambda(l: Rc<Lambda>) -> Rc<Lambda> {
+    let Lambda { params, body } = Rc::try_unwrap(l).unwrap_or_else(|l| (*l).clone());
     Rc::new(Lambda {
-        params: l.params.clone(),
-        body: lower_node(l.body.clone(), false),
+        params,
+        body: lower_node(body, false),
     })
 }

@@ -65,12 +65,30 @@ impl Parser {
         &self.toks[self.i]
     }
 
+    /// Consumes the current token and returns it. The parser only
+    /// moves forward (its one lookahead is `i + 1`), so the token is
+    /// moved out rather than cloned; the last token, `Eof`, stays put.
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.i].clone();
-        if self.i + 1 < self.toks.len() {
-            self.i += 1;
+        if self.i + 1 == self.toks.len() {
+            return self.toks[self.i].clone();
         }
-        t
+        let t = &mut self.toks[self.i];
+        let taken = Token {
+            tok: std::mem::replace(&mut t.tok, Tok::Eof),
+            space_before: t.space_before,
+            pos: t.pos,
+        };
+        self.i += 1;
+        taken
+    }
+
+    /// Consumes the current token, which the caller has just seen is a
+    /// word, and returns its segments.
+    fn bump_word(&mut self) -> Vec<(String, bool)> {
+        match self.bump().tok {
+            Tok::Word(segs) => segs,
+            other => unreachable!("bump_word on {other}"),
+        }
     }
 
     fn pos(&self) -> usize {
@@ -246,10 +264,9 @@ impl Parser {
         let mut params = Vec::new();
         loop {
             match self.peek() {
-                Tok::Word(segs) => {
-                    let text: String = segs.iter().map(|(t, _)| t.as_str()).collect();
-                    params.push(text);
-                    self.bump();
+                Tok::Word(_) => {
+                    let segs = self.bump_word();
+                    params.push(joined(segs));
                 }
                 Tok::LBrace => {
                     self.bump();
@@ -390,7 +407,7 @@ impl Parser {
                 // quoted) word that follows.
                 let word = self.expr()?;
                 match word {
-                    Expr::Word(w) => Redirect::Here(fd, w.text()),
+                    Expr::Word(w) => Redirect::Here(fd, w.text().into_owned()),
                     _ => return self.err("here document body must be a word"),
                 }
             }
@@ -446,25 +463,18 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Word(segs) => {
                 // `%closure(...)@ params {body}` — the unparsed-closure
                 // literal (environment decoding and `whatis` output).
-                let text: String = segs.iter().map(|(t, _)| t.as_str()).collect();
-                if text == "%closure"
-                    && segs.iter().all(|(_, q)| !q)
+                if unquoted_text_is(segs, "%closure")
                     && matches!(self.toks.get(self.i + 1).map(|t| &t.tok), Some(Tok::LParen))
                     && !self.toks[self.i + 1].space_before
                 {
                     return self.closure_lit();
                 }
-                self.bump();
-                Ok(Expr::Word(Word {
-                    segs: segs
-                        .into_iter()
-                        .map(|(text, quoted)| Seg { text, quoted })
-                        .collect(),
-                }))
+                let segs = self.bump_word();
+                Ok(Expr::Word(word(segs)))
             }
             Tok::Dollar => {
                 self.bump();
@@ -495,10 +505,10 @@ impl Parser {
                 let target = self.var_target()?;
                 Ok(Expr::VarFlat(Box::new(target)))
             }
-            Tok::Prim(name) => {
-                self.bump();
-                Ok(Expr::Prim(name))
-            }
+            Tok::Prim(_) => match self.bump().tok {
+                Tok::Prim(name) => Ok(Expr::Prim(name)),
+                other => unreachable!("prim token became {other}"),
+            },
             Tok::LParen => {
                 self.bump();
                 let mut items = Vec::new();
@@ -521,10 +531,9 @@ impl Parser {
                 let mut params = Vec::new();
                 loop {
                     match self.peek() {
-                        Tok::Word(segs) => {
-                            let text: String = segs.iter().map(|(t, _)| t.as_str()).collect();
-                            params.push(text);
-                            self.bump();
+                        Tok::Word(_) => {
+                            let segs = self.bump_word();
+                            params.push(joined(segs));
                         }
                         Tok::LBrace => break,
                         _ => return self.err("expected parameter or { after @"),
@@ -547,21 +556,15 @@ impl Parser {
             }
             Tok::Backquote => {
                 self.bump();
-                match self.peek().clone() {
+                match self.peek() {
                     Tok::LBrace => {
                         self.bump();
                         let body = self.seq(&[Tok::RBrace])?;
                         self.expect(Tok::RBrace)?;
                         Ok(Expr::Backquote(Box::new(body)))
                     }
-                    Tok::Word(segs) => {
-                        self.bump();
-                        let word = Expr::Word(Word {
-                            segs: segs
-                                .into_iter()
-                                .map(|(text, quoted)| Seg { text, quoted })
-                                .collect(),
-                        });
+                    Tok::Word(_) => {
+                        let word = Expr::Word(word(self.bump_word()));
                         Ok(Expr::Backquote(Box::new(Node::Call(vec![word]))))
                     }
                     other => self.err(format!("expected {{ or word after `, found {other}")),
@@ -590,62 +593,59 @@ impl Parser {
     /// consumed as the variable (the remainder concatenates by
     /// adjacency).
     fn split_var_word(&mut self) {
-        if let Tok::Word(segs) = &self.toks[self.i].tok {
-            if let Some((first, quoted)) = segs.first() {
-                if *quoted {
-                    // `$'quoted name'` names the variable literally.
-                    return;
-                }
-                let cut = first
-                    .char_indices()
-                    .find(|(_, c)| !Self::is_var_name_char(*c))
-                    .map(|(i, _)| i);
-                // The name ends at the first non-name character, or at
-                // the end of the first segment when a quoted segment
-                // follows (`$x'>'` is `$x ^ '>'`).
-                let (name, rest_segs) = match cut {
-                    Some(0) => return,
-                    Some(cut) => {
-                        let mut rest = segs.clone();
-                        let name = first[..cut].to_string();
-                        rest[0].0 = first[cut..].to_string();
-                        (name, rest)
-                    }
-                    None if segs.len() > 1 => {
-                        (first.clone(), segs[1..].to_vec())
-                    }
-                    None => return,
-                };
-                let pos = self.toks[self.i].pos;
-                self.toks[self.i].tok = Tok::Word(vec![(name, false)]);
-                self.toks.insert(
-                    self.i + 1,
-                    crate::lex::Token {
-                        tok: Tok::Word(rest_segs),
-                        space_before: false,
-                        pos,
-                    },
-                );
-            }
+        let Tok::Word(segs) = &mut self.toks[self.i].tok else {
+            return;
+        };
+        let Some((first, quoted)) = segs.first_mut() else {
+            return;
+        };
+        if *quoted {
+            // `$'quoted name'` names the variable literally.
+            return;
         }
+        let cut = first
+            .char_indices()
+            .find(|(_, c)| !Self::is_var_name_char(*c))
+            .map(|(i, _)| i);
+        // The name ends at the first non-name character, or at the end
+        // of the first segment when a quoted segment follows (`$x'>'`
+        // is `$x ^ '>'`).
+        let (name, rest_segs) = match cut {
+            Some(0) => return,
+            Some(cut) => {
+                let rest = first.split_off(cut);
+                let name = std::mem::replace(first, rest);
+                (name, std::mem::take(segs))
+            }
+            None if segs.len() > 1 => {
+                let mut rest = std::mem::take(segs);
+                let (name, _) = rest.remove(0);
+                (name, rest)
+            }
+            None => return,
+        };
+        let pos = self.toks[self.i].pos;
+        self.toks[self.i].tok = Tok::Word(vec![(name, false)]);
+        self.toks.insert(
+            self.i + 1,
+            Token {
+                tok: Tok::Word(rest_segs),
+                space_before: false,
+                pos,
+            },
+        );
     }
 
     /// The target of a `$`-reference: a word, a parenthesised
     /// expression list, or another `$`-reference (`$$x`).
     fn var_target(&mut self) -> Result<Expr, ParseError> {
         self.split_var_word();
-        match self.peek().clone() {
-            Tok::Word(segs) => {
-                self.bump();
+        match self.peek() {
+            Tok::Word(_) => {
                 // Composite names need parens (`$(fn-$func)`);
                 // `$a$b` is handled by the adjacency rule in expr()
                 // as `$a ^ $b`, like rc.
-                Ok(Expr::Word(Word {
-                    segs: segs
-                        .into_iter()
-                        .map(|(text, quoted)| Seg { text, quoted })
-                        .collect(),
-                }))
+                Ok(Expr::Word(word(self.bump_word())))
             }
             Tok::LParen => {
                 self.bump();
@@ -678,11 +678,8 @@ impl Parser {
                 self.bump();
                 break;
             }
-            let name = match self.peek().clone() {
-                Tok::Word(segs) => {
-                    self.bump();
-                    segs.iter().map(|(t, _)| t.as_str()).collect::<String>()
-                }
+            let name = match self.peek() {
+                Tok::Word(_) => joined(self.bump_word()),
                 other => return self.err(format!("expected binding name, found {other}")),
             };
             self.expect(Tok::Eq)?;
@@ -707,6 +704,37 @@ impl Parser {
         };
         Ok(Expr::ClosureLit { bindings, lambda })
     }
+}
+
+/// A word's segments, moved into a [`Word`].
+fn word(segs: Vec<(String, bool)>) -> Word {
+    Word {
+        segs: segs
+            .into_iter()
+            .map(|(text, quoted)| Seg { text, quoted })
+            .collect(),
+    }
+}
+
+/// A word's text with quoting dropped; a one-segment word's string is
+/// moved, not copied.
+fn joined(mut segs: Vec<(String, bool)>) -> String {
+    if segs.len() == 1 {
+        return segs.pop().expect("one segment").0;
+    }
+    segs.into_iter().map(|(t, _)| t).collect()
+}
+
+/// True if the word is `want`, spelled without any quoting.
+fn unquoted_text_is(segs: &[(String, bool)], want: &str) -> bool {
+    let mut rest = want;
+    for (text, quoted) in segs {
+        match rest.strip_prefix(text.as_str()) {
+            Some(r) if !quoted => rest = r,
+            _ => return false,
+        }
+    }
+    rest.is_empty()
 }
 
 enum BindKind {

@@ -556,3 +556,65 @@ fn match_with_parenthesised_subject() {
 fn background_inside_sequence() {
     assert_eq!(core("{slow &; fast}"), "{%seq {%background {slow}} {fast}}");
 }
+
+// ---------------------------------------------------------------------------
+// The parser moves tokens out as it consumes them: errors, lookahead and
+// nested bodies must read the same as when every token stayed in place.
+// ---------------------------------------------------------------------------
+
+/// `(pos, incomplete, msg)` of the parse error for `src`.
+fn parse_error(src: &str) -> (usize, bool, String) {
+    let err = parse_program(src).unwrap_err();
+    (err.pos, err.incomplete, err.msg)
+}
+
+#[test]
+fn parse_error_positions_at_first_middle_and_last_token() {
+    assert_eq!(parse_error(") echo"), (0, false, "unexpected `)`".to_string()));
+    assert_eq!(
+        parse_error("x = a = b"),
+        (6, false, "unexpected `=` in assignment values".to_string())
+    );
+    assert_eq!(
+        parse_error("echo a ) b"),
+        (7, false, "expected end of input, found `)`".to_string())
+    );
+    assert_eq!(
+        parse_error("echo a >"),
+        (8, true, "expected file name after redirection".to_string())
+    );
+    assert_eq!(parse_error("echo a |"), (8, true, "unexpected end of input".to_string()));
+}
+
+#[test]
+fn closure_literal_needs_an_unquoted_word_touching_its_paren() {
+    let call = |src: &str| match parse_program(src).expect("parses") {
+        Node::Call(words) => words,
+        other => panic!("`{src}` is not a call: {other:?}"),
+    };
+    // Literal: the word and `(` touch, and nothing is quoted.
+    let lit = call("echo %closure(a=b)@ * {echo $a}");
+    assert!(matches!(&lit[1], Expr::ClosureLit { bindings, .. } if bindings.len() == 1));
+    // Quoted: a word concatenated with a list.
+    let quoted = call("echo '%closure'(x)");
+    assert_eq!(quoted.len(), 2);
+    assert!(matches!(&quoted[1], Expr::Concat(a, b)
+        if matches!(&**a, Expr::Word(w) if w.text() == "%closure")
+            && matches!(&**b, Expr::List(_))));
+    // With a space: two separate arguments.
+    let spaced = call("echo %closure (x)");
+    assert_eq!(spaced.len(), 3);
+    assert!(matches!(&spaced[1], Expr::Word(w) if w.text() == "%closure"));
+    assert!(matches!(&spaced[2], Expr::List(_)));
+}
+
+#[test]
+fn nested_lambdas_round_trip_through_print() {
+    let src = "f = @ x {g = @ y {h = {echo $x $y}; $h}; $g <>{@ z {result $z} $x}}";
+    let printed = core(src);
+    assert_eq!(
+        printed,
+        "f = @ x {%seq {g = @ y {%seq {h = {echo $x $y}} {$h}}} {$g <>{@ z {result $z} $x}}}"
+    );
+    assert_eq!(core(&printed), printed);
+}
