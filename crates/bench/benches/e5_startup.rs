@@ -26,7 +26,7 @@ fn parent_state(n: usize) -> (Vec<(String, String)>, String) {
         m.run(&def).expect("definition runs");
         rc.push_str(&def);
     }
-    (m.export_environment(), rc)
+    (m.export_environment().to_vec(), rc)
 }
 
 fn bench_startup(c: &mut Criterion) {

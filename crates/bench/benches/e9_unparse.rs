@@ -66,7 +66,7 @@ fn bench_unparse(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("full-roundtrip", n), &n, |b, &n| {
             let m = with_captures(n);
-            let env = m.export_environment();
+            let env = m.export_environment().to_vec();
             b.iter(|| {
                 let mut os = SimOs::new();
                 os.set_initial_env(env.clone());

@@ -33,23 +33,56 @@ const BUILTIN_NOEXPORT: &[&str] = &[
 
 /// Encodes every exportable global as `NAME=value` pairs.
 ///
+/// While no `local` binding is live, every launch shares one export,
+/// kept on the machine until [`Machine::assign_raw`] next creates,
+/// stores or removes a global. It is kept only when every entry could
+/// be cached (see [`encode_globals`]); otherwise each launch encodes
+/// afresh. In debug builds every shared hit is checked against a
+/// rebuild, whose per-global cache hits are in turn checked against
+/// fresh encodes.
+pub fn build_environment<O: Os + Clone>(m: &Machine<O>) -> Rc<[(String, String)]> {
+    let shareable = m.dynamics_len() == 0;
+    if shareable {
+        if let Some(shared) = m.shared_export().get() {
+            debug_assert_eq!(
+                **shared,
+                *encode_globals(m).0,
+                "stale shared environment export"
+            );
+            return Rc::clone(shared);
+        }
+    }
+    let (env, cacheable) = encode_globals(m);
+    let env: Rc<[(String, String)]> = env.into();
+    if shareable && cacheable {
+        let _ = m.shared_export().set(Rc::clone(&env));
+    }
+    env
+}
+
+/// Encodes every exportable global, and says whether every entry was
+/// cacheable.
+///
 /// Each global's encoding is cached next to its value and reused until
 /// [`Machine::assign_raw`] stores the global again. Two cases bypass
 /// the cache: a `local` binding shadowing the name (the export is what
 /// `lookup` sees), and a value holding a closure with captured
 /// bindings (a lexical assignment can change those without touching
 /// the global).
-pub fn build_environment<O: Os + Clone>(m: &Machine<O>) -> Vec<(String, String)> {
+fn encode_globals<O: Os + Clone>(m: &Machine<O>) -> (Vec<(String, String)>, bool) {
     let noexport = m.get_var("noexport");
+    let mut all_cacheable = true;
     let mut out = Vec::new();
     for (name, global) in m.globals() {
-        if BUILTIN_NOEXPORT.contains(&name.as_str())
-            || noexport.contains(name)
+        let name = &**name;
+        if BUILTIN_NOEXPORT.contains(&name)
+            || noexport.iter().any(|n| n == name)
             || name.contains('=')
         {
             continue;
         }
         let encoded = if let Some(value) = m.dynamic("", name) {
+            all_cacheable = false;
             encode_value(m, value).0
         } else if let Some(cached) = global.export.get() {
             debug_assert_eq!(
@@ -63,11 +96,12 @@ pub fn build_environment<O: Os + Clone>(m: &Machine<O>) -> Vec<(String, String)>
             if cacheable {
                 let _ = global.export.set(Rc::from(encoded.as_str()));
             }
+            all_cacheable &= cacheable;
             encoded
         };
-        out.push((name.clone(), encoded));
+        out.push((name.to_string(), encoded));
     }
-    out
+    (out, all_cacheable)
 }
 
 /// Encodes one value list as an environment string, and says whether

@@ -121,7 +121,8 @@ pub trait Yield {
 /// A global variable: the root slot holding its value, and that
 /// value's environment encoding once an export has computed it.
 /// [`Machine::assign_raw`], the only place a global is stored, resets
-/// the encoding; [`env::build_environment`] decides what may fill it.
+/// the encoding (and the machine's shared export);
+/// [`env::build_environment`] decides what may fill them.
 #[derive(Clone)]
 pub(crate) struct Global {
     pub(crate) slot: PermSlot,
@@ -148,7 +149,13 @@ pub struct Machine<O: Os + Clone> {
     /// Evaluator options.
     pub opts: Options,
     os: O,
-    globals: BTreeMap<String, Global>,
+    /// Keyed by shared names, so cloning the map (recycle, fork, the
+    /// boot image) copies no name.
+    globals: BTreeMap<Rc<str>, Global>,
+    /// The whole environment export, shared by every launch until
+    /// [`Machine::assign_raw`] next creates, stores or removes a
+    /// global. See [`env::build_environment`] for when it is used.
+    shared_export: OnceCell<Rc<[(String, String)]>>,
     /// Dynamic-binding stack: `(name, value slot)`, innermost last.
     dynamics: Vec<(String, RootSlot)>,
     /// The shell's fd table: shell fd → kernel descriptor.
@@ -188,6 +195,7 @@ impl<O: Os + Clone> Clone for Machine<O> {
             opts: self.opts.clone(),
             os: self.os.clone(),
             globals: self.globals.clone(),
+            shared_export: self.shared_export.clone(),
             dynamics: self.dynamics.clone(),
             fds: self.fds.clone(),
             inputs: self.inputs.clone(),
@@ -219,6 +227,7 @@ impl<O: Os + Clone> Machine<O> {
             opts,
             os,
             globals: BTreeMap::new(),
+            shared_export: OnceCell::new(),
             dynamics: Vec::new(),
             fds: BTreeMap::new(),
             inputs: Vec::new(),
@@ -247,7 +256,7 @@ impl<O: Os + Clone> Machine<O> {
         env::import_environment(&mut m)?;
         // Encode every exportable global now, so the frozen image —
         // and every recycled slot and fork cloned from it — starts
-        // with the environment cache filled.
+        // with the environment caches and the shared export filled.
         env::build_environment(&m);
         // Freeze the finished boot state so pooled slots can restore
         // it. The image's own `boot_image` is `None` (no recursion);
@@ -311,7 +320,8 @@ impl<O: Os + Clone> Machine<O> {
     /// Encodes all exportable shell state as environment strings —
     /// what every external command (and child es) receives. Closures
     /// travel as `%closure(...)` strings (paper, "The Environment").
-    pub fn export_environment(&self) -> Vec<(String, String)> {
+    /// Between stores to globals, launches share one export.
+    pub fn export_environment(&self) -> Rc<[(String, String)]> {
         env::build_environment(self)
     }
 
@@ -536,8 +546,13 @@ impl<O: Os + Clone> Machine<O> {
     }
 
     /// The global variables, sorted by name.
-    pub(crate) fn globals(&self) -> &BTreeMap<String, Global> {
+    pub(crate) fn globals(&self) -> &BTreeMap<Rc<str>, Global> {
         &self.globals
+    }
+
+    /// The export shared by launches while no global changes.
+    pub(crate) fn shared_export(&self) -> &OnceCell<Rc<[(String, String)]>> {
+        &self.shared_export
     }
 
     /// Assigns `value` to `name`: mutates the innermost lexical
@@ -564,6 +579,7 @@ impl<O: Os + Clone> Machine<O> {
                 return;
             }
         }
+        self.shared_export.take();
         if value.is_nil() {
             // Assigning the empty list removes a global (this is how
             // `fn-x =` undefines a function and how `recache` flushes
@@ -581,8 +597,7 @@ impl<O: Os + Clone> Machine<O> {
             None => {
                 let slot = self.heap.alloc_perm(value);
                 let export = OnceCell::new();
-                self.globals
-                    .insert(name.to_string(), Global { slot, export });
+                self.globals.insert(Rc::from(name), Global { slot, export });
             }
         }
     }
@@ -603,7 +618,7 @@ impl<O: Os + Clone> Machine<O> {
 
     /// Sorted global variable names (`$&vars`).
     pub fn global_names(&self) -> Vec<String> {
-        self.globals.keys().cloned().collect()
+        self.globals.keys().map(|k| k.to_string()).collect()
     }
 
     /// Pushes a dynamic binding (used by `local`); pop with

@@ -593,7 +593,7 @@ fn functions_travel_through_environment() {
     m.run("fn greet who { echo hello, $who }").unwrap();
     m.run("let (a = captured) fn closed { echo $a }").unwrap();
     m.run("plain = some value").unwrap();
-    let env = crate::env::build_environment(&m);
+    let env = crate::env::build_environment(&m).to_vec();
     // Boot a child shell from that environment: no rc files, full state.
     let mut child_os = SimOs::new();
     child_os.set_initial_env(env.clone());
@@ -614,7 +614,7 @@ fn lexical_sharing_lost_across_environment() {
         .unwrap();
     m.run("bump").unwrap();
     assert_eq!(output(&mut m, "show"), "bumped\n");
-    let env = crate::env::build_environment(&m);
+    let env = crate::env::build_environment(&m).to_vec();
     let mut child_os = SimOs::new();
     child_os.set_initial_env(env);
     let mut child = Machine::new(child_os).expect("child boots");
@@ -628,7 +628,7 @@ fn lexical_sharing_lost_across_environment() {
     // snapshots, not shared bindings... demonstrate by bumping to a
     // new value in the child's `bump` and observing `show` UNchanged.
     child.run("let (x = 1) { fn bump2 { x = 2 }; fn show2 { echo $x } }").unwrap();
-    let env2 = crate::env::build_environment(&child);
+    let env2 = crate::env::build_environment(&child).to_vec();
     let mut gchild_os = SimOs::new();
     gchild_os.set_initial_env(env2);
     let mut gchild = Machine::new(gchild_os).expect("grandchild boots");
@@ -1077,9 +1077,9 @@ fn noexport_variable_respected() {
 
 /// Exports `m`'s environment, checking every entry against a fresh,
 /// uncached encode of the value `lookup` sees.
-fn export_checked(m: &Machine<SimOs>) -> Vec<(String, String)> {
+fn export_checked(m: &Machine<SimOs>) -> std::rc::Rc<[(String, String)]> {
     let env = m.export_environment();
-    for (name, encoded) in &env {
+    for (name, encoded) in env.iter() {
         let value = m.lookup(es_gc::Ref::NIL, "", name).expect("exported names are bound");
         assert_eq!(*encoded, crate::env::encode_value(m, value).0, "stale export of {name}");
     }
@@ -1090,9 +1090,16 @@ fn exported(env: &[(String, String)], name: &str) -> Option<String> {
     env.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
 }
 
-/// The per-global export cache follows every kind of store: global
-/// reassignment and deletion, function redefinition, a lexical
-/// assignment to a captured binding, and `$noexport` changes.
+/// What the `env` program prints for `env`.
+fn env_listing(env: &[(String, String)]) -> String {
+    env.iter().map(|(k, v)| format!("{k}={v}\n")).collect()
+}
+
+/// The per-global export cache and the shared export follow every
+/// kind of store: global reassignment and deletion, function
+/// redefinition, a lexical assignment to a captured binding,
+/// `$noexport` changes, and a recycle. At each step a launched `env`
+/// receives exactly the checked export.
 #[test]
 fn export_cache_tracks_every_store() {
     let mut m = machine();
@@ -1110,21 +1117,30 @@ fn export_cache_tracks_every_store() {
     ];
     for (cmd, name, want) in steps {
         m.run(cmd).unwrap();
+        let seen = output(&mut m, "env");
         let env = export_checked(&m);
+        assert_eq!(seen, env_listing(&env), "launch after `{cmd}`");
         assert_eq!(exported(&env, name).as_deref(), *want, "after `{cmd}`");
     }
+    assert!(m.recycle());
+    let seen = output(&mut m, "env");
+    let env = export_checked(&m);
+    assert_eq!(seen, env_listing(&env), "launch after recycle");
+    assert_eq!(exported(&env, "x"), None, "recycle restores the boot export");
 }
 
 /// A `local` binding shadows a cached global in what a launched
-/// program sees, and the global's cached entry is intact afterwards.
+/// program sees, and the global's cached entry is intact afterwards:
+/// a launch after the block returns, in the same command, sees the
+/// global again.
 #[test]
 fn export_cache_defers_to_local_bindings() {
     let mut m = machine();
     m.run("x = global").unwrap();
     export_checked(&m);
-    let seen = output(&mut m, "local (x = shadow) { env; x = changed; env }");
+    let seen = output(&mut m, "local (x = shadow) { env; x = changed; env }; env");
     let xs: Vec<&str> = seen.lines().filter(|l| l.starts_with("x=")).collect();
-    assert_eq!(xs, ["x=shadow", "x=changed"]);
+    assert_eq!(xs, ["x=shadow", "x=changed", "x=global"]);
     assert!(output(&mut m, "env").lines().any(|l| l == "x=global"));
     assert_eq!(exported(&export_checked(&m), "x").as_deref(), Some("global"));
 }

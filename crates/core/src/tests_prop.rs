@@ -162,7 +162,7 @@ proptest! {
     fn prop_env_roundtrip_plain_vars(items in proptest::collection::vec("[ -~&&[^\u{1}]]{0,10}", 0..5)) {
         let mut parent = machine();
         parent.run(&format!("payload = {}", quoted_list(&items))).unwrap();
-        let env = parent.export_environment();
+        let env = parent.export_environment().to_vec();
         let mut os = SimOs::new();
         os.set_initial_env(env);
         let child = Machine::new(os).expect("child boots");
@@ -179,9 +179,9 @@ proptest! {
         let mut m = machine();
         let def = format!("let (c = {captured}) fn f {{ echo $c $* }}");
         m.run(&def).unwrap();
-        let encoded = m
-            .export_environment()
-            .into_iter()
+        let env = m.export_environment();
+        let encoded = env
+            .iter()
             .find(|(k, _)| k == "fn-f")
             .map(|(_, v)| v)
             .expect("fn-f exported");

@@ -1,6 +1,9 @@
 //! Counted mallocs for evaluation: reading a variable, calling a
 //! function and assigning through a settor copy no name, so 64 of
-//! them make as many mallocs as one.
+//! them make as many mallocs as one. Boot state is shared, not
+//! copied: a launch makes as many mallocs with 64 more exported
+//! globals, and a recycled session's first file write as many with 64
+//! more boot files.
 //!
 //! A line's *evaluation-only* mallocs are those of `run_text(line)`
 //! minus those of `lower(parse_program(line))` on the same text. They
@@ -64,7 +67,12 @@ fn front_end_mallocs(line: &str) -> u64 {
 
 /// A machine that has run `setup`.
 fn machine(setup: &str) -> Machine<SimOs> {
-    let mut m = Machine::new(SimOs::new()).expect("machine boots");
+    machine_on(SimOs::new(), setup)
+}
+
+/// A machine booted on `os` that has run `setup`.
+fn machine_on(os: SimOs, setup: &str) -> Machine<SimOs> {
+    let mut m = Machine::new(os).expect("machine boots");
     m.run_quiet(setup).expect("setup runs");
     m
 }
@@ -108,6 +116,58 @@ fn settor_assignments_make_no_malloc_per_assignment() {
     let one = eval_mallocs(setup, "s = a");
     let many = eval_mallocs(setup, &repeat("s = a", "; ", 64));
     assert_eq!(many, one, "64 assignments through set-s vs 1");
+}
+
+/// `n` exported globals, one assignment each.
+fn globals(n: usize) -> String {
+    (0..n)
+        .map(|i| format!("extra-{i} = value-{i}"))
+        .collect::<Vec<_>>()
+        .join("; ")
+}
+
+#[test]
+fn launches_make_no_malloc_per_exported_global() {
+    // Debug builds check every shared-export hit against a rebuild,
+    // which mallocs per global; an export on the same state makes the
+    // same check, so its count is the check's.
+    fn launch_mallocs(setup: &str) -> u64 {
+        let check = if cfg!(debug_assertions) {
+            let m = machine(setup);
+            counted(|| {
+                black_box(m.export_environment());
+            })
+        } else {
+            0
+        };
+        eval_mallocs(setup, "/bin/true") - check
+    }
+    let few = launch_mallocs("x = a");
+    let many = launch_mallocs(&format!("x = a; {}", globals(64)));
+    assert_eq!(many, few, "/bin/true with 64 more exported globals vs none");
+}
+
+#[test]
+fn first_write_after_recycle_makes_no_malloc_per_boot_file() {
+    fn first_write_mallocs(os: SimOs) -> u64 {
+        let line = "echo a > /tmp/s";
+        let mut m = machine_on(os, line);
+        assert!(m.recycle());
+        let total = counted(|| assert!(m.run_text(line).is_ok(), "line runs"));
+        total - front_end_mallocs(line)
+    }
+    let mut big = SimOs::new();
+    for i in 0..64 {
+        big.vfs_mut()
+            .put_file(&format!("/srv/blob-{i}"), &[b'x'; 1024])
+            .expect("file written");
+    }
+    let boot = first_write_mallocs(SimOs::new());
+    let bigger = first_write_mallocs(big);
+    assert_eq!(
+        bigger, boot,
+        "first write with 64 more 1-KiB boot files vs none"
+    );
 }
 
 /// Lexing makes one string per word and the parser moves it into the

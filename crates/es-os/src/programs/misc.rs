@@ -106,10 +106,7 @@ fn sleep(ctx: &mut ProcCtx) -> i32 {
 
 /// `env` — print the environment, one NAME=value per line.
 fn env(ctx: &mut ProcCtx) -> i32 {
-    let mut out = String::new();
-    for (k, v) in ctx.env().to_vec() {
-        out.push_str(&format!("{k}={v}\n"));
-    }
+    let out: String = ctx.env().iter().map(|(k, v)| format!("{k}={v}\n")).collect();
     let _ = ctx.write_fd(1, out.as_bytes());
     0
 }

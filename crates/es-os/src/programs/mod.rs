@@ -39,7 +39,7 @@ pub struct ProcCtx<'a> {
     os: &'a mut SimOs,
     name: String,
     args: Vec<String>,
-    env: Vec<(String, String)>,
+    env: &'a [(String, String)],
     fds: BTreeMap<u32, Desc>,
     pid: i32,
     bytes_io: u64,
@@ -51,7 +51,7 @@ impl<'a> ProcCtx<'a> {
     pub(crate) fn new(
         os: &'a mut SimOs,
         argv: &[String],
-        env: &[(String, String)],
+        env: &'a [(String, String)],
         fds: &[(u32, Desc)],
         pid: i32,
     ) -> ProcCtx<'a> {
@@ -61,7 +61,7 @@ impl<'a> ProcCtx<'a> {
             os,
             name,
             args: argv.iter().skip(1).cloned().collect(),
-            env: env.to_vec(),
+            env,
             fds: fds.iter().copied().collect(),
             pid,
             bytes_io: 0,
@@ -96,7 +96,7 @@ impl<'a> ProcCtx<'a> {
 
     /// The whole environment.
     pub fn env(&self) -> &[(String, String)] {
-        &self.env
+        self.env
     }
 
     /// Total bytes moved through this context (for rusage).
@@ -222,7 +222,6 @@ impl<'a> ProcCtx<'a> {
     pub fn exec(&mut self, argv: &[String]) -> OsResult<i32> {
         use crate::Os as _;
         let fds: Vec<(u32, Desc)> = self.fds.iter().map(|(k, v)| (*k, *v)).collect();
-        let env = self.env.clone();
         // Resolve bare names against PATH, as execvp would.
         let mut argv = argv.to_vec();
         if let Some(first) = argv.first_mut() {
@@ -237,7 +236,7 @@ impl<'a> ProcCtx<'a> {
                 }
             }
         }
-        self.os.run(&argv, &env, &fds)
+        self.os.run(&argv, self.env, &fds)
     }
 
     /// The fake process table.

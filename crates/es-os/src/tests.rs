@@ -481,6 +481,9 @@ fn env_program_reports_environment() {
     let (_, out) = run_prog(&mut os, "env", &[], "");
     assert!(out.contains("HOME=/home/user"));
     assert!(out.contains("PATH=/bin:/usr/bin"));
+    // A program run through `xargs` is handed the same environment.
+    let (_, via_xargs) = run_prog(&mut os, "xargs", &["env"], "");
+    assert_eq!(via_xargs, out);
 }
 
 #[test]
@@ -1062,10 +1065,21 @@ fn every_vfs_mutator_moves_a_warm_digest() {
 /// two is the clone.
 #[test]
 fn cloned_kernels_do_not_see_each_others_writes() {
+    const MOTD: &[u8] = b"welcome to the es simulation\n";
+    fn motd(os: &SimOs) -> &[u8] {
+        os.vfs().file_data(os.vfs().lookup("/etc/motd", "/").unwrap())
+    }
     fn scribble(os: &mut SimOs) {
         let fd = os.open("/tmp/new", OpenMode::Write).unwrap();
         write_all(os, fd, b"written").unwrap();
         os.close(fd).unwrap();
+        // Write a boot inode in place before unlinking it: the clone
+        // shares that inode until this first write.
+        let ino = os.vfs().lookup("/etc/motd", "/").unwrap();
+        os.vfs_mut().write_at(ino, 0, b"overwritten");
+        assert!(motd(os).starts_with(b"overwritten"));
+        os.vfs_mut().truncate(ino);
+        assert_eq!(motd(os), b"");
         os.vfs_mut().unlink("/etc/motd", "/").unwrap();
         os.vfs_mut().mkdir("/tmp/dir", "/").unwrap();
     }
@@ -1085,6 +1099,7 @@ fn cloned_kernels_do_not_see_each_others_writes() {
         assert!(!reader.is_file("/tmp/new"));
         assert!(!reader.is_dir("/tmp/dir"));
         assert!(reader.is_file("/etc/motd"));
+        assert_eq!(motd(reader), MOTD, "clone_writes={clone_writes}");
         assert_eq!(reader.fingerprint(), before, "clone_writes={clone_writes}");
     }
 }

@@ -6,11 +6,13 @@
 //! "executes"). Paths are resolved UNIX-style against a current
 //! working directory, with `.` and `..` handling.
 //!
-//! The inode table is shared copy-on-write: cloning a `Vfs` (and so a
-//! whole [`crate::SimOs`], for `fork`, a pooled slot's recycle, or the
-//! boot image) bumps a refcount, and the first write through a clone
-//! copies the table once. Every write goes through `Vfs::tree_mut`,
-//! which also forgets the table's cached [`Vfs::digest`].
+//! The inode table is shared copy-on-write, and so is each inode:
+//! cloning a `Vfs` (and so a whole [`crate::SimOs`], for `fork`, a
+//! pooled slot's recycle, or the boot image) bumps a refcount. The
+//! first write through a clone copies the table of inode pointers,
+//! and a write to an inode copies that inode only. Every write goes
+//! through `Vfs::tree_mut`, which also forgets the table's cached
+//! [`Vfs::digest`].
 
 use crate::error::{OsError, OsResult};
 use crate::sim::{fnv, FNV_OFFSET};
@@ -48,10 +50,10 @@ pub struct Vfs {
 }
 
 /// The shared inode table and its digest, filled on first use and
-/// emptied by every write.
+/// emptied by every write. Clones share the nodes themselves too.
 #[derive(Debug, Clone)]
 struct Tree {
-    nodes: Vec<Node>,
+    nodes: Vec<Rc<Node>>,
     digest: OnceCell<u64>,
 }
 
@@ -76,7 +78,7 @@ impl Vfs {
     pub fn new() -> Vfs {
         Vfs {
             tree: Rc::new(Tree {
-                nodes: vec![Node::Dir(BTreeMap::new())],
+                nodes: vec![Rc::new(Node::Dir(BTreeMap::new()))],
                 digest: OnceCell::new(),
             }),
         }
@@ -91,21 +93,23 @@ impl Vfs {
         &self.tree.nodes[ino.0]
     }
 
-    /// The one way to write the table: unshares it (copying it if a
-    /// clone still holds it) and forgets its digest.
+    /// The one way to write the table: unshares it (copying its inode
+    /// pointers if a clone still holds it) and forgets its digest.
     fn tree_mut(&mut self) -> &mut Tree {
         let tree = Rc::make_mut(&mut self.tree);
         tree.digest.take();
         tree
     }
 
+    /// Unshares the one inode written (copying it if a clone still
+    /// holds it).
     fn node_mut(&mut self, ino: Ino) -> &mut Node {
-        &mut self.tree_mut().nodes[ino.0]
+        Rc::make_mut(&mut self.tree_mut().nodes[ino.0])
     }
 
     fn push_node(&mut self, node: Node) -> Ino {
         let nodes = &mut self.tree_mut().nodes;
-        nodes.push(node);
+        nodes.push(Rc::new(node));
         Ino(nodes.len() - 1)
     }
 

@@ -117,7 +117,7 @@ fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
         }
     }
     if args.dump_env {
-        for (k, v) in es_core_env(&m) {
+        for (k, v) in m.export_environment().iter() {
             println!("{k}={v}");
         }
         return 0;
@@ -147,12 +147,6 @@ fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
         };
     }
     m.repl()
-}
-
-/// Re-export of the environment builder for `--dump-env` (the crate
-/// keeps it internal; the binary reaches it through a tiny shim).
-fn es_core_env<O: Os + Clone>(m: &Machine<O>) -> Vec<(String, String)> {
-    m.export_environment()
 }
 
 fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeConfig, String> {

@@ -143,7 +143,7 @@ fn environment_round_trip_preserves_everything() {
     parent.run("fn triple x { result $x^$x^$x }").unwrap();
     parent.run("greeting = 'hello from parent'").unwrap();
     parent.run("let (sep = ::) fn joined { echo $sep^$* }").unwrap();
-    let env = parent.export_environment();
+    let env = parent.export_environment().to_vec();
 
     let mut os = SimOs::new();
     os.set_initial_env(env);
@@ -159,13 +159,13 @@ fn deep_env_nesting_three_generations() {
     let mut g1 = machine();
     g1.run("fn lineage { echo generation $* }").unwrap();
     g1.run("depth = one").unwrap();
-    let env1 = g1.export_environment();
+    let env1 = g1.export_environment().to_vec();
 
     let mut os2 = SimOs::new();
     os2.set_initial_env(env1);
     let mut g2 = Machine::new(os2).expect("g2 boots");
     g2.run("depth = $depth two").unwrap();
-    let env2 = g2.export_environment();
+    let env2 = g2.export_environment().to_vec();
 
     let mut os3 = SimOs::new();
     os3.set_initial_env(env2);
