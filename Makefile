@@ -42,9 +42,10 @@ soak-limits:
 # E14 — serving soak: seeded 10k-session runs through the session
 # server with fault weather, tight budgets, injected panics, and
 # admission churn; asserts zero escaped panics, zero reset-oracle
-# violations, shedding engaged, and byte-identical event-log replay
-# per seed. The `soak` profile is release with debug assertions on, so
-# every cache oracle runs too.
+# violations, shedding engaged, and an identical event log (length and
+# digest of every frame) on replay per seed; prints one `seed len
+# digest` line per seed. The `soak` profile is release with debug
+# assertions on, so every cache oracle runs too.
 SERVE_SESSIONS ?= 10000
 SERVE_SEEDS ?= 2
 serve-soak:

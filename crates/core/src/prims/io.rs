@@ -11,15 +11,24 @@ use crate::eval::{must_value, Flow};
 use crate::exception::{EsError, EsResult};
 use crate::machine::Machine;
 use crate::value::{self, Term};
-use es_gc::{Ref, RootSlot};
+use es_gc::{Obj, Ref, RootSlot};
 use es_os::{Desc, OpenMode, Os};
+
+/// The `i`-th (1-based) argument as a descriptor number, read without
+/// rendering any other argument; `None` unless it is a numeric string.
+fn fd_word<O: Os + Clone>(m: &Machine<O>, args: RootSlot, i: usize) -> Option<u32> {
+    let t = value::list_nth(&m.heap, m.heap.root(args), i)?;
+    match m.heap.get(t) {
+        Obj::Str(_) => m.heap.str_value(t).parse().ok(),
+        _ => None,
+    }
+}
 
 /// Parses a required numeric fd argument.
 fn fd_arg<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, i: usize) -> EsResult<u32> {
-    let strings = m.strings_at(args);
-    match strings.get(i - 1).map(|s| s.parse::<u32>()) {
-        Some(Ok(fd)) => Ok(fd),
-        _ => Err(m.error("bad file descriptor number")),
+    match fd_word(m, args, i) {
+        Some(fd) => Ok(fd),
+        None => Err(m.error("bad file descriptor number")),
     }
 }
 
@@ -146,13 +155,10 @@ pub fn pipe<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) ->
     let mut last;
     loop {
         let is_last = stage + 2 > n;
-        let strings = m.strings_at(args);
         let (out_fd, in_fd) = if is_last {
             (1, 0)
         } else {
-            let out = strings.get(stage).and_then(|s| s.parse::<u32>().ok());
-            let inp = strings.get(stage + 1).and_then(|s| s.parse::<u32>().ok());
-            match (out, inp) {
+            match (fd_word(m, args, stage + 1), fd_word(m, args, stage + 2)) {
                 (Some(out), Some(inp)) => (out, inp),
                 _ => {
                     // The previous stage's read end must not outlive

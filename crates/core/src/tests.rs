@@ -59,6 +59,23 @@ fn simple_pipeline_and_redirection() {
     assert_eq!(output(&mut m, "cat < /tmp/f"), "stored\nmore\n");
 }
 
+/// `$&pipe` takes its descriptors as numeric words: a closure or a
+/// non-number in either fd position is refused before any stage runs.
+#[test]
+fn pipe_refuses_non_numeric_fds() {
+    let mut m = machine();
+    for src in [
+        "$&pipe {echo a} {x} 0 {cat}",
+        "$&pipe {echo a} 1 @ {x} {cat}",
+        "$&pipe {echo a} one 0 {cat}",
+    ] {
+        let err = m.run(src).unwrap_err();
+        assert!(err.contains("pipe: bad fd"), "{src}: {err}");
+        assert_eq!(m.os_mut().take_output(), "", "{src}: a stage ran");
+    }
+    assert_eq!(output(&mut m, "$&pipe {echo a} 1 0 {cat}"), "a\n");
+}
+
 #[test]
 fn intro_example_kill_pipeline() {
     // ps aux | grep '^byron' | awk '{print $2}' | xargs kill -9

@@ -3,7 +3,8 @@
 //! them make as many mallocs as one. Boot state is shared, not
 //! copied: a launch makes as many mallocs with 64 more exported
 //! globals, and a recycled session's first file write as many with 64
-//! more boot files.
+//! more boot files. A pipe reads only its descriptor words, so one
+//! under a `let` of 64 words makes as many mallocs as under one.
 //!
 //! A line's *evaluation-only* mallocs are those of `run_text(line)`
 //! minus those of `lower(parse_program(line))` on the same text. They
@@ -167,6 +168,24 @@ fn first_write_after_recycle_makes_no_malloc_per_boot_file() {
     assert_eq!(
         bigger, boot,
         "first write with 64 more 1-KiB boot files vs none"
+    );
+}
+
+#[test]
+fn pipes_make_no_malloc_per_captured_word() {
+    // Each stage is a closure over the `let`, so rendering a stage
+    // renders every word it captured.
+    fn pipe_mallocs(n: usize) -> u64 {
+        let words: Vec<String> = (0..n).map(|i| format!("w{i}")).collect();
+        eval_mallocs(
+            "",
+            &format!("let (v = {}) {{ true | true }}", words.join(" ")),
+        )
+    }
+    assert_eq!(
+        pipe_mallocs(64),
+        pipe_mallocs(1),
+        "`true | true` under a 64-word let vs 1"
     );
 }
 

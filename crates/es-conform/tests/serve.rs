@@ -117,7 +117,6 @@ fn scenarios_agree_between_direct_and_served() {
         slice_steps: 97, // deliberately odd: slice boundaries must not show
         session_limits: vec![],
         os_setup: Some(Arc::new(scratch_setup)),
-        ..ServeConfig::default()
     });
     for sc in SCENARIOS {
         let cmds = materialize(sc.script);

@@ -85,9 +85,10 @@ pub struct SimOs {
     console_in: VecDeque<u8>,
     console_out: Vec<u8>,
     console_err: Vec<u8>,
-    /// Mirror console output to the real stdout/stderr, and fall back
-    /// to reading real stdin when the scripted input runs dry — this is
-    /// what makes `es --sim` usable interactively.
+    /// Write console output to the real stdout/stderr instead of
+    /// capturing it, and fall back to reading real stdin when the
+    /// scripted input runs dry — this is what makes `es --sim` usable
+    /// interactively.
     interactive: bool,
     signals: VecDeque<Signal>,
     /// Signals scheduled for delivery at a virtual time (sorted by
@@ -202,8 +203,9 @@ impl SimOs {
         String::from_utf8_lossy(&std::mem::take(&mut self.console_err)).into_owned()
     }
 
-    /// Enables interactive mode: console output is echoed to the real
-    /// stdout/stderr and console input falls back to the real stdin.
+    /// Enables interactive mode: console output goes to the real
+    /// stdout/stderr (and is not captured for [`SimOs::take_output`])
+    /// and console input falls back to the real stdin.
     pub fn set_interactive(&mut self, on: bool) {
         self.interactive = on;
     }
@@ -376,20 +378,18 @@ impl SimOs {
                 }
                 pipe.buf.extend(data.iter().copied());
             }
-            FileKind::ConsoleOut => {
-                self.console_out.extend_from_slice(data);
-                if self.interactive {
-                    let _ = std::io::stdout().write_all(data);
-                    let _ = std::io::stdout().flush();
-                }
+            // Interactive output goes straight through: nothing would
+            // ever drain a copy kept here.
+            FileKind::ConsoleOut if self.interactive => {
+                let _ = std::io::stdout().write_all(data);
+                let _ = std::io::stdout().flush();
             }
-            FileKind::ConsoleErr => {
-                self.console_err.extend_from_slice(data);
-                if self.interactive {
-                    let _ = std::io::stderr().write_all(data);
-                    let _ = std::io::stderr().flush();
-                }
+            FileKind::ConsoleErr if self.interactive => {
+                let _ = std::io::stderr().write_all(data);
+                let _ = std::io::stderr().flush();
             }
+            FileKind::ConsoleOut => self.console_out.extend_from_slice(data),
+            FileKind::ConsoleErr => self.console_err.extend_from_slice(data),
             FileKind::PipeR(_) | FileKind::ConsoleIn => return Err(OsError::BadF),
         }
         self.charge_sys(data.len());

@@ -121,6 +121,19 @@ fn console_io_is_scriptable() {
     assert_eq!(os.take_output(), "", "take clears");
 }
 
+/// An interactive kernel writes console output through to the real
+/// stdout/stderr and keeps no copy, so a long REPL session does not
+/// grow a buffer nothing drains.
+#[test]
+fn interactive_console_output_is_not_buffered() {
+    let mut os = SimOs::new();
+    os.set_interactive(true);
+    write_all(&mut os, STDOUT, b"\n").unwrap();
+    write_all(&mut os, crate::STDERR, b"\n").unwrap();
+    assert_eq!(os.take_output(), "");
+    assert_eq!(os.take_error(), "");
+}
+
 #[test]
 fn signals_queue_and_drain() {
     let mut os = SimOs::new();

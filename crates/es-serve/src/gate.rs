@@ -16,7 +16,7 @@
 //! deep in the evaluator — and the scheduler's
 //! [`SliceGate::wait_parked`] returns so the run loop can hand the
 //! baton to another slot. Exactly one side runs at any moment, which
-//! is what makes the served event log deterministic and byte-replayable.
+//! is what makes the served frames, and so the event log, replayable.
 //!
 //! Cancellation rides the same gate: [`SliceGate::cancel`] wakes a
 //! parked worker and makes its next tick return
@@ -285,7 +285,7 @@ mod tests {
     }
 
     /// The reply a test worker gives to a `Run`: the command text as
-    /// the value, and the number of ticks it was allowed as its steps.
+    /// the value, and the number of ticks it was allowed as its output.
     fn ran(req: Request, ticks: u64, cancelled: bool) -> Reply {
         let Request::Run { cmd, .. } = req else {
             panic!("expected a Run request");
@@ -294,9 +294,8 @@ mod tests {
             result: Ok(cmd),
             cancelled,
             panic: None,
-            stdout: String::new(),
+            stdout: ticks.to_string(),
             stderr: String::new(),
-            steps: ticks,
         })
     }
 
@@ -352,12 +351,12 @@ mod tests {
         assert_eq!(gate.wait_parked(), Phase::Done);
         let o = outcome(gate.take_reply());
         assert_eq!(
-            (o.result, o.steps, o.cancelled),
-            (Ok("first".into()), 15, false)
+            (o.result, o.stdout.as_str(), o.cancelled),
+            (Ok("first".into()), "15", false)
         );
         gate.start(run("second"), 20);
         assert_eq!(gate.wait_parked(), Phase::Done);
-        assert_eq!(outcome(gate.take_reply()).steps, 15);
+        assert_eq!(outcome(gate.take_reply()).stdout, "15");
         assert_eq!(gate.slices_granted(), 3);
         gate.shutdown();
         w.join().expect("worker joins");
@@ -376,7 +375,7 @@ mod tests {
         assert_eq!(gate.wait_parked(), Phase::Parked);
         gate.cancel();
         let o = outcome(gate.take_reply());
-        assert_eq!((o.steps, o.cancelled), (15, true));
+        assert_eq!((o.stdout.as_str(), o.cancelled), ("15", true));
         assert!(!gate.cancel_requested());
         gate.start(run("next"), 3);
         assert_eq!(gate.wait_parked(), Phase::Parked);
@@ -394,7 +393,7 @@ mod tests {
         assert!(matches!(gate.call(Request::Recycle), Some(Reply::Recycled(r)) if r.clean()));
         gate.cancel();
         let o = outcome(gate.call(run("never ran")));
-        assert_eq!((o.steps, o.cancelled), (0, true));
+        assert_eq!((o.stdout.as_str(), o.cancelled), ("0", true));
         assert_eq!(gate.slices_granted(), 0);
         gate.shutdown();
         w.join().expect("worker joins");
@@ -420,7 +419,7 @@ mod tests {
         gate.shutdown();
         assert_eq!(gate.wait_parked(), Phase::Done);
         let o = outcome(gate.take_reply());
-        assert_eq!((o.steps, o.cancelled), (4, true));
+        assert_eq!((o.stdout.as_str(), o.cancelled), ("4", true));
         assert!(w.join().expect("worker joins"), "next() after shutdown");
     }
 

@@ -16,7 +16,8 @@
 //!   at the slot boundary, and drain-mode shutdown.
 //! - [`soak`] — the seeded acceptance driver: thousands of sessions
 //!   with fault weather, tight budgets, and injected panics, whose
-//!   event log must replay byte-identically.
+//!   event log (a length and a digest of every frame) must replay
+//!   identically.
 
 pub mod gate;
 pub mod pool;
@@ -25,7 +26,7 @@ pub mod server;
 pub mod soak;
 
 pub use gate::{GateYield, Phase, SliceGate};
-pub use pool::{Outcome, Pool, ResetReport, SlotState};
+pub use pool::{Outcome, Pool, ResetReport, SlotState, PANIC_PROBE};
 pub use proto::{Frame, FaultClass, ProtoError};
-pub use server::{ServeConfig, ServeStats, Server};
+pub use server::{EventLog, ServeConfig, ServeStats, Server};
 pub use soak::{run_soak, SoakConfig, SoakReport};

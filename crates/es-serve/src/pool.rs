@@ -45,6 +45,20 @@ use std::thread::JoinHandle;
 /// weather band the in-crate fault soaks run under.
 pub const WEATHER_PER_1024: u16 = 12;
 
+/// Command text that makes a slot worker panic: the containment test
+/// rig. No real tenant would type it.
+pub const PANIC_PROBE: &str = "__es_serve_panic_probe__";
+
+/// The panic message [`PANIC_PROBE`] raises; any other caught panic is
+/// a real fault.
+pub(crate) const PROBE_PANIC: &str = "injected probe panic";
+
+/// Stack size for slot worker threads. Slot workers interpret
+/// recursive tenant code under the default depth-150 governor; 4 MiB
+/// clears that with room for the evaluator's own frames even in debug
+/// builds.
+const WORKER_STACK: usize = 4 << 20;
+
 /// Hook applied to a slot's kernel *before* boot (and again on every
 /// scrub), e.g. to seed `/bin` with scenario programs. Runs before
 /// `initial.es`, so whatever it installs is part of the boot image
@@ -95,8 +109,6 @@ pub struct Outcome {
     /// Bytes the command wrote to the session's stderr (including any
     /// governor warnings, which land here and nowhere else).
     pub stderr: String,
-    /// Eval steps the command consumed.
-    pub steps: u64,
 }
 
 /// The recycle/scrub audit: how the machine compares to its own
@@ -174,7 +186,6 @@ struct Slot {
 /// The fixed-capacity slot pool.
 pub struct Pool {
     slots: Vec<Slot>,
-    panic_probe: String,
 }
 
 /// Thread-name prefix for slot workers; the quiet panic hook keys on
@@ -240,7 +251,7 @@ fn audit(m: &Machine<SimOs>, boot: &BootSnapshot) -> ResetReport {
     }
 }
 
-fn worker_main(gate: &Arc<SliceGate>, setup: Option<OsSetup>, panic_probe: String) {
+fn worker_main(gate: &Arc<SliceGate>, setup: Option<OsSetup>) {
     let mut m = boot_machine(&setup);
     let mut boot = snapshot(&m);
     m.set_yielder(Some(Rc::new(GateYield(Arc::clone(gate)))));
@@ -260,7 +271,7 @@ fn worker_main(gate: &Arc<SliceGate>, setup: Option<OsSetup>, panic_probe: Strin
                         es_os::FaultPlan::new(seed).uniform_rate(WEATHER_PER_1024),
                     ));
                 }
-                Reply::Ran(run_command(&mut m, gate, &cmd, &panic_probe))
+                Reply::Ran(run_command(&mut m, gate, &cmd))
             }
             Request::Recycle => {
                 m.os_mut().set_fault_plan(None);
@@ -280,11 +291,10 @@ fn worker_main(gate: &Arc<SliceGate>, setup: Option<OsSetup>, panic_probe: Strin
 
 /// Runs one command on the slot's machine, catching a panic at the
 /// slot boundary, and harvests its console output.
-fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str, panic_probe: &str) -> Outcome {
-    let steps_before = m.governor().steps();
+fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str) -> Outcome {
     let run = panic::catch_unwind(AssertUnwindSafe(|| {
-        if cmd == panic_probe {
-            panic!("injected probe panic");
+        if cmd == PANIC_PROBE {
+            panic::panic_any(PROBE_PANIC);
         }
         m.run(cmd)
     }));
@@ -293,7 +303,6 @@ fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str, panic_probe:
         Ok(Err(e)) => (Err(e.to_string()), None),
         Err(payload) => (Err("panic".to_string()), Some(panic_message(payload))),
     };
-    let steps = m.governor().steps().saturating_sub(steps_before);
     let (stdout, stderr) = m.os_mut().take_console();
     Outcome {
         result,
@@ -301,7 +310,6 @@ fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str, panic_probe:
         panic,
         stdout,
         stderr,
-        steps,
     }
 }
 
@@ -309,26 +317,20 @@ impl Pool {
     /// Spawns `capacity` slot workers, each booting its machine
     /// eagerly (the pool is warm by the time `new` returns the first
     /// replies — workers boot in parallel on their own threads).
-    pub fn new(
-        capacity: usize,
-        setup: Option<OsSetup>,
-        panic_probe: String,
-        worker_stack: usize,
-    ) -> Pool {
+    pub fn new(capacity: usize, setup: Option<OsSetup>) -> Pool {
         install_quiet_panics();
         let mut slots = Vec::with_capacity(capacity);
         for i in 0..capacity {
             let gate = Arc::new(SliceGate::new());
             let g = Arc::clone(&gate);
             let s = setup.clone();
-            let probe = panic_probe.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("{WORKER_PREFIX}-{i}"))
-                .stack_size(worker_stack)
+                .stack_size(WORKER_STACK)
                 .spawn(move || {
                     // A panic outside the command boundary (a failed
                     // boot) ends the worker; its gate must still answer.
-                    let _ = panic::catch_unwind(AssertUnwindSafe(|| worker_main(&g, s, probe)));
+                    let _ = panic::catch_unwind(AssertUnwindSafe(|| worker_main(&g, s)));
                     g.exited();
                 })
                 .expect("spawn slot worker");
@@ -338,33 +340,12 @@ impl Pool {
                 state: SlotState::Free,
             });
         }
-        Pool { slots, panic_probe }
+        Pool { slots }
     }
 
     /// Total slots, regardless of state.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Slots currently available to lease.
-    pub fn free_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.state == SlotState::Free)
-            .count()
-    }
-
-    /// Slots permanently out of rotation.
-    pub fn retired_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.state == SlotState::Retired)
-            .count()
-    }
-
-    /// The command string that makes a worker panic (test/probe rig).
-    pub fn panic_probe(&self) -> &str {
-        &self.panic_probe
     }
 
     /// Leases the lowest-numbered free slot.

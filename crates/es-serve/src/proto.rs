@@ -5,9 +5,9 @@
 //! only small integers and enum words, payloads carry tenant bytes
 //! (command text, stdout/stderr runs, error details), so arbitrary
 //! binary output frames cleanly and the encoded stream is
-//! byte-comparable — the server's interleaved event log is the
-//! concatenation of every frame it consumed and emitted, and the soak
-//! suite's replay oracle compares two runs' logs for byte identity.
+//! byte-comparable — the server's event log is the length and digest
+//! of every frame it consumed and emitted, encoded, and the soak
+//! suite's replay oracle compares two runs' logs.
 
 use std::fmt;
 

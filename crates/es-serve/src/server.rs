@@ -8,8 +8,10 @@
 //! threads make scheduling decisions — the only threads are the slot
 //! workers, and exactly one of them runs at any moment (the baton),
 //! which makes the whole serving path deterministic: the same frame
-//! sequence fed through the same pump cadence produces a
-//! byte-identical event log, which is the soak suite's replay oracle.
+//! sequence fed through the same pump cadence consumes and emits the
+//! same bytes. The server keeps only an [`EventLog`] of those bytes (a
+//! length and a digest, O(1) however long it runs), which the soak
+//! suite's replay oracle compares between two runs.
 //!
 //! ## Containment ladder
 //!
@@ -33,6 +35,12 @@ use crate::pool::{OsSetup, Outcome, Pool, Reply, Request, SlotState};
 use crate::proto::{FaultClass, Frame};
 use es_core::governor::Kind;
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{DefaultHasher, Hasher};
+
+/// Base retry hint for shed responses, in milliseconds.
+const SHED_BASE_MS: u64 = 25;
+/// Cap on the shed backoff exponent (`base << min(streak, cap)`).
+const SHED_MAX_EXP: u32 = 8;
 
 /// Server tuning knobs.
 #[derive(Clone)]
@@ -47,17 +55,8 @@ pub struct ServeConfig {
     /// Limits re-armed before every command of every session (an
     /// `Open` may override individual kinds).
     pub session_limits: Vec<(String, u64)>,
-    /// Base retry hint for shed responses, in milliseconds.
-    pub shed_base_ms: u64,
-    /// Cap on the shed backoff exponent (`base << min(streak, cap)`).
-    pub shed_max_exp: u32,
-    /// Command text that makes a slot worker panic — the containment
-    /// test rig. Choose something no real tenant would type.
-    pub panic_probe: String,
     /// Kernel setup run before each slot boots (seed `/bin`, etc.).
     pub os_setup: Option<OsSetup>,
-    /// Stack size for slot worker threads.
-    pub worker_stack: usize,
 }
 
 impl Default for ServeConfig {
@@ -67,14 +66,7 @@ impl Default for ServeConfig {
             high_water: 8,
             slice_steps: 200,
             session_limits: vec![("steps".to_string(), 200_000)],
-            shed_base_ms: 25,
-            shed_max_exp: 8,
-            panic_probe: "__es_serve_panic_probe__".to_string(),
             os_setup: None,
-            // Slot workers interpret recursive tenant code under the
-            // default depth-150 governor; 4 MiB clears that with room
-            // for the evaluator's own frames even in debug builds.
-            worker_stack: 4 << 20,
         }
     }
 }
@@ -102,6 +94,42 @@ pub struct ServeStats {
     pub retired: u64,
     /// Most sessions live at once.
     pub max_live: usize,
+}
+
+/// What the server keeps of its traffic: the length and a digest of
+/// every frame it consumed and emitted, encoded, in order. Equal logs
+/// stand in for equal bytes (the replay oracle), and a long-running
+/// server keeps no transcript.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventLog {
+    len: usize,
+    digest: u64,
+}
+
+impl EventLog {
+    /// Bytes of encoded frames logged so far.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True before the first frame.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The frames' digest, chained in order. `DefaultHasher::new()` is
+    /// keyless, so equal traffic gives equal digests within one build.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    fn absorb(&mut self, frame: &[u8]) {
+        let mut h = DefaultHasher::new();
+        h.write_u64(self.digest);
+        h.write(frame);
+        self.digest = h.finish();
+        self.len += frame.len();
+    }
 }
 
 struct Session {
@@ -151,8 +179,10 @@ pub struct Server {
     drain_cancelled: u64,
     /// A `Drained` frame is still owed once in-flight work ends.
     drain_pending: bool,
-    /// Every frame consumed and emitted, encoded, in order.
-    log: Vec<u8>,
+    /// Every frame consumed and emitted, as a length and a digest.
+    log: EventLog,
+    /// Where each logged frame is encoded; reused.
+    scratch: Vec<u8>,
     stats: ServeStats,
 }
 
@@ -166,12 +196,7 @@ impl Server {
                 .all(|(k, _)| Kind::parse(k).is_some()),
             "unknown limit kind in session_limits"
         );
-        let pool = Pool::new(
-            cfg.capacity,
-            cfg.os_setup.clone(),
-            cfg.panic_probe.clone(),
-            cfg.worker_stack,
-        );
+        let pool = Pool::new(cfg.capacity, cfg.os_setup.clone());
         Server {
             cfg,
             pool,
@@ -184,7 +209,8 @@ impl Server {
             drain_finished: 0,
             drain_cancelled: 0,
             drain_pending: false,
-            log: Vec::new(),
+            log: EventLog::default(),
+            scratch: Vec::new(),
             stats: ServeStats::default(),
         }
     }
@@ -199,11 +225,18 @@ impl Server {
         self.stats
     }
 
-    /// The interleaved event log: every frame consumed and emitted so
-    /// far, encoded in order. Two identically-driven servers produce
-    /// byte-identical logs (the replay oracle).
-    pub fn event_log(&self) -> &[u8] {
-        &self.log
+    /// The event log so far. Two identically driven servers end with
+    /// equal logs (the replay oracle).
+    pub fn event_log(&self) -> EventLog {
+        self.log
+    }
+
+    fn log_frames(&mut self, frames: &[Frame]) {
+        for f in frames {
+            self.scratch.clear();
+            f.encode_into(&mut self.scratch);
+            self.log.absorb(&self.scratch);
+        }
     }
 
     /// The slot pool (tests inspect slot states).
@@ -216,29 +249,26 @@ impl Server {
     /// Consumes one client frame; returns (and logs) the immediate
     /// responses. Command output arrives later, via [`Server::pump`].
     pub fn feed(&mut self, frame: Frame) -> Vec<Frame> {
-        frame.encode_into(&mut self.log);
+        self.log_frames(std::slice::from_ref(&frame));
         let mut out = Vec::new();
         match frame {
             Frame::Open { limits, fault_seed } => self.open(limits, fault_seed, &mut out),
             Frame::Line { sid, cmd } => self.line(sid, cmd, &mut out),
             Frame::Close { sid } => self.close(sid, &mut out),
             Frame::Drain { grace } => self.drain(grace, &mut out),
-            other => out.push(Frame::Fault {
-                sid: 0,
-                class: FaultClass::NoSession,
-                detail: format!("server-to-client frame fed to server: {other:?}"),
-            }),
+            other => out.push(no_session(
+                0,
+                format!("server-to-client frame fed to server: {other:?}"),
+            )),
         }
-        for f in &out {
-            f.encode_into(&mut self.log);
-        }
+        self.log_frames(&out);
         out
     }
 
     fn shed(&mut self, out: &mut Vec<Frame>) {
-        let exp = self.shed_streak.min(self.cfg.shed_max_exp);
+        let exp = self.shed_streak.min(SHED_MAX_EXP);
         out.push(Frame::Shed {
-            retry_after_ms: self.cfg.shed_base_ms << exp,
+            retry_after_ms: SHED_BASE_MS << exp,
             attempt: self.shed_streak,
         });
         self.shed_streak = self.shed_streak.saturating_add(1);
@@ -251,11 +281,7 @@ impl Server {
             return;
         }
         if let Some((bad, _)) = limits.iter().find(|(k, _)| Kind::parse(k).is_none()) {
-            out.push(Frame::Fault {
-                sid: 0,
-                class: FaultClass::NoSession,
-                detail: format!("unknown limit kind '{bad}'"),
-            });
+            out.push(no_session(0, format!("unknown limit kind '{bad}'")));
             return;
         }
         let Some(slot) = self.pool.acquire() else {
@@ -293,48 +319,31 @@ impl Server {
 
     fn line(&mut self, sid: u64, cmd: String, out: &mut Vec<Frame>) {
         match self.sessions.get_mut(&sid) {
-            None => out.push(Frame::Fault {
-                sid,
-                class: FaultClass::NoSession,
-                detail: String::new(),
-            }),
+            None => out.push(no_session(sid, String::new())),
             Some(s) => s.queue.push_back(cmd),
         }
     }
 
     fn close(&mut self, sid: u64, out: &mut Vec<Frame>) {
         let Some(mut sess) = self.sessions.remove(&sid) else {
-            out.push(Frame::Fault {
-                sid,
-                class: FaultClass::NoSession,
-                detail: String::new(),
-            });
+            out.push(no_session(sid, String::new()));
             return;
         };
+        let mut panicked = false;
         if sess.running {
             let outcome = self.cancel_and_reap(&mut sess);
             self.emit_console(sid, &outcome, out);
-            if let Some(msg) = &outcome.panic {
-                self.stats.panics += 1;
-                out.push(Frame::Fault {
-                    sid,
-                    class: FaultClass::Panic,
-                    detail: msg.clone(),
-                });
-                self.pool.quarantine(sess.slot);
-                self.scrub_slot(sess.slot);
-                out.push(Frame::Closed { sid });
-                return;
-            }
-            self.stats.cancelled += 1;
-            out.push(Frame::Fault {
-                sid,
-                class: FaultClass::Cancelled,
-                detail: "session closed".to_string(),
-            });
+            let (class, detail) = match outcome.panic {
+                Some(msg) => (FaultClass::Panic, msg),
+                None => {
+                    self.stats.cancelled += 1;
+                    (FaultClass::Cancelled, "session closed".to_string())
+                }
+            };
+            panicked = class == FaultClass::Panic;
+            out.push(Frame::Fault { sid, class, detail });
         }
-        self.release_slot(sid, sess.slot, out);
-        out.push(Frame::Closed { sid });
+        self.end_session(sid, sess.slot, panicked, out);
     }
 
     fn drain(&mut self, grace: u64, out: &mut Vec<Frame>) {
@@ -352,14 +361,18 @@ impl Server {
             .collect();
         for sid in idle {
             let sess = self.sessions.remove(&sid).expect("session exists");
-            self.release_slot(sid, sess.slot, out);
-            out.push(Frame::Closed { sid });
+            self.end_session(sid, sess.slot, false, out);
         }
         for sess in self.sessions.values_mut() {
             sess.queue.clear();
             sess.drain_used = 0;
         }
-        if self.sessions.is_empty() {
+        self.settle_drain(out);
+    }
+
+    /// Emits the `Drained` frame a drain owes, once no session is left.
+    fn settle_drain(&mut self, out: &mut Vec<Frame>) {
+        if self.drain_pending && self.sessions.is_empty() {
             out.push(Frame::Drained {
                 finished: self.drain_finished,
                 cancelled: self.drain_cancelled,
@@ -379,29 +392,13 @@ impl Server {
         let mut granted = 0u64;
         loop {
             self.start_pending();
-            let runnable: Vec<u64> = self
-                .sessions
-                .iter()
-                .filter(|(_, s)| s.running)
-                .map(|(&sid, _)| sid)
-                .collect();
-            if runnable.is_empty() {
-                if self.drain_pending && self.sessions.is_empty() {
-                    out.push(Frame::Drained {
-                        finished: self.drain_finished,
-                        cancelled: self.drain_cancelled,
-                    });
-                    self.drain_pending = false;
-                }
+            let Some(sid) = self.next_runnable() else {
+                self.settle_drain(&mut out);
                 break;
-            }
+            };
             if granted >= max_slices {
                 break;
             }
-            let sid = *runnable
-                .iter()
-                .find(|&&s| s > self.rr_cursor)
-                .unwrap_or(&runnable[0]);
             self.rr_cursor = sid;
             let slot = self.sessions[&sid].slot;
 
@@ -424,14 +421,7 @@ impl Server {
                         class: FaultClass::Cancelled,
                         detail: "drain deadline".to_string(),
                     });
-                    if outcome.panic.is_some() {
-                        self.stats.panics += 1;
-                        self.pool.quarantine(sess.slot);
-                        self.scrub_slot(sess.slot);
-                    } else {
-                        self.release_slot(sid, sess.slot, &mut out);
-                    }
-                    out.push(Frame::Closed { sid });
+                    self.end_session(sid, sess.slot, outcome.panic.is_some(), &mut out);
                     continue;
                 }
             }
@@ -448,10 +438,18 @@ impl Server {
                 self.finish_command(sid, outcome, &mut out);
             }
         }
-        for f in &out {
-            f.encode_into(&mut self.log);
-        }
+        self.log_frames(&out);
         out
+    }
+
+    /// The session the next slice goes to: the first running one after
+    /// the round-robin cursor, wrapping to the first running one.
+    fn next_runnable(&self) -> Option<u64> {
+        let running = |(&sid, s): (&u64, &Session)| s.running.then_some(sid);
+        self.sessions
+            .range(self.rr_cursor + 1..)
+            .find_map(running)
+            .or_else(|| self.sessions.iter().find_map(running))
     }
 
     /// Moves the head-of-queue command of every idle session into its
@@ -469,18 +467,13 @@ impl Server {
     fn finish_command(&mut self, sid: u64, outcome: Outcome, out: &mut Vec<Frame>) {
         self.emit_console(sid, &outcome, out);
         if let Some(msg) = &outcome.panic {
-            // Session-fatal: the machine is untrustworthy. Quarantine
-            // and scrub; other sessions never notice.
-            self.stats.panics += 1;
             let sess = self.sessions.remove(&sid).expect("session exists");
             out.push(Frame::Fault {
                 sid,
                 class: FaultClass::Panic,
                 detail: msg.clone(),
             });
-            self.pool.quarantine(sess.slot);
-            self.scrub_slot(sess.slot);
-            out.push(Frame::Closed { sid });
+            self.end_session(sid, sess.slot, true, out);
             return;
         }
         if outcome.cancelled {
@@ -489,29 +482,21 @@ impl Server {
             // means the close raced a completion; treat as done.
             self.stats.cancelled += 1;
         }
-        match &outcome.result {
+        let (ok, value) = match outcome.result {
             Ok(v) => {
                 self.stats.completed += 1;
-                out.push(Frame::Done {
-                    sid,
-                    ok: true,
-                    value: v.clone(),
-                });
+                (true, v)
             }
             Err(e) => {
                 self.stats.failed += 1;
-                out.push(Frame::Done {
-                    sid,
-                    ok: false,
-                    value: e.clone(),
-                });
+                (false, e)
             }
-        }
+        };
+        out.push(Frame::Done { sid, ok, value });
         if self.draining {
             self.drain_finished += 1;
             let sess = self.sessions.remove(&sid).expect("session exists");
-            self.release_slot(sid, sess.slot, out);
-            out.push(Frame::Closed { sid });
+            self.end_session(sid, sess.slot, false, out);
             return;
         }
         let s = self.sessions.get_mut(&sid).expect("session exists");
@@ -546,20 +531,31 @@ impl Server {
         })
     }
 
-    /// Recycle+audit on session close. A dirty audit is a containment
-    /// event: report it, scrub the slot (retiring it if even a fresh
-    /// boot fails), and keep serving.
-    fn release_slot(&mut self, sid: u64, slot: usize, out: &mut Vec<Frame>) {
-        let report = self.pool.release(slot);
-        if !report.clean() {
-            self.stats.oracle_violations += 1;
-            out.push(Frame::Fault {
-                sid,
-                class: FaultClass::Oracle,
-                detail: report.violations().join(","),
-            });
+    /// Ends a session already removed from the table, and says so.
+    ///
+    /// A slot whose command panicked is session-fatal: its machine is
+    /// untrustworthy, so it is quarantined and scrubbed, and other
+    /// sessions never notice. Any other slot is recycled and audited;
+    /// a dirty audit is a containment event: report it, scrub the slot
+    /// (retiring it if even a fresh boot fails), and keep serving.
+    fn end_session(&mut self, sid: u64, slot: usize, panicked: bool, out: &mut Vec<Frame>) {
+        if panicked {
+            self.stats.panics += 1;
+            self.pool.quarantine(slot);
             self.scrub_slot(slot);
+        } else {
+            let report = self.pool.release(slot);
+            if !report.clean() {
+                self.stats.oracle_violations += 1;
+                out.push(Frame::Fault {
+                    sid,
+                    class: FaultClass::Oracle,
+                    detail: report.violations().join(","),
+                });
+                self.scrub_slot(slot);
+            }
         }
+        out.push(Frame::Closed { sid });
     }
 
     fn scrub_slot(&mut self, slot: usize) {
@@ -574,6 +570,16 @@ impl Server {
     }
 }
 
+/// A [`FaultClass::NoSession`] fault: the frame named no live session,
+/// or could not open one.
+fn no_session(sid: u64, detail: String) -> Frame {
+    Frame::Fault {
+        sid,
+        class: FaultClass::NoSession,
+        detail,
+    }
+}
+
 /// The outcome in a worker's reply to a command; a worker that exited
 /// without answering is reported as a panic, which scrubs its slot.
 fn ran(reply: Option<Reply>) -> Outcome {
@@ -585,7 +591,6 @@ fn ran(reply: Option<Reply>) -> Outcome {
             panic: Some("slot worker gone".to_string()),
             stdout: String::new(),
             stderr: String::new(),
-            steps: 0,
         },
     }
 }

@@ -6,57 +6,29 @@
 //! Everything the driver does is a pure function of the seed
 //! (splitmix64 all the way down), and the server itself is
 //! deterministic under a fixed feed/pump cadence, so running the same
-//! soak twice must produce *byte-identical* event logs — the replay
-//! oracle. The report carries the log so callers can compare runs.
+//! soak twice must consume and emit the same bytes: the replay oracle.
+//! The report carries the server's [`EventLog`] (the bytes' length and
+//! digest) so callers can compare runs. The driver's other checks read
+//! the frames the server hands back, as any client would.
 
-use crate::proto::Frame;
-use crate::server::{ServeConfig, ServeStats, Server};
+use crate::pool::{PANIC_PROBE, PROBE_PANIC};
+use crate::proto::{FaultClass, Frame};
+use crate::server::{EventLog, ServeConfig, ServeStats, Server};
 use std::collections::VecDeque;
 
-/// Soak shape knobs. All defaults match the checked-in `make
-/// serve-soak` acceptance run except `sessions`, which that target
-/// scales up to 10k.
+/// What varies between soak runs; everything else about a run's shape
+/// is fixed below.
 #[derive(Clone)]
 pub struct SoakConfig {
     /// Total sessions to push through the server.
     pub sessions: u64,
     /// Master seed; every decision derives from it.
     pub seed: u64,
-    /// Server under test.
-    pub serve: ServeConfig,
-    /// Keep roughly this many sessions live at once (drives admission
-    /// past the high-water mark when it exceeds it).
-    pub target_live: usize,
-    /// One in this many sessions opens with fault weather.
-    pub weather_one_in: u64,
-    /// One in this many commands is the panic probe.
-    pub panic_one_in: u64,
 }
 
-impl Default for SoakConfig {
-    fn default() -> SoakConfig {
-        let serve = ServeConfig {
-            capacity: 8,
-            high_water: 6,
-            slice_steps: 150,
-            // Tight per-command budgets: runaway loops breach in a
-            // few dozen slices instead of hanging the soak.
-            session_limits: vec![("steps".to_string(), 4000), ("output".to_string(), 16384)],
-            ..ServeConfig::default()
-        };
-        SoakConfig {
-            sessions: 400,
-            seed: 0xE5_5E44_E001,
-            serve,
-            target_live: 7,
-            weather_one_in: 3,
-            panic_one_in: 64,
-        }
-    }
-}
-
-/// What one soak run observed. `log` is the server's full event log;
-/// byte-compare two seeded runs for the replay oracle.
+/// What one soak run observed. Compare two seeded runs' `log`s for the
+/// replay oracle.
+#[derive(Default)]
 pub struct SoakReport {
     /// Final server counters.
     pub stats: ServeStats,
@@ -64,9 +36,34 @@ pub struct SoakReport {
     pub frames_fed: u64,
     /// Total server frames received back.
     pub frames_emitted: u64,
-    /// The interleaved event log.
-    pub log: Vec<u8>,
+    /// Caught panics whose message is not the injected probe's.
+    pub foreign_panics: u64,
+    /// The server's event log at the end of the run.
+    pub log: EventLog,
 }
+
+/// The server under test.
+fn serve_config() -> ServeConfig {
+    ServeConfig {
+        capacity: 8,
+        high_water: 6,
+        slice_steps: 150,
+        // Tight per-command budgets: runaway loops breach in a few
+        // dozen slices instead of hanging the soak.
+        session_limits: vec![("steps".to_string(), 4000), ("output".to_string(), 16384)],
+        os_setup: None,
+    }
+}
+
+/// Keep roughly this many sessions live at once: past the high-water
+/// mark, so admission sheds.
+const TARGET_LIVE: usize = 7;
+
+/// One in this many sessions opens with fault weather.
+const WEATHER_ONE_IN: u64 = 3;
+
+/// One in this many commands is the panic probe.
+const PANIC_ONE_IN: u64 = 64;
 
 /// One in this many sessions is closed right after queueing its lines
 /// and one grant, before the pump burst that would run them.
@@ -98,30 +95,64 @@ const COMMANDS: &[&str] = &[
     "result 1 2 3",
 ];
 
+/// The driver's side of the wire: the server, the sessions it admitted
+/// and has not seen close, and the frame counts for the report.
+struct Client {
+    server: Server,
+    alive: VecDeque<u64>,
+    seen: SoakReport,
+}
+
+impl Client {
+    fn feed(&mut self, frame: Frame) -> Vec<Frame> {
+        self.seen.frames_fed += 1;
+        let frames = self.server.feed(frame);
+        self.take(frames)
+    }
+
+    fn pump(&mut self, max_slices: u64) -> Vec<Frame> {
+        let frames = self.server.pump(max_slices);
+        self.take(frames)
+    }
+
+    /// Every batch the server returns passes through here: count it,
+    /// forget the sessions it closed, and count the caught panics that
+    /// were not the injected probe (a test-build oracle firing inside a
+    /// slot, which the server would otherwise contain silently).
+    fn take(&mut self, frames: Vec<Frame>) -> Vec<Frame> {
+        self.seen.frames_emitted += frames.len() as u64;
+        for f in &frames {
+            match f {
+                Frame::Closed { sid } => self.alive.retain(|s| s != sid),
+                Frame::Fault {
+                    class: FaultClass::Panic,
+                    detail,
+                    ..
+                } if detail != PROBE_PANIC => self.seen.foreign_panics += 1,
+                _ => {}
+            }
+        }
+        frames
+    }
+}
+
 /// Drives one seeded soak and returns the report. Panics only if the
 /// *driver's* invariants break (a session the server claims is open
 /// refusing commands, the drain never completing); server-side faults
 /// are data, counted in the report.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut rng = cfg.seed;
-    let mut server = Server::new(cfg.serve.clone());
-    let mut alive: VecDeque<u64> = VecDeque::new();
-    let mut frames_fed = 0u64;
-    let mut frames_emitted = 0u64;
-
-    let note = |alive: &mut VecDeque<u64>, frames: &[Frame]| {
-        for f in frames {
-            if let Frame::Closed { sid } = f {
-                alive.retain(|s| s != sid);
-            }
-        }
+    let mut c = Client {
+        server: Server::new(serve_config()),
+        alive: VecDeque::new(),
+        seen: SoakReport::default(),
     };
 
     let mut opened = 0u64;
     while opened < cfg.sessions {
         // Admission: retry-after-shed, closing the oldest session to
         // free capacity — the backoff loop a well-behaved client runs.
-        let fault_seed = if splitmix(&mut rng).is_multiple_of(cfg.weather_one_in) {
+        let fault_seed = if splitmix(&mut rng).is_multiple_of(WEATHER_ONE_IN) {
             Some(splitmix(&mut rng))
         } else {
             None
@@ -130,101 +161,72 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         let sid = loop {
             retries += 1;
             assert!(retries < 10_000, "admission permanently stuck");
-            frames_fed += 1;
-            let resp = server.feed(Frame::Open {
+            let resp = c.feed(Frame::Open {
                 limits: vec![],
                 fault_seed,
             });
-            frames_emitted += resp.len() as u64;
-            match resp.first() {
-                Some(Frame::Opened { sid }) => break *sid,
-                _ => {
-                    // Shed: make room — pump in-flight work, close the
-                    // oldest session — then retry.
-                    let pumped = server.pump(32 + splitmix(&mut rng) % 64);
-                    frames_emitted += pumped.len() as u64;
-                    note(&mut alive, &pumped);
-                    if let Some(old) = alive.pop_front() {
-                        frames_fed += 1;
-                        let closed = server.feed(Frame::Close { sid: old });
-                        frames_emitted += closed.len() as u64;
-                    }
-                }
+            if let Some(Frame::Opened { sid }) = resp.first() {
+                break *sid;
+            }
+            // Shed: make room — pump in-flight work, close the oldest
+            // session — then retry.
+            c.pump(32 + splitmix(&mut rng) % 64);
+            if let Some(old) = c.alive.pop_front() {
+                c.feed(Frame::Close { sid: old });
             }
         };
-        alive.push_back(sid);
+        c.alive.push_back(sid);
         opened += 1;
 
         // Queue this session's script.
         let ncmds = 1 + splitmix(&mut rng) % 3;
         for _ in 0..ncmds {
-            let cmd = if splitmix(&mut rng).is_multiple_of(cfg.panic_one_in) {
-                cfg.serve.panic_probe.clone()
+            let cmd = if splitmix(&mut rng).is_multiple_of(PANIC_ONE_IN) {
+                PANIC_PROBE
             } else {
-                COMMANDS[(splitmix(&mut rng) % COMMANDS.len() as u64) as usize].to_string()
+                COMMANDS[(splitmix(&mut rng) % COMMANDS.len() as u64) as usize]
             };
-            frames_fed += 1;
-            let resp = server.feed(Frame::Line { sid, cmd });
-            frames_emitted += resp.len() as u64;
+            c.feed(Frame::Line {
+                sid,
+                cmd: cmd.to_string(),
+            });
         }
 
         // Churn: now and then a client hangs up right after sending.
         // One grant first, so that its first command has left the
         // queue: it is cancelled mid-run, or before it ever ran.
         if splitmix(&mut rng).is_multiple_of(CLOSE_EARLY_ONE_IN) {
-            let pumped = server.pump(1);
-            frames_emitted += pumped.len() as u64;
-            note(&mut alive, &pumped);
-            if alive.back() == Some(&sid) {
-                alive.pop_back();
-                frames_fed += 1;
-                let closed = server.feed(Frame::Close { sid });
-                frames_emitted += closed.len() as u64;
+            c.pump(1);
+            if c.alive.back() == Some(&sid) {
+                c.alive.pop_back();
+                c.feed(Frame::Close { sid });
             }
         }
 
         // Interleave: a burst of baton grants across everything live.
-        let pumped = server.pump(16 + splitmix(&mut rng) % 48);
-        frames_emitted += pumped.len() as u64;
-        note(&mut alive, &pumped);
+        c.pump(16 + splitmix(&mut rng) % 48);
 
         // Churn down to the target population.
-        while alive.len() > cfg.target_live {
-            let old = alive.pop_front().expect("non-empty");
-            frames_fed += 1;
-            let closed = server.feed(Frame::Close { sid: old });
-            frames_emitted += closed.len() as u64;
+        while c.alive.len() > TARGET_LIVE {
+            let old = c.alive.pop_front().expect("non-empty");
+            c.feed(Frame::Close { sid: old });
         }
     }
 
     // Run remaining work dry, then drain.
-    loop {
-        let pumped = server.pump(10_000);
-        frames_emitted += pumped.len() as u64;
-        note(&mut alive, &pumped);
-        if pumped.is_empty() {
-            break;
-        }
-    }
-    frames_fed += 1;
-    let resp = server.feed(Frame::Drain { grace: 64 });
-    frames_emitted += resp.len() as u64;
-    note(&mut alive, &resp);
-    let mut drained = resp.iter().any(|f| matches!(f, Frame::Drained { .. }));
+    while !c.pump(10_000).is_empty() {}
+    let drained = |frames: &[Frame]| frames.iter().any(|f| matches!(f, Frame::Drained { .. }));
+    let mut done = drained(&c.feed(Frame::Drain { grace: 64 }));
     let mut rounds = 0;
-    while !drained {
-        let pumped = server.pump(10_000);
-        frames_emitted += pumped.len() as u64;
-        note(&mut alive, &pumped);
-        drained = pumped.iter().any(|f| matches!(f, Frame::Drained { .. }));
+    while !done {
+        done = drained(&c.pump(10_000));
         rounds += 1;
         assert!(rounds < 1000, "drain never completed");
     }
 
     SoakReport {
-        stats: server.stats(),
-        frames_fed,
-        frames_emitted,
-        log: server.event_log().to_vec(),
+        stats: c.server.stats(),
+        log: c.server.event_log(),
+        ..c.seen
     }
 }

@@ -3,6 +3,7 @@
 
 use es_serve::proto::{FaultClass, Frame};
 use es_serve::server::{ServeConfig, Server};
+use es_serve::PANIC_PROBE;
 
 fn cfg(capacity: usize, high_water: usize) -> ServeConfig {
     ServeConfig {
@@ -222,14 +223,10 @@ fn budget_breach_is_survivable_per_command_error() {
 #[test]
 fn panic_is_contained_to_its_slot() {
     let mut server = Server::new(cfg(2, 2));
-    let probe = {
-        let c = ServeConfig::default();
-        c.panic_probe
-    };
     let victim = open(&mut server);
     let bystander = open(&mut server);
     line(&mut server, victim, "echo before");
-    line(&mut server, victim, &probe);
+    line(&mut server, victim, PANIC_PROBE);
     line(&mut server, bystander, "echo unbothered");
     let frames = pump_all(&mut server);
     assert!(frames.iter().any(|f| matches!(

@@ -48,19 +48,21 @@ fn assert_contained(stats: &ServeStats, sessions: u64) {
 /// inside a slot too, and the server would otherwise contain it
 /// silently.
 fn assert_only_probes_panicked(report: &SoakReport) {
-    let probe = b"injected probe panic";
-    let probes = report.log.windows(probe.len()).filter(|w| w == probe).count();
     assert_eq!(
-        probes as u64, report.stats.panics,
+        report.foreign_panics, 0,
         "a panic other than the injected probe was caught"
     );
+    assert!(report.stats.panics > 0, "the probe never panicked");
 }
 
-/// The acceptance soak: every seed runs twice and must produce
-/// byte-identical event logs (the replay oracle), with zero escaped
-/// panics (the test process surviving IS the assertion — a panic that
-/// crossed a slot boundary would kill the run), zero reset-oracle
-/// violations, and shedding engaged but harmless.
+/// The acceptance soak: every seed runs twice and must produce equal
+/// event logs (the replay oracle: same length, same digest of every
+/// frame in order), with zero escaped panics (the test process
+/// surviving IS the assertion — a panic that crossed a slot boundary
+/// would kill the run), zero reset-oracle violations, and shedding
+/// engaged but harmless. Prints one `seed len digest` line per seed
+/// (under `--nocapture`), so a change that must not alter served
+/// frames can diff its output against its parent's.
 #[test]
 fn soak_is_contained_and_replays_byte_identically() {
     let sessions = env_u64("SERVE_SESSIONS", 400);
@@ -69,9 +71,14 @@ fn soak_is_contained_and_replays_byte_identically() {
         let cfg = SoakConfig {
             sessions,
             seed: 0xE5_5E44E + seed_no * 0x9E3779B9,
-            ..SoakConfig::default()
         };
         let first = run_soak(&cfg);
+        println!(
+            "{:#x} {} {:016x}",
+            cfg.seed,
+            first.log.len(),
+            first.log.digest()
+        );
         assert_contained(&first.stats, sessions);
         assert_only_probes_panicked(&first);
         let replay = run_soak(&cfg);
@@ -80,8 +87,8 @@ fn soak_is_contained_and_replays_byte_identically() {
             replay.log.len(),
             "seed {seed_no}: replay produced a different amount of traffic"
         );
-        assert!(
-            first.log == replay.log,
+        assert_eq!(
+            first.log, replay.log,
             "seed {seed_no}: replay diverged from the original event log"
         );
         assert_eq!(first.frames_fed, replay.frames_fed);
@@ -96,12 +103,14 @@ fn different_seeds_produce_different_logs() {
     let a = run_soak(&SoakConfig {
         sessions: 40,
         seed: 1,
-        ..SoakConfig::default()
     });
     let b = run_soak(&SoakConfig {
         sessions: 40,
         seed: 2,
-        ..SoakConfig::default()
     });
-    assert!(a.log != b.log, "seeded soaks are not actually seed-sensitive");
+    assert_ne!(
+        a.log.digest(),
+        b.log.digest(),
+        "seeded soaks are not actually seed-sensitive"
+    );
 }
