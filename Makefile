@@ -1,7 +1,7 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench-check bench bench-eval bench-serve clean
+.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench-check counts bench bench-eval bench-serve clean
 
 all: build test conform fuzz serve-soak lint bench-check
 
@@ -62,6 +62,18 @@ lint:
 # fails here rather than in a benchmark run.
 bench-check:
 	cargo test --manifest-path perfbench/Cargo.toml
+
+# The deterministic per-op counts of traced perfbench runs (seed 5) on
+# both workloads. They repeat exactly from run to run, so one run shows
+# whether a change moved a count: compare the rows with its parent's.
+COUNT_ROWS = governor.steps_per_op|gc.allocs_per_op|os.syscalls_per_op|env.bytes_per_launch|serve.slices_per_cmd|serve.log_bytes_per_session
+counts:
+	@for w in script serve; do \
+		out=$$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+			--workload $$w --seed 5 --seconds 5 --trace 1 2>/dev/null) || exit 1; \
+		echo "== $$w"; \
+		echo "$$out" | grep -E '^($(COUNT_ROWS)) '; \
+	done
 
 bench:
 	cargo bench -p es-bench

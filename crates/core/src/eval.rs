@@ -186,31 +186,22 @@ fn eval_for<O: Os + Clone>(
     env: RootSlot,
 ) -> EsResult<Flow> {
     let base = m.heap.roots_len();
-    // Evaluate every list once, up front.
+    // Evaluate every list once, up front. Each list's slot is then a
+    // cursor that advances one cell per iteration.
     let mut lists: Vec<(Cow<str>, RootSlot)> = Vec::new();
     for (name_expr, value_exprs) in bindings {
         let name = single_name(m, name_expr, env)?;
         let slot = eval_exprs(m, value_exprs, env, false)?;
         lists.push((name, slot));
     }
-    let n = lists
-        .iter()
-        .map(|(_, s)| value::list_len(&m.heap, m.heap.root(*s)))
-        .max()
-        .unwrap_or(0);
     let result_slot = m.heap.push_root(Ref::NIL);
-    for i in 1..=n {
+    while lists.iter().any(|(_, s)| !m.heap.root(*s).is_nil()) {
         crate::governor::charge(m)?;
         let iter_base = m.heap.roots_len();
         let chain = m.heap.push_root(m.heap.root(env));
         for (name, slot) in &lists {
-            let value = match value::list_nth(&m.heap, m.heap.root(*slot), i) {
-                Some(term) => {
-                    let t = m.heap.push_root(term);
-                    m.heap.alloc_pair(m.heap.root(t), Ref::NIL)
-                }
-                None => Ref::NIL,
-            };
+            // An exhausted list binds its name to `()`.
+            let value = next_value(m, *slot, false);
             let v = m.heap.push_root(value);
             m.note_binding(name);
             let binding = m.heap.alloc_binding(name, m.heap.root(v), m.heap.root(chain));
@@ -247,33 +238,73 @@ fn eval_match<O: Os + Clone>(
 ) -> EsResult<Flow> {
     let base = m.heap.roots_len();
     let subj_slot = eval_expr_rooted(m, subject, env, false)?;
-    let subjects = m.strings_at(subj_slot);
-    let mut pats: Vec<Pattern> = Vec::new();
+    render_closures(m, subj_slot);
+    let mut pats: Vec<MatchPattern> = Vec::new();
     for p in patterns {
         match p {
+            // A word with no live metacharacter matches its own text.
+            Expr::Word(w) if !w.has_live_glob() => pats.push(MatchPattern::Literal(w.text())),
             // Literal pattern words keep their quoting (so a quoted
             // `'*'` matches a literal star).
-            Expr::Word(w) => pats.push(Pattern::from_segments(&w.seg_refs())),
+            Expr::Word(w) => pats.push(MatchPattern::Glob(Pattern::from_segments(&w.seg_refs()))),
             other => {
                 let slot = eval_expr_rooted(m, other, env, false)?;
                 for s in m.strings_at(slot) {
-                    pats.push(Pattern::parse(&s));
+                    pats.push(MatchPattern::Glob(Pattern::parse(&s)));
                 }
             }
         }
     }
+    // The subjects are read where they lie; `render_closures` left
+    // only strings.
+    let mut cell = m.heap.root(subj_slot);
+    let mut matched = cell.is_nil() && pats.is_empty();
+    while !matched && !cell.is_nil() {
+        let subject = m.heap.str_value(m.heap.pair_head(cell));
+        matched = pats.iter().any(|p| p.matches(subject));
+        cell = m.heap.pair_tail(cell);
+    }
     m.heap.truncate_roots(base);
-    let matched = if subjects.is_empty() {
-        pats.is_empty()
-    } else {
-        subjects.iter().any(|s| es_match::match_any(&pats, s))
-    };
     let out = if matched {
         value::true_value(&mut m.heap)
     } else {
         value::false_value(&mut m.heap)
     };
     Ok(Flow::Val(out))
+}
+
+/// A `~` pattern.
+enum MatchPattern<'e> {
+    /// A word with no live metacharacter: its text, compared as is.
+    Literal(Cow<'e, str>),
+    Glob(Pattern),
+}
+
+impl MatchPattern<'_> {
+    fn matches(&self, subject: &str) -> bool {
+        match self {
+            MatchPattern::Literal(text) => text == subject,
+            MatchPattern::Glob(pattern) => pattern.matches(subject),
+        }
+    }
+}
+
+/// Replaces the list in `slot` by its strings if it holds a closure,
+/// so that reading it later gives the text it had now: code still to
+/// run (the other side of `^`, the patterns of `~`) may assign to a
+/// variable the closure captured. Any other list is left in place.
+fn render_closures<O: Os + Clone>(m: &mut Machine<O>, slot: RootSlot) {
+    let mut cell = m.heap.root(slot);
+    while !cell.is_nil() {
+        if matches!(m.heap.get(m.heap.pair_head(cell)), Obj::Closure(..)) {
+            let text = m.strings_at(slot);
+            let refs: Vec<&str> = text.iter().map(String::as_str).collect();
+            let list = value::list_from_strs(&mut m.heap, &refs);
+            m.heap.set_root(slot, list);
+            return;
+        }
+        cell = m.heap.pair_tail(cell);
+    }
 }
 
 /// Truncates the scope, keeping a value flow's ref alive by re-rooting
@@ -356,37 +387,31 @@ fn assign_distribute<O: Os + Clone>(
     values_slot: RootSlot,
 ) -> EsResult<()> {
     let n = names.len();
+    let rest = m.heap.push_root(m.heap.root(values_slot));
     for (i, name) in names.iter().enumerate() {
         let base = m.heap.roots_len();
-        let value = if n == 1 {
-            m.heap.root(values_slot)
-        } else if i + 1 == n {
-            nth_tail(m, m.heap.root(values_slot), i)
-        } else {
-            match value::list_nth(&m.heap, m.heap.root(values_slot), i + 1) {
-                Some(term) => {
-                    let t = m.heap.push_root(term);
-                    m.heap.alloc_pair(m.heap.root(t), Ref::NIL)
-                }
-                None => Ref::NIL,
-            }
-        };
+        let value = next_value(m, rest, i + 1 == n);
         let v_slot = m.heap.push_root(value);
         let transformed = run_settor(m, env, name, v_slot)?;
         let env_ref = m.heap.root(env);
         m.assign_raw(env_ref, name, transformed);
         m.heap.truncate_roots(base);
     }
+    m.heap.truncate_roots(rest.index());
     Ok(())
 }
 
-/// The i-th tail (0-based) of a list, shared (no copying).
-fn nth_tail<O: Os + Clone>(m: &Machine<O>, mut list: Ref, mut i: usize) -> Ref {
-    while i > 0 && !list.is_nil() {
-        list = m.heap.pair_tail(list);
-        i -= 1;
+/// The value the next of several names binds, taken from the values
+/// under the cursor `rest`: for the last name, all of them (shared);
+/// for any other, a one-term list of the next one, moving the cursor
+/// on; `()` once they are used up.
+fn next_value<O: Os + Clone>(m: &mut Machine<O>, rest: RootSlot, last: bool) -> Ref {
+    let cell = m.heap.root(rest);
+    if last || cell.is_nil() {
+        return cell;
     }
-    list
+    m.heap.set_root(rest, m.heap.pair_tail(cell));
+    m.heap.alloc_pair(m.heap.pair_head(cell), Ref::NIL)
 }
 
 /// Runs the `set-name` settor, if any: applies it as a command with
@@ -408,8 +433,8 @@ pub fn run_settor<O: Os + Clone>(
     let s_slot = m.heap.push_root(settor);
     let mut b = ListBuilder::new(&mut m.heap);
     b.append_slot(&mut m.heap, s_slot);
-    b.append_slot(&mut m.heap, value_slot);
-    let call_slot = b.head_slot();
+    let value = m.heap.root(value_slot);
+    let call_slot = b.finish_onto(&mut m.heap, value);
     let flow = apply_slot(m, call_slot, env, None)?;
     let out = must_value(flow);
     m.heap.truncate_roots(base);
@@ -422,6 +447,10 @@ pub fn run_settor<O: Os + Clone>(
 
 /// Evaluates an expression list, splicing results into one rooted
 /// list; returns the slot holding it (inside the caller's scope).
+///
+/// A word (unless it is to be globbed) and a `$&name` are pushed
+/// straight into the list. Any other expression's list is copied in,
+/// except the last one's, which is linked on (see [`crate::value`]).
 pub fn eval_exprs<O: Os + Clone>(
     m: &mut Machine<O>,
     exprs: &[Expr],
@@ -429,12 +458,20 @@ pub fn eval_exprs<O: Os + Clone>(
     glob: bool,
 ) -> EsResult<RootSlot> {
     let mut b = ListBuilder::new(&mut m.heap);
-    for e in exprs {
-        let inner = m.heap.roots_len();
-        let list = eval_expr(m, e, env, glob)?;
-        let slot = m.heap.push_root(list);
-        b.append_slot(&mut m.heap, slot);
-        m.heap.truncate_roots(inner);
+    for (i, e) in exprs.iter().enumerate() {
+        match e {
+            Expr::Word(w) if !(glob && w.has_live_glob()) => b.push_str(&mut m.heap, &w.text()),
+            Expr::Prim(name) => b.push_str(&mut m.heap, NameBuf::new(&["$&", name]).as_str()),
+            _ => {
+                let list = eval_expr(m, e, env, glob)?;
+                if i + 1 == exprs.len() {
+                    return Ok(b.finish_onto(&mut m.heap, list));
+                }
+                let slot = m.heap.push_root(list);
+                b.append_slot(&mut m.heap, slot);
+                m.heap.truncate_roots(slot.index());
+            }
+        }
     }
     Ok(b.head_slot())
 }
@@ -516,26 +553,35 @@ pub fn eval_expr<O: Os + Clone>(
         }
         Expr::Concat(a, b) => {
             let base = m.heap.roots_len();
-            let la_slot = eval_expr_rooted(m, a, env, false)?;
-            let la = m.strings_at(la_slot);
-            let lb_slot = eval_expr_rooted(m, b, env, false)?;
-            let lb = m.strings_at(lb_slot);
-            m.heap.truncate_roots(base);
-            let combined: Vec<String> = match (la.len(), lb.len()) {
-                (0, _) | (_, 0) => Vec::new(),
-                (1, _) => lb.iter().map(|y| format!("{}{}", la[0], y)).collect(),
-                (_, 1) => la.iter().map(|x| format!("{}{}", x, lb[0])).collect(),
-                (n, m2) if n == m2 => la
-                    .iter()
-                    .zip(lb.iter())
-                    .map(|(x, y)| format!("{x}{y}"))
-                    .collect(),
-                (n, m2) => {
-                    return Err(m.error(&format!("bad concatenation: {n} words and {m2} words")))
+            let xs = eval_expr_rooted(m, a, env, false)?;
+            render_closures(m, xs);
+            let ys = eval_expr_rooted(m, b, env, false)?;
+            let n = value::list_len(&m.heap, m.heap.root(xs));
+            let n2 = value::list_len(&m.heap, m.heap.root(ys));
+            if n > 1 && n2 > 1 && n != n2 {
+                m.heap.truncate_roots(base);
+                return Err(m.error(&format!("bad concatenation: {n} words and {n2} words")));
+            }
+            // `xs` and `ys` are cursors; a one-word side stays put.
+            let count = if n == 0 || n2 == 0 { 0 } else { n.max(n2) };
+            let mut out = ListBuilder::new(&mut m.heap);
+            let mut word = String::new();
+            for _ in 0..count {
+                let (x, y) = (m.heap.root(xs), m.heap.root(ys));
+                word.clear();
+                value::push_text(&m.heap, m.heap.pair_head(x), &mut word);
+                value::push_text(&m.heap, m.heap.pair_head(y), &mut word);
+                out.push_str(&mut m.heap, &word);
+                if n > 1 {
+                    m.heap.set_root(xs, m.heap.pair_tail(m.heap.root(xs)));
                 }
-            };
-            let refs: Vec<&str> = combined.iter().map(String::as_str).collect();
-            Ok(value::list_from_strs(&mut m.heap, &refs))
+                if n2 > 1 {
+                    m.heap.set_root(ys, m.heap.pair_tail(m.heap.root(ys)));
+                }
+            }
+            let out = out.finish(&m.heap);
+            m.heap.truncate_roots(base);
+            Ok(out)
         }
         Expr::List(items) => {
             let base = m.heap.roots_len();
@@ -552,9 +598,10 @@ pub fn eval_expr<O: Os + Clone>(
             m.heap.truncate_roots(c.index());
             Ok(out)
         }
-        Expr::Prim(name) => {
-            Ok(value::list_from_strs(&mut m.heap, &[&format!("$&{name}")]))
-        }
+        Expr::Prim(name) => Ok(value::list_from_strs(
+            &mut m.heap,
+            &[NameBuf::new(&["$&", name]).as_str()],
+        )),
         Expr::CmdSub(node) => {
             let flow = eval_node(m, node, env, None)?;
             Ok(must_value(flow))
@@ -706,6 +753,17 @@ fn apply_named<O: Os + Clone>(
     let resolved = m.lookup(m.heap.root(env), "fn-", name);
     match resolved {
         Some(value) if !value.is_nil() => {
+            // A function bound to a primitive, as boot binds every
+            // builtin (`fn-echo = $&echo`), calls it on these
+            // arguments: what splicing `$&prim ++ args` and resolving
+            // that did. The name is copied: the heap may move it.
+            let head = m.heap.pair_head(value);
+            if m.heap.pair_tail(value).is_nil() && matches!(m.heap.get(head), Obj::Str(_)) {
+                if let Some(prim) = m.heap.str_value(head).strip_prefix("$&") {
+                    let prim = NameBuf::new(&[prim]);
+                    return prims::call(m, prim.as_str(), args, env, tail);
+                }
+            }
             let base = m.heap.roots_len();
             let v_slot = m.heap.push_root(value);
             // Single-closure definitions (the common case) apply
@@ -729,8 +787,8 @@ fn apply_named<O: Os + Clone>(
             // General case: splice `value ++ args` and re-apply.
             let mut b = ListBuilder::new(&mut m.heap);
             b.append_slot(&mut m.heap, v_slot);
-            b.append_slot(&mut m.heap, args);
-            let new_list = b.head_slot();
+            let args_list = m.heap.root(args);
+            let new_list = b.finish_onto(&mut m.heap, args_list);
             let new_head = m.heap.pair_head(m.heap.root(new_list));
             let flow = match m.heap.get(new_head) {
                 Obj::Str(_) => {
@@ -782,8 +840,9 @@ fn apply_named<O: Os + Clone>(
                     // prefix (lets %pathsearch rewrite invocations).
                     let mut b = ListBuilder::new(&mut m.heap);
                     b.append_slot(&mut m.heap, p_slot);
-                    b.append_slot(&mut m.heap, args);
-                    apply_slot(m, b.head_slot(), env, tail)?
+                    let args_list = m.heap.root(args);
+                    let call = b.finish_onto(&mut m.heap, args_list);
+                    apply_slot(m, call, env, tail)?
                 }
             };
             Ok(pop_scope(m, base, flow))
@@ -854,18 +913,9 @@ fn apply_closure_inner<O: Os + Clone>(
                 // one-to-one (leftovers to the last), plus `$*` (the
                 // full argument list) and `$0` (the invocation name).
                 let n = params.len();
+                let rest = m.heap.push_root(m.heap.root(cur_args));
                 for (i, p) in params.iter().enumerate() {
-                    let value = if i + 1 == n {
-                        nth_tail(m, m.heap.root(cur_args), i)
-                    } else {
-                        match value::list_nth(&m.heap, m.heap.root(cur_args), i + 1) {
-                            Some(term) => {
-                                let t = m.heap.push_root(term);
-                                m.heap.alloc_pair(m.heap.root(t), Ref::NIL)
-                            }
-                            None => Ref::NIL,
-                        }
-                    };
+                    let value = next_value(m, rest, i + 1 == n);
                     let v = m.heap.push_root(value);
                     m.note_binding(p);
                     let b = m.heap.alloc_binding(p, m.heap.root(v), m.heap.root(chain));

@@ -1,7 +1,7 @@
 //! Control-flow primitives: seq, if, while, forever, and/or/not,
 //! throw/catch, return/break, eval.
 
-use super::{apply_thunk, arg_slot};
+use super::{apply_thunk, arg_slot, next_arg};
 use crate::eval::{must_value, throw_is, Flow, TailSlots};
 use crate::exception::{EsError, EsResult};
 use crate::machine::{Input, Machine};
@@ -16,20 +16,22 @@ pub fn seq<O: Os + Clone>(
     env: RootSlot,
     tail: Option<TailSlots>,
 ) -> EsResult<Flow> {
-    let n = value::list_len(&m.heap, m.heap.root(args));
+    let rest = m.heap.push_root(m.heap.root(args));
     let mut last = Flow::Val(Ref::NIL);
-    for i in 1..=n {
+    while !m.heap.root(rest).is_nil() {
         let base = m.heap.roots_len();
-        let t = arg_slot(m, args, i).expect("index in range");
-        let this_tail = if i == n { tail } else { None };
+        let t = next_arg(m, rest).expect("index in range");
+        let is_last = m.heap.root(rest).is_nil();
+        let this_tail = if is_last { tail } else { None };
         let flow = apply_thunk(m, t, env, this_tail)?;
         m.heap.truncate_roots(base);
-        if i == n {
+        if is_last {
             last = flow;
         } else {
             let _ = must_value(flow);
         }
     }
+    m.heap.truncate_roots(rest.index());
     Ok(last)
 }
 
@@ -41,32 +43,30 @@ pub fn if_prim<O: Os + Clone>(
     env: RootSlot,
     tail: Option<TailSlots>,
 ) -> EsResult<Flow> {
-    let n = value::list_len(&m.heap, m.heap.root(args));
-    let mut i = 1;
-    while i <= n {
-        if i == n {
+    let rest = m.heap.push_root(m.heap.root(args));
+    while !m.heap.root(rest).is_nil() {
+        let base = m.heap.roots_len();
+        let cond = next_arg(m, rest).expect("index in range");
+        if m.heap.root(rest).is_nil() {
             // Trailing else branch.
-            let base = m.heap.roots_len();
-            let t = arg_slot(m, args, i).expect("index in range");
-            let flow = apply_thunk(m, t, env, tail)?;
-            m.heap.truncate_roots(base);
+            let flow = apply_thunk(m, cond, env, tail)?;
+            m.heap.truncate_roots(rest.index());
             return Ok(flow);
         }
-        let base = m.heap.roots_len();
-        let cond = arg_slot(m, args, i).expect("index in range");
         let flow = apply_thunk(m, cond, env, None)?;
         let v = must_value(flow);
         let truth = value::truth(&m.heap, v);
         m.heap.truncate_roots(base);
         if truth {
-            let base = m.heap.roots_len();
-            let t = arg_slot(m, args, i + 1).expect("index in range");
+            let t = next_arg(m, rest).expect("index in range");
             let flow = apply_thunk(m, t, env, tail)?;
-            m.heap.truncate_roots(base);
+            m.heap.truncate_roots(rest.index());
             return Ok(flow);
         }
-        i += 2;
+        // Skip the branch.
+        m.heap.set_root(rest, m.heap.pair_tail(m.heap.root(rest)));
     }
+    m.heap.truncate_roots(rest.index());
     Ok(Flow::Val(Ref::NIL))
 }
 
@@ -157,8 +157,7 @@ pub fn and_or<O: Os + Clone>(
     tail: Option<TailSlots>,
     is_and: bool,
 ) -> EsResult<Flow> {
-    let n = value::list_len(&m.heap, m.heap.root(args));
-    if n == 0 {
+    if m.heap.root(args).is_nil() {
         let v = if is_and {
             value::true_value(&mut m.heap)
         } else {
@@ -166,12 +165,13 @@ pub fn and_or<O: Os + Clone>(
         };
         return Ok(Flow::Val(v));
     }
-    for i in 1..=n {
+    let rest = m.heap.push_root(m.heap.root(args));
+    loop {
         let base = m.heap.roots_len();
-        let t = arg_slot(m, args, i).expect("index in range");
-        if i == n {
+        let t = next_arg(m, rest).expect("index in range");
+        if m.heap.root(rest).is_nil() {
             let flow = apply_thunk(m, t, env, tail)?;
-            m.heap.truncate_roots(base);
+            m.heap.truncate_roots(rest.index());
             return Ok(flow);
         }
         let flow = apply_thunk(m, t, env, None)?;
@@ -180,10 +180,10 @@ pub fn and_or<O: Os + Clone>(
         m.heap.truncate_roots(base);
         if truth != is_and {
             // Short circuit: the deciding value is the result.
+            m.heap.truncate_roots(rest.index());
             return Ok(Flow::Val(v));
         }
     }
-    unreachable!("the last thunk returns from inside the loop")
 }
 
 /// `$&not {cmd}`.
@@ -226,8 +226,9 @@ pub fn unwind<O: Os + Clone>(
 ) -> EsResult<Flow> {
     let mut b = ListBuilder::new(&mut m.heap);
     b.push_str(&mut m.heap, kind);
-    b.append_slot(&mut m.heap, args);
-    Err(EsError::Throw(b.finish(&m.heap)))
+    let rest = m.heap.root(args);
+    let thrown = b.finish_onto(&mut m.heap, rest);
+    Err(EsError::Throw(m.heap.root(thrown)))
 }
 
 /// `$&catch handler body` — run body; on any exception run handler

@@ -163,6 +163,19 @@ pub(crate) fn arg_slot<O: Os + Clone>(
     Some(m.heap.push_root(t))
 }
 
+/// Roots the term under the cursor in `rest` and moves the cursor on
+/// one cell; `None` at the end of the list. A primitive that walks its
+/// arguments this way reads each once, where [`arg_slot`] starts again
+/// from the head.
+pub(crate) fn next_arg<O: Os + Clone>(m: &mut Machine<O>, rest: RootSlot) -> Option<RootSlot> {
+    let cell = m.heap.root(rest);
+    if cell.is_nil() {
+        return None;
+    }
+    m.heap.set_root(rest, m.heap.pair_tail(cell));
+    Some(m.heap.push_root(m.heap.pair_head(cell)))
+}
+
 /// Applies one rooted term as a command with no arguments. Closures
 /// are applied *without* a `return` boundary (transparent thunks);
 /// strings resolve as commands in `env`.
@@ -202,8 +215,9 @@ pub(crate) fn apply_thunk_with_args<O: Os + Clone>(
             let mut b = ListBuilder::new(&mut m.heap);
             let t = m.heap.root(term);
             b.push(&mut m.heap, t);
-            b.append_slot(&mut m.heap, extra_slot);
-            crate::eval::apply_slot(m, b.head_slot(), env, tail)?
+            let extra = m.heap.root(extra_slot);
+            let call = b.finish_onto(&mut m.heap, extra);
+            crate::eval::apply_slot(m, call, env, tail)?
         }
         other => {
             let shape = format!("{other:?}");

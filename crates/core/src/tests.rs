@@ -1602,6 +1602,42 @@ fn pipe_spoof_defined_redefined_and_restored_mid_session() {
     assert_eq!(output(&mut m, "echo hi | wc -l"), "1\n");
 }
 
+/// Heap objects `src` allocates on `m`.
+fn heap_allocs(m: &mut Machine<SimOs>, src: &str) -> u64 {
+    let before = m.heap.stats().allocated;
+    m.run(src).unwrap_or_else(|e| panic!("`{src}` failed: {e}"));
+    m.heap.stats().allocated - before
+}
+
+/// A builtin is a function bound to its primitive (`fn-echo =
+/// $&echo`), and calling it costs what calling the primitive does: no
+/// `$&echo ++ args` splice.
+#[test]
+fn builtin_call_allocates_like_its_primitive() {
+    let mut m = machine();
+    assert_eq!(
+        heap_allocs(&mut m, "echo a b c"),
+        heap_allocs(&mut m, "$&echo a b c"),
+        "echo allocates like $&echo"
+    );
+}
+
+/// A word is pushed straight into its call's list: one string and one
+/// cell, with no one-word list to copy it out of.
+#[test]
+fn each_word_of_a_call_allocates_a_string_and_a_cell() {
+    let mut m = machine();
+    let words = |n: usize| {
+        (1..=n)
+            .map(|i| format!("w{i}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let one = heap_allocs(&mut m, &format!("$&result {}", words(1)));
+    let many = heap_allocs(&mut m, &format!("$&result {}", words(32)));
+    assert_eq!(many - one, 2 * 31, "31 more words");
+}
+
 /// A hook spoofed from inside a command substitution in the argument
 /// list of the very call being dispatched must be seen: the
 /// pristine check runs after argument evaluation.
@@ -1775,3 +1811,118 @@ fn limit_warning_survives_fd2_redirection() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// A call builds its list once (DESIGN.md §4e): the shortcuts behave as
+// the general paths they replace.
+// ---------------------------------------------------------------------------
+
+/// Runs `src` on a fresh machine: its stdout, stderr and value (or
+/// exception).
+fn outcome(src: &str) -> (String, String, Result<Vec<String>, String>) {
+    let mut m = machine();
+    let r = m.run(src);
+    (m.os_mut().take_output(), m.os_mut().take_error(), r)
+}
+
+/// Words pushed in place, linked last lists, direct primitive calls,
+/// cursors in `for` and the control primitives, and `^`/`~` read in
+/// place each give what building every list by copying gave. The
+/// expected outcomes were recorded from the copying evaluator.
+#[test]
+fn call_shortcuts_print_and_return_what_copying_did() {
+    type Row = (
+        &'static str,
+        &'static str,
+        &'static str,
+        Result<&'static [&'static str], &'static str>,
+    );
+    #[rustfmt::skip]
+    let rows: &[Row] = &[
+        ("for (i = a b c; j = x) { echo $i $j }", "a x\nb\nc\n", "", Ok(&["0"])),
+        ("for (i = 1 2 3) { if {~ $i 2} { break found $i } }", "", "", Ok(&["found", "2"])),
+        ("for (i = ) { echo never }", "", "", Ok(&[])),
+        ("echo {a}^x", "{a}x\n", "", Ok(&["0"])),
+        ("echo (a b)^(c d e)", "", "", Err("error bad concatenation: 2 words and 3 words")),
+        ("echo <>{result a b}^x", "ax bx\n", "", Ok(&["0"])),
+        ("echo a^(b c)^d (a b)^(c d) a^() ()^x", "abd acd ac bd\n", "", Ok(&["0"])),
+        ("let (x = 1) { echo {echo $x}^<>{x = 2; result y} }", "%closure(x=1){echo $x}y\n", "", Ok(&["0"])),
+        ("~ ()", "", "", Ok(&["0"])),
+        ("~ () a", "", "", Ok(&["1"])),
+        ("x = {a}; ~ $x {a}", "", "", Ok(&["0"])),
+        ("~ '*' '*'", "", "", Ok(&["0"])),
+        ("~ x '*'", "", "", Ok(&["1"])),
+        ("~ (x y abc) a* b*", "", "", Ok(&["0"])),
+        ("~ xy x[a-z]", "", "", Ok(&["0"])),
+        ("let (x = 1) { ~ {echo $x} <>{x = 2; result '%closure(x=1){echo $x}'} }", "", "", Ok(&["0"])),
+        ("fn-e = $&echo pre; e a", "pre a\n", "", Ok(&["0"])),
+        ("fn-e = $&nosuch; e", "", "", Err("error unknown primitive $&nosuch")),
+        ("fn-e = '$&'; e", "", "", Err("error unknown primitive $&")),
+        ("let (fn-echo = @ { result shadowed }) { echo x }", "", "", Ok(&["shadowed"])),
+        ("local (fn-echo = @ { result local $* }) { echo x }", "", "", Ok(&["local", "x"])),
+        ("fn echo { result spoofed $* }; echo x", "", "", Ok(&["spoofed", "x"])),
+        ("x = a b; y = c $x; x = z; echo $y", "c a b\n", "", Ok(&["0"])),
+        ("fn f a b { result $a - $b - $* }; f 1 2 3 4", "", "", Ok(&["1", "-", "2", "3", "4", "-", "1", "2", "3", "4"])),
+        ("fn f a b { result $a - $b - $* }; f 1", "", "", Ok(&["1", "-", "-", "1"])),
+        ("fn f { return a b c }; f", "", "", Ok(&["a", "b", "c"])),
+        ("if {false} {echo a} {true} {echo b} {echo c}", "b\n", "", Ok(&["0"])),
+        ("if {false} {echo a}", "", "", Ok(&[])),
+        ("$&and {true} {false} {echo no}", "", "", Ok(&["1"])),
+        ("$&or {false} {result 7} {echo no}", "no\n", "", Ok(&["0"])),
+        ("$&seq {echo a} {echo b} {result c}", "a\nb\n", "", Ok(&["c"])),
+        ("set-v = @ { result x $* }; v = a b; echo $v", "x a b\n", "", Ok(&["0"])),
+        ("catch @ e { echo caught $e } { throw boom a }", "caught boom a\n", "", Ok(&["0"])),
+        ("catch echo { throw boom a }", "boom a\n", "", Ok(&["0"])),
+        ("fn-%pathsearch = @ { result /bin/echo via }; nosuchcmd a", "via a\n", "", Ok(&["0"])),
+    ];
+    for (src, stdout, stderr, value) in rows {
+        let want = (
+            stdout.to_string(),
+            stderr.to_string(),
+            value
+                .map(|v| v.iter().map(|w| w.to_string()).collect())
+                .map_err(str::to_string),
+        );
+        assert_eq!(outcome(src), want, "{src}");
+    }
+}
+
+/// Every boot `fn-X` bound to `$&X` is called directly; `X args`
+/// must do what `$&X args` does, for each builtin that neither exits
+/// nor forks. `$&gcstats` counts the heap objects allocated so far, so
+/// it also checks that both forms allocate alike.
+#[test]
+fn builtins_do_what_their_primitives_do() {
+    let boot = machine();
+    let builtins: Vec<&str> = crate::prims::NAMES
+        .iter()
+        .copied()
+        .filter(|name| !matches!(*name, "exit" | "fork"))
+        .filter(|name| boot.get_var(&format!("fn-{name}")) == vec![format!("$&{name}")])
+        .collect();
+    assert!(builtins.len() >= 15, "{builtins:?}");
+    for name in builtins {
+        for args in [
+            "",
+            "a b",
+            "{break 1} {echo body} z",
+            "{echo once; break 2} {echo body}",
+        ] {
+            let (out, err, value) = outcome(&format!("{name} {args}"));
+            let (prim_out, prim_err, prim_value) = outcome(&format!("$&{name} {args}"));
+            // Collection pauses are wall-clock times.
+            let timeless = |v: Result<Vec<String>, String>| {
+                v.map(|mut words| {
+                    if name == "gcstats" {
+                        words.truncate(12);
+                    }
+                    words
+                })
+            };
+            assert_eq!(
+                (out, err, timeless(value)),
+                (prim_out, prim_err, timeless(prim_value)),
+                "`{name} {args}` vs `$&{name} {args}`"
+            );
+        }
+    }
+}

@@ -7,12 +7,17 @@
 //! evaluator uses; everything allocates through the copying collector,
 //! so builders keep their intermediate state in root slots.
 //!
-//! **A list is immutable once built.** The only write to a pair cell is
-//! [`ListBuilder::push`] linking the tail cell it allocated itself,
-//! before the list is handed out; appending a finished list copies its
-//! spine. So one list may be shared freely: `$x` returns the list bound
-//! to `x`, not a copy, and a later `x = ...` rebinds `x` without
-//! touching the list a reader already holds.
+//! **A list is immutable once built.** The only writes to a pair cell
+//! are a [`ListBuilder`]'s, and it writes only into the last cell it
+//! allocated itself, before the list is handed out: [`ListBuilder::push`]
+//! links a new cell there, and [`ListBuilder::finish_onto`] links a
+//! finished list there and consumes the builder, so no builder is left
+//! that could write into that list. Appending a finished list anywhere
+//! but last copies its spine. So one list may be shared freely: `$x`
+//! returns the list bound to `x`, not a copy; a call's words are pushed
+//! straight into its list and its last argument list is linked, not
+//! copied; `x = ...` later rebinds `x` without touching the list a
+//! reader, or a longer list ending in it, already holds.
 
 use crate::machine::Heap;
 use es_gc::{Obj, Ref, RootSlot};
@@ -93,6 +98,19 @@ impl ListBuilder {
         heap.root(self.head)
     }
 
+    /// Links `rest` after the last cell this builder allocated (or
+    /// makes it the whole list, if there is none) and returns the slot
+    /// holding the result. `rest` is shared, not copied; consuming the
+    /// builder keeps it from ever writing into `rest`.
+    pub fn finish_onto(self, heap: &mut Heap, rest: Ref) -> RootSlot {
+        if heap.root(self.head).is_nil() {
+            heap.set_root(self.head, rest);
+        } else {
+            heap.set_pair_tail(heap.root(self.tail), rest);
+        }
+        self.head
+    }
+
     /// The root slot holding the list under construction.
     pub fn head_slot(&self) -> RootSlot {
         self.head
@@ -141,6 +159,15 @@ pub fn read_strings(heap: &Heap, list: Ref) -> Vec<String> {
             Term::Closure(code, bindings) => unparse_closure(heap, &code, bindings),
         })
         .collect()
+}
+
+/// Appends the text of one term to `out`: a string as is, a closure
+/// unparsed (as [`read_strings`] renders it).
+pub fn push_text(heap: &Heap, term: Ref, out: &mut String) {
+    match heap.get(term) {
+        Obj::Closure(code, bindings) => out.push_str(&unparse_closure(heap, code, *bindings)),
+        _ => out.push_str(heap.str_value(term)),
+    }
 }
 
 /// List length without reading contents.

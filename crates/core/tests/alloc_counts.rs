@@ -4,7 +4,9 @@
 //! copied: a launch makes as many mallocs with 64 more exported
 //! globals, and a recycled session's first file write as many with 64
 //! more boot files. A pipe reads only its descriptor words, so one
-//! under a `let` of 64 words makes as many mallocs as under one.
+//! under a `let` of 64 words makes as many mallocs as under one, and
+//! `~` and `^` read their words in place, so matching or concatenating
+//! 64 words makes as many as one.
 //!
 //! A line's *evaluation-only* mallocs are those of `run_text(line)`
 //! minus those of `lower(parse_program(line))` on the same text. They
@@ -187,6 +189,22 @@ fn pipes_make_no_malloc_per_captured_word() {
         pipe_mallocs(1),
         "`true | true` under a 64-word let vs 1"
     );
+}
+
+#[test]
+fn matches_and_concatenations_make_no_malloc_per_word() {
+    // No word of `$x` matches, so `~` tries every one.
+    fn word_mallocs(n: usize, line: &str) -> u64 {
+        let words: Vec<String> = (0..n).map(|i| format!("w{i}")).collect();
+        eval_mallocs(&format!("x = {}", words.join(" ")), line)
+    }
+    for line in ["~ $x abc", "~ $x a*", "result $x^-s"] {
+        assert_eq!(
+            word_mallocs(64, line),
+            word_mallocs(1, line),
+            "`{line}` with 64 words in $x vs 1"
+        );
+    }
 }
 
 /// Lexing makes one string per word and the parser moves it into the

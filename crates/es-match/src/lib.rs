@@ -137,8 +137,7 @@ impl Pattern {
 
     /// Matches the pattern against an entire subject string.
     pub fn matches(&self, subject: &str) -> bool {
-        let subj: Vec<char> = subject.chars().collect();
-        match_here(&self.items, &subj)
+        match_here(&self.items, subject)
     }
 }
 
@@ -182,33 +181,36 @@ fn class_matches(negated: bool, ranges: &[(char, char)], c: char) -> bool {
 }
 
 /// Iterative glob match with single-star backtracking (the classic
-/// two-pointer algorithm): linear except across `*` boundaries.
-fn match_here(items: &[Item], subj: &[char]) -> bool {
+/// two-pointer algorithm): linear except across `*` boundaries. The
+/// subject is walked in place, by byte offset, so a match allocates
+/// nothing.
+fn match_here(items: &[Item], subj: &str) -> bool {
+    let next_char = |si: usize| subj[si..].chars().next();
     let (mut pi, mut si) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern idx after *, subj idx consumed to)
+    let mut star: Option<(usize, usize)> = None; // (pattern idx after *, subj offset consumed to)
     loop {
         if pi < items.len() {
-            match &items[pi] {
-                Item::Star => {
+            match (&items[pi], next_char(si)) {
+                (Item::Star, _) => {
                     star = Some((pi + 1, si));
                     pi += 1;
                     continue;
                 }
-                Item::Any if si < subj.len() => {
+                (Item::Any, Some(c)) => {
                     pi += 1;
-                    si += 1;
+                    si += c.len_utf8();
                     continue;
                 }
-                Item::Char(c) if si < subj.len() && subj[si] == *c => {
+                (Item::Char(p), Some(c)) if c == *p => {
                     pi += 1;
-                    si += 1;
+                    si += c.len_utf8();
                     continue;
                 }
-                Item::Class { negated, ranges }
-                    if si < subj.len() && class_matches(*negated, ranges, subj[si]) =>
+                (Item::Class { negated, ranges }, Some(c))
+                    if class_matches(*negated, ranges, c) =>
                 {
                     pi += 1;
-                    si += 1;
+                    si += c.len_utf8();
                     continue;
                 }
                 _ => {}
@@ -217,14 +219,15 @@ fn match_here(items: &[Item], subj: &[char]) -> bool {
             return true;
         }
         // Mismatch: backtrack to the last star, consuming one more char.
-        match star {
-            Some((after, consumed)) if consumed < subj.len() => {
-                star = Some((after, consumed + 1));
-                pi = after;
-                si = consumed + 1;
-            }
-            _ => return false,
-        }
+        let Some((after, consumed)) = star else {
+            return false;
+        };
+        let Some(c) = next_char(consumed) else {
+            return false;
+        };
+        si = consumed + c.len_utf8();
+        star = Some((after, si));
+        pi = after;
     }
 }
 
