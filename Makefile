@@ -1,9 +1,9 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench-check counts bench bench-eval bench-serve clean
+.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench-check counts counts-check bench bench-eval bench-serve clean
 
-all: build test conform fuzz serve-soak lint bench-check
+all: build test conform fuzz serve-soak lint bench-check counts-check
 
 build:
 	cargo build --release
@@ -74,6 +74,13 @@ counts:
 		echo "== $$w"; \
 		echo "$$out" | grep -E '^($(COUNT_ROWS)) '; \
 	done
+
+# Fails if any count differs from the checked-in BENCH_counts.txt (the
+# exact output of `make counts`, plain text so that `diff` can check
+# it). A change that moves a count regenerates the file with
+# `make -s counts > BENCH_counts.txt` and says why in CHANGES.md.
+counts-check:
+	@$(MAKE) --no-print-directory -s counts | diff -u BENCH_counts.txt -
 
 bench:
 	cargo bench -p es-bench

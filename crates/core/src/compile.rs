@@ -13,7 +13,9 @@
 //!   names), a `$name` reference compiles to [`ArgC::Slot`] — a hop
 //!   count into the runtime binding chain — instead of a name search.
 //! * **Hook sites.** A call whose head is a literal `%hook` word bound
-//!   to a primitive at boot (see [`HOOK_PRIMS`]) gets a [`HookSite`].
+//!   to a primitive at boot gets a [`HookSite`]. The table of those
+//!   hooks, [`HOOK_PRIMS`], lives here: the evaluator has no use for
+//!   it, since it resolves every hook through its `fn-%name` binding.
 //!
 //! Statements it does not specialise (`Assign`, `Match`, and the
 //! surface forms that should have been lowered) are carried as
@@ -25,7 +27,32 @@ use std::rc::Rc;
 
 use es_syntax::ast::{Expr, Lambda, Node, Word};
 
-pub use crate::prims::HOOK_PRIMS;
+/// Hooks bound to bare primitives by `initial.es` at boot: a call
+/// whose head is one of these names compiles to a [`HookSite`].
+/// `%prompt` is deliberately absent: boot binds it to an (empty)
+/// closure, not a primitive.
+pub const HOOK_PRIMS: &[(&str, &str)] = &[
+    ("%seq", "seq"),
+    ("%and", "and"),
+    ("%or", "or"),
+    ("%not", "not"),
+    ("%background", "background"),
+    ("%create", "create"),
+    ("%open", "open"),
+    ("%append", "append"),
+    ("%dup", "dup"),
+    ("%close", "close"),
+    ("%here", "here"),
+    ("%pipe", "pipe"),
+    ("%backquote", "backquote"),
+    ("%pathsearch", "pathsearch"),
+    ("%flatten", "flatten"),
+    ("%fsplit", "fsplit"),
+    ("%split", "split"),
+    ("%parse", "parse"),
+    ("%cd", "cd"),
+    ("%limit", "limit"),
+];
 
 /// Cache key for compiled lambdas: pointer identity fast path (the
 /// same parse tree shared by `Rc` hits without a deep compare),

@@ -137,7 +137,6 @@ fn eval_let<O: Os + Clone>(
         let inner = m.heap.roots_len();
         let value_slot = eval_exprs(m, value_exprs, chain, false)?;
         let value = m.heap.root(value_slot);
-        m.note_binding(&name);
         let binding = m.heap.alloc_binding(&name, value, m.heap.root(chain));
         m.heap.set_root(chain, binding);
         m.heap.truncate_roots(inner);
@@ -203,7 +202,6 @@ fn eval_for<O: Os + Clone>(
             // An exhausted list binds its name to `()`.
             let value = next_value(m, *slot, false);
             let v = m.heap.push_root(value);
-            m.note_binding(name);
             let binding = m.heap.alloc_binding(name, m.heap.root(v), m.heap.root(chain));
             m.heap.set_root(chain, binding);
         }
@@ -616,7 +614,6 @@ pub fn eval_expr<O: Os + Clone>(
             for (name, value_exprs) in bindings {
                 let slot = eval_exprs(m, value_exprs, empty_env, false)?;
                 let value = m.heap.root(slot);
-                m.note_binding(name);
                 let binding = m.heap.alloc_binding(name, value, m.heap.root(chain));
                 m.heap.set_root(chain, binding);
             }
@@ -693,15 +690,7 @@ pub fn apply_slot<O: Os + Clone>(
             let base = m.heap.roots_len();
             let clo = m.heap.push_root(head);
             let args = m.heap.push_root(m.heap.pair_tail(list));
-            if let (Some((tc, ta)), true) = (tail, m.opts.tail_calls) {
-                let c = m.heap.root(clo);
-                m.heap.set_root(tc, c);
-                let a = m.heap.root(args);
-                m.heap.set_root(ta, a);
-                m.heap.truncate_roots(base);
-                return Ok(Flow::Tail);
-            }
-            let flow = apply_closure(m, clo, args, "<closure>")?;
+            let flow = call_closure(m, clo, args, "<closure>", tail)?;
             Ok(pop_scope(m, base, flow))
         }
         Obj::Str(_) => {
@@ -721,8 +710,7 @@ pub fn apply_slot<O: Os + Clone>(
 }
 
 /// Resolves and applies a command named by a string: primitives,
-/// boot hooks while pristine, slash-paths, `fn-` variables, then
-/// `%pathsearch`.
+/// slash-paths, `fn-` variables, then `%pathsearch`.
 fn apply_named<O: Os + Clone>(
     m: &mut Machine<O>,
     name: &str,
@@ -737,117 +725,133 @@ fn apply_named<O: Os + Clone>(
     if let Some(prim) = name.strip_prefix("$&") {
         return prims::call(m, prim, args, env, tail);
     }
-    // While the hook generation says no `fn-%*` binding has changed
-    // since boot, a boot hook provably still means its primitive:
-    // dispatch straight to it instead of looking up `fn-%hook` and
-    // splicing `$&prim ++ args`. The arguments have already run, so a
-    // spoof made while evaluating them is seen here.
-    if name.starts_with('%') && m.hooks_pristine() {
-        if let Some(prim) = prims::hook_prim(name) {
-            return prims::call(m, prim, args, env, tail);
-        }
-    }
     if name.contains('/') {
         return run_external(m, name, args);
     }
     let resolved = m.lookup(m.heap.root(env), "fn-", name);
-    match resolved {
-        Some(value) if !value.is_nil() => {
-            // A function bound to a primitive, as boot binds every
-            // builtin (`fn-echo = $&echo`), calls it on these
-            // arguments: what splicing `$&prim ++ args` and resolving
-            // that did. The name is copied: the heap may move it.
-            let head = m.heap.pair_head(value);
-            if m.heap.pair_tail(value).is_nil() && matches!(m.heap.get(head), Obj::Str(_)) {
-                if let Some(prim) = m.heap.str_value(head).strip_prefix("$&") {
-                    let prim = NameBuf::new(&[prim]);
-                    return prims::call(m, prim.as_str(), args, env, tail);
-                }
-            }
-            let base = m.heap.roots_len();
-            let v_slot = m.heap.push_root(value);
-            // Single-closure definitions (the common case) apply
-            // directly, binding $0 to the invocation name.
-            let value = m.heap.root(v_slot);
-            let head = m.heap.pair_head(value);
-            let rest = m.heap.pair_tail(value);
-            if matches!(m.heap.get(head), Obj::Closure(..)) && rest.is_nil() {
-                let clo = m.heap.push_root(head);
-                if let (Some((tc, ta)), true) = (tail, m.opts.tail_calls) {
-                    let c = m.heap.root(clo);
-                    m.heap.set_root(tc, c);
-                    let a = m.heap.root(args);
-                    m.heap.set_root(ta, a);
-                    m.heap.truncate_roots(base);
-                    return Ok(Flow::Tail);
-                }
-                let flow = apply_closure(m, clo, args, name)?;
-                return Ok(pop_scope(m, base, flow));
-            }
-            // General case: splice `value ++ args` and re-apply.
-            let mut b = ListBuilder::new(&mut m.heap);
-            b.append_slot(&mut m.heap, v_slot);
-            let args_list = m.heap.root(args);
-            let new_list = b.finish_onto(&mut m.heap, args_list);
-            let new_head = m.heap.pair_head(m.heap.root(new_list));
-            let flow = match m.heap.get(new_head) {
-                Obj::Str(_) => {
-                    let next_name = NameBuf::new(&[m.heap.str_value(new_head)]);
-                    let new_args = m.heap.push_root(m.heap.pair_tail(m.heap.root(new_list)));
-                    apply_named(m, next_name.as_str(), new_args, env, tail, hops + 1)?
-                }
-                _ => apply_slot(m, new_list, env, tail)?,
-            };
-            Ok(pop_scope(m, base, flow))
-        }
+    if let Some(value) = resolved.filter(|v| !v.is_nil()) {
+        return apply_value(m, name, value, args, env, tail, hops);
+    }
+    // Path search through the (spoofable) %pathsearch hook.
+    let base = m.heap.roots_len();
+    let Some(path_list) = call_hook(m, "%pathsearch", name, env)? else {
+        return Err(m.error(&format!("{name}: command not found")));
+    };
+    let p_slot = m.heap.push_root(path_list);
+    let terms = m.terms_at(p_slot);
+    let only_str = match terms.as_slice() {
+        [crate::value::Term::Str(s)] => Some(s.clone()),
+        _ => None,
+    };
+    let flow = match (only_str, terms.len()) {
+        (Some(path), _) => run_external(m, &path, args)?,
+        (None, 0) => return Err(m.error(&format!("{name}: command not found"))),
         _ => {
-            // Path search through the (spoofable) %pathsearch hook.
-            // While the hook generation says no `fn-%*` binding has
-            // changed since boot, `fn-%pathsearch` provably still
-            // means the bare primitive: dispatch straight to it.
-            let base = m.heap.roots_len();
-            let flow = if m.hooks_pristine() {
-                let mut b = ListBuilder::new(&mut m.heap);
-                b.push_str(&mut m.heap, name);
-                prims::call(m, "pathsearch", b.head_slot(), env, None)?
-            } else {
-                let hook = m.lookup(m.heap.root(env), "fn-", "%pathsearch");
-                let hook = match hook {
-                    Some(h) if !h.is_nil() => h,
-                    _ => {
-                        m.heap.truncate_roots(base);
-                        return Err(m.error(&format!("{name}: command not found")));
-                    }
-                };
-                let h_slot = m.heap.push_root(hook);
-                let mut b = ListBuilder::new(&mut m.heap);
-                b.append_slot(&mut m.heap, h_slot);
-                b.push_str(&mut m.heap, name);
-                apply_slot(m, b.head_slot(), env, None)?
-            };
-            let path_list = must_value(flow);
-            let p_slot = m.heap.push_root(path_list);
-            let terms = m.terms_at(p_slot);
-            let only_str = match terms.as_slice() {
-                [crate::value::Term::Str(s)] => Some(s.clone()),
-                _ => None,
-            };
-            let flow = match (only_str, terms.len()) {
-                (Some(path), _) => run_external(m, &path, args)?,
-                (None, 0) => return Err(m.error(&format!("{name}: command not found"))),
-                _ => {
-                    // A multi-word result is treated as a command
-                    // prefix (lets %pathsearch rewrite invocations).
-                    let mut b = ListBuilder::new(&mut m.heap);
-                    b.append_slot(&mut m.heap, p_slot);
-                    let args_list = m.heap.root(args);
-                    let call = b.finish_onto(&mut m.heap, args_list);
-                    apply_slot(m, call, env, tail)?
-                }
-            };
-            Ok(pop_scope(m, base, flow))
+            // A multi-word result is treated as a command prefix
+            // (lets %pathsearch rewrite invocations).
+            let mut b = ListBuilder::new(&mut m.heap);
+            b.append_slot(&mut m.heap, p_slot);
+            let args_list = m.heap.root(args);
+            let call = b.finish_onto(&mut m.heap, args_list);
+            apply_slot(m, call, env, tail)?
+        }
+    };
+    Ok(pop_scope(m, base, flow))
+}
+
+/// Applies `value`, the definition the command `name` resolved to
+/// (unrooted, non-empty), to the rooted `args`. Every call that
+/// resolves a function, hooks included, comes here.
+fn apply_value<O: Os + Clone>(
+    m: &mut Machine<O>,
+    name: &str,
+    value: Ref,
+    args: RootSlot,
+    env: RootSlot,
+    tail: Option<TailSlots>,
+    hops: usize,
+) -> EsResult<Flow> {
+    // A function bound to a primitive, as boot binds every builtin and
+    // hook (`fn-echo = $&echo`, `fn-%pipe = $&pipe`), calls it on these
+    // arguments: what splicing `$&prim ++ args` and resolving that did.
+    // The name is copied: the heap may move it.
+    let head = m.heap.pair_head(value);
+    if m.heap.pair_tail(value).is_nil() && matches!(m.heap.get(head), Obj::Str(_)) {
+        if let Some(prim) = m.heap.str_value(head).strip_prefix("$&") {
+            let prim = NameBuf::new(&[prim]);
+            return prims::call(m, prim.as_str(), args, env, tail);
         }
     }
+    let base = m.heap.roots_len();
+    let v_slot = m.heap.push_root(value);
+    // Single-closure definitions (the common case) apply directly,
+    // binding $0 to the invocation name.
+    if matches!(m.heap.get(head), Obj::Closure(..)) && m.heap.pair_tail(value).is_nil() {
+        let clo = m.heap.push_root(head);
+        let flow = call_closure(m, clo, args, name, tail)?;
+        return Ok(pop_scope(m, base, flow));
+    }
+    // General case: splice `value ++ args` and re-apply.
+    let mut b = ListBuilder::new(&mut m.heap);
+    b.append_slot(&mut m.heap, v_slot);
+    let args_list = m.heap.root(args);
+    let new_list = b.finish_onto(&mut m.heap, args_list);
+    let new_head = m.heap.pair_head(m.heap.root(new_list));
+    let flow = match m.heap.get(new_head) {
+        Obj::Str(_) => {
+            let next_name = NameBuf::new(&[m.heap.str_value(new_head)]);
+            let new_args = m.heap.push_root(m.heap.pair_tail(m.heap.root(new_list)));
+            apply_named(m, next_name.as_str(), new_args, env, tail, hops + 1)?
+        }
+        _ => apply_slot(m, new_list, env, tail)?,
+    };
+    Ok(pop_scope(m, base, flow))
+}
+
+/// Calls the hook `fn-<hook>` on one word, as the command `hook word`
+/// would, and returns its value; `None` when the hook is unbound.
+fn call_hook<O: Os + Clone>(
+    m: &mut Machine<O>,
+    hook: &str,
+    word: &str,
+    env: RootSlot,
+) -> EsResult<Option<Ref>> {
+    let Some(value) = m
+        .lookup(m.heap.root(env), "fn-", hook)
+        .filter(|v| !v.is_nil())
+    else {
+        return Ok(None);
+    };
+    let base = m.heap.roots_len();
+    // Rooted first: building the argument list allocates.
+    let v_slot = m.heap.push_root(value);
+    let mut b = ListBuilder::new(&mut m.heap);
+    b.push_str(&mut m.heap, word);
+    let value = m.heap.root(v_slot);
+    let flow = apply_value(m, hook, value, b.head_slot(), env, None, 0)?;
+    let out = must_value(flow);
+    m.heap.truncate_roots(base);
+    Ok(Some(out))
+}
+
+/// Applies the rooted closure `clo` to the rooted `args` with `$0`
+/// bound to `name`. In tail position, with tail calls on, the closure
+/// and its arguments go to the enclosing apply loop instead.
+pub(crate) fn call_closure<O: Os + Clone>(
+    m: &mut Machine<O>,
+    clo: RootSlot,
+    args: RootSlot,
+    name: &str,
+    tail: Option<TailSlots>,
+) -> EsResult<Flow> {
+    if let (Some((tc, ta)), true) = (tail, m.opts.tail_calls) {
+        let c = m.heap.root(clo);
+        m.heap.set_root(tc, c);
+        let a = m.heap.root(args);
+        m.heap.set_root(ta, a);
+        return Ok(Flow::Tail);
+    }
+    apply_closure(m, clo, args, name)
 }
 
 /// Applies a closure: binds parameters lexically (one-to-one,
@@ -917,7 +921,6 @@ fn apply_closure_inner<O: Os + Clone>(
                 for (i, p) in params.iter().enumerate() {
                     let value = next_value(m, rest, i + 1 == n);
                     let v = m.heap.push_root(value);
-                    m.note_binding(p);
                     let b = m.heap.alloc_binding(p, m.heap.root(v), m.heap.root(chain));
                     m.heap.set_root(chain, b);
                 }
@@ -1011,28 +1014,14 @@ pub fn run_external<O: Os + Clone>(
 /// `fn-%glob` is defined, expansion is delegated to it (pattern text
 /// as the argument); otherwise the built-in expansion runs, which
 /// "behaves identically to that in traditional shells". Boot leaves
-/// `fn-%glob` unbound, so while the hook generation says no `fn-%*`
-/// binding has ever changed, the per-word lookup is skipped entirely.
+/// `fn-%glob` unbound.
 pub(crate) fn glob_word<O: Os + Clone>(
     m: &mut Machine<O>,
     w: &Word,
     env: RootSlot,
 ) -> EsResult<Ref> {
-    if !m.hooks_pristine() {
-        let hook = m.lookup(m.heap.root(env), "fn-", "%glob");
-        if let Some(h) = hook {
-            if !h.is_nil() {
-                let base = m.heap.roots_len();
-                let h_slot = m.heap.push_root(h);
-                let mut b = ListBuilder::new(&mut m.heap);
-                b.append_slot(&mut m.heap, h_slot);
-                b.push_str(&mut m.heap, &w.text());
-                let flow = apply_slot(m, b.head_slot(), env, None)?;
-                let out = must_value(flow);
-                m.heap.truncate_roots(base);
-                return Ok(out);
-            }
-        }
+    if let Some(out) = call_hook(m, "%glob", &w.text(), env)? {
+        return Ok(out);
     }
     let matches = glob_expand(m, w);
     if matches.is_empty() {

@@ -11,6 +11,7 @@ use es_syntax::ast::Lambda;
 use es_syntax::{lower, parse_program};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 /// The interpreter heap: closure payloads are shared lambda ASTs.
@@ -168,14 +169,6 @@ pub struct Machine<O: Os + Clone> {
     bg_pid: i32,
     /// Resource accounting and armed limits (see [`crate::governor`]).
     governor: Governor,
-    /// Hook-generation counter: bumped whenever any `fn-%*` binding is
-    /// created, mutated, or removed (globals, dynamics, lexicals, and
-    /// closure parameters alike).
-    hook_gen: u64,
-    /// The counter's value right after `initial.es` bound the stock
-    /// hooks — while `hook_gen` still equals it, every hook provably
-    /// carries its boot binding (`fn-%pipe = $&pipe`, …).
-    hook_boot_gen: u64,
     /// Cooperative-yield hook (see [`Yield`]); `None` outside a
     /// scheduler. Forked children share the parent's hook, so a
     /// session's forks charge against the same timeslice.
@@ -203,8 +196,6 @@ impl<O: Os + Clone> Clone for Machine<O> {
             max_depth_seen: self.max_depth_seen,
             bg_pid: self.bg_pid,
             governor: self.governor.clone(),
-            hook_gen: self.hook_gen,
-            hook_boot_gen: self.hook_boot_gen,
             yielder: self.yielder.clone(),
             boot_image: self.boot_image.clone(),
         }
@@ -235,8 +226,6 @@ impl<O: Os + Clone> Machine<O> {
             max_depth_seen: 0,
             bg_pid: 9000,
             governor,
-            hook_gen: 0,
-            hook_boot_gen: 0,
             yielder: None,
             boot_image: None,
         };
@@ -249,10 +238,6 @@ impl<O: Os + Clone> Machine<O> {
         m.set_global_strs("pid", &[&pid]);
         m.run_text(crate::INITIAL_ES)
             .map_err(|e| m.render_boot_error(e))?;
-        // Hooks are now exactly their boot bindings; anything later —
-        // including a `fn-%*` closure inherited through the
-        // environment import below — dirties the generation.
-        m.hook_boot_gen = m.hook_gen;
         env::import_environment(&mut m)?;
         // Encode every exportable global now, so the frozen image —
         // and every recycled slot and fork cloned from it — starts
@@ -357,32 +342,6 @@ impl<O: Os + Clone> Machine<O> {
         let abs = crate::governor::resolve(self, k, value);
         self.governor.set(k, Some(abs));
         Ok(())
-    }
-
-    // ----- hook generation -----------------------------------------------------
-
-    /// Records that a binding named `name` was created, mutated, or
-    /// removed. Every binding site funnels through this (or calls it
-    /// alongside) so `fn-%*` changes can never escape the counter.
-    #[inline]
-    pub fn note_binding(&mut self, name: &str) {
-        if name.starts_with("fn-%") {
-            self.hook_gen += 1;
-        }
-    }
-
-    /// The current hook generation.
-    #[inline]
-    pub fn hook_gen(&self) -> u64 {
-        self.hook_gen
-    }
-
-    /// True while no `fn-%*` binding has changed since boot — the
-    /// state in which every hook provably still means its primitive
-    /// and dispatch may skip the environment lookup entirely.
-    #[inline]
-    pub fn hooks_pristine(&self) -> bool {
-        self.hook_gen == self.hook_boot_gen
     }
 
     // ----- running code --------------------------------------------------------
@@ -545,6 +504,39 @@ impl<O: Os + Clone> Machine<O> {
             .map(|(_, slot)| self.heap.root(*slot))
     }
 
+    /// The global hook bindings (`fn-%*`), by name, each with the
+    /// environment encoding of its value: what a pooled slot's reset
+    /// audit compares with the boot image's through
+    /// [`Machine::hooks_match`].
+    pub fn hook_bindings(&self) -> Vec<(Rc<str>, Rc<str>)> {
+        self.hooks().collect()
+    }
+
+    /// True if the global hook bindings are exactly `boot`, as
+    /// [`Machine::hook_bindings`] returned them: the same names, each
+    /// bound to a value with the same encoding. `Rc`'s `==` compares
+    /// pointers first, and a recycled machine shares its names and
+    /// cached encodings with the boot image, so checking one makes no
+    /// malloc.
+    pub fn hooks_match(&self, boot: &[(Rc<str>, Rc<str>)]) -> bool {
+        self.hooks().eq(boot.iter().cloned())
+    }
+
+    /// The `fn-%*` globals with their values' encodings: the one an
+    /// export cached, else a fresh one.
+    fn hooks(&self) -> impl Iterator<Item = (Rc<str>, Rc<str>)> + '_ {
+        self.globals
+            .range::<str, _>((Bound::Included("fn-%"), Bound::Unbounded))
+            .take_while(|(name, _)| name.starts_with("fn-%"))
+            .map(|(name, g)| {
+                let encoded = match g.export.get() {
+                    Some(cached) => Rc::clone(cached),
+                    None => Rc::from(env::encode_value(self, self.heap.perm(g.slot)).0),
+                };
+                (Rc::clone(name), encoded)
+            })
+    }
+
     /// The global variables, sorted by name.
     pub(crate) fn globals(&self) -> &BTreeMap<Rc<str>, Global> {
         &self.globals
@@ -562,7 +554,6 @@ impl<O: Os + Clone> Machine<O> {
     /// Settor dispatch (`set-name`) is the *evaluator's* job, because
     /// it must run es code; this method is the raw store.
     pub fn assign_raw(&mut self, env: Ref, name: &str, value: Ref) {
-        self.note_binding(name);
         let mut cur = env;
         while !cur.is_nil() {
             let (bname, _, next) = self.heap.binding_parts(cur);
@@ -624,7 +615,6 @@ impl<O: Os + Clone> Machine<O> {
     /// Pushes a dynamic binding (used by `local`); pop with
     /// [`Machine::pop_dynamics`].
     pub fn push_dynamic(&mut self, name: &str, value: Ref) {
-        self.note_binding(name);
         let slot = self.heap.push_root(value);
         self.dynamics.push((name.to_string(), slot));
     }

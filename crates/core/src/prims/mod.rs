@@ -30,43 +30,6 @@ pub const NAMES: &[&str] = &[
     "time", "true", "vars", "version", "wait", "whatis", "while",
 ];
 
-/// Hooks bound to bare primitives by `initial.es` at boot. While the
-/// hook generation says no `fn-%*` binding has changed, a call to one
-/// of these names may go straight to its primitive (see
-/// [`crate::Machine::hooks_pristine`]). `%prompt` is deliberately
-/// absent: boot binds it to an (empty) closure, not a primitive.
-pub const HOOK_PRIMS: &[(&str, &str)] = &[
-    ("%seq", "seq"),
-    ("%and", "and"),
-    ("%or", "or"),
-    ("%not", "not"),
-    ("%background", "background"),
-    ("%create", "create"),
-    ("%open", "open"),
-    ("%append", "append"),
-    ("%dup", "dup"),
-    ("%close", "close"),
-    ("%here", "here"),
-    ("%pipe", "pipe"),
-    ("%backquote", "backquote"),
-    ("%pathsearch", "pathsearch"),
-    ("%flatten", "flatten"),
-    ("%fsplit", "fsplit"),
-    ("%split", "split"),
-    ("%parse", "parse"),
-    ("%cd", "cd"),
-    ("%limit", "limit"),
-];
-
-/// The primitive boot binds hook `name` to, if it is one of
-/// [`HOOK_PRIMS`].
-pub(crate) fn hook_prim(name: &str) -> Option<&'static str> {
-    HOOK_PRIMS
-        .iter()
-        .find(|(hook, _)| *hook == name)
-        .map(|(_, prim)| *prim)
-}
-
 /// Dispatches a primitive by name. `args` is the rooted argument list
 /// (without the `$&name` head); `env` the caller's lexical scope;
 /// `tail` the apply loop's tail slots (forwarded to thunk application
@@ -200,17 +163,7 @@ pub(crate) fn apply_thunk_with_args<O: Os + Clone>(
     let extra_slot = m.heap.push_root(extra);
     let t = m.heap.root(term);
     let flow = match m.heap.get(t) {
-        Obj::Closure(..) => {
-            if let (Some((tc, ta)), true) = (tail, m.opts.tail_calls) {
-                let t = m.heap.root(term);
-                m.heap.set_root(tc, t);
-                let e = m.heap.root(extra_slot);
-                m.heap.set_root(ta, e);
-                m.heap.truncate_roots(base);
-                return Ok(Flow::Tail);
-            }
-            crate::eval::apply_closure(m, term, extra_slot, "<thunk>")?
-        }
+        Obj::Closure(..) => crate::eval::call_closure(m, term, extra_slot, "<thunk>", tail)?,
         Obj::Str(_) => {
             let mut b = ListBuilder::new(&mut m.heap);
             let t = m.heap.root(term);
@@ -225,12 +178,7 @@ pub(crate) fn apply_thunk_with_args<O: Os + Clone>(
             return Err(m.error(&format!("cannot apply {shape}")));
         }
     };
-    if matches!(flow, Flow::Tail) {
-        // Keep the tail slots' contents; they are above `base`? No:
-        // tail slots belong to an *outer* loop, so truncating is safe.
-        m.heap.truncate_roots(base);
-        return Ok(Flow::Tail);
-    }
+    // The tail slots belong to an outer loop, so truncating is safe.
     m.heap.truncate_roots(base);
     Ok(flow)
 }

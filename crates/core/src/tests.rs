@@ -866,9 +866,8 @@ fn gc_survives_shell_workload() {
     m.run("fns = <>{mk 1} <>{mk 2} <>{mk 3}").unwrap();
     assert_eq!(val(&mut m, "$fns(2)"), vec!["2"]);
     m.heap.set_stress(false);
-    // The exact count moves with every allocation the evaluator saves
-    // (the pristine-hook shortcut skips a splice per hook call), so
-    // the floor is what matters.
+    // The exact count moves with every allocation the evaluator saves,
+    // so the floor is what matters.
     assert!(
         m.heap.stats().collections > 50,
         "stress mode collected (saw {})",
@@ -1515,61 +1514,122 @@ fn backquote_drain_interrupted_by_scheduled_signal() {
 }
 
 // --------------------------------------------------------------------------
-// Hook-generation counter and the pristine-hook shortcut.
+// Hook bindings: every hook call resolves `fn-%name`.
 // --------------------------------------------------------------------------
 
-/// Every way of touching a `fn-%*` binding bumps the generation
-/// counter, and nothing else does. The pristine-hook shortcut keys on
-/// this, so a missed bump would silently pin a stale fast path.
+/// Stdout of `src`, followed by its error if it failed.
+fn output_or_error(m: &mut Machine<SimOs>, src: &str) -> String {
+    let result = m.run(src);
+    let mut out = m.os_mut().take_output();
+    if let Err(e) = result {
+        out.push_str(&e);
+    }
+    out
+}
+
+/// A hook bound at any binding site is seen by the next call inside
+/// the binding's scope, and is gone once that scope ends: every hook
+/// call looks its binding up, so no site needs to report a change.
 #[test]
-fn hook_generation_counter_tracks_every_binding_site() {
+fn hook_bound_at_any_site_is_seen_in_its_scope_and_gone_after() {
+    // (hook, its boot binding, a spoof, a call that uses the hook,
+    // that call's output when spoofed, and with the boot binding)
+    let hooks = [
+        (
+            "%seq",
+            "$&seq",
+            "@ * {echo seq}",
+            "{echo a; echo b}",
+            "seq\n",
+            "a\nb\n",
+        ),
+        (
+            "%pipe",
+            "$&pipe",
+            "@ * {echo pipe}",
+            "echo a | tr a b",
+            "pipe\n",
+            "b\n",
+        ),
+        (
+            "%create",
+            "$&create",
+            "@ * {echo create}",
+            "echo a > /tmp/f",
+            "create\n",
+            "",
+        ),
+        (
+            "%pathsearch",
+            "$&pathsearch",
+            "@ * {result echo found}",
+            "nosuch x",
+            "found x\n",
+            "error nosuch: command not found",
+        ),
+        (
+            "%glob",
+            "",
+            "@ * {result globbed}",
+            "echo q*z",
+            "globbed\n",
+            "q*z\n",
+        ),
+    ];
+    // Each site binds `fn-HOOK` to SPOOF around USE; a global binding
+    // lasts until the boot binding is assigned back.
+    let sites = [
+        ("global", "fn-HOOK = SPOOF; USE; fn-HOOK = BOOT"),
+        ("let", "let (fn-HOOK = SPOOF) {USE}"),
+        ("local", "local (fn-HOOK = SPOOF) {USE}"),
+        ("for", "for (fn-HOOK = SPOOF) {USE}"),
+        ("parameter", "@ fn-HOOK {USE} SPOOF"),
+        ("closure literal", "%closure(fn-HOOK=SPOOF) {USE}"),
+    ];
     let mut m = machine();
-    assert!(m.hooks_pristine(), "freshly booted machine is pristine");
-    let boot = m.hook_gen();
-
-    // Ordinary bindings leave the counter alone.
-    m.run("x = 1").unwrap();
-    m.run("let (y = 2) {true}").unwrap();
-    m.run("fn plain { true }").unwrap();
-    assert_eq!(m.hook_gen(), boot, "non-hook bindings must not bump");
-    assert!(m.hooks_pristine());
-
-    // A global hook assignment bumps (fn %pipe sugar and raw form).
-    m.run("fn %pipe { echo spoofed }").unwrap();
-    let after_def = m.hook_gen();
-    assert!(after_def > boot, "fn %pipe definition bumps");
-    assert!(!m.hooks_pristine(), "any fn-%* change ends pristine mode");
-
-    // Redefinition and removal each bump again.
-    m.run("fn %pipe { echo respoofed }").unwrap();
-    assert!(m.hook_gen() > after_def, "redefinition bumps");
-    let after_redef = m.hook_gen();
-    m.run("fn-%pipe = $&pipe").unwrap();
-    assert!(m.hook_gen() > after_redef, "restore bumps");
-
-    // Lexical and dynamic fn-%* bindings bump too — a let-shadowed
-    // hook is visible to lookup, so the shortcut must notice.
-    let before_let = m.hook_gen();
-    m.run("let (fn-%glob = x) {true}").unwrap();
-    assert!(m.hook_gen() > before_let, "let-bound fn-%* name bumps");
-    let before_local = m.hook_gen();
-    m.run("local (fn-%flatten = x) true").unwrap();
-    assert!(m.hook_gen() > before_local, "local-bound fn-%* name bumps");
-
-    // Pristine never comes back, even after restoring the primitive.
-    assert!(!m.hooks_pristine());
+    for (hook, boot, spoof, call, spoofed, plain) in hooks {
+        assert_eq!(output_or_error(&mut m, call), plain, "{hook} at boot");
+        for (site, form) in sites {
+            let src = form
+                .replace("HOOK", hook)
+                .replace("SPOOF", spoof)
+                .replace("USE", call)
+                .replace("BOOT", boot);
+            assert_eq!(
+                output_or_error(&mut m, &src),
+                spoofed,
+                "{hook} bound by {site}"
+            );
+            assert_eq!(output_or_error(&mut m, call), plain, "{hook} after {site}");
+        }
+    }
+    // A spoofed hook sees its own name as `$0`, however the evaluator
+    // reaches it.
+    for (src, want) in [
+        (
+            "fn %pipe { echo $0 }; echo a | tr a b; fn-%pipe = $&pipe",
+            "%pipe\n",
+        ),
+        (
+            "fn %pathsearch { result echo $0 }; nosuch x",
+            "%pathsearch x\n",
+        ),
+        ("fn %glob { result $0 }; echo q*z", "%glob\n"),
+    ] {
+        assert_eq!(output_or_error(&mut m, src), want, "{src}");
+    }
 }
 
 /// `fn-%pipe` defined, redefined, and restored mid-session takes
-/// effect on the very next pipeline. This is the pristine-hook
-/// contract: the shortcut straight to `$&pipe` must be abandoned the
-/// moment any `fn-%*` binding changes.
+/// effect on the very next pipeline: every pipeline looks `fn-%pipe`
+/// up.
 #[test]
 fn pipe_spoof_defined_redefined_and_restored_mid_session() {
     let mut m = machine();
 
-    // While pristine, a hook call costs exactly what the primitive
-    // call does: no `fn-%seq` lookup, no `$&seq ++ args` splice.
+    // A hook bound to its primitive costs what the primitive call
+    // does: the `fn-%seq` lookup allocates nothing, and there is no
+    // `$&seq ++ args` splice.
     let allocs = |m: &mut Machine<SimOs>, src: &str| {
         let before = m.heap.stats().allocated;
         m.run(src).unwrap();
@@ -1578,12 +1638,12 @@ fn pipe_spoof_defined_redefined_and_restored_mid_session() {
     assert_eq!(
         allocs(&mut m, "{true; true; true}"),
         allocs(&mut m, "{$&seq {true} {true} {true}}"),
-        "pristine %seq allocates like $&seq"
+        "%seq allocates like $&seq"
     );
 
     assert_eq!(output(&mut m, "echo hi | wc -l"), "1\n");
 
-    // Define: the shortcut must be abandoned immediately.
+    // Define: the next pipeline uses the spoof.
     m.run("fn %pipe { echo spoofed }").unwrap();
     assert_eq!(output(&mut m, "echo hi | wc -l"), "spoofed\n");
 
@@ -1596,8 +1656,7 @@ fn pipe_spoof_defined_redefined_and_restored_mid_session() {
     let err = m.run("echo hi | wc -l").unwrap_err();
     assert!(err.contains("%pipe"), "{err}");
 
-    // Restore the primitive: pipelines work again (through the lookup
-    // — pristine never comes back).
+    // Restore the primitive: pipelines work again.
     m.run("fn-%pipe = $&pipe").unwrap();
     assert_eq!(output(&mut m, "echo hi | wc -l"), "1\n");
 }
@@ -1639,8 +1698,8 @@ fn each_word_of_a_call_allocates_a_string_and_a_cell() {
 }
 
 /// A hook spoofed from inside a command substitution in the argument
-/// list of the very call being dispatched must be seen: the
-/// pristine check runs after argument evaluation.
+/// list of the very call being dispatched must be seen: the hook is
+/// looked up after argument evaluation.
 #[test]
 fn hook_spoof_from_argument_evaluation_is_not_missed() {
     let mut m = machine();
@@ -1664,14 +1723,19 @@ fn hook_spoof_from_argument_evaluation_is_not_missed() {
 /// consoles) return to the exact post-boot state.
 #[test]
 fn recycle_restores_boot_state() {
+    let boot_hooks = machine().hook_bindings();
     let mut m = machine();
     m.run("x = dirty; fn leak { echo leak }; fn-%pipe = @ { echo hook }")
         .unwrap();
     m.run("echo contaminant > /tmp/leak").unwrap();
     m.arm_limit("steps", 1234).unwrap();
-    assert!(!m.hooks_pristine());
+    assert_ne!(m.hook_bindings(), boot_hooks);
     assert!(m.recycle());
-    assert!(m.hooks_pristine(), "hook bindings must return to boot");
+    assert_eq!(
+        m.hook_bindings(),
+        boot_hooks,
+        "hook bindings must return to boot"
+    );
     assert_eq!(m.get_var("x"), Vec::<String>::new());
     assert_eq!(m.get_var("fn-leak"), Vec::<String>::new());
     assert_eq!(m.get_var("fn-%pipe"), vec!["$&pipe"]);

@@ -17,7 +17,7 @@
 //! it against the snapshot taken right after boot: the kernel
 //! fingerprint ([`es_os::SimOs::fingerprint`] — vfs, descriptors,
 //! pipes, consoles, clocks, signals), the open-descriptor delta, the
-//! hook-generation counter, and the armed limits. A clean report means
+//! `fn-%*` hook bindings, and the armed limits. A clean report means
 //! the next tenant provably cannot observe the previous one. A dirty
 //! report quarantines the slot; scrubbing (a fresh boot) is the only
 //! way back, and a slot whose *scrub* still fails the oracle is
@@ -223,6 +223,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 struct BootSnapshot {
     fingerprint: u64,
     fds: usize,
+    /// The `fn-%*` globals and their encodings ([`Machine::hook_bindings`]).
+    hooks: Vec<(Rc<str>, Rc<str>)>,
     limits: es_core::governor::Limits,
 }
 
@@ -238,6 +240,7 @@ fn snapshot(m: &Machine<SimOs>) -> BootSnapshot {
     BootSnapshot {
         fingerprint: m.os().fingerprint(),
         fds: m.os().open_desc_count(),
+        hooks: m.hook_bindings(),
         limits: *m.governor().limits(),
     }
 }
@@ -246,7 +249,7 @@ fn audit(m: &Machine<SimOs>, boot: &BootSnapshot) -> ResetReport {
     ResetReport {
         os_clean: m.os().fingerprint() == boot.fingerprint,
         fd_delta: m.os().open_desc_count() as isize - boot.fds as isize,
-        hooks_pristine: m.hooks_pristine(),
+        hooks_pristine: m.hooks_match(&boot.hooks),
         limits_ok: *m.governor().limits() == boot.limits,
     }
 }
@@ -465,6 +468,40 @@ mod tests {
             assert!(!audit(&m, &boot).os_clean, "{what} went unnoticed");
             assert!(m.recycle());
             assert!(audit(&m, &boot).clean(), "{what} survived recycle");
+        }
+    }
+
+    /// The audit compares the `fn-%*` bindings with the boot image's: a
+    /// hook spoofed, removed or added audits dirty until the slot is
+    /// recycled, and a hook assigned back its boot binding audits clean.
+    /// None of these runs a command, so nothing else in the machine
+    /// moves. A spoof scoped by `let` or `local` leaves the hooks as
+    /// boot bound them once the command returns.
+    #[test]
+    fn audit_catches_hook_changes_until_recycled() {
+        let mut m = boot_machine(&None);
+        let boot = snapshot(&m);
+        for change in [
+            "fn %pipe { result spoofed }",
+            "fn-%pipe =",
+            "fn %newhook {}",
+        ] {
+            m.run(change).expect("the change runs");
+            let dirty = audit(&m, &boot);
+            assert_eq!(dirty.violations(), vec!["hook-bindings"], "{change}");
+            assert!(m.recycle());
+            assert!(audit(&m, &boot).clean(), "{change} survived recycle");
+        }
+        m.run("fn %pipe { result spoofed }; fn-%pipe = $&pipe")
+            .expect("the restore runs");
+        assert!(audit(&m, &boot).clean(), "the restored hook audits dirty");
+        for scoped in [
+            "let (fn-%pipe = @ * {result spoofed}) {echo a | tr a b}",
+            "local (fn-%pipe = @ * {result spoofed}) {echo a | tr a b}",
+        ] {
+            assert_eq!(m.run(scoped), Ok(vec!["spoofed".to_string()]), "{scoped}");
+            let report = audit(&m, &boot);
+            assert!(report.hooks_pristine, "{scoped} left a hook behind");
         }
     }
 }
