@@ -1,9 +1,9 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench-check counts counts-check bench bench-eval bench-serve clean
+.PHONY: all build test conform fuzz conform-check soak soak-limits serve-soak lint bench-check counts counts-check bench bench-eval bench-serve clean
 
-all: build test conform fuzz serve-soak lint bench-check counts-check
+all: build test conform-check serve-soak lint bench-check counts-check
 
 build:
 	cargo build --release
@@ -24,6 +24,13 @@ conform:
 FUZZ_SEEDS ?= 256
 fuzz:
 	FUZZ_SEEDS=$(FUZZ_SEEDS) cargo test -p es-conform --test fuzz -q
+
+# The deterministic keys of BENCH_conform.json (scenarios, divergences,
+# seeds, fault injections) that the conform and fuzz tests rewrite must
+# match the checked-in file. A change that moves one commits the
+# regenerated file and says why in CHANGES.md.
+conform-check: conform fuzz
+	git diff --exit-code BENCH_conform.json
 
 # E10 — fault-injection soak: 256 seeded fault plans against a scripted
 # session, asserting no panics, no descriptor leaks, and byte-identical

@@ -734,7 +734,7 @@ fn apply_named<O: Os + Clone>(
     }
     // Path search through the (spoofable) %pathsearch hook.
     let base = m.heap.roots_len();
-    let Some(path_list) = call_hook(m, "%pathsearch", name, env)? else {
+    let Some(path_list) = call_hook(m, "%pathsearch", name, env, hops)? else {
         return Err(m.error(&format!("{name}: command not found")));
     };
     let p_slot = m.heap.push_root(path_list);
@@ -810,11 +810,15 @@ fn apply_value<O: Os + Clone>(
 
 /// Calls the hook `fn-<hook>` on one word, as the command `hook word`
 /// would, and returns its value; `None` when the hook is unbound.
+/// `hops` is the caller's count of definitions resolved so far: a
+/// hook that names an unbound command resolves through the hook again,
+/// and the count is what ends that loop.
 fn call_hook<O: Os + Clone>(
     m: &mut Machine<O>,
     hook: &str,
     word: &str,
     env: RootSlot,
+    hops: usize,
 ) -> EsResult<Option<Ref>> {
     let Some(value) = m
         .lookup(m.heap.root(env), "fn-", hook)
@@ -828,7 +832,7 @@ fn call_hook<O: Os + Clone>(
     let mut b = ListBuilder::new(&mut m.heap);
     b.push_str(&mut m.heap, word);
     let value = m.heap.root(v_slot);
-    let flow = apply_value(m, hook, value, b.head_slot(), env, None, 0)?;
+    let flow = apply_value(m, hook, value, b.head_slot(), env, None, hops)?;
     let out = must_value(flow);
     m.heap.truncate_roots(base);
     Ok(Some(out))
@@ -1020,7 +1024,7 @@ pub(crate) fn glob_word<O: Os + Clone>(
     w: &Word,
     env: RootSlot,
 ) -> EsResult<Ref> {
-    if let Some(out) = call_hook(m, "%glob", &w.text(), env)? {
+    if let Some(out) = call_hook(m, "%glob", &w.text(), env, 0)? {
         return Ok(out);
     }
     let matches = glob_expand(m, w);

@@ -307,7 +307,7 @@ pub fn soft_warn<O: Os + Clone>(m: &mut Machine<O>, kind: Kind, used: u64, max: 
 /// where all live refs are rooted, so the heap check may collect.
 pub fn charge<O: Os + Clone>(m: &mut Machine<O>) -> EsResult<()> {
     // Cooperative yield first: when a scheduler owns this machine the
-    // tick may park the thread until the next timeslice is granted.
+    // tick may suspend it until the next timeslice is granted.
     // Ticking before the clock advance keeps slice accounting in
     // steps, so a yielded machine's virtual time is unaffected by how
     // long it sat parked.

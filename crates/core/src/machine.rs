@@ -96,9 +96,9 @@ impl Default for Options {
 /// point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum YieldAction {
-    /// Keep running (possibly after having blocked for a while — the
-    /// hook is allowed to park the calling thread until a scheduler
-    /// grants another timeslice).
+    /// Keep running (possibly after a pause — the hook may suspend the
+    /// machine's caller, say a fiber, until a scheduler grants another
+    /// timeslice).
     Run,
     /// Stop this machine now. The interpreter unwinds with the
     /// *uncatchable* `EsError::Exit` so tenant code cannot intercept
@@ -110,12 +110,13 @@ pub enum YieldAction {
 /// [`crate::governor::charge`] — the interpreter's clock-tick /
 /// signal-poll / step-count seam. An external scheduler (es-serve's
 /// run loop) installs one per machine to timeslice many sessions
-/// fairly: `tick` blocks when the current slice is spent and returns
+/// fairly: when the current slice is spent, `tick` suspends the
+/// machine's caller (es-serve runs each machine on a fiber) and returns
 /// when the next one is granted. `tick` must not touch the machine —
 /// it only observes/updates scheduler state — so yielding is invisible
 /// to the virtual clock and the replay oracle.
 pub trait Yield {
-    /// Called once per eval step; may block. See [`YieldAction`].
+    /// Called once per eval step; may suspend. See [`YieldAction`].
     fn tick(&self) -> YieldAction;
 }
 

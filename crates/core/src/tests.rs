@@ -1620,6 +1620,26 @@ fn hook_bound_at_any_site_is_seen_in_its_scope_and_gone_after() {
     }
 }
 
+/// A definition that names a command bound to nothing resolves
+/// through `%pathsearch` again; the count of definitions resolved ends
+/// that as a "function definition loop" error, as it ends two
+/// functions naming each other, before the Rust stack runs out. The
+/// machine serves the next line normally.
+#[test]
+fn pathsearch_naming_an_unbound_command_is_a_definition_loop() {
+    let mut m = machine();
+    for src in [
+        "fn-%pathsearch = nosuch; nosuch2",
+        "fn-%pathsearch = nosuch nosuch; nosuch2",
+        "fn-a = b; fn-b = a; a",
+    ] {
+        let err = m.run(src).unwrap_err();
+        assert!(err.contains("function definition loop"), "{src}: {err}");
+        m.run("fn-%pathsearch = $&pathsearch").unwrap();
+        assert_eq!(output(&mut m, "echo still here"), "still here\n");
+    }
+}
+
 /// `fn-%pipe` defined, redefined, and restored mid-session takes
 /// effect on the very next pipeline: every pipeline looks `fn-%pipe`
 /// up.

@@ -18,7 +18,7 @@ use es_core::{Machine, Options};
 use es_os::{FaultPlan, SimOs};
 use es_serve::pool::WEATHER_PER_1024;
 use es_serve::{Frame, ServeConfig, Server};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// `run::materialize`, reproduced: prepend the `cd` into scratch and
 /// expand `@TMP@`.
@@ -116,7 +116,7 @@ fn scenarios_agree_between_direct_and_served() {
         high_water: 2,
         slice_steps: 97, // deliberately odd: slice boundaries must not show
         session_limits: vec![],
-        os_setup: Some(Arc::new(scratch_setup)),
+        os_setup: Some(Rc::new(scratch_setup)),
     });
     for sc in SCENARIOS {
         let cmds = materialize(sc.script);
@@ -159,7 +159,7 @@ fn seeded_scenarios_are_deterministic_through_the_server() {
         capacity: 1,
         high_water: 1,
         session_limits: vec![],
-        os_setup: Some(Arc::new(scratch_setup)),
+        os_setup: Some(Rc::new(scratch_setup)),
         ..ServeConfig::default()
     });
     for sc in seeded {

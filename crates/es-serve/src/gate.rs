@@ -1,19 +1,23 @@
 //! The slice gate: the one channel between the scheduler and a slot
 //! worker.
 //!
-//! One mutex and one condvar per slot carry everything that crosses
-//! between the two threads: the request going down, the timeslices,
-//! and the reply coming back, with one wake per handoff. A command
-//! reaches its worker together with its first slice
-//! ([`SliceGate::start`]), so running it costs one wake for that grant
-//! and one for [`Phase::Done`].
+//! The worker runs on a fiber in the scheduler's own thread, and
+//! the gate owns that fiber. Everything that crosses between the two
+//! sides goes through the gate's cells: the request going down, the
+//! timeslices, and the reply coming back. The scheduler's waits
+//! ([`SliceGate::wait_parked`], [`SliceGate::take_reply`],
+//! [`SliceGate::call`]) resume the worker's fiber until it answers;
+//! the worker's waits ([`SliceGate::next`], and [`SliceGate::tick`]
+//! with no fuel left) suspend it. A command reaches its worker
+//! together with its first slice ([`SliceGate::start`]), so running it
+//! costs one resume, up to [`Phase::Done`].
 //!
-//! Cooperative timeslicing works by blocking, not by unwinding: the
-//! worker thread runs its `Machine` normally, and the machine's
+//! Cooperative timeslicing works by suspending, not by unwinding: the
+//! worker runs its `Machine` normally, and the machine's
 //! [`es_core::Yield`] hook (installed per slot) calls
 //! [`SliceGate::tick`] at every `charge()`. Ticks burn slice fuel;
 //! when the fuel is gone the worker parks *in place* — arbitrarily
-//! deep in the evaluator — and the scheduler's
+//! deep in the evaluator, its frames kept on the fiber's stack — and
 //! [`SliceGate::wait_parked`] returns so the run loop can hand the
 //! baton to another slot. Exactly one side runs at any moment, which
 //! is what makes the served frames, and so the event log, replayable.
@@ -24,9 +28,11 @@
 //! uncatchable `EsError::Exit` — tenant code cannot catch its way out
 //! of a cancel the way it can catch a `limit` breach.
 
+use crate::fiber::Fiber;
 use crate::pool::{Reply, Request};
 use es_core::{Yield, YieldAction};
-use std::sync::{Condvar, Mutex};
+use std::cell::{Cell, OnceCell};
+use std::rc::Rc;
 
 /// Where the worker is, as observed through the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,33 +47,30 @@ pub enum Phase {
     Done,
 }
 
-#[derive(Debug)]
-struct GateState {
-    phase: Phase,
+/// The scheduler↔worker baton. One per pool slot, shared by `Rc` with
+/// the worker running on its fiber. Every field is a `Cell`, so no
+/// borrow is ever held across a switch between the two.
+pub struct SliceGate {
+    phase: Cell<Phase>,
     /// Charge ticks left in the granted slice.
-    fuel: u64,
+    fuel: Cell<u64>,
     /// When set, the next tick cancels the running command.
-    cancel: bool,
+    cancel: Cell<bool>,
     /// Set once, when the pool stops: the worker's next wait for a
-    /// request ends its thread.
-    shutdown: bool,
-    /// The worker thread has ended (shut down, or killed by a panic
-    /// outside the command boundary): nothing will answer any more.
-    exited: bool,
+    /// request ends it.
+    shutdown: Cell<bool>,
+    /// The worker has ended (shut down, or killed by a panic outside
+    /// the command boundary): nothing will answer any more.
+    exited: Cell<bool>,
     /// Slices granted since the gate was built (stats/fairness tests).
-    slices: u64,
+    slices: Cell<u64>,
     /// Posted by the scheduler, taken by the worker.
-    request: Option<Request>,
+    request: Cell<Option<Request>>,
     /// Posted by the worker with [`Phase::Done`], taken by the
     /// scheduler.
-    reply: Option<Reply>,
-}
-
-/// The scheduler↔worker baton. One per pool slot, shared by `Arc`.
-#[derive(Debug)]
-pub struct SliceGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
+    reply: Cell<Option<Reply>>,
+    /// The fiber the worker runs on ([`SliceGate::attach`]).
+    worker: OnceCell<Fiber>,
 }
 
 impl Default for SliceGate {
@@ -77,54 +80,61 @@ impl Default for SliceGate {
 }
 
 impl SliceGate {
-    /// A fresh gate in [`Phase::Idle`].
+    /// A fresh gate in [`Phase::Idle`], with no worker yet.
     pub fn new() -> SliceGate {
         SliceGate {
-            state: Mutex::new(GateState {
-                phase: Phase::Idle,
-                fuel: 0,
-                cancel: false,
-                shutdown: false,
-                exited: false,
-                slices: 0,
-                request: None,
-                reply: None,
-            }),
-            cv: Condvar::new(),
+            phase: Cell::new(Phase::Idle),
+            fuel: Cell::new(0),
+            cancel: Cell::new(false),
+            shutdown: Cell::new(false),
+            exited: Cell::new(false),
+            slices: Cell::new(0),
+            request: Cell::new(None),
+            reply: Cell::new(None),
+            worker: OnceCell::new(),
+        }
+    }
+
+    /// Gives the gate the fiber its worker runs on, and runs the worker
+    /// up to its first wait (a slot boots its machine here).
+    pub(crate) fn attach(&self, worker: Fiber) {
+        assert!(self.worker.set(worker).is_ok(), "one worker per gate");
+        self.resume_worker();
+    }
+
+    /// Runs the worker until it next waits; a worker that is gone (or
+    /// was never attached) counts as exited.
+    fn resume_worker(&self) {
+        match self.worker.get() {
+            Some(fiber) if !fiber.finished() => fiber.resume(),
+            _ => self.exited.set(true),
         }
     }
 
     // ---- scheduler side --------------------------------------------------
 
     /// Hands the worker `req` together with its first slice of `fuel`
-    /// charge ticks: one lock and one wake.
+    /// charge ticks; it runs at the next wait.
     pub fn start(&self, req: Request, fuel: u64) {
-        let mut s = self.state.lock().expect("gate lock");
-        s.slices += 1;
-        post(&mut s, req, fuel);
-        drop(s);
-        self.cv.notify_all();
+        self.slices.set(self.slices.get() + 1);
+        self.post(req, fuel);
     }
 
-    /// Posts `req` and blocks until the worker has answered it. For
+    /// Posts `req` and runs the worker until it has answered it. For
     /// requests that never tick (recycle, scrub), and for a command
     /// cancelled before its first slice: after [`SliceGate::cancel`],
     /// it unwinds at its first tick. `None` if the worker has exited.
     pub fn call(&self, req: Request) -> Option<Reply> {
-        post(&mut self.state.lock().expect("gate lock"), req, 0);
-        self.cv.notify_all();
+        self.post(req, 0);
         self.take_reply()
     }
 
     /// Grants a further timeslice of `fuel` charge ticks to a parked
-    /// worker and wakes it.
+    /// worker; it runs at the next wait.
     pub fn grant(&self, fuel: u64) {
-        let mut s = self.state.lock().expect("gate lock");
-        s.fuel = fuel;
-        s.phase = Phase::Running;
-        s.slices += 1;
-        drop(s);
-        self.cv.notify_all();
+        self.fuel.set(fuel);
+        self.phase.set(Phase::Running);
+        self.slices.set(self.slices.get() + 1);
     }
 
     /// Requests cancellation of the in-flight command and wakes a
@@ -133,55 +143,55 @@ impl SliceGate {
     /// (posting its reply and reaching [`Phase::Done`]) — the
     /// scheduler must keep waiting for that.
     pub fn cancel(&self) {
-        let mut s = self.state.lock().expect("gate lock");
-        s.cancel = true;
+        self.cancel.set(true);
         // Wake a parked worker; a running one notices at its next tick.
-        if s.phase == Phase::Parked {
-            s.phase = Phase::Running;
+        if self.phase.get() == Phase::Parked {
+            self.phase.set(Phase::Running);
         }
-        drop(s);
-        self.cv.notify_all();
     }
 
-    /// Stops the worker: cancels a parked command (which still ends in
-    /// [`Phase::Done`]) and makes [`SliceGate::next`] return `None`.
+    /// Stops the worker and runs its fiber to the end: a parked command
+    /// is cancelled (it still ends in [`Phase::Done`], its reply left
+    /// for [`SliceGate::take_reply`]) and [`SliceGate::next`] returns
+    /// `None`.
     pub fn shutdown(&self) {
-        self.state.lock().expect("gate lock").shutdown = true;
+        self.shutdown.set(true);
         self.cancel();
+        while !self.exited.get() {
+            self.resume_worker();
+        }
     }
 
-    /// Blocks until the worker either parks (slice exhausted) or
+    /// Runs the worker until it either parks (slice exhausted) or
     /// completes the request; returns the phase that ended the wait.
     /// A worker that has exited counts as done.
     pub fn wait_parked(&self) -> Phase {
-        let mut s = self.state.lock().expect("gate lock");
-        while !s.exited && s.phase != Phase::Parked && s.phase != Phase::Done {
-            s = self.cv.wait(s).expect("gate wait");
+        while !self.exited.get() && !matches!(self.phase.get(), Phase::Parked | Phase::Done) {
+            self.resume_worker();
         }
-        if s.exited {
+        if self.exited.get() {
             Phase::Done
         } else {
-            s.phase
+            self.phase.get()
         }
     }
 
-    /// Blocks until the worker completes the request, takes its reply,
+    /// Runs the worker until it completes the request, takes its reply,
     /// and resets the gate to [`Phase::Idle`] for the next request.
     /// `None` if the worker exited without answering.
     pub fn take_reply(&self) -> Option<Reply> {
-        let mut s = self.state.lock().expect("gate lock");
-        while !s.exited && s.phase != Phase::Done {
-            s = self.cv.wait(s).expect("gate wait");
+        while !self.exited.get() && self.phase.get() != Phase::Done {
+            self.resume_worker();
         }
-        s.phase = Phase::Idle;
-        s.cancel = false;
-        s.fuel = 0;
-        s.reply.take()
+        self.phase.set(Phase::Idle);
+        self.cancel.set(false);
+        self.fuel.set(0);
+        self.reply.take()
     }
 
     /// Slices granted so far (fairness assertions in tests).
     pub fn slices_granted(&self) -> u64 {
-        self.state.lock().expect("gate lock").slices
+        self.slices.get()
     }
 
     /// Whether cancellation was requested for the in-flight command.
@@ -189,79 +199,74 @@ impl SliceGate {
     /// running `exit 124` must not be mistaken for a server cancel, so
     /// classification never keys on the exit status alone.
     pub fn cancel_requested(&self) -> bool {
-        self.state.lock().expect("gate lock").cancel
+        self.cancel.get()
+    }
+
+    /// Deposits `req` with `fuel` ticks for the worker to take.
+    fn post(&self, req: Request, fuel: u64) {
+        debug_assert_eq!(
+            self.phase.get(),
+            Phase::Idle,
+            "one request at a time per slot"
+        );
+        self.request.set(Some(req));
+        self.fuel.set(fuel);
+        self.phase.set(Phase::Running);
     }
 
     // ---- worker side -----------------------------------------------------
 
     /// Waits for the next request; `None` once the gate is shut down.
     pub fn next(&self) -> Option<Request> {
-        let mut s = self.state.lock().expect("gate lock");
         loop {
-            if s.shutdown {
+            if self.shutdown.get() {
                 return None;
             }
-            if let Some(req) = s.request.take() {
+            if let Some(req) = self.request.take() {
                 return Some(req);
             }
-            s = self.cv.wait(s).expect("gate wait");
+            Fiber::suspend();
         }
     }
 
-    /// Marks the worker thread as ended and wakes the scheduler, so no
-    /// wait on this gate outlives it.
+    /// Marks the worker as ended, so no wait on this gate outlives it.
     pub fn exited(&self) {
-        self.state.lock().expect("gate lock").exited = true;
-        self.cv.notify_all();
+        self.exited.set(true);
     }
 
-    /// Posts the reply to the current request and wakes the scheduler.
+    /// Posts the reply to the current request.
     pub fn done(&self, reply: Reply) {
-        let mut s = self.state.lock().expect("gate lock");
-        s.reply = Some(reply);
-        s.phase = Phase::Done;
-        drop(s);
-        self.cv.notify_all();
+        self.reply.set(Some(reply));
+        self.phase.set(Phase::Done);
     }
 
     /// The per-charge tick: burn one unit of fuel, parking in place
     /// when the slice is spent, until the scheduler grants the next
     /// slice (or cancels).
     pub fn tick(&self) -> YieldAction {
-        let mut s = self.state.lock().expect("gate lock");
-        if s.cancel {
+        if self.cancel.get() {
             return YieldAction::Cancel;
         }
-        if s.fuel > 0 {
-            s.fuel -= 1;
+        let fuel = self.fuel.get();
+        if fuel > 0 {
+            self.fuel.set(fuel - 1);
             return YieldAction::Run;
         }
-        s.phase = Phase::Parked;
-        self.cv.notify_all();
-        while s.phase != Phase::Running {
-            s = self.cv.wait(s).expect("gate wait");
+        self.phase.set(Phase::Parked);
+        while self.phase.get() != Phase::Running {
+            Fiber::suspend();
         }
-        if s.cancel {
+        if self.cancel.get() {
             return YieldAction::Cancel;
         }
-        s.fuel = s.fuel.saturating_sub(1);
+        self.fuel.set(self.fuel.get().saturating_sub(1));
         YieldAction::Run
     }
 }
 
-/// Deposits `req` with `fuel` ticks for the worker to take; the caller
-/// wakes it once the lock is released, so the worker does not wake
-/// only to block on the mutex.
-fn post(s: &mut GateState, req: Request, fuel: u64) {
-    debug_assert_eq!(s.phase, Phase::Idle, "one request at a time per slot");
-    s.request = Some(req);
-    s.fuel = fuel;
-    s.phase = Phase::Running;
-}
-
 /// The `Rc`-able adapter a `Machine` holds: forwards its yield ticks
 /// to the slot's shared gate.
-pub struct GateYield(pub std::sync::Arc<SliceGate>);
+pub struct GateYield(pub Rc<SliceGate>);
 
 impl Yield for GateYield {
     fn tick(&self) -> YieldAction {
@@ -272,9 +277,8 @@ impl Yield for GateYield {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fiber::Stack;
     use crate::pool::{Outcome, ResetReport};
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
 
     fn run(cmd: &str) -> Request {
         Request::Run {
@@ -308,12 +312,24 @@ mod tests {
         }
     }
 
+    /// A gate whose worker is `body`, run on a stand-in fiber that
+    /// marks the gate exited when `body` returns, as a slot's does.
+    fn gate_with(body: impl FnOnce(&SliceGate) + 'static) -> Rc<SliceGate> {
+        let gate = Rc::new(SliceGate::new());
+        let g = Rc::clone(&gate);
+        let stack = Stack::new(256 << 10).expect("map a test stack");
+        gate.attach(Fiber::new(stack, move || {
+            body(&g);
+            g.exited();
+        }));
+        gate
+    }
+
     /// A stand-in slot worker: ticks through every `Run` until it is
     /// cancelled or has ticked `max_ticks` times, answers `Recycle`
     /// with a clean report, and returns once the gate shuts down.
-    fn worker(gate: &Arc<SliceGate>, max_ticks: u64) -> JoinHandle<()> {
-        let g = Arc::clone(gate);
-        std::thread::spawn(move || {
+    fn worker(max_ticks: u64) -> Rc<SliceGate> {
+        gate_with(move |g| {
             while let Some(req) = g.next() {
                 let reply = match req {
                     Request::Run { .. } => {
@@ -343,8 +359,7 @@ mod tests {
     /// it is done; the gate is then idle for the next command.
     #[test]
     fn start_park_grant_done() {
-        let gate = Arc::new(SliceGate::new());
-        let w = worker(&gate, 15);
+        let gate = worker(15);
         gate.start(run("first"), 10);
         assert_eq!(gate.wait_parked(), Phase::Parked);
         gate.grant(10);
@@ -359,7 +374,7 @@ mod tests {
         assert_eq!(outcome(gate.take_reply()).stdout, "15");
         assert_eq!(gate.slices_granted(), 3);
         gate.shutdown();
-        w.join().expect("worker joins");
+        assert!(gate.worker.get().is_some_and(Fiber::finished));
     }
 
     /// A parked command resumes on each grant; cancelling it wakes it,
@@ -367,8 +382,7 @@ mod tests {
     /// cancelled. The flag does not outlive the command.
     #[test]
     fn park_resume_cancel() {
-        let gate = Arc::new(SliceGate::new());
-        let w = worker(&gate, u64::MAX);
+        let gate = worker(u64::MAX);
         gate.start(run("spin"), 10);
         assert_eq!(gate.wait_parked(), Phase::Parked);
         gate.grant(5);
@@ -380,7 +394,7 @@ mod tests {
         gate.start(run("next"), 3);
         assert_eq!(gate.wait_parked(), Phase::Parked);
         gate.shutdown();
-        w.join().expect("worker joins");
+        assert!(gate.worker.get().is_some_and(Fiber::finished));
     }
 
     /// `call` hands over a synchronous request and returns its reply;
@@ -388,31 +402,30 @@ mod tests {
     /// unwinds at its first tick without granting a slice.
     #[test]
     fn call_answers_synchronously() {
-        let gate = Arc::new(SliceGate::new());
-        let w = worker(&gate, u64::MAX);
+        let gate = worker(u64::MAX);
         assert!(matches!(gate.call(Request::Recycle), Some(Reply::Recycled(r)) if r.clean()));
         gate.cancel();
         let o = outcome(gate.call(run("never ran")));
         assert_eq!((o.stdout.as_str(), o.cancelled), ("0", true));
         assert_eq!(gate.slices_granted(), 0);
         gate.shutdown();
-        w.join().expect("worker joins");
+        assert!(gate.worker.get().is_some_and(Fiber::finished));
     }
 
     /// Shutdown cancels a parked command, which still ends in `Done`
     /// with its reply; the worker's next wait for a request then ends.
     #[test]
     fn shutdown_while_parked() {
-        let gate = Arc::new(SliceGate::new());
-        let g = Arc::clone(&gate);
-        let w = std::thread::spawn(move || {
+        let ended = Rc::new(Cell::new(false));
+        let e = Rc::clone(&ended);
+        let gate = gate_with(move |g| {
             let req = g.next().expect("a request before shutdown");
             let mut ticks = 0;
             while g.tick() == YieldAction::Run {
                 ticks += 1;
             }
             g.done(ran(req, ticks, g.cancel_requested()));
-            g.next().is_none()
+            e.set(g.next().is_none());
         });
         gate.start(run("spin"), 4);
         assert_eq!(gate.wait_parked(), Phase::Parked);
@@ -420,33 +433,30 @@ mod tests {
         assert_eq!(gate.wait_parked(), Phase::Done);
         let o = outcome(gate.take_reply());
         assert_eq!((o.stdout.as_str(), o.cancelled), ("4", true));
-        assert!(w.join().expect("worker joins"), "next() after shutdown");
+        assert!(ended.get(), "next() after shutdown");
     }
 
     /// A worker that ends without answering (a panic outside the
     /// command boundary) releases every wait on its gate.
     #[test]
     fn exited_worker_answers_none() {
-        let gate = Arc::new(SliceGate::new());
-        let g = Arc::clone(&gate);
-        let w = std::thread::spawn(move || {
+        let gate = gate_with(|g| {
             let _ = g.next();
-            g.exited();
         });
         assert!(gate.call(Request::Scrub).is_none());
         gate.start(run("lost"), 10);
         assert_eq!(gate.wait_parked(), Phase::Done);
         assert!(gate.take_reply().is_none());
-        w.join().expect("worker joins");
+        assert!(gate.worker.get().is_some_and(Fiber::finished));
     }
 
     /// Shutdown wakes a worker waiting for its next request.
     #[test]
     fn shutdown_while_idle() {
-        let gate = Arc::new(SliceGate::new());
-        let g = Arc::clone(&gate);
-        let w = std::thread::spawn(move || g.next().is_none());
+        let ended = Rc::new(Cell::new(false));
+        let e = Rc::clone(&ended);
+        let gate = gate_with(move |g| e.set(g.next().is_none()));
         gate.shutdown();
-        assert!(w.join().expect("worker joins"));
+        assert!(ended.get());
     }
 }

@@ -5,12 +5,14 @@
 //! protocol ([`proto`]): spawn a session, feed it command lines,
 //! stream back its output, close it. Under the hood:
 //!
-//! - [`pool`] — a slab of recycled `Machine<SimOs>` slots, each behind
-//!   a dedicated worker thread (machines are `!Send`), with a reset
-//!   oracle proving zero state bleed between tenants.
+//! - [`pool`] — a slab of recycled `Machine<SimOs>` slots, each run by
+//!   a worker on its own fiber in the server's thread, with a
+//!   reset oracle proving zero state bleed between tenants.
 //! - [`gate`] — the cooperative timeslicing baton: workers park at the
 //!   interpreter's `charge()` seam when their slice is spent, so one
 //!   runaway `while {true} {}` cannot delay anyone else.
+//! - `fiber` — the stackful coroutines the workers run on: a parked
+//!   command keeps its evaluator frames on its fiber's stack.
 //! - [`server`] — admission control (high-water shedding with
 //!   exponential-backoff hints), baton scheduling, panic containment
 //!   at the slot boundary, and drain-mode shutdown.
@@ -19,6 +21,10 @@
 //!   event log (a length and a digest of every frame) must replay
 //!   identically.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+mod fiber;
 pub mod gate;
 pub mod pool;
 pub mod proto;

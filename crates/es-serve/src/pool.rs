@@ -1,15 +1,17 @@
-//! The slot pool: recycled `Machine` instances behind worker threads.
+//! The slot pool: recycled `Machine` instances, each run by a worker on
+//! a fiber of its own.
 //!
-//! A `Machine<SimOs>` is `!Send` (its heap is `Rc`-threaded), so each
-//! pool slot owns a dedicated worker thread that boots the machine
-//! once and keeps it for the slot's whole life. The scheduler never
-//! touches a machine directly — it hands the worker [`Request`]s and
-//! timeslices through the slot's [`SliceGate`], and takes [`Reply`]s
-//! back from it. Booting is the expensive part (parsing and running
-//! `initial.es`, importing the environment); recycling via
-//! [`es_core::Machine::recycle`] restores the frozen boot image in
-//! place, which is why a pooled session starts orders of magnitude
-//! faster than a cold one (measured in E14).
+//! Each pool slot's worker boots its machine once and keeps it for the
+//! slot's whole life. The worker runs on a fiber in the
+//! scheduler's thread, because a command stopped at a slice boundary
+//! keeps its evaluator frames on the worker's stack. The scheduler
+//! never touches a machine directly — it hands the worker
+//! [`Request`]s and timeslices through the slot's [`SliceGate`], and
+//! takes [`Reply`]s back from it. Booting is the expensive part
+//! (parsing and running `initial.es`, importing the environment);
+//! recycling via [`es_core::Machine::recycle`] restores the frozen
+//! boot image in place, which is why a pooled session starts orders
+//! of magnitude faster than a cold one (measured in E14).
 //!
 //! ## The reset oracle
 //!
@@ -32,13 +34,13 @@
 //! for one inode walk of its private copy. In builds with debug
 //! assertions every cached digest is checked against a fresh walk.
 
+use crate::fiber::{self, Fiber, Stack};
 use crate::gate::{GateYield, SliceGate};
 use es_core::Machine;
 use es_os::{Os, SimOs};
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Arc, Once};
-use std::thread::JoinHandle;
+use std::sync::Once;
 
 /// Background fault-injection intensity for sessions opened with a
 /// fault seed: roughly 1.2% of syscalls fail (`12/1024`), the same
@@ -53,7 +55,7 @@ pub const PANIC_PROBE: &str = "__es_serve_panic_probe__";
 /// a real fault.
 pub(crate) const PROBE_PANIC: &str = "injected probe panic";
 
-/// Stack size for slot worker threads. Slot workers interpret
+/// Stack size for slot worker fibers. Slot workers interpret
 /// recursive tenant code under the default depth-150 governor; 4 MiB
 /// clears that with room for the evaluator's own frames even in debug
 /// builds.
@@ -63,7 +65,7 @@ const WORKER_STACK: usize = 4 << 20;
 /// scrub), e.g. to seed `/bin` with scenario programs. Runs before
 /// `initial.es`, so whatever it installs is part of the boot image
 /// that `recycle()` restores.
-pub type OsSetup = Arc<dyn Fn(&mut SimOs) + Send + Sync>;
+pub type OsSetup = Rc<dyn Fn(&mut SimOs)>;
 
 /// What the scheduler asks a slot worker to do.
 #[derive(Debug)]
@@ -128,7 +130,7 @@ pub struct ResetReport {
 }
 
 impl ResetReport {
-    /// The report for a slot whose worker thread has ended: every
+    /// The report for a slot whose worker has ended: every
     /// check fails, so the slot leaves rotation.
     const WORKER_GONE: ResetReport = ResetReport {
         os_clean: false,
@@ -178,8 +180,7 @@ pub enum SlotState {
 }
 
 struct Slot {
-    gate: Arc<SliceGate>,
-    handle: Option<JoinHandle<()>>,
+    gate: Rc<SliceGate>,
     state: SlotState,
 }
 
@@ -188,20 +189,15 @@ pub struct Pool {
     slots: Vec<Slot>,
 }
 
-/// Thread-name prefix for slot workers; the quiet panic hook keys on
-/// it so injected panics don't spray backtraces over test output while
-/// every other thread's panics still report normally.
-const WORKER_PREFIX: &str = "es-serve-slot";
-
+/// Silences panics raised while a slot fiber runs, so injected panics
+/// don't spray backtraces over test output, while panics anywhere else
+/// still report normally.
 fn install_quiet_panics() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            let quiet = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(WORKER_PREFIX));
-            if !quiet {
+            if !fiber::in_fiber() {
                 prev(info);
             }
         }));
@@ -254,10 +250,10 @@ fn audit(m: &Machine<SimOs>, boot: &BootSnapshot) -> ResetReport {
     }
 }
 
-fn worker_main(gate: &Arc<SliceGate>, setup: Option<OsSetup>) {
+fn worker_main(gate: &Rc<SliceGate>, setup: Option<OsSetup>) {
     let mut m = boot_machine(&setup);
     let mut boot = snapshot(&m);
-    m.set_yielder(Some(Rc::new(GateYield(Arc::clone(gate)))));
+    m.set_yielder(Some(Rc::new(GateYield(Rc::clone(gate)))));
     while let Some(req) = gate.next() {
         let reply = match req {
             Request::Run {
@@ -284,7 +280,7 @@ fn worker_main(gate: &Arc<SliceGate>, setup: Option<OsSetup>) {
             Request::Scrub => {
                 m = boot_machine(&setup);
                 boot = snapshot(&m);
-                m.set_yielder(Some(Rc::new(GateYield(Arc::clone(gate)))));
+                m.set_yielder(Some(Rc::new(GateYield(Rc::clone(gate)))));
                 Reply::Scrubbed(audit(&m, &boot))
             }
         };
@@ -317,32 +313,29 @@ fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str) -> Outcome {
 }
 
 impl Pool {
-    /// Spawns `capacity` slot workers, each booting its machine
-    /// eagerly (the pool is warm by the time `new` returns the first
-    /// replies — workers boot in parallel on their own threads).
+    /// Starts `capacity` slot workers, each on its own fiber, and runs
+    /// each one until its machine has booted: the pool is warm when
+    /// `new` returns.
     pub fn new(capacity: usize, setup: Option<OsSetup>) -> Pool {
         install_quiet_panics();
-        let mut slots = Vec::with_capacity(capacity);
-        for i in 0..capacity {
-            let gate = Arc::new(SliceGate::new());
-            let g = Arc::clone(&gate);
-            let s = setup.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("{WORKER_PREFIX}-{i}"))
-                .stack_size(WORKER_STACK)
-                .spawn(move || {
+        let slots = (0..capacity)
+            .map(|_| {
+                let gate = Rc::new(SliceGate::new());
+                let g = Rc::clone(&gate);
+                let s = setup.clone();
+                let stack = Stack::new(WORKER_STACK).expect("map a slot worker stack");
+                gate.attach(Fiber::new(stack, move || {
                     // A panic outside the command boundary (a failed
                     // boot) ends the worker; its gate must still answer.
                     let _ = panic::catch_unwind(AssertUnwindSafe(|| worker_main(&g, s)));
                     g.exited();
-                })
-                .expect("spawn slot worker");
-            slots.push(Slot {
-                gate,
-                handle: Some(handle),
-                state: SlotState::Free,
-            });
-        }
+                }));
+                Slot {
+                    gate,
+                    state: SlotState::Free,
+                }
+            })
+            .collect();
         Pool { slots }
     }
 
@@ -362,7 +355,7 @@ impl Pool {
     }
 
     /// The slot's scheduler↔worker gate.
-    pub fn gate(&self, idx: usize) -> &Arc<SliceGate> {
+    pub fn gate(&self, idx: usize) -> &Rc<SliceGate> {
         &self.slots[idx].gate
     }
 
@@ -411,15 +404,11 @@ impl Pool {
     }
 
     /// Stops every worker. A parked command is cancelled (the gate
-    /// wakes it with the cancel flag set) and threads are joined.
+    /// wakes it with the cancel flag set), and each worker's fiber runs
+    /// to its end, so its stack is freed with the slot.
     pub fn shutdown(&mut self) {
         for slot in &self.slots {
             slot.gate.shutdown();
-        }
-        for slot in &mut self.slots {
-            if let Some(h) = slot.handle.take() {
-                let _ = h.join();
-            }
         }
     }
 }

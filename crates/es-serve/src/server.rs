@@ -4,12 +4,11 @@
 //! The server is deliberately *caller-driven*: [`Server::feed`]
 //! consumes one client frame and returns any immediate responses;
 //! [`Server::pump`] advances execution by up to `max_slices` baton
-//! grants and returns whatever frames that produced. No hidden
-//! threads make scheduling decisions — the only threads are the slot
-//! workers, and exactly one of them runs at any moment (the baton),
-//! which makes the whole serving path deterministic: the same frame
-//! sequence fed through the same pump cadence consumes and emits the
-//! same bytes. The server keeps only an [`EventLog`] of those bytes (a
+//! grants and returns whatever frames that produced. Everything runs
+//! in the caller's thread: each slot worker runs on a fiber there, and
+//! exactly one of them runs at any moment (the baton), which makes the
+//! whole serving path deterministic: the same frame sequence fed
+//! through the same pump cadence consumes and emits the same bytes. The server keeps only an [`EventLog`] of those bytes (a
 //! length and a digest, O(1) however long it runs), which the soak
 //! suite's replay oracle compares between two runs.
 //!
@@ -331,8 +330,8 @@ impl Server {
         };
         let mut panicked = false;
         if sess.running {
-            let outcome = self.cancel_and_reap(&mut sess);
-            self.emit_console(sid, &outcome, out);
+            let mut outcome = self.cancel_and_reap(&mut sess);
+            self.emit_console(sid, &mut outcome, out);
             let (class, detail) = match outcome.panic {
                 Some(msg) => (FaultClass::Panic, msg),
                 None => {
@@ -412,8 +411,8 @@ impl Server {
                     // Deadline: cancel this straggler instead of
                     // granting another slice.
                     let mut sess = self.sessions.remove(&sid).expect("session exists");
-                    let outcome = self.cancel_and_reap(&mut sess);
-                    self.emit_console(sid, &outcome, &mut out);
+                    let mut outcome = self.cancel_and_reap(&mut sess);
+                    self.emit_console(sid, &mut outcome, &mut out);
                     self.stats.cancelled += 1;
                     self.drain_cancelled += 1;
                     out.push(Frame::Fault {
@@ -464,8 +463,8 @@ impl Server {
         }
     }
 
-    fn finish_command(&mut self, sid: u64, outcome: Outcome, out: &mut Vec<Frame>) {
-        self.emit_console(sid, &outcome, out);
+    fn finish_command(&mut self, sid: u64, mut outcome: Outcome, out: &mut Vec<Frame>) {
+        self.emit_console(sid, &mut outcome, out);
         if let Some(msg) = &outcome.panic {
             let sess = self.sessions.remove(&sid).expect("session exists");
             out.push(Frame::Fault {
@@ -503,17 +502,21 @@ impl Server {
         s.running = false;
     }
 
-    fn emit_console(&self, sid: u64, outcome: &Outcome, out: &mut Vec<Frame>) {
-        if !outcome.stdout.is_empty() {
+    /// Moves the command's console output out of `outcome` into `Out`
+    /// and `Err` frames, one each when non-empty.
+    fn emit_console(&self, sid: u64, outcome: &mut Outcome, out: &mut Vec<Frame>) {
+        let stdout = std::mem::take(&mut outcome.stdout);
+        if !stdout.is_empty() {
             out.push(Frame::Out {
                 sid,
-                bytes: outcome.stdout.clone().into_bytes(),
+                bytes: stdout.into_bytes(),
             });
         }
-        if !outcome.stderr.is_empty() {
+        let stderr = std::mem::take(&mut outcome.stderr);
+        if !stderr.is_empty() {
             out.push(Frame::Err {
                 sid,
-                bytes: outcome.stderr.clone().into_bytes(),
+                bytes: stderr.into_bytes(),
             });
         }
     }

@@ -3,7 +3,10 @@
 
 use es_serve::proto::{FaultClass, Frame};
 use es_serve::server::{ServeConfig, Server};
-use es_serve::PANIC_PROBE;
+use es_os::SimOs;
+use es_serve::{SlotState, PANIC_PROBE};
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn cfg(capacity: usize, high_water: usize) -> ServeConfig {
     ServeConfig {
@@ -251,6 +254,60 @@ fn panic_is_contained_to_its_slot() {
     line(&mut server, again, "echo reused");
     let frames = pump_all(&mut server);
     assert_eq!(stdout_of(&frames, again), "reused\n");
+}
+
+/// A `%pathsearch` that names an unbound command loops through
+/// itself: the tenant gets an ordinary failed command ("function
+/// definition loop") instead of the server dying when the slot's stack
+/// runs out, and the next session on the server runs normally.
+#[test]
+fn pathsearch_loop_fails_the_command_not_the_server() {
+    let mut server = Server::new(cfg(1, 1));
+    let sid = open(&mut server);
+    line(&mut server, sid, "fn-%pathsearch = nosuch; nosuch2");
+    let frames = pump_all(&mut server);
+    let dones = dones_of(&frames, sid);
+    assert_eq!(dones.len(), 1, "{frames:?}");
+    assert!(!dones[0].0, "the command failed: {dones:?}");
+    assert!(dones[0].1.contains("function definition loop"), "{dones:?}");
+    assert_eq!(server.feed(Frame::Close { sid }), vec![Frame::Closed { sid }]);
+    let next = open(&mut server);
+    line(&mut server, next, "echo next tenant | tr a-z A-Z");
+    let frames = pump_all(&mut server);
+    assert_eq!(stdout_of(&frames, next), "NEXT TENANT\n");
+    assert_eq!(dones_of(&frames, next), vec![(true, "0".into())]);
+    assert_eq!(server.stats().oracle_violations, 0);
+}
+
+/// A worker that dies outside the command boundary (here the fresh
+/// boot of its scrub panics) answers nothing more: the scrub reports
+/// every check failed, the slot is retired, and the server goes on
+/// serving from its other slot.
+#[test]
+fn worker_that_dies_in_its_scrub_is_retired() {
+    let boots = Rc::new(Cell::new(0));
+    let b = Rc::clone(&boots);
+    let mut server = Server::new(ServeConfig {
+        os_setup: Some(Rc::new(move |_: &mut SimOs| {
+            b.set(b.get() + 1);
+            assert!(b.get() <= 2, "only the pool's first boots succeed");
+        })),
+        ..cfg(2, 2)
+    });
+    let victim = open(&mut server);
+    line(&mut server, victim, PANIC_PROBE);
+    let frames = pump_all(&mut server);
+    assert!(frames.iter().any(|f| matches!(f, Frame::Closed { sid } if *sid == victim)));
+    assert_eq!(boots.get(), 3, "the scrub booted once more");
+    assert_eq!(server.pool().state(0), SlotState::Retired);
+    let stats = server.stats();
+    assert_eq!((stats.panics, stats.scrubs, stats.retired), (1, 1, 1));
+    assert_eq!(stats.oracle_violations, 1, "the lost worker audits dirty");
+    let next = open(&mut server);
+    line(&mut server, next, "echo still serving");
+    let frames = pump_all(&mut server);
+    assert_eq!(stdout_of(&frames, next), "still serving\n");
+    assert_eq!(server.pool().state(1), SlotState::Leased);
 }
 
 /// Admission control: opens beyond the high-water mark are shed with
