@@ -1,7 +1,7 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz conform-check soak soak-limits serve-soak lint bench-check counts counts-check bench bench-eval bench-serve clean
+.PHONY: all build test conform fuzz conform-check soak soak-limits serve-soak lint bench-check counts counts-check bench bench-eval bench-serve bench-front-end clean
 
 all: build test conform-check serve-soak lint bench-check counts-check
 
@@ -101,6 +101,12 @@ bench-eval:
 # 1k and 10k sessions; writes BENCH_serve.json at the repo root.
 bench-serve:
 	cargo bench -p es-bench --bench e14_serve
+
+# E17 — the front end alone: parse, lower and drop per line and per
+# byte (with mallocs per line) on initial.es and on lines shaped like
+# perfbench's script and serve pools.
+bench-front-end:
+	cargo bench -p es-bench --bench e17_front_end
 
 clean:
 	cargo clean

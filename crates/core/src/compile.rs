@@ -316,7 +316,7 @@ fn compile_node_frame(node: &Node, frame: &[Option<String>]) -> Vec<Op> {
 
 fn compile_bind_name(expr: &Expr) -> BindName {
     match expr {
-        Expr::Word(w) if !w.has_live_glob() => BindName::Static(w.text().into_owned()),
+        Expr::Word(w) if !w.has_live_glob() => BindName::Static(w.text().to_string()),
         other => BindName::Dyn(other.clone()),
     }
 }
@@ -327,7 +327,7 @@ fn compile_expr(expr: &Expr, glob: bool, frame: &[Option<String>]) -> ArgC {
             if glob && w.has_live_glob() {
                 ArgC::Glob(w.clone())
             } else {
-                ArgC::Word(w.text().into_owned())
+                ArgC::Word(w.text().to_string())
             }
         }
         Expr::Var(target) => {
@@ -340,7 +340,7 @@ fn compile_expr(expr: &Expr, glob: bool, frame: &[Option<String>]) -> ArgC {
                         for (hops, entry) in frame.iter().enumerate() {
                             match entry {
                                 Some(n) if *n == name => {
-                                    return ArgC::Slot { hops, name: name.into_owned() };
+                                    return ArgC::Slot { hops, name: name.to_string() };
                                 }
                                 Some(_) => continue,
                                 // A computed name may shadow anything

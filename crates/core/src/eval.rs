@@ -274,14 +274,14 @@ fn eval_match<O: Os + Clone>(
 /// A `~` pattern.
 enum MatchPattern<'e> {
     /// A word with no live metacharacter: its text, compared as is.
-    Literal(Cow<'e, str>),
+    Literal(&'e str),
     Glob(Pattern),
 }
 
 impl MatchPattern<'_> {
     fn matches(&self, subject: &str) -> bool {
         match self {
-            MatchPattern::Literal(text) => text == subject,
+            MatchPattern::Literal(text) => *text == subject,
             MatchPattern::Glob(pattern) => pattern.matches(subject),
         }
     }
@@ -350,7 +350,7 @@ fn names<'e, O: Os + Clone>(
     env: RootSlot,
 ) -> EsResult<Names<'e>> {
     if let Expr::Word(w) = expr {
-        return Ok(Names::Literal(w.text()));
+        return Ok(Names::Literal(Cow::Borrowed(w.text())));
     }
     let base = m.heap.roots_len();
     let slot = eval_expr_rooted(m, expr, env, false)?;
@@ -458,7 +458,7 @@ pub fn eval_exprs<O: Os + Clone>(
     let mut b = ListBuilder::new(&mut m.heap);
     for (i, e) in exprs.iter().enumerate() {
         match e {
-            Expr::Word(w) if !(glob && w.has_live_glob()) => b.push_str(&mut m.heap, &w.text()),
+            Expr::Word(w) if !(glob && w.has_live_glob()) => b.push_str(&mut m.heap, w.text()),
             Expr::Prim(name) => b.push_str(&mut m.heap, NameBuf::new(&["$&", name]).as_str()),
             _ => {
                 let list = eval_expr(m, e, env, glob)?;
@@ -497,7 +497,7 @@ pub fn eval_expr<O: Os + Clone>(
             if glob && w.has_live_glob() {
                 glob_word(m, w, env)
             } else {
-                Ok(value::list_from_strs(&mut m.heap, &[&w.text()]))
+                Ok(value::list_from_strs(&mut m.heap, &[w.text()]))
             }
         }
         Expr::Var(target) => var_value(m, target, env),
@@ -1024,14 +1024,14 @@ pub(crate) fn glob_word<O: Os + Clone>(
     w: &Word,
     env: RootSlot,
 ) -> EsResult<Ref> {
-    if let Some(out) = call_hook(m, "%glob", &w.text(), env, 0)? {
+    if let Some(out) = call_hook(m, "%glob", w.text(), env, 0)? {
         return Ok(out);
     }
     let matches = glob_expand(m, w);
     if matches.is_empty() {
         // No match: the pattern stands for itself, as in the Bourne
         // shell.
-        Ok(value::list_from_strs(&mut m.heap, &[&w.text()]))
+        Ok(value::list_from_strs(&mut m.heap, &[w.text()]))
     } else {
         let refs: Vec<&str> = matches.iter().map(String::as_str).collect();
         Ok(value::list_from_strs(&mut m.heap, &refs))
@@ -1043,15 +1043,15 @@ pub(crate) fn glob_word<O: Os + Clone>(
 /// spells it, and matches come back sorted (directory order is
 /// already sorted by the kernel).
 pub fn glob_expand<O: Os + Clone>(m: &mut Machine<O>, word: &Word) -> Vec<String> {
-    // Split into path components on unquoted `/`.
-    let mut components: Vec<Vec<(String, bool)>> = vec![Vec::new()];
-    for seg in &word.segs {
-        let mut rest = seg.text.as_str();
-        if seg.quoted {
+    // Split into path components on unquoted `/`; each component's
+    // segments borrow the word's text.
+    let mut components: Vec<Vec<(&str, bool)>> = vec![Vec::new()];
+    for (mut rest, quoted) in word.segments() {
+        if quoted {
             components
                 .last_mut()
                 .expect("components never empty")
-                .push((rest.to_string(), true));
+                .push((rest, true));
             continue;
         }
         while let Some(i) = rest.find('/') {
@@ -1060,7 +1060,7 @@ pub fn glob_expand<O: Os + Clone>(m: &mut Machine<O>, word: &Word) -> Vec<String
                 components
                     .last_mut()
                     .expect("components never empty")
-                    .push((before.to_string(), false));
+                    .push((before, false));
             }
             components.push(Vec::new());
             rest = &after[1..];
@@ -1069,7 +1069,7 @@ pub fn glob_expand<O: Os + Clone>(m: &mut Machine<O>, word: &Word) -> Vec<String
             components
                 .last_mut()
                 .expect("components never empty")
-                .push((rest.to_string(), false));
+                .push((rest, false));
         }
     }
     let absolute = word.text().starts_with('/');
@@ -1085,11 +1085,7 @@ pub fn glob_expand<O: Os + Clone>(m: &mut Machine<O>, word: &Word) -> Vec<String
         if comp.is_empty() {
             continue;
         }
-        let seg_refs: Vec<(&str, bool)> = comp
-            .iter()
-            .map(|(t, q)| (t.as_str(), *q))
-            .collect();
-        let pattern = Pattern::from_segments(&seg_refs);
+        let pattern = Pattern::from_segments(comp);
         let literal_dot = comp
             .first()
             .map(|(t, _)| t.starts_with('.'))

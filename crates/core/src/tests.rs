@@ -40,6 +40,14 @@ fn echo_builtin() {
 }
 
 #[test]
+fn backslash_is_an_ordinary_character() {
+    let mut m = machine();
+    assert_eq!(output(&mut m, "echo a\\b \\ c\\"), "a\\b \\ c\\\n");
+    // Backslash-newline is still a continuation.
+    assert_eq!(output(&mut m, "echo a \\\n b"), "a b\n");
+}
+
+#[test]
 fn external_commands_run() {
     let mut m = machine();
     assert_eq!(output(&mut m, "/bin/echo direct"), "direct\n");

@@ -207,12 +207,37 @@ fn matches_and_concatenations_make_no_malloc_per_word() {
     }
 }
 
-/// Lexing makes one string per word and the parser moves it into the
-/// tree, so this count changes only with the front end's data layout.
+/// Lexing makes one string per word, the parser moves it into the
+/// tree, and lowering works in place, so this count changes only with
+/// the front end's data layout.
 #[test]
 fn parse_and_lower_mallocs_are_pinned() {
     let words: Vec<String> = (1..32).map(|i| format!("w{i}")).collect();
     let line = format!("echo {}", words.join(" "));
     assert_eq!(line.split(' ').count(), 32);
-    assert_eq!(front_end_mallocs(&line), 77);
+    assert_eq!(front_end_mallocs(&line), 37);
+}
+
+/// A word keeps its quoted byte ranges beside its one string, the
+/// first range inline, so quoting a word costs no malloc.
+#[test]
+fn quoting_costs_no_malloc() {
+    let bare: Vec<String> = (0..32).map(|i| format!("w{i}")).collect();
+    let quoted: Vec<&str> = (0..32)
+        .map(|i| if i % 2 == 0 { "'a''b'c" } else { "x'y'" })
+        .collect();
+    assert_eq!(
+        front_end_mallocs(&quoted.join(" ")),
+        front_end_mallocs(&bare.join(" ")),
+        "32 words with quoting vs 32 bare words"
+    );
+}
+
+/// `lower` rewrites only surface nodes; a core tree (here nested
+/// `let`/`local`, `<>{}` and lambdas) is walked in place.
+#[test]
+fn lowering_a_core_tree_makes_no_malloc() {
+    let src = "let (a = <>{b}) { local (c = @ x { let (d = e) { <>{f $x} } }) { g {h}; i } }";
+    let core = lower(parse_program(src).expect("line parses"));
+    assert_eq!(counted(|| drop(black_box(lower(core)))), 0);
 }

@@ -279,6 +279,26 @@ fn pathsearch_loop_fails_the_command_not_the_server() {
     assert_eq!(server.stats().oracle_violations, 0);
 }
 
+/// A backslash not followed by a newline is an ordinary word
+/// character, so a tenant's line holding one lexes like any other (it
+/// once made the lexer loop forever on the server's thread).
+#[test]
+fn lone_backslash_line_runs_and_the_server_goes_on() {
+    let mut server = Server::new(cfg(1, 1));
+    let sid = open(&mut server);
+    line(&mut server, sid, "echo a\\b");
+    let frames = pump_all(&mut server);
+    assert_eq!(stdout_of(&frames, sid), "a\\b\n");
+    assert_eq!(dones_of(&frames, sid), vec![(true, "0".into())]);
+    assert_eq!(server.feed(Frame::Close { sid }), vec![Frame::Closed { sid }]);
+    let next = open(&mut server);
+    line(&mut server, next, "echo next tenant | tr a-z A-Z");
+    let frames = pump_all(&mut server);
+    assert_eq!(stdout_of(&frames, next), "NEXT TENANT\n");
+    assert_eq!(dones_of(&frames, next), vec![(true, "0".into())]);
+    assert_eq!(server.stats().oracle_violations, 0);
+}
+
 /// A worker that dies outside the command boundary (here the fresh
 /// boot of its scrub panics) answers nothing more: the scrub reports
 /// every check failed, the slot is retired, and the server goes on

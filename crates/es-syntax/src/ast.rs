@@ -6,67 +6,136 @@
 //! bindings, matches). The evaluator rejects surface nodes, which
 //! keeps the sugar→core boundary honest.
 
-use std::borrow::Cow;
 use std::rc::Rc;
 
-/// One quoting segment of a word: `quoted` text contributes no live
-/// glob metacharacters and never triggers expansion.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Seg {
-    /// The literal text.
-    pub text: String,
-    /// True if the segment came from inside `'...'`.
-    pub quoted: bool,
-}
-
-/// A (possibly partially quoted) word.
+/// A (possibly partially quoted) word: its text, and the byte ranges
+/// of that text that came from inside `'...'`. Quoted text contributes
+/// no live glob metacharacters and never triggers expansion.
+///
+/// The ranges are sorted and never touch one another (a quote right
+/// after a closing quote is a literal `''`, so two quoted runs cannot
+/// meet). An empty range marks a `''`. A word has one allocation, its
+/// string: an unquoted word has no ranges, and a word with one quoted
+/// run keeps it inline.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Word {
-    /// The quoting segments, in order.
-    pub segs: Vec<Seg>,
+    pub(crate) text: String,
+    pub(crate) quoted: Quoted,
+}
+
+/// The quoted byte ranges of a [`Word`], in order. Nearly every quoted
+/// word has one, so one is kept inline; only a word with two or more
+/// quoted runs (`'a'b'c'`) allocates a `Vec`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+pub(crate) enum Quoted {
+    #[default]
+    None,
+    One((u32, u32)),
+    Many(Vec<(u32, u32)>),
+}
+
+impl Quoted {
+    fn as_slice(&self) -> &[(u32, u32)] {
+        match self {
+            Quoted::None => &[],
+            Quoted::One(r) => std::slice::from_ref(r),
+            Quoted::Many(v) => v,
+        }
+    }
+
+    /// Appends a range after every range held.
+    pub(crate) fn push(&mut self, r: (u32, u32)) {
+        match self {
+            Quoted::None => *self = Quoted::One(r),
+            Quoted::One(first) => *self = Quoted::Many(vec![*first, r]),
+            Quoted::Many(v) => v.push(r),
+        }
+    }
 }
 
 impl Word {
     /// An unquoted word.
     pub fn bare(text: impl Into<String>) -> Word {
         Word {
-            segs: vec![Seg {
-                text: text.into(),
-                quoted: false,
-            }],
+            text: text.into(),
+            quoted: Quoted::None,
         }
     }
 
     /// A fully quoted word (no live metacharacters).
     pub fn quoted(text: impl Into<String>) -> Word {
-        Word {
-            segs: vec![Seg {
-                text: text.into(),
-                quoted: true,
-            }],
-        }
+        let text = text.into();
+        let len = u32::try_from(text.len()).expect("a word is shorter than 4 GiB");
+        let quoted = Quoted::One((0, len));
+        Word { text, quoted }
     }
 
-    /// The flattened text, ignoring quoting. Borrowed for a
-    /// one-segment word (every unquoted word); only a word that quoting
-    /// split into segments is joined into a new string.
-    pub fn text(&self) -> Cow<'_, str> {
-        match self.segs.as_slice() {
-            [one] => Cow::Borrowed(&one.text),
-            segs => Cow::Owned(segs.iter().map(|s| s.text.as_str()).collect()),
-        }
+    /// The text, ignoring quoting.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The text, moved out.
+    pub fn into_text(self) -> String {
+        self.text
+    }
+
+    /// True if no part of the word was quoted.
+    pub fn is_bare(&self) -> bool {
+        self.quoted == Quoted::None
+    }
+
+    /// The quoting segments in order, as `(text, quoted)`: the runs
+    /// between quoted ranges (never empty) and every quoted range
+    /// (empty for `''`).
+    pub fn segments(&self) -> impl Iterator<Item = (&str, bool)> {
+        let text = self.text.as_str();
+        let ranges = self.quoted.as_slice();
+        let tail = ranges.last().map_or(0, |&(_, b)| b as usize);
+        let mut at = 0;
+        ranges
+            .iter()
+            .flat_map(move |&(a, b)| {
+                let (a, b) = (a as usize, b as usize);
+                let plain = (a > at).then(|| (&text[at..a], false));
+                at = b;
+                plain
+                    .into_iter()
+                    .chain(std::iter::once((&text[a..b], true)))
+            })
+            .chain((tail < text.len()).then(|| (&text[tail..], false)))
     }
 
     /// True if any unquoted segment contains a glob metacharacter.
     pub fn has_live_glob(&self) -> bool {
-        self.segs
-            .iter()
-            .any(|s| !s.quoted && s.text.contains(['*', '?', '[']))
+        self.segments()
+            .any(|(text, quoted)| !quoted && text.contains(['*', '?', '[']))
     }
 
     /// Segment view for the pattern compiler.
     pub fn seg_refs(&self) -> Vec<(&str, bool)> {
-        self.segs.iter().map(|s| (s.text.as_str(), s.quoted)).collect()
+        self.segments().collect()
+    }
+
+    /// The byte offset where the first quoted range starts, if any.
+    pub(crate) fn quoted_start(&self) -> Option<usize> {
+        self.quoted.as_slice().first().map(|&(a, _)| a as usize)
+    }
+
+    /// Splits the word at byte `at`, which must not fall inside a
+    /// quoted range: `self` keeps the text before it, and the rest is
+    /// returned with its quoted ranges.
+    pub(crate) fn split_off(&mut self, at: usize) -> Word {
+        let mut rest = Word::bare(self.text.split_off(at));
+        let at = at as u32;
+        for &(a, b) in std::mem::take(&mut self.quoted).as_slice() {
+            if a < at {
+                self.quoted.push((a, b));
+            } else {
+                rest.quoted.push((a - at, b - at));
+            }
+        }
+        rest
     }
 }
 

@@ -3,8 +3,9 @@
 //! Notable rules inherited from rc/es:
 //!
 //! * `'...'` quotes everything; a doubled `''` inside is a literal
-//!   quote. There are no double quotes and backslash is not an escape
-//!   (except that `\` + newline is a continuation).
+//!   quote. There are no double quotes and backslash is not an escape:
+//!   a `\` is an ordinary word character, except that `\` + newline is
+//!   a continuation (it ends a word and reads as a space).
 //! * `#` starts a comment to end of line.
 //! * `=` is special (so `x=foo` lexes as three tokens, which is how
 //!   the paper can write `es> x=foo bar`).
@@ -12,7 +13,15 @@
 //!   token records whether whitespace preceded it.
 //! * `~ ! @` are operators when they begin a token (`!cmd`, `!~`);
 //!   mid-word they are ordinary characters (`a~b` is one word).
+//!
+//! The lexer scans bytes. Every special character is ASCII, so a run
+//! of word bytes always ends on a char boundary, and the bytes of a
+//! non-ASCII char (all `>= 0x80`) are word bytes. Each run of a word,
+//! quoted or not, is copied into the word's one string with a single
+//! `push_str` of the source slice, and token positions are byte
+//! offsets.
 
+use crate::ast::Word;
 use std::fmt;
 
 /// A redirection operator token.
@@ -35,8 +44,8 @@ pub enum RedirOp {
 /// One token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tok {
-    /// A word with quoting segments: `(text, quoted)` pairs.
-    Word(Vec<(String, bool)>),
+    /// A word, as the tree holds it.
+    Word(Word),
     /// `$`
     Dollar,
     /// `$#`
@@ -88,10 +97,7 @@ pub enum Tok {
 impl fmt::Display for Tok {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Tok::Word(segs) => {
-                let text: String = segs.iter().map(|(t, _)| t.as_str()).collect();
-                write!(f, "word `{text}`")
-            }
+            Tok::Word(w) => write!(f, "word `{}`", w.text()),
             Tok::Dollar => write!(f, "`$`"),
             Tok::DollarCount => write!(f, "`$#`"),
             Tok::DollarFlat => write!(f, "`$^`"),
@@ -139,94 +145,156 @@ pub struct LexError {
     pub incomplete: bool,
 }
 
-const SPECIAL: &str = " \t\n#;&|^$=`'{}()<>!@~\\";
+/// How a byte reads in a word.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Part of a plain word: every byte `>= 0x80` too, and `\r`, which
+    /// reads as space only where a token would start.
+    Word,
+    /// Ends a word: whitespace, operators, quotes, comments.
+    Special,
+    /// `~ ! @`: an operator at the start of a token, a word byte inside
+    /// a word.
+    Inner,
+    /// `\`: a word byte, unless a newline follows (a continuation).
+    Backslash,
+}
 
-/// True for characters that may appear in plain words.
-pub fn is_word_char(c: char) -> bool {
-    !SPECIAL.contains(c)
+/// The class of each byte.
+static CLASS: [Class; 256] = {
+    let mut t = [Class::Word; 256];
+    let special = b" \t\n#;&|^$=`'{}()<>";
+    let mut i = 0;
+    while i < special.len() {
+        t[special[i] as usize] = Class::Special;
+        i += 1;
+    }
+    t[b'~' as usize] = Class::Inner;
+    t[b'!' as usize] = Class::Inner;
+    t[b'@' as usize] = Class::Inner;
+    t[b'\\' as usize] = Class::Backslash;
+    t
+};
+
+/// True if `b[i]` can start a plain word run: a word byte, or a `\`
+/// that does not begin a continuation.
+fn starts_word(b: &[u8], i: usize) -> bool {
+    match b.get(i).map(|&c| CLASS[c as usize]) {
+        Some(Class::Word) => true,
+        Some(Class::Backslash) => b.get(i + 1) != Some(&b'\n'),
+        _ => false,
+    }
+}
+
+/// The end of the plain run starting at `b[i]`: word bytes, `~ ! @`,
+/// and `\` not followed by a newline.
+fn word_run(b: &[u8], mut i: usize) -> usize {
+    while let Some(&c) = b.get(i) {
+        match CLASS[c as usize] {
+            Class::Word | Class::Inner => i += 1,
+            Class::Backslash if b.get(i + 1) != Some(&b'\n') => i += 1,
+            _ => break,
+        }
+    }
+    i
 }
 
 /// Splits `src` into tokens.
 pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut out = Vec::new();
+    // A word's quoted ranges are `u32` byte offsets.
+    if u32::try_from(src.len()).is_err() {
+        return Err(LexError {
+            msg: "input longer than 4 GiB".into(),
+            incomplete: false,
+        });
+    }
+    let b = src.as_bytes();
+    // A token and its spacing take 2 to 6 bytes of a typical line, so
+    // this holds most lines' tokens in one allocation.
+    let mut out = Vec::with_capacity(b.len() / 3 + 2);
     let mut i = 0usize;
     let mut space = true;
-    while i < chars.len() {
-        let c = chars[i];
+    while i < b.len() {
+        let c = b[i];
         // Whitespace and comments.
-        if c == ' ' || c == '\t' || c == '\r' {
+        if c == b' ' || c == b'\t' || c == b'\r' {
             i += 1;
             space = true;
             continue;
         }
-        if c == '\\' && chars.get(i + 1) == Some(&'\n') {
+        if c == b'\\' && b.get(i + 1) == Some(&b'\n') {
             i += 2;
             space = true;
             continue;
         }
-        if c == '#' {
-            while i < chars.len() && chars[i] != '\n' {
-                i += 1;
-            }
+        if c == b'#' {
+            i = b[i..]
+                .iter()
+                .position(|&c| c == b'\n')
+                .map_or(b.len(), |n| i + n);
             continue;
         }
         let pos = i;
         let push = |out: &mut Vec<Token>, tok: Tok, space: bool| {
-            out.push(Token { tok, space_before: space, pos });
+            out.push(Token {
+                tok,
+                space_before: space,
+                pos,
+            });
         };
+        let next = b.get(i + 1).copied();
         match c {
-            '\n' => {
+            b'\n' => {
                 push(&mut out, Tok::Newline, space);
                 i += 1;
                 space = true;
                 continue;
             }
-            ';' => {
+            b';' => {
                 push(&mut out, Tok::Semi, space);
                 i += 1;
             }
-            '(' => {
+            b'(' => {
                 push(&mut out, Tok::LParen, space);
                 i += 1;
             }
-            ')' => {
+            b')' => {
                 push(&mut out, Tok::RParen, space);
                 i += 1;
             }
-            '{' => {
+            b'{' => {
                 push(&mut out, Tok::LBrace, space);
                 i += 1;
             }
-            '}' => {
+            b'}' => {
                 push(&mut out, Tok::RBrace, space);
                 i += 1;
             }
-            '=' => {
+            b'=' => {
                 // A single `=` is the assignment operator; runs like
                 // `===` are ordinary words (banner lines in scripts).
-                if chars.get(i + 1) == Some(&'=') {
-                    let mut text = String::new();
-                    while chars.get(i) == Some(&'=') {
-                        text.push('=');
-                        i += 1;
-                    }
-                    push(&mut out, Tok::Word(vec![(text, false)]), space);
+                if next == Some(b'=') {
+                    let end = b[i..]
+                        .iter()
+                        .position(|&c| c != b'=')
+                        .map_or(b.len(), |n| i + n);
+                    push(&mut out, Tok::Word(Word::bare(&src[i..end])), space);
+                    i = end;
                 } else {
                     push(&mut out, Tok::Eq, space);
                     i += 1;
                 }
             }
-            '^' => {
+            b'^' => {
                 push(&mut out, Tok::Caret, space);
                 i += 1;
             }
-            '`' => {
+            b'`' => {
                 push(&mut out, Tok::Backquote, space);
                 i += 1;
             }
-            '&' => {
-                if chars.get(i + 1) == Some(&'&') {
+            b'&' => {
+                if next == Some(b'&') {
                     push(&mut out, Tok::AndAnd, space);
                     i += 2;
                 } else {
@@ -234,12 +302,12 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
             }
-            '|' => {
-                if chars.get(i + 1) == Some(&'|') {
+            b'|' => {
+                if next == Some(b'|') {
                     push(&mut out, Tok::OrOr, space);
                     i += 2;
-                } else if chars.get(i + 1) == Some(&'[') {
-                    let (nums, next) = bracket_numbers(&chars, i + 1)?;
+                } else if next == Some(b'[') {
+                    let (nums, end) = bracket_numbers(src, i + 1)?;
                     let (a, b) = match nums {
                         Bracket::One(n) => (n, 0),
                         Bracket::Two(a, b) => (a, b),
@@ -251,111 +319,108 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                         }
                     };
                     push(&mut out, Tok::Pipe(a, b), space);
-                    i = next;
+                    i = end;
                 } else {
                     push(&mut out, Tok::Pipe(1, 0), space);
                     i += 1;
                 }
             }
-            '$' => match chars.get(i + 1) {
-                Some('#') => {
+            b'$' => match next {
+                Some(b'#') => {
                     push(&mut out, Tok::DollarCount, space);
                     i += 2;
                 }
-                Some('^') => {
+                Some(b'^') => {
                     push(&mut out, Tok::DollarFlat, space);
                     i += 2;
                 }
-                Some('&') => {
-                    let mut j = i + 2;
-                    let mut name = String::new();
-                    while j < chars.len() && is_word_char(chars[j]) {
-                        name.push(chars[j]);
-                        j += 1;
+                Some(b'&') => {
+                    let mut end = i + 2;
+                    while starts_word(b, end) {
+                        end += 1;
                     }
-                    if name.is_empty() {
+                    if end == i + 2 {
                         return Err(LexError {
                             msg: "missing primitive name after $&".into(),
                             incomplete: false,
                         });
                     }
-                    push(&mut out, Tok::Prim(name), space);
-                    i = j;
+                    push(&mut out, Tok::Prim(src[i + 2..end].to_string()), space);
+                    i = end;
                 }
                 _ => {
                     push(&mut out, Tok::Dollar, space);
                     i += 1;
                 }
             },
-            '<' => {
-                if chars.get(i + 1) == Some(&'>') {
+            b'<' => {
+                if next == Some(b'>') {
                     push(&mut out, Tok::CmdSub, space);
                     i += 2;
-                } else if chars.get(i + 1) == Some(&'<') {
-                    if chars.get(i + 2) == Some(&'[') {
-                        let (nums, next) = bracket_numbers(&chars, i + 2)?;
+                } else if next == Some(b'<') {
+                    if b.get(i + 2) == Some(&b'[') {
+                        let (nums, end) = bracket_numbers(src, i + 2)?;
                         let fd = bracket_single(nums)?;
                         push(&mut out, Tok::Redir(RedirOp::Here(fd)), space);
-                        i = next;
+                        i = end;
                     } else {
                         push(&mut out, Tok::Redir(RedirOp::Here(0)), space);
                         i += 2;
                     }
-                } else if chars.get(i + 1) == Some(&'[') {
-                    let (nums, next) = bracket_numbers(&chars, i + 1)?;
+                } else if next == Some(b'[') {
+                    let (nums, end) = bracket_numbers(src, i + 1)?;
                     let fd = bracket_single(nums)?;
                     push(&mut out, Tok::Redir(RedirOp::Open(fd)), space);
-                    i = next;
+                    i = end;
                 } else {
                     push(&mut out, Tok::Redir(RedirOp::Open(0)), space);
                     i += 1;
                 }
             }
-            '>' => {
-                if chars.get(i + 1) == Some(&'>') {
-                    if chars.get(i + 2) == Some(&'[') {
-                        let (nums, next) = bracket_numbers(&chars, i + 2)?;
+            b'>' => {
+                if next == Some(b'>') {
+                    if b.get(i + 2) == Some(&b'[') {
+                        let (nums, end) = bracket_numbers(src, i + 2)?;
                         let fd = bracket_single(nums)?;
                         push(&mut out, Tok::Redir(RedirOp::Append(fd)), space);
-                        i = next;
+                        i = end;
                     } else {
                         push(&mut out, Tok::Redir(RedirOp::Append(1)), space);
                         i += 2;
                     }
-                } else if chars.get(i + 1) == Some(&'[') {
-                    let (nums, next) = bracket_numbers(&chars, i + 1)?;
-                    match nums {
-                        Bracket::One(fd) => {
-                            push(&mut out, Tok::Redir(RedirOp::Create(fd)), space)
-                        }
-                        Bracket::Two(a, b) => push(&mut out, Tok::Redir(RedirOp::Dup(a, b)), space),
-                        Bracket::CloseMark(fd) => {
-                            push(&mut out, Tok::Redir(RedirOp::CloseFd(fd)), space)
-                        }
-                    }
-                    i = next;
+                } else if next == Some(b'[') {
+                    let (nums, end) = bracket_numbers(src, i + 1)?;
+                    let op = match nums {
+                        Bracket::One(fd) => RedirOp::Create(fd),
+                        Bracket::Two(a, b) => RedirOp::Dup(a, b),
+                        Bracket::CloseMark(fd) => RedirOp::CloseFd(fd),
+                    };
+                    push(&mut out, Tok::Redir(op), space);
+                    i = end;
                 } else {
                     push(&mut out, Tok::Redir(RedirOp::Create(1)), space);
                     i += 1;
                 }
             }
-            '!' | '@' | '~' => {
+            b'!' | b'@' | b'~' => {
                 // Operators whenever they *begin* a token (`!cmd`,
                 // `!~`, `~ subj pat`); mid-word they are plain
                 // characters (`a~b`). Quote a leading `~` or `!` to
                 // get a literal.
                 let tok = match c {
-                    '!' => Tok::Bang,
-                    '@' => Tok::At,
+                    b'!' => Tok::Bang,
+                    b'@' => Tok::At,
                     _ => Tok::Tilde,
                 };
                 push(&mut out, tok, space);
                 i += 1;
             }
             _ => {
-                let (word, next_i) = lex_word(&chars, i)?;
+                // A word byte, a quote, or a `\` that is not a
+                // continuation: each starts a word of at least one byte.
+                let (word, end) = lex_word(src, i)?;
                 push(&mut out, Tok::Word(word), space);
-                i = next_i;
+                i = end;
             }
         }
         space = false;
@@ -363,7 +428,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
     out.push(Token {
         tok: Tok::Eof,
         space_before: true,
-        pos: chars.len(),
+        pos: b.len(),
     });
     Ok(out)
 }
@@ -374,47 +439,41 @@ enum Bracket {
     CloseMark(u32),
 }
 
-/// Parses `[n]`, `[n=m]` or `[n=]` starting at `chars[start] == '['`.
-fn bracket_numbers(chars: &[char], start: usize) -> Result<(Bracket, usize), LexError> {
-    let mut i = start + 1;
-    let mut a = String::new();
-    while i < chars.len() && chars[i].is_ascii_digit() {
-        a.push(chars[i]);
-        i += 1;
-    }
-    let a: u32 = a.parse().map_err(|_| LexError {
+/// Parses `[n]`, `[n=m]` or `[n=]` starting at `src[start] == '['`.
+fn bracket_numbers(src: &str, start: usize) -> Result<(Bracket, usize), LexError> {
+    let b = src.as_bytes();
+    let digits = |from: usize| {
+        b[from..]
+            .iter()
+            .position(|c| !c.is_ascii_digit())
+            .map_or(b.len(), |n| from + n)
+    };
+    let bad_fd = || LexError {
         msg: "bad fd number".into(),
         incomplete: false,
-    })?;
-    match chars.get(i) {
-        Some(']') => Ok((Bracket::One(a), i + 1)),
-        Some('=') => {
-            i += 1;
-            let mut b = String::new();
-            while i < chars.len() && chars[i].is_ascii_digit() {
-                b.push(chars[i]);
-                i += 1;
+    };
+    let unterminated = || LexError {
+        msg: "unterminated fd designator".into(),
+        incomplete: false,
+    };
+    let mut i = digits(start + 1);
+    let a: u32 = src[start + 1..i].parse().map_err(|_| bad_fd())?;
+    match b.get(i) {
+        Some(b']') => Ok((Bracket::One(a), i + 1)),
+        Some(b'=') => {
+            let from = i + 1;
+            i = digits(from);
+            if b.get(i) != Some(&b']') {
+                return Err(unterminated());
             }
-            if chars.get(i) != Some(&']') {
-                return Err(LexError {
-                    msg: "unterminated fd designator".into(),
-                    incomplete: false,
-                });
-            }
-            if b.is_empty() {
+            if i == from {
                 Ok((Bracket::CloseMark(a), i + 1))
             } else {
-                let b: u32 = b.parse().map_err(|_| LexError {
-                    msg: "bad fd number".into(),
-                    incomplete: false,
-                })?;
+                let b: u32 = src[from..i].parse().map_err(|_| bad_fd())?;
                 Ok((Bracket::Two(a, b), i + 1))
             }
         }
-        _ => Err(LexError {
-            msg: "unterminated fd designator".into(),
-            incomplete: false,
-        }),
+        _ => Err(unterminated()),
     }
 }
 
@@ -428,63 +487,48 @@ fn bracket_single(b: Bracket) -> Result<u32, LexError> {
     }
 }
 
-/// Lexes one word starting at `chars[start]`, gathering quoted and
-/// unquoted segments.
-fn lex_word(chars: &[char], start: usize) -> Result<(Vec<(String, bool)>, usize), LexError> {
-    let mut segs: Vec<(String, bool)> = Vec::new();
+/// Lexes one word starting at `src[start]`: plain runs and quoted runs,
+/// each copied into the word's string with one `push_str`, the quoted
+/// ones recorded as byte ranges.
+fn lex_word(src: &str, start: usize) -> Result<(Word, usize), LexError> {
+    let b = src.as_bytes();
+    let mut word = Word::default();
     let mut i = start;
     loop {
-        match chars.get(i) {
-            Some('\'') => {
-                let mut text = String::new();
+        if b.get(i) == Some(&b'\'') {
+            let from = word.text.len() as u32;
+            i += 1;
+            loop {
+                let Some(n) = b[i..].iter().position(|&c| c == b'\'') else {
+                    return Err(LexError {
+                        msg: "unterminated quote".into(),
+                        incomplete: true,
+                    });
+                };
+                word.text.push_str(&src[i..i + n]);
+                i += n + 1;
+                // `''` inside quotes is a literal quote.
+                if b.get(i) != Some(&b'\'') {
+                    break;
+                }
+                word.text.push('\'');
                 i += 1;
-                loop {
-                    match chars.get(i) {
-                        None => {
-                            return Err(LexError {
-                                msg: "unterminated quote".into(),
-                                incomplete: true,
-                            })
-                        }
-                        Some('\'') if chars.get(i + 1) == Some(&'\'') => {
-                            text.push('\'');
-                            i += 2;
-                        }
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&c) => {
-                            text.push(c);
-                            i += 1;
-                        }
-                    }
-                }
-                segs.push((text, true));
             }
-            Some(&c) if is_word_char(c) || (c == '~' && i != start) || (c == '!' && i != start) || (c == '@' && i != start) => {
-                let mut text = String::new();
-                while let Some(&c) = chars.get(i) {
-                    if is_word_char(c) || ((c == '~' || c == '!' || c == '@') && i != start) {
-                        text.push(c);
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                match segs.last_mut() {
-                    Some((prev, false)) => prev.push_str(&text),
-                    _ => segs.push((text, false)),
-                }
+            word.quoted.push((from, word.text.len() as u32));
+            // A closing quote is never followed by a quote, and `~ ! @`
+            // right after one end the word.
+            if !starts_word(b, i) {
+                break;
             }
-            _ => break,
-        }
-        // A quote directly adjacent to word chars continues the word.
-        match chars.get(i) {
-            Some('\'') => continue,
-            Some(&c) if is_word_char(c) => continue,
-            _ => break,
+        } else {
+            let end = word_run(b, i);
+            word.text.push_str(&src[i..end]);
+            i = end;
+            // A quote directly adjacent to word chars continues the word.
+            if b.get(i) != Some(&b'\'') {
+                break;
+            }
         }
     }
-    Ok((segs, i))
+    Ok((word, i))
 }

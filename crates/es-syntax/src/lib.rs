@@ -49,6 +49,6 @@ pub mod print;
 #[cfg(test)]
 mod tests;
 
-pub use ast::{Expr, Lambda, Node, Redirect, Seg, Word};
+pub use ast::{Expr, Lambda, Node, Redirect, Word};
 pub use lower::lower;
 pub use parse::{parse_program, ParseError};

@@ -32,12 +32,21 @@
 //! could not otherwise bind `fn-%seq` in the first place.
 
 use crate::ast::{Expr, Lambda, Node, Redirect, Word};
+use std::iter;
 use std::rc::Rc;
 
 /// Lowers a parsed program to the core language. Idempotent on core
 /// nodes.
-pub fn lower(node: Node) -> Node {
-    lower_node(node, true)
+///
+/// The tree is lowered in place: a core node keeps its vectors and
+/// boxes, and only a surface node is rebuilt, as the hook call that
+/// replaces it. A lambda the tree alone holds is lowered where it is;
+/// one shared with another tree is cloned first (`Rc::make_mut`),
+/// leaving that tree as it was. So lowering an already-core tree
+/// allocates nothing.
+pub fn lower(mut node: Node) -> Node {
+    lower_node(&mut node, true);
+    node
 }
 
 fn hook(name: &str) -> Expr {
@@ -52,124 +61,108 @@ fn thunk(body: Node) -> Expr {
     Expr::Lambda(Rc::new(Lambda { params: None, body }))
 }
 
-fn lower_node(node: Node, top: bool) -> Node {
+/// Moves a node out, leaving the empty program (which allocates
+/// nothing).
+fn take(node: &mut Node) -> Node {
+    std::mem::replace(node, Node::empty())
+}
+
+/// `node`, lowered below the top level.
+fn lowered(mut node: Node) -> Node {
+    lower_node(&mut node, false);
+    node
+}
+
+/// `%name {a} {b} ...`: a hook call on thunks of the lowered `parts`.
+fn hook_thunks(name: &str, parts: impl ExactSizeIterator<Item = Node>) -> Node {
+    let mut call = Vec::with_capacity(parts.len() + 1);
+    call.push(hook(name));
+    call.extend(parts.map(|n| thunk(lowered(n))));
+    Node::Call(call)
+}
+
+fn lower_node(node: &mut Node, top: bool) {
     match node {
-        Node::Call(exprs) => Node::Call(exprs.into_iter().map(lower_expr).collect()),
-        Node::Assign(lhs, values) => Node::Assign(
-            lower_expr(lhs),
-            values.into_iter().map(lower_expr).collect(),
-        ),
-        Node::Let(bindings, body) => {
-            Node::Let(lower_bindings(bindings), Box::new(lower_node(*body, false)))
+        Node::Call(exprs) => exprs.iter_mut().for_each(lower_expr),
+        Node::Assign(lhs, values) => {
+            lower_expr(lhs);
+            values.iter_mut().for_each(lower_expr);
         }
-        Node::Local(bindings, body) => {
-            Node::Local(lower_bindings(bindings), Box::new(lower_node(*body, false)))
+        Node::Let(bindings, body) | Node::Local(bindings, body) | Node::For(bindings, body) => {
+            lower_bindings(bindings);
+            lower_node(body, false);
         }
-        Node::For(bindings, body) => {
-            Node::For(lower_bindings(bindings), Box::new(lower_node(*body, false)))
+        Node::Match(subject, patterns) => {
+            lower_expr(subject);
+            patterns.iter_mut().for_each(lower_expr);
         }
-        Node::Match(subject, patterns) => Node::Match(
-            lower_expr(subject),
-            patterns.into_iter().map(lower_expr).collect(),
-        ),
-        Node::Seq(nodes) => Node::Seq(
-            nodes
-                .into_iter()
-                .map(|n| lower_node(n, top))
-                .collect(),
-        ),
+        Node::Seq(nodes) => nodes.iter_mut().for_each(|n| lower_node(n, top)),
         // ----- surface forms -------------------------------------------------
-        Node::SurfaceSeq(nodes) => {
-            if top {
-                // Top level: evaluate commands one at a time natively.
-                Node::Seq(nodes.into_iter().map(|n| lower_node(n, true)).collect())
-            } else {
-                let mut call = vec![hook("%seq")];
-                call.extend(
-                    nodes
-                        .into_iter()
-                        .map(|n| thunk(lower_node(n, false))),
-                );
-                Node::Call(call)
-            }
+        Node::SurfaceSeq(nodes) if top => {
+            // Top level: evaluate commands one at a time natively.
+            nodes.iter_mut().for_each(|n| lower_node(n, true));
+            *node = Node::Seq(std::mem::take(nodes));
         }
+        Node::SurfaceSeq(nodes) => *node = hook_thunks("%seq", std::mem::take(nodes).into_iter()),
         Node::Pipe(segments, fds) => {
             // `{s1} out1 in1 {s2} out2 in2 {s3} ...` — the variadic
             // shape Figure 1's recursive `%pipe` spoof expects.
-            let mut call = vec![hook("%pipe")];
-            let mut segs = segments.into_iter();
+            let mut call = Vec::with_capacity(3 * segments.len());
+            call.push(hook("%pipe"));
+            let mut segs = std::mem::take(segments).into_iter();
             if let Some(first) = segs.next() {
-                call.push(thunk(lower_node(first, false)));
+                call.push(thunk(lowered(first)));
             }
-            for (seg, (out, inp)) in segs.zip(fds) {
+            for (seg, &mut (out, inp)) in segs.zip(fds) {
                 call.push(fd_word(out));
                 call.push(fd_word(inp));
-                call.push(thunk(lower_node(seg, false)));
+                call.push(thunk(lowered(seg)));
             }
-            Node::Call(call)
+            *node = Node::Call(call);
         }
         Node::Redir(redirs, inner) => {
-            let mut result = lower_node(*inner, false);
-            for r in redirs.into_iter().rev() {
+            let mut result = lowered(take(inner));
+            for r in std::mem::take(redirs).into_iter().rev() {
                 result = lower_redirect(r, result);
             }
-            result
+            *node = result;
         }
-        Node::AndAnd(parts) => {
-            let mut call = vec![hook("%and")];
-            call.extend(parts.into_iter().map(|n| thunk(lower_node(n, false))));
-            Node::Call(call)
-        }
-        Node::OrOr(parts) => {
-            let mut call = vec![hook("%or")];
-            call.extend(parts.into_iter().map(|n| thunk(lower_node(n, false))));
-            Node::Call(call)
-        }
-        Node::Bang(inner) => Node::Call(vec![hook("%not"), thunk(lower_node(*inner, false))]),
-        Node::Background(inner) => Node::Call(vec![
-            hook("%background"),
-            thunk(lower_node(*inner, false)),
-        ]),
+        Node::AndAnd(parts) => *node = hook_thunks("%and", std::mem::take(parts).into_iter()),
+        Node::OrOr(parts) => *node = hook_thunks("%or", std::mem::take(parts).into_iter()),
+        Node::Bang(inner) => *node = hook_thunks("%not", iter::once(take(inner))),
+        Node::Background(inner) => *node = hook_thunks("%background", iter::once(take(inner))),
         Node::FnDef(name, lambda) => {
-            let lhs = Expr::Concat(
-                Box::new(Expr::Word(Word::quoted("fn-"))),
-                Box::new(lower_expr(name)),
-            );
-            let values = match lambda {
-                Some(l) => vec![lower_expr(Expr::Lambda(l))],
+            let mut name = std::mem::replace(name, Expr::List(Vec::new()));
+            lower_expr(&mut name);
+            let lhs = Expr::Concat(Box::new(Expr::Word(Word::quoted("fn-"))), Box::new(name));
+            let values = match lambda.take() {
+                Some(mut l) => {
+                    lower_lambda(&mut l);
+                    vec![Expr::Lambda(l)]
+                }
                 None => Vec::new(),
             };
-            Node::Assign(lhs, values)
+            *node = Node::Assign(lhs, values);
         }
     }
 }
 
 fn lower_redirect(r: Redirect, inner: Node) -> Node {
+    let file = |mut file: Expr| {
+        lower_expr(&mut file);
+        file
+    };
     match r {
-        Redirect::Create(fd, file) => Node::Call(vec![
-            hook("%create"),
-            fd_word(fd),
-            lower_expr(file),
-            thunk(inner),
-        ]),
-        Redirect::Append(fd, file) => Node::Call(vec![
-            hook("%append"),
-            fd_word(fd),
-            lower_expr(file),
-            thunk(inner),
-        ]),
-        Redirect::Open(fd, file) => Node::Call(vec![
-            hook("%open"),
-            fd_word(fd),
-            lower_expr(file),
-            thunk(inner),
-        ]),
-        Redirect::Dup(a, b) => Node::Call(vec![
-            hook("%dup"),
-            fd_word(a),
-            fd_word(b),
-            thunk(inner),
-        ]),
+        Redirect::Create(fd, f) => {
+            Node::Call(vec![hook("%create"), fd_word(fd), file(f), thunk(inner)])
+        }
+        Redirect::Append(fd, f) => {
+            Node::Call(vec![hook("%append"), fd_word(fd), file(f), thunk(inner)])
+        }
+        Redirect::Open(fd, f) => {
+            Node::Call(vec![hook("%open"), fd_word(fd), file(f), thunk(inner)])
+        }
+        Redirect::Dup(a, b) => Node::Call(vec![hook("%dup"), fd_word(a), fd_word(b), thunk(inner)]),
         Redirect::Close(fd) => Node::Call(vec![hook("%close"), fd_word(fd), thunk(inner)]),
         Redirect::Here(fd, text) => Node::Call(vec![
             hook("%here"),
@@ -180,54 +173,47 @@ fn lower_redirect(r: Redirect, inner: Node) -> Node {
     }
 }
 
-fn lower_bindings(bindings: Vec<(Expr, Vec<Expr>)>) -> Vec<(Expr, Vec<Expr>)> {
-    bindings
-        .into_iter()
-        .map(|(name, values)| {
-            (
-                lower_expr(name),
-                values.into_iter().map(lower_expr).collect(),
-            )
-        })
-        .collect()
-}
-
-fn lower_expr(expr: Expr) -> Expr {
-    match expr {
-        Expr::Word(_) | Expr::Prim(_) => expr,
-        Expr::Var(t) => Expr::Var(Box::new(lower_expr(*t))),
-        Expr::VarCount(t) => Expr::VarCount(Box::new(lower_expr(*t))),
-        Expr::VarFlat(t) => Expr::VarFlat(Box::new(lower_expr(*t))),
-        Expr::VarSub(t, subs) => Expr::VarSub(
-            Box::new(lower_expr(*t)),
-            subs.into_iter().map(lower_expr).collect(),
-        ),
-        Expr::Concat(a, b) => Expr::Concat(Box::new(lower_expr(*a)), Box::new(lower_expr(*b))),
-        Expr::List(items) => Expr::List(items.into_iter().map(lower_expr).collect()),
-        Expr::Lambda(l) => Expr::Lambda(lower_lambda(l)),
-        Expr::CmdSub(n) => Expr::CmdSub(Box::new(lower_node(*n, false))),
-        Expr::Backquote(n) => {
-            // `{cmd}  ⇒  <>{%backquote {cmd}}
-            let call = Node::Call(vec![hook("%backquote"), thunk(lower_node(*n, false))]);
-            Expr::CmdSub(Box::new(call))
-        }
-        Expr::ClosureLit { bindings, lambda } => Expr::ClosureLit {
-            bindings: bindings
-                .into_iter()
-                .map(|(n, vs)| (n, vs.into_iter().map(lower_expr).collect()))
-                .collect(),
-            lambda: lower_lambda(lambda),
-        },
+fn lower_bindings(bindings: &mut [(Expr, Vec<Expr>)]) {
+    for (name, values) in bindings {
+        lower_expr(name);
+        values.iter_mut().for_each(lower_expr);
     }
 }
 
-/// Lowers a lambda. The parser hands over the only reference, so the
-/// body is moved, not copied; a lambda shared with another tree is
-/// cloned first, leaving that tree as it was.
-fn lower_lambda(l: Rc<Lambda>) -> Rc<Lambda> {
-    let Lambda { params, body } = Rc::try_unwrap(l).unwrap_or_else(|l| (*l).clone());
-    Rc::new(Lambda {
-        params,
-        body: lower_node(body, false),
-    })
+fn lower_expr(expr: &mut Expr) {
+    match expr {
+        Expr::Word(_) | Expr::Prim(_) => {}
+        Expr::Var(t) | Expr::VarCount(t) | Expr::VarFlat(t) => lower_expr(t),
+        Expr::VarSub(t, subs) => {
+            lower_expr(t);
+            subs.iter_mut().for_each(lower_expr);
+        }
+        Expr::Concat(a, b) => {
+            lower_expr(a);
+            lower_expr(b);
+        }
+        Expr::List(items) => items.iter_mut().for_each(lower_expr),
+        Expr::Lambda(l) => lower_lambda(l),
+        Expr::CmdSub(n) => lower_node(n, false),
+        Expr::Backquote(n) => {
+            // `{cmd}  ⇒  <>{%backquote {cmd}}, in the same box.
+            **n = hook_thunks("%backquote", iter::once(take(n)));
+            if let Expr::Backquote(n) = std::mem::replace(expr, Expr::List(Vec::new())) {
+                *expr = Expr::CmdSub(n);
+            }
+        }
+        Expr::ClosureLit { bindings, lambda } => {
+            for (_, values) in bindings {
+                values.iter_mut().for_each(lower_expr);
+            }
+            lower_lambda(lambda);
+        }
+    }
+}
+
+/// Lowers a lambda's body where it is. The parser hands over the only
+/// reference, so nothing is copied; a lambda shared with another tree
+/// is cloned first, leaving that tree as it was.
+fn lower_lambda(l: &mut Rc<Lambda>) {
+    lower_node(&mut Rc::make_mut(l).body, false);
 }

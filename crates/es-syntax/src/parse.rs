@@ -11,7 +11,7 @@
 //! expr:       atom ^ atom (and implicit adjacency concatenation)
 //! ```
 
-use crate::ast::{Expr, Lambda, Node, Redirect, Seg, Word};
+use crate::ast::{Expr, Lambda, Node, Redirect, Word};
 use crate::lex::{self, RedirOp, Tok, Token};
 use std::fmt;
 use std::rc::Rc;
@@ -83,10 +83,10 @@ impl Parser {
     }
 
     /// Consumes the current token, which the caller has just seen is a
-    /// word, and returns its segments.
-    fn bump_word(&mut self) -> Vec<(String, bool)> {
+    /// word, and returns it.
+    fn bump_word(&mut self) -> Word {
         match self.bump().tok {
-            Tok::Word(segs) => segs,
+            Tok::Word(w) => w,
             other => unreachable!("bump_word on {other}"),
         }
     }
@@ -130,6 +130,9 @@ impl Parser {
     /// newline separate; a trailing `&` backgrounds the preceding
     /// command.
     fn seq(&mut self, stop: &[Tok]) -> Result<Node, ParseError> {
+        // The latest command stays out of `cmds`, so a one-command body
+        // (most braces) allocates no vector.
+        let mut last = None;
         let mut cmds = Vec::new();
         loop {
             self.skip_seps();
@@ -144,16 +147,21 @@ impl Parser {
                 self.bump();
                 cmd = Node::Background(Box::new(cmd));
             }
-            cmds.push(cmd);
+            if let Some(prev) = last.replace(cmd) {
+                cmds.push(prev);
+            }
             match self.peek() {
                 Tok::Semi | Tok::Newline => continue,
                 _ => break,
             }
         }
-        Ok(match cmds.len() {
-            0 => Node::Seq(Vec::new()),
-            1 => cmds.pop().expect("one element"),
-            _ => Node::SurfaceSeq(cmds),
+        Ok(match last {
+            None => Node::empty(),
+            Some(only) if cmds.is_empty() => only,
+            Some(last) => {
+                cmds.push(last);
+                Node::SurfaceSeq(cmds)
+            }
         })
     }
 
@@ -231,10 +239,10 @@ impl Parser {
     // ----- commands -----------------------------------------------------------
 
     fn command(&mut self) -> Result<Node, ParseError> {
-        // Keywords are unquoted single-segment words at command start.
-        if let Tok::Word(segs) = self.peek() {
-            if segs.len() == 1 && !segs[0].1 {
-                match segs[0].0.as_str() {
+        // Keywords are unquoted words at command start.
+        if let Tok::Word(w) = self.peek() {
+            if w.is_bare() {
+                match w.text() {
                     "fn" => return self.fn_def(),
                     "for" => return self.binding_form(BindKind::For),
                     "let" => return self.binding_form(BindKind::Let),
@@ -264,10 +272,7 @@ impl Parser {
         let mut params = Vec::new();
         loop {
             match self.peek() {
-                Tok::Word(_) => {
-                    let segs = self.bump_word();
-                    params.push(joined(segs));
-                }
+                Tok::Word(_) => params.push(self.bump_word().into_text()),
                 Tok::LBrace => {
                     self.bump();
                     let body = self.seq(&[Tok::RBrace])?;
@@ -407,7 +412,7 @@ impl Parser {
                 // quoted) word that follows.
                 let word = self.expr()?;
                 match word {
-                    Expr::Word(w) => Redirect::Here(fd, w.text().into_owned()),
+                    Expr::Word(w) => Redirect::Here(fd, w.into_text()),
                     _ => return self.err("here document body must be a word"),
                 }
             }
@@ -464,17 +469,17 @@ impl Parser {
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
-            Tok::Word(segs) => {
+            Tok::Word(w) => {
                 // `%closure(...)@ params {body}` — the unparsed-closure
                 // literal (environment decoding and `whatis` output).
-                if unquoted_text_is(segs, "%closure")
+                if w.is_bare()
+                    && w.text() == "%closure"
                     && matches!(self.toks.get(self.i + 1).map(|t| &t.tok), Some(Tok::LParen))
                     && !self.toks[self.i + 1].space_before
                 {
                     return self.closure_lit();
                 }
-                let segs = self.bump_word();
-                Ok(Expr::Word(word(segs)))
+                Ok(Expr::Word(self.bump_word()))
             }
             Tok::Dollar => {
                 self.bump();
@@ -531,10 +536,7 @@ impl Parser {
                 let mut params = Vec::new();
                 loop {
                     match self.peek() {
-                        Tok::Word(_) => {
-                            let segs = self.bump_word();
-                            params.push(joined(segs));
-                        }
+                        Tok::Word(_) => params.push(self.bump_word().into_text()),
                         Tok::LBrace => break,
                         _ => return self.err("expected parameter or { after @"),
                     }
@@ -564,7 +566,7 @@ impl Parser {
                         Ok(Expr::Backquote(Box::new(body)))
                     }
                     Tok::Word(_) => {
-                        let word = Expr::Word(word(self.bump_word()));
+                        let word = Expr::Word(self.bump_word());
                         Ok(Expr::Backquote(Box::new(Node::Call(vec![word]))))
                     }
                     other => self.err(format!("expected {{ or word after `, found {other}")),
@@ -593,43 +595,31 @@ impl Parser {
     /// consumed as the variable (the remainder concatenates by
     /// adjacency).
     fn split_var_word(&mut self) {
-        let Tok::Word(segs) = &mut self.toks[self.i].tok else {
+        let Tok::Word(w) = &mut self.toks[self.i].tok else {
             return;
         };
-        let Some((first, quoted)) = segs.first_mut() else {
-            return;
-        };
-        if *quoted {
-            // `$'quoted name'` names the variable literally.
+        // The plain text before the first quoted range; a word that
+        // starts with a quote (`$'quoted name'`) names the variable
+        // literally.
+        let run = w.quoted_start().unwrap_or(w.text().len());
+        if run == 0 {
             return;
         }
-        let cut = first
-            .char_indices()
-            .find(|(_, c)| !Self::is_var_name_char(*c))
-            .map(|(i, _)| i);
         // The name ends at the first non-name character, or at the end
-        // of the first segment when a quoted segment follows (`$x'>'`
-        // is `$x ^ '>'`).
-        let (name, rest_segs) = match cut {
+        // of the plain run when a quoted range follows (`$x'>'` is
+        // `$x ^ '>'`).
+        let cut = match w.text()[..run].find(|c| !Self::is_var_name_char(c)) {
             Some(0) => return,
-            Some(cut) => {
-                let rest = first.split_off(cut);
-                let name = std::mem::replace(first, rest);
-                (name, std::mem::take(segs))
-            }
-            None if segs.len() > 1 => {
-                let mut rest = std::mem::take(segs);
-                let (name, _) = rest.remove(0);
-                (name, rest)
-            }
+            Some(cut) => cut,
+            None if !w.is_bare() => run,
             None => return,
         };
-        let pos = self.toks[self.i].pos;
-        self.toks[self.i].tok = Tok::Word(vec![(name, false)]);
+        let rest = w.split_off(cut);
+        let pos = self.toks[self.i].pos + cut;
         self.toks.insert(
             self.i + 1,
             Token {
-                tok: Tok::Word(rest_segs),
+                tok: Tok::Word(rest),
                 space_before: false,
                 pos,
             },
@@ -645,7 +635,7 @@ impl Parser {
                 // Composite names need parens (`$(fn-$func)`);
                 // `$a$b` is handled by the adjacency rule in expr()
                 // as `$a ^ $b`, like rc.
-                Ok(Expr::Word(word(self.bump_word())))
+                Ok(Expr::Word(self.bump_word()))
             }
             Tok::LParen => {
                 self.bump();
@@ -679,7 +669,7 @@ impl Parser {
                 break;
             }
             let name = match self.peek() {
-                Tok::Word(_) => joined(self.bump_word()),
+                Tok::Word(_) => self.bump_word().into_text(),
                 other => return self.err(format!("expected binding name, found {other}")),
             };
             self.expect(Tok::Eq)?;
@@ -704,37 +694,6 @@ impl Parser {
         };
         Ok(Expr::ClosureLit { bindings, lambda })
     }
-}
-
-/// A word's segments, moved into a [`Word`].
-fn word(segs: Vec<(String, bool)>) -> Word {
-    Word {
-        segs: segs
-            .into_iter()
-            .map(|(text, quoted)| Seg { text, quoted })
-            .collect(),
-    }
-}
-
-/// A word's text with quoting dropped; a one-segment word's string is
-/// moved, not copied.
-fn joined(mut segs: Vec<(String, bool)>) -> String {
-    if segs.len() == 1 {
-        return segs.pop().expect("one segment").0;
-    }
-    segs.into_iter().map(|(t, _)| t).collect()
-}
-
-/// True if the word is `want`, spelled without any quoting.
-fn unquoted_text_is(segs: &[(String, bool)], want: &str) -> bool {
-    let mut rest = want;
-    for (text, quoted) in segs {
-        match rest.strip_prefix(text.as_str()) {
-            Some(r) if !quoted => rest = r,
-            _ => return false,
-        }
-    }
-    rest.is_empty()
 }
 
 enum BindKind {

@@ -13,7 +13,7 @@ use crate::ast::{Expr, Lambda, Node, Redirect, Word};
 pub fn quote(s: &str) -> String {
     let needs = s.is_empty()
         || s.chars().any(|c| {
-            " \t\n#;&|^$=`'{}()<>!@~\\*?[]".contains(c)
+            " \t\r\n#;&|^$=`'{}()<>!@~\\*?[]".contains(c)
         });
     if needs {
         format!("'{}'", s.replace('\'', "''"))
@@ -25,13 +25,13 @@ pub fn quote(s: &str) -> String {
 /// Prints a word segment-by-segment, preserving quoting.
 pub fn unparse_word(w: &Word) -> String {
     let mut out = String::new();
-    for seg in &w.segs {
-        if seg.quoted {
+    for (text, quoted) in w.segments() {
+        if quoted {
             out.push('\'');
-            out.push_str(&seg.text.replace('\'', "''"));
+            out.push_str(&text.replace('\'', "''"));
             out.push('\'');
         } else {
-            out.push_str(&seg.text);
+            out.push_str(text);
         }
     }
     if out.is_empty() {

@@ -32,11 +32,11 @@ fn lex_simple_words() {
 fn lex_quoting_rules() {
     let toks = lex::tokens("echo 'hi there' 'don''t'").unwrap();
     match &toks[1].tok {
-        Tok::Word(segs) => assert_eq!(segs, &[("hi there".to_string(), true)]),
+        Tok::Word(w) => assert_eq!(w.seg_refs(), [("hi there", true)]),
         other => panic!("expected word, got {other:?}"),
     }
     match &toks[2].tok {
-        Tok::Word(segs) => assert_eq!(segs, &[("don't".to_string(), true)]),
+        Tok::Word(w) => assert_eq!(w.seg_refs(), [("don't", true)]),
         other => panic!("expected word, got {other:?}"),
     }
 }
@@ -45,14 +45,7 @@ fn lex_quoting_rules() {
 fn lex_mixed_quoting_is_one_word() {
     let toks = lex::tokens("a'b c'd").unwrap();
     match &toks[0].tok {
-        Tok::Word(segs) => assert_eq!(
-            segs,
-            &[
-                ("a".to_string(), false),
-                ("b c".to_string(), true),
-                ("d".to_string(), false)
-            ]
-        ),
+        Tok::Word(w) => assert_eq!(w.seg_refs(), [("a", false), ("b c", true), ("d", false)]),
         other => panic!("expected word, got {other:?}"),
     }
     assert!(matches!(toks[1].tok, Tok::Eof));
@@ -131,11 +124,49 @@ fn lex_word_chars_include_shell_names() {
     for w in ["fn-%pipe", "set-PATH", "a-b_c.d", "%closure", "*", "[abc]", "path-cache"] {
         let toks = lex::tokens(w).unwrap();
         assert!(
-            matches!(&toks[0].tok, Tok::Word(segs) if segs.len() == 1 && segs[0].0 == w),
+            matches!(&toks[0].tok, Tok::Word(word) if word.is_bare() && word.text() == w),
             "{w} should lex as one word"
         );
         assert_eq!(toks.len(), 2);
     }
+}
+
+#[test]
+fn lex_lone_backslash_is_a_word_char() {
+    // One word each: backslash is not an escape.
+    for src in ["a\\b", "\\", "a\\", "\\a", "'q'\\b"] {
+        let toks = lex::tokens(src).unwrap();
+        assert_eq!(toks.len(), 2, "`{src}` should lex as one word");
+        match &toks[0].tok {
+            Tok::Word(w) => assert_eq!(w.text().replace('\'', ""), src.replace('\'', "")),
+            other => panic!("`{src}` lexed to {other:?}"),
+        }
+    }
+    // Backslash-newline still ends a word and reads as a space.
+    let toks = lex::tokens("a\\\nb").unwrap();
+    let words: Vec<&str> = toks
+        .iter()
+        .filter_map(|t| match &t.tok {
+            Tok::Word(w) => Some(w.text()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(words, ["a", "b"]);
+    assert!(toks[1].space_before);
+    assert_eq!(core("echo a\\b \\ c\\"), "echo a\\b \\ c\\");
+}
+
+#[test]
+fn positions_are_byte_offsets() {
+    // `é` is two bytes, so `x` starts at byte 3 (char 2).
+    let toks = lex::tokens("é x").unwrap();
+    assert_eq!(toks[1].pos, 3);
+    assert_eq!(toks[2].pos, "é x".len());
+    let err = parse_program("é )").unwrap_err();
+    assert_eq!(
+        (err.pos, err.msg.as_str()),
+        (3, "expected end of input, found `)`")
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -421,20 +452,46 @@ fn core_print_reparses_fixed_corpus() {
     }
 }
 
+#[test]
+fn quote_keeps_carriage_returns() {
+    // A leading `\r` lexes as space, so `quote` must quote it.
+    for s in ["\r", "\ra", "a\r", "a\rb"] {
+        let toks = lex::tokens(&quote(s)).unwrap();
+        assert!(matches!(&toks[..], [t, _] if matches!(&t.tok, Tok::Word(w) if w.text() == s)));
+    }
+}
+
 proptest! {
     #[test]
-    fn prop_quote_roundtrips_any_string(s in "[ -~]{0,20}") {
+    fn prop_quote_roundtrips_any_string(s in "[ -~\\t\\n\\ré]{0,40}") {
         // quote() must produce a single word that lexes back to `s`.
         let quoted = quote(&s);
         let toks = lex::tokens(&quoted).unwrap();
         match &toks[0].tok {
-            Tok::Word(segs) => {
-                let text: String = segs.iter().map(|(t, _)| t.as_str()).collect();
-                prop_assert_eq!(text, s);
-            }
+            Tok::Word(w) => prop_assert_eq!(w.text(), s),
             other => prop_assert!(false, "quoted `{}` lexed to {:?}", s, other),
         }
         prop_assert_eq!(toks.len(), 2, "exactly one word + EOF");
+    }
+
+    #[test]
+    fn prop_tokens_advance_by_char_boundaries(
+        s in "[ \\t\\n\\r#;&|^$=`'{}()<>!@~\\\\a-zA-Z0-9é]{0,40}"
+    ) {
+        // Every input lexes (or fails) in finite time, and each token
+        // starts on a char boundary past the one before. (`quote`'s
+        // round trip over these chars is `prop_quote_roundtrips_any_string`.)
+        if let Ok(toks) = lex::tokens(&s) {
+            let (last, toks) = toks.split_last().expect("at least Eof");
+            prop_assert!(matches!(last.tok, Tok::Eof));
+            prop_assert_eq!(last.pos, s.len());
+            let mut prev = None;
+            for t in toks {
+                prop_assert!(s.is_char_boundary(t.pos), "token at {} in {:?}", t.pos, s);
+                prop_assert!(prev.is_none_or(|p| t.pos > p), "{} after {:?}", t.pos, prev);
+                prev = Some(t.pos);
+            }
+        }
     }
 
     #[test]

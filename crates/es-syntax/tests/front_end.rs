@@ -4,8 +4,8 @@
 //! how the front end stores words or lowers trees must leave both
 //! unchanged.
 //!
-//! Regenerate the golden file (only for an intended change of output)
-//! with `ES_SYNTAX_BLESS=1 cargo test -p es-syntax --test front_end`.
+//! On a mismatch the test prints the whole rendered corpus; an
+//! intended change of output replaces the golden file with it.
 
 use es_syntax::print::unparse_node;
 use es_syntax::{lower, parse_program, Expr, Node, Redirect};
@@ -212,11 +212,10 @@ fn render() -> String {
 fn lowered_corpus_matches_golden() {
     let got = render();
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
-    if std::env::var_os("ES_SYNTAX_BLESS").is_some() {
-        std::fs::write(&path, &got).expect("golden file written");
-        return;
-    }
     let want = std::fs::read_to_string(&path).expect("golden file present");
+    if got != want {
+        eprint!("{got}");
+    }
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
         assert_eq!(g, w, "line {} of {GOLDEN} differs", i + 1);
     }

@@ -4,9 +4,11 @@
 //! build environment, so this shim implements the surface the bench
 //! suite uses — `Criterion::benchmark_group`, `sample_size`,
 //! `bench_function`, `bench_with_input`, `Bencher::iter`,
-//! `BenchmarkId`, `black_box`, and the `criterion_group!` /
-//! `criterion_main!` macros — with straightforward wall-clock
-//! sampling and a text report (median / mean / min per benchmark).
+//! `BenchmarkId`, `BenchmarkGroup::throughput`, `black_box`, and the
+//! `criterion_group!` / `criterion_main!` macros — with straightforward
+//! wall-clock sampling and a text report (median / mean / min per
+//! benchmark, and the median per element or byte when a throughput is
+//! set).
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -50,6 +52,16 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// How much one iteration processes; the report then also gives the
+/// median time per unit.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Bytes per iteration.
+    Bytes(u64),
+    /// Elements (lines, records, ...) per iteration.
+    Elements(u64),
+}
+
 /// The top-level benchmark driver.
 #[derive(Debug, Default)]
 pub struct Criterion {
@@ -65,6 +77,7 @@ impl Criterion {
             _criterion: self,
             name,
             sample_size: 20,
+            throughput: None,
         }
     }
 
@@ -77,6 +90,7 @@ impl Criterion {
             _criterion: self,
             name: String::new(),
             sample_size: 20,
+            throughput: None,
         };
         group.bench_function(id, f);
     }
@@ -87,12 +101,19 @@ pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Sets how many timed samples each benchmark takes.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
+        self
+    }
+
+    /// Sets what one iteration of the benchmarks that follow processes.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -107,7 +128,7 @@ impl BenchmarkGroup<'_> {
             samples: Vec::new(),
         };
         f(&mut b);
-        report(&self.name, &id.id, &b.samples);
+        report(&self.name, &id.id, &b.samples, self.throughput);
         self
     }
 
@@ -160,8 +181,9 @@ impl Bencher {
     }
 }
 
-/// Prints `group/id  median .. (mean .., min ..)`.
-fn report(group: &str, id: &str, samples: &[Duration]) {
+/// Prints `group/id  median .. (mean .., min ..)`, then the median per
+/// element or byte if a throughput is set.
+fn report(group: &str, id: &str, samples: &[Duration], throughput: Option<Throughput>) {
     if samples.is_empty() {
         eprintln!("{group}/{id}: no samples (b.iter never called)");
         return;
@@ -180,6 +202,13 @@ fn report(group: &str, id: &str, samples: &[Duration]) {
         "{full:<44} median {median:>12?}  mean {mean:>12?}  min {min:>12?}  ({} samples)",
         sorted.len()
     );
+    let (units, unit) = match throughput {
+        None => return,
+        Some(Throughput::Bytes(n)) => (n, "byte"),
+        Some(Throughput::Elements(n)) => (n, "element"),
+    };
+    let per = median.as_nanos() as f64 / units.max(1) as f64;
+    eprintln!("{:<44} median {per:>10.1}ns per {unit} ({units} per iteration)", "");
 }
 
 /// `criterion_group!(benches, f1, f2, ...)` — a function running each
