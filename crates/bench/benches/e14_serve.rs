@@ -24,7 +24,7 @@ use es_core::Machine;
 use es_os::SimOs;
 use es_serve::{Frame, ServeConfig, Server};
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Commands each benchmark session runs (ordinary small work: a
 /// variable, a pipe, a redirection).
@@ -52,16 +52,18 @@ fn bench_cold_boot(iters: u32) -> u64 {
     started.elapsed().as_nanos() as u64 / u64::from(iters)
 }
 
-/// ns per dirty-then-recycle cycle (the dirtying commands are timed
-/// too, so this *overstates* recycle cost — the ratio is conservative).
+/// ns per recycle of a dirtied machine: each iteration runs the
+/// dirtying commands untimed, then times `recycle()` alone.
 fn bench_recycle(iters: u32) -> u64 {
     let mut m = Machine::new(SimOs::new()).expect("machine boots");
-    let started = Instant::now();
+    let mut total = Duration::ZERO;
     for _ in 0..iters {
         m.run("x = dirty; echo leak > /tmp/leak").expect("dirtying runs");
+        let started = Instant::now();
         assert!(m.recycle());
+        total += started.elapsed();
     }
-    started.elapsed().as_nanos() as u64 / u64::from(iters)
+    total.as_nanos() as u64 / u64::from(iters)
 }
 
 /// Drives `sessions` sequential sessions through one server; returns

@@ -131,6 +131,21 @@ pub(crate) struct Global {
     pub(crate) export: OnceCell<Rc<str>>,
 }
 
+/// Two globals are equal when they have the same slot and the same
+/// cached encoding: the same `Rc`, or both uncached. A recycled
+/// machine shares its encodings with the boot image, so comparing them
+/// reads no string.
+impl PartialEq for Global {
+    fn eq(&self, other: &Global) -> bool {
+        self.slot == other.slot
+            && match (self.export.get(), other.export.get()) {
+                (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+    }
+}
+
 /// An input source for `$&parse` / `$&dot`.
 #[derive(Debug, Clone)]
 pub enum Input {
@@ -244,9 +259,11 @@ impl<O: Os + Clone> Machine<O> {
         // and every recycled slot and fork cloned from it — starts
         // with the environment caches and the shared export filled.
         env::build_environment(&m);
-        // Freeze the finished boot state so pooled slots can restore
-        // it. The image's own `boot_image` is `None` (no recursion);
-        // `recycle` puts the `Rc` back after restoring from it.
+        // Move what boot left live into the heap's shared boot space,
+        // then freeze the finished boot state so pooled slots can
+        // restore it. The image's own `boot_image` is `None` (no
+        // recursion); `recycle` keeps the `Rc` it restores from.
+        m.heap.freeze();
         m.boot_image = Some(Rc::new(m.clone()));
         Ok(m)
     }
@@ -256,19 +273,119 @@ impl<O: Os + Clone> Machine<O> {
     /// the kernel itself all return to the exact post-boot state —
     /// a recycled pooled slot is indistinguishable from a cold-started
     /// machine (the serve suite proves this bit-for-bit on a probe
-    /// script). A `SimOs` kernel's filesystem is not copied here: it
-    /// stays shared with the image until the next write. Returns
-    /// `false` (and does nothing) on a machine with no boot image,
-    /// i.e. one that is itself a boot image.
+    /// script). Returns `false` (and does nothing) on a machine with no
+    /// boot image, i.e. one that is itself a boot image.
+    ///
+    /// The restore is field by field, from an exhaustive destructuring
+    /// of the image, into the buffers this machine already has: the
+    /// heap goes back to the shared boot space with an empty young
+    /// space, the globals are repaired by [`Machine::restore_globals`],
+    /// and everything else is copied with `clone_from`. Nothing is
+    /// copied per boot object, global or program, so the cost depends
+    /// on what the session changed, not on the size of the boot state.
     pub fn recycle(&mut self) -> bool {
         let Some(image) = self.boot_image.take() else {
             return false;
         };
-        let yielder = self.yielder.take();
-        *self = (*image).clone();
+        let Machine {
+            heap,
+            opts,
+            os,
+            globals,
+            shared_export,
+            dynamics,
+            fds,
+            inputs,
+            depth,
+            max_depth_seen,
+            bg_pid,
+            governor,
+            // The hook is the scheduler's, not the session's.
+            yielder: _,
+            boot_image: _,
+        } = &*image;
+        self.heap.clone_from(heap);
+        self.opts.clone_from(opts);
+        self.os.clone_from(os);
+        self.restore_globals(globals);
+        self.shared_export.clone_from(shared_export);
+        self.dynamics.clone_from(dynamics);
+        if self.fds != *fds {
+            self.fds.clone_from(fds);
+        }
+        self.inputs.clone_from(inputs);
+        self.depth = *depth;
+        self.max_depth_seen = *max_depth_seen;
+        self.bg_pid = *bg_pid;
+        self.governor.clone_from(governor);
+        debug_assert!(
+            self.heap.boot_space_intact(),
+            "the boot space changed after the freeze"
+        );
+        debug_assert!(
+            self.globals
+                .iter()
+                .map(|(name, g)| (Rc::as_ptr(name), g))
+                .eq(globals.iter().map(|(name, g)| (Rc::as_ptr(name), g))),
+            "recycled globals differ from the boot image's"
+        );
         self.boot_image = Some(image);
-        self.yielder = yielder;
         true
+    }
+
+    /// Makes the globals map equal to `boot`'s by a merge walk: an
+    /// entry that still shares `boot`'s name and cached encoding and
+    /// has its slot is left alone, so only the names the session
+    /// created, stored or removed are touched (the values themselves
+    /// live in the heap's persistent roots, which the heap restores).
+    fn restore_globals(&mut self, boot: &BTreeMap<Rc<str>, Global>) {
+        use std::cmp::Ordering;
+        let mut extra: Vec<Rc<str>> = Vec::new();
+        let mut missing: Vec<(&Rc<str>, &Global)> = Vec::new();
+        let mut mine = self.globals.iter_mut();
+        let mut theirs = boot.iter();
+        let (mut a, mut b) = (mine.next(), theirs.next());
+        loop {
+            let order = match (&a, &b) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                // Shared names are equal without reading them.
+                (Some((name, _)), Some((boot_name, _))) if Rc::ptr_eq(name, boot_name) => {
+                    Ordering::Equal
+                }
+                (Some((name, _)), Some((boot_name, _))) => name.cmp(boot_name),
+            };
+            match order {
+                Ordering::Less => {
+                    let (name, _) = a.take().expect("ordered before a boot name");
+                    extra.push(Rc::clone(name));
+                    a = mine.next();
+                }
+                Ordering::Greater => {
+                    missing.push(b.take().expect("ordered before a session name"));
+                    b = theirs.next();
+                }
+                Ordering::Equal => {
+                    let (name, g) = a.take().expect("equal names");
+                    let (boot_name, boot_g) = b.take().expect("equal names");
+                    if !Rc::ptr_eq(name, boot_name) {
+                        // Removed and created again: a new name.
+                        extra.push(Rc::clone(name));
+                        missing.push((boot_name, boot_g));
+                    } else if *g != *boot_g {
+                        g.clone_from(boot_g);
+                    }
+                    (a, b) = (mine.next(), theirs.next());
+                }
+            }
+        }
+        for name in extra {
+            self.globals.remove(&name);
+        }
+        for (name, g) in missing {
+            self.globals.insert(Rc::clone(name), g.clone());
+        }
     }
 
     /// Installs (or with `None`, removes) the cooperative-yield hook.

@@ -1776,6 +1776,40 @@ fn recycle_restores_boot_state() {
     );
 }
 
+/// A closure imported through the environment is frozen with its
+/// captured binding into the heap's boot space; assigning the binding
+/// goes through the write barrier to the overlay, which recycle
+/// empties. `bump` then answers as on a cold machine.
+#[test]
+fn recycle_forgets_assignments_to_boot_bindings() {
+    fn boot() -> Machine<SimOs> {
+        let mut os = SimOs::new();
+        let mut env = os.initial_env();
+        env.push((
+            "fn-bump".into(),
+            "%closure(n=0)@ * {n = $n x; result $#n}".into(),
+        ));
+        os.set_initial_env(env);
+        Machine::new(os).expect("machine boots")
+    }
+    let mut cold = boot();
+    let mut m = boot();
+    let bump = m.lookup(es_gc::Ref::NIL, "fn-", "bump").expect("fn-bump imported");
+    let closure = m.heap.pair_head(bump);
+    assert!(
+        m.heap.closure_bindings(closure).is_boot(),
+        "the captured binding lives in the boot space"
+    );
+    assert_eq!(val(&mut m, "bump"), vec!["2"]);
+    m.run("$&collect").unwrap();
+    assert_eq!(val(&mut m, "bump"), vec!["3"], "the overlay survives a collection");
+    assert!(m.recycle());
+    for _ in 0..2 {
+        assert_eq!(val(&mut m, "bump"), val(&mut cold, "bump"));
+    }
+    assert_eq!(m.get_var("fn-bump"), cold.get_var("fn-bump"));
+}
+
 /// Satellite: a recycled machine is bit-for-bit equivalent to a
 /// cold-started one — identical kernel fingerprints and an identical
 /// `SessionTrace` on a probe script that exercises variables, hooks,

@@ -6,7 +6,10 @@
 //! more boot files. A pipe reads only its descriptor words, so one
 //! under a `let` of 64 words makes as many mallocs as under one, and
 //! `~` and `^` read their words in place, so matching or concatenating
-//! 64 words makes as many as one.
+//! 64 words makes as many as one. A recycle restores the boot image
+//! into the buffers the machine already has, so it makes as many
+//! mallocs with 64 more imported globals, and a pinned few after a
+//! session that created a global and stored another.
 //!
 //! A line's *evaluation-only* mallocs are those of `run_text(line)`
 //! minus those of `lower(parse_program(line))` on the same text. They
@@ -19,7 +22,7 @@
 //! so every count below repeats exactly.
 
 use es_core::Machine;
-use es_os::SimOs;
+use es_os::{Os, SimOs};
 use es_syntax::{lower, parse_program};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -171,6 +174,39 @@ fn first_write_after_recycle_makes_no_malloc_per_boot_file() {
         bigger, boot,
         "first write with 64 more 1-KiB boot files vs none"
     );
+}
+
+/// Mallocs of the second recycle of a machine booted on `os`, each
+/// after a run of `session`: the first recycle grows whatever buffers
+/// the restore needs.
+fn recycle_mallocs(os: SimOs, session: &str) -> u64 {
+    let mut m = machine_on(os, session);
+    assert!(m.recycle());
+    m.run_quiet(session).expect("session runs");
+    counted(|| assert!(m.recycle()))
+}
+
+#[test]
+fn recycle_makes_no_malloc_per_boot_global() {
+    let mut big = SimOs::new();
+    let mut env = big.initial_env();
+    env.extend((0..64).map(|i| (format!("extra-{i}"), format!("value-{i}"))));
+    big.set_initial_env(env);
+    let session = "x = a; fn f { echo $x }; f; echo w > /tmp/w";
+    assert_eq!(
+        recycle_mallocs(big, session),
+        recycle_mallocs(SimOs::new(), session),
+        "recycle with 64 more imported globals vs none"
+    );
+}
+
+/// Recycling after a session that created one global and stored
+/// another copies nothing per boot global, object or program: the
+/// one malloc is the list of names the session created, which the
+/// merge walk removes.
+#[test]
+fn recycle_mallocs_are_pinned() {
+    assert_eq!(recycle_mallocs(SimOs::new(), "created = 1; prompt = '% '"), 1);
 }
 
 #[test]

@@ -1,17 +1,24 @@
 //! The semispace heap: object model, bump allocation, Cheney copy.
 
 use crate::stats::GcStats;
+use std::rc::Rc;
 use std::time::Instant;
 
+/// The epoch tag of a ref into the boot space. Young epochs count up
+/// from 0 and never reach it.
+const BOOT: u32 = u32::MAX;
+
 /// A garbage-collected reference: an index into the current semispace
-/// tagged with the collection *epoch* in which it was created.
+/// tagged with the collection *epoch* in which it was created, or an
+/// index into the frozen boot space (see [`Heap::freeze`]).
 ///
-/// Copying collection moves every live object, so a `Ref` held across a
-/// collection without being registered in the rootset is invalid. The
-/// epoch tag makes such bugs deterministic: dereferencing a stale `Ref`
-/// panics immediately instead of silently reading relocated memory.
-/// This mirrors the original implementation's debugging collector,
-/// which `mprotect`ed the old semispace so stale C pointers faulted.
+/// Copying collection moves every live young object, so a young `Ref`
+/// held across a collection without being registered in the rootset is
+/// invalid. The epoch tag makes such bugs deterministic: dereferencing
+/// a stale `Ref` panics immediately instead of silently reading
+/// relocated memory. This mirrors the original implementation's
+/// debugging collector, which `mprotect`ed the old semispace so stale C
+/// pointers faulted. A boot `Ref` never moves, so it never goes stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ref {
     idx: u32,
@@ -35,6 +42,12 @@ impl Ref {
     /// ```
     pub fn is_nil(self) -> bool {
         self.idx == u32::MAX
+    }
+
+    /// Returns true if this ref names an object in the frozen boot
+    /// space, which no collection moves.
+    pub fn is_boot(self) -> bool {
+        self.epoch == BOOT && !self.is_nil()
     }
 }
 
@@ -132,19 +145,39 @@ pub enum Obj<C> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PermSlot(usize);
 
+/// The objects that were live when [`Heap::freeze`] ran, with their
+/// text arena: immutable, and shared by `Rc` between a heap and its
+/// clones.
+#[derive(Debug)]
+struct BootSpace<C> {
+    objs: Vec<Obj<C>>,
+    text: String,
+    /// [`digest`] of `objs` and `text`, taken at the freeze.
+    digest: u64,
+}
+
 /// The garbage-collected heap.
 ///
 /// See the crate docs for the design rationale. The heap is
-/// single-threaded (the es interpreter is too); `Clone` performs a deep
-/// copy of the space, its text arena and the rootset, which is how the
-/// interpreter implements `fork` (a subshell gets a copy-on-fork image
-/// of all shell state, as a real `fork(2)` would provide).
-#[derive(Debug, Clone)]
+/// single-threaded (the es interpreter is too); `Clone` shares the boot
+/// space and copies the young space, its text arena, the overlay and
+/// the rootset, which is how the interpreter implements `fork` (a
+/// subshell gets a copy-on-fork image of all shell state, as a real
+/// `fork(2)` would provide). `clone_from` does the same into the
+/// buffers the heap already has.
+#[derive(Debug)]
 pub struct Heap<C> {
+    /// Objects live at [`Heap::freeze`]; empty until then.
+    boot: Rc<BootSpace<C>>,
+    /// The young space: everything allocated since the freeze.
     space: Vec<Obj<C>>,
     /// The semispace's text arena: the bytes of every `Str` and every
     /// `Binding` name in `space`, addressed by [`Span`].
     text: String,
+    /// Values assigned to boot `Binding`s since the freeze, by boot
+    /// index: the write barrier's log, which the collector treats as
+    /// roots. At most one entry per boot binding.
+    overlay: Vec<(u32, Ref)>,
     roots: Vec<Ref>,
     perm: Vec<Ref>,
     perm_free: Vec<usize>,
@@ -187,8 +220,14 @@ impl<C> Heap<C> {
     /// ```
     pub fn with_threshold(threshold: usize) -> Self {
         Heap {
+            boot: Rc::new(BootSpace {
+                objs: Vec::new(),
+                text: String::new(),
+                digest: digest::<C>(&[], ""),
+            }),
             space: Vec::with_capacity(threshold.min(1 << 20)),
             text: String::new(),
+            overlay: Vec::new(),
             roots: Vec::new(),
             perm: Vec::new(),
             perm_free: Vec::new(),
@@ -215,15 +254,20 @@ impl<C> Heap<C> {
         self.stats = GcStats::default();
     }
 
-    /// Number of objects currently in the space (live + garbage).
+    /// Number of objects the heap holds: the boot space plus the young
+    /// space (live + garbage).
     pub fn len(&self) -> usize {
-        self.space.len()
+        self.boot.objs.len() + self.space.len()
     }
 
-    /// Returns true if nothing has been allocated since the last
-    /// collection (or ever).
+    /// Returns true if the heap holds no object at all.
     pub fn is_empty(&self) -> bool {
-        self.space.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of objects in the frozen boot space.
+    pub fn boot_len(&self) -> usize {
+        self.boot.objs.len()
     }
 
     /// The current collection epoch. Bumped by every collection.
@@ -333,6 +377,15 @@ impl<C> Heap<C> {
 
     // ----- allocation -----------------------------------------------------------
 
+    /// True if the next allocation must go through
+    /// [`Heap::maybe_collect`]: it will collect (stress mode, or the
+    /// space is full), or the collector is disabled and the allocation
+    /// must be counted. Every other allocation bumps directly.
+    #[inline]
+    fn slow_alloc(&self) -> bool {
+        self.disabled > 0 || self.stress || self.space.len() >= self.threshold
+    }
+
     fn maybe_collect(&mut self) {
         if self.disabled > 0 {
             self.stats.disabled_allocs += 1;
@@ -368,7 +421,9 @@ impl<C> Heap<C> {
     ///
     /// Panics if the text arena would pass `u32::MAX` bytes.
     pub fn alloc_str(&mut self, s: &str) -> Ref {
-        self.maybe_collect();
+        if self.slow_alloc() {
+            self.maybe_collect();
+        }
         let span = append_text(&mut self.text, s);
         self.bump(Obj::Str(span))
     }
@@ -387,14 +442,19 @@ impl<C> Heap<C> {
     pub fn alloc_pair(&mut self, head: Ref, tail: Ref) -> Ref {
         self.check(head);
         self.check(tail);
-        // Root the children: the allocation itself may collect.
-        let base = self.roots.len();
-        self.roots.push(head);
-        self.roots.push(tail);
-        self.maybe_collect();
-        let tail = self.roots.pop().expect("root stack underflow");
-        let head = self.roots.pop().expect("root stack underflow");
-        debug_assert_eq!(self.roots.len(), base);
+        let (head, tail) = if self.slow_alloc() {
+            // Root the children: the allocation itself may collect.
+            let base = self.roots.len();
+            self.roots.push(head);
+            self.roots.push(tail);
+            self.maybe_collect();
+            let tail = self.roots.pop().expect("root stack underflow");
+            let head = self.roots.pop().expect("root stack underflow");
+            debug_assert_eq!(self.roots.len(), base);
+            (head, tail)
+        } else {
+            (head, tail)
+        };
         self.bump(Obj::Pair(head, tail))
     }
 
@@ -402,11 +462,16 @@ impl<C> Heap<C> {
     /// binding chain.
     pub fn alloc_closure(&mut self, code: C, bindings: Ref) -> Ref {
         self.check(bindings);
-        let base = self.roots.len();
-        self.roots.push(bindings);
-        self.maybe_collect();
-        let bindings = self.roots.pop().expect("root stack underflow");
-        debug_assert_eq!(self.roots.len(), base);
+        let bindings = if self.slow_alloc() {
+            let base = self.roots.len();
+            self.roots.push(bindings);
+            self.maybe_collect();
+            let bindings = self.roots.pop().expect("root stack underflow");
+            debug_assert_eq!(self.roots.len(), base);
+            bindings
+        } else {
+            bindings
+        };
         self.bump(Obj::Closure(code, bindings))
     }
 
@@ -418,13 +483,18 @@ impl<C> Heap<C> {
     pub fn alloc_binding(&mut self, name: &str, value: Ref, next: Ref) -> Ref {
         self.check(value);
         self.check(next);
-        let base = self.roots.len();
-        self.roots.push(value);
-        self.roots.push(next);
-        self.maybe_collect();
-        let next = self.roots.pop().expect("root stack underflow");
-        let value = self.roots.pop().expect("root stack underflow");
-        debug_assert_eq!(self.roots.len(), base);
+        let (value, next) = if self.slow_alloc() {
+            let base = self.roots.len();
+            self.roots.push(value);
+            self.roots.push(next);
+            self.maybe_collect();
+            let next = self.roots.pop().expect("root stack underflow");
+            let value = self.roots.pop().expect("root stack underflow");
+            debug_assert_eq!(self.roots.len(), base);
+            (value, next)
+        } else {
+            (value, next)
+        };
         let span = append_text(&mut self.text, name);
         self.bump(Obj::Binding(span, value, next))
     }
@@ -434,6 +504,10 @@ impl<C> Heap<C> {
     #[track_caller]
     fn check(&self, r: Ref) {
         if r.is_nil() {
+            return;
+        }
+        if r.epoch == BOOT {
+            assert!((r.idx as usize) < self.boot.objs.len(), "boot ref out of range");
             return;
         }
         assert_eq!(
@@ -453,11 +527,24 @@ impl<C> Heap<C> {
     /// most recent collection and not re-read through a root slot) —
     /// the safe-Rust analogue of the original's `mprotect` fault on a
     /// missed-rootset bug.
+    ///
+    /// A boot `Binding` shows the value it had at the freeze; read a
+    /// binding's current value with [`Heap::binding_parts`].
     #[track_caller]
     pub fn get(&self, r: Ref) -> &Obj<C> {
+        self.resolve(r).0
+    }
+
+    /// Dereferences `r`, returning its object and the text arena its
+    /// span indexes (the boot space's or the young space's).
+    #[track_caller]
+    fn resolve(&self, r: Ref) -> (&Obj<C>, &str) {
         assert!(!r.is_nil(), "deref of nil gc ref");
+        if r.epoch == BOOT {
+            return (&self.boot.objs[r.idx as usize], &self.boot.text);
+        }
         self.check(r);
-        &self.space[r.idx as usize]
+        (&self.space[r.idx as usize], &self.text)
     }
 
     /// Returns the string payload of a `Str` object.
@@ -467,9 +554,9 @@ impl<C> Heap<C> {
     /// Panics if `r` does not refer to a `Str`.
     #[track_caller]
     pub fn str_value(&self, r: Ref) -> &str {
-        match self.get(r) {
-            Obj::Str(span) => &self.text[span.range()],
-            other => panic!("expected Str, found {}", shape_name(other)),
+        match self.resolve(r) {
+            (Obj::Str(span), text) => &text[span.range()],
+            (other, _) => panic!("expected Str, found {}", shape_name(other)),
         }
     }
 
@@ -503,11 +590,13 @@ impl<C> Heap<C> {
     ///
     /// # Panics
     ///
-    /// Panics if `r` does not refer to a `Pair` or `t` is stale.
+    /// Panics if `r` does not refer to a young `Pair` or `t` is stale.
+    /// Boot lists are immutable: a cell appended to is always fresh.
     pub fn set_pair_tail(&mut self, r: Ref, t: Ref) {
         self.check(t);
         self.check(r);
         assert!(!r.is_nil(), "deref of nil gc ref");
+        assert!(r.epoch != BOOT, "set_pair_tail on a boot cell");
         match &mut self.space[r.idx as usize] {
             Obj::Pair(_, tail) => *tail = t,
             other => panic!("expected Pair, found {}", shape_name(other)),
@@ -547,19 +636,46 @@ impl<C> Heap<C> {
     /// Panics if `r` does not refer to a `Binding`.
     #[track_caller]
     pub fn binding_parts(&self, r: Ref) -> (&str, Ref, Ref) {
-        match self.get(r) {
-            Obj::Binding(name, v, next) => (&self.text[name.range()], *v, *next),
-            other => panic!("expected Binding, found {}", shape_name(other)),
+        match self.resolve(r) {
+            (Obj::Binding(name, v, next), text) => {
+                let v = match r.epoch {
+                    BOOT => self.overlay_value(r.idx).unwrap_or(*v),
+                    _ => *v,
+                };
+                (&text[name.range()], v, *next)
+            }
+            (other, _) => panic!("expected Binding, found {}", shape_name(other)),
         }
     }
 
-    /// Mutates the value of a `Binding` frame (lexical assignment).
+    /// The value the overlay holds for boot binding `idx`, if it was
+    /// assigned since the freeze.
+    fn overlay_value(&self, idx: u32) -> Option<Ref> {
+        self.overlay.iter().find(|(i, _)| *i == idx).map(|(_, v)| *v)
+    }
+
+    /// Mutates the value of a `Binding` frame (lexical assignment). A
+    /// boot binding is not written: the write barrier records the value
+    /// in the overlay instead.
     ///
     /// # Panics
     ///
     /// Panics if `r` does not refer to a `Binding` or `v` is stale.
     pub fn set_binding_value(&mut self, r: Ref, v: Ref) {
         self.check(v);
+        if r.epoch == BOOT {
+            let obj = self.get(r);
+            assert!(
+                matches!(obj, Obj::Binding(..)),
+                "expected Binding, found {}",
+                shape_name(obj)
+            );
+            match self.overlay.iter_mut().find(|(i, _)| *i == r.idx) {
+                Some(entry) => entry.1 = v,
+                None => self.overlay.push((r.idx, v)),
+            }
+            return;
+        }
         self.check(r);
         assert!(!r.is_nil(), "deref of nil gc ref");
         match &mut self.space[r.idx as usize] {
@@ -572,23 +688,88 @@ impl<C> Heap<C> {
 
     /// Runs a full collection now.
     ///
-    /// All live objects (reachable from the root stack) are copied to a
-    /// fresh space, the bytes of live strings and binding names to a
-    /// fresh text arena, the epoch is bumped, and all previously issued
+    /// All live young objects (reachable from the root stack, the
+    /// persistent roots and the overlay) are copied to a fresh space,
+    /// the bytes of live strings and binding names to a fresh text
+    /// arena, the epoch is bumped, and all previously issued young
     /// [`Ref`]s become stale. Holders must re-read their refs through
     /// root slots. Dropping the old space frees every dead string at
-    /// once, so the cost is proportional to what is live.
+    /// once, so the cost is proportional to what is live. The boot
+    /// space is neither copied nor scanned: nothing in it points into
+    /// the young space except through the overlay.
     pub fn collect(&mut self) {
         let start = Instant::now();
+        let epoch = self.epoch + 1;
+        assert!(epoch < BOOT, "gc epoch counter exhausted");
+        let to = self.evacuate(epoch, self.space.len().min(self.threshold));
+        let live = to.objs.len();
+        // Swap spaces; the old space and its arena are dropped, which
+        // "poisons" them for free — any stale Ref now fails the epoch
+        // check on deref.
+        self.stats.bytes_copied += to.text.len() as u64;
+        self.space = to.objs;
+        self.text = to.text;
+        self.epoch = epoch;
+        self.stats.collections += 1;
+        self.stats.copied += live as u64;
+        self.stats.live_after_last = live as u64;
+        // If the triggering request would still not fit, grow the space
+        // and note it ("a larger block is allocated and the collection
+        // is redone" — with a to-space sized by live data the redo is
+        // unnecessary, but the growth decision is the same).
+        if live >= self.threshold {
+            self.threshold = self.threshold.saturating_mul(2);
+            self.stats.grows += 1;
+        }
+        let pause = start.elapsed();
+        self.stats.pause_total += pause;
+        if pause > self.stats.pause_max {
+            self.stats.pause_max = pause;
+        }
+    }
+
+    /// Moves every live object into an immutable boot space shared by
+    /// this heap's clones, and empties the young space. Afterwards no collection copies, scans or stales a
+    /// boot object, and a lexical assignment to a boot binding goes to
+    /// the overlay. The interpreter freezes once, at the end of boot;
+    /// the statistics are left as they were.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the heap is already frozen.
+    pub fn freeze(&mut self) {
+        assert!(self.boot.objs.is_empty(), "the heap is already frozen");
+        let ToSpace { mut objs, mut text } = self.evacuate(BOOT, 0);
+        objs.shrink_to_fit();
+        text.shrink_to_fit();
+        let digest = digest(&objs, &text);
+        self.boot = Rc::new(BootSpace { objs, text, digest });
+        // Release the buffers boot's garbage filled: the young space
+        // grows again with what runs after the freeze.
+        self.space = Vec::new();
+        self.text = String::new();
+        // Every young ref issued before the freeze is now stale.
+        self.epoch += 1;
+    }
+
+    /// True if the boot space still has the digest [`Heap::freeze`]
+    /// took: the oracle that no one wrote into it.
+    pub fn boot_space_intact(&self) -> bool {
+        digest(&self.boot.objs, &self.boot.text) == self.boot.digest
+    }
+
+    /// Copies every young object reachable from the roots, the
+    /// persistent roots and the overlay into a to-space (Cheney scan),
+    /// tagging the new refs with `epoch`, and rewrites those roots.
+    /// The from-space is left full of forwarding entries.
+    fn evacuate(&mut self, epoch: u32, capacity: usize) -> ToSpace<C> {
         let mut to = ToSpace {
-            objs: Vec::with_capacity(self.space.len().min(self.threshold)),
+            objs: Vec::with_capacity(capacity),
             text: String::with_capacity(self.text.len()),
         };
         let (from, from_text) = (&mut self.space[..], &self.text[..]);
-        let epoch = self.epoch + 1;
-        // Copy the rootset (stack roots + persistent roots), then
-        // Cheney-scan the to-space.
-        for r in self.roots.iter_mut().chain(self.perm.iter_mut()) {
+        let overlay = self.overlay.iter_mut().map(|(_, v)| v);
+        for r in self.roots.iter_mut().chain(self.perm.iter_mut()).chain(overlay) {
             *r = copy_obj(from, from_text, &mut to, *r, epoch);
         }
         let mut scan = 0;
@@ -619,30 +800,7 @@ impl<C> Heap<C> {
             }
             scan += 1;
         }
-        let live = to.objs.len();
-        // Swap spaces; the old space and its arena are dropped, which
-        // "poisons" them for free — any stale Ref now fails the epoch
-        // check on deref.
-        self.stats.bytes_copied += to.text.len() as u64;
-        self.space = to.objs;
-        self.text = to.text;
-        self.epoch = epoch;
-        self.stats.collections += 1;
-        self.stats.copied += live as u64;
-        self.stats.live_after_last = live as u64;
-        // If the triggering request would still not fit, grow the space
-        // and note it ("a larger block is allocated and the collection
-        // is redone" — with a to-space sized by live data the redo is
-        // unnecessary, but the growth decision is the same).
-        if live >= self.threshold {
-            self.threshold = self.threshold.saturating_mul(2);
-            self.stats.grows += 1;
-        }
-        let pause = start.elapsed();
-        self.stats.pause_total += pause;
-        if pause > self.stats.pause_max {
-            self.stats.pause_max = pause;
-        }
+        to
     }
 
     /// Checks the space against a governor budget of `max` objects.
@@ -655,13 +813,82 @@ impl<C> Heap<C> {
     /// unrooted refs then, and a forced collection would invalidate
     /// them.
     pub fn enforce_budget(&mut self, max: u64) -> Option<u64> {
-        if self.space.len() as u64 <= max || self.disabled > 0 {
+        if self.len() as u64 <= max || self.disabled > 0 {
             return None;
         }
         self.collect();
         self.stats.budget_collections += 1;
-        let live = self.space.len() as u64;
+        let live = self.len() as u64;
         (live > max).then_some(live)
+    }
+}
+
+impl<C: Clone> Clone for Heap<C> {
+    fn clone(&self) -> Self {
+        let Heap {
+            boot,
+            space,
+            text,
+            overlay,
+            roots,
+            perm,
+            perm_free,
+            epoch,
+            threshold,
+            disabled,
+            stress,
+            stats,
+        } = self;
+        Heap {
+            boot: Rc::clone(boot),
+            space: space.clone(),
+            text: text.clone(),
+            overlay: overlay.clone(),
+            roots: roots.clone(),
+            perm: perm.clone(),
+            perm_free: perm_free.clone(),
+            epoch: *epoch,
+            threshold: *threshold,
+            disabled: *disabled,
+            stress: *stress,
+            stats: stats.clone(),
+        }
+    }
+
+    /// Becomes a copy of `source` field by field, in the buffers this
+    /// heap already has. Restoring a heap from its boot image (young
+    /// space and overlay empty) is then a few truncations and the copy
+    /// of the rootset: no malloc once the buffers are big enough, and
+    /// nothing per boot object.
+    fn clone_from(&mut self, source: &Self) {
+        let Heap {
+            boot,
+            space,
+            text,
+            overlay,
+            roots,
+            perm,
+            perm_free,
+            epoch,
+            threshold,
+            disabled,
+            stress,
+            stats,
+        } = source;
+        if !Rc::ptr_eq(&self.boot, boot) {
+            self.boot = Rc::clone(boot);
+        }
+        self.space.clone_from(space);
+        self.text.clone_from(text);
+        self.overlay.clone_from(overlay);
+        self.roots.clone_from(roots);
+        self.perm.clone_from(perm);
+        self.perm_free.clone_from(perm_free);
+        self.epoch = *epoch;
+        self.threshold = *threshold;
+        self.disabled = *disabled;
+        self.stress = *stress;
+        self.stats.clone_from(stats);
     }
 }
 
@@ -682,8 +909,8 @@ fn copy_obj<C>(
     r: Ref,
     new_epoch: u32,
 ) -> Ref {
-    if r.is_nil() {
-        return Ref::NIL;
+    if r.is_nil() || r.epoch == BOOT {
+        return r;
     }
     let idx = r.idx as usize;
     if let Obj::Forward(n) = from[idx] {
@@ -706,6 +933,36 @@ fn copy_obj<C>(
         idx: new_idx,
         epoch: new_epoch,
     }
+}
+
+/// FNV-1a over a space's shape: each object's kind, its child refs and
+/// its text. Closure payloads are opaque to the collector and left out.
+fn digest<C>(objs: &[Obj<C>], text: &str) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    for obj in objs {
+        let (refs, span) = match obj {
+            Obj::Str(span) => ([Ref::NIL; 2], Some(*span)),
+            Obj::Pair(a, b) => ([*a, *b], None),
+            Obj::Closure(_, b) => ([*b, Ref::NIL], None),
+            Obj::Binding(name, v, n) => ([*v, *n], Some(*name)),
+            Obj::Forward(n) => ([Ref { idx: *n, epoch: 0 }, Ref::NIL], None),
+        };
+        mix(shape_name(obj).as_bytes());
+        for r in refs {
+            mix(&r.idx.to_le_bytes());
+            mix(&r.epoch.to_le_bytes());
+        }
+        if let Some(span) = span {
+            mix(text[span.range()].as_bytes());
+        }
+    }
+    h
 }
 
 fn shape_name<C>(o: &Obj<C>) -> &'static str {

@@ -53,9 +53,21 @@
 //! `String` sliced by range — still no `unsafe`. A string that would
 //! push one arena past `u32::MAX` bytes panics rather than wrap.
 //!
-//! `Clone` (the interpreter's fork, session recycle and boot image)
-//! copies the two buffers and the rootset and bumps each closure
-//! payload's reference count; it makes no allocation per string.
+//! `Clone` (the interpreter's fork and boot image) copies the two
+//! young buffers and the rootset and bumps each closure payload's
+//! reference count; it makes no allocation per string.
+//!
+//! # The boot space
+//!
+//! [`Heap::freeze`] moves every live object into an immutable boot
+//! space, shared by `Rc` with the heap's clones. A boot [`Ref`]
+//! ([`Ref::is_boot`]) is never copied, scanned or staled by a
+//! collection, so a collection costs what is live *and young*. A
+//! lexical assignment to a boot binding goes through a write barrier
+//! into a per-heap overlay, which the collector treats as roots.
+//! `clone_from` restores a heap from a frozen image into the buffers it
+//! already has: the same boot space, an empty young space and overlay,
+//! and no malloc per boot object (the interpreter's session recycle).
 //!
 //! # Examples
 //!

@@ -419,3 +419,126 @@ fn perm_and_stack_roots_share_objects() {
     assert_eq!(heap.perm(perm), heap.root(stack), "copied exactly once");
     assert_eq!(heap.len(), 1);
 }
+
+// ----- the boot space ---------------------------------------------------------
+
+/// A heap frozen with a list `["b0", "b1", "b2"]` in perm slot 0 and a
+/// binding `n = ["zero"]` captured by closure 7 in perm slot 1.
+fn frozen_heap() -> (Heap<u32>, crate::PermSlot, crate::PermSlot) {
+    let mut heap: Heap<u32> = Heap::with_threshold(64);
+    let items: Vec<String> = (0..3).map(|i| format!("b{i}")).collect();
+    let list = build_list(&mut heap, &items);
+    let list = heap.alloc_perm(heap.root(list));
+    let zero = heap.alloc_str("zero");
+    let value = heap.alloc_pair(zero, Ref::NIL);
+    let binding = heap.alloc_binding("n", value, Ref::NIL);
+    let closure = heap.alloc_closure(7, binding);
+    let closure = heap.alloc_perm(closure);
+    heap.truncate_roots(0);
+    for i in 0..20 {
+        heap.alloc_string(format!("garbage-{i}"));
+    }
+    heap.freeze();
+    (heap, list, closure)
+}
+
+#[test]
+fn freeze_moves_the_live_objects_into_the_boot_space() {
+    let (heap, list, closure) = frozen_heap();
+    // 3 strings + 3 cells, and a string, a cell, a binding, a closure.
+    assert_eq!(heap.boot_len(), 10);
+    assert_eq!(heap.len(), heap.boot_len());
+    assert!(heap.perm(list).is_boot() && heap.perm(closure).is_boot());
+    assert_eq!(read_list(&heap, heap.perm(list)), ["b0", "b1", "b2"]);
+    assert!(heap.boot_space_intact());
+}
+
+#[test]
+fn boot_refs_stay_valid_across_collections() {
+    for stress in [false, true] {
+        let (mut heap, list, _) = frozen_heap();
+        heap.set_stress(stress);
+        let head = heap.pair_head(heap.perm(list));
+        for i in 0..200 {
+            let s = heap.alloc_string(format!("young-{i}"));
+            heap.alloc_pair(s, head);
+        }
+        heap.collect();
+        // Neither the perm slot nor the ref read before the collections
+        // moved: a boot ref is never staled.
+        assert_eq!(heap.str_value(head), "b0");
+        assert_eq!(heap.pair_head(heap.perm(list)), head);
+        assert_eq!(read_list(&heap, heap.perm(list)), ["b0", "b1", "b2"]);
+        assert!(heap.boot_space_intact());
+    }
+}
+
+#[test]
+#[should_panic(expected = "stale gc ref")]
+fn stale_young_ref_panics_in_a_frozen_heap() {
+    let (mut heap, _, _) = frozen_heap();
+    let r = heap.alloc_str("young");
+    heap.collect();
+    let _ = heap.get(r);
+}
+
+#[test]
+#[should_panic(expected = "stale gc ref")]
+fn a_ref_from_before_the_freeze_is_stale() {
+    let mut heap: Heap<u32> = Heap::new();
+    let r = heap.alloc_str("x");
+    heap.push_root(r);
+    heap.freeze();
+    let _ = heap.get(r);
+}
+
+#[test]
+fn overlay_value_survives_a_collection() {
+    let (mut heap, _, closure) = frozen_heap();
+    let image = heap.clone();
+    let binding = heap.closure_bindings(heap.perm(closure));
+    assert!(binding.is_boot());
+    let one = heap.alloc_str("one");
+    let value = heap.alloc_pair(one, Ref::NIL);
+    heap.set_binding_value(binding, value);
+    for i in 0..200 {
+        heap.alloc_string(format!("garbage-{i}"));
+    }
+    heap.collect();
+    let (name, value, next) = heap.binding_parts(binding);
+    assert_eq!((name, next), ("n", Ref::NIL));
+    assert!(!value.is_boot(), "the new value is young");
+    assert_eq!(read_list(&heap, value), ["one"]);
+    // The boot space itself was not written.
+    assert!(heap.boot_space_intact());
+    // Restored from the frozen image, the heap forgets the assignment.
+    heap.clone_from(&image);
+    assert_eq!(heap.len(), heap.boot_len());
+    assert_eq!(read_list(&heap, heap.binding_parts(binding).1), ["zero"]);
+}
+
+#[test]
+fn collections_after_a_freeze_never_copy_a_boot_object() {
+    let (mut heap, list, _) = frozen_heap();
+    let copied = heap.stats().copied;
+    heap.collect();
+    assert_eq!(heap.stats().copied, copied, "nothing young is live");
+    let s = heap.alloc_str("young");
+    let cell = heap.alloc_pair(s, heap.perm(list));
+    heap.push_root(cell);
+    heap.set_stress(true);
+    heap.alloc_str("garbage");
+    heap.collect();
+    // Every collection copied only the two young objects.
+    let collections = heap.stats().collections - 1;
+    assert_eq!(heap.stats().copied - copied, 2 * collections);
+    assert_eq!(heap.stats().live_after_last, 2);
+    assert_eq!(heap.len(), heap.boot_len() + 2);
+}
+
+#[test]
+#[should_panic(expected = "set_pair_tail on a boot cell")]
+fn boot_cells_are_immutable() {
+    let (mut heap, list, _) = frozen_heap();
+    heap.set_pair_tail(heap.perm(list), Ref::NIL);
+}

@@ -10,6 +10,7 @@ use crate::vfs::Vfs;
 use crate::{OpenMode, Os, Signal};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read as _, Write as _};
+use std::rc::Rc;
 
 /// A kernel descriptor: an index into the open-description table.
 /// Descriptors are reference counted ([`Os::dup`] shares the
@@ -69,16 +70,19 @@ pub struct ProcEntry {
 ///
 /// `Clone` copies the whole kernel (descriptors, pipes, clock) except
 /// the filesystem, which it shares copy-on-write: the clone pays for
-/// its own copy of the inode table on its first write. The
+/// its own copy of the inode table on its first write. The program
+/// table, the process table and the initial environment are shared
+/// too (`kill` copies the process table before it removes a row). The
 /// interpreter's `fork` clones the kernel together with the shell
-/// state, giving true fork semantics.
-#[derive(Clone)]
+/// state, giving true fork semantics; `clone_from` copies into the
+/// buffers the kernel already has, which is how a recycled session
+/// restores its boot kernel.
 pub struct SimOs {
     vfs: Vfs,
     cwd: String,
     files: Vec<Option<OpenFile>>,
     pipes: Vec<Pipe>,
-    programs: BTreeMap<&'static str, ProgramFn>,
+    programs: Rc<BTreeMap<&'static str, ProgramFn>>,
     /// Virtual nanoseconds since the 1993-01-25 epoch.
     real_ns: u64,
     children: Rusage,
@@ -95,9 +99,9 @@ pub struct SimOs {
     /// time). `take_signal` delivers one once the clock reaches it —
     /// tests use this to model "^C arrives mid-computation".
     sig_schedule: Vec<(u64, Signal)>,
-    procs: Vec<ProcEntry>,
+    procs: Rc<Vec<ProcEntry>>,
     next_pid: i32,
-    initial_env: Vec<(String, String)>,
+    initial_env: Rc<Vec<(String, String)>>,
     /// The shell's own pid in the fake process table.
     pub shell_pid: i32,
     shell_sys_ns: u64,
@@ -118,6 +122,96 @@ impl std::fmt::Debug for SimOs {
 impl Default for SimOs {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Clone for SimOs {
+    fn clone(&self) -> Self {
+        let SimOs {
+            vfs,
+            cwd,
+            files,
+            pipes,
+            programs,
+            real_ns,
+            children,
+            console_in,
+            console_out,
+            console_err,
+            interactive,
+            signals,
+            sig_schedule,
+            procs,
+            next_pid,
+            initial_env,
+            shell_pid,
+            shell_sys_ns,
+            fault,
+        } = self;
+        SimOs {
+            vfs: vfs.clone(),
+            cwd: cwd.clone(),
+            files: files.clone(),
+            pipes: pipes.clone(),
+            programs: Rc::clone(programs),
+            real_ns: *real_ns,
+            children: *children,
+            console_in: console_in.clone(),
+            console_out: console_out.clone(),
+            console_err: console_err.clone(),
+            interactive: *interactive,
+            signals: signals.clone(),
+            sig_schedule: sig_schedule.clone(),
+            procs: Rc::clone(procs),
+            next_pid: *next_pid,
+            initial_env: Rc::clone(initial_env),
+            shell_pid: *shell_pid,
+            shell_sys_ns: *shell_sys_ns,
+            fault: fault.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let SimOs {
+            vfs,
+            cwd,
+            files,
+            pipes,
+            programs,
+            real_ns,
+            children,
+            console_in,
+            console_out,
+            console_err,
+            interactive,
+            signals,
+            sig_schedule,
+            procs,
+            next_pid,
+            initial_env,
+            shell_pid,
+            shell_sys_ns,
+            fault,
+        } = source;
+        self.vfs.clone_from(vfs);
+        self.cwd.clone_from(cwd);
+        self.files.clone_from(files);
+        self.pipes.clone_from(pipes);
+        self.programs.clone_from(programs);
+        self.real_ns = *real_ns;
+        self.children = *children;
+        self.console_in.clone_from(console_in);
+        self.console_out.clone_from(console_out);
+        self.console_err.clone_from(console_err);
+        self.interactive = *interactive;
+        self.signals.clone_from(signals);
+        self.sig_schedule.clone_from(sig_schedule);
+        self.procs.clone_from(procs);
+        self.next_pid = *next_pid;
+        self.initial_env.clone_from(initial_env);
+        self.shell_pid = *shell_pid;
+        self.shell_sys_ns = *shell_sys_ns;
+        self.fault.clone_from(fault);
     }
 }
 
@@ -156,7 +250,7 @@ impl SimOs {
             cwd: "/home/user".into(),
             files,
             pipes: Vec::new(),
-            programs,
+            programs: Rc::new(programs),
             real_ns: 0,
             children: Rusage::default(),
             console_in: VecDeque::new(),
@@ -165,14 +259,14 @@ impl SimOs {
             interactive: false,
             signals: VecDeque::new(),
             sig_schedule: Vec::new(),
-            procs,
+            procs: Rc::new(procs),
             next_pid: 6000,
             shell_sys_ns: 0,
-            initial_env: vec![
+            initial_env: Rc::new(vec![
                 ("HOME".into(), "/home/user".into()),
                 ("PATH".into(), "/bin:/usr/bin".into()),
                 ("TERM".into(), "vt100".into()),
-            ],
+            ]),
             shell_pid: 5000,
             fault: None,
         }
@@ -212,7 +306,7 @@ impl SimOs {
 
     /// Replaces the environment reported by [`Os::initial_env`].
     pub fn set_initial_env(&mut self, env: Vec<(String, String)>) {
-        self.initial_env = env;
+        self.initial_env = Rc::new(env);
     }
 
     /// Delivers a signal to the shell (tests use this to model ^C).
@@ -418,9 +512,8 @@ impl SimOs {
                 hit += 1;
                 continue;
             }
-            let before = self.procs.len();
-            self.procs.retain(|p| p.pid != pid);
-            if self.procs.len() != before {
+            if self.procs.iter().any(|p| p.pid == pid) {
+                Rc::make_mut(&mut self.procs).retain(|p| p.pid != pid);
                 hit += 1;
             }
         }
@@ -507,7 +600,7 @@ impl SimOs {
             fnv_u64(&mut h, *t);
             fnv(&mut h, sig.name().as_bytes());
         }
-        for p in &self.procs {
+        for p in self.procs.iter() {
             fnv(&mut h, p.user.as_bytes());
             fnv_u64(&mut h, p.pid as u64);
             fnv(&mut h, p.command.as_bytes());
@@ -792,7 +885,7 @@ impl Os for SimOs {
     }
 
     fn initial_env(&self) -> Vec<(String, String)> {
-        self.initial_env.clone()
+        self.initial_env.to_vec()
     }
 
     fn take_console(&mut self) -> (String, String) {

@@ -143,6 +143,10 @@ pub struct LexError {
     pub msg: String,
     /// True if more input could fix it (unterminated quote).
     pub incomplete: bool,
+    /// Byte offset in the source where the bad construct starts: the
+    /// opening quote of an unterminated quote, the operator of a bad
+    /// fd designator, the `$&` of a missing primitive name.
+    pub pos: usize,
 }
 
 /// How a byte reads in a word.
@@ -206,6 +210,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
         return Err(LexError {
             msg: "input longer than 4 GiB".into(),
             incomplete: false,
+            pos: 0,
         });
     }
     let b = src.as_bytes();
@@ -307,7 +312,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                     push(&mut out, Tok::OrOr, space);
                     i += 2;
                 } else if next == Some(b'[') {
-                    let (nums, end) = bracket_numbers(src, i + 1)?;
+                    let (nums, end) = bracket_numbers(src, i, i + 1)?;
                     let (a, b) = match nums {
                         Bracket::One(n) => (n, 0),
                         Bracket::Two(a, b) => (a, b),
@@ -315,6 +320,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                             return Err(LexError {
                                 msg: "bad pipe fd designator".into(),
                                 incomplete: false,
+                                pos: i,
                             })
                         }
                     };
@@ -343,6 +349,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                         return Err(LexError {
                             msg: "missing primitive name after $&".into(),
                             incomplete: false,
+                            pos: i,
                         });
                     }
                     push(&mut out, Tok::Prim(src[i + 2..end].to_string()), space);
@@ -359,8 +366,8 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                     i += 2;
                 } else if next == Some(b'<') {
                     if b.get(i + 2) == Some(&b'[') {
-                        let (nums, end) = bracket_numbers(src, i + 2)?;
-                        let fd = bracket_single(nums)?;
+                        let (nums, end) = bracket_numbers(src, i, i + 2)?;
+                        let fd = bracket_single(nums, i)?;
                         push(&mut out, Tok::Redir(RedirOp::Here(fd)), space);
                         i = end;
                     } else {
@@ -368,8 +375,8 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                         i += 2;
                     }
                 } else if next == Some(b'[') {
-                    let (nums, end) = bracket_numbers(src, i + 1)?;
-                    let fd = bracket_single(nums)?;
+                    let (nums, end) = bracket_numbers(src, i, i + 1)?;
+                    let fd = bracket_single(nums, i)?;
                     push(&mut out, Tok::Redir(RedirOp::Open(fd)), space);
                     i = end;
                 } else {
@@ -380,8 +387,8 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
             b'>' => {
                 if next == Some(b'>') {
                     if b.get(i + 2) == Some(&b'[') {
-                        let (nums, end) = bracket_numbers(src, i + 2)?;
-                        let fd = bracket_single(nums)?;
+                        let (nums, end) = bracket_numbers(src, i, i + 2)?;
+                        let fd = bracket_single(nums, i)?;
                         push(&mut out, Tok::Redir(RedirOp::Append(fd)), space);
                         i = end;
                     } else {
@@ -389,7 +396,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                         i += 2;
                     }
                 } else if next == Some(b'[') {
-                    let (nums, end) = bracket_numbers(src, i + 1)?;
+                    let (nums, end) = bracket_numbers(src, i, i + 1)?;
                     let op = match nums {
                         Bracket::One(fd) => RedirOp::Create(fd),
                         Bracket::Two(a, b) => RedirOp::Dup(a, b),
@@ -439,8 +446,9 @@ enum Bracket {
     CloseMark(u32),
 }
 
-/// Parses `[n]`, `[n=m]` or `[n=]` starting at `src[start] == '['`.
-fn bracket_numbers(src: &str, start: usize) -> Result<(Bracket, usize), LexError> {
+/// Parses `[n]`, `[n=m]` or `[n=]` starting at `src[start] == '['`,
+/// the designator of the operator at `src[op]` (where errors point).
+fn bracket_numbers(src: &str, op: usize, start: usize) -> Result<(Bracket, usize), LexError> {
     let b = src.as_bytes();
     let digits = |from: usize| {
         b[from..]
@@ -451,10 +459,12 @@ fn bracket_numbers(src: &str, start: usize) -> Result<(Bracket, usize), LexError
     let bad_fd = || LexError {
         msg: "bad fd number".into(),
         incomplete: false,
+        pos: op,
     };
     let unterminated = || LexError {
         msg: "unterminated fd designator".into(),
         incomplete: false,
+        pos: op,
     };
     let mut i = digits(start + 1);
     let a: u32 = src[start + 1..i].parse().map_err(|_| bad_fd())?;
@@ -477,12 +487,13 @@ fn bracket_numbers(src: &str, start: usize) -> Result<(Bracket, usize), LexError
     }
 }
 
-fn bracket_single(b: Bracket) -> Result<u32, LexError> {
+fn bracket_single(b: Bracket, op: usize) -> Result<u32, LexError> {
     match b {
         Bracket::One(n) => Ok(n),
         _ => Err(LexError {
             msg: "unexpected `=` in fd designator".into(),
             incomplete: false,
+            pos: op,
         }),
     }
 }
@@ -497,12 +508,14 @@ fn lex_word(src: &str, start: usize) -> Result<(Word, usize), LexError> {
     loop {
         if b.get(i) == Some(&b'\'') {
             let from = word.text.len() as u32;
+            let open = i;
             i += 1;
             loop {
                 let Some(n) = b[i..].iter().position(|&c| c == b'\'') else {
                     return Err(LexError {
                         msg: "unterminated quote".into(),
                         incomplete: true,
+                        pos: open,
                     });
                 };
                 word.text.push_str(&src[i..i + n]);

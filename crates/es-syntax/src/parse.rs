@@ -43,7 +43,7 @@ pub fn parse_program(src: &str) -> Result<Node, ParseError> {
     let toks = lex::tokens(src).map_err(|e| ParseError {
         msg: e.msg,
         incomplete: e.incomplete,
-        pos: src.len(),
+        pos: e.pos,
     })?;
     let mut p = Parser { toks, i: 0 };
     let body = p.seq(&[Tok::Eof])?;

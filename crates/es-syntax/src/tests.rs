@@ -55,6 +55,25 @@ fn lex_mixed_quoting_is_one_word() {
 fn lex_unterminated_quote_is_incomplete() {
     let err = lex::tokens("echo 'oops").unwrap_err();
     assert!(err.incomplete);
+    assert_eq!(err.pos, 5, "at the opening quote");
+}
+
+/// A lexer error is reported where the bad construct starts, not at
+/// the end of the input.
+#[test]
+fn lex_errors_report_their_position() {
+    let err = parse_program("echo >[x] f; echo ok").unwrap_err();
+    assert_eq!((err.msg.as_str(), err.pos), ("bad fd number", 5));
+    let err = parse_program("echo ok 'it''s").unwrap_err();
+    assert_eq!((err.msg.as_str(), err.pos, err.incomplete), ("unterminated quote", 8, true));
+    for (src, pos) in [
+        ("cat >>[1=2] f", 4),
+        ("a |[3=] b", 2),
+        ("x <[2 y", 2),
+        ("echo $& z", 5),
+    ] {
+        assert_eq!(parse_program(src).unwrap_err().pos, pos, "{src}");
+    }
 }
 
 #[test]
