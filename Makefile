@@ -1,9 +1,9 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz conform-check soak soak-limits serve-soak lint bench-check counts counts-check bench bench-eval bench-serve bench-front-end clean
+.PHONY: all build test conform fuzz conform-check soak soak-limits serve-soak serve-soak-check lint bench-check counts counts-check bench bench-eval bench-serve bench-front-end clean
 
-all: build test conform-check serve-soak lint bench-check counts-check
+all: build test conform-check serve-soak-check lint bench-check counts-check
 
 build:
 	cargo build --release
@@ -58,6 +58,14 @@ SERVE_SEEDS ?= 2
 serve-soak:
 	SERVE_SESSIONS=$(SERVE_SESSIONS) SERVE_SEEDS=$(SERVE_SEEDS) \
 		cargo test -p es-serve --profile soak --test soak -q -- --nocapture
+
+# Fails if the soak fails, or if the `seed len digest` lines it prints
+# differ from the checked-in BENCH_serve_soak.txt (plain text, so that
+# `diff` can check it). A change that alters served frames on purpose
+# regenerates the file from those lines and says why in CHANGES.md.
+serve-soak-check:
+	@out=$$($(MAKE) --no-print-directory -s serve-soak 2>&1) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -oE '0x[0-9a-f]+ [0-9]+ [0-9a-f]{16}' | diff -u BENCH_serve_soak.txt -
 
 # The whole workspace must be clippy-clean.
 lint:

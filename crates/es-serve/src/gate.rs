@@ -2,25 +2,25 @@
 //! worker.
 //!
 //! The worker runs on a fiber in the scheduler's own thread, and
-//! the gate owns that fiber. Everything that crosses between the two
-//! sides goes through the gate's cells: the request going down, the
-//! timeslices, and the reply coming back. The scheduler's waits
+//! the gate owns that fiber. The worker only runs commands: the
+//! command going down, its timeslices, and its [`Outcome`] coming back
+//! all go through the gate's cells. The scheduler's waits
 //! ([`SliceGate::wait_parked`], [`SliceGate::take_reply`],
 //! [`SliceGate::call`]) resume the worker's fiber until it answers;
-//! the worker's waits ([`SliceGate::next`], and [`SliceGate::tick`]
-//! with no fuel left) suspend it. A command reaches its worker
-//! together with its first slice ([`SliceGate::start`]), so running it
-//! costs one resume, up to [`Phase::Done`].
+//! the worker's waits ([`SliceGate::next`], and a tick with no fuel
+//! left) suspend it. A command reaches its worker together with its
+//! first slice ([`SliceGate::start`]), so running it costs one resume,
+//! up to [`Phase::Done`].
 //!
 //! Cooperative timeslicing works by suspending, not by unwinding: the
-//! worker runs its `Machine` normally, and the machine's
-//! [`es_core::Yield`] hook (installed per slot) calls
-//! [`SliceGate::tick`] at every `charge()`. Ticks burn slice fuel;
-//! when the fuel is gone the worker parks *in place* — arbitrarily
-//! deep in the evaluator, its frames kept on the fiber's stack — and
-//! [`SliceGate::wait_parked`] returns so the run loop can hand the
-//! baton to another slot. Exactly one side runs at any moment, which
-//! is what makes the served frames, and so the event log, replayable.
+//! worker runs its `Machine` normally, and the gate itself is the
+//! machine's [`es_core::Yield`] hook (installed per slot), ticked at
+//! every `charge()`. Ticks burn slice fuel; when the fuel is gone the
+//! worker parks *in place* — arbitrarily deep in the evaluator, its
+//! frames kept on the fiber's stack — and [`SliceGate::wait_parked`]
+//! returns so the run loop can hand the baton to another slot. Exactly
+//! one side runs at any moment, which is what makes the served frames,
+//! and so the event log, replayable.
 //!
 //! Cancellation rides the same gate: [`SliceGate::cancel`] wakes a
 //! parked worker and makes its next tick return
@@ -29,10 +29,9 @@
 //! of a cancel the way it can catch a `limit` breach.
 
 use crate::fiber::Fiber;
-use crate::pool::{Reply, Request};
+use crate::pool::{Outcome, Request};
 use es_core::{Yield, YieldAction};
 use std::cell::{Cell, OnceCell};
-use std::rc::Rc;
 
 /// Where the worker is, as observed through the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,13 +42,14 @@ pub enum Phase {
     Running,
     /// The worker parked mid-command: its slice fuel ran out.
     Parked,
-    /// The worker finished the request and posted its reply.
+    /// The worker finished the command and posted its outcome.
     Done,
 }
 
 /// The scheduler↔worker baton. One per pool slot, shared by `Rc` with
-/// the worker running on its fiber. Every field is a `Cell`, so no
-/// borrow is ever held across a switch between the two.
+/// the worker running on its fiber and with the slot's machine, whose
+/// yield hook it is. Every field is a `Cell`, so no borrow is ever
+/// held across a switch between the two.
 pub struct SliceGate {
     phase: Cell<Phase>,
     /// Charge ticks left in the granted slice.
@@ -59,56 +59,41 @@ pub struct SliceGate {
     /// Set once, when the pool stops: the worker's next wait for a
     /// request ends it.
     shutdown: Cell<bool>,
-    /// The worker has ended (shut down, or killed by a panic outside
-    /// the command boundary): nothing will answer any more.
-    exited: Cell<bool>,
     /// Slices granted since the gate was built (stats/fairness tests).
     slices: Cell<u64>,
     /// Posted by the scheduler, taken by the worker.
     request: Cell<Option<Request>>,
     /// Posted by the worker with [`Phase::Done`], taken by the
     /// scheduler.
-    reply: Cell<Option<Reply>>,
+    outcome: Cell<Option<Outcome>>,
     /// The fiber the worker runs on ([`SliceGate::attach`]).
     worker: OnceCell<Fiber>,
 }
 
-impl Default for SliceGate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SliceGate {
     /// A fresh gate in [`Phase::Idle`], with no worker yet.
-    pub fn new() -> SliceGate {
+    pub(crate) fn new() -> SliceGate {
         SliceGate {
             phase: Cell::new(Phase::Idle),
             fuel: Cell::new(0),
             cancel: Cell::new(false),
             shutdown: Cell::new(false),
-            exited: Cell::new(false),
             slices: Cell::new(0),
             request: Cell::new(None),
-            reply: Cell::new(None),
+            outcome: Cell::new(None),
             worker: OnceCell::new(),
         }
     }
 
-    /// Gives the gate the fiber its worker runs on, and runs the worker
-    /// up to its first wait (a slot boots its machine here).
+    /// Gives the gate the fiber its worker runs on. The fiber first
+    /// runs at the scheduler's first wait.
     pub(crate) fn attach(&self, worker: Fiber) {
         assert!(self.worker.set(worker).is_ok(), "one worker per gate");
-        self.resume_worker();
     }
 
-    /// Runs the worker until it next waits; a worker that is gone (or
-    /// was never attached) counts as exited.
-    fn resume_worker(&self) {
-        match self.worker.get() {
-            Some(fiber) if !fiber.finished() => fiber.resume(),
-            _ => self.exited.set(true),
-        }
+    /// The fiber the worker runs on.
+    fn fiber(&self) -> &Fiber {
+        self.worker.get().expect("a worker is attached")
     }
 
     // ---- scheduler side --------------------------------------------------
@@ -120,11 +105,10 @@ impl SliceGate {
         self.post(req, fuel);
     }
 
-    /// Posts `req` and runs the worker until it has answered it. For
-    /// requests that never tick (recycle, scrub), and for a command
-    /// cancelled before its first slice: after [`SliceGate::cancel`],
-    /// it unwinds at its first tick. `None` if the worker has exited.
-    pub fn call(&self, req: Request) -> Option<Reply> {
+    /// Posts `req` with no fuel and runs the worker until it has
+    /// answered: for a command cancelled before its first slice, which
+    /// after [`SliceGate::cancel`] unwinds at its first tick.
+    pub fn call(&self, req: Request) -> Outcome {
         self.post(req, 0);
         self.take_reply()
     }
@@ -140,7 +124,7 @@ impl SliceGate {
     /// Requests cancellation of the in-flight command and wakes a
     /// parked worker so it can observe it. On an idle gate the flag
     /// waits for the next request. The worker still finishes normally
-    /// (posting its reply and reaching [`Phase::Done`]) — the
+    /// (posting its outcome and reaching [`Phase::Done`]) — the
     /// scheduler must keep waiting for that.
     pub fn cancel(&self) {
         self.cancel.set(true);
@@ -151,42 +135,40 @@ impl SliceGate {
     }
 
     /// Stops the worker and runs its fiber to the end: a parked command
-    /// is cancelled (it still ends in [`Phase::Done`], its reply left
+    /// is cancelled (it still ends in [`Phase::Done`], its outcome left
     /// for [`SliceGate::take_reply`]) and [`SliceGate::next`] returns
     /// `None`.
     pub fn shutdown(&self) {
         self.shutdown.set(true);
         self.cancel();
-        while !self.exited.get() {
-            self.resume_worker();
+        let fiber = self.fiber();
+        while !fiber.finished() {
+            fiber.resume();
         }
     }
 
     /// Runs the worker until it either parks (slice exhausted) or
-    /// completes the request; returns the phase that ended the wait.
-    /// A worker that has exited counts as done.
+    /// completes the command; returns the phase that ended the wait.
     pub fn wait_parked(&self) -> Phase {
-        while !self.exited.get() && !matches!(self.phase.get(), Phase::Parked | Phase::Done) {
-            self.resume_worker();
+        while !matches!(self.phase.get(), Phase::Parked | Phase::Done) {
+            self.fiber().resume();
         }
-        if self.exited.get() {
-            Phase::Done
-        } else {
-            self.phase.get()
-        }
+        self.phase.get()
     }
 
-    /// Runs the worker until it completes the request, takes its reply,
-    /// and resets the gate to [`Phase::Idle`] for the next request.
-    /// `None` if the worker exited without answering.
-    pub fn take_reply(&self) -> Option<Reply> {
-        while !self.exited.get() && self.phase.get() != Phase::Done {
-            self.resume_worker();
+    /// Runs the worker until it completes the command, takes its
+    /// outcome, and resets the gate to [`Phase::Idle`] for the next
+    /// command.
+    pub fn take_reply(&self) -> Outcome {
+        while self.phase.get() != Phase::Done {
+            self.fiber().resume();
         }
         self.phase.set(Phase::Idle);
         self.cancel.set(false);
         self.fuel.set(0);
-        self.reply.take()
+        self.outcome
+            .take()
+            .expect("a worker at Done has posted its outcome")
     }
 
     /// Slices granted so far (fairness assertions in tests).
@@ -229,21 +211,18 @@ impl SliceGate {
         }
     }
 
-    /// Marks the worker as ended, so no wait on this gate outlives it.
-    pub fn exited(&self) {
-        self.exited.set(true);
-    }
-
-    /// Posts the reply to the current request.
-    pub fn done(&self, reply: Reply) {
-        self.reply.set(Some(reply));
+    /// Posts the outcome of the current command.
+    pub fn done(&self, outcome: Outcome) {
+        self.outcome.set(Some(outcome));
         self.phase.set(Phase::Done);
     }
+}
 
+impl Yield for SliceGate {
     /// The per-charge tick: burn one unit of fuel, parking in place
     /// when the slice is spent, until the scheduler grants the next
     /// slice (or cancels).
-    pub fn tick(&self) -> YieldAction {
+    fn tick(&self) -> YieldAction {
         if self.cancel.get() {
             return YieldAction::Cancel;
         }
@@ -264,98 +243,58 @@ impl SliceGate {
     }
 }
 
-/// The `Rc`-able adapter a `Machine` holds: forwards its yield ticks
-/// to the slot's shared gate.
-pub struct GateYield(pub Rc<SliceGate>);
-
-impl Yield for GateYield {
-    fn tick(&self) -> YieldAction {
-        self.0.tick()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fiber::Stack;
-    use crate::pool::{Outcome, ResetReport};
+    use std::rc::Rc;
 
     fn run(cmd: &str) -> Request {
-        Request::Run {
+        Request {
             cmd: cmd.to_string(),
             limits: Vec::new(),
             fault_seed: None,
         }
     }
 
-    /// The reply a test worker gives to a `Run`: the command text as
+    /// The outcome a test worker gives a command: the command text as
     /// the value, and the number of ticks it was allowed as its output.
-    fn ran(req: Request, ticks: u64, cancelled: bool) -> Reply {
-        let Request::Run { cmd, .. } = req else {
-            panic!("expected a Run request");
-        };
-        Reply::Ran(Outcome {
-            result: Ok(cmd),
+    fn ran(req: Request, ticks: u64, cancelled: bool) -> Outcome {
+        Outcome {
+            result: Ok(req.cmd),
             cancelled,
             panic: None,
             stdout: ticks.to_string(),
             stderr: String::new(),
-        })
-    }
-
-    fn report() -> ResetReport {
-        ResetReport {
-            os_clean: true,
-            fd_delta: 0,
-            hooks_pristine: true,
-            limits_ok: true,
         }
     }
 
-    /// A gate whose worker is `body`, run on a stand-in fiber that
-    /// marks the gate exited when `body` returns, as a slot's does.
+    /// A gate whose worker is `body`, run on a stand-in fiber.
     fn gate_with(body: impl FnOnce(&SliceGate) + 'static) -> Rc<SliceGate> {
         let gate = Rc::new(SliceGate::new());
         let g = Rc::clone(&gate);
         let stack = Stack::new(256 << 10).expect("map a test stack");
-        gate.attach(Fiber::new(stack, move || {
-            body(&g);
-            g.exited();
-        }));
+        gate.attach(Fiber::new(stack, move || body(&g)));
         gate
     }
 
-    /// A stand-in slot worker: ticks through every `Run` until it is
-    /// cancelled or has ticked `max_ticks` times, answers `Recycle`
-    /// with a clean report, and returns once the gate shuts down.
+    /// A stand-in slot worker: ticks through every command until it is
+    /// cancelled or has ticked `max_ticks` times, and returns once the
+    /// gate shuts down.
     fn worker(max_ticks: u64) -> Rc<SliceGate> {
         gate_with(move |g| {
             while let Some(req) = g.next() {
-                let reply = match req {
-                    Request::Run { .. } => {
-                        let mut ticks = 0;
-                        while ticks < max_ticks && g.tick() == YieldAction::Run {
-                            ticks += 1;
-                        }
-                        ran(req, ticks, g.cancel_requested())
-                    }
-                    Request::Recycle => Reply::Recycled(report()),
-                    Request::Scrub => Reply::Scrubbed(report()),
-                };
-                g.done(reply);
+                let mut ticks = 0;
+                while ticks < max_ticks && g.tick() == YieldAction::Run {
+                    ticks += 1;
+                }
+                g.done(ran(req, ticks, g.cancel_requested()));
             }
         })
     }
 
-    fn outcome(reply: Option<Reply>) -> Outcome {
-        match reply {
-            Some(Reply::Ran(o)) => o,
-            _ => panic!("expected a Ran reply"),
-        }
-    }
-
     /// A command arrives with its first slice, parks when the fuel is
-    /// spent, resumes on the next grant, and its reply is taken once
+    /// spent, resumes on the next grant, and its outcome is taken once
     /// it is done; the gate is then idle for the next command.
     #[test]
     fn start_park_grant_done() {
@@ -364,21 +303,21 @@ mod tests {
         assert_eq!(gate.wait_parked(), Phase::Parked);
         gate.grant(10);
         assert_eq!(gate.wait_parked(), Phase::Done);
-        let o = outcome(gate.take_reply());
+        let o = gate.take_reply();
         assert_eq!(
             (o.result, o.stdout.as_str(), o.cancelled),
             (Ok("first".into()), "15", false)
         );
         gate.start(run("second"), 20);
         assert_eq!(gate.wait_parked(), Phase::Done);
-        assert_eq!(outcome(gate.take_reply()).stdout, "15");
+        assert_eq!(gate.take_reply().stdout, "15");
         assert_eq!(gate.slices_granted(), 3);
         gate.shutdown();
         assert!(gate.worker.get().is_some_and(Fiber::finished));
     }
 
     /// A parked command resumes on each grant; cancelling it wakes it,
-    /// its next tick cancels, and it still posts a reply, marked
+    /// its next tick cancels, and it still posts an outcome, marked
     /// cancelled. The flag does not outlive the command.
     #[test]
     fn park_resume_cancel() {
@@ -388,7 +327,7 @@ mod tests {
         gate.grant(5);
         assert_eq!(gate.wait_parked(), Phase::Parked);
         gate.cancel();
-        let o = outcome(gate.take_reply());
+        let o = gate.take_reply();
         assert_eq!((o.stdout.as_str(), o.cancelled), ("15", true));
         assert!(!gate.cancel_requested());
         gate.start(run("next"), 3);
@@ -397,15 +336,14 @@ mod tests {
         assert!(gate.worker.get().is_some_and(Fiber::finished));
     }
 
-    /// `call` hands over a synchronous request and returns its reply;
-    /// a command called after `cancel` (one that never had a slice)
-    /// unwinds at its first tick without granting a slice.
+    /// `call` hands over a command and returns its outcome: a command
+    /// called after `cancel` (one that never had a slice) unwinds at its
+    /// first tick without granting a slice.
     #[test]
     fn call_answers_synchronously() {
         let gate = worker(u64::MAX);
-        assert!(matches!(gate.call(Request::Recycle), Some(Reply::Recycled(r)) if r.clean()));
         gate.cancel();
-        let o = outcome(gate.call(run("never ran")));
+        let o = gate.call(run("never ran"));
         assert_eq!((o.stdout.as_str(), o.cancelled), ("0", true));
         assert_eq!(gate.slices_granted(), 0);
         gate.shutdown();
@@ -413,7 +351,7 @@ mod tests {
     }
 
     /// Shutdown cancels a parked command, which still ends in `Done`
-    /// with its reply; the worker's next wait for a request then ends.
+    /// with its outcome; the worker's next wait for a request then ends.
     #[test]
     fn shutdown_while_parked() {
         let ended = Rc::new(Cell::new(false));
@@ -431,23 +369,9 @@ mod tests {
         assert_eq!(gate.wait_parked(), Phase::Parked);
         gate.shutdown();
         assert_eq!(gate.wait_parked(), Phase::Done);
-        let o = outcome(gate.take_reply());
+        let o = gate.take_reply();
         assert_eq!((o.stdout.as_str(), o.cancelled), ("4", true));
         assert!(ended.get(), "next() after shutdown");
-    }
-
-    /// A worker that ends without answering (a panic outside the
-    /// command boundary) releases every wait on its gate.
-    #[test]
-    fn exited_worker_answers_none() {
-        let gate = gate_with(|g| {
-            let _ = g.next();
-        });
-        assert!(gate.call(Request::Scrub).is_none());
-        gate.start(run("lost"), 10);
-        assert_eq!(gate.wait_parked(), Phase::Done);
-        assert!(gate.take_reply().is_none());
-        assert!(gate.worker.get().is_some_and(Fiber::finished));
     }
 
     /// Shutdown wakes a worker waiting for its next request.

@@ -5,9 +5,11 @@
 //! protocol ([`proto`]): spawn a session, feed it command lines,
 //! stream back its output, close it. Under the hood:
 //!
-//! - [`pool`] — a slab of recycled `Machine<SimOs>` slots, each run by
-//!   a worker on its own fiber in the server's thread, with a
-//!   reset oracle proving zero state bleed between tenants.
+//! - [`pool`] — a slab of recycled `Machine<SimOs>` slots, each with
+//!   a worker on its own fiber in the server's thread that runs the
+//!   slot's commands. The pool recycles, audits and scrubs a machine
+//!   by plain calls, with a reset oracle proving zero state bleed
+//!   between tenants.
 //! - [`gate`] — the cooperative timeslicing baton: workers park at the
 //!   interpreter's `charge()` seam when their slice is spent, so one
 //!   runaway `while {true} {}` cannot delay anyone else.
@@ -31,7 +33,7 @@ pub mod proto;
 pub mod server;
 pub mod soak;
 
-pub use gate::{GateYield, Phase, SliceGate};
+pub use gate::{Phase, SliceGate};
 pub use pool::{Outcome, Pool, ResetReport, SlotState, PANIC_PROBE};
 pub use proto::{Frame, FaultClass, ProtoError};
 pub use server::{EventLog, ServeConfig, ServeStats, Server};

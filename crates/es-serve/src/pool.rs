@@ -1,13 +1,16 @@
-//! The slot pool: recycled `Machine` instances, each run by a worker on
-//! a fiber of its own.
+//! The slot pool: recycled `Machine` instances, each with a worker on
+//! a fiber of its own that runs its commands.
 //!
-//! Each pool slot's worker boots its machine once and keeps it for the
-//! slot's whole life. The worker runs on a fiber in the
-//! scheduler's thread, because a command stopped at a slice boundary
-//! keeps its evaluator frames on the worker's stack. The scheduler
-//! never touches a machine directly — it hands the worker
-//! [`Request`]s and timeslices through the slot's [`SliceGate`], and
-//! takes [`Reply`]s back from it. Booting is the expensive part
+//! Each pool slot boots its machine once, in [`Pool::new`], and keeps
+//! it for the slot's whole life. The slot's worker runs on a fiber in
+//! the scheduler's thread, because a command stopped at a slice
+//! boundary keeps its evaluator frames on the worker's stack; the
+//! worker borrows the machine only while a command runs, parked
+//! commands included. Each [`Request`] and its timeslices reach the
+//! worker through the slot's [`SliceGate`], and its [`Outcome`] comes
+//! back the same way. Recycling, auditing and scrubbing a machine are
+//! plain calls on the pool's own stack, made while no command is in
+//! flight. Booting is the expensive part
 //! (parsing and running `initial.es`, importing the environment);
 //! recycling via [`es_core::Machine::recycle`] restores the frozen
 //! boot image in place, which is why a pooled session starts orders
@@ -20,10 +23,10 @@
 //! fingerprint ([`es_os::SimOs::fingerprint`] — vfs, descriptors,
 //! pipes, consoles, clocks, signals), the open-descriptor delta, the
 //! `fn-%*` hook bindings, and the armed limits. A clean report means
-//! the next tenant provably cannot observe the previous one. A dirty
-//! report quarantines the slot; scrubbing (a fresh boot) is the only
-//! way back, and a slot whose *scrub* still fails the oracle is
-//! retired for good.
+//! the next tenant provably cannot observe the previous one. After a
+//! dirty report, scrubbing (a fresh boot) is the only way back, and a
+//! slot whose *scrub* still fails the oracle, or whose fresh boot
+//! panics, is retired for good.
 //!
 //! The audit costs O(fd table + live pipes + consoles), not O(files):
 //! a slot's filesystem is shared copy-on-write with its boot image,
@@ -35,9 +38,10 @@
 //! assertions every cached digest is checked against a fresh walk.
 
 use crate::fiber::{self, Fiber, Stack};
-use crate::gate::{GateYield, SliceGate};
+use crate::gate::SliceGate;
 use es_core::Machine;
 use es_os::{Os, SimOs};
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Once;
@@ -67,30 +71,15 @@ const WORKER_STACK: usize = 4 << 20;
 /// that `recycle()` restores.
 pub type OsSetup = Rc<dyn Fn(&mut SimOs)>;
 
-/// What the scheduler asks a slot worker to do.
+/// One command line for a slot worker to run to completion
+/// (timesliced via the gate). The worker first arms `limits` (each
+/// command gets a fresh budget) and, when `fault_seed` is set, installs
+/// fault weather: a session's first command carries its seed.
 #[derive(Debug)]
-pub enum Request {
-    /// Run one command line to completion (timesliced via the gate).
-    /// The worker first arms `limits` (each command gets a fresh
-    /// budget) and, when `fault_seed` is set, installs fault weather:
-    /// a session's first command carries its seed.
-    Run {
-        cmd: String,
-        limits: Vec<(String, u64)>,
-        fault_seed: Option<u64>,
-    },
-    /// Restore the boot image and audit it (normal release path).
-    Recycle,
-    /// Throw the machine away and boot a fresh one (post-panic path).
-    Scrub,
-}
-
-/// What a slot worker reports back.
-#[derive(Debug)]
-pub enum Reply {
-    Ran(Outcome),
-    Recycled(ResetReport),
-    Scrubbed(ResetReport),
+pub struct Request {
+    pub cmd: String,
+    pub limits: Vec<(String, u64)>,
+    pub fault_seed: Option<u64>,
 }
 
 /// Everything observable from one command run in a slot.
@@ -130,9 +119,9 @@ pub struct ResetReport {
 }
 
 impl ResetReport {
-    /// The report for a slot whose worker has ended: every
-    /// check fails, so the slot leaves rotation.
-    const WORKER_GONE: ResetReport = ResetReport {
+    /// The report for a scrub whose fresh boot panicked: every check
+    /// fails, so the slot is retired.
+    const BOOT_FAILED: ResetReport = ResetReport {
         os_clean: false,
         fd_delta: 0,
         hooks_pristine: false,
@@ -171,9 +160,6 @@ pub enum SlotState {
     Free,
     /// Leased to a live session.
     Leased,
-    /// A panic or dirty recycle happened; must be scrubbed before
-    /// reuse.
-    Quarantined,
     /// Scrubbing did not produce a clean machine; permanently out of
     /// rotation.
     Retired,
@@ -181,12 +167,18 @@ pub enum SlotState {
 
 struct Slot {
     gate: Rc<SliceGate>,
+    /// Shared with the worker, which borrows it while a command runs.
+    machine: Rc<RefCell<Machine<SimOs>>>,
+    /// What the audit compares the machine with.
+    boot: BootSnapshot,
     state: SlotState,
 }
 
 /// The fixed-capacity slot pool.
 pub struct Pool {
     slots: Vec<Slot>,
+    /// Run before every boot, a scrub's included.
+    setup: Option<OsSetup>,
 }
 
 /// Silences panics raised while a slot fiber runs, so injected panics
@@ -214,7 +206,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Boot state the worker audits against: taken once right after boot,
+/// Boot state a slot is audited against: taken once right after boot,
 /// retaken after every scrub.
 struct BootSnapshot {
     fingerprint: u64,
@@ -250,52 +242,42 @@ fn audit(m: &Machine<SimOs>, boot: &BootSnapshot) -> ResetReport {
     }
 }
 
-fn worker_main(gate: &Rc<SliceGate>, setup: Option<OsSetup>) {
-    let mut m = boot_machine(&setup);
-    let mut boot = snapshot(&m);
-    m.set_yielder(Some(Rc::new(GateYield(Rc::clone(gate)))));
+/// Boots a slot's machine with the slot's gate as its yield hook, and
+/// takes its snapshot.
+fn boot_slot(setup: &Option<OsSetup>, gate: &Rc<SliceGate>) -> (Machine<SimOs>, BootSnapshot) {
+    let mut m = boot_machine(setup);
+    let boot = snapshot(&m);
+    m.set_yielder(Some(gate.clone()));
+    (m, boot)
+}
+
+/// The body of a slot's fiber: runs each command the gate hands over
+/// on the slot's machine, until the gate shuts down.
+fn worker_main(gate: &SliceGate, machine: &RefCell<Machine<SimOs>>) {
     while let Some(req) = gate.next() {
-        let reply = match req {
-            Request::Run {
-                cmd,
-                limits,
-                fault_seed,
-            } => {
-                for (kind, value) in &limits {
-                    m.arm_limit(kind, *value)
-                        .expect("open admits only known limit kinds");
-                }
-                if let Some(seed) = fault_seed {
-                    m.os_mut().set_fault_plan(Some(
-                        es_os::FaultPlan::new(seed).uniform_rate(WEATHER_PER_1024),
-                    ));
-                }
-                Reply::Ran(run_command(&mut m, gate, &cmd))
-            }
-            Request::Recycle => {
-                m.os_mut().set_fault_plan(None);
-                m.recycle();
-                Reply::Recycled(audit(&m, &boot))
-            }
-            Request::Scrub => {
-                m = boot_machine(&setup);
-                boot = snapshot(&m);
-                m.set_yielder(Some(Rc::new(GateYield(Rc::clone(gate)))));
-                Reply::Scrubbed(audit(&m, &boot))
-            }
-        };
-        gate.done(reply);
+        let outcome = run_command(&mut machine.borrow_mut(), gate, req);
+        gate.done(outcome);
     }
 }
 
-/// Runs one command on the slot's machine, catching a panic at the
-/// slot boundary, and harvests its console output.
-fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str) -> Outcome {
+/// Arms the command's limits and fault weather, runs it on the slot's
+/// machine, catching a panic at the slot boundary, and harvests its
+/// console output.
+fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, req: Request) -> Outcome {
+    for (kind, value) in &req.limits {
+        m.arm_limit(kind, *value)
+            .expect("open admits only known limit kinds");
+    }
+    if let Some(seed) = req.fault_seed {
+        m.os_mut().set_fault_plan(Some(
+            es_os::FaultPlan::new(seed).uniform_rate(WEATHER_PER_1024),
+        ));
+    }
     let run = panic::catch_unwind(AssertUnwindSafe(|| {
-        if cmd == PANIC_PROBE {
+        if req.cmd == PANIC_PROBE {
             panic::panic_any(PROBE_PANIC);
         }
-        m.run(cmd)
+        m.run(&req.cmd)
     }));
     let (result, panic) = match run {
         Ok(Ok(values)) => (Ok(values.join(" ")), None),
@@ -313,30 +295,27 @@ fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, cmd: &str) -> Outcome {
 }
 
 impl Pool {
-    /// Starts `capacity` slot workers, each on its own fiber, and runs
-    /// each one until its machine has booted: the pool is warm when
-    /// `new` returns.
+    /// Boots `capacity` slot machines on the caller's stack and gives
+    /// each a worker fiber: the pool is warm when `new` returns.
     pub fn new(capacity: usize, setup: Option<OsSetup>) -> Pool {
         install_quiet_panics();
         let slots = (0..capacity)
             .map(|_| {
                 let gate = Rc::new(SliceGate::new());
-                let g = Rc::clone(&gate);
-                let s = setup.clone();
+                let (m, boot) = boot_slot(&setup, &gate);
+                let machine = Rc::new(RefCell::new(m));
+                let (g, w) = (Rc::clone(&gate), Rc::clone(&machine));
                 let stack = Stack::new(WORKER_STACK).expect("map a slot worker stack");
-                gate.attach(Fiber::new(stack, move || {
-                    // A panic outside the command boundary (a failed
-                    // boot) ends the worker; its gate must still answer.
-                    let _ = panic::catch_unwind(AssertUnwindSafe(|| worker_main(&g, s)));
-                    g.exited();
-                }));
+                gate.attach(Fiber::new(stack, move || worker_main(&g, &w)));
                 Slot {
                     gate,
+                    machine,
+                    boot,
                     state: SlotState::Free,
                 }
             })
             .collect();
-        Pool { slots }
+        Pool { slots, setup }
     }
 
     /// Total slots, regardless of state.
@@ -364,36 +343,37 @@ impl Pool {
         self.slots[idx].state
     }
 
-    /// Releases a leased slot through the recycle+audit path. A clean
-    /// report frees the slot; a dirty one quarantines it (caller
-    /// decides whether to scrub now or retire).
+    /// Releases a leased slot whose worker is idle: recycles its
+    /// machine and audits it. A clean report frees the slot; after a
+    /// dirty one it stays leased until the caller scrubs it.
     pub fn release(&mut self, idx: usize) -> ResetReport {
         let slot = &mut self.slots[idx];
-        let report = match slot.gate.call(Request::Recycle) {
-            Some(Reply::Recycled(r)) => r,
-            _ => ResetReport::WORKER_GONE,
+        let report = {
+            let mut m = slot.machine.borrow_mut();
+            m.recycle();
+            audit(&m, &slot.boot)
         };
-        slot.state = if report.clean() {
-            SlotState::Free
-        } else {
-            SlotState::Quarantined
-        };
+        if report.clean() {
+            slot.state = SlotState::Free;
+        }
         report
     }
 
-    /// Marks a slot quarantined without recycling (post-panic: the
-    /// machine is not trustworthy enough to even run `recycle`).
-    pub fn quarantine(&mut self, idx: usize) {
-        self.slots[idx].state = SlotState::Quarantined;
-    }
-
-    /// Scrubs a quarantined slot: fresh boot, fresh audit. Clean →
-    /// back to `Free`; still dirty → `Retired`.
+    /// Scrubs a slot whose machine is not trusted (its command
+    /// panicked, or its release audited dirty): a fresh boot, then a
+    /// fresh audit. Clean → back to `Free`; still dirty, or the boot
+    /// panicked → `Retired`.
     pub fn scrub(&mut self, idx: usize) -> ResetReport {
         let slot = &mut self.slots[idx];
-        let report = match slot.gate.call(Request::Scrub) {
-            Some(Reply::Scrubbed(r)) => r,
-            _ => ResetReport::WORKER_GONE,
+        let booted = panic::catch_unwind(AssertUnwindSafe(|| boot_slot(&self.setup, &slot.gate)));
+        let report = match booted {
+            Ok((m, boot)) => {
+                let report = audit(&m, &boot);
+                *slot.machine.borrow_mut() = m;
+                slot.boot = boot;
+                report
+            }
+            Err(_) => ResetReport::BOOT_FAILED,
         };
         slot.state = if report.clean() {
             SlotState::Free

@@ -18,7 +18,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// The slot's evaluator panicked; the panic was caught at the slot
-    /// boundary, the slot quarantined and scrubbed, the session ended.
+    /// boundary, the slot scrubbed, the session ended.
     Panic,
     /// The server cancelled the session's in-flight command (client
     /// close or drain deadline).

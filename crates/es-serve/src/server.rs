@@ -21,16 +21,15 @@
 //!   command with the uncatchable exit — tenant `catch` cannot
 //!   intercept it — and is reported as [`FaultClass::Cancelled`].
 //! - A *panic* is caught at the slot boundary: the tenant gets
-//!   [`FaultClass::Panic`], the slot is quarantined and scrubbed
-//!   (fresh boot + reset audit), and every other session keeps
-//!   running undisturbed.
+//!   [`FaultClass::Panic`], the slot is scrubbed (fresh boot + reset
+//!   audit), and every other session keeps running undisturbed.
 //! - A *reset-oracle violation* on release means the slot could leak
 //!   state to its next tenant: [`FaultClass::Oracle`] is reported and
 //!   the slot is scrubbed — or retired if even a fresh boot fails the
 //!   audit.
 
 use crate::gate::Phase;
-use crate::pool::{OsSetup, Outcome, Pool, Reply, Request, SlotState};
+use crate::pool::{OsSetup, Outcome, Pool, Request, SlotState};
 use crate::proto::{FaultClass, Frame};
 use es_core::governor::Kind;
 use std::collections::{BTreeMap, VecDeque};
@@ -87,7 +86,7 @@ pub struct ServeStats {
     pub panics: u64,
     /// Dirty reset audits (recycle or scrub).
     pub oracle_violations: u64,
-    /// Fresh boots forced by quarantine.
+    /// Fresh boots forced by a panic or a dirty audit.
     pub scrubs: u64,
     /// Slots permanently retired.
     pub retired: u64,
@@ -153,7 +152,7 @@ impl Session {
     /// its fault weather.
     fn deliver(&mut self) -> Option<Request> {
         let cmd = self.pending.take()?;
-        Some(Request::Run {
+        Some(Request {
             cmd,
             limits: self.limits.clone(),
             fault_seed: self.fault_seed.take(),
@@ -284,8 +283,8 @@ impl Server {
             return;
         }
         let Some(slot) = self.pool.acquire() else {
-            // Slots can lag sessions when quarantined/retired ones are
-            // out of rotation; that is still back-pressure.
+            // Slots can lag sessions when retired ones are out of
+            // rotation; that is still back-pressure.
             self.shed(out);
             return;
         };
@@ -433,7 +432,7 @@ impl Server {
             }
             granted += 1;
             if gate.wait_parked() == Phase::Done {
-                let outcome = ran(gate.take_reply());
+                let outcome = gate.take_reply();
                 self.finish_command(sid, outcome, &mut out);
             }
         }
@@ -521,30 +520,29 @@ impl Server {
         }
     }
 
-    /// Cancels the session's in-flight command and waits for the
-    /// worker's reply. A parked command is woken to unwind; one never
+    /// Cancels the session's in-flight command and waits for its
+    /// outcome. A parked command is woken to unwind; one never
     /// delivered is delivered now, already cancelled, and unwinds at
     /// its first tick exactly as a parked one would.
     fn cancel_and_reap(&self, sess: &mut Session) -> Outcome {
         let gate = self.pool.gate(sess.slot);
         gate.cancel();
-        ran(match sess.deliver() {
+        match sess.deliver() {
             Some(req) => gate.call(req),
             None => gate.take_reply(),
-        })
+        }
     }
 
     /// Ends a session already removed from the table, and says so.
     ///
     /// A slot whose command panicked is session-fatal: its machine is
-    /// untrustworthy, so it is quarantined and scrubbed, and other
-    /// sessions never notice. Any other slot is recycled and audited;
+    /// untrustworthy, so it is scrubbed, and other sessions never
+    /// notice. Any other slot is recycled and audited;
     /// a dirty audit is a containment event: report it, scrub the slot
     /// (retiring it if even a fresh boot fails), and keep serving.
     fn end_session(&mut self, sid: u64, slot: usize, panicked: bool, out: &mut Vec<Frame>) {
         if panicked {
             self.stats.panics += 1;
-            self.pool.quarantine(slot);
             self.scrub_slot(slot);
         } else {
             let report = self.pool.release(slot);
@@ -580,20 +578,5 @@ fn no_session(sid: u64, detail: String) -> Frame {
         sid,
         class: FaultClass::NoSession,
         detail,
-    }
-}
-
-/// The outcome in a worker's reply to a command; a worker that exited
-/// without answering is reported as a panic, which scrubs its slot.
-fn ran(reply: Option<Reply>) -> Outcome {
-    match reply {
-        Some(Reply::Ran(o)) => o,
-        _ => Outcome {
-            result: Err("slot worker gone".to_string()),
-            cancelled: true,
-            panic: Some("slot worker gone".to_string()),
-            stdout: String::new(),
-            stderr: String::new(),
-        },
     }
 }

@@ -222,7 +222,8 @@ fn budget_breach_is_survivable_per_command_error() {
 
 /// A panic is caught at the slot boundary: the tenant gets a Fault
 /// frame, the slot is scrubbed and reused, and other sessions never
-/// notice.
+/// notice. The scrubbed slot still timeslices: a runaway on it does
+/// not delay its neighbour's command.
 #[test]
 fn panic_is_contained_to_its_slot() {
     let mut server = Server::new(cfg(2, 2));
@@ -249,6 +250,24 @@ fn panic_is_contained_to_its_slot() {
     assert_eq!(stats.scrubs, 1);
     assert_eq!(stats.retired, 0, "scrub must return the slot to rotation");
     assert_eq!(stats.oracle_violations, 0);
+    // The runaway lands on the scrubbed slot, the only free one.
+    let runaway = open_with(&mut server, vec![("steps".into(), 1_000_000)], None);
+    assert_eq!(server.pool().state(0), SlotState::Leased);
+    line(&mut server, runaway, "while {true} {}");
+    line(&mut server, bystander, "echo neighbour");
+    let mut frames = Vec::new();
+    let mut rounds = 0;
+    while dones_of(&frames, bystander).is_empty() {
+        frames.extend(server.pump(4));
+        rounds += 1;
+        assert!(rounds <= 4, "the neighbour's echo was delayed past its slice budget");
+    }
+    assert_eq!(stdout_of(&frames, bystander), "neighbour\n");
+    assert!(
+        dones_of(&frames, runaway).is_empty(),
+        "the runaway ran to its end in one go: the scrub lost the yield hook"
+    );
+    server.feed(Frame::Close { sid: runaway });
     // The scrubbed slot serves again.
     let again = open(&mut server);
     line(&mut server, again, "echo reused");
@@ -299,10 +318,9 @@ fn lone_backslash_line_runs_and_the_server_goes_on() {
     assert_eq!(server.stats().oracle_violations, 0);
 }
 
-/// A worker that dies outside the command boundary (here the fresh
-/// boot of its scrub panics) answers nothing more: the scrub reports
-/// every check failed, the slot is retired, and the server goes on
-/// serving from its other slot.
+/// A scrub whose fresh boot fails (here the slot's kernel setup panics
+/// on the third boot) reports every check failed: the slot is
+/// retired, and the server goes on serving from its other slot.
 #[test]
 fn worker_that_dies_in_its_scrub_is_retired() {
     let boots = Rc::new(Cell::new(0));
@@ -596,7 +614,8 @@ fn bad_limit_kind_is_rejected_cleanly() {
 
 /// Fault weather (a seeded FaultPlan) stays session-scoped: the
 /// weathered session sees errors, the calm one on the same server
-/// does not, and recycling clears the plan.
+/// does not, and recycling clears the plan: the next tenant of the
+/// stormy session's slot runs the same lines without one failure.
 #[test]
 fn fault_weather_is_per_session() {
     let mut server = Server::new(cfg(2, 2));
@@ -626,4 +645,17 @@ fn fault_weather_is_per_session() {
     let closed = server.feed(Frame::Close { sid: stormy });
     assert_eq!(closed, vec![Frame::Closed { sid: stormy }]);
     assert_eq!(server.stats().oracle_violations, 0);
+    // The next session takes the stormy session's slot, the lowest
+    // free one, and sees no weather.
+    let after = open(&mut server);
+    assert_eq!(server.pool().state(0), SlotState::Leased);
+    for _ in 0..60 {
+        line(&mut server, after, "echo x > /tmp/wf; cat /tmp/wf; echo y | cat");
+    }
+    let after_dones = dones_of(&pump_all(&mut server), after);
+    assert_eq!(after_dones.len(), 60);
+    assert!(
+        after_dones.iter().all(|(ok, v)| *ok && v == "0"),
+        "the weather outlived its session: {after_dones:?}"
+    );
 }
