@@ -5,7 +5,9 @@
 //! * **Slot turnover**: what does admitting a tenant cost — a cold
 //!   `Machine` boot (parse + run initial.es, build the kernel) versus
 //!   `recycle()` restoring the frozen boot image of a dirtied machine?
-//!   The pool's economics rest on this ratio.
+//!   The pool's economics rest on this ratio. Next to it, the whole
+//!   close of such a session through a `Server`: the recycle plus the
+//!   reset audit.
 //! * **Throughput**: sessions/sec through a full `Server` — framed
 //!   open/line/close, baton-scheduled slices, reset audit on every
 //!   release — at 1k and 10k sequential sessions.
@@ -62,6 +64,46 @@ fn bench_recycle(iters: u32) -> u64 {
         let started = Instant::now();
         assert!(m.recycle());
         total += started.elapsed();
+    }
+    total.as_nanos() as u64 / u64::from(iters)
+}
+
+/// ns per `Frame::Close` of a session that ran the same dirtying
+/// commands: each iteration opens a session and runs them untimed,
+/// then times the close alone, which recycles the slot's machine and
+/// audits it.
+fn bench_close(iters: u32) -> u64 {
+    let mut server = Server::new(ServeConfig {
+        capacity: 1,
+        high_water: 1,
+        ..ServeConfig::default()
+    });
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        let resp = server.feed(Frame::Open {
+            limits: vec![],
+            fault_seed: None,
+        });
+        let sid = match resp.first() {
+            Some(Frame::Opened { sid }) => *sid,
+            other => panic!("bench session not admitted: {other:?}"),
+        };
+        server.feed(Frame::Line {
+            sid,
+            cmd: "x = dirty; echo leak > /tmp/leak".to_string(),
+        });
+        while !server
+            .pump(1_000)
+            .iter()
+            .any(|f| matches!(f, Frame::Done { .. }))
+        {}
+        let started = Instant::now();
+        let resp = server.feed(Frame::Close { sid });
+        total += started.elapsed();
+        assert!(
+            matches!(resp.as_slice(), [Frame::Closed { .. }]),
+            "bench session did not close cleanly: {resp:?}"
+        );
     }
     total.as_nanos() as u64 / u64::from(iters)
 }
@@ -202,6 +244,7 @@ fn main() {
     let recycle = bench_recycle(2000);
     fields.push(("cold_boot_ns".into(), cold));
     fields.push(("recycle_ns".into(), recycle));
+    fields.push(("close_ns".into(), bench_close(2000)));
     fields.push(("recycle_speedup_x".into(), cold / recycle.max(1)));
 
     for sessions in [1_000u64, 10_000] {

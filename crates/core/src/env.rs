@@ -104,6 +104,23 @@ fn encode_globals<O: Os + Clone>(m: &Machine<O>) -> (Vec<(String, String)>, bool
     (out, all_cacheable)
 }
 
+/// Fills the cached encoding of every global whose encoding can be
+/// cached, whether it is exported or not. Boot calls this before the
+/// freeze, so that after it an export fills only the cells of globals
+/// stored since; otherwise a session that clears `$noexport` and
+/// launches a program would fill a boot global's cell without storing
+/// it, and recycle, which restores only what was stored, would miss it.
+pub(crate) fn fill_export_caches<O: Os + Clone>(m: &Machine<O>) {
+    for global in m.globals().values() {
+        if global.export.get().is_none() {
+            let (encoded, cacheable) = encode_value(m, m.heap.perm(global.slot));
+            if cacheable {
+                let _ = global.export.set(Rc::from(encoded));
+            }
+        }
+    }
+}
+
 /// Encodes one value list as an environment string, and says whether
 /// the encoding can be cached: true unless some closure in the list
 /// captured bindings, which lexical assignment can mutate in place.

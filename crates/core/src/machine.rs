@@ -120,30 +120,50 @@ pub trait Yield {
     fn tick(&self) -> YieldAction;
 }
 
-/// A global variable: the root slot holding its value, and that
-/// value's environment encoding once an export has computed it.
-/// [`Machine::assign_raw`], the only place a global is stored, resets
-/// the encoding (and the machine's shared export);
-/// [`env::build_environment`] decides what may fill them.
+/// A global variable: the root slot holding its value, that value's
+/// environment encoding once an export has computed it, and where its
+/// name stands in the machine's touched log. [`Machine::assign_raw`],
+/// the only place a global is stored, resets the encoding (and the
+/// machine's shared export) and logs the name. Boot fills the encoding
+/// of every global whose encoding can be cached, so after the freeze
+/// an export fills only the cells of globals stored since; nothing
+/// but `assign_raw` changes a boot global.
 #[derive(Clone)]
 pub(crate) struct Global {
     pub(crate) slot: PermSlot,
     pub(crate) export: OnceCell<Rc<str>>,
+    logged: Logged,
 }
 
-/// Two globals are equal when they have the same slot and the same
-/// cached encoding: the same `Rc`, or both uncached. A recycled
-/// machine shares its encodings with the boot image, so comparing them
-/// reads no string.
+/// Two globals are equal when they have the same slot, the same
+/// cached encoding (the same `Rc`, or both uncached) and the same
+/// place in the touched log. A recycled machine shares its encodings
+/// with the boot image, so comparing them reads no string.
 impl PartialEq for Global {
     fn eq(&self, other: &Global) -> bool {
         self.slot == other.slot
+            && self.logged == other.logged
             && match (self.export.get(), other.export.get()) {
                 (Some(a), Some(b)) => Rc::ptr_eq(a, b),
                 (None, None) => true,
                 _ => false,
             }
     }
+}
+
+/// Where a global's name stands in the machine's touched log (see
+/// [`Machine::assign_raw`]). Each name is in the log at most once.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Logged {
+    /// Not in the log: a boot global the session has not stored, or
+    /// any global before the freeze.
+    No,
+    /// In the log until the next recycle: a boot name the session
+    /// stored, or removed and created again.
+    Boot,
+    /// At this index of the log: a name the session created, which
+    /// leaves the log when the session removes it.
+    New(usize),
 }
 
 /// An input source for `$&parse` / `$&dot`.
@@ -169,6 +189,11 @@ pub struct Machine<O: Os + Clone> {
     /// Keyed by shared names, so cloning the map (recycle, fork, the
     /// boot image) copies no name.
     globals: BTreeMap<Rc<str>, Global>,
+    /// The names of the globals created, stored or removed since the
+    /// freeze or the last recycle, each once, holding the map's own key
+    /// `Rc`s: what [`Machine::recycle`] restores. It keeps its capacity,
+    /// so a store makes no malloc once the log is warm.
+    touched: Vec<Rc<str>>,
     /// The whole environment export, shared by every launch until
     /// [`Machine::assign_raw`] next creates, stores or removes a
     /// global. See [`env::build_environment`] for when it is used.
@@ -204,6 +229,7 @@ impl<O: Os + Clone> Clone for Machine<O> {
             opts: self.opts.clone(),
             os: self.os.clone(),
             globals: self.globals.clone(),
+            touched: self.touched.clone(),
             shared_export: self.shared_export.clone(),
             dynamics: self.dynamics.clone(),
             fds: self.fds.clone(),
@@ -234,6 +260,7 @@ impl<O: Os + Clone> Machine<O> {
             opts,
             os,
             globals: BTreeMap::new(),
+            touched: Vec::new(),
             shared_export: OnceCell::new(),
             dynamics: Vec::new(),
             fds: BTreeMap::new(),
@@ -255,9 +282,12 @@ impl<O: Os + Clone> Machine<O> {
         m.run_text(crate::INITIAL_ES)
             .map_err(|e| m.render_boot_error(e))?;
         env::import_environment(&mut m)?;
-        // Encode every exportable global now, so the frozen image —
-        // and every recycled slot and fork cloned from it — starts
-        // with the environment caches and the shared export filled.
+        // Encode every global now, exported or not, so the frozen
+        // image — and every recycled slot and fork cloned from it —
+        // starts with every cacheable encoding and the shared export
+        // filled, and a later export fills only the cells of globals
+        // stored since (which the touched log names).
+        env::fill_export_caches(&m);
         env::build_environment(&m);
         // Move what boot left live into the heap's shared boot space,
         // then freeze the finished boot state so pooled slots can
@@ -279,10 +309,11 @@ impl<O: Os + Clone> Machine<O> {
     /// The restore is field by field, from an exhaustive destructuring
     /// of the image, into the buffers this machine already has: the
     /// heap goes back to the shared boot space with an empty young
-    /// space, the globals are repaired by [`Machine::restore_globals`],
-    /// and everything else is copied with `clone_from`. Nothing is
-    /// copied per boot object, global or program, so the cost depends
-    /// on what the session changed, not on the size of the boot state.
+    /// space, the globals named in the touched log are restored by
+    /// [`Machine::restore_globals`], and everything else is copied with
+    /// `clone_from`. Nothing is copied or visited per boot object,
+    /// global or program, so the cost depends on what the session
+    /// changed, not on the size of the boot state.
     pub fn recycle(&mut self) -> bool {
         let Some(image) = self.boot_image.take() else {
             return false;
@@ -292,6 +323,8 @@ impl<O: Os + Clone> Machine<O> {
             opts,
             os,
             globals,
+            // The image's log is empty.
+            touched: _,
             shared_export,
             dynamics,
             fds,
@@ -323,69 +356,58 @@ impl<O: Os + Clone> Machine<O> {
             "the boot space changed after the freeze"
         );
         debug_assert!(
-            self.globals
-                .iter()
-                .map(|(name, g)| (Rc::as_ptr(name), g))
-                .eq(globals.iter().map(|(name, g)| (Rc::as_ptr(name), g))),
+            self.same_globals(globals),
             "recycled globals differ from the boot image's"
         );
         self.boot_image = Some(image);
         true
     }
 
-    /// Makes the globals map equal to `boot`'s by a merge walk: an
-    /// entry that still shares `boot`'s name and cached encoding and
-    /// has its slot is left alone, so only the names the session
-    /// created, stored or removed are touched (the values themselves
-    /// live in the heap's persistent roots, which the heap restores).
+    /// Makes the globals map equal to `boot`'s by restoring each name
+    /// in the touched log, and empties the log. Every other global is
+    /// the image's already: only [`Machine::assign_raw`] changes a
+    /// global after the freeze, and it logs the name. (The values
+    /// themselves live in the heap's persistent roots, which the heap
+    /// restores.)
     fn restore_globals(&mut self, boot: &BTreeMap<Rc<str>, Global>) {
-        use std::cmp::Ordering;
-        let mut extra: Vec<Rc<str>> = Vec::new();
-        let mut missing: Vec<(&Rc<str>, &Global)> = Vec::new();
-        let mut mine = self.globals.iter_mut();
-        let mut theirs = boot.iter();
-        let (mut a, mut b) = (mine.next(), theirs.next());
-        loop {
-            let order = match (&a, &b) {
-                (None, None) => break,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                // Shared names are equal without reading them.
-                (Some((name, _)), Some((boot_name, _))) if Rc::ptr_eq(name, boot_name) => {
-                    Ordering::Equal
+        for name in self.touched.drain(..) {
+            match boot.get_key_value(&*name) {
+                None => {
+                    self.globals.remove(&*name);
                 }
-                (Some((name, _)), Some((boot_name, _))) => name.cmp(boot_name),
-            };
-            match order {
-                Ordering::Less => {
-                    let (name, _) = a.take().expect("ordered before a boot name");
-                    extra.push(Rc::clone(name));
-                    a = mine.next();
-                }
-                Ordering::Greater => {
-                    missing.push(b.take().expect("ordered before a session name"));
-                    b = theirs.next();
-                }
-                Ordering::Equal => {
-                    let (name, g) = a.take().expect("equal names");
-                    let (boot_name, boot_g) = b.take().expect("equal names");
-                    if !Rc::ptr_eq(name, boot_name) {
-                        // Removed and created again: a new name.
-                        extra.push(Rc::clone(name));
-                        missing.push((boot_name, boot_g));
-                    } else if *g != *boot_g {
-                        g.clone_from(boot_g);
+                // A boot name the session removed and created again
+                // has the image's key back (see `assign_raw`).
+                Some((key, g)) => match self.globals.get_mut(&*name) {
+                    Some(mine) => mine.clone_from(g),
+                    None => {
+                        self.globals.insert(Rc::clone(key), g.clone());
                     }
-                    (a, b) = (mine.next(), theirs.next());
-                }
+                },
             }
         }
-        for name in extra {
-            self.globals.remove(&name);
-        }
-        for (name, g) in missing {
-            self.globals.insert(Rc::clone(name), g.clone());
-        }
+    }
+
+    /// True if the globals are exactly `boot`: the same name `Rc`s,
+    /// slots, cached encodings and log places. Recycle's oracle.
+    fn same_globals(&self, boot: &BTreeMap<Rc<str>, Global>) -> bool {
+        self.globals
+            .iter()
+            .map(|(name, g)| (Rc::as_ptr(name), g))
+            .eq(boot.iter().map(|(name, g)| (Rc::as_ptr(name), g)))
+    }
+
+    /// True if the globals are the boot image's, as a recycle leaves
+    /// them.
+    #[cfg(test)]
+    pub(crate) fn globals_are_boot(&self) -> bool {
+        let image = self.boot_image.as_ref().expect("a booted machine");
+        self.same_globals(&image.globals)
+    }
+
+    /// The length of the touched log.
+    #[cfg(test)]
+    pub(crate) fn touched_len(&self) -> usize {
+        self.touched.len()
     }
 
     /// Installs (or with `None`, removes) the cooperative-yield hook.
@@ -627,32 +649,46 @@ impl<O: Os + Clone> Machine<O> {
     /// audit compares with the boot image's through
     /// [`Machine::hooks_match`].
     pub fn hook_bindings(&self) -> Vec<(Rc<str>, Rc<str>)> {
-        self.hooks().collect()
+        self.hooks()
+            .map(|(name, g)| {
+                let encoded = match g.export.get() {
+                    Some(cached) => Rc::clone(cached),
+                    None => Rc::from(self.encode_global(g)),
+                };
+                (Rc::clone(name), encoded)
+            })
+            .collect()
     }
 
     /// True if the global hook bindings are exactly `boot`, as
     /// [`Machine::hook_bindings`] returned them: the same names, each
     /// bound to a value with the same encoding. `Rc`'s `==` compares
     /// pointers first, and a recycled machine shares its names and
-    /// cached encodings with the boot image, so checking one makes no
-    /// malloc.
+    /// cached encodings with the boot image, so checking one clones
+    /// no `Rc` and makes no malloc.
     pub fn hooks_match(&self, boot: &[(Rc<str>, Rc<str>)]) -> bool {
-        self.hooks().eq(boot.iter().cloned())
+        let mut boot = boot.iter();
+        self.hooks().all(|(name, g)| {
+            boot.next().is_some_and(|(boot_name, boot_encoded)| {
+                name == boot_name
+                    && match g.export.get() {
+                        Some(cached) => cached == boot_encoded,
+                        None => *self.encode_global(g) == **boot_encoded,
+                    }
+            })
+        }) && boot.next().is_none()
     }
 
-    /// The `fn-%*` globals with their values' encodings: the one an
-    /// export cached, else a fresh one.
-    fn hooks(&self) -> impl Iterator<Item = (Rc<str>, Rc<str>)> + '_ {
+    /// The `fn-%*` globals, by name.
+    fn hooks(&self) -> impl Iterator<Item = (&Rc<str>, &Global)> {
         self.globals
             .range::<str, _>((Bound::Included("fn-%"), Bound::Unbounded))
             .take_while(|(name, _)| name.starts_with("fn-%"))
-            .map(|(name, g)| {
-                let encoded = match g.export.get() {
-                    Some(cached) => Rc::clone(cached),
-                    None => Rc::from(env::encode_value(self, self.heap.perm(g.slot)).0),
-                };
-                (Rc::clone(name), encoded)
-            })
+    }
+
+    /// A fresh encoding of a global's value.
+    fn encode_global(&self, g: &Global) -> String {
+        env::encode_value(self, self.heap.perm(g.slot)).0
     }
 
     /// The global variables, sorted by name.
@@ -670,7 +706,11 @@ impl<O: Os + Clone> Machine<O> {
     /// (creating or, when the value is empty, deleting it).
     ///
     /// Settor dispatch (`set-name`) is the *evaluator's* job, because
-    /// it must run es code; this method is the raw store.
+    /// it must run es code; this method is the raw store. After the
+    /// freeze it logs the name of each global it creates, stores or
+    /// removes, once per name, for [`Machine::recycle`]: finding out
+    /// whether a name is logged costs a flag on the global, or a
+    /// lookup in the image when a name is created.
     pub fn assign_raw(&mut self, env: Ref, name: &str, value: Ref) {
         let mut cur = env;
         while !cur.is_nil() {
@@ -693,20 +733,62 @@ impl<O: Os + Clone> Machine<O> {
             // Assigning the empty list removes a global (this is how
             // `fn-x =` undefines a function and how `recache` flushes
             // the Figure 2 path cache).
-            if let Some(g) = self.globals.remove(name) {
+            if let Some((key, g)) = self.globals.remove_entry(name) {
                 self.heap.free_perm(g.slot);
+                self.log_removal(key, g.logged);
             }
             return;
         }
-        match self.globals.get_mut(name) {
-            Some(g) => {
-                self.heap.set_perm(g.slot, value);
-                g.export.take();
+        if let Some(g) = self.globals.get_mut(name) {
+            self.heap.set_perm(g.slot, value);
+            g.export.take();
+            if g.logged == Logged::No && self.boot_image.is_some() {
+                g.logged = Logged::Boot;
+                let (key, _) = self.globals.get_key_value(name).expect("just stored");
+                self.touched.push(Rc::clone(key));
             }
-            None => {
-                let slot = self.heap.alloc_perm(value);
-                let export = OnceCell::new();
-                self.globals.insert(Rc::from(name), Global { slot, export });
+            return;
+        }
+        let slot = self.heap.alloc_perm(value);
+        let (key, logged) = match &self.boot_image {
+            None => (Rc::from(name), Logged::No),
+            // A boot name that is missing was removed since the
+            // freeze, and so is in the log already.
+            Some(image) => match image.globals.get_key_value(name) {
+                Some((key, _)) => (Rc::clone(key), Logged::Boot),
+                None => {
+                    let key: Rc<str> = Rc::from(name);
+                    self.touched.push(Rc::clone(&key));
+                    (key, Logged::New(self.touched.len() - 1))
+                }
+            },
+        };
+        let global = Global {
+            slot,
+            export: OnceCell::new(),
+            logged,
+        };
+        self.globals.insert(key, global);
+    }
+
+    /// Logs the removal of the global `key`, which was at `logged`. A
+    /// boot name stays in the log, so that recycle puts it back; a
+    /// name the session created leaves it, so that creating and
+    /// removing one name forever keeps the log short.
+    fn log_removal(&mut self, key: Rc<str>, logged: Logged) {
+        match logged {
+            Logged::No if self.boot_image.is_some() => self.touched.push(key),
+            Logged::No | Logged::Boot => {}
+            Logged::New(at) => {
+                self.touched.swap_remove(at);
+                // The name moved into `at` is logged there now.
+                if let Some(moved) = self.touched.get(at) {
+                    if let Some(g) = self.globals.get_mut(&**moved) {
+                        if let Logged::New(_) = g.logged {
+                            g.logged = Logged::New(at);
+                        }
+                    }
+                }
             }
         }
     }

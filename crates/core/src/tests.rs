@@ -1810,6 +1810,46 @@ fn recycle_forgets_assignments_to_boot_bindings() {
     assert_eq!(m.get_var("fn-bump"), cold.get_var("fn-bump"));
 }
 
+/// Recycle restores only the globals the session stored, so boot must
+/// leave no encoding cell that a session can fill without a store.
+/// `prompt` is hidden by `$noexport` at boot; clearing `$noexport` and
+/// launching `env` exports it, and without boot's fill of every
+/// cacheable encoding its cell would be filled here and survive the
+/// recycle.
+#[test]
+fn recycle_restores_encodings_an_export_filled() {
+    let mut m = machine();
+    assert!(m.get_var("noexport").contains(&"prompt".to_string()));
+    let seen = output(&mut m, "noexport = ; env");
+    assert!(seen.lines().any(|l| l.starts_with("prompt=")), "{seen}");
+    assert!(m.recycle());
+    assert!(m.globals_are_boot(), "recycled globals differ from the image's");
+}
+
+/// The touched log names each global once: storing one boot global
+/// and creating and removing one new name 10 000 times each leaves it
+/// two entries long, and the recycle after it is exact.
+#[test]
+fn touched_log_stays_bounded() {
+    let mut m = machine();
+    m.run("fresh = 0; extra = 1; fresh =").unwrap();
+    assert!(m.recycle());
+    assert_eq!(m.touched_len(), 0, "recycle empties the log");
+    for i in 0..10_000 {
+        let n = i.to_string();
+        m.set_global_strs("prompt", &[&n]);
+        m.set_global_strs("fresh", &[&n]);
+        m.assign_raw(es_gc::Ref::NIL, "fresh", es_gc::Ref::NIL);
+    }
+    m.run("other = 1; fresh = 2; other =; prompt =; prompt = back").unwrap();
+    assert_eq!(m.get_var("fresh"), vec!["2"]);
+    assert!(m.touched_len() <= 2, "{} entries", m.touched_len());
+    assert!(m.recycle());
+    assert!(m.globals_are_boot(), "recycled globals differ from the image's");
+    assert_eq!(m.get_var("fresh"), Vec::<String>::new());
+    assert_eq!(m.get_var("prompt"), machine().get_var("prompt"));
+}
+
 /// Satellite: a recycled machine is bit-for-bit equivalent to a
 /// cold-started one — identical kernel fingerprints and an identical
 /// `SessionTrace` on a probe script that exercises variables, hooks,

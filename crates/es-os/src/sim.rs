@@ -19,7 +19,7 @@ use std::rc::Rc;
 pub struct Desc(pub u32);
 
 /// What an open description refers to.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum FileKind {
     /// A VFS file with a cursor.
     Vnode {
@@ -41,7 +41,7 @@ enum FileKind {
     ConsoleErr,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct OpenFile {
     kind: FileKind,
     refs: usize,
@@ -54,9 +54,17 @@ struct Pipe {
     readers: usize,
 }
 
+impl PartialEq for Pipe {
+    fn eq(&self, other: &Pipe) -> bool {
+        self.readers == other.readers
+            && self.writers == other.writers
+            && same_queue(&self.buf, &other.buf)
+    }
+}
+
 /// One row of the fake process table (for `ps` / `kill` / the paper's
 /// `ps aux | grep '^byron' | ... | xargs kill -9` example).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcEntry {
     /// Owner login name.
     pub user: String,
@@ -531,6 +539,51 @@ impl SimOs {
         self.shell_sys_ns
     }
 
+    /// True when a tenant could not tell this kernel from `other`:
+    /// every table [`SimOs::fingerprint`] covers is equal, compared
+    /// table by table with the cheap checks first. A filesystem or
+    /// process table still `Rc`-shared by the two is equal without
+    /// being read, a filesystem that is not compares by its cached
+    /// digest, and a byte buffer's length is compared before its bytes
+    /// (see `same_bytes`). Fully closed pipe rows, which only wait to
+    /// be reused, are skipped, as the fingerprint skips them. The
+    /// serving pool's reset audit compares a recycled slot with the
+    /// kernel it kept at boot this way; debug builds check that the
+    /// answer agrees with the fingerprints'.
+    pub fn same_state(&self, other: &SimOs) -> bool {
+        self.real_ns == other.real_ns
+            && self.shell_sys_ns == other.shell_sys_ns
+            && self.children == other.children
+            && self.next_pid == other.next_pid
+            && self.shell_pid == other.shell_pid
+            && same_bytes(self.cwd.as_bytes(), other.cwd.as_bytes())
+            && self.open_files().eq(other.open_files())
+            && self.live_pipes().eq(other.live_pipes())
+            && same_queue(&self.console_in, &other.console_in)
+            && same_bytes(&self.console_out, &other.console_out)
+            && same_bytes(&self.console_err, &other.console_err)
+            && self.signals == other.signals
+            && self.sig_schedule == other.sig_schedule
+            && (Rc::ptr_eq(&self.procs, &other.procs) || self.procs == other.procs)
+            && self.vfs.same_tree(&other.vfs)
+    }
+
+    /// The open descriptions, with their descriptor numbers.
+    fn open_files(&self) -> impl Iterator<Item = (usize, &OpenFile)> {
+        self.files
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| Some((i, f.as_ref()?)))
+    }
+
+    /// The pipe rows with a live end, with their numbers.
+    fn live_pipes(&self) -> impl Iterator<Item = (usize, &Pipe)> {
+        self.pipes
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.readers != 0 || p.writers != 0)
+    }
+
     /// Deterministic digest of every tenant-observable piece of kernel
     /// state: the filesystem (paths, contents, executable bits; its
     /// cached [`Vfs::digest`], so an unwritten tree is not re-walked), the
@@ -552,8 +605,7 @@ impl SimOs {
         fnv_u64(&mut h, self.next_pid as u64);
         fnv_u64(&mut h, self.shell_pid as u64);
         fnv_u64(&mut h, self.vfs.digest());
-        for (i, slot) in self.files.iter().enumerate() {
-            let Some(of) = slot else { continue };
+        for (i, of) in self.open_files() {
             fnv_u64(&mut h, i as u64);
             fnv_u64(&mut h, of.refs as u64);
             match &of.kind {
@@ -576,12 +628,9 @@ impl SimOs {
                 FileKind::ConsoleErr => fnv(&mut h, b"cerr"),
             }
         }
-        for (i, pipe) in self.pipes.iter().enumerate() {
-            // Only pipes with a live end are observable; fully closed
-            // rows wait to be reused by the next `pipe`.
-            if pipe.readers == 0 && pipe.writers == 0 {
-                continue;
-            }
+        // Only pipes with a live end are observable; fully closed rows
+        // wait to be reused by the next `pipe`.
+        for (i, pipe) in self.live_pipes() {
             fnv_u64(&mut h, i as u64);
             fnv_u64(&mut h, pipe.readers as u64);
             fnv_u64(&mut h, pipe.writers as u64);
@@ -607,6 +656,19 @@ impl SimOs {
         }
         h
     }
+}
+
+/// True if the two byte runs are equal. The lengths are compared
+/// first, and two empty runs are equal without a library call: on
+/// some hosts `memcmp` on the dangling pointer of an empty `Vec`
+/// costs 100 times more than on a short equal run (DESIGN.md §4f).
+fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && (a.is_empty() || a == b)
+}
+
+/// `same_bytes` for a queue, whose bytes may wrap around its buffer.
+fn same_queue(a: &VecDeque<u8>, b: &VecDeque<u8>) -> bool {
+    a.len() == b.len() && (a.is_empty() || a == b)
 }
 
 /// FNV-1a's initial state.

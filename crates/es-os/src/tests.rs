@@ -985,6 +985,89 @@ fn fingerprint_is_sensitive_to_observable_state() {
     check(&os, "advancing the virtual clock");
 }
 
+/// Asserts that the table-by-table compare and the fingerprints both
+/// tell `a` from `b`.
+fn differ(a: &SimOs, b: &SimOs, what: &str) {
+    assert!(!a.same_state(b) && !b.same_state(a), "the compare missed {what}");
+    assert_ne!(a.fingerprint(), b.fingerprint(), "the fingerprint missed {what}");
+}
+
+/// The serving pool's audit compares each table instead of hashing
+/// the kernel. Every observable change makes the compare false, both
+/// against the clone it started from, which shares the filesystem and
+/// the process table by `Rc`, and against a kernel built separately,
+/// which shares nothing. The consoles and a live pipe are checked with
+/// two buffers of the same length, so a length check alone would not
+/// do.
+#[test]
+fn kernel_compare_is_sensitive_to_every_table() {
+    assert!(SimOs::new().same_state(&SimOs::new()), "two fresh kernels differ");
+    type Change = fn(&mut SimOs);
+    let changes: &[(&str, Change)] = &[
+        ("a file write", |os| {
+            os.vfs_mut().put_file("/tmp/dirt", b"residue").unwrap();
+        }),
+        ("a dangling fd", |os| {
+            os.open("/bin/echo", OpenMode::Read).unwrap();
+        }),
+        ("bytes in the stdin console", |os| os.push_input("x")),
+        ("bytes in the stdout console", |os| {
+            write_all(os, STDOUT, b"x").unwrap();
+        }),
+        ("bytes in the stderr console", |os| {
+            write_all(os, crate::STDERR, b"x").unwrap();
+        }),
+        ("a clock move", |os| os.advance_ns(1)),
+        ("a pid-counter move", |os| {
+            run_prog(os, "true", &[], "");
+        }),
+        ("a queued signal", |os| os.raise_signal(Signal::Int)),
+        ("a scheduled signal", |os| os.schedule_signal(5, Signal::Int)),
+        ("a live pipe holding bytes", |os| {
+            let (_, w) = os.pipe().unwrap();
+            write_all(os, w, b"x").unwrap();
+        }),
+        ("a kill of a process row", |os| {
+            assert_eq!(os.kill_pids(&[4523], Signal::Term), 1);
+        }),
+        ("a cwd change", |os| os.chdir("/tmp").unwrap()),
+    ];
+    for (what, change) in changes {
+        let boot = SimOs::new();
+        let mut os = boot.clone();
+        assert!(os.same_state(&boot), "a clone differs before {what}");
+        change(&mut os);
+        differ(&os, &boot, what);
+        differ(&os, &SimOs::new(), what);
+    }
+
+    // Same lengths, different bytes.
+    for fd in [STDOUT, crate::STDERR] {
+        let (mut a, mut b) = (SimOs::new(), SimOs::new());
+        write_all(&mut a, fd, b"abc").unwrap();
+        write_all(&mut b, fd, b"abd").unwrap();
+        differ(&a, &b, "console bytes of the same length");
+    }
+    let (mut a, mut b) = (SimOs::new(), SimOs::new());
+    a.push_input("abc");
+    b.push_input("abd");
+    differ(&a, &b, "stdin bytes of the same length");
+
+    // A pipe's bytes count while it has a live end, and not once both
+    // ends are closed: the row only waits to be reused.
+    let (mut a, mut b) = (SimOs::new(), SimOs::new());
+    let ends = [a.pipe().unwrap(), b.pipe().unwrap()];
+    write_all(&mut a, ends[0].1, b"abc").unwrap();
+    write_all(&mut b, ends[1].1, b"abd").unwrap();
+    differ(&a, &b, "pipe bytes of the same length");
+    for (os, (r, w)) in [(&mut a, ends[0]), (&mut b, ends[1])] {
+        os.close(w).unwrap();
+        os.close(r).unwrap();
+    }
+    assert!(a.same_state(&b), "a fully closed pipe row was compared");
+    assert_eq!(a.fingerprint(), b.fingerprint());
+}
+
 /// A pipe row is reused once both its ends are closed, so opening and
 /// closing pipes forever keeps the table as large as the most pipes
 /// ever open at once (the REPL and long served sessions open one per

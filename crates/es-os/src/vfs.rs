@@ -125,6 +125,12 @@ impl Vfs {
         *self.tree.digest.get_or_init(|| self.walk_digest())
     }
 
+    /// True if the two filesystems have the same contents: they share
+    /// one inode table, or their digests are equal.
+    pub(crate) fn same_tree(&self, other: &Vfs) -> bool {
+        Rc::ptr_eq(&self.tree, &other.tree) || self.digest() == other.digest()
+    }
+
     /// The digest recomputed from scratch (the cache's oracle).
     pub(crate) fn walk_digest(&self) -> u64 {
         let mut h = FNV_OFFSET;

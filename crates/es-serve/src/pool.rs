@@ -19,23 +19,28 @@
 //! ## The reset oracle
 //!
 //! Every release runs the machine through `recycle()` and then audits
-//! it against the snapshot taken right after boot: the kernel
-//! fingerprint ([`es_os::SimOs::fingerprint`] — vfs, descriptors,
-//! pipes, consoles, clocks, signals), the open-descriptor delta, the
-//! `fn-%*` hook bindings, and the armed limits. A clean report means
+//! it against the snapshot taken right after boot: the kernel, table
+//! by table ([`es_os::SimOs::same_state`] — vfs, descriptors, pipes,
+//! consoles, clocks, signals, processes), the open-descriptor delta,
+//! the `fn-%*` hook bindings, and the armed limits. The snapshot is a
+//! copy of the kernel that boot left, not the machine's boot image,
+//! which the recycle itself reads; debug builds (and so the serve
+//! soak) also compare the two kernels' [`es_os::SimOs::fingerprint`]s
+//! and assert that both ways agree. A clean report means
 //! the next tenant provably cannot observe the previous one. After a
 //! dirty report, scrubbing (a fresh boot) is the only way back, and a
 //! slot whose *scrub* still fails the oracle, or whose fresh boot
 //! panics, is retired for good.
 //!
-//! The audit costs O(fd table + live pipes + consoles), not O(files):
-//! a slot's filesystem is shared copy-on-write with its boot image,
-//! and the filesystem's part of the fingerprint is a digest cached
-//! inside the shared tree ([`es_os::Vfs::digest`]). The boot
-//! `snapshot()` fills that cache once for the image and every slot
-//! that shares its tree; only a tenant that wrote the filesystem pays
-//! for one inode walk of its private copy. In builds with debug
-//! assertions every cached digest is checked against a fresh walk.
+//! The audit costs O(fd table + live pipes + consoles), not O(files)
+//! and not O(bytes a session wrote and the recycle dropped): each
+//! buffer's length is compared before its bytes. A slot's filesystem
+//! and process table are shared by `Rc` with its boot image, and so
+//! with the snapshot, so after a recycle they compare equal by pointer
+//! and nothing is walked. Two filesystems that share no tree compare
+//! by their digests, each cached inside its tree
+//! ([`es_os::Vfs::digest`]). In builds with debug assertions every
+//! cached digest is checked against a fresh walk.
 
 use crate::fiber::{self, Fiber, Stack};
 use crate::gate::SliceGate;
@@ -107,8 +112,10 @@ pub struct Outcome {
 /// handed to another tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResetReport {
-    /// Kernel fingerprint matches the post-boot fingerprint (vfs,
-    /// descriptor table, pipes, consoles, clock, signals).
+    /// The kernel equals the one the slot kept at boot in every table
+    /// its fingerprint covers (vfs, descriptor table, pipes, consoles,
+    /// clock, signals, process table), compared table by table
+    /// ([`es_os::SimOs::same_state`]).
     pub os_clean: bool,
     /// Open kernel descriptors gained since boot (0 when clean).
     pub fd_delta: isize,
@@ -209,8 +216,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Boot state a slot is audited against: taken once right after boot,
 /// retaken after every scrub.
 struct BootSnapshot {
-    fingerprint: u64,
-    fds: usize,
+    /// A copy of the kernel as boot left it. It shares the filesystem
+    /// and the process table with the boot image by `Rc`, as a clone
+    /// does; the audit reads it, never the image.
+    os: SimOs,
     /// The `fn-%*` globals and their encodings ([`Machine::hook_bindings`]).
     hooks: Vec<(Rc<str>, Rc<str>)>,
     limits: es_core::governor::Limits,
@@ -226,17 +235,25 @@ fn boot_machine(setup: &Option<OsSetup>) -> Machine<SimOs> {
 
 fn snapshot(m: &Machine<SimOs>) -> BootSnapshot {
     BootSnapshot {
-        fingerprint: m.os().fingerprint(),
-        fds: m.os().open_desc_count(),
+        os: m.os().clone(),
         hooks: m.hook_bindings(),
         limits: *m.governor().limits(),
     }
 }
 
+/// Compares `m` with the snapshot its slot took at boot. The kernel is
+/// compared table by table ([`SimOs::same_state`]); debug builds check
+/// that the answer is the one the two fingerprints give.
 fn audit(m: &Machine<SimOs>, boot: &BootSnapshot) -> ResetReport {
+    let os_clean = m.os().same_state(&boot.os);
+    debug_assert_eq!(
+        os_clean,
+        m.os().fingerprint() == boot.os.fingerprint(),
+        "the kernel compare disagrees with the fingerprints"
+    );
     ResetReport {
-        os_clean: m.os().fingerprint() == boot.fingerprint,
-        fd_delta: m.os().open_desc_count() as isize - boot.fds as isize,
+        os_clean,
+        fd_delta: m.os().open_desc_count() as isize - boot.os.open_desc_count() as isize,
         hooks_pristine: m.hooks_match(&boot.hooks),
         limits_ok: *m.governor().limits() == boot.limits,
     }
