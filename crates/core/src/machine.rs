@@ -10,7 +10,8 @@ use es_os::{Desc, Os};
 use es_syntax::ast::Lambda;
 use es_syntax::{lower, parse_program};
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::ops::Bound;
 use std::rc::Rc;
 
@@ -120,29 +121,27 @@ pub trait Yield {
     fn tick(&self) -> YieldAction;
 }
 
-/// A global variable: the root slot holding its value, that value's
-/// environment encoding once an export has computed it, and where its
-/// name stands in the machine's touched log. [`Machine::assign_raw`],
-/// the only place a global is stored, resets the encoding (and the
-/// machine's shared export) and logs the name. Boot fills the encoding
-/// of every global whose encoding can be cached, so after the freeze
-/// an export fills only the cells of globals stored since; nothing
-/// but `assign_raw` changes a boot global.
+/// A global variable: the root slot holding its value, and that
+/// value's environment encoding once an export has computed it.
+/// [`Machine::assign_raw`], the only place a global is stored, resets
+/// the encoding (and the machine's shared export) and adds the name to
+/// the machine's touched set. Boot fills the encoding of every global
+/// whose encoding can be cached, so after the freeze an export fills
+/// only the cells of globals stored since; nothing but `assign_raw`
+/// changes a boot global.
 #[derive(Clone)]
 pub(crate) struct Global {
     pub(crate) slot: PermSlot,
     pub(crate) export: OnceCell<Rc<str>>,
-    logged: Logged,
 }
 
-/// Two globals are equal when they have the same slot, the same
-/// cached encoding (the same `Rc`, or both uncached) and the same
-/// place in the touched log. A recycled machine shares its encodings
-/// with the boot image, so comparing them reads no string.
+/// Two globals are equal when they have the same slot and the same
+/// cached encoding (the same `Rc`, or both uncached). A recycled
+/// machine shares its encodings with the boot image, so comparing
+/// them reads no string.
 impl PartialEq for Global {
     fn eq(&self, other: &Global) -> bool {
         self.slot == other.slot
-            && self.logged == other.logged
             && match (self.export.get(), other.export.get()) {
                 (Some(a), Some(b)) => Rc::ptr_eq(a, b),
                 (None, None) => true,
@@ -151,20 +150,10 @@ impl PartialEq for Global {
     }
 }
 
-/// Where a global's name stands in the machine's touched log (see
-/// [`Machine::assign_raw`]). Each name is in the log at most once.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Logged {
-    /// Not in the log: a boot global the session has not stored, or
-    /// any global before the freeze.
-    No,
-    /// In the log until the next recycle: a boot name the session
-    /// stored, or removed and created again.
-    Boot,
-    /// At this index of the log: a name the session created, which
-    /// leaves the log when the session removes it.
-    New(usize),
-}
+/// The names of the globals touched since the freeze. std's hasher
+/// with its default (zero) key, so the set drains in the same order on
+/// every run.
+type Touched = HashSet<Rc<str>, BuildHasherDefault<DefaultHasher>>;
 
 /// An input source for `$&parse` / `$&dot`.
 #[derive(Debug, Clone)]
@@ -180,6 +169,7 @@ pub enum Input {
 /// `O: Clone` because `fork` clones the whole machine — heap, globals,
 /// descriptors, and kernel — exactly the image a real `fork(2)` would
 /// produce.
+#[derive(Clone)]
 pub struct Machine<O: Os + Clone> {
     /// The garbage-collected value heap (public for stats/benches).
     pub heap: Heap,
@@ -189,11 +179,14 @@ pub struct Machine<O: Os + Clone> {
     /// Keyed by shared names, so cloning the map (recycle, fork, the
     /// boot image) copies no name.
     globals: BTreeMap<Rc<str>, Global>,
-    /// The names of the globals created, stored or removed since the
-    /// freeze or the last recycle, each once, holding the map's own key
-    /// `Rc`s: what [`Machine::recycle`] restores. It keeps its capacity,
-    /// so a store makes no malloc once the log is warm.
-    touched: Vec<Rc<str>>,
+    /// The names of the globals stored, created or removed since the
+    /// freeze or the last recycle, holding the map's own key `Rc`s:
+    /// what [`Machine::recycle`] restores. A name the image lacks
+    /// leaves the set when it is removed, so the set never holds more
+    /// names than the session touched and left live, plus the boot
+    /// names it touched. It keeps its capacity, so a store makes no
+    /// malloc once the set is warm.
+    touched: Touched,
     /// The whole environment export, shared by every launch until
     /// [`Machine::assign_raw`] next creates, stores or removes a
     /// global. See [`env::build_environment`] for when it is used.
@@ -222,28 +215,6 @@ pub struct Machine<O: Os + Clone> {
     boot_image: Option<Rc<Machine<O>>>,
 }
 
-impl<O: Os + Clone> Clone for Machine<O> {
-    fn clone(&self) -> Self {
-        Machine {
-            heap: self.heap.clone(),
-            opts: self.opts.clone(),
-            os: self.os.clone(),
-            globals: self.globals.clone(),
-            touched: self.touched.clone(),
-            shared_export: self.shared_export.clone(),
-            dynamics: self.dynamics.clone(),
-            fds: self.fds.clone(),
-            inputs: self.inputs.clone(),
-            depth: self.depth,
-            max_depth_seen: self.max_depth_seen,
-            bg_pid: self.bg_pid,
-            governor: self.governor.clone(),
-            yielder: self.yielder.clone(),
-            boot_image: self.boot_image.clone(),
-        }
-    }
-}
-
 impl<O: Os + Clone> Machine<O> {
     /// Boots a machine: imports the kernel environment, runs the
     /// embedded `initial.es`, and re-applies imported variables so the
@@ -260,7 +231,7 @@ impl<O: Os + Clone> Machine<O> {
             opts,
             os,
             globals: BTreeMap::new(),
-            touched: Vec::new(),
+            touched: Touched::default(),
             shared_export: OnceCell::new(),
             dynamics: Vec::new(),
             fds: BTreeMap::new(),
@@ -286,7 +257,7 @@ impl<O: Os + Clone> Machine<O> {
         // image — and every recycled slot and fork cloned from it —
         // starts with every cacheable encoding and the shared export
         // filled, and a later export fills only the cells of globals
-        // stored since (which the touched log names).
+        // stored since (which the touched set names).
         env::fill_export_caches(&m);
         env::build_environment(&m);
         // Move what boot left live into the heap's shared boot space,
@@ -309,7 +280,7 @@ impl<O: Os + Clone> Machine<O> {
     /// The restore is field by field, from an exhaustive destructuring
     /// of the image, into the buffers this machine already has: the
     /// heap goes back to the shared boot space with an empty young
-    /// space, the globals named in the touched log are restored by
+    /// space, the globals named in the touched set are restored by
     /// [`Machine::restore_globals`], and everything else is copied with
     /// `clone_from`. Nothing is copied or visited per boot object,
     /// global or program, so the cost depends on what the session
@@ -323,7 +294,7 @@ impl<O: Os + Clone> Machine<O> {
             opts,
             os,
             globals,
-            // The image's log is empty.
+            // The image's set is empty.
             touched: _,
             shared_export,
             dynamics,
@@ -364,13 +335,13 @@ impl<O: Os + Clone> Machine<O> {
     }
 
     /// Makes the globals map equal to `boot`'s by restoring each name
-    /// in the touched log, and empties the log. Every other global is
+    /// in the touched set, and empties the set. Every other global is
     /// the image's already: only [`Machine::assign_raw`] changes a
-    /// global after the freeze, and it logs the name. (The values
-    /// themselves live in the heap's persistent roots, which the heap
-    /// restores.)
+    /// global after the freeze, and it adds the name to the set. (The
+    /// values themselves live in the heap's persistent roots, which
+    /// the heap restores.)
     fn restore_globals(&mut self, boot: &BTreeMap<Rc<str>, Global>) {
-        for name in self.touched.drain(..) {
+        for name in self.touched.drain() {
             match boot.get_key_value(&*name) {
                 None => {
                     self.globals.remove(&*name);
@@ -388,7 +359,7 @@ impl<O: Os + Clone> Machine<O> {
     }
 
     /// True if the globals are exactly `boot`: the same name `Rc`s,
-    /// slots, cached encodings and log places. Recycle's oracle.
+    /// slots and cached encodings. Recycle's oracle.
     fn same_globals(&self, boot: &BTreeMap<Rc<str>, Global>) -> bool {
         self.globals
             .iter()
@@ -404,7 +375,7 @@ impl<O: Os + Clone> Machine<O> {
         self.same_globals(&image.globals)
     }
 
-    /// The length of the touched log.
+    /// The number of names in the touched set.
     #[cfg(test)]
     pub(crate) fn touched_len(&self) -> usize {
         self.touched.len()
@@ -475,9 +446,8 @@ impl<O: Os + Clone> Machine<O> {
     /// limit, unlike the scoped `%limit` form which only tightens.
     pub fn arm_limit(&mut self, kind: &str, value: u64) -> Result<(), String> {
         let k = Kind::parse(kind).ok_or_else(|| {
-            format!(
-                "unknown limit kind '{kind}' (expected one of depth, steps, heap, fds, output, time)"
-            )
+            let kinds = Kind::ALL.map(Kind::name).join(", ");
+            format!("unknown limit kind '{kind}' (expected one of {kinds})")
         })?;
         let abs = crate::governor::resolve(self, k, value);
         self.governor.set(k, Some(abs));
@@ -707,10 +677,9 @@ impl<O: Os + Clone> Machine<O> {
     ///
     /// Settor dispatch (`set-name`) is the *evaluator's* job, because
     /// it must run es code; this method is the raw store. After the
-    /// freeze it logs the name of each global it creates, stores or
-    /// removes, once per name, for [`Machine::recycle`]: finding out
-    /// whether a name is logged costs a flag on the global, or a
-    /// lookup in the image when a name is created.
+    /// freeze it adds the name of each global it stores, creates or
+    /// removes to the touched set, for [`Machine::recycle`]; removing
+    /// a name the image lacks takes it out again.
     pub fn assign_raw(&mut self, env: Ref, name: &str, value: Ref) {
         let mut cur = env;
         while !cur.is_nil() {
@@ -735,62 +704,45 @@ impl<O: Os + Clone> Machine<O> {
             // the Figure 2 path cache).
             if let Some((key, g)) = self.globals.remove_entry(name) {
                 self.heap.free_perm(g.slot);
-                self.log_removal(key, g.logged);
+                // A boot name stays in the set, so that recycle puts
+                // it back; a name the session created leaves it.
+                if let Some(image) = &self.boot_image {
+                    if image.globals.contains_key(name) {
+                        self.touched.insert(key);
+                    } else {
+                        self.touched.remove(name);
+                    }
+                }
             }
             return;
         }
         if let Some(g) = self.globals.get_mut(name) {
             self.heap.set_perm(g.slot, value);
             g.export.take();
-            if g.logged == Logged::No && self.boot_image.is_some() {
-                g.logged = Logged::Boot;
+            if self.boot_image.is_some() {
                 let (key, _) = self.globals.get_key_value(name).expect("just stored");
-                self.touched.push(Rc::clone(key));
+                self.touched.insert(Rc::clone(key));
             }
             return;
         }
         let slot = self.heap.alloc_perm(value);
-        let (key, logged) = match &self.boot_image {
-            None => (Rc::from(name), Logged::No),
-            // A boot name that is missing was removed since the
-            // freeze, and so is in the log already.
-            Some(image) => match image.globals.get_key_value(name) {
-                Some((key, _)) => (Rc::clone(key), Logged::Boot),
-                None => {
-                    let key: Rc<str> = Rc::from(name);
-                    self.touched.push(Rc::clone(&key));
-                    (key, Logged::New(self.touched.len() - 1))
-                }
-            },
+        let key = match &self.boot_image {
+            None => Rc::from(name),
+            // A boot name created again gets the image's key back.
+            Some(image) => {
+                let key = match image.globals.get_key_value(name) {
+                    Some((key, _)) => Rc::clone(key),
+                    None => Rc::from(name),
+                };
+                self.touched.insert(Rc::clone(&key));
+                key
+            }
         };
         let global = Global {
             slot,
             export: OnceCell::new(),
-            logged,
         };
         self.globals.insert(key, global);
-    }
-
-    /// Logs the removal of the global `key`, which was at `logged`. A
-    /// boot name stays in the log, so that recycle puts it back; a
-    /// name the session created leaves it, so that creating and
-    /// removing one name forever keeps the log short.
-    fn log_removal(&mut self, key: Rc<str>, logged: Logged) {
-        match logged {
-            Logged::No if self.boot_image.is_some() => self.touched.push(key),
-            Logged::No | Logged::Boot => {}
-            Logged::New(at) => {
-                self.touched.swap_remove(at);
-                // The name moved into `at` is logged there now.
-                if let Some(moved) = self.touched.get(at) {
-                    if let Some(g) = self.globals.get_mut(&**moved) {
-                        if let Logged::New(_) = g.logged {
-                            g.logged = Logged::New(at);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Sets a global to a list of strings (bootstrap convenience).

@@ -1826,7 +1826,7 @@ fn recycle_restores_encodings_an_export_filled() {
     assert!(m.globals_are_boot(), "recycled globals differ from the image's");
 }
 
-/// The touched log names each global once: storing one boot global
+/// The touched set names each global once: storing one boot global
 /// and creating and removing one new name 10 000 times each leaves it
 /// two entries long, and the recycle after it is exact.
 #[test]

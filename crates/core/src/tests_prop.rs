@@ -331,6 +331,66 @@ proptest! {
 }
 
 // --------------------------------------------------------------------------
+// The touched set behind `Machine::recycle`: whatever a session
+// stores, creates and removes, a recycle gives back the boot globals,
+// and the set never names more globals than the session touched.
+// --------------------------------------------------------------------------
+
+/// Boot globals and names boot never made.
+const TOUCH_NAMES: [&str; 6] = ["prompt", "home", "fn-echo", "fresh", "extra", "fn-new"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each step is a recycle, a removal (`name =`) or a store, which
+    /// creates the name if it is missing. After each recycle the
+    /// globals and the environment are a cold machine's. At every step
+    /// the set is no longer than the list of distinct names touched
+    /// since the last recycle; it holds just those of them that boot
+    /// made or that are live.
+    #[test]
+    fn prop_touched_set_restores_and_stays_bounded(
+        steps in proptest::collection::vec((0usize..5, 0usize..TOUCH_NAMES.len()), 0..40),
+    ) {
+        let cold = machine().export_environment();
+        let mut m = machine();
+        let boot = m.global_names();
+        let mut touched = std::collections::BTreeSet::new();
+        for (i, (op, at)) in steps.into_iter().enumerate() {
+            let name = TOUCH_NAMES[at];
+            match op {
+                0 => {
+                    prop_assert!(m.recycle());
+                    touched.clear();
+                    prop_assert!(m.globals_are_boot(), "step {}", i);
+                    prop_assert_eq!(&*m.export_environment(), &*cold, "step {}", i);
+                }
+                1 => {
+                    m.assign_raw(es_gc::Ref::NIL, name, es_gc::Ref::NIL);
+                    touched.insert(name);
+                }
+                _ => {
+                    m.set_global_strs(name, &[&i.to_string()]);
+                    touched.insert(name);
+                }
+            }
+            prop_assert!(
+                m.touched_len() <= touched.len(),
+                "step {}: {} names in the set, {} touched",
+                i,
+                m.touched_len(),
+                touched.len()
+            );
+            let kept = touched
+                .iter()
+                .filter(|n| boot.iter().any(|b| b == *n) || !m.get_var(n).is_empty())
+                .count();
+            prop_assert_eq!(m.touched_len(), kept, "step {}", i);
+        }
+    }
+}
+
+// --------------------------------------------------------------------------
 // Fault-injection soak (experiment E10): hundreds of seeded fault
 // plans against a scripted session exercising the whole I/O surface.
 // Three invariants per seed: the interpreter never panics, the kernel

@@ -543,7 +543,7 @@ impl SimOs {
     /// every table [`SimOs::fingerprint`] covers is equal, compared
     /// table by table with the cheap checks first. A filesystem or
     /// process table still `Rc`-shared by the two is equal without
-    /// being read, a filesystem that is not compares by its cached
+    /// being read, a filesystem that is not compares by its walked
     /// digest, and a byte buffer's length is compared before its bytes
     /// (see `same_bytes`). Fully closed pipe rows, which only wait to
     /// be reused, are skipped, as the fingerprint skips them. The
@@ -585,8 +585,8 @@ impl SimOs {
     }
 
     /// Deterministic digest of every tenant-observable piece of kernel
-    /// state: the filesystem (paths, contents, executable bits; its
-    /// cached [`Vfs::digest`], so an unwritten tree is not re-walked), the
+    /// state: the filesystem (paths, contents, executable bits; see
+    /// [`Vfs::digest`], which walks the whole tree), the
     /// descriptor table (kinds, cursors, refcounts), pipes and their
     /// buffered bytes, console buffers, working directory, virtual
     /// clock, child rusage, pending and scheduled signals, the process

@@ -10,13 +10,12 @@
 //! cloning a `Vfs` (and so a whole [`crate::SimOs`], for `fork`, a
 //! pooled slot's recycle, or the boot image) bumps a refcount. The
 //! first write through a clone copies the table of inode pointers,
-//! and a write to an inode copies that inode only. Every write goes
-//! through `Vfs::tree_mut`, which also forgets the table's cached
-//! [`Vfs::digest`].
+//! and a write to an inode copies that inode only. Two filesystems
+//! that still share one table are equal without a read; otherwise
+//! [`Vfs::digest`] walks the tree.
 
 use crate::error::{OsError, OsResult};
 use crate::sim::{fnv, FNV_OFFSET};
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -43,18 +42,10 @@ pub enum Node {
 }
 
 /// The filesystem: a copy-on-write handle on an inode table whose
-/// inode 0 is the root.
+/// inode 0 is the root. Clones share the nodes themselves too.
 #[derive(Debug, Clone)]
 pub struct Vfs {
-    tree: Rc<Tree>,
-}
-
-/// The shared inode table and its digest, filled on first use and
-/// emptied by every write. Clones share the nodes themselves too.
-#[derive(Debug, Clone)]
-struct Tree {
-    nodes: Vec<Rc<Node>>,
-    digest: OnceCell<u64>,
+    tree: Rc<Vec<Rc<Node>>>,
 }
 
 /// Result of a path resolution.
@@ -77,10 +68,7 @@ impl Vfs {
     /// Creates a filesystem containing only an empty root directory.
     pub fn new() -> Vfs {
         Vfs {
-            tree: Rc::new(Tree {
-                nodes: vec![Rc::new(Node::Dir(BTreeMap::new()))],
-                digest: OnceCell::new(),
-            }),
+            tree: Rc::new(vec![Rc::new(Node::Dir(BTreeMap::new()))]),
         }
     }
 
@@ -90,39 +78,25 @@ impl Vfs {
     }
 
     fn node(&self, ino: Ino) -> &Node {
-        &self.tree.nodes[ino.0]
+        &self.tree[ino.0]
     }
 
     /// The one way to write the table: unshares it (copying its inode
-    /// pointers if a clone still holds it) and forgets its digest.
-    fn tree_mut(&mut self) -> &mut Tree {
-        let tree = Rc::make_mut(&mut self.tree);
-        tree.digest.take();
-        tree
+    /// pointers if a clone still holds it).
+    fn tree_mut(&mut self) -> &mut Vec<Rc<Node>> {
+        Rc::make_mut(&mut self.tree)
     }
 
     /// Unshares the one inode written (copying it if a clone still
     /// holds it).
     fn node_mut(&mut self, ino: Ino) -> &mut Node {
-        Rc::make_mut(&mut self.tree_mut().nodes[ino.0])
+        Rc::make_mut(&mut self.tree_mut()[ino.0])
     }
 
     fn push_node(&mut self, node: Node) -> Ino {
-        let nodes = &mut self.tree_mut().nodes;
+        let nodes = self.tree_mut();
         nodes.push(Rc::new(node));
         Ino(nodes.len() - 1)
-    }
-
-    /// Deterministic digest of everything reachable from the root:
-    /// each path, whether it is a directory, and a file's executable
-    /// bit and program key or contents. Cached in the shared table, so
-    /// every clone that has not written since reuses it.
-    pub fn digest(&self) -> u64 {
-        if let Some(&d) = self.tree.digest.get() {
-            debug_assert_eq!(d, self.walk_digest(), "stale cached vfs digest");
-            return d;
-        }
-        *self.tree.digest.get_or_init(|| self.walk_digest())
     }
 
     /// True if the two filesystems have the same contents: they share
@@ -131,8 +105,10 @@ impl Vfs {
         Rc::ptr_eq(&self.tree, &other.tree) || self.digest() == other.digest()
     }
 
-    /// The digest recomputed from scratch (the cache's oracle).
-    pub(crate) fn walk_digest(&self) -> u64 {
+    /// Deterministic digest of everything reachable from the root:
+    /// each path, whether it is a directory, and a file's executable
+    /// bit and program key or contents, walked afresh on every call.
+    pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         self.hash_dir(self.root(), &mut String::new(), &mut h);
         h

@@ -38,9 +38,10 @@
 //! and process table are shared by `Rc` with its boot image, and so
 //! with the snapshot, so after a recycle they compare equal by pointer
 //! and nothing is walked. Two filesystems that share no tree compare
-//! by their digests, each cached inside its tree
-//! ([`es_os::Vfs::digest`]). In builds with debug assertions every
-//! cached digest is checked against a fresh walk.
+//! by their digests ([`es_os::Vfs::digest`]), each walked afresh. A
+//! recycle gives the slot back its snapshot's tree, and a scrub takes
+//! a new snapshot, so only a tree a recycle failed to restore, and the
+//! debug builds' fingerprints, are ever walked.
 
 use crate::fiber::{self, Fiber, Stack};
 use crate::gate::SliceGate;
@@ -420,7 +421,7 @@ impl Drop for Pool {
 mod tests {
     use super::*;
 
-    /// The cached filesystem digest does not blind the reset oracle: a
+    /// Sharing the filesystem does not blind the reset oracle: a
     /// session that writes `/tmp`, makes a directory and removes a
     /// `/bin` program audits dirty until the slot is recycled. Each
     /// write alone, made straight on the filesystem so that nothing

@@ -73,16 +73,8 @@ fn parse_args() -> Result<Args, String> {
             "--naive-calls" => out.naive_calls = true,
             "--stress-gc" => out.stress_gc = true,
             "--dump-env" => out.dump_env = true,
-            "--limit" => {
-                let spec = argv.next().ok_or("--limit needs a KIND=N argument")?;
-                let (kind, value) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--limit {spec}: expected KIND=N"))?;
-                let value: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--limit {spec}: '{value}' is not a number"))?;
-                out.limits.push((kind.to_string(), value));
-            }
+            // An unknown kind is reported when the limit is armed.
+            "--limit" => out.limits.push(limit_spec(argv.next(), false)?),
             "-h" | "--help" => {
                 println!(
                     "usage: es [-c CMD] [--real|--sim] \
@@ -149,6 +141,22 @@ fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
     m.repl()
 }
 
+/// Parses the argument of `--limit`, `KIND=N`. With `known_kind`, a
+/// kind the governor does not have is an error here.
+fn limit_spec(spec: Option<String>, known_kind: bool) -> Result<(String, u64), String> {
+    let spec = spec.ok_or("--limit needs a KIND=N argument")?;
+    let (kind, value) = spec
+        .split_once('=')
+        .ok_or_else(|| format!("--limit {spec}: expected KIND=N"))?;
+    let value: u64 = value
+        .parse()
+        .map_err(|_| format!("--limit {spec}: '{value}' is not a number"))?;
+    if known_kind && es_core::governor::Kind::parse(kind).is_none() {
+        return Err(format!("--limit {spec}: unknown limit kind '{kind}'"));
+    }
+    Ok((kind.to_string(), value))
+}
+
 fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::default();
     while let Some(arg) = argv.next() {
@@ -162,19 +170,7 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeConf
             "--capacity" => cfg.capacity = num("--capacity")? as usize,
             "--high-water" => cfg.high_water = num("--high-water")? as usize,
             "--slice-steps" => cfg.slice_steps = num("--slice-steps")?,
-            "--limit" => {
-                let spec = argv.next().ok_or("--limit needs a KIND=N argument")?;
-                let (kind, value) = spec
-                    .split_once('=')
-                    .ok_or_else(|| format!("--limit {spec}: expected KIND=N"))?;
-                let value: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--limit {spec}: '{value}' is not a number"))?;
-                if es_core::governor::Kind::parse(kind).is_none() {
-                    return Err(format!("--limit {spec}: unknown limit kind '{kind}'"));
-                }
-                cfg.session_limits.push((kind.to_string(), value));
-            }
+            "--limit" => cfg.session_limits.push(limit_spec(argv.next(), true)?),
             "-h" | "--help" => {
                 println!(
                     "usage: es serve [--capacity N] [--high-water N] \
