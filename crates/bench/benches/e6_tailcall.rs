@@ -59,7 +59,10 @@ fn bench_tailcalls(c: &mut Criterion) {
     eprintln!("\n--- E6 artifact: application-depth high-water mark ---");
     for &depth in &[10usize, 100, 400] {
         let target = target_of(depth);
-        let mut tco = machine_with(Options { tail_calls: true, ..Options::default() });
+        let mut tco = machine_with(Options {
+            tail_calls: true,
+            ..Options::default()
+        });
         run(&mut tco, DEF);
         tco.max_depth_seen = 0;
         run(&mut tco, &format!("count '' {target}"));

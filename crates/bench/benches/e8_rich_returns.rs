@@ -28,7 +28,10 @@ fn walk p {
 }";
 
 fn items(n: usize) -> String {
-    (0..n).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" ")
+    (0..n)
+        .map(|i| format!("w{i}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 fn prepared() -> Machine<SimOs> {

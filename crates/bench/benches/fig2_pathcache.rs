@@ -24,15 +24,11 @@ fn bench_pathsearch(c: &mut Criterion) {
         });
         // Ablation: cache installed but flushed before every lookup —
         // the hook indirection cost without the benefit.
-        group.bench_with_input(
-            BenchmarkId::new("cache-miss", dirs),
-            &dirs,
-            |b, &dirs| {
-                let mut m = machine_with_long_path(dirs);
-                run(&mut m, FIG2_CACHE);
-                b.iter(|| run(&mut m, "recache; ls /tmp"));
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("cache-miss", dirs), &dirs, |b, &dirs| {
+            let mut m = machine_with_long_path(dirs);
+            run(&mut m, FIG2_CACHE);
+            b.iter(|| run(&mut m, "recache; ls /tmp"));
+        });
     }
     group.finish();
 }

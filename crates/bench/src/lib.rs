@@ -40,13 +40,25 @@ pub fn run(m: &mut Machine<SimOs>, src: &str) {
 pub fn synth_document(words: usize) -> String {
     let common = ["the", "a", "to", "of", "is", "and"];
     let rare = [
-        "shell", "function", "closure", "exception", "lambda", "pipe", "spoof", "garbage",
-        "collector", "environment", "binding", "syntax",
+        "shell",
+        "function",
+        "closure",
+        "exception",
+        "lambda",
+        "pipe",
+        "spoof",
+        "garbage",
+        "collector",
+        "environment",
+        "binding",
+        "syntax",
     ];
     let mut out = String::with_capacity(words * 5);
     let mut n: u64 = 42;
     for i in 0..words {
-        n = n.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        n = n
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let pick = (n >> 33) as usize;
         if !pick.is_multiple_of(5) {
             out.push_str(common[pick % common.len()]);

@@ -198,9 +198,7 @@ fn compile_node_frame(node: &Node, frame: &[Option<String>]) -> Vec<Op> {
             if let Some(Expr::Word(w)) = exprs.first() {
                 if !w.has_live_glob() {
                     let text = w.text();
-                    if let Some((name, prim)) =
-                        HOOK_PRIMS.iter().find(|(h, _)| *h == text)
-                    {
+                    if let Some((name, prim)) = HOOK_PRIMS.iter().find(|(h, _)| *h == text) {
                         return vec![Op::Call {
                             args: exprs[1..]
                                 .iter()
@@ -216,10 +214,7 @@ fn compile_node_frame(node: &Node, frame: &[Option<String>]) -> Vec<Op> {
                 }
             }
             vec![Op::Call {
-                args: exprs
-                    .iter()
-                    .map(|e| compile_expr(e, true, frame))
-                    .collect(),
+                args: exprs.iter().map(|e| compile_expr(e, true, frame)).collect(),
                 hook: None,
             }]
         }
@@ -340,7 +335,10 @@ fn compile_expr(expr: &Expr, glob: bool, frame: &[Option<String>]) -> ArgC {
                         for (hops, entry) in frame.iter().enumerate() {
                             match entry {
                                 Some(n) if *n == name => {
-                                    return ArgC::Slot { hops, name: name.to_string() };
+                                    return ArgC::Slot {
+                                        hops,
+                                        name: name.to_string(),
+                                    };
                                 }
                                 Some(_) => continue,
                                 // A computed name may shadow anything

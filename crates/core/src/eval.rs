@@ -202,7 +202,9 @@ fn eval_for<O: Os + Clone>(
             // An exhausted list binds its name to `()`.
             let value = next_value(m, *slot, false);
             let v = m.heap.push_root(value);
-            let binding = m.heap.alloc_binding(name, m.heap.root(v), m.heap.root(chain));
+            let binding = m
+                .heap
+                .alloc_binding(name, m.heap.root(v), m.heap.root(chain));
             m.heap.set_root(chain, binding);
         }
         match eval_node(m, body, chain, None) {
@@ -876,7 +878,12 @@ pub fn apply_closure<O: Os + Clone>(
             // Unwinding pops frames, so depth falls back under the
             // limit by itself; the guard stays armed for next time.
             m.depth -= 1;
-            return Err(crate::governor::breach(m, crate::governor::Kind::Depth, used, max));
+            return Err(crate::governor::breach(
+                m,
+                crate::governor::Kind::Depth,
+                used,
+                max,
+            ));
         }
         crate::governor::soft_warn(m, crate::governor::Kind::Depth, used, max);
     }
@@ -897,11 +904,7 @@ fn apply_closure_inner<O: Os + Clone>(
     // expect from `if {...} {return}`-style code. The boundary is
     // sticky across the tail-call trampoline: once any frame in the
     // (merged) tail chain is a function form, the chain catches.
-    let mut catching = m
-        .heap
-        .closure_code(m.heap.root(clo_slot))
-        .params
-        .is_some();
+    let mut catching = m.heap.closure_code(m.heap.root(clo_slot)).params.is_some();
     let base = m.heap.roots_len();
     // The trampoline's slots: current closure/args, plus the pair the
     // evaluator fills when it spots a tail call.
@@ -938,7 +941,9 @@ fn apply_closure_inner<O: Os + Clone>(
                 let z = m.heap.push_root(zero);
                 let zl = m.heap.alloc_pair(m.heap.root(z), Ref::NIL);
                 let zs = m.heap.push_root(zl);
-                let b = m.heap.alloc_binding("0", m.heap.root(zs), m.heap.root(chain));
+                let b = m
+                    .heap
+                    .alloc_binding("0", m.heap.root(zs), m.heap.root(chain));
                 m.heap.set_root(chain, b);
             }
             None => {
@@ -1114,9 +1119,7 @@ pub fn glob_expand<O: Os + Clone>(m: &mut Machine<O>, word: &Word) -> Vec<String
         }
         candidates = next;
     }
-    candidates.retain(|c| {
-        !c.is_empty() && (m.os().is_file(c) || m.os().is_dir(c))
-    });
+    candidates.retain(|c| !c.is_empty() && (m.os().is_file(c) || m.os().is_dir(c)));
     candidates.sort();
     candidates.dedup();
     candidates

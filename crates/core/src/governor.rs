@@ -296,7 +296,12 @@ pub fn soft_warn<O: Os + Clone>(m: &mut Machine<O>, kind: Kind, used: u64, max: 
         return;
     }
     m.governor_mut().warned |= kind.bit();
-    let msg = format!("es: warning: {} limit at {}/{} (90%)\n", kind.name(), used, max);
+    let msg = format!(
+        "es: warning: {} limit at {}/{} (90%)\n",
+        kind.name(),
+        used,
+        max
+    );
     let _ = es_os::write_fully(m.os_mut(), es_os::STDERR, msg.as_bytes());
 }
 
@@ -381,7 +386,10 @@ pub fn resolve<O: Os + Clone>(m: &Machine<O>, kind: Kind, value: u64) -> u64 {
     match kind {
         Kind::Steps => m.governor().steps.saturating_add(value),
         Kind::Output => m.governor().out_bytes.saturating_add(value),
-        Kind::Time => m.os().now_ns().saturating_add(value.saturating_mul(1_000_000)),
+        Kind::Time => m
+            .os()
+            .now_ns()
+            .saturating_add(value.saturating_mul(1_000_000)),
         Kind::Depth | Kind::Heap | Kind::Fds => value,
     }
 }

@@ -39,10 +39,7 @@ impl SessionTrace {
 /// Runs each command of `session` in order on an already-booted
 /// machine and returns the trace. Commands that fail keep going —
 /// an error outcome is part of the observable behaviour being traced.
-pub fn run_session<O: Os + Clone>(
-    m: &mut Machine<O>,
-    session: &[impl AsRef<str>],
-) -> SessionTrace {
+pub fn run_session<O: Os + Clone>(m: &mut Machine<O>, session: &[impl AsRef<str>]) -> SessionTrace {
     run_session_with(m, session, |_| {})
 }
 

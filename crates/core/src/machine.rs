@@ -486,9 +486,7 @@ impl<O: Os + Clone> Machine<O> {
     pub fn run(&mut self, src: &str) -> Result<Vec<String>, String> {
         match self.run_text(src) {
             Ok(v) => Ok(value::read_strings(&self.heap, v)),
-            Err(EsError::Throw(list)) => {
-                Err(value::read_strings(&self.heap, list).join(" "))
-            }
+            Err(EsError::Throw(list)) => Err(value::read_strings(&self.heap, list).join(" ")),
             Err(EsError::Exit(code)) => Err(format!("exit {code}")),
         }
     }
@@ -499,9 +497,7 @@ impl<O: Os + Clone> Machine<O> {
     pub fn run_quiet(&mut self, src: &str) -> Result<(), String> {
         match self.run_text(src) {
             Ok(_) => Ok(()),
-            Err(EsError::Throw(list)) => {
-                Err(value::read_strings(&self.heap, list).join(" "))
-            }
+            Err(EsError::Throw(list)) => Err(value::read_strings(&self.heap, list).join(" ")),
             Err(EsError::Exit(code)) => Err(format!("exit {code}")),
         }
     }
@@ -838,12 +834,7 @@ impl<O: Os + Clone> Machine<O> {
     /// previous table entry. This is the scope guard all redirection
     /// primitives hang off: exception safety here is what makes
     /// `catch` and redirections compose.
-    pub fn with_fd<R>(
-        &mut self,
-        fd: u32,
-        d: Desc,
-        body: impl FnOnce(&mut Self) -> R,
-    ) -> R {
+    pub fn with_fd<R>(&mut self, fd: u32, d: Desc, body: impl FnOnce(&mut Self) -> R) -> R {
         let saved = self.set_fd(fd, d);
         let result = body(self);
         self.close_desc(d);

@@ -121,11 +121,7 @@ pub fn while_prim<O: Os + Clone>(
 }
 
 /// `$&forever {body}`.
-pub fn forever<O: Os + Clone>(
-    m: &mut Machine<O>,
-    args: RootSlot,
-    env: RootSlot,
-) -> EsResult<Flow> {
+pub fn forever<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> EsResult<Flow> {
     loop {
         crate::governor::charge(m)?;
         let base = m.heap.roots_len();
@@ -219,11 +215,7 @@ pub fn throw<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot) -> EsResult<Flow
 
 /// `$&return args...` / `$&break args...` — unwind to the matching
 /// boundary carrying a value.
-pub fn unwind<O: Os + Clone>(
-    m: &mut Machine<O>,
-    args: RootSlot,
-    kind: &str,
-) -> EsResult<Flow> {
+pub fn unwind<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, kind: &str) -> EsResult<Flow> {
     let mut b = ListBuilder::new(&mut m.heap);
     b.push_str(&mut m.heap, kind);
     let rest = m.heap.root(args);
@@ -234,11 +226,7 @@ pub fn unwind<O: Os + Clone>(
 /// `$&catch handler body` — run body; on any exception run handler
 /// with the exception as arguments; a `retry` from the handler re-runs
 /// the body (exactly Figure 3's semantics).
-pub fn catch<O: Os + Clone>(
-    m: &mut Machine<O>,
-    args: RootSlot,
-    env: RootSlot,
-) -> EsResult<Flow> {
+pub fn catch<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> EsResult<Flow> {
     loop {
         let base = m.heap.roots_len();
         let body = match arg_slot(m, args, 2) {

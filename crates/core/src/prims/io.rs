@@ -276,7 +276,11 @@ pub fn backquote<O: Os + Clone>(
     };
     let text = String::from_utf8_lossy(&output).into_owned();
     let ifs: String = m.get_var("ifs").concat();
-    let ifs = if ifs.is_empty() { " \t\n".to_string() } else { ifs };
+    let ifs = if ifs.is_empty() {
+        " \t\n".to_string()
+    } else {
+        ifs
+    };
     let words: Vec<&str> = text
         .split(|c: char| ifs.contains(c))
         .filter(|w| !w.is_empty())

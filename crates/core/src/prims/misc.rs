@@ -33,7 +33,10 @@ pub fn fork<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) ->
         Err(EsError::Exit(code)) => code,
         Err(EsError::Throw(e)) => {
             let msg = value::read_strings(&child.heap, e).join(" ");
-            let _ = child.write_fd(2, format!("es: uncaught exception in subshell: {msg}\n").as_bytes());
+            let _ = child.write_fd(
+                2,
+                format!("es: uncaught exception in subshell: {msg}\n").as_bytes(),
+            );
             1
         }
     };

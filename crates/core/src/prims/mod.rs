@@ -23,11 +23,51 @@ use es_os::Os;
 
 /// Every primitive name, for `$&primitives`.
 pub const NAMES: &[&str] = &[
-    "and", "append", "background", "backquote", "break", "catch", "cd", "close", "collect",
-    "create", "dot", "dup", "echo", "eval", "exit", "false", "flatten", "forever", "fork",
-    "fsplit", "gcstats", "here", "if", "isinteractive", "limit", "limits", "not", "open", "or",
-    "parse", "pathsearch", "pipe", "primitives", "result", "return", "seq", "split", "throw",
-    "time", "true", "vars", "version", "wait", "whatis", "while",
+    "and",
+    "append",
+    "background",
+    "backquote",
+    "break",
+    "catch",
+    "cd",
+    "close",
+    "collect",
+    "create",
+    "dot",
+    "dup",
+    "echo",
+    "eval",
+    "exit",
+    "false",
+    "flatten",
+    "forever",
+    "fork",
+    "fsplit",
+    "gcstats",
+    "here",
+    "if",
+    "isinteractive",
+    "limit",
+    "limits",
+    "not",
+    "open",
+    "or",
+    "parse",
+    "pathsearch",
+    "pipe",
+    "primitives",
+    "result",
+    "return",
+    "seq",
+    "split",
+    "throw",
+    "time",
+    "true",
+    "vars",
+    "version",
+    "wait",
+    "whatis",
+    "while",
 ];
 
 /// Dispatches a primitive by name. `args` is the rooted argument list

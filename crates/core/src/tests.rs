@@ -108,7 +108,8 @@ fn fn_d_prints_date() {
 #[test]
 fn apply_with_leftover_args() {
     let mut m = machine();
-    m.run("fn apply cmd args { for (i = $args) $cmd $i }").unwrap();
+    m.run("fn apply cmd args { for (i = $args) $cmd $i }")
+        .unwrap();
     assert_eq!(
         output(&mut m, "apply echo testing 1.. 2.. 3.."),
         "testing\n1..\n2..\n3..\n"
@@ -130,7 +131,8 @@ fn lambda_applied_inline() {
     let mut m = machine();
     m.os_mut().vfs_mut().put_file("/tmp/x1", b"").unwrap();
     m.os_mut().vfs_mut().put_file("/usr/tmp/x2", b"").unwrap();
-    m.run("fn apply cmd args { for (i = $args) $cmd $i }").unwrap();
+    m.run("fn apply cmd args { for (i = $args) $cmd $i }")
+        .unwrap();
     m.run("apply @ i {cd $i; rm -f *} /tmp /usr/tmp").unwrap();
     assert!(!m.os().is_file("/tmp/x1"), "files in /tmp removed");
     assert!(!m.os().is_file("/usr/tmp/x2"), "files in /usr/tmp removed");
@@ -182,7 +184,8 @@ fn let_lexical_binding() {
 fn closures_capture_lexical_scope() {
     // The paper's hi = { echo $h, $w } example.
     let mut m = machine();
-    m.run("let (h=hello; w=world) { hi = { echo $h, $w } }").unwrap();
+    m.run("let (h=hello; w=world) { hi = { echo $h, $w } }")
+        .unwrap();
     assert_eq!(output(&mut m, "$hi"), "hello, world\n");
 }
 
@@ -194,7 +197,10 @@ fn lexical_vs_dynamic_binding() {
     let out = output(&mut m, "let (x = bar) { echo $x; fn lexical { echo $x } }");
     assert_eq!(out, "bar\n");
     assert_eq!(output(&mut m, "lexical"), "bar\n");
-    let out = output(&mut m, "local (x = baz) { echo $x; fn dynamic { echo $x } }");
+    let out = output(
+        &mut m,
+        "local (x = baz) { echo $x; fn dynamic { echo $x } }",
+    );
     assert_eq!(out, "baz\n");
     assert_eq!(output(&mut m, "dynamic"), "foo\n");
 }
@@ -262,11 +268,11 @@ fn watch_settor_example() {
     )
     .unwrap();
     m.run("watch x").unwrap();
+    assert_eq!(output(&mut m, "x=foo bar"), "old x =\nnew x = foo bar\n");
     assert_eq!(
-        output(&mut m, "x=foo bar"),
-        "old x =\nnew x = foo bar\n"
+        output(&mut m, "x=fubar"),
+        "old x = foo bar\nnew x = fubar\n"
     );
-    assert_eq!(output(&mut m, "x=fubar"), "old x = foo bar\nnew x = fubar\n");
     assert_eq!(m.get_var("x"), vec!["fubar"]);
 }
 
@@ -343,19 +349,28 @@ fn throw_and_catch_error() {
     let err = m.run("in").unwrap_err();
     assert_eq!(err, "error usage: in dir cmd");
     // Successful use.
-    m.os_mut().vfs_mut().put_file("/tmp/webster.socket", b"").unwrap();
+    m.os_mut()
+        .vfs_mut()
+        .put_file("/tmp/webster.socket", b"")
+        .unwrap();
     assert_eq!(output(&mut m, "in /tmp ls"), "webster.socket\n");
     // Failure: the handler reformats the message, like the paper's
     // `in /temp: chdir /temp: No such file or directory`.
     m.run("in /temp ls").unwrap();
     let err_out = m.os_mut().take_error();
-    assert_eq!(err_out, "in /temp: chdir /temp: No such file or directory\n");
+    assert_eq!(
+        err_out,
+        "in /temp: chdir /temp: No such file or directory\n"
+    );
 }
 
 #[test]
 fn catch_passes_body_value_through() {
     let mut m = machine();
-    assert_eq!(val(&mut m, "catch @ e {echo handler} {result ok}"), vec!["ok"]);
+    assert_eq!(
+        val(&mut m, "catch @ e {echo handler} {result ok}"),
+        vec!["ok"]
+    );
 }
 
 #[test]
@@ -420,7 +435,10 @@ fn signal_becomes_exception() {
     // targets the shell's own pid) and the next command's signal poll
     // turns it into a throw inside the catch body.
     assert_eq!(
-        val(&mut m, "catch @ e {result caught $e} {kill -2 5000; echo hi}"),
+        val(
+            &mut m,
+            "catch @ e {result caught $e} {kill -2 5000; echo hi}"
+        ),
         vec!["caught", "signal", "sigint"]
     );
 }
@@ -583,7 +601,8 @@ fn repl_multiline_commands_use_prompt2() {
 fn repl_loop_is_spoofable() {
     // The whole interactive loop is just a function; replace it.
     let mut m = machine();
-    m.run("fn %interactive-loop { echo custom loop; result 7 }").unwrap();
+    m.run("fn %interactive-loop { echo custom loop; result 7 }")
+        .unwrap();
     m.os_mut().push_input("ignored\n");
     let status = m.repl();
     assert_eq!(m.os_mut().take_output(), "custom loop\n");
@@ -606,10 +625,7 @@ fn repl_exit_status_propagates() {
 fn whatis_shows_closure_encoding() {
     let mut m = machine();
     m.run("let (a = b) fn foo { echo $a }").unwrap();
-    assert_eq!(
-        output(&mut m, "whatis foo"),
-        "%closure(a=b)@ * {echo $a}\n"
-    );
+    assert_eq!(output(&mut m, "whatis foo"), "%closure(a=b)@ * {echo $a}\n");
 }
 
 #[test]
@@ -652,7 +668,9 @@ fn lexical_sharing_lost_across_environment() {
     // But now the scopes are separate: re-import shows the values are
     // snapshots, not shared bindings... demonstrate by bumping to a
     // new value in the child's `bump` and observing `show` UNchanged.
-    child.run("let (x = 1) { fn bump2 { x = 2 }; fn show2 { echo $x } }").unwrap();
+    child
+        .run("let (x = 1) { fn bump2 { x = 2 }; fn show2 { echo $x } }")
+        .unwrap();
     let env2 = crate::env::build_environment(&child).to_vec();
     let mut gchild_os = SimOs::new();
     gchild_os.set_initial_env(env2);
@@ -671,7 +689,11 @@ fn fork_isolates_shell_state() {
     m.run("x = parent").unwrap();
     m.run("fork {x = child; echo in child $x}").unwrap();
     assert_eq!(m.os_mut().take_output(), "in child child\n");
-    assert_eq!(m.get_var("x"), vec!["parent"], "fork isolated the assignment");
+    assert_eq!(
+        m.get_var("x"),
+        vec!["parent"],
+        "fork isolated the assignment"
+    );
     // cd in the child does not move the parent...
     m.run("fork {cd /tmp}").unwrap();
     assert_eq!(m.os().cwd(), "/home/user");
@@ -741,7 +763,11 @@ fn glob_expansion() {
     assert_eq!(val(&mut m, "result Ex*"), vec!["Ex1", "Ex2"]);
     assert_eq!(val(&mut m, "result *"), vec!["Ex1", "Ex2", "other"]);
     assert_eq!(val(&mut m, "result .h*"), vec![".hidden"]);
-    assert_eq!(val(&mut m, "result '*'"), vec!["*"], "quoted star is literal");
+    assert_eq!(
+        val(&mut m, "result '*'"),
+        vec!["*"],
+        "quoted star is literal"
+    );
     assert_eq!(val(&mut m, "result /tmp/E?1"), vec!["/tmp/Ex1"]);
     assert_eq!(val(&mut m, "result nomatch*"), vec!["nomatch*"]);
     m.run("rm Ex*").unwrap();
@@ -763,7 +789,10 @@ fn match_command() {
 #[test]
 fn backquote_splits_on_ifs() {
     let mut m = machine();
-    assert_eq!(val(&mut m, "result `{echo a b; echo c}"), vec!["a", "b", "c"]);
+    assert_eq!(
+        val(&mut m, "result `{echo a b; echo c}"),
+        vec!["a", "b", "c"]
+    );
     m.run("ifs = ':'").unwrap();
     assert_eq!(val(&mut m, "result `{echo -n a:b:c}"), vec!["a", "b", "c"]);
 }
@@ -795,7 +824,10 @@ fn dot_sources_scripts() {
     let mut m = machine();
     m.os_mut()
         .vfs_mut()
-        .put_file("/home/user/script.es", b"echo script ran with $*\nscript-var = set\n")
+        .put_file(
+            "/home/user/script.es",
+            b"echo script ran with $*\nscript-var = set\n",
+        )
         .unwrap();
     m.run(". script.es one two").unwrap();
     assert_eq!(m.os_mut().take_output(), "script ran with one two\n");
@@ -1010,7 +1042,8 @@ fn expr_enables_arithmetic_in_es() {
     assert_eq!(val(&mut m, "result <>{add 17 25}"), vec!["42"]);
     // A counting loop in classic Bourne style.
     m.run("n = 0").unwrap();
-    m.run("while {~ `{expr $n '<' 5} 1} { n = `{expr $n + 1} }").unwrap();
+    m.run("while {~ `{expr $n '<' 5} 1} { n = `{expr $n + 1} }")
+        .unwrap();
     assert_eq!(m.get_var("n"), vec!["5"]);
 }
 
@@ -1083,10 +1116,15 @@ fn prompt_variable_is_used_by_parse() {
 #[test]
 fn settors_fire_on_local_bindings() {
     let mut m = machine();
-    m.run("fn watch-x { set-x = @ { hits = $hits 1; return $* } }").unwrap();
+    m.run("fn watch-x { set-x = @ { hits = $hits 1; return $* } }")
+        .unwrap();
     m.run("watch-x").unwrap();
     m.run("local (x = a) { result $x }").unwrap();
-    assert_eq!(m.get_var("hits"), vec!["1"], "settor ran for the local binding");
+    assert_eq!(
+        m.get_var("hits"),
+        vec!["1"],
+        "settor ran for the local binding"
+    );
 }
 
 #[test]
@@ -1096,7 +1134,10 @@ fn noexport_variable_respected() {
     m.run("noexport = $noexport secret").unwrap();
     let env = m.export_environment();
     assert!(!env.iter().any(|(k, _)| k == "secret"));
-    assert!(env.iter().any(|(k, _)| k == "fn-%pipe"), "functions still export");
+    assert!(
+        env.iter().any(|(k, _)| k == "fn-%pipe"),
+        "functions still export"
+    );
 }
 
 /// Exports `m`'s environment, checking every entry against a fresh,
@@ -1104,8 +1145,14 @@ fn noexport_variable_respected() {
 fn export_checked(m: &Machine<SimOs>) -> std::rc::Rc<[(String, String)]> {
     let env = m.export_environment();
     for (name, encoded) in env.iter() {
-        let value = m.lookup(es_gc::Ref::NIL, "", name).expect("exported names are bound");
-        assert_eq!(*encoded, crate::env::encode_value(m, value).0, "stale export of {name}");
+        let value = m
+            .lookup(es_gc::Ref::NIL, "", name)
+            .expect("exported names are bound");
+        assert_eq!(
+            *encoded,
+            crate::env::encode_value(m, value).0,
+            "stale export of {name}"
+        );
     }
     env
 }
@@ -1134,7 +1181,11 @@ fn export_cache_tracks_every_store() {
         ("x = d", "x", Some("d")),
         ("fn f v { echo one $v }", "fn-f", Some("@ v {echo one $v}")),
         ("fn f v { echo two $v }", "fn-f", Some("@ v {echo two $v}")),
-        ("let (k = 1) fn g { k = 2 }", "fn-g", Some("%closure(k=1)@ * {k = 2}")),
+        (
+            "let (k = 1) fn g { k = 2 }",
+            "fn-g",
+            Some("%closure(k=1)@ * {k = 2}"),
+        ),
         ("g", "fn-g", Some("%closure(k=2)@ * {k = 2}")),
         ("noexport = x", "x", None),
         ("noexport =", "x", Some("d")),
@@ -1150,7 +1201,11 @@ fn export_cache_tracks_every_store() {
     let seen = output(&mut m, "env");
     let env = export_checked(&m);
     assert_eq!(seen, env_listing(&env), "launch after recycle");
-    assert_eq!(exported(&env, "x"), None, "recycle restores the boot export");
+    assert_eq!(
+        exported(&env, "x"),
+        None,
+        "recycle restores the boot export"
+    );
 }
 
 /// A `local` binding shadows a cached global in what a launched
@@ -1166,7 +1221,10 @@ fn export_cache_defers_to_local_bindings() {
     let xs: Vec<&str> = seen.lines().filter(|l| l.starts_with("x=")).collect();
     assert_eq!(xs, ["x=shadow", "x=changed", "x=global"]);
     assert!(output(&mut m, "env").lines().any(|l| l == "x=global"));
-    assert_eq!(exported(&export_checked(&m), "x").as_deref(), Some("global"));
+    assert_eq!(
+        exported(&export_checked(&m), "x").as_deref(),
+        Some("global")
+    );
 }
 
 /// A forked child's assignments never reach the parent's export.
@@ -1186,10 +1244,7 @@ fn export_cache_is_per_fork() {
 fn whatis_multiple_names() {
     let mut m = machine();
     m.run("fn one { result 1 }").unwrap();
-    assert_eq!(
-        output(&mut m, "whatis one ls"),
-        "@ * {result 1}\n/bin/ls\n"
-    );
+    assert_eq!(output(&mut m, "whatis one ls"), "@ * {result 1}\n/bin/ls\n");
 }
 
 #[test]
@@ -1244,7 +1299,8 @@ fn exceptions_restore_dynamic_bindings() {
 #[test]
 fn deeply_nested_closures_survive_collection() {
     let mut m = machine();
-    m.run("fn wrap f { return @ { result wrapped <>{$f} } }").unwrap();
+    m.run("fn wrap f { return @ { result wrapped <>{$f} } }")
+        .unwrap();
     m.run("g = @ { result base }").unwrap();
     for _ in 0..10 {
         m.run("g = <>{wrap $g}").unwrap();
@@ -1296,7 +1352,10 @@ fn stdlib_map_filter_fold() {
     );
     // And with externals through backquotes: numeric fold via expr.
     assert_eq!(
-        val(&mut m, "result <>{fold @ a x {result `{expr $a + $x}} 0 1 2 3 4}"),
+        val(
+            &mut m,
+            "result <>{fold @ a x {result `{expr $a + $x}} 0 1 2 3 4}"
+        ),
         vec!["10"]
     );
 }
@@ -1343,7 +1402,11 @@ fn limit_steps_breach_is_catchable_no_fd_leak_time_advances() {
         ),
         "caught limit steps\n"
     );
-    assert_eq!(m.os().open_desc_count(), baseline, "breach leaked a descriptor");
+    assert_eq!(
+        m.os().open_desc_count(),
+        baseline,
+        "breach leaked a descriptor"
+    );
     assert!(m.os().now_ns() > t0, "virtual time did not advance");
 }
 
@@ -1356,7 +1419,10 @@ fn scoped_limit_restores_outer_limits() {
     let outer = m.governor().limits().steps;
     assert!(outer.is_some());
     // Value path restores.
-    assert_eq!(val(&mut m, "result <>{%limit steps 100000 {result ok}}"), vec!["ok"]);
+    assert_eq!(
+        val(&mut m, "result <>{%limit steps 100000 {result ok}}"),
+        vec!["ok"]
+    );
     assert_eq!(m.governor().limits().steps, outer);
     // Exception path restores too.
     let _ = val(
@@ -1518,7 +1584,11 @@ fn backquote_drain_interrupted_by_scheduled_signal() {
     m.os_mut().schedule_signal(at, es_os::Signal::Int);
     let err = m.run("x = `{sleep 1}").unwrap_err();
     assert_eq!(err, "signal sigint");
-    assert_eq!(m.os().open_desc_count(), baseline, "backquote leaked its read end");
+    assert_eq!(
+        m.os().open_desc_count(),
+        baseline,
+        "backquote leaked its read end"
+    );
 }
 
 // --------------------------------------------------------------------------
@@ -1767,7 +1837,11 @@ fn recycle_restores_boot_state() {
     assert_eq!(m.get_var("x"), Vec::<String>::new());
     assert_eq!(m.get_var("fn-leak"), Vec::<String>::new());
     assert_eq!(m.get_var("fn-%pipe"), vec!["$&pipe"]);
-    assert_eq!(m.governor().limits().steps, None, "limits re-armed to boot defaults");
+    assert_eq!(
+        m.governor().limits().steps,
+        None,
+        "limits re-armed to boot defaults"
+    );
     // The kernel was restored too: the file is gone.
     assert_eq!(val(&mut m, "cat /tmp/leak"), vec!["1"]);
     assert_eq!(
@@ -1794,7 +1868,9 @@ fn recycle_forgets_assignments_to_boot_bindings() {
     }
     let mut cold = boot();
     let mut m = boot();
-    let bump = m.lookup(es_gc::Ref::NIL, "fn-", "bump").expect("fn-bump imported");
+    let bump = m
+        .lookup(es_gc::Ref::NIL, "fn-", "bump")
+        .expect("fn-bump imported");
     let closure = m.heap.pair_head(bump);
     assert!(
         m.heap.closure_bindings(closure).is_boot(),
@@ -1802,7 +1878,11 @@ fn recycle_forgets_assignments_to_boot_bindings() {
     );
     assert_eq!(val(&mut m, "bump"), vec!["2"]);
     m.run("$&collect").unwrap();
-    assert_eq!(val(&mut m, "bump"), vec!["3"], "the overlay survives a collection");
+    assert_eq!(
+        val(&mut m, "bump"),
+        vec!["3"],
+        "the overlay survives a collection"
+    );
     assert!(m.recycle());
     for _ in 0..2 {
         assert_eq!(val(&mut m, "bump"), val(&mut cold, "bump"));
@@ -1823,7 +1903,10 @@ fn recycle_restores_encodings_an_export_filled() {
     let seen = output(&mut m, "noexport = ; env");
     assert!(seen.lines().any(|l| l.starts_with("prompt=")), "{seen}");
     assert!(m.recycle());
-    assert!(m.globals_are_boot(), "recycled globals differ from the image's");
+    assert!(
+        m.globals_are_boot(),
+        "recycled globals differ from the image's"
+    );
 }
 
 /// The touched set names each global once: storing one boot global
@@ -1841,11 +1924,15 @@ fn touched_log_stays_bounded() {
         m.set_global_strs("fresh", &[&n]);
         m.assign_raw(es_gc::Ref::NIL, "fresh", es_gc::Ref::NIL);
     }
-    m.run("other = 1; fresh = 2; other =; prompt =; prompt = back").unwrap();
+    m.run("other = 1; fresh = 2; other =; prompt =; prompt = back")
+        .unwrap();
     assert_eq!(m.get_var("fresh"), vec!["2"]);
     assert!(m.touched_len() <= 2, "{} entries", m.touched_len());
     assert!(m.recycle());
-    assert!(m.globals_are_boot(), "recycled globals differ from the image's");
+    assert!(
+        m.globals_are_boot(),
+        "recycled globals differ from the image's"
+    );
     assert_eq!(m.get_var("fresh"), Vec::<String>::new());
     assert_eq!(m.get_var("prompt"), machine().get_var("prompt"));
 }
@@ -1915,7 +2002,10 @@ fn recycle_preserves_yielder() {
     let mut m = machine();
     m.set_yielder(Some(std::rc::Rc::new(Free)));
     assert!(m.recycle());
-    assert!(m.yielder().is_some(), "recycle must keep the slot's yield hook");
+    assert!(
+        m.yielder().is_some(),
+        "recycle must keep the slot's yield hook"
+    );
     assert_eq!(output(&mut m, "echo still gated"), "still gated\n");
 }
 

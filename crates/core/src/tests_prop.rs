@@ -514,7 +514,11 @@ fn soak_limits_no_panic_no_leak_deterministic_replay() {
             0,
             "seed {seed} leaked descriptors (fault log: {log:?})"
         );
-        breaches += trace.outcomes.iter().filter(|o| o.contains("limit")).count()
+        breaches += trace
+            .outcomes
+            .iter()
+            .filter(|o| o.contains("limit"))
+            .count()
             + trace.stdout.matches("caught limit").count();
         // Byte-identical replay from the same seed.
         let (trace2, log2) = limit_soak_run(seed);

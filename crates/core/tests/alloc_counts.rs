@@ -207,7 +207,10 @@ fn recycle_makes_no_malloc_per_boot_global() {
 /// keys.
 #[test]
 fn recycle_mallocs_are_pinned() {
-    assert_eq!(recycle_mallocs(SimOs::new(), "created = 1; prompt = '% '"), 0);
+    assert_eq!(
+        recycle_mallocs(SimOs::new(), "created = 1; prompt = '% '"),
+        0
+    );
 }
 
 #[test]

@@ -191,7 +191,9 @@ impl<'a> Gen<'a> {
             5 => match self.rng.below(3) {
                 0 => {
                     let w = self.word();
-                    out.push(format!("catch @ e m {{echo caught $e $m}} {{throw error {w}}}"));
+                    out.push(format!(
+                        "catch @ e m {{echo caught $e $m}} {{throw error {w}}}"
+                    ));
                 }
                 1 => out.push(format!("cat missing-{}", self.rng.below(100))),
                 _ => {
@@ -241,7 +243,9 @@ impl<'a> Gen<'a> {
                             .to_string(),
                     );
                     out.push(format!("echo {w} > {f}"));
-                    out.push(format!("catch @ e m {{echo caught $e $m}} {{echo again > {f}}}"));
+                    out.push(format!(
+                        "catch @ e m {{echo caught $e $m}} {{echo again > {f}}}"
+                    ));
                     out.push(format!("cat {f}"));
                     self.files.push(f);
                 }

@@ -150,7 +150,10 @@ fn scenarios_agree_between_direct_and_served() {
 /// same seeded scenario twice is deterministic.
 #[test]
 fn seeded_scenarios_are_deterministic_through_the_server() {
-    let seeded: Vec<_> = SCENARIOS.iter().filter(|s| s.fault_seed.is_some()).collect();
+    let seeded: Vec<_> = SCENARIOS
+        .iter()
+        .filter(|s| s.fault_seed.is_some())
+        .collect();
     assert!(
         !seeded.is_empty(),
         "scenario table lost its fault-weather entries"

@@ -507,7 +507,10 @@ impl<C> Heap<C> {
             return;
         }
         if r.epoch == BOOT {
-            assert!((r.idx as usize) < self.boot.objs.len(), "boot ref out of range");
+            assert!(
+                (r.idx as usize) < self.boot.objs.len(),
+                "boot ref out of range"
+            );
             return;
         }
         assert_eq!(
@@ -651,7 +654,10 @@ impl<C> Heap<C> {
     /// The value the overlay holds for boot binding `idx`, if it was
     /// assigned since the freeze.
     fn overlay_value(&self, idx: u32) -> Option<Ref> {
-        self.overlay.iter().find(|(i, _)| *i == idx).map(|(_, v)| *v)
+        self.overlay
+            .iter()
+            .find(|(i, _)| *i == idx)
+            .map(|(_, v)| *v)
     }
 
     /// Mutates the value of a `Binding` frame (lexical assignment). A
@@ -769,7 +775,12 @@ impl<C> Heap<C> {
         };
         let (from, from_text) = (&mut self.space[..], &self.text[..]);
         let overlay = self.overlay.iter_mut().map(|(_, v)| v);
-        for r in self.roots.iter_mut().chain(self.perm.iter_mut()).chain(overlay) {
+        for r in self
+            .roots
+            .iter_mut()
+            .chain(self.perm.iter_mut())
+            .chain(overlay)
+        {
             *r = copy_obj(from, from_text, &mut to, *r, epoch);
         }
         let mut scan = 0;

@@ -90,7 +90,11 @@ fn cycles_survive_collection() {
     let (name, value, _) = heap.binding_parts(b);
     assert_eq!(name, "self");
     let clo2 = heap.pair_head(value);
-    assert_eq!(heap.closure_bindings(clo2), b, "cycle closes back on itself");
+    assert_eq!(
+        heap.closure_bindings(clo2),
+        b,
+        "cycle closes back on itself"
+    );
     assert_eq!(*heap.closure_code(clo2), 42);
 }
 
@@ -118,7 +122,10 @@ fn disabled_gc_grabs_chunks() {
         heap.alloc_string(format!("v{i}"));
     }
     assert_eq!(heap.stats().collections, 0, "no collection while disabled");
-    assert!(heap.stats().chunks_grabbed > 0, "fallback chunks were grabbed");
+    assert!(
+        heap.stats().chunks_grabbed > 0,
+        "fallback chunks were grabbed"
+    );
     assert_eq!(heap.stats().disabled_allocs, 100);
     heap.gc_enable();
     heap.collect();
@@ -146,7 +153,10 @@ fn threshold_grows_when_live_set_is_large() {
         heap.set_root(slot, p);
         heap.truncate_roots(s_slot.index());
     }
-    assert!(heap.stats().grows > 0, "space must grow under live pressure");
+    assert!(
+        heap.stats().grows > 0,
+        "space must grow under live pressure"
+    );
     // The whole list is intact.
     let mut n = 0;
     let mut cur = heap.root(slot);

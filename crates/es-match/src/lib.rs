@@ -48,7 +48,10 @@ enum Item {
     /// `*` — any (possibly empty) run of characters.
     Star,
     /// `[...]` — a character class.
-    Class { negated: bool, ranges: Vec<(char, char)> },
+    Class {
+        negated: bool,
+        ranges: Vec<(char, char)>,
+    },
 }
 
 /// A compiled wildcard pattern.

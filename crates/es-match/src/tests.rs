@@ -88,7 +88,10 @@ fn quoted_segments_are_literal() {
 
 #[test]
 fn as_literal_roundtrip() {
-    assert_eq!(Pattern::parse("plain").as_literal().as_deref(), Some("plain"));
+    assert_eq!(
+        Pattern::parse("plain").as_literal().as_deref(),
+        Some("plain")
+    );
     assert_eq!(Pattern::parse("wi*ld").as_literal(), None);
     let q = Pattern::from_segments(&[("a*b", true)]);
     assert_eq!(q.as_literal().as_deref(), Some("a*b"));
@@ -140,9 +143,7 @@ fn star_collapsing() {
 fn ref_match(pat: &[char], subj: &[char]) -> bool {
     match pat.split_first() {
         None => subj.is_empty(),
-        Some(('*', rest)) => {
-            (0..=subj.len()).any(|k| ref_match(rest, &subj[k..]))
-        }
+        Some(('*', rest)) => (0..=subj.len()).any(|k| ref_match(rest, &subj[k..])),
         Some(('?', rest)) => !subj.is_empty() && ref_match(rest, &subj[1..]),
         Some((c, rest)) => subj.first() == Some(c) && ref_match(rest, &subj[1..]),
     }

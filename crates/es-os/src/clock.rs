@@ -137,7 +137,10 @@ mod tests {
     #[test]
     fn seconds_roll_over() {
         assert_eq!(civil_from_ns(61_000_000_000), (1993, 1, 25, 0, 1, 1));
-        assert_eq!(civil_from_ns(86_400 * 1_000_000_000), (1993, 1, 26, 0, 0, 0));
+        assert_eq!(
+            civil_from_ns(86_400 * 1_000_000_000),
+            (1993, 1, 26, 0, 0, 0)
+        );
     }
 
     #[test]
@@ -164,8 +167,14 @@ mod tests {
 
     #[test]
     fn rusage_arithmetic() {
-        let a = Rusage { user_ns: 5, sys_ns: 2 };
-        let b = Rusage { user_ns: 1, sys_ns: 1 };
+        let a = Rusage {
+            user_ns: 5,
+            sys_ns: 2,
+        };
+        let b = Rusage {
+            user_ns: 1,
+            sys_ns: 1,
+        };
         assert_eq!((a + b).total_ns(), 9);
         assert_eq!((a - b).user_ns, 4);
         assert_eq!((b - a).user_ns, 0, "saturating");

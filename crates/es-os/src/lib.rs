@@ -278,7 +278,12 @@ pub fn write_fully<O: Os + ?Sized>(os: &mut O, d: Desc, data: &[u8]) -> Result<u
                 })
             }
             Ok(n) => off += n,
-            Err(cause) => return Err(WriteError { written: off, cause }),
+            Err(cause) => {
+                return Err(WriteError {
+                    written: off,
+                    cause,
+                })
+            }
         }
     }
     Ok(off)

@@ -82,10 +82,7 @@ fn cut(ctx: &mut ProcCtx) -> i32 {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-d" => {
-                delim = it
-                    .next()
-                    .and_then(|s| s.chars().next())
-                    .unwrap_or('\t');
+                delim = it.next().and_then(|s| s.chars().next()).unwrap_or('\t');
             }
             "-f" => {
                 let spec = match it.next() {
@@ -105,10 +102,7 @@ fn cut(ctx: &mut ProcCtx) -> i32 {
                     None => return ctx.fail("missing character range"),
                 };
                 let (a, b) = match spec.split_once('-') {
-                    Some((a, b)) => (
-                        a.parse().unwrap_or(1),
-                        b.parse().unwrap_or(usize::MAX),
-                    ),
+                    Some((a, b)) => (a.parse().unwrap_or(1), b.parse().unwrap_or(usize::MAX)),
                     None => {
                         let n = spec.parse().unwrap_or(1);
                         (n, n)

@@ -70,8 +70,7 @@ fn date(ctx: &mut ProcCtx) -> i32 {
         }
         _ => {
             const MONTHS: [&str; 12] = [
-                "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov",
-                "Dec",
+                "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
             ];
             format!(
                 "{} {d:2} {h:02}:{mi:02}:{s:02} {y}",
@@ -106,7 +105,11 @@ fn sleep(ctx: &mut ProcCtx) -> i32 {
 
 /// `env` — print the environment, one NAME=value per line.
 fn env(ctx: &mut ProcCtx) -> i32 {
-    let out: String = ctx.env().iter().map(|(k, v)| format!("{k}={v}\n")).collect();
+    let out: String = ctx
+        .env()
+        .iter()
+        .map(|(k, v)| format!("{k}={v}\n"))
+        .collect();
     let _ = ctx.write_fd(1, out.as_bytes());
     0
 }

@@ -26,7 +26,11 @@ enum Action {
     Quit,
     Delete,
     Print,
-    Subst { re: Regex, rep: String, global: bool },
+    Subst {
+        re: Regex,
+        rep: String,
+        global: bool,
+    },
 }
 
 #[derive(Debug, Clone)]

@@ -212,7 +212,9 @@ fn leading_number(s: &str) -> f64 {
     let t = s.trim_start();
     let end = t
         .char_indices()
-        .take_while(|(i, c)| c.is_ascii_digit() || *c == '.' || (*i == 0 && (*c == '-' || *c == '+')))
+        .take_while(|(i, c)| {
+            c.is_ascii_digit() || *c == '.' || (*i == 0 && (*c == '-' || *c == '+'))
+        })
         .map(|(i, c)| i + c.len_utf8())
         .last()
         .unwrap_or(0);
@@ -409,10 +411,7 @@ fn seq(ctx: &mut ProcCtx) -> i32 {
     let args = ctx.args();
     let (first, last) = match args.len() {
         1 => (1i64, args[0].parse().unwrap_or(0)),
-        2 => (
-            args[0].parse().unwrap_or(1),
-            args[1].parse().unwrap_or(0),
-        ),
+        2 => (args[0].parse().unwrap_or(1), args[1].parse().unwrap_or(0)),
         _ => return ctx.fail("usage: seq [first] last"),
     };
     let mut out = String::new();

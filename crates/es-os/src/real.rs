@@ -102,10 +102,7 @@ impl Clone for RealOs {
                         }
                     }
                 };
-                Some(RealFile {
-                    kind,
-                    refs: f.refs,
-                })
+                Some(RealFile { kind, refs: f.refs })
             })
             .collect();
         RealOs {
@@ -160,9 +157,18 @@ impl RealOs {
     pub fn new() -> RealOs {
         RealOs {
             files: vec![
-                Some(RealFile { kind: RealKind::StdIn, refs: 1 }),
-                Some(RealFile { kind: RealKind::StdOut, refs: 1 }),
-                Some(RealFile { kind: RealKind::StdErr, refs: 1 }),
+                Some(RealFile {
+                    kind: RealKind::StdIn,
+                    refs: 1,
+                }),
+                Some(RealFile {
+                    kind: RealKind::StdOut,
+                    refs: 1,
+                }),
+                Some(RealFile {
+                    kind: RealKind::StdErr,
+                    refs: 1,
+                }),
             ],
             pipes: Vec::new(),
             cwd: std::env::current_dir().unwrap_or_else(|_| PathBuf::from("/")),
@@ -438,7 +444,9 @@ impl Os for RealOs {
         env: &[(String, String)],
         fds: &[(u32, Desc)],
     ) -> OsResult<i32> {
-        let path = argv.first().ok_or_else(|| OsError::Inval("empty argv".into()))?;
+        let path = argv
+            .first()
+            .ok_or_else(|| OsError::Inval("empty argv".into()))?;
         let mut cmd = Command::new(self.resolve(path));
         cmd.args(&argv[1..]);
         // The shell hands us a resolved path, but tools self-identify
@@ -456,7 +464,8 @@ impl Os for RealOs {
         for (k, v) in env {
             cmd.env(k, v);
         }
-        let lookup = |fds: &[(u32, Desc)], fd: u32| fds.iter().find(|(n, _)| *n == fd).map(|(_, d)| *d);
+        let lookup =
+            |fds: &[(u32, Desc)], fd: u32| fds.iter().find(|(n, _)| *n == fd).map(|(_, d)| *d);
         // Stage stdin: the console inherits (or, under capture, hands
         // over the scripted buffer); files/pipes are drained into a
         // buffer fed to the child through a real OS pipe. Whatever the
@@ -487,8 +496,16 @@ impl Os for RealOs {
         // child output must land in the capture buffers.
         let inherit_out = !self.capture && out_desc == Some(Desc(1));
         let inherit_err = !self.capture && (err_desc == Some(Desc(2)) || err_desc.is_none());
-        cmd.stdout(if inherit_out { Stdio::inherit() } else { Stdio::piped() });
-        cmd.stderr(if inherit_err { Stdio::inherit() } else { Stdio::piped() });
+        cmd.stdout(if inherit_out {
+            Stdio::inherit()
+        } else {
+            Stdio::piped()
+        });
+        cmd.stderr(if inherit_err {
+            Stdio::inherit()
+        } else {
+            Stdio::piped()
+        });
         let began = Instant::now();
         let child = cmd.spawn().map_err(|e| Self::path_err(e, path))?;
         // Feed from a thread so a child that never reads stdin cannot

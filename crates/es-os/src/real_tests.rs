@@ -201,11 +201,7 @@ fn real_run_exit_status_propagation() {
     }
     for (script, expect) in [("exit 0", 0), ("exit 1", 1), ("exit 7", 7), ("exit 42", 42)] {
         let st = os
-            .run(
-                &["/bin/sh".into(), "-c".into(), script.into()],
-                &[],
-                &[],
-            )
+            .run(&["/bin/sh".into(), "-c".into(), script.into()], &[], &[])
             .unwrap();
         assert_eq!(st, expect, "sh -c '{script}'");
     }
@@ -230,7 +226,10 @@ fn real_clone_carries_file_descriptors() {
     os.absorb_fork(child);
     write_all(&mut os, fd, b"parent again\n").unwrap();
     os.close(fd).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), b"parent|child|parent again\n");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        b"parent|child|parent again\n"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -278,7 +277,11 @@ fn real_capture_mode_run_lands_in_buffers() {
     os.set_capture(true);
     let st = os
         .run(
-            &["/bin/sh".into(), "-c".into(), "echo out; echo err >&2".into()],
+            &[
+                "/bin/sh".into(),
+                "-c".into(),
+                "echo out; echo err >&2".into(),
+            ],
             &[],
             &[(1, STDOUT), (2, STDERR)],
         )

@@ -242,16 +242,45 @@ impl SimOs {
         vfs.put_file("/etc/motd", b"welcome to the es simulation\n")
             .expect("fresh vfs accepts files");
         let files = vec![
-            Some(OpenFile { kind: FileKind::ConsoleIn, refs: 1 }),
-            Some(OpenFile { kind: FileKind::ConsoleOut, refs: 1 }),
-            Some(OpenFile { kind: FileKind::ConsoleErr, refs: 1 }),
+            Some(OpenFile {
+                kind: FileKind::ConsoleIn,
+                refs: 1,
+            }),
+            Some(OpenFile {
+                kind: FileKind::ConsoleOut,
+                refs: 1,
+            }),
+            Some(OpenFile {
+                kind: FileKind::ConsoleErr,
+                refs: 1,
+            }),
         ];
         let procs = vec![
-            ProcEntry { user: "root".into(), pid: 1, command: "init".into() },
-            ProcEntry { user: "root".into(), pid: 74, command: "update".into() },
-            ProcEntry { user: "byron".into(), pid: 4523, command: "rc".into() },
-            ProcEntry { user: "byron".into(), pid: 4619, command: "vi paper.ms".into() },
-            ProcEntry { user: "haahr".into(), pid: 5000, command: "es".into() },
+            ProcEntry {
+                user: "root".into(),
+                pid: 1,
+                command: "init".into(),
+            },
+            ProcEntry {
+                user: "root".into(),
+                pid: 74,
+                command: "update".into(),
+            },
+            ProcEntry {
+                user: "byron".into(),
+                pid: 4523,
+                command: "rc".into(),
+            },
+            ProcEntry {
+                user: "byron".into(),
+                pid: 4619,
+                command: "vi paper.ms".into(),
+            },
+            ProcEntry {
+                user: "haahr".into(),
+                pid: 5000,
+                command: "es".into(),
+            },
         ];
         SimOs {
             vfs,
@@ -417,7 +446,12 @@ impl SimOs {
     pub(crate) fn do_read(&mut self, d: Desc, buf: &mut [u8]) -> OsResult<usize> {
         let kind = self.file(d)?.kind.clone();
         let n = match kind {
-            FileKind::Vnode { ino, offset, readable, .. } => {
+            FileKind::Vnode {
+                ino,
+                offset,
+                readable,
+                ..
+            } => {
                 if !readable {
                     return Err(OsError::BadF);
                 }
@@ -461,11 +495,21 @@ impl SimOs {
     pub(crate) fn do_write(&mut self, d: Desc, data: &[u8]) -> OsResult<usize> {
         let kind = self.file(d)?.kind.clone();
         match kind {
-            FileKind::Vnode { ino, offset, writable, append, .. } => {
+            FileKind::Vnode {
+                ino,
+                offset,
+                writable,
+                append,
+                ..
+            } => {
                 if !writable {
                     return Err(OsError::BadF);
                 }
-                let at = if append { self.vfs.file_len(ino) } else { offset };
+                let at = if append {
+                    self.vfs.file_len(ino)
+                } else {
+                    offset
+                };
                 self.vfs.write_at(ino, at, data);
                 if let Some(Some(of)) = self.files.get_mut(d.0 as usize) {
                     if let FileKind::Vnode { offset, .. } = &mut of.kind {
@@ -609,7 +653,13 @@ impl SimOs {
             fnv_u64(&mut h, i as u64);
             fnv_u64(&mut h, of.refs as u64);
             match &of.kind {
-                FileKind::Vnode { ino, offset, readable, writable, append } => {
+                FileKind::Vnode {
+                    ino,
+                    offset,
+                    readable,
+                    writable,
+                    append,
+                } => {
                     fnv(&mut h, b"vnode");
                     fnv_u64(&mut h, ino.0 as u64);
                     fnv_u64(&mut h, *offset as u64);
@@ -742,7 +792,11 @@ impl Os for SimOs {
             writers: 1,
             readers: 1,
         };
-        let p = match self.pipes.iter().position(|p| p.readers == 0 && p.writers == 0) {
+        let p = match self
+            .pipes
+            .iter()
+            .position(|p| p.readers == 0 && p.writers == 0)
+        {
             Some(p) => {
                 self.pipes[p] = fresh;
                 p
@@ -811,8 +865,11 @@ impl Os for SimOs {
         };
         match self.inject(Syscall::Read, allowed) {
             Some(FaultKind::ShortRead) if buf.len() >= 2 => {
-                let n = 1 + self.fault.as_mut().expect("plan armed").draw_below(buf.len() as u64 - 1)
-                    as usize;
+                let n = 1 + self
+                    .fault
+                    .as_mut()
+                    .expect("plan armed")
+                    .draw_below(buf.len() as u64 - 1) as usize;
                 self.do_read(d, &mut buf[..n])
             }
             Some(kind) => Err(Self::fault_error(kind, "read")),
@@ -835,8 +892,11 @@ impl Os for SimOs {
             Some(FaultKind::PartialWrite) if data.len() >= 2 => {
                 // Consume only a nonempty strict prefix; the caller
                 // must loop for the rest.
-                let n = 1 + self.fault.as_mut().expect("plan armed").draw_below(data.len() as u64 - 1)
-                    as usize;
+                let n = 1 + self
+                    .fault
+                    .as_mut()
+                    .expect("plan armed")
+                    .draw_below(data.len() as u64 - 1) as usize;
                 self.do_write(d, &data[..n])
             }
             Some(kind) => Err(Self::fault_error(kind, "")),
@@ -850,7 +910,9 @@ impl Os for SimOs {
         env: &[(String, String)],
         fds: &[(u32, Desc)],
     ) -> OsResult<i32> {
-        let path = argv.first().ok_or_else(|| OsError::Inval("empty argv".into()))?;
+        let path = argv
+            .first()
+            .ok_or_else(|| OsError::Inval("empty argv".into()))?;
         if let Some(kind) = self.inject(Syscall::Run, &[FaultKind::Intr, FaultKind::Io]) {
             return Err(Self::fault_error(kind, path));
         }

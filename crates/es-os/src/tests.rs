@@ -1,6 +1,6 @@
 //! Integration tests for the simulated kernel and its coreutils.
 
-use crate::{read_all, write_all, OpenMode, Os, OsError, SimOs, Signal, STDIN, STDOUT};
+use crate::{read_all, write_all, OpenMode, Os, OsError, Signal, SimOs, STDIN, STDOUT};
 use proptest::prelude::*;
 
 /// Runs `/bin/<name> args...` with stdin scripted and stdout captured
@@ -148,9 +148,7 @@ fn signals_queue_and_drain() {
 #[test]
 fn run_missing_program_is_enoent() {
     let mut os = SimOs::new();
-    let err = os
-        .run(&["/bin/nosuch".into()], &[], &[])
-        .unwrap_err();
+    let err = os.run(&["/bin/nosuch".into()], &[], &[]).unwrap_err();
     assert_eq!(err, OsError::NoEnt("/bin/nosuch".into()));
 }
 
@@ -177,7 +175,10 @@ fn run_non_executable_is_eacces_or_noexec() {
 #[test]
 fn echo_basic_and_n() {
     let mut os = SimOs::new();
-    assert_eq!(run_prog(&mut os, "echo", &["hi", "there"], "").1, "hi there\n");
+    assert_eq!(
+        run_prog(&mut os, "echo", &["hi", "there"], "").1,
+        "hi there\n"
+    );
     assert_eq!(run_prog(&mut os, "echo", &["-n", "x"], "").1, "x");
     assert_eq!(run_prog(&mut os, "echo", &[], "").1, "\n");
 }
@@ -188,7 +189,10 @@ fn cat_stdin_and_files() {
     os.vfs_mut().put_file("/tmp/a", b"A\n").unwrap();
     os.vfs_mut().put_file("/tmp/b", b"B\n").unwrap();
     assert_eq!(run_prog(&mut os, "cat", &[], "from stdin").1, "from stdin");
-    assert_eq!(run_prog(&mut os, "cat", &["/tmp/a", "/tmp/b"], "").1, "A\nB\n");
+    assert_eq!(
+        run_prog(&mut os, "cat", &["/tmp/a", "/tmp/b"], "").1,
+        "A\nB\n"
+    );
     let (status, _) = run_prog(&mut os, "cat", &["/tmp/missing"], "");
     assert_eq!(status, 1);
 }
@@ -231,7 +235,10 @@ fn sort_plain_numeric_reverse_unique() {
 #[test]
 fn uniq_counts_adjacent_runs() {
     let mut os = SimOs::new();
-    assert_eq!(run_prog(&mut os, "uniq", &[], "a\na\nb\na\n").1, "a\nb\na\n");
+    assert_eq!(
+        run_prog(&mut os, "uniq", &[], "a\na\nb\na\n").1,
+        "a\nb\na\n"
+    );
     // GNU format: `%7d ` count column.
     let (_, out) = run_prog(&mut os, "uniq", &["-c"], "x\nx\ny\n");
     assert_eq!(out, "      2 x\n      1 y\n");
@@ -248,7 +255,9 @@ fn wc_counts() {
     assert_eq!(out, "2\n");
     // Named files size the column to the digits of the total byte
     // count (here 10 + 6 = 16 bytes → width 2).
-    os.vfs_mut().put_file("/tmp/f5", b"1\n2\n3\n4\n5\n").unwrap();
+    os.vfs_mut()
+        .put_file("/tmp/f5", b"1\n2\n3\n4\n5\n")
+        .unwrap();
     os.vfs_mut().put_file("/tmp/u3", b"a\nb\nc\n").unwrap();
     let (_, out) = run_prog(&mut os, "wc", &["-l", "/tmp/f5", "/tmp/u3"], "");
     assert_eq!(out, " 5 /tmp/f5\n 3 /tmp/u3\n 8 total\n");
@@ -293,15 +302,15 @@ fn sed_q_s_p_d() {
     let mut os = SimOs::new();
     let input = "a\nb\nc\nd\n";
     assert_eq!(run_prog(&mut os, "sed", &["2q"], input).1, "a\nb\n");
-    assert_eq!(run_prog(&mut os, "sed", &["s/a/X/"], input).1, "X\nb\nc\nd\n");
+    assert_eq!(
+        run_prog(&mut os, "sed", &["s/a/X/"], input).1,
+        "X\nb\nc\nd\n"
+    );
     assert_eq!(
         run_prog(&mut os, "sed", &["s/[ab]/X/"], "aa\nbb\n").1,
         "Xa\nXb\n"
     );
-    assert_eq!(
-        run_prog(&mut os, "sed", &["s/[ab]/X/g"], "ab\n").1,
-        "XX\n"
-    );
+    assert_eq!(run_prog(&mut os, "sed", &["s/[ab]/X/g"], "ab\n").1, "XX\n");
     assert_eq!(run_prog(&mut os, "sed", &["/b/d"], input).1, "a\nc\nd\n");
     assert_eq!(run_prog(&mut os, "sed", &["-n", "/c/p"], input).1, "c\n");
     assert_eq!(run_prog(&mut os, "sed", &["$d"], input).1, "a\nb\nc\n");
@@ -363,7 +372,11 @@ fn test_program_conditions() {
     assert_eq!(run_prog(&mut os, "test", &["3", "-lt", "5"], "").0, 0);
     assert_eq!(run_prog(&mut os, "test", &["!", "-f", "/tmp/g"], "").0, 0);
     assert_eq!(run_prog(&mut os, "[", &["-f", "/tmp/f", "]"], "").0, 0);
-    assert_eq!(run_prog(&mut os, "[", &["-f", "/tmp/f"], "").0, 1, "missing ]");
+    assert_eq!(
+        run_prog(&mut os, "[", &["-f", "/tmp/f"], "").0,
+        1,
+        "missing ]"
+    );
 }
 
 #[test]
@@ -407,7 +420,9 @@ fn figure1_pipeline_shape() {
     // cat paper | tr -cs a-zA-Z0-9 '\012' | sort | uniq -c | sort -nr | sed 6q
     let mut os = SimOs::new();
     let text = "the a the b the a to of is and the a to to a of\n".repeat(20);
-    os.vfs_mut().put_file("/tmp/paper9", text.as_bytes()).unwrap();
+    os.vfs_mut()
+        .put_file("/tmp/paper9", text.as_bytes())
+        .unwrap();
     let (_, s1) = run_prog(&mut os, "cat", &["/tmp/paper9"], "");
     let (_, s2) = run_prog(&mut os, "tr", &["-cs", "a-zA-Z0-9", "\\012"], &s1);
     let (_, s3) = run_prog(&mut os, "sort", &[], &s2);
@@ -467,12 +482,18 @@ fn fork_clone_is_independent() {
 #[test]
 fn basename_dirname_pwd() {
     let mut os = SimOs::new();
-    assert_eq!(run_prog(&mut os, "basename", &["/a/b/c.txt"], "").1, "c.txt\n");
+    assert_eq!(
+        run_prog(&mut os, "basename", &["/a/b/c.txt"], "").1,
+        "c.txt\n"
+    );
     assert_eq!(
         run_prog(&mut os, "basename", &["/a/b/c.txt", ".txt"], "").1,
         "c\n"
     );
-    assert_eq!(run_prog(&mut os, "dirname", &["/a/b/c.txt"], "").1, "/a/b\n");
+    assert_eq!(
+        run_prog(&mut os, "dirname", &["/a/b/c.txt"], "").1,
+        "/a/b\n"
+    );
     assert_eq!(run_prog(&mut os, "dirname", &["plain"], "").1, ".\n");
     assert_eq!(run_prog(&mut os, "pwd", &[], "").1, "/home/user\n");
 }
@@ -566,12 +587,24 @@ proptest! {
 #[test]
 fn expr_arithmetic_and_comparisons() {
     let mut os = SimOs::new();
-    assert_eq!(run_prog(&mut os, "expr", &["2", "+", "3"], ""), (0, "5\n".into()));
-    assert_eq!(run_prog(&mut os, "expr", &["10", "-", "4", "*", "2"], "").1, "12\n");
+    assert_eq!(
+        run_prog(&mut os, "expr", &["2", "+", "3"], ""),
+        (0, "5\n".into())
+    );
+    assert_eq!(
+        run_prog(&mut os, "expr", &["10", "-", "4", "*", "2"], "").1,
+        "12\n"
+    );
     assert_eq!(run_prog(&mut os, "expr", &["7", "/", "2"], "").1, "3\n");
     assert_eq!(run_prog(&mut os, "expr", &["7", "%", "2"], "").1, "1\n");
-    assert_eq!(run_prog(&mut os, "expr", &["3", "<", "5"], ""), (0, "1\n".into()));
-    assert_eq!(run_prog(&mut os, "expr", &["5", "<", "3"], ""), (1, "0\n".into()));
+    assert_eq!(
+        run_prog(&mut os, "expr", &["3", "<", "5"], ""),
+        (0, "1\n".into())
+    );
+    assert_eq!(
+        run_prog(&mut os, "expr", &["5", "<", "3"], ""),
+        (1, "0\n".into())
+    );
     assert_eq!(run_prog(&mut os, "expr", &["4", "=", "4"], "").0, 0);
     let (st, _) = run_prog(&mut os, "expr", &["1", "/", "0"], "");
     assert_eq!(st, 1);
@@ -591,7 +624,10 @@ fn cut_fields_and_chars() {
         run_prog(&mut os, "cut", &["-d", ":", "-f", "1,3"], input).1,
         "a:c\nd:f\n"
     );
-    assert_eq!(run_prog(&mut os, "cut", &["-c", "2-3"], "abcdef\n").1, "bc\n");
+    assert_eq!(
+        run_prog(&mut os, "cut", &["-c", "2-3"], "abcdef\n").1,
+        "bc\n"
+    );
     assert_eq!(run_prog(&mut os, "cut", &["-c", "2"], "abc\n").1, "b\n");
     let (st, _) = run_prog(&mut os, "cut", &[], "x\n");
     assert_eq!(st, 1);
@@ -635,9 +671,11 @@ use crate::{retry_intr, write_fully};
 #[test]
 fn fault_scheduled_fires_on_exact_call() {
     let mut os = SimOs::new();
-    os.set_fault_plan(Some(
-        FaultPlan::new(1).scheduled(Syscall::Open, 2, FaultKind::MFile),
-    ));
+    os.set_fault_plan(Some(FaultPlan::new(1).scheduled(
+        Syscall::Open,
+        2,
+        FaultKind::MFile,
+    )));
     let a = os.open("/tmp/a", OpenMode::Write).unwrap();
     assert_eq!(os.open("/tmp/b", OpenMode::Write), Err(OsError::MFile));
     let c = os.open("/tmp/c", OpenMode::Write).unwrap();
@@ -672,9 +710,11 @@ fn fault_eintr_is_injected_before_state_changes() {
 #[test]
 fn fault_partial_write_consumes_prefix_and_write_fully_loops() {
     let mut os = SimOs::new();
-    os.set_fault_plan(Some(
-        FaultPlan::new(3).scheduled(Syscall::Write, 1, FaultKind::PartialWrite),
-    ));
+    os.set_fault_plan(Some(FaultPlan::new(3).scheduled(
+        Syscall::Write,
+        1,
+        FaultKind::PartialWrite,
+    )));
     let fd = os.open("/tmp/partial", OpenMode::Write).unwrap();
     let n = os.write(fd, b"0123456789").unwrap();
     assert!((1..10).contains(&n), "strict nonempty prefix, got {n}");
@@ -697,9 +737,11 @@ fn fault_partial_write_consumes_prefix_and_write_fully_loops() {
 fn fault_short_read_is_not_eof() {
     let mut os = SimOs::new();
     os.vfs_mut().put_file("/tmp/data", b"abcdefgh").unwrap();
-    os.set_fault_plan(Some(
-        FaultPlan::new(4).scheduled(Syscall::Read, 1, FaultKind::ShortRead),
-    ));
+    os.set_fault_plan(Some(FaultPlan::new(4).scheduled(
+        Syscall::Read,
+        1,
+        FaultKind::ShortRead,
+    )));
     let fd = os.open("/tmp/data", OpenMode::Read).unwrap();
     // read_all keeps reading past the short read and sees every byte.
     assert_eq!(read_all(&mut os, fd).unwrap(), b"abcdefgh");
@@ -755,7 +797,10 @@ fn fault_probabilistic_plan_replays_identically() {
     let (a2, l2) = trace(42);
     assert_eq!(a1, a2, "outcomes replay from the seed");
     assert_eq!(l1, l2, "fault log replays from the seed");
-    assert!(!l1.is_empty(), "a 20% uniform rate injects something in 40 iterations");
+    assert!(
+        !l1.is_empty(),
+        "a 20% uniform rate injects something in 40 iterations"
+    );
     let (a3, _) = trace(43);
     assert_ne!(a1, a3, "different seed, different weather");
 }
@@ -767,7 +812,10 @@ fn fault_zero_rate_plan_is_inert() {
     let (st, out) = run_prog(&mut os, "echo", &["quiet"], "");
     assert_eq!((st, out.as_str()), (0, "quiet\n"));
     assert!(os.take_fault_log().is_empty());
-    assert!(os.fault_plan().unwrap().calls_seen() > 0, "plan was consulted");
+    assert!(
+        os.fault_plan().unwrap().calls_seen() > 0,
+        "plan was consulted"
+    );
 }
 
 #[test]
@@ -825,7 +873,11 @@ fn scheduled_signals_deliver_in_time_order_after_queued_ones() {
     os.raise_signal(Signal::Int);
     os.advance_ns(1_000);
     assert_eq!(os.take_signal(), Some(Signal::Int), "queued signals first");
-    assert_eq!(os.take_signal(), Some(Signal::Hup), "then earliest scheduled");
+    assert_eq!(
+        os.take_signal(),
+        Some(Signal::Hup),
+        "then earliest scheduled"
+    );
     assert_eq!(os.take_signal(), Some(Signal::Term));
     assert_eq!(os.take_signal(), None);
 }
@@ -913,11 +965,20 @@ fn comm_suppression_flags_shrink_indentation() {
         .put_file("/tmp/c1", b"apple\nbanana\ncherry\n")
         .unwrap();
     os.vfs_mut().put_file("/tmp/c2", b"banana\ndate\n").unwrap();
-    let case = |os: &mut SimOs, flags: &str| run_prog(os, "comm", &[flags, "/tmp/c1", "/tmp/c2"], "").1;
-    assert_eq!(case(&mut os, "-12"), "banana\n", "only the common column, unindented");
+    let case =
+        |os: &mut SimOs, flags: &str| run_prog(os, "comm", &[flags, "/tmp/c1", "/tmp/c2"], "").1;
+    assert_eq!(
+        case(&mut os, "-12"),
+        "banana\n",
+        "only the common column, unindented"
+    );
     assert_eq!(case(&mut os, "-3"), "apple\ncherry\n\tdate\n");
     assert_eq!(case(&mut os, "-23"), "apple\ncherry\n");
-    assert_eq!(case(&mut os, "-1"), "\tbanana\ndate\n", "col2 bare, col3 one tab");
+    assert_eq!(
+        case(&mut os, "-1"),
+        "\tbanana\ndate\n",
+        "col2 bare, col3 one tab"
+    );
     let (status, _) = run_prog(&mut os, "comm", &["/tmp/c1"], "");
     assert_eq!(status, 1, "comm needs exactly two operands");
 }
@@ -988,8 +1049,15 @@ fn fingerprint_is_sensitive_to_observable_state() {
 /// Asserts that the table-by-table compare and the fingerprints both
 /// tell `a` from `b`.
 fn differ(a: &SimOs, b: &SimOs, what: &str) {
-    assert!(!a.same_state(b) && !b.same_state(a), "the compare missed {what}");
-    assert_ne!(a.fingerprint(), b.fingerprint(), "the fingerprint missed {what}");
+    assert!(
+        !a.same_state(b) && !b.same_state(a),
+        "the compare missed {what}"
+    );
+    assert_ne!(
+        a.fingerprint(),
+        b.fingerprint(),
+        "the fingerprint missed {what}"
+    );
 }
 
 /// The serving pool's audit compares each table instead of hashing
@@ -1001,7 +1069,10 @@ fn differ(a: &SimOs, b: &SimOs, what: &str) {
 /// do.
 #[test]
 fn kernel_compare_is_sensitive_to_every_table() {
-    assert!(SimOs::new().same_state(&SimOs::new()), "two fresh kernels differ");
+    assert!(
+        SimOs::new().same_state(&SimOs::new()),
+        "two fresh kernels differ"
+    );
     type Change = fn(&mut SimOs);
     let changes: &[(&str, Change)] = &[
         ("a file write", |os| {
@@ -1022,7 +1093,9 @@ fn kernel_compare_is_sensitive_to_every_table() {
             run_prog(os, "true", &[], "");
         }),
         ("a queued signal", |os| os.raise_signal(Signal::Int)),
-        ("a scheduled signal", |os| os.schedule_signal(5, Signal::Int)),
+        ("a scheduled signal", |os| {
+            os.schedule_signal(5, Signal::Int)
+        }),
         ("a live pipe holding bytes", |os| {
             let (_, w) = os.pipe().unwrap();
             write_all(os, w, b"x").unwrap();
@@ -1161,7 +1234,8 @@ fn every_vfs_mutator_moves_the_digest() {
 fn cloned_kernels_do_not_see_each_others_writes() {
     const MOTD: &[u8] = b"welcome to the es simulation\n";
     fn motd(os: &SimOs) -> &[u8] {
-        os.vfs().file_data(os.vfs().lookup("/etc/motd", "/").unwrap())
+        os.vfs()
+            .file_data(os.vfs().lookup("/etc/motd", "/").unwrap())
     }
     fn scribble(os: &mut SimOs) {
         let fd = os.open("/tmp/new", OpenMode::Write).unwrap();

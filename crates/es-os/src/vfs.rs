@@ -128,7 +128,11 @@ impl Vfs {
                     fnv(h, b"dir");
                     self.hash_dir(ino, path, h);
                 }
-                Node::File { data, program, executable } => {
+                Node::File {
+                    data,
+                    program,
+                    executable,
+                } => {
                     fnv(h, &[(*executable || program.is_some()) as u8]);
                     match program {
                         Some(key) => {
@@ -204,22 +208,32 @@ impl Vfs {
 
     /// Returns true if `path` names an existing directory.
     pub fn is_dir(&self, path: &str, cwd: &str) -> bool {
-        matches!(self.lookup(path, cwd).map(|i| self.node(i)), Ok(Node::Dir(_)))
+        matches!(
+            self.lookup(path, cwd).map(|i| self.node(i)),
+            Ok(Node::Dir(_))
+        )
     }
 
     /// Returns true if `path` is an executable file.
     pub fn is_executable(&self, path: &str, cwd: &str) -> bool {
         matches!(
             self.lookup(path, cwd).map(|i| self.node(i)),
-            Ok(Node::File { executable: true, .. })
-                | Ok(Node::File { program: Some(_), .. })
+            Ok(Node::File {
+                executable: true,
+                ..
+            }) | Ok(Node::File {
+                program: Some(_),
+                ..
+            })
         )
     }
 
     /// The program-registry key of an executable, if any.
     pub fn program_of(&self, ino: Ino) -> Option<&str> {
         match self.node(ino) {
-            Node::File { program: Some(p), .. } => Some(p),
+            Node::File {
+                program: Some(p), ..
+            } => Some(p),
             _ => None,
         }
     }
@@ -416,7 +430,12 @@ impl Vfs {
     /// Convenience: installs an executable bound to a registry program.
     pub fn put_program(&mut self, path: &str, key: &str) -> OsResult<Ino> {
         let ino = self.put_file(path, b"#!simulated\n")?;
-        if let Node::File { program, executable, .. } = self.node_mut(ino) {
+        if let Node::File {
+            program,
+            executable,
+            ..
+        } = self.node_mut(ino)
+        {
             *program = Some(key.to_string());
             *executable = true;
         }

@@ -12,7 +12,10 @@ pub enum Inst {
     /// Match any one character.
     Any,
     /// Match one character in (or out of) the class.
-    Class { negated: bool, ranges: Vec<(char, char)> },
+    Class {
+        negated: bool,
+        ranges: Vec<(char, char)>,
+    },
     /// Unconditional jump.
     Jmp(usize),
     /// Nondeterministic branch: prefer `a`, backtrack to `b`.

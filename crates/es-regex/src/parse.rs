@@ -28,7 +28,10 @@ pub(crate) enum Ast {
     Empty,
     Char(char),
     Dot,
-    Class { negated: bool, ranges: Vec<(char, char)> },
+    Class {
+        negated: bool,
+        ranges: Vec<(char, char)>,
+    },
     Concat(Vec<Ast>),
     Alt(Vec<Ast>),
     Star(Box<Ast>),

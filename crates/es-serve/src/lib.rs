@@ -35,6 +35,6 @@ pub mod soak;
 
 pub use gate::{Phase, SliceGate};
 pub use pool::{Outcome, Pool, ResetReport, SlotState, PANIC_PROBE};
-pub use proto::{Frame, FaultClass, ProtoError};
+pub use proto::{FaultClass, Frame, ProtoError};
 pub use server::{EventLog, ServeConfig, ServeStats, Server};
 pub use soak::{run_soak, SoakConfig, SoakReport};

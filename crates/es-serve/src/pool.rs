@@ -343,10 +343,7 @@ impl Pool {
 
     /// Leases the lowest-numbered free slot.
     pub fn acquire(&mut self) -> Option<usize> {
-        let idx = self
-            .slots
-            .iter()
-            .position(|s| s.state == SlotState::Free)?;
+        let idx = self.slots.iter().position(|s| s.state == SlotState::Free)?;
         self.slots[idx].state = SlotState::Leased;
         Some(idx)
     }

@@ -231,7 +231,10 @@ impl Frame {
             Frame::Close { sid } => header(out, &["close", &sid.to_string()], 0),
             Frame::Drain { grace } => header(out, &["drain", &grace.to_string()], 0),
             Frame::Opened { sid } => header(out, &["opened", &sid.to_string()], 0),
-            Frame::Shed { retry_after_ms, attempt } => header(
+            Frame::Shed {
+                retry_after_ms,
+                attempt,
+            } => header(
                 out,
                 &["shed", &retry_after_ms.to_string(), &attempt.to_string()],
                 0,
@@ -250,11 +253,18 @@ impl Frame {
                 out.extend_from_slice(value.as_bytes());
             }
             Frame::Fault { sid, class, detail } => {
-                header(out, &["fault", &sid.to_string(), class.name()], detail.len());
+                header(
+                    out,
+                    &["fault", &sid.to_string(), class.name()],
+                    detail.len(),
+                );
                 out.extend_from_slice(detail.as_bytes());
             }
             Frame::Closed { sid } => header(out, &["closed", &sid.to_string()], 0),
-            Frame::Drained { finished, cancelled } => header(
+            Frame::Drained {
+                finished,
+                cancelled,
+            } => header(
                 out,
                 &["drained", &finished.to_string(), &cancelled.to_string()],
                 0,
@@ -320,19 +330,28 @@ impl Frame {
             }
             "line" => {
                 arity(1)?;
-                Frame::Line { sid: int(words[1])?, cmd: text()? }
+                Frame::Line {
+                    sid: int(words[1])?,
+                    cmd: text()?,
+                }
             }
             "close" => {
                 arity(1)?;
-                Frame::Close { sid: int(words[1])? }
+                Frame::Close {
+                    sid: int(words[1])?,
+                }
             }
             "drain" => {
                 arity(1)?;
-                Frame::Drain { grace: int(words[1])? }
+                Frame::Drain {
+                    grace: int(words[1])?,
+                }
             }
             "opened" => {
                 arity(1)?;
-                Frame::Opened { sid: int(words[1])? }
+                Frame::Opened {
+                    sid: int(words[1])?,
+                }
             }
             "shed" => {
                 arity(2)?;
@@ -343,11 +362,17 @@ impl Frame {
             }
             "out" => {
                 arity(1)?;
-                Frame::Out { sid: int(words[1])?, bytes: payload.to_vec() }
+                Frame::Out {
+                    sid: int(words[1])?,
+                    bytes: payload.to_vec(),
+                }
             }
             "err" => {
                 arity(1)?;
-                Frame::Err { sid: int(words[1])?, bytes: payload.to_vec() }
+                Frame::Err {
+                    sid: int(words[1])?,
+                    bytes: payload.to_vec(),
+                }
             }
             "done" => {
                 arity(2)?;
@@ -356,21 +381,34 @@ impl Frame {
                     "err" => false,
                     other => return Err(ProtoError::Bad(format!("done status '{other}'"))),
                 };
-                Frame::Done { sid: int(words[1])?, ok, value: text()? }
+                Frame::Done {
+                    sid: int(words[1])?,
+                    ok,
+                    value: text()?,
+                }
             }
             "fault" => {
                 arity(2)?;
                 let class = FaultClass::parse(words[2])
                     .ok_or_else(|| ProtoError::Bad(format!("fault class '{}'", words[2])))?;
-                Frame::Fault { sid: int(words[1])?, class, detail: text()? }
+                Frame::Fault {
+                    sid: int(words[1])?,
+                    class,
+                    detail: text()?,
+                }
             }
             "closed" => {
                 arity(1)?;
-                Frame::Closed { sid: int(words[1])? }
+                Frame::Closed {
+                    sid: int(words[1])?,
+                }
             }
             "drained" => {
                 arity(2)?;
-                Frame::Drained { finished: int(words[1])?, cancelled: int(words[2])? }
+                Frame::Drained {
+                    finished: int(words[1])?,
+                    cancelled: int(words[2])?,
+                }
             }
             other => return Err(ProtoError::Bad(format!("unknown frame '{other}'"))),
         };
@@ -395,27 +433,53 @@ mod tests {
             limits: vec![("steps".into(), 20000), ("output".into(), 65536)],
             fault_seed: Some(7),
         });
-        roundtrip(Frame::Open { limits: vec![], fault_seed: None });
-        roundtrip(Frame::Line { sid: 3, cmd: "echo hi | wc -l".into() });
+        roundtrip(Frame::Open {
+            limits: vec![],
+            fault_seed: None,
+        });
+        roundtrip(Frame::Line {
+            sid: 3,
+            cmd: "echo hi | wc -l".into(),
+        });
         roundtrip(Frame::Close { sid: 9 });
         roundtrip(Frame::Drain { grace: 4 });
         roundtrip(Frame::Opened { sid: 1 });
-        roundtrip(Frame::Shed { retry_after_ms: 800, attempt: 3 });
-        roundtrip(Frame::Out { sid: 2, bytes: b"binary\n\x00\xffrun".to_vec() });
-        roundtrip(Frame::Err { sid: 2, bytes: b"es: warning: steps\n".to_vec() });
-        roundtrip(Frame::Done { sid: 4, ok: false, value: "limit steps 100 100".into() });
+        roundtrip(Frame::Shed {
+            retry_after_ms: 800,
+            attempt: 3,
+        });
+        roundtrip(Frame::Out {
+            sid: 2,
+            bytes: b"binary\n\x00\xffrun".to_vec(),
+        });
+        roundtrip(Frame::Err {
+            sid: 2,
+            bytes: b"es: warning: steps\n".to_vec(),
+        });
+        roundtrip(Frame::Done {
+            sid: 4,
+            ok: false,
+            value: "limit steps 100 100".into(),
+        });
         roundtrip(Frame::Fault {
             sid: 5,
             class: FaultClass::Panic,
             detail: "injected".into(),
         });
         roundtrip(Frame::Closed { sid: 5 });
-        roundtrip(Frame::Drained { finished: 10, cancelled: 2 });
+        roundtrip(Frame::Drained {
+            finished: 10,
+            cancelled: 2,
+        });
     }
 
     #[test]
     fn partial_input_needs_more() {
-        let bytes = Frame::Line { sid: 1, cmd: "echo hello".into() }.encode();
+        let bytes = Frame::Line {
+            sid: 1,
+            cmd: "echo hello".into(),
+        }
+        .encode();
         for cut in 0..bytes.len() {
             assert_eq!(
                 Frame::decode(&bytes[..cut]).unwrap_err(),
@@ -430,7 +494,10 @@ mod tests {
         // A payload that *looks* like a frame header must not confuse
         // the decoder: length-prefix framing reads it as bytes.
         let evil = b"close 99 0\nopen - 0\n".to_vec();
-        let f = Frame::Out { sid: 1, bytes: evil };
+        let f = Frame::Out {
+            sid: 1,
+            bytes: evil,
+        };
         let bytes = f.encode();
         let (back, used) = Frame::decode(&bytes).expect("decodes");
         assert_eq!(used, bytes.len());

@@ -1,9 +1,9 @@
 //! Serving-path integration tests: admission, fairness, containment,
 //! recycling purity, drain, and the serve-vs-direct differential.
 
+use es_os::SimOs;
 use es_serve::proto::{FaultClass, Frame};
 use es_serve::server::{ServeConfig, Server};
-use es_os::SimOs;
 use es_serve::{SlotState, PANIC_PROBE};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -164,10 +164,16 @@ fn runaway_session_does_not_starve_neighbors() {
     assert!(dones_of(&got_b, a).is_empty());
     // Closing A cancels the runaway command; the server survives.
     let closed = server.feed(Frame::Close { sid: a });
+    assert!(closed.iter().any(|f| matches!(
+        f,
+        Frame::Fault {
+            class: FaultClass::Cancelled,
+            ..
+        }
+    )));
     assert!(closed
         .iter()
-        .any(|f| matches!(f, Frame::Fault { class: FaultClass::Cancelled, .. })));
-    assert!(closed.iter().any(|f| matches!(f, Frame::Closed { sid } if *sid == a)));
+        .any(|f| matches!(f, Frame::Closed { sid } if *sid == a)));
     assert_eq!(server.stats().cancelled, 1);
 }
 
@@ -188,7 +194,11 @@ fn governor_warning_routes_to_owning_session_stderr() {
         warn.contains("es: warning: output limit at"),
         "expected 90% warning on noisy session stderr, got {warn:?}"
     );
-    assert_eq!(stderr_of(&frames, quiet), "", "warning leaked across sessions");
+    assert_eq!(
+        stderr_of(&frames, quiet),
+        "",
+        "warning leaked across sessions"
+    );
     // Both commands completed: the warning is advisory, not a breach.
     assert_eq!(dones_of(&frames, noisy), vec![(true, "0".into())]);
     assert_eq!(stdout_of(&frames, quiet), "calm\n");
@@ -241,7 +251,9 @@ fn panic_is_contained_to_its_slot() {
             ..
         } if *sid == victim
     )));
-    assert!(frames.iter().any(|f| matches!(f, Frame::Closed { sid } if *sid == victim)));
+    assert!(frames
+        .iter()
+        .any(|f| matches!(f, Frame::Closed { sid } if *sid == victim)));
     assert_eq!(stdout_of(&frames, victim), "before\n");
     assert_eq!(stdout_of(&frames, bystander), "unbothered\n");
     assert_eq!(dones_of(&frames, bystander), vec![(true, "0".into())]);
@@ -260,7 +272,10 @@ fn panic_is_contained_to_its_slot() {
     while dones_of(&frames, bystander).is_empty() {
         frames.extend(server.pump(4));
         rounds += 1;
-        assert!(rounds <= 4, "the neighbour's echo was delayed past its slice budget");
+        assert!(
+            rounds <= 4,
+            "the neighbour's echo was delayed past its slice budget"
+        );
     }
     assert_eq!(stdout_of(&frames, bystander), "neighbour\n");
     assert!(
@@ -289,7 +304,10 @@ fn pathsearch_loop_fails_the_command_not_the_server() {
     assert_eq!(dones.len(), 1, "{frames:?}");
     assert!(!dones[0].0, "the command failed: {dones:?}");
     assert!(dones[0].1.contains("function definition loop"), "{dones:?}");
-    assert_eq!(server.feed(Frame::Close { sid }), vec![Frame::Closed { sid }]);
+    assert_eq!(
+        server.feed(Frame::Close { sid }),
+        vec![Frame::Closed { sid }]
+    );
     let next = open(&mut server);
     line(&mut server, next, "echo next tenant | tr a-z A-Z");
     let frames = pump_all(&mut server);
@@ -309,7 +327,10 @@ fn lone_backslash_line_runs_and_the_server_goes_on() {
     let frames = pump_all(&mut server);
     assert_eq!(stdout_of(&frames, sid), "a\\b\n");
     assert_eq!(dones_of(&frames, sid), vec![(true, "0".into())]);
-    assert_eq!(server.feed(Frame::Close { sid }), vec![Frame::Closed { sid }]);
+    assert_eq!(
+        server.feed(Frame::Close { sid }),
+        vec![Frame::Closed { sid }]
+    );
     let next = open(&mut server);
     line(&mut server, next, "echo next tenant | tr a-z A-Z");
     let frames = pump_all(&mut server);
@@ -335,7 +356,9 @@ fn worker_that_dies_in_its_scrub_is_retired() {
     let victim = open(&mut server);
     line(&mut server, victim, PANIC_PROBE);
     let frames = pump_all(&mut server);
-    assert!(frames.iter().any(|f| matches!(f, Frame::Closed { sid } if *sid == victim)));
+    assert!(frames
+        .iter()
+        .any(|f| matches!(f, Frame::Closed { sid } if *sid == victim)));
     assert_eq!(boots.get(), 3, "the scrub booted once more");
     assert_eq!(server.pool().state(0), SlotState::Retired);
     let stats = server.stats();
@@ -365,13 +388,25 @@ fn shedding_backs_off_and_recovers() {
         limits: vec![],
         fault_seed: None,
     });
-    let (Some(Frame::Shed { retry_after_ms: r1, attempt: a1 }), Some(Frame::Shed { retry_after_ms: r2, attempt: a2 })) =
-        (shed1.first(), shed2.first())
+    let (
+        Some(Frame::Shed {
+            retry_after_ms: r1,
+            attempt: a1,
+        }),
+        Some(Frame::Shed {
+            retry_after_ms: r2,
+            attempt: a2,
+        }),
+    ) = (shed1.first(), shed2.first())
     else {
         panic!("expected two sheds: {shed1:?} {shed2:?}");
     };
     assert_eq!((*a1, *a2), (0, 1));
-    assert_eq!(*r2, *r1 * 2, "backoff hint must double per consecutive shed");
+    assert_eq!(
+        *r2,
+        *r1 * 2,
+        "backoff hint must double per consecutive shed"
+    );
 
     // The admitted session is untouched by the shedding.
     let frames = pump_all(&mut server);
@@ -387,7 +422,10 @@ fn shedding_backs_off_and_recovers() {
         limits: vec![],
         fault_seed: None,
     });
-    assert!(matches!(shed3.first(), Some(Frame::Shed { attempt: 0, .. })));
+    assert!(matches!(
+        shed3.first(),
+        Some(Frame::Shed { attempt: 0, .. })
+    ));
     server.feed(Frame::Close { sid: sid3 });
     assert_eq!(server.stats().shed, 3);
 }
@@ -418,7 +456,9 @@ fn drain_finishes_quick_work_and_cancels_stragglers() {
 
     let resp = server.feed(Frame::Drain { grace: 100 });
     // The idle session closes immediately.
-    assert!(resp.iter().any(|f| matches!(f, Frame::Closed { sid } if *sid == idle)));
+    assert!(resp
+        .iter()
+        .any(|f| matches!(f, Frame::Closed { sid } if *sid == idle)));
 
     let frames = pump_all(&mut server);
     assert_eq!(stdout_of(&frames, quick), "finishing\n");
@@ -480,7 +520,11 @@ fn recycled_slot_shows_no_previous_tenant_state() {
     );
     let dones = dones_of(&frames, fresh);
     // `cat` of a missing file exits nonzero (it is not an es error).
-    assert_ne!(dones[2], (true, "0".into()), "/tmp/leak should not exist for a new tenant");
+    assert_ne!(
+        dones[2],
+        (true, "0".into()),
+        "/tmp/leak should not exist for a new tenant"
+    );
     assert_eq!(server.stats().oracle_violations, 0);
 }
 
@@ -622,8 +666,16 @@ fn fault_weather_is_per_session() {
     let stormy = open_with(&mut server, vec![], Some(7));
     let calm = open(&mut server);
     for _ in 0..60 {
-        line(&mut server, stormy, "echo x > /tmp/wf; cat /tmp/wf; echo y | cat");
-        line(&mut server, calm, "echo x > /tmp/cf; cat /tmp/cf; echo y | cat");
+        line(
+            &mut server,
+            stormy,
+            "echo x > /tmp/wf; cat /tmp/wf; echo y | cat",
+        );
+        line(
+            &mut server,
+            calm,
+            "echo x > /tmp/cf; cat /tmp/cf; echo y | cat",
+        );
     }
     let frames = pump_all(&mut server);
     // Calm session: every command succeeds with status 0.
@@ -650,7 +702,11 @@ fn fault_weather_is_per_session() {
     let after = open(&mut server);
     assert_eq!(server.pool().state(0), SlotState::Leased);
     for _ in 0..60 {
-        line(&mut server, after, "echo x > /tmp/wf; cat /tmp/wf; echo y | cat");
+        line(
+            &mut server,
+            after,
+            "echo x > /tmp/wf; cat /tmp/wf; echo y | cat",
+        );
     }
     let after_dones = dones_of(&pump_all(&mut server), after);
     assert_eq!(after_dones.len(), 60);

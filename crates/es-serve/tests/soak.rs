@@ -14,7 +14,10 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 fn assert_contained(stats: &ServeStats, sessions: u64) {
-    assert_eq!(stats.opened, sessions, "every session must eventually admit");
+    assert_eq!(
+        stats.opened, sessions,
+        "every session must eventually admit"
+    );
     assert_eq!(
         stats.oracle_violations, 0,
         "cross-session state bleed detected by the reset oracle"
@@ -40,7 +43,10 @@ fn assert_contained(stats: &ServeStats, sessions: u64) {
         stats.cancelled > 0,
         "early closes should cancel commands in flight"
     );
-    assert!(stats.max_live <= 6, "admission must hold the high-water mark");
+    assert!(
+        stats.max_live <= 6,
+        "admission must hold the high-water mark"
+    );
 }
 
 /// Every caught panic must be an injected probe. A test-build oracle

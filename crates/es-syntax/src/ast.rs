@@ -235,7 +235,6 @@ pub enum Node {
     Seq(Vec<Node>),
 
     // ----- surface-only nodes, removed by lower() -------------------------
-
     /// `a | b | c` with fd designators: segments joined by
     /// `(out, in)` pairs. Lowered to one variadic `%pipe` call.
     Pipe(Vec<Node>, Vec<(u32, u32)>),

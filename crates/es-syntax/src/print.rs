@@ -12,9 +12,8 @@ use crate::ast::{Expr, Lambda, Node, Redirect, Word};
 /// Quotes `s` if it could not lex back as a single bare word.
 pub fn quote(s: &str) -> String {
     let needs = s.is_empty()
-        || s.chars().any(|c| {
-            " \t\r\n#;&|^$=`'{}()<>!@~\\*?[]".contains(c)
-        });
+        || s.chars()
+            .any(|c| " \t\r\n#;&|^$=`'{}()<>!@~\\*?[]".contains(c));
     if needs {
         format!("'{}'", s.replace('\'', "''"))
     } else {
@@ -128,11 +127,7 @@ fn unparse_bindings(bindings: &[(Expr, Vec<Expr>)]) -> String {
 /// Prints a command node.
 pub fn unparse_node(n: &Node) -> String {
     match n {
-        Node::Call(exprs) => exprs
-            .iter()
-            .map(unparse_expr)
-            .collect::<Vec<_>>()
-            .join(" "),
+        Node::Call(exprs) => exprs.iter().map(unparse_expr).collect::<Vec<_>>().join(" "),
         Node::Assign(lhs, values) => {
             let vals: Vec<String> = values.iter().map(unparse_expr).collect();
             if vals.is_empty() {

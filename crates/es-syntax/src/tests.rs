@@ -65,7 +65,10 @@ fn lex_errors_report_their_position() {
     let err = parse_program("echo >[x] f; echo ok").unwrap_err();
     assert_eq!((err.msg.as_str(), err.pos), ("bad fd number", 5));
     let err = parse_program("echo ok 'it''s").unwrap_err();
-    assert_eq!((err.msg.as_str(), err.pos, err.incomplete), ("unterminated quote", 8, true));
+    assert_eq!(
+        (err.msg.as_str(), err.pos, err.incomplete),
+        ("unterminated quote", 8, true)
+    );
     for (src, pos) in [
         ("cat >>[1=2] f", 4),
         ("a |[3=] b", 2),
@@ -140,7 +143,15 @@ fn lex_eq_splits_words() {
 
 #[test]
 fn lex_word_chars_include_shell_names() {
-    for w in ["fn-%pipe", "set-PATH", "a-b_c.d", "%closure", "*", "[abc]", "path-cache"] {
+    for w in [
+        "fn-%pipe",
+        "set-PATH",
+        "a-b_c.d",
+        "%closure",
+        "*",
+        "[abc]",
+        "path-cache",
+    ] {
         let toks = lex::tokens(w).unwrap();
         assert!(
             matches!(&toks[0].tok, Tok::Word(word) if word.is_bare() && word.text() == w),
@@ -205,10 +216,7 @@ fn redirection_rewrites_to_create() {
 
 #[test]
 fn multiple_redirections_nest_first_outermost() {
-    assert_eq!(
-        core("cmd > out < in"),
-        "%create 1 out {%open 0 in {cmd}}"
-    );
+    assert_eq!(core("cmd > out < in"), "%create 1 out {%open 0 in {cmd}}");
 }
 
 #[test]
@@ -240,7 +248,10 @@ fn andor_bang_background() {
 #[test]
 fn fn_rewrites_to_assignment() {
     // fn echon args {echo -n $args}  ≡  fn-echon = @ args {echo -n $args}
-    assert_eq!(core("fn echon args {echo -n $args}"), "'fn-'^echon = @ args {echo -n $args}");
+    assert_eq!(
+        core("fn echon args {echo -n $args}"),
+        "'fn-'^echon = @ args {echo -n $args}"
+    );
     assert_eq!(core("fn d {date}"), "'fn-'^d = @ * {date}");
     assert_eq!(core("fn gone"), "'fn-'^gone =");
     // Computed names (the trace example defines fn $func).
@@ -273,8 +284,14 @@ fn assignment_forms() {
     assert_eq!(core("x = foo bar"), "x = foo bar");
     assert_eq!(core("x=foo bar"), "x = foo bar");
     assert_eq!(core("path-cache ="), "path-cache =");
-    assert_eq!(core("silly-command = {echo hi}"), "silly-command = {echo hi}");
-    assert_eq!(core("set-$var = @ {return $*}"), "set-^$var = @ * {return $*}");
+    assert_eq!(
+        core("silly-command = {echo hi}"),
+        "silly-command = {echo hi}"
+    );
+    assert_eq!(
+        core("set-$var = @ {return $*}"),
+        "set-^$var = @ * {return $*}"
+    );
     assert_eq!(core("(a b) = 1 2 3"), "(a b) = 1 2 3");
 }
 
@@ -296,17 +313,17 @@ fn binding_forms_parse() {
         core("local (x = baz) {echo $x}"),
         "local (x = baz) {echo $x}"
     );
-    assert_eq!(
-        core("for (i = $args) $cmd $i"),
-        "for (i = $args) {$cmd $i}"
-    );
+    assert_eq!(core("for (i = $args) $cmd $i"), "for (i = $args) {$cmd $i}");
     // let body can itself be a fn definition (the %create spoof).
     assert_eq!(
         core("let (create = $fn-%create) fn %create fd file cmd {x}"),
         "let (create = $fn-%create) {'fn-'^%create = @ fd file cmd {x}}"
     );
     // Empty binding value (the settor-recursion suppressor).
-    assert_eq!(core("local (set-PATH = ) {PATH = x}"), "local (set-PATH =) {PATH = x}");
+    assert_eq!(
+        core("local (set-PATH = ) {PATH = x}"),
+        "local (set-PATH =) {PATH = x}"
+    );
 }
 
 #[test]
@@ -337,14 +354,24 @@ fn closure_lit_roundtrip() {
     let src = "whatis = %closure(a=b)@ * {echo $a}";
     assert_eq!(core(src), "whatis = %closure(a=b)@ * {echo $a}");
     let multi = "f = %closure(a=1 2;b='x y')@ p {echo $a $b $p}";
-    assert_eq!(core(multi), "f = %closure(a=1 2;b='x y')@ p {echo $a $b $p}");
+    assert_eq!(
+        core(multi),
+        "f = %closure(a=1 2;b='x y')@ p {echo $a $b $p}"
+    );
     let empty = "f = %closure()@ * {nop}";
     assert_eq!(core(empty), "f = %closure()@ * {nop}");
 }
 
 #[test]
 fn incomplete_inputs_are_flagged() {
-    for src in ["echo {", "fn f {", "let (x = 1) {", "echo 'open", "a | ", "if {true} {"] {
+    for src in [
+        "echo {",
+        "fn f {",
+        "let (x = 1) {",
+        "echo 'open",
+        "a | ",
+        "if {true} {",
+    ] {
         let err = parse_program(src).unwrap_err();
         assert!(err.incomplete, "`{src}` should be incomplete: {err:?}");
     }
@@ -433,7 +460,10 @@ let (search = $fn-%pathsearch) {
 
 #[test]
 fn here_doc_simplified() {
-    assert_eq!(core("cat << 'line1\nline2\n'"), "%here 0 'line1\nline2\n' {cat}");
+    assert_eq!(
+        core("cat << 'line1\nline2\n'"),
+        "%here 0 'line1\nline2\n' {cat}"
+    );
 }
 
 #[test]
@@ -559,7 +589,10 @@ fn var_names_stop_at_punctuation() {
     // Quoted-adjacent segment splits too.
     assert_eq!(core("echo $x'y z'"), "echo $x^'y z'");
     // Name characters the shell itself relies on stay in.
-    assert_eq!(core("echo $fn-%pipe $path-cache $a_b"), "echo $fn-%pipe $path-cache $a_b");
+    assert_eq!(
+        core("echo $fn-%pipe $path-cache $a_b"),
+        "echo $fn-%pipe $path-cache $a_b"
+    );
 }
 
 #[test]
@@ -594,13 +627,19 @@ fn fn_with_percent_names() {
         core("fn %create fd file cmd {x}"),
         "'fn-'^%create = @ fd file cmd {x}"
     );
-    assert_eq!(core("fn %interactive-loop {x}"), "'fn-'^%interactive-loop = @ * {x}");
+    assert_eq!(
+        core("fn %interactive-loop {x}"),
+        "'fn-'^%interactive-loop = @ * {x}"
+    );
 }
 
 #[test]
 fn redirections_on_compound_commands() {
     assert_eq!(core("{a; b} > f"), "%create 1 f {{%seq {a} {b}}}");
-    assert_eq!(core("for (i = 1) echo $i > f"), "for (i = 1) {%create 1 f {echo $i}}");
+    assert_eq!(
+        core("for (i = 1) echo $i > f"),
+        "for (i = 1) {%create 1 f {echo $i}}"
+    );
 }
 
 #[test]
@@ -646,7 +685,10 @@ fn parse_error(src: &str) -> (usize, bool, String) {
 
 #[test]
 fn parse_error_positions_at_first_middle_and_last_token() {
-    assert_eq!(parse_error(") echo"), (0, false, "unexpected `)`".to_string()));
+    assert_eq!(
+        parse_error(") echo"),
+        (0, false, "unexpected `)`".to_string())
+    );
     assert_eq!(
         parse_error("x = a = b"),
         (6, false, "unexpected `=` in assignment values".to_string())
@@ -659,7 +701,10 @@ fn parse_error_positions_at_first_middle_and_last_token() {
         parse_error("echo a >"),
         (8, true, "expected file name after redirection".to_string())
     );
-    assert_eq!(parse_error("echo a |"), (8, true, "unexpected end of input".to_string()));
+    assert_eq!(
+        parse_error("echo a |"),
+        (8, true, "unexpected end of input".to_string())
+    );
 }
 
 #[test]

@@ -21,7 +21,10 @@ fn main() {
     let v = m
         .run("result <>{car <>{cdr <>{cons 1 <>{cons 2 <>{cons 3 nil}}}}}")
         .unwrap();
-    println!("car (cdr (cons 1 (cons 2 (cons 3 nil))))  =>  {}", v.join(" "));
+    println!(
+        "car (cdr (cons 1 (cons 2 (cons 3 nil))))  =>  {}",
+        v.join(" ")
+    );
 
     // Build a longer list with a loop and sum-style traversal.
     m.run(
@@ -46,7 +49,10 @@ fn main() {
     .unwrap();
     m.run("lst = <>{build a b c d e}").unwrap();
     let walked = m.run("result <>{walk $lst}").unwrap();
-    println!("walk (build a b c d e)                    =>  {}", walked.join(" "));
+    println!(
+        "walk (build a b c d e)                    =>  {}",
+        walked.join(" ")
+    );
 
     // What a pair looks like when unparsed (whatis-style).
     let pair = m.run("result <>{cons hd tl}").unwrap();

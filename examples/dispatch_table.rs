@@ -63,7 +63,8 @@ fn main() {
     // The table is data: extending the app is list surgery.
     println!("\nextending the table at runtime:");
     m.run("commands = $commands clear").unwrap();
-    m.run("handlers = $handlers @ { todo = ; echo cleared }").unwrap();
+    m.run("handlers = $handlers @ { todo = ; echo cleared }")
+        .unwrap();
     show(&mut m, "task clear");
     show(&mut m, "task status");
 }

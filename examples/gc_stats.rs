@@ -52,9 +52,16 @@ fn main() {
     println!("wall time:            {elapsed:?}");
     println!("collections:          {}", s.collections);
     println!("objects allocated:    {}", s.allocated);
-    println!("objects copied:       {} (avg {:.1}/collection)", s.copied, s.avg_copied());
+    println!(
+        "objects copied:       {} (avg {:.1}/collection)",
+        s.copied,
+        s.avg_copied()
+    );
     println!("text bytes copied:    {}", s.bytes_copied);
-    println!("survival rate:        {:.2}% of allocations", 100.0 * s.survival_rate());
+    println!(
+        "survival rate:        {:.2}% of allocations",
+        100.0 * s.survival_rate()
+    );
     println!("max pause:            {:?}", s.pause_max);
     println!(
         "gc fraction:          {:.2}% of running time (paper: \"roughly 4%\")",
@@ -67,7 +74,8 @@ fn main() {
     let mut m = Machine::new(SimOs::new()).expect("machine boots");
     m.heap.set_stress(true);
     let t0 = Instant::now();
-    m.run("for (i = 1 2 3 4 5) { x = $i <>{result a b c} }").unwrap();
+    m.run("for (i = 1 2 3 4 5) { x = $i <>{result a b c} }")
+        .unwrap();
     println!(
         "5 iterations under collect-per-allocation: {} collections in {:?} — all refs survived",
         m.heap.stats().collections,

@@ -25,8 +25,14 @@ fn main() {
     print!("{}", prefix_lines(session, "stdin | "));
     m.os_mut().push_input(session);
     let status = m.repl();
-    println!("stdout> {}", m.os_mut().take_output().replace('\n', "\nstdout> "));
-    println!("stderr> {}", m.os_mut().take_error().replace('\n', "\nstderr> "));
+    println!(
+        "stdout> {}",
+        m.os_mut().take_output().replace('\n', "\nstdout> ")
+    );
+    println!(
+        "stderr> {}",
+        m.os_mut().take_error().replace('\n', "\nstderr> ")
+    );
     println!("exit status: {status}");
     println!("(note the `; ` prompts, the reported error, and the loop surviving it)\n");
 
@@ -54,14 +60,18 @@ fn main() {
     print!("{}", prefix_lines(session, "stdin | "));
     m.os_mut().push_input(session);
     let status = m.repl();
-    println!("stdout> {}", m.os_mut().take_output().replace('\n', "\nstdout> "));
-    println!("stderr> {}", m.os_mut().take_error().replace('\n', "\nstderr> "));
+    println!(
+        "stdout> {}",
+        m.os_mut().take_output().replace('\n', "\nstdout> ")
+    );
+    println!(
+        "stderr> {}",
+        m.os_mut().take_error().replace('\n', "\nstderr> ")
+    );
     println!("exit status: {status}");
     println!("history variable: {:?}", m.get_var("history"));
 }
 
 fn prefix_lines(text: &str, prefix: &str) -> String {
-    text.lines()
-        .map(|l| format!("{prefix}{l}\n"))
-        .collect()
+    text.lines().map(|l| format!("{prefix}{l}\n")).collect()
 }

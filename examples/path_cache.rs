@@ -56,7 +56,10 @@ fn main() {
     // One lookup fills the cache.
     m.run("ls /tmp").expect("ls runs");
     m.os_mut().take_output();
-    println!("after one `ls`:   path-cache = {:?}", m.get_var("path-cache"));
+    println!(
+        "after one `ls`:   path-cache = {:?}",
+        m.get_var("path-cache")
+    );
     println!("                  fn-ls      = {:?}", m.get_var("fn-ls"));
 
     // Measure: repeated command lookups, cached vs not (virtual time
@@ -91,7 +94,10 @@ fn main() {
 
     // recache drops the memoisation.
     m.run("recache").expect("recache");
-    println!("\nafter recache:    path-cache = {:?}", m.get_var("path-cache"));
+    println!(
+        "\nafter recache:    path-cache = {:?}",
+        m.get_var("path-cache")
+    );
     println!("                  fn-ls      = {:?}", m.get_var("fn-ls"));
     let _ = m.os().cwd();
 }

@@ -18,14 +18,29 @@ use es_os::SimOs;
 fn synthesize_paper() -> String {
     let common = ["the", "a", "to", "of", "is", "and"];
     let rare = [
-        "shell", "function", "closure", "exception", "lambda", "pipe", "spoof", "garbage",
-        "collector", "environment", "binding", "syntax", "rewrite", "primitive", "hook",
+        "shell",
+        "function",
+        "closure",
+        "exception",
+        "lambda",
+        "pipe",
+        "spoof",
+        "garbage",
+        "collector",
+        "environment",
+        "binding",
+        "syntax",
+        "rewrite",
+        "primitive",
+        "hook",
     ];
     let mut out = String::new();
     let mut n: u64 = 42;
     for line in 0..120 {
         for word in 0..10 {
-            n = n.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            n = n
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let pick = (n >> 33) as usize;
             // Common words ~4x more often than rare ones.
             if !pick.is_multiple_of(5) {

@@ -72,7 +72,10 @@ fn main() {
 
     println!("\n--- the whole shell state, as an environment ---");
     let env = m.export_environment();
-    println!("{} variables exported, including function definitions:", env.len());
+    println!(
+        "{} variables exported, including function definitions:",
+        env.len()
+    );
     for (k, v) in env.iter().filter(|(k, _)| k == "fn-d") {
         println!("  {k}={v}");
     }

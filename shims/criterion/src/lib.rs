@@ -208,7 +208,10 @@ fn report(group: &str, id: &str, samples: &[Duration], throughput: Option<Throug
         Some(Throughput::Elements(n)) => (n, "element"),
     };
     let per = median.as_nanos() as f64 / units.max(1) as f64;
-    eprintln!("{:<44} median {per:>10.1}ns per {unit} ({units} per iteration)", "");
+    eprintln!(
+        "{:<44} median {per:>10.1}ns per {unit} ({units} per iteration)",
+        ""
+    );
 }
 
 /// `criterion_group!(benches, f1, f2, ...)` — a function running each

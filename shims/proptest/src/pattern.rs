@@ -82,9 +82,7 @@ fn parse_class(chars: &[char], pos: &mut usize) -> Result<Vec<char>, String> {
             Some(_) => {
                 let lo = class_char(chars, pos)?;
                 // Range `a-z` (a `-` before `]` is a literal dash).
-                if chars.get(*pos) == Some(&'-')
-                    && chars.get(*pos + 1).is_some_and(|c| *c != ']')
-                {
+                if chars.get(*pos) == Some(&'-') && chars.get(*pos + 1).is_some_and(|c| *c != ']') {
                     *pos += 1;
                     let hi = class_char(chars, pos)?;
                     if hi < lo {
@@ -136,10 +134,7 @@ fn parse_quant(chars: &[char], pos: &mut usize) -> Result<(usize, usize), String
         return Ok((1, 1));
     }
     *pos += 1;
-    let text: String = chars[*pos..]
-        .iter()
-        .take_while(|c| **c != '}')
-        .collect();
+    let text: String = chars[*pos..].iter().take_while(|c| **c != '}').collect();
     *pos += text.chars().count();
     if chars.get(*pos) != Some(&'}') {
         return Err("unterminated repetition".into());

@@ -76,7 +76,8 @@ fn exit_status_propagates() {
 
 #[test]
 fn pipeline_and_spoof_through_binary() {
-    let session = "let (create = $fn-%create) fn %create fd file cmd { throw error writes disabled }\n\
+    let session =
+        "let (create = $fn-%create) fn %create fd file cmd { throw error writes disabled }\n\
                    echo try > /tmp/blocked\n\
                    echo one two three | wc -w\n\
                    exit 0\n";
@@ -140,7 +141,11 @@ fn repl_survives_errors_and_keeps_going() {
 #[test]
 fn stress_gc_mode_runs_clean() {
     let (out, _, status) = run_es(
-        &["--stress-gc", "-c", "for (i = 1 2 3) { x = $x <>{result $i} }; echo $x"],
+        &[
+            "--stress-gc",
+            "-c",
+            "for (i = 1 2 3) { x = $x <>{result $i} }; echo $x",
+        ],
         "",
     );
     assert_eq!(out, "1 2 3\n");

@@ -43,7 +43,10 @@ fn a_working_day_in_es() {
 fn word_frequency_figure_1_end_to_end() {
     let mut m = machine();
     let text = "to be or not to be that is the question\n".repeat(30);
-    m.os_mut().vfs_mut().put_file("/tmp/hamlet", text.as_bytes()).unwrap();
+    m.os_mut()
+        .vfs_mut()
+        .put_file("/tmp/hamlet", text.as_bytes())
+        .unwrap();
     m.run("cat /tmp/hamlet | tr -cs a-zA-Z0-9 '\\012' | sort | uniq -c | sort -nr | sed 3q")
         .unwrap();
     let out = m.os_mut().take_output();
@@ -142,7 +145,9 @@ fn environment_round_trip_preserves_everything() {
     let mut parent = machine();
     parent.run("fn triple x { result $x^$x^$x }").unwrap();
     parent.run("greeting = 'hello from parent'").unwrap();
-    parent.run("let (sep = ::) fn joined { echo $sep^$* }").unwrap();
+    parent
+        .run("let (sep = ::) fn joined { echo $sep^$* }")
+        .unwrap();
     let env = parent.export_environment().to_vec();
 
     let mut os = SimOs::new();
@@ -256,7 +261,8 @@ fn gc_stress_through_full_session() {
             "echo <>{$fns(3)} | cat",
             "x = `{echo from backquote}",
         ] {
-            m.run(c).unwrap_or_else(|e| panic!("`{c}` failed under stress gc: {e}"));
+            m.run(c)
+                .unwrap_or_else(|e| panic!("`{c}` failed under stress gc: {e}"));
         }
         (m.os_mut().take_output(), m.os_mut().take_error())
     };
@@ -323,9 +329,11 @@ fn catch_observes_injected_enospc_as_error_exception() {
     // plain catchable `error` exception, not a crash.
     let mut m = machine();
     let baseline = m.os().open_desc_count();
-    m.os_mut().set_fault_plan(Some(
-        FaultPlan::new(11).scheduled(Syscall::Open, 1, FaultKind::NoSpc),
-    ));
+    m.os_mut().set_fault_plan(Some(FaultPlan::new(11).scheduled(
+        Syscall::Open,
+        1,
+        FaultKind::NoSpc,
+    )));
     let caught = m
         .run("catch @ e { result $e } { echo doomed > /tmp/full.txt }")
         .unwrap();
