@@ -1,22 +1,26 @@
 //! E4 — "Garbage collection ... takes roughly 4% of the running time
 //! of the shell."
 //!
-//! Runs the loop-heavy closure-churn workload at several semispace
-//! sizes and reports (a) evaluation throughput per size (criterion)
-//! and (b) the measured GC pause fraction (printed), which is the
-//! paper's number. Smaller spaces collect more often; the fraction
-//! should sit in the low single digits for the default size.
+//! Runs the loop-heavy closure-churn workload on the default heap and
+//! in stress mode (a collection at every allocation) and reports (a)
+//! evaluation time for each (criterion) and (b) the measured GC pause
+//! fraction on the default heap (printed), which is the paper's
+//! number; it should sit in the low single digits.
 //!
 //! The `collect` cases drive `es-gc` alone: ~240 live objects, then a
-//! default-sized semispace of garbage (16k dead strings, or 16k dead
-//! pairs) and the one collection it triggers. A copying collection
-//! should cost what is live, so the two cases' pauses should be alike.
+//! default-sized semispace of garbage (16k dead strings, pairs or
+//! closures) and the one collection it triggers. A copying collection
+//! should cost what is live, so the cases' pauses should be alike. The
+//! `Rc` cases give the heap a payload with a destructor, as the
+//! interpreter's `Heap<Rc<Lambda>>` has, and their dead closures share
+//! one code, as closures made from one lambda do.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use es_bench::{machine, run};
 use es_core::Machine;
 use es_gc::{Heap, Ref};
 use es_os::SimOs;
+use std::rc::Rc;
 use std::time::Instant;
 
 const WORKLOAD: &str = "
@@ -36,7 +40,7 @@ fn prepared() -> Machine<SimOs> {
 
 /// A default-sized heap with 240 live objects: 120 strings, each in a
 /// rooted list cell.
-fn live_heap() -> Heap<u32> {
+fn live_heap<C>() -> Heap<C> {
     let mut heap = Heap::new();
     let list = heap.push_root(Ref::NIL);
     for i in 0..120 {
@@ -47,38 +51,53 @@ fn live_heap() -> Heap<u32> {
     heap
 }
 
+/// What a semispace of garbage is made of.
+#[derive(Clone, Copy)]
+enum Dead {
+    Strings,
+    Pairs,
+    Closures,
+}
+
 /// Allocates dead objects until one collection has run: a semispace
 /// of garbage (16k objects at the default threshold) and its pause.
-fn churn(heap: &mut Heap<u32>, strings: bool) {
+/// A dead closure's code is `code()`.
+fn churn<C>(heap: &mut Heap<C>, dead: Dead, code: &impl Fn() -> C) {
     let before = heap.stats().collections;
     while heap.stats().collections == before {
-        if strings {
-            heap.alloc_str("a dead string term");
-        } else {
-            heap.alloc_pair(Ref::NIL, Ref::NIL);
-        }
+        match dead {
+            Dead::Strings => heap.alloc_str("a dead string term"),
+            Dead::Pairs => heap.alloc_pair(Ref::NIL, Ref::NIL),
+            Dead::Closures => heap.alloc_closure(code(), Ref::NIL),
+        };
     }
 }
 
-fn bench_collect(c: &mut Criterion) {
+fn bench_case<C>(c: &mut Criterion, name: &str, dead: Dead, code: impl Fn() -> C) {
     let mut group = c.benchmark_group("e4_gc_overhead");
     group.sample_size(10);
-    let cases = [("16k dead strings", true), ("16k dead pairs", false)];
-    for (name, strings) in cases {
-        let mut heap = live_heap();
-        group.bench_function(BenchmarkId::new("alloc+collect", name), |b| {
-            b.iter(|| churn(&mut heap, strings));
-        });
-        let s = heap.stats();
-        eprintln!(
-            "collect, {name}: {} collections, live {}, mean pause {:?}, max pause {:?}",
-            s.collections,
-            s.live_after_last,
-            s.pause_total / s.collections.max(1) as u32,
-            s.pause_max
-        );
-    }
+    let mut heap = live_heap();
+    group.bench_function(BenchmarkId::new("alloc+collect", name), |b| {
+        b.iter(|| churn(&mut heap, dead, &code));
+    });
+    let s = heap.stats();
+    eprintln!(
+        "collect, {name}: {} collections, live {}, mean pause {:?}, max pause {:?}",
+        s.collections,
+        s.live_after_last,
+        s.pause_total / s.collections.max(1) as u32,
+        s.pause_max
+    );
     group.finish();
+}
+
+fn bench_collect(c: &mut Criterion) {
+    bench_case(c, "16k dead strings", Dead::Strings, || 0u32);
+    bench_case(c, "16k dead pairs", Dead::Pairs, || 0u32);
+    let shared = Rc::new(0u32);
+    let code = || Rc::clone(&shared);
+    bench_case(c, "16k dead pairs, Rc payload", Dead::Pairs, code);
+    bench_case(c, "16k dead closures, Rc payload", Dead::Closures, code);
 }
 
 fn bench_gc(c: &mut Criterion) {

@@ -140,7 +140,9 @@ pub fn read_terms(heap: &Heap, mut list: Ref) -> Vec<Term> {
         let head = heap.pair_head(list);
         match heap.get(head) {
             Obj::Str(_) => out.push(Term::Str(heap.str_value(head).to_string())),
-            Obj::Closure(code, bindings) => out.push(Term::Closure(code.clone(), *bindings)),
+            Obj::Closure(_, bindings) => {
+                out.push(Term::Closure(heap.closure_code(head).clone(), *bindings))
+            }
             other => unreachable!("list head is {other:?}"),
         }
         list = heap.pair_tail(list);
@@ -165,7 +167,9 @@ pub fn read_strings(heap: &Heap, list: Ref) -> Vec<String> {
 /// unparsed (as [`read_strings`] renders it).
 pub fn push_text(heap: &Heap, term: Ref, out: &mut String) {
     match heap.get(term) {
-        Obj::Closure(code, bindings) => out.push_str(&unparse_closure(heap, code, *bindings)),
+        Obj::Closure(_, bindings) => {
+            out.push_str(&unparse_closure(heap, heap.closure_code(term), *bindings))
+        }
         _ => out.push_str(heap.str_value(term)),
     }
 }

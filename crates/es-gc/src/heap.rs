@@ -90,6 +90,16 @@ impl Span {
     }
 }
 
+/// Where a closure's code sits in the code table of the space that
+/// holds the closure.
+///
+/// Like [`Span`], its field is private and nothing public reads it:
+/// the collector moves the code and rewrites the id, so code is read
+/// through [`Heap::closure_code`], which takes an epoch-checked
+/// [`Ref`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodeId(u32);
+
 /// Appends `s` to an arena and returns its span.
 ///
 /// # Panics
@@ -116,11 +126,12 @@ fn append_text(text: &mut String, s: &str) -> Span {
     span
 }
 
-/// A heap object. `C` is the closure code payload (opaque to the
-/// collector; cloned on copy), which the interpreter instantiates with
-/// a reference-counted lambda.
-#[derive(Debug, Clone)]
-pub enum Obj<C> {
+/// A heap object: plain data, so a space of them is freed without
+/// visiting one. A string's bytes, a binding's name and a closure's
+/// code live beside the objects, in their space's text arena and code
+/// table.
+#[derive(Debug, Clone, Copy)]
+pub enum Obj {
     /// An immutable string term; its bytes are in the heap's text arena
     /// (read them with [`Heap::str_value`]).
     Str(Span),
@@ -128,8 +139,9 @@ pub enum Obj<C> {
     /// `tail` is a `Pair` or [`Ref::NIL`]. Lists are flat, as the paper
     /// requires ("lists may not contain lists as elements").
     Pair(Ref, Ref),
-    /// A closure: code payload plus the chain of captured bindings.
-    Closure(C, Ref),
+    /// A closure: its code, in the space's code table (read it with
+    /// [`Heap::closure_code`]), and the chain of captured bindings.
+    Closure(CodeId, Ref),
     /// A lexical binding frame: `(name, value list, next frame)`, its
     /// name in the text arena (read it with [`Heap::binding_parts`]).
     /// Binding values are mutable — es lets a closure assign to a
@@ -139,20 +151,103 @@ pub enum Obj<C> {
     Forward(u32),
 }
 
+// Clearing a space runs no destructor per object only while `Obj` is
+// plain data; this stops compiling if it ever gains drop glue.
+const _: fn() = || {
+    fn plain_data<T: Copy>() {}
+    plain_data::<Obj>();
+};
+
 /// A stable handle to a *persistent* root (e.g. a shell global
 /// variable). Unlike stack roots these are freed explicitly and may be
 /// reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PermSlot(usize);
 
+/// A semispace: its objects, the text arena their spans index and the
+/// code table their closures index.
+#[derive(Debug)]
+struct Space<C> {
+    objs: Vec<Obj>,
+    text: String,
+    /// One entry per `Closure` in `objs`, in order: the k-th closure
+    /// holds `CodeId(k)`. An entry is `None` only in a space being
+    /// collected, once its closure has moved.
+    codes: Vec<Option<C>>,
+}
+
+impl<C> Default for Space<C> {
+    fn default() -> Self {
+        Space {
+            objs: Vec::new(),
+            text: String::new(),
+            codes: Vec::new(),
+        }
+    }
+}
+
+impl<C> Space<C> {
+    /// Appends `code` to the code table and returns its id.
+    fn push_code(&mut self, code: C) -> CodeId {
+        let id = CodeId(self.codes.len() as u32);
+        self.codes.push(Some(code));
+        id
+    }
+
+    fn code(&self, id: CodeId) -> &C {
+        self.codes[id.0 as usize]
+            .as_ref()
+            .expect("a live closure's code is in its space's table")
+    }
+
+    /// Empties the space and keeps its buffers. Objects and text are
+    /// plain data, so this drops only what the code table still holds.
+    fn clear(&mut self) {
+        self.objs.clear();
+        self.text.clear();
+        self.codes.clear();
+    }
+
+    /// True if the code table holds exactly one entry per `Closure`, the
+    /// k-th closure's id being k: every id is in range and no code is
+    /// missing or left over.
+    fn codes_match(&self) -> bool {
+        let mut k = 0;
+        for obj in &self.objs {
+            if let Obj::Closure(id, _) = obj {
+                if id.0 != k || self.codes.get(k as usize).is_none_or(Option::is_none) {
+                    return false;
+                }
+                k += 1;
+            }
+        }
+        k as usize == self.codes.len()
+    }
+}
+
+impl<C: Clone> Clone for Space<C> {
+    fn clone(&self) -> Self {
+        Space {
+            objs: self.objs.clone(),
+            text: self.text.clone(),
+            codes: self.codes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.objs.clone_from(&source.objs);
+        self.text.clone_from(&source.text);
+        self.codes.clone_from(&source.codes);
+    }
+}
+
 /// The objects that were live when [`Heap::freeze`] ran, with their
-/// text arena: immutable, and shared by `Rc` between a heap and its
-/// clones.
+/// text arena and code table: immutable, and shared by `Rc` between a
+/// heap and its clones.
 #[derive(Debug)]
 struct BootSpace<C> {
-    objs: Vec<Obj<C>>,
-    text: String,
-    /// [`digest`] of `objs` and `text`, taken at the freeze.
+    space: Space<C>,
+    /// [`digest`] of the objects and the text, taken at the freeze.
     digest: u64,
 }
 
@@ -160,20 +255,20 @@ struct BootSpace<C> {
 ///
 /// See the crate docs for the design rationale. The heap is
 /// single-threaded (the es interpreter is too); `Clone` shares the boot
-/// space and copies the young space, its text arena, the overlay and
-/// the rootset, which is how the interpreter implements `fork` (a
-/// subshell gets a copy-on-fork image of all shell state, as a real
-/// `fork(2)` would provide). `clone_from` does the same into the
+/// space and copies the young space (objects, text arena, code table),
+/// the overlay and the rootset, which is how the interpreter implements
+/// `fork` (a subshell gets a copy-on-fork image of all shell state, as
+/// a real `fork(2)` would provide). `clone_from` does the same into the
 /// buffers the heap already has.
 #[derive(Debug)]
 pub struct Heap<C> {
     /// Objects live at [`Heap::freeze`]; empty until then.
     boot: Rc<BootSpace<C>>,
     /// The young space: everything allocated since the freeze.
-    space: Vec<Obj<C>>,
-    /// The semispace's text arena: the bytes of every `Str` and every
-    /// `Binding` name in `space`, addressed by [`Span`].
-    text: String,
+    young: Space<C>,
+    /// An empty space that keeps its buffers: the next collection
+    /// copies into it, and the space it copies from becomes the spare.
+    spare: Space<C>,
     /// Values assigned to boot `Binding`s since the freeze, by boot
     /// index: the write barrier's log, which the collector treats as
     /// roots. At most one entry per boot binding.
@@ -221,12 +316,14 @@ impl<C> Heap<C> {
     pub fn with_threshold(threshold: usize) -> Self {
         Heap {
             boot: Rc::new(BootSpace {
-                objs: Vec::new(),
-                text: String::new(),
-                digest: digest::<C>(&[], ""),
+                space: Space::default(),
+                digest: digest(&[], ""),
             }),
-            space: Vec::with_capacity(threshold.min(1 << 20)),
-            text: String::new(),
+            young: Space {
+                objs: Vec::with_capacity(threshold.min(1 << 20)),
+                ..Space::default()
+            },
+            spare: Space::default(),
             overlay: Vec::new(),
             roots: Vec::new(),
             perm: Vec::new(),
@@ -257,7 +354,7 @@ impl<C> Heap<C> {
     /// Number of objects the heap holds: the boot space plus the young
     /// space (live + garbage).
     pub fn len(&self) -> usize {
-        self.boot.objs.len() + self.space.len()
+        self.boot_len() + self.young.objs.len()
     }
 
     /// Returns true if the heap holds no object at all.
@@ -267,7 +364,7 @@ impl<C> Heap<C> {
 
     /// Number of objects in the frozen boot space.
     pub fn boot_len(&self) -> usize {
-        self.boot.objs.len()
+        self.boot.space.objs.len()
     }
 
     /// The current collection epoch. Bumped by every collection.
@@ -383,13 +480,13 @@ impl<C> Heap<C> {
     /// must be counted. Every other allocation bumps directly.
     #[inline]
     fn slow_alloc(&self) -> bool {
-        self.disabled > 0 || self.stress || self.space.len() >= self.threshold
+        self.disabled > 0 || self.stress || self.young.objs.len() >= self.threshold
     }
 
     fn maybe_collect(&mut self) {
         if self.disabled > 0 {
             self.stats.disabled_allocs += 1;
-            if self.space.len() >= self.threshold {
+            if self.young.objs.len() >= self.threshold {
                 // "A new chunk of memory is grabbed so that allocation
                 // can continue" — we model a chunk as another
                 // threshold's worth of headroom.
@@ -398,17 +495,17 @@ impl<C> Heap<C> {
             }
             return;
         }
-        if self.stress || self.space.len() >= self.threshold {
+        if self.stress || self.young.objs.len() >= self.threshold {
             self.collect();
         }
     }
 
     /// Appends `obj` to the space. The caller has already given the
     /// collector its chance to run.
-    fn bump(&mut self, obj: Obj<C>) -> Ref {
+    fn bump(&mut self, obj: Obj) -> Ref {
         self.stats.allocated += 1;
-        let idx = self.space.len() as u32;
-        self.space.push(obj);
+        let idx = self.young.objs.len() as u32;
+        self.young.objs.push(obj);
         Ref {
             idx,
             epoch: self.epoch,
@@ -424,7 +521,7 @@ impl<C> Heap<C> {
         if self.slow_alloc() {
             self.maybe_collect();
         }
-        let span = append_text(&mut self.text, s);
+        let span = append_text(&mut self.young.text, s);
         self.bump(Obj::Str(span))
     }
 
@@ -472,6 +569,7 @@ impl<C> Heap<C> {
         } else {
             bindings
         };
+        let code = self.young.push_code(code);
         self.bump(Obj::Closure(code, bindings))
     }
 
@@ -495,31 +593,21 @@ impl<C> Heap<C> {
         } else {
             (value, next)
         };
-        let span = append_text(&mut self.text, name);
+        let span = append_text(&mut self.young.text, name);
         self.bump(Obj::Binding(span, value, next))
     }
 
     // ----- access ---------------------------------------------------------------
 
+    /// Panics unless `r` is nil or can be dereferenced.
+    #[inline]
     #[track_caller]
     fn check(&self, r: Ref) {
-        if r.is_nil() {
-            return;
+        let young = r.epoch == self.epoch && (r.idx as usize) < self.young.objs.len();
+        if !young && !r.is_nil() {
+            // A boot ref, or the panic.
+            self.resolve(r);
         }
-        if r.epoch == BOOT {
-            assert!(
-                (r.idx as usize) < self.boot.objs.len(),
-                "boot ref out of range"
-            );
-            return;
-        }
-        assert_eq!(
-            r.epoch, self.epoch,
-            "stale gc ref: created in epoch {} but heap is in epoch {} \
-             (a ref was held across a collection without being rooted)",
-            r.epoch, self.epoch
-        );
-        assert!((r.idx as usize) < self.space.len(), "gc ref out of range");
     }
 
     /// Dereferences `r`.
@@ -534,20 +622,44 @@ impl<C> Heap<C> {
     /// A boot `Binding` shows the value it had at the freeze; read a
     /// binding's current value with [`Heap::binding_parts`].
     #[track_caller]
-    pub fn get(&self, r: Ref) -> &Obj<C> {
+    pub fn get(&self, r: Ref) -> &Obj {
         self.resolve(r).0
     }
 
-    /// Dereferences `r`, returning its object and the text arena its
-    /// span indexes (the boot space's or the young space's).
+    /// Dereferences `r`, returning its object and the space whose text
+    /// arena and code table it indexes (the boot space or the young
+    /// space). A young ref costs one compare and a bounds check.
+    #[inline]
     #[track_caller]
-    fn resolve(&self, r: Ref) -> (&Obj<C>, &str) {
-        assert!(!r.is_nil(), "deref of nil gc ref");
-        if r.epoch == BOOT {
-            return (&self.boot.objs[r.idx as usize], &self.boot.text);
+    fn resolve(&self, r: Ref) -> (&Obj, &Space<C>) {
+        let space = if r.epoch == self.epoch {
+            &self.young
+        } else if r.epoch == BOOT {
+            &self.boot.space
+        } else {
+            self.bad_ref(r)
+        };
+        match space.objs.get(r.idx as usize) {
+            Some(obj) => (obj, space),
+            None => self.bad_ref(r),
         }
-        self.check(r);
-        (&self.space[r.idx as usize], &self.text)
+    }
+
+    /// Raises the panic for a ref that cannot be dereferenced: nil,
+    /// boot out of range, stale, or out of range.
+    #[cold]
+    #[inline(never)]
+    #[track_caller]
+    fn bad_ref(&self, r: Ref) -> ! {
+        assert!(!r.is_nil(), "deref of nil gc ref");
+        assert!(r.epoch != BOOT, "boot ref out of range");
+        assert_eq!(
+            r.epoch, self.epoch,
+            "stale gc ref: created in epoch {} but heap is in epoch {} \
+             (a ref was held across a collection without being rooted)",
+            r.epoch, self.epoch
+        );
+        panic!("gc ref out of range")
     }
 
     /// Returns the string payload of a `Str` object.
@@ -558,7 +670,7 @@ impl<C> Heap<C> {
     #[track_caller]
     pub fn str_value(&self, r: Ref) -> &str {
         match self.resolve(r) {
-            (Obj::Str(span), text) => &text[span.range()],
+            (Obj::Str(span), space) => &space.text[span.range()],
             (other, _) => panic!("expected Str, found {}", shape_name(other)),
         }
     }
@@ -600,7 +712,7 @@ impl<C> Heap<C> {
         self.check(r);
         assert!(!r.is_nil(), "deref of nil gc ref");
         assert!(r.epoch != BOOT, "set_pair_tail on a boot cell");
-        match &mut self.space[r.idx as usize] {
+        match &mut self.young.objs[r.idx as usize] {
             Obj::Pair(_, tail) => *tail = t,
             other => panic!("expected Pair, found {}", shape_name(other)),
         }
@@ -613,9 +725,9 @@ impl<C> Heap<C> {
     /// Panics if `r` does not refer to a `Closure`.
     #[track_caller]
     pub fn closure_code(&self, r: Ref) -> &C {
-        match self.get(r) {
-            Obj::Closure(c, _) => c,
-            other => panic!("expected Closure, found {}", shape_name(other)),
+        match self.resolve(r) {
+            (Obj::Closure(code, _), space) => space.code(*code),
+            (other, _) => panic!("expected Closure, found {}", shape_name(other)),
         }
     }
 
@@ -640,12 +752,12 @@ impl<C> Heap<C> {
     #[track_caller]
     pub fn binding_parts(&self, r: Ref) -> (&str, Ref, Ref) {
         match self.resolve(r) {
-            (Obj::Binding(name, v, next), text) => {
+            (Obj::Binding(name, v, next), space) => {
                 let v = match r.epoch {
                     BOOT => self.overlay_value(r.idx).unwrap_or(*v),
                     _ => *v,
                 };
-                (&text[name.range()], v, *next)
+                (&space.text[name.range()], v, *next)
             }
             (other, _) => panic!("expected Binding, found {}", shape_name(other)),
         }
@@ -684,7 +796,7 @@ impl<C> Heap<C> {
         }
         self.check(r);
         assert!(!r.is_nil(), "deref of nil gc ref");
-        match &mut self.space[r.idx as usize] {
+        match &mut self.young.objs[r.idx as usize] {
             Obj::Binding(_, value, _) => *value = v,
             other => panic!("expected Binding, found {}", shape_name(other)),
         }
@@ -695,34 +807,44 @@ impl<C> Heap<C> {
     /// Runs a full collection now.
     ///
     /// All live young objects (reachable from the root stack, the
-    /// persistent roots and the overlay) are copied to a fresh space,
-    /// the bytes of live strings and binding names to a fresh text
-    /// arena, the epoch is bumped, and all previously issued young
-    /// [`Ref`]s become stale. Holders must re-read their refs through
-    /// root slots. Dropping the old space frees every dead string at
-    /// once, so the cost is proportional to what is live. The boot
-    /// space is neither copied nor scanned: nothing in it points into
-    /// the young space except through the overlay.
+    /// persistent roots and the overlay) are copied into the spare
+    /// space, with the bytes of live strings and binding names and the
+    /// code of live closures; the epoch is bumped, and all previously
+    /// issued young [`Ref`]s become stale. Holders must re-read their
+    /// refs through root slots. The old space then becomes the spare:
+    /// clearing it keeps its buffers and runs one destructor per dead
+    /// closure's code, since objects and text are plain data. So the
+    /// cost is what is live plus the dead closures, and a warm heap
+    /// makes no malloc and no free. The boot space is neither copied
+    /// nor scanned: nothing in it points into the young space except
+    /// through the overlay.
     pub fn collect(&mut self) {
         let start = Instant::now();
         let epoch = self.epoch + 1;
         assert!(epoch < BOOT, "gc epoch counter exhausted");
-        let to = self.evacuate(epoch, self.space.len().min(self.threshold));
-        let live = to.objs.len();
-        // Swap spaces; the old space and its arena are dropped, which
-        // "poisons" them for free — any stale Ref now fails the epoch
-        // check on deref.
-        self.stats.bytes_copied += to.text.len() as u64;
-        self.space = to.objs;
-        self.text = to.text;
+        let mut to = std::mem::take(&mut self.spare);
+        // No-ops once the spare has been a full young space.
+        to.objs.reserve(self.young.objs.len().min(self.threshold));
+        to.text.reserve(self.young.text.len());
+        self.evacuate(epoch, &mut to);
+        // Swap spaces. A stale Ref into the old space fails the epoch
+        // check on deref, however its buffers are reused: epochs only
+        // rise.
+        self.spare = std::mem::replace(&mut self.young, to);
+        self.spare.clear();
+        let live = self.young.objs.len();
+        debug_assert!(
+            self.young.codes_match(),
+            "the code table does not match the closures of the to-space"
+        );
+        self.stats.bytes_copied += self.young.text.len() as u64;
         self.epoch = epoch;
         self.stats.collections += 1;
         self.stats.copied += live as u64;
         self.stats.live_after_last = live as u64;
-        // If the triggering request would still not fit, grow the space
-        // and note it ("a larger block is allocated and the collection
-        // is redone" — with a to-space sized by live data the redo is
-        // unnecessary, but the growth decision is the same).
+        // If the live set alone fills the space, double the threshold
+        // for the collections to come ("a larger block is allocated";
+        // nothing is redone, since the to-space grows as it fills).
         if live >= self.threshold {
             self.threshold = self.threshold.saturating_mul(2);
             self.stats.grows += 1;
@@ -735,25 +857,29 @@ impl<C> Heap<C> {
     }
 
     /// Moves every live object into an immutable boot space shared by
-    /// this heap's clones, and empties the young space. Afterwards no collection copies, scans or stales a
-    /// boot object, and a lexical assignment to a boot binding goes to
-    /// the overlay. The interpreter freezes once, at the end of boot;
-    /// the statistics are left as they were.
+    /// this heap's clones, and empties the young space. Afterwards no
+    /// collection copies, scans or stales a boot object, and a lexical
+    /// assignment to a boot binding goes to the overlay. The interpreter
+    /// freezes once, at the end of boot; the statistics are left as they
+    /// were.
     ///
     /// # Panics
     ///
     /// Panics if the heap is already frozen.
     pub fn freeze(&mut self) {
-        assert!(self.boot.objs.is_empty(), "the heap is already frozen");
-        let ToSpace { mut objs, mut text } = self.evacuate(BOOT, 0);
-        objs.shrink_to_fit();
-        text.shrink_to_fit();
-        let digest = digest(&objs, &text);
-        self.boot = Rc::new(BootSpace { objs, text, digest });
-        // Release the buffers boot's garbage filled: the young space
-        // grows again with what runs after the freeze.
-        self.space = Vec::new();
-        self.text = String::new();
+        assert!(self.boot_len() == 0, "the heap is already frozen");
+        let mut space = Space::default();
+        self.evacuate(BOOT, &mut space);
+        space.objs.shrink_to_fit();
+        space.text.shrink_to_fit();
+        space.codes.shrink_to_fit();
+        let digest = digest(&space.objs, &space.text);
+        self.boot = Rc::new(BootSpace { space, digest });
+        // Release the buffers boot's garbage filled, and the spare sized
+        // like them: the young space grows again with what runs after
+        // the freeze.
+        self.young = Space::default();
+        self.spare = Space::default();
         // Every young ref issued before the freeze is now stale.
         self.epoch += 1;
     }
@@ -761,19 +887,16 @@ impl<C> Heap<C> {
     /// True if the boot space still has the digest [`Heap::freeze`]
     /// took: the oracle that no one wrote into it.
     pub fn boot_space_intact(&self) -> bool {
-        digest(&self.boot.objs, &self.boot.text) == self.boot.digest
+        let boot = &self.boot.space;
+        digest(&boot.objs, &boot.text) == self.boot.digest
     }
 
     /// Copies every young object reachable from the roots, the
-    /// persistent roots and the overlay into a to-space (Cheney scan),
+    /// persistent roots and the overlay into `to` (Cheney scan),
     /// tagging the new refs with `epoch`, and rewrites those roots.
-    /// The from-space is left full of forwarding entries.
-    fn evacuate(&mut self, epoch: u32, capacity: usize) -> ToSpace<C> {
-        let mut to = ToSpace {
-            objs: Vec::with_capacity(capacity),
-            text: String::with_capacity(self.text.len()),
-        };
-        let (from, from_text) = (&mut self.space[..], &self.text[..]);
+    /// The young space is left full of forwarding entries.
+    fn evacuate(&mut self, epoch: u32, to: &mut Space<C>) {
+        let from = &mut self.young;
         let overlay = self.overlay.iter_mut().map(|(_, v)| v);
         for r in self
             .roots
@@ -781,37 +904,25 @@ impl<C> Heap<C> {
             .chain(self.perm.iter_mut())
             .chain(overlay)
         {
-            *r = copy_obj(from, from_text, &mut to, *r, epoch);
+            *r = copy_obj(from, to, *r, epoch);
         }
         let mut scan = 0;
         while scan < to.objs.len() {
-            // Take the child refs out, copy them, and write them back;
-            // splitting the borrow this way keeps the loop safe.
-            let (a, b) = match &to.objs[scan] {
-                Obj::Pair(h, t) => (Some(*h), Some(*t)),
-                Obj::Closure(_, b) => (Some(*b), None),
-                Obj::Binding(_, v, n) => (Some(*v), Some(*n)),
-                Obj::Str(_) => (None, None),
+            to.objs[scan] = match to.objs[scan] {
+                Obj::Pair(h, t) => {
+                    let h = copy_obj(from, to, h, epoch);
+                    Obj::Pair(h, copy_obj(from, to, t, epoch))
+                }
+                Obj::Closure(code, b) => Obj::Closure(code, copy_obj(from, to, b, epoch)),
+                Obj::Binding(name, v, n) => {
+                    let v = copy_obj(from, to, v, epoch);
+                    Obj::Binding(name, v, copy_obj(from, to, n, epoch))
+                }
+                str @ Obj::Str(_) => str,
                 Obj::Forward(_) => unreachable!("forward in to-space"),
             };
-            let a2 = a.map(|r| copy_obj(from, from_text, &mut to, r, epoch));
-            let b2 = b.map(|r| copy_obj(from, from_text, &mut to, r, epoch));
-            match &mut to.objs[scan] {
-                Obj::Pair(h, t) => {
-                    *h = a2.expect("pair head");
-                    *t = b2.expect("pair tail");
-                }
-                Obj::Closure(_, bnd) => *bnd = a2.expect("closure bindings"),
-                Obj::Binding(_, v, n) => {
-                    *v = a2.expect("binding value");
-                    *n = b2.expect("binding next");
-                }
-                Obj::Str(_) => {}
-                Obj::Forward(_) => unreachable!("forward in to-space"),
-            }
             scan += 1;
         }
-        to
     }
 
     /// Checks the space against a governor budget of `max` objects.
@@ -835,11 +946,13 @@ impl<C> Heap<C> {
 }
 
 impl<C: Clone> Clone for Heap<C> {
+    /// Copies the heap for a fork. The copy starts with an empty spare,
+    /// which its first collection fills.
     fn clone(&self) -> Self {
         let Heap {
             boot,
-            space,
-            text,
+            young,
+            spare: _,
             overlay,
             roots,
             perm,
@@ -852,8 +965,8 @@ impl<C: Clone> Clone for Heap<C> {
         } = self;
         Heap {
             boot: Rc::clone(boot),
-            space: space.clone(),
-            text: text.clone(),
+            young: young.clone(),
+            spare: Space::default(),
             overlay: overlay.clone(),
             roots: roots.clone(),
             perm: perm.clone(),
@@ -867,15 +980,15 @@ impl<C: Clone> Clone for Heap<C> {
     }
 
     /// Becomes a copy of `source` field by field, in the buffers this
-    /// heap already has. Restoring a heap from its boot image (young
-    /// space and overlay empty) is then a few truncations and the copy
-    /// of the rootset: no malloc once the buffers are big enough, and
-    /// nothing per boot object.
+    /// heap already has, and keeps its own spare. Restoring a heap from
+    /// its boot image (young space and overlay empty) is then a few
+    /// truncations and the copy of the rootset: no malloc once the
+    /// buffers are big enough, and nothing per boot object.
     fn clone_from(&mut self, source: &Self) {
         let Heap {
             boot,
-            space,
-            text,
+            young,
+            spare: _,
             overlay,
             roots,
             perm,
@@ -889,8 +1002,7 @@ impl<C: Clone> Clone for Heap<C> {
         if !Rc::ptr_eq(&self.boot, boot) {
             self.boot = Rc::clone(boot);
         }
-        self.space.clone_from(space);
-        self.text.clone_from(text);
+        self.young.clone_from(young);
         self.overlay.clone_from(overlay);
         self.roots.clone_from(roots);
         self.perm.clone_from(perm);
@@ -903,42 +1015,42 @@ impl<C: Clone> Clone for Heap<C> {
     }
 }
 
-/// The space a collection copies into: objects and their text arena.
-struct ToSpace<C> {
-    objs: Vec<Obj<C>>,
-    text: String,
-}
-
 /// Copies one object from `from` to `to`, leaving a forwarding entry,
-/// and returns its new ref. A string's bytes or a binding's name move
-/// to `to`'s arena with it. Already-forwarded objects are not copied
-/// again, which is what preserves sharing and cycles.
-fn copy_obj<C>(
-    from: &mut [Obj<C>],
-    from_text: &str,
-    to: &mut ToSpace<C>,
-    r: Ref,
-    new_epoch: u32,
-) -> Ref {
+/// and returns its new ref. A string's bytes, a binding's name or a
+/// closure's code move to `to`'s arena or code table with it.
+/// Already-forwarded objects are not copied again, which is what
+/// preserves sharing and cycles.
+fn copy_obj<C>(from: &mut Space<C>, to: &mut Space<C>, r: Ref, new_epoch: u32) -> Ref {
     if r.is_nil() || r.epoch == BOOT {
         return r;
     }
     let idx = r.idx as usize;
-    if let Obj::Forward(n) = from[idx] {
-        return Ref {
-            idx: n,
-            epoch: new_epoch,
-        };
-    }
     let new_idx = to.objs.len() as u32;
-    let mut obj = std::mem::replace(&mut from[idx], Obj::Forward(new_idx));
-    if let Obj::Str(span) | Obj::Binding(span, ..) = &mut obj {
-        // The to-space arena holds a subset of the from-space's bytes,
-        // which fit in u32 offsets, so this cannot overflow.
+    // The to-space arena holds a subset of the from-space's bytes,
+    // which fit in u32 offsets, so a moved span cannot overflow.
+    let mut move_text = |span: Span| {
         let start = to.text.len() as u32;
-        to.text.push_str(&from_text[span.range()]);
-        span.start = start;
-    }
+        to.text.push_str(&from.text[span.range()]);
+        Span { start, ..span }
+    };
+    let obj = match from.objs[idx] {
+        Obj::Forward(n) => {
+            return Ref {
+                idx: n,
+                epoch: new_epoch,
+            }
+        }
+        Obj::Str(span) => Obj::Str(move_text(span)),
+        Obj::Binding(name, v, n) => Obj::Binding(move_text(name), v, n),
+        Obj::Closure(code, b) => {
+            let code = from.codes[code.0 as usize]
+                .take()
+                .expect("a closure's code moves once");
+            Obj::Closure(to.push_code(code), b)
+        }
+        pair @ Obj::Pair(..) => pair,
+    };
+    from.objs[idx] = Obj::Forward(new_idx);
     to.objs.push(obj);
     Ref {
         idx: new_idx,
@@ -948,7 +1060,7 @@ fn copy_obj<C>(
 
 /// FNV-1a over a space's shape: each object's kind, its child refs and
 /// its text. Closure payloads are opaque to the collector and left out.
-fn digest<C>(objs: &[Obj<C>], text: &str) -> u64 {
+fn digest(objs: &[Obj], text: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |bytes: &[u8]| {
         for &b in bytes {
@@ -976,7 +1088,7 @@ fn digest<C>(objs: &[Obj<C>], text: &str) -> u64 {
     h
 }
 
-fn shape_name<C>(o: &Obj<C>) -> &'static str {
+fn shape_name(o: &Obj) -> &'static str {
     match o {
         Obj::Str(_) => "Str",
         Obj::Pair(..) => "Pair",

@@ -27,40 +27,53 @@
 //!   class caught at the same moment, without `unsafe`.
 //!
 //! The object model is exactly the four runtime shapes the es
-//! interpreter needs (strings, list cells, closures, binding frames);
-//! the closure *code* payload is a generic parameter `C` so this crate
-//! does not depend on the syntax crate (the interpreter instantiates it
-//! with `Rc<Lambda>`; tests here use `u32`).
+//! interpreter needs (strings, list cells, closures, binding frames).
+//! An [`Obj`] is plain data (`Copy`, no type parameter). The closure
+//! *code* payload is a generic parameter `C` of the [`Heap`], kept in
+//! a code table beside the objects, so this crate does not depend on
+//! the syntax crate (the interpreter instantiates it with
+//! `Rc<Lambda>`; tests here use `u32`).
 //!
-//! # The text arena
+//! # The text arena and the code table
 //!
-//! A semispace is two buffers: a `Vec` of [`Obj`]s and one `String`
-//! holding the bytes of every string term and every binding name. A
-//! `Str` or a `Binding` stores a [`Span`] (offset and length) into that
-//! arena instead of owning an allocation of its own. Allocating a
-//! string appends to the arena; a collection copies a live object's
-//! bytes into the to-space arena as it forwards the object, and then
-//! drops the old arena with one `free`. A collection therefore costs
-//! what is live (objects copied plus [`GcStats::bytes_copied`]), not
-//! what is dead, which is the paper's reason for choosing a copying
-//! collector.
+//! A semispace is three buffers: a `Vec` of [`Obj`]s, one `String`
+//! holding the bytes of every string term and every binding name, and
+//! a table of closure codes. A `Str` or a `Binding` stores a [`Span`]
+//! (offset and length) into the arena, and a `Closure` a [`CodeId`]
+//! into the table, instead of owning an allocation or a payload of its
+//! own. A collection copies a live object's bytes or code into the
+//! to-space's arena or table as it forwards the object.
 //!
-//! `Span` is opaque: its fields are private and no public method takes
-//! or returns one. A span means something only in the epoch that made
-//! it, so text is read through [`Heap::str_value`] and
-//! [`Heap::binding_parts`], which take an epoch-checked [`Ref`]. A stale
-//! string thus panics like any stale ref, and the arena is an ordinary
+//! The heap keeps one spare semispace: a collection copies into it and
+//! the space it copied from becomes the next spare, its buffers kept.
+//! Objects and text are plain data, so emptying that space runs one
+//! destructor per dead closure's code and visits nothing else. A
+//! collection therefore costs what is live (objects copied plus
+//! [`GcStats::bytes_copied`]) and the dead closures' codes, not the
+//! dead space, which is the paper's reason for choosing a copying
+//! collector; once both spaces are warm it makes no malloc and no
+//! free.
+//!
+//! `Span` and `CodeId` are opaque: their fields are private and no
+//! public method takes or returns one. They mean something only in the
+//! epoch that made them, so text and code are read through
+//! [`Heap::str_value`], [`Heap::binding_parts`] and
+//! [`Heap::closure_code`], which take an epoch-checked [`Ref`]. A stale
+//! string or closure thus panics like any stale ref, however its old
+//! space's buffers have been reused, and the arena is an ordinary
 //! `String` sliced by range — still no `unsafe`. A string that would
 //! push one arena past `u32::MAX` bytes panics rather than wrap.
 //!
-//! `Clone` (the interpreter's fork and boot image) copies the two
-//! young buffers and the rootset and bumps each closure payload's
-//! reference count; it makes no allocation per string.
+//! `Clone` (the interpreter's fork and boot image) copies the three
+//! young buffers and the rootset, bumping each closure payload's
+//! reference count, and gives the copy an empty spare; it makes no
+//! allocation per string. `clone_from` keeps the heap's own spare.
 //!
 //! # The boot space
 //!
-//! [`Heap::freeze`] moves every live object into an immutable boot
-//! space, shared by `Rc` with the heap's clones. A boot [`Ref`]
+//! [`Heap::freeze`] moves every live object, with its text and code,
+//! into an immutable boot space, shared by `Rc` with the heap's
+//! clones. A boot [`Ref`]
 //! ([`Ref::is_boot`]) is never copied, scanned or staled by a
 //! collection, so a collection costs what is live *and young*. A
 //! lexical assignment to a boot binding goes through a write barrier
@@ -88,7 +101,7 @@
 mod heap;
 mod stats;
 
-pub use heap::{Heap, Obj, PermSlot, Ref, RootSlot, Span};
+pub use heap::{CodeId, Heap, Obj, PermSlot, Ref, RootSlot, Span};
 pub use stats::GcStats;
 
 #[cfg(test)]

@@ -29,8 +29,9 @@ pub struct GcStats {
     /// "a new chunk of memory is grabbed so that allocation can
     /// continue").
     pub chunks_grabbed: u64,
-    /// Collections that had to be redone with a larger space because
-    /// the triggering request still could not be satisfied.
+    /// Collections after which the live objects alone filled the
+    /// space, so the collection threshold doubled for the collections
+    /// to come. Nothing is redone: the young space grows as it fills.
     pub grows: u64,
     /// Collections forced by [`crate::Heap::enforce_budget`] — the
     /// resource governor collects before declaring a heap limit

@@ -231,7 +231,7 @@ fn read_list(heap: &Heap<u32>, mut r: Ref) -> Vec<String> {
         let head = heap.pair_head(r);
         match heap.get(head) {
             Obj::Str(_) => out.push(heap.str_value(head).to_string()),
-            Obj::Closure(code, _) => out.push(format!("<closure:{code}>")),
+            Obj::Closure(..) => out.push(format!("<closure:{}>", heap.closure_code(head))),
             _ => panic!("list head must be Str or Closure"),
         }
         r = heap.pair_tail(r);
@@ -551,4 +551,89 @@ fn collections_after_a_freeze_never_copy_a_boot_object() {
 fn boot_cells_are_immutable() {
     let (mut heap, list, _) = frozen_heap();
     heap.set_pair_tail(heap.perm(list), Ref::NIL);
+}
+
+// ----- the code table and the spare -----------------------------------------
+
+/// A list of closures whose codes are `0..n`, in a new perm slot, with
+/// a dead closure allocated before each live one.
+fn closure_list(heap: &mut Heap<u32>, n: u32) -> crate::PermSlot {
+    let list = heap.alloc_perm(Ref::NIL);
+    for i in (0..n).rev() {
+        heap.alloc_closure(1000 + i, Ref::NIL);
+        let c = heap.alloc_closure(i, Ref::NIL);
+        let p = heap.alloc_pair(c, heap.perm(list));
+        heap.set_perm(list, p);
+    }
+    list
+}
+
+/// What [`read_list`] reads from a `closure_list` of `n`.
+fn codes(n: u32) -> Vec<String> {
+    (0..n).map(|i| format!("<closure:{i}>")).collect()
+}
+
+#[test]
+fn closure_code_follows_its_closure() {
+    for stress in [false, true] {
+        let mut heap: Heap<u32> = Heap::with_threshold(16);
+        heap.set_stress(stress);
+        let list = closure_list(&mut heap, 40);
+        heap.collect();
+        assert_eq!(read_list(&heap, heap.perm(list)), codes(40));
+        // A fork reads the same codes, and each side's collections
+        // leave the other's table alone.
+        let mut fork = heap.clone();
+        closure_list(&mut fork, 3);
+        fork.collect();
+        heap.collect();
+        assert_eq!(read_list(&fork, fork.perm(list)), codes(40));
+        assert_eq!(read_list(&heap, heap.perm(list)), codes(40));
+        // A heap restored from the fork keeps its own spare and reads
+        // the fork's codes through every later collection.
+        let mut restored: Heap<u32> = Heap::with_threshold(16);
+        closure_list(&mut restored, 5);
+        restored.collect();
+        restored.clone_from(&fork);
+        assert_eq!(read_list(&restored, restored.perm(list)), codes(40));
+        restored.collect();
+        restored.collect();
+        assert_eq!(read_list(&restored, restored.perm(list)), codes(40));
+        // Frozen, the codes sit in the boot space's table.
+        heap.freeze();
+        assert!(heap.perm(list).is_boot());
+        assert_eq!(read_list(&heap, heap.perm(list)), codes(40));
+    }
+}
+
+#[test]
+fn a_boot_closures_code_reads_after_many_collections() {
+    let (mut heap, _, closure) = frozen_heap();
+    let boot = heap.perm(closure);
+    let young = heap.alloc_closure(8, heap.closure_bindings(boot));
+    let young = heap.push_root(young);
+    for i in 0..100 {
+        heap.alloc_closure(100 + i, Ref::NIL);
+        heap.collect();
+    }
+    assert_eq!(*heap.closure_code(boot), 7);
+    assert_eq!(*heap.closure_code(heap.root(young)), 8);
+    assert_eq!(
+        heap.closure_bindings(heap.root(young)),
+        heap.closure_bindings(boot)
+    );
+    assert!(heap.boot_space_intact());
+}
+
+#[test]
+#[should_panic(expected = "stale gc ref")]
+fn a_stale_closure_ref_panics_after_its_space_is_reused() {
+    let mut heap: Heap<u32> = Heap::new();
+    let stale = heap.alloc_closure(1, Ref::NIL);
+    heap.collect(); // `stale`'s space becomes the spare ...
+    let live = heap.alloc_closure(2, Ref::NIL);
+    let live = heap.push_root(live);
+    heap.collect(); // ... and then the to-space, where `live` takes its slot.
+    assert_eq!(*heap.closure_code(heap.root(live)), 2);
+    let _ = heap.closure_code(stale);
 }

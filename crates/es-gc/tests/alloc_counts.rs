@@ -1,5 +1,6 @@
 //! Counted mallocs: a collection, a string allocation and a heap clone
-//! cost what is live, not one malloc or free per string.
+//! cost what is live, not one malloc or free per string, and a
+//! collection on a warm heap makes none at all.
 //!
 //! A counting global allocator tallies the allocations and frees made
 //! on the calling thread (the test harness runs tests on parallel
@@ -8,6 +9,7 @@
 use es_gc::{Heap, Ref};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 struct Counting;
 
@@ -117,4 +119,40 @@ fn clone_mallocs_do_not_depend_on_the_string_count() {
     let few_mallocs = counted(|| drop(few.clone())).0;
     let many_mallocs = counted(|| drop(many.clone())).0;
     assert_eq!(few_mallocs, many_mallocs);
+}
+
+/// Allocates dead pairs until one collection has run.
+fn churn_pairs<C>(heap: &mut Heap<C>) {
+    let before = heap.stats().collections;
+    while heap.stats().collections == before {
+        heap.alloc_pair(Ref::NIL, Ref::NIL);
+    }
+}
+
+#[test]
+fn a_warm_collection_makes_no_malloc_and_no_free() {
+    // A payload with a destructor, as the interpreter's closures have.
+    let code = Rc::new(0u32);
+    let mut heap: Heap<Rc<u32>> = Heap::new();
+    let list = heap.push_root(Ref::NIL);
+    for i in 0..125 {
+        let s = heap.alloc_string(format!("live-{i}"));
+        let p = heap.alloc_pair(s, heap.root(list));
+        heap.set_root(list, p);
+    }
+    let closure = heap.alloc_closure(Rc::clone(&code), Ref::NIL);
+    let p = heap.alloc_pair(closure, heap.root(list));
+    heap.set_root(list, p);
+    // The first collections size both semispaces.
+    for _ in 0..3 {
+        churn_pairs(&mut heap);
+    }
+    let counts = counted(|| churn_pairs(&mut heap));
+    assert_eq!(heap.stats().live_after_last, 252);
+    assert_eq!(
+        counts,
+        (0, 0),
+        "(mallocs, frees) of a space of 16k dead pairs and its collection"
+    );
+    assert_eq!(Rc::strong_count(&code), 2, "the live closure kept its code");
 }
