@@ -1,7 +1,7 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz conform-check soak soak-limits serve-soak serve-soak-check lint bench-check counts counts-check bench bench-eval bench-serve bench-front-end clean
+.PHONY: all build test conform fuzz conform-check soak soak-limits serve-soak serve-soak-check lint bench-check counts counts-check loc bench bench-eval bench-serve bench-front-end clean
 
 all: build test conform-check serve-soak-check lint bench-check counts-check
 
@@ -97,6 +97,28 @@ counts:
 # `make -s counts > BENCH_counts.txt` and says why in CHANGES.md.
 counts-check:
 	@$(MAKE) --no-print-directory -s counts | diff -u BENCH_counts.txt -
+
+# Code lines per crate `src/` (the root package's as `es`): no blank
+# lines, no `//` comment lines, no tests.rs, tests_prop.rs or
+# real_tests.rs, and no in-file `#[cfg(test)] mod ... {` block. Braces
+# are counted per line, so a brace inside a string or char literal in
+# a test block would end the skip early. CHANGES.md takes each PR's net
+# lines from the difference of two runs.
+loc:
+	@for d in src crates/*/src; do \
+		name=$$(basename $$(dirname $$d)); [ "$$d" = src ] && name=es; \
+		n=$$(grep -rl --include='*.rs' --exclude=tests.rs --exclude=tests_prop.rs \
+			--exclude=real_tests.rs '' $$d | xargs awk ' \
+			FNR == 1 { skip = 0; attr = 0 } \
+			skip { depth += gsub(/{/, "{") - gsub(/}/, "}"); if (depth <= 0) skip = 0; next } \
+			attr && /^[ \t]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ *\{/ { \
+				n--; attr = 0; depth = gsub(/{/, "{") - gsub(/}/, "}"); skip = depth > 0; next } \
+			{ attr = /^[ \t]*#\[cfg\(test\)\]/ } \
+			/^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+			{ n++ } \
+			END { print n + 0 }'); \
+		printf '%-12s %6d\n' $$name $$n; total=$$((total + n)); \
+	done; printf '%-12s %6d\n' total $$total
 
 bench:
 	cargo bench -p es-bench

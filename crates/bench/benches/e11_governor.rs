@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use es_bench::{machine_with_paper, run, FIG1_PIPELINE};
+use es_core::governor::Kind;
 
 fn bench_governor_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_governor");
@@ -29,15 +30,15 @@ fn bench_governor_overhead(c: &mut Criterion) {
                 let mut m = machine_with_paper(words);
                 // Far above anything the pipeline uses: the checks run
                 // every step but never trip.
-                for kind in ["depth", "steps", "heap", "fds", "output", "time"] {
-                    m.arm_limit(kind, 1_000_000_000).expect("valid limit kind");
+                for kind in Kind::ALL {
+                    m.arm_limit(kind, 1_000_000_000);
                 }
                 b.iter(|| {
                     // Steps/output budgets are consumed monotonically;
                     // re-arm so long runs never breach mid-measurement.
-                    m.arm_limit("steps", 1_000_000_000).expect("valid");
-                    m.arm_limit("output", 1_000_000_000).expect("valid");
-                    m.arm_limit("time", 1_000_000_000).expect("valid");
+                    m.arm_limit(Kind::Steps, 1_000_000_000);
+                    m.arm_limit(Kind::Output, 1_000_000_000);
+                    m.arm_limit(Kind::Time, 1_000_000_000);
                     run(&mut m, FIG1_PIPELINE)
                 });
             },

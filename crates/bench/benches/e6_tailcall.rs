@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use es_bench::{machine_with, run};
-use es_core::governor::Limits;
+use es_core::governor::{Kind, Limits};
 use es_core::Options;
 
 const DEF: &str = "fn count n target { if {~ $n $target} {result done} {count $n^x $target} }";
@@ -42,10 +42,7 @@ fn bench_tailcalls(c: &mut Criterion) {
             |b, target| {
                 let mut m = machine_with(Options {
                     tail_calls: false,
-                    limits: Limits {
-                        depth: Some(1000),
-                        ..Limits::default()
-                    },
+                    limits: Limits::only(Kind::Depth, 1000),
                     ..Options::default()
                 });
                 run(&mut m, DEF);
@@ -68,10 +65,7 @@ fn bench_tailcalls(c: &mut Criterion) {
         run(&mut tco, &format!("count '' {target}"));
         let mut naive = machine_with(Options {
             tail_calls: false,
-            limits: Limits {
-                depth: Some(1000),
-                ..Limits::default()
-            },
+            limits: Limits::only(Kind::Depth, 1000),
             ..Options::default()
         });
         run(&mut naive, DEF);

@@ -16,6 +16,7 @@
 //! experiment E6 measures via [`crate::Machine::max_depth_seen`]).
 
 use crate::exception::{EsError, EsResult};
+use crate::governor::Kind;
 use crate::machine::{Machine, NameBuf};
 use crate::prims;
 use crate::value::{self, ListBuilder};
@@ -872,7 +873,7 @@ pub fn apply_closure<O: Os + Clone>(
 ) -> EsResult<Flow> {
     m.depth += 1;
     m.max_depth_seen = m.max_depth_seen.max(m.depth);
-    if let Some(max) = m.governor().limits().depth {
+    if let Some(max) = m.governor().limits().get(Kind::Depth) {
         let used = m.depth as u64;
         if used > max {
             // Unwinding pops frames, so depth falls back under the

@@ -54,6 +54,10 @@ pub enum Kind {
     Time,
 }
 
+/// Each kind's name, indexed by `Kind as usize`: the one place a kind
+/// is spelled.
+const NAMES: [&str; Kind::ALL.len()] = ["depth", "steps", "heap", "fds", "output", "time"];
+
 impl Kind {
     /// All kinds, in the order `limits` reports them.
     pub const ALL: [Kind; 6] = [
@@ -67,27 +71,20 @@ impl Kind {
 
     /// The name used in exceptions and the `%limit` interface.
     pub fn name(self) -> &'static str {
-        match self {
-            Kind::Depth => "depth",
-            Kind::Steps => "steps",
-            Kind::Heap => "heap",
-            Kind::Fds => "fds",
-            Kind::Output => "output",
-            Kind::Time => "time",
-        }
+        NAMES[self as usize]
     }
 
-    /// Parses a kind name (as used by `%limit` and `--limit`).
+    /// Parses a kind name. A name becomes a kind only where it enters
+    /// the program: `%limit`, the CLI's `--limit` and a served `Open`.
     pub fn parse(s: &str) -> Option<Kind> {
-        match s {
-            "depth" => Some(Kind::Depth),
-            "steps" => Some(Kind::Steps),
-            "heap" => Some(Kind::Heap),
-            "fds" => Some(Kind::Fds),
-            "output" => Some(Kind::Output),
-            "time" => Some(Kind::Time),
-            _ => None,
-        }
+        Kind::ALL.into_iter().find(|k| k.name() == s)
+    }
+
+    /// Every kind's name, for an unknown-kind message:
+    /// `depth, steps, heap, fds, output, or time`.
+    pub fn choices() -> String {
+        let (last, rest) = NAMES.split_last().expect("there are kinds");
+        format!("{}, or {last}", rest.join(", "))
     }
 
     fn bit(self) -> u8 {
@@ -95,24 +92,13 @@ impl Kind {
     }
 }
 
-/// The armed limits. `None` means unlimited. All values are absolute:
-/// the prim layer converts relative budgets ("1000 more steps") via
-/// [`resolve`] before arming.
+/// One optional value per [`Kind`], indexed by it; `None` means
+/// unlimited. The governor stores absolute values: the prim layer
+/// converts relative budgets ("1000 more steps") via [`resolve`]
+/// before arming. A served session keeps the budgets it re-arms
+/// before each command in one too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Limits {
-    /// Maximum closure-application nesting.
-    pub depth: Option<u64>,
-    /// Absolute eval-step count at which to trip.
-    pub steps: Option<u64>,
-    /// Maximum live heap objects.
-    pub heap: Option<u64>,
-    /// Maximum open kernel descriptors.
-    pub fds: Option<u64>,
-    /// Absolute output-byte count at which to trip.
-    pub output: Option<u64>,
-    /// Virtual-clock deadline in nanoseconds.
-    pub deadline_ns: Option<u64>,
-}
+pub struct Limits([Option<u64>; Kind::ALL.len()]);
 
 impl Limits {
     /// The interpreter's boot defaults: only the recursion-depth guard
@@ -120,35 +106,32 @@ impl Limits {
     /// enough for real scripts, shallow enough that naive recursion
     /// cannot blow the 2 MiB stacks debug test threads get).
     pub fn default_interpreter() -> Limits {
-        Limits {
-            depth: Some(150),
-            ..Limits::default()
-        }
+        Limits::only(Kind::Depth, 150)
     }
 
-    /// The armed value for `kind`, if any.
+    /// Limits with only `kind` armed, at `value`.
+    pub fn only(kind: Kind, value: u64) -> Limits {
+        let mut limits = Limits::default();
+        limits.set(kind, Some(value));
+        limits
+    }
+
+    /// The armed value for `kind`, if any. For `time` it is the
+    /// virtual-clock deadline in nanoseconds.
     pub fn get(&self, kind: Kind) -> Option<u64> {
-        match kind {
-            Kind::Depth => self.depth,
-            Kind::Steps => self.steps,
-            Kind::Heap => self.heap,
-            Kind::Fds => self.fds,
-            Kind::Output => self.output,
-            Kind::Time => self.deadline_ns,
-        }
+        self.0[kind as usize]
     }
 
-    /// Arms (or with `None`, disarms) `kind` at an absolute value.
+    /// Arms (or with `None`, disarms) `kind`.
     pub fn set(&mut self, kind: Kind, value: Option<u64>) {
-        let slot = match kind {
-            Kind::Depth => &mut self.depth,
-            Kind::Steps => &mut self.steps,
-            Kind::Heap => &mut self.heap,
-            Kind::Fds => &mut self.fds,
-            Kind::Output => &mut self.output,
-            Kind::Time => &mut self.deadline_ns,
-        };
-        *slot = value;
+        self.0[kind as usize] = value;
+    }
+
+    /// The armed kinds and their values, in [`Kind::ALL`] order.
+    pub fn armed(&self) -> impl Iterator<Item = (Kind, u64)> + '_ {
+        Kind::ALL
+            .into_iter()
+            .filter_map(|kind| Some((kind, self.get(kind)?)))
     }
 }
 
@@ -246,11 +229,7 @@ impl Governor {
     }
 
     fn recompute_active(&mut self) {
-        self.active = self.limits.steps.is_some()
-            || self.limits.heap.is_some()
-            || self.limits.fds.is_some()
-            || self.limits.output.is_some()
-            || self.limits.deadline_ns.is_some();
+        self.active = self.limits.armed().any(|(kind, _)| kind != Kind::Depth);
     }
 }
 
@@ -336,14 +315,14 @@ pub fn charge<O: Os + Clone>(m: &mut Machine<O>) -> EsResult<()> {
 /// its counter, warning at 90% and unwinding on breach.
 #[cold]
 fn check_limits<O: Os + Clone>(m: &mut Machine<O>) -> EsResult<()> {
-    if let Some(max) = m.governor().limits.steps {
+    if let Some(max) = m.governor().limits.get(Kind::Steps) {
         let used = m.governor().steps;
         if used >= max {
             return Err(breach(m, Kind::Steps, used, max));
         }
         soft_warn(m, Kind::Steps, used, max);
     }
-    if let Some(deadline) = m.governor().limits.deadline_ns {
+    if let Some(deadline) = m.governor().limits.get(Kind::Time) {
         let now = m.os().now_ns();
         if now >= deadline {
             // The watchdog: an expired deadline is SIGALRM, not a
@@ -353,21 +332,21 @@ fn check_limits<O: Os + Clone>(m: &mut Machine<O>) -> EsResult<()> {
             return Err(signal_error(m, Signal::Alrm));
         }
     }
-    if let Some(max) = m.governor().limits.output {
+    if let Some(max) = m.governor().limits.get(Kind::Output) {
         let used = m.governor().out_bytes;
         if used >= max {
             return Err(breach(m, Kind::Output, used, max));
         }
         soft_warn(m, Kind::Output, used, max);
     }
-    if let Some(max) = m.governor().limits.fds {
+    if let Some(max) = m.governor().limits.get(Kind::Fds) {
         let used = m.os().open_desc_count() as u64;
         if used > max {
             return Err(breach(m, Kind::Fds, used, max));
         }
         soft_warn(m, Kind::Fds, used, max);
     }
-    if let Some(max) = m.governor().limits.heap {
+    if let Some(max) = m.governor().limits.get(Kind::Heap) {
         if m.heap.len() as u64 > max {
             if let Some(live) = m.heap.enforce_budget(max) {
                 return Err(breach(m, Kind::Heap, live, max));

@@ -441,17 +441,13 @@ impl<O: Os + Clone> Machine<O> {
         &mut self.governor
     }
 
-    /// Arms a limit from a `kind=value` style pair (the CLI's
-    /// `--limit` flag). This is a raw set — it may raise an existing
-    /// limit, unlike the scoped `%limit` form which only tightens.
-    pub fn arm_limit(&mut self, kind: &str, value: u64) -> Result<(), String> {
-        let k = Kind::parse(kind).ok_or_else(|| {
-            let kinds = Kind::ALL.map(Kind::name).join(", ");
-            format!("unknown limit kind '{kind}' (expected one of {kinds})")
-        })?;
-        let abs = crate::governor::resolve(self, k, value);
-        self.governor.set(k, Some(abs));
-        Ok(())
+    /// Arms `kind` at `value`, resolved as `%limit` resolves it (the
+    /// CLI's `--limit` flag, and a served session before each
+    /// command). This is a raw set — it may raise an existing limit,
+    /// unlike the scoped `%limit` form which only tightens.
+    pub fn arm_limit(&mut self, kind: Kind, value: u64) {
+        let abs = crate::governor::resolve(self, kind, value);
+        self.governor.set(kind, Some(abs));
     }
 
     // ----- running code --------------------------------------------------------
@@ -459,13 +455,11 @@ impl<O: Os + Clone> Machine<O> {
     /// Parses, lowers, and evaluates `src` in the global scope,
     /// returning the (unrooted) value list.
     pub fn run_text(&mut self, src: &str) -> EsResult<Ref> {
-        // The paper disables collection while the yacc parser runs;
-        // our parser allocates nothing in the GC heap, but we keep the
-        // discipline so the stats show the same phase structure.
-        self.heap.gc_disable();
-        let parsed = parse_program(src);
-        self.heap.gc_enable();
-        let node = match parsed {
+        // The paper disables collection while its yacc parser runs,
+        // because the parser's stack cannot be registered as roots;
+        // this parser builds a Rust tree and allocates nothing in the
+        // heap, so there is nothing to protect.
+        let node = match parse_program(src) {
             Ok(p) => lower(p),
             Err(e) => return Err(self.error(&format!("parse error: {}", e.msg))),
         };

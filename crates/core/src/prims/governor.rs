@@ -24,14 +24,12 @@ pub fn limit_prim<O: Os + Clone>(
     if strs.len() < 2 {
         return Err(m.error("limit: usage: %limit kind value [cmd]"));
     }
-    let kind = match Kind::parse(&strs[0]) {
-        Some(k) => k,
-        None => {
-            return Err(m.error(&format!(
-                "limit: unknown kind '{}' (expected depth, steps, heap, fds, output, or time)",
-                strs[0]
-            )))
-        }
+    let Some(kind) = Kind::parse(&strs[0]) else {
+        return Err(m.error(&format!(
+            "limit: unknown kind '{}' (expected {})",
+            strs[0],
+            Kind::choices()
+        )));
     };
     let value: u64 = match strs[1].parse() {
         Ok(v) => v,

@@ -1,7 +1,7 @@
 //! Interpreter tests: every example in the paper, plus semantics
 //! corners.
 
-use crate::governor::Limits;
+use crate::governor::{Kind, Limits};
 use crate::machine::{Machine, Options};
 use es_os::{Os, SimOs};
 
@@ -867,10 +867,7 @@ fn naive_mode_grows_depth() {
         os,
         Options {
             tail_calls: false,
-            limits: Limits {
-                depth: Some(64),
-                ..Limits::default()
-            },
+            limits: Limits::only(Kind::Depth, 64),
             ..Options::default()
         },
     )
@@ -1416,20 +1413,20 @@ fn limit_steps_breach_is_catchable_no_fd_leak_time_advances() {
 fn scoped_limit_restores_outer_limits() {
     let mut m = machine();
     m.run("%limit steps 5000000").unwrap();
-    let outer = m.governor().limits().steps;
+    let outer = m.governor().limits().get(Kind::Steps);
     assert!(outer.is_some());
     // Value path restores.
     assert_eq!(
         val(&mut m, "result <>{%limit steps 100000 {result ok}}"),
         vec!["ok"]
     );
-    assert_eq!(m.governor().limits().steps, outer);
+    assert_eq!(m.governor().limits().get(Kind::Steps), outer);
     // Exception path restores too.
     let _ = val(
         &mut m,
         "catch @ e {result $e} {%limit steps 50 {forever {true}}}",
     );
-    assert_eq!(m.governor().limits().steps, outer);
+    assert_eq!(m.governor().limits().get(Kind::Steps), outer);
 }
 
 /// A sandbox cannot loosen an enclosing budget: the scoped form takes
@@ -1546,17 +1543,40 @@ fn limits_prim_reports_all_kinds() {
     assert!(rows.contains(&"unlimited".to_string()));
 }
 
-/// `Machine::arm_limit` (the `--limit KIND=N` backend) accepts every
-/// kind, rejects junk, and may raise limits (unlike the scoped form).
+/// `Machine::arm_limit` (the `--limit KIND=N` backend) arms every
+/// kind the CLI parses, and may raise limits (unlike the scoped form).
 #[test]
 fn arm_limit_parses_kinds_and_can_raise() {
     let mut m = machine();
-    for kind in ["depth", "steps", "heap", "fds", "output", "time"] {
-        assert!(m.arm_limit(kind, 100_000).is_ok(), "{kind}");
+    for name in ["depth", "steps", "heap", "fds", "output", "time"] {
+        let kind = Kind::parse(name).expect(name);
+        m.arm_limit(kind, 100_000);
+        assert!(m.governor().limits().get(kind).is_some(), "{name}");
     }
-    assert!(m.arm_limit("bogus", 1).is_err());
-    m.arm_limit("depth", 500).unwrap();
-    assert_eq!(m.governor().limits().depth, Some(500));
+    m.arm_limit(Kind::Depth, 500);
+    assert_eq!(m.governor().limits().get(Kind::Depth), Some(500));
+}
+
+/// Every kind's name parses back to it, and nothing else parses.
+#[test]
+fn kind_names_round_trip() {
+    for kind in Kind::ALL {
+        assert_eq!(Kind::parse(kind.name()), Some(kind));
+    }
+    assert_eq!(Kind::parse("bogus"), None);
+}
+
+/// `%limit` names every kind when it rejects one.
+#[test]
+fn limit_unknown_kind_lists_the_kinds() {
+    let mut m = machine();
+    assert_eq!(
+        val(&mut m, "catch @ e msg {result $e $msg} {%limit bogus 1}"),
+        vec![
+            "error",
+            "limit: unknown kind 'bogus' (expected depth, steps, heap, fds, output, or time)"
+        ]
+    );
 }
 
 /// A signal scheduled on the virtual clock interrupts `while {true} {}`
@@ -1826,7 +1846,7 @@ fn recycle_restores_boot_state() {
     m.run("x = dirty; fn leak { echo leak }; fn-%pipe = @ { echo hook }")
         .unwrap();
     m.run("echo contaminant > /tmp/leak").unwrap();
-    m.arm_limit("steps", 1234).unwrap();
+    m.arm_limit(Kind::Steps, 1234);
     assert_ne!(m.hook_bindings(), boot_hooks);
     assert!(m.recycle());
     assert_eq!(
@@ -1838,7 +1858,7 @@ fn recycle_restores_boot_state() {
     assert_eq!(m.get_var("fn-leak"), Vec::<String>::new());
     assert_eq!(m.get_var("fn-%pipe"), vec!["$&pipe"]);
     assert_eq!(
-        m.governor().limits().steps,
+        m.governor().limits().get(Kind::Steps),
         None,
         "limits re-armed to boot defaults"
     );
@@ -2050,7 +2070,7 @@ fn yield_cancel_is_uncatchable() {
 #[test]
 fn limit_warning_survives_fd2_redirection() {
     let mut m = machine();
-    m.arm_limit("output", 200).unwrap();
+    m.arm_limit(Kind::Output, 200);
     let long = "a".repeat(185);
     m.run(&format!("{{echo {long}; echo ok}} >[2] /tmp/quiet"))
         .unwrap();

@@ -3,6 +3,7 @@
 //! mode, which collects on every allocation (the paper's debugging
 //! collector), so any missed root dies loudly.
 
+use crate::governor::Kind;
 use crate::machine::Machine;
 use es_os::SimOs;
 use es_syntax::print::quote;
@@ -493,7 +494,7 @@ fn limit_soak_run(seed: u64) -> (crate::harness::SessionTrace, Vec<String>) {
         .set_fault_plan(Some(es_os::FaultPlan::new(seed).uniform_rate(150)));
     let budget = 400 + (seed % 7) * 100;
     let trace = crate::harness::run_session_with(&mut m, LIMIT_SOAK_SESSION, |m| {
-        m.arm_limit("steps", budget).expect("steps is a limit kind");
+        m.arm_limit(Kind::Steps, budget);
     });
     let log: Vec<String> = m
         .os_mut()

@@ -279,8 +279,6 @@ pub struct Heap<C> {
     epoch: u32,
     /// Collection triggers when the space reaches this many objects.
     threshold: usize,
-    /// Nesting count of gc-disable regions.
-    disabled: u32,
     /// Collect on every allocation (the paper's debugging mode).
     stress: bool,
     stats: GcStats,
@@ -330,7 +328,6 @@ impl<C> Heap<C> {
             perm_free: Vec::new(),
             epoch: 0,
             threshold: threshold.max(8),
-            disabled: 0,
             stress: false,
             stats: GcStats::default(),
         }
@@ -370,31 +367,6 @@ impl<C> Heap<C> {
     /// The current collection epoch. Bumped by every collection.
     pub fn epoch(&self) -> u32 {
         self.epoch
-    }
-
-    // ----- gc disable regions ------------------------------------------------
-
-    /// Disables collection (nests). The paper disables GC while the
-    /// yacc parser driver runs, because its internal state cannot be
-    /// registered as roots; allocations made meanwhile extend the space
-    /// instead of collecting.
-    pub fn gc_disable(&mut self) {
-        self.disabled += 1;
-    }
-
-    /// Re-enables collection after [`Heap::gc_disable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the collector was not disabled (unbalanced calls).
-    pub fn gc_enable(&mut self) {
-        assert!(self.disabled > 0, "gc_enable without matching gc_disable");
-        self.disabled -= 1;
-    }
-
-    /// Returns true if collection is currently disabled.
-    pub fn gc_disabled(&self) -> bool {
-        self.disabled > 0
     }
 
     // ----- rootset ------------------------------------------------------------
@@ -474,30 +446,11 @@ impl<C> Heap<C> {
 
     // ----- allocation -----------------------------------------------------------
 
-    /// True if the next allocation must go through
-    /// [`Heap::maybe_collect`]: it will collect (stress mode, or the
-    /// space is full), or the collector is disabled and the allocation
-    /// must be counted. Every other allocation bumps directly.
+    /// True if the next allocation collects first (stress mode, or the
+    /// space is full). Every other allocation bumps directly.
     #[inline]
     fn slow_alloc(&self) -> bool {
-        self.disabled > 0 || self.stress || self.young.objs.len() >= self.threshold
-    }
-
-    fn maybe_collect(&mut self) {
-        if self.disabled > 0 {
-            self.stats.disabled_allocs += 1;
-            if self.young.objs.len() >= self.threshold {
-                // "A new chunk of memory is grabbed so that allocation
-                // can continue" — we model a chunk as another
-                // threshold's worth of headroom.
-                self.threshold += DEFAULT_THRESHOLD.min(self.threshold);
-                self.stats.chunks_grabbed += 1;
-            }
-            return;
-        }
-        if self.stress || self.young.objs.len() >= self.threshold {
-            self.collect();
-        }
+        self.stress || self.young.objs.len() >= self.threshold
     }
 
     /// Appends `obj` to the space. The caller has already given the
@@ -519,7 +472,7 @@ impl<C> Heap<C> {
     /// Panics if the text arena would pass `u32::MAX` bytes.
     pub fn alloc_str(&mut self, s: &str) -> Ref {
         if self.slow_alloc() {
-            self.maybe_collect();
+            self.collect();
         }
         let span = append_text(&mut self.young.text, s);
         self.bump(Obj::Str(span))
@@ -544,7 +497,7 @@ impl<C> Heap<C> {
             let base = self.roots.len();
             self.roots.push(head);
             self.roots.push(tail);
-            self.maybe_collect();
+            self.collect();
             let tail = self.roots.pop().expect("root stack underflow");
             let head = self.roots.pop().expect("root stack underflow");
             debug_assert_eq!(self.roots.len(), base);
@@ -562,7 +515,7 @@ impl<C> Heap<C> {
         let bindings = if self.slow_alloc() {
             let base = self.roots.len();
             self.roots.push(bindings);
-            self.maybe_collect();
+            self.collect();
             let bindings = self.roots.pop().expect("root stack underflow");
             debug_assert_eq!(self.roots.len(), base);
             bindings
@@ -585,7 +538,7 @@ impl<C> Heap<C> {
             let base = self.roots.len();
             self.roots.push(value);
             self.roots.push(next);
-            self.maybe_collect();
+            self.collect();
             let next = self.roots.pop().expect("root stack underflow");
             let value = self.roots.pop().expect("root stack underflow");
             debug_assert_eq!(self.roots.len(), base);
@@ -930,12 +883,9 @@ impl<C> Heap<C> {
     /// Garbage must not count against a limit, so if the raw count
     /// exceeds `max` this collects first and re-measures; only when
     /// *live* objects still exceed the budget is `Some(live)` returned
-    /// for the caller to raise a `limit heap` exception. Returns `None`
-    /// (no breach) while the collector is disabled — callers hold
-    /// unrooted refs then, and a forced collection would invalidate
-    /// them.
+    /// for the caller to raise a `limit heap` exception.
     pub fn enforce_budget(&mut self, max: u64) -> Option<u64> {
-        if self.len() as u64 <= max || self.disabled > 0 {
+        if self.len() as u64 <= max {
             return None;
         }
         self.collect();
@@ -959,7 +909,6 @@ impl<C: Clone> Clone for Heap<C> {
             perm_free,
             epoch,
             threshold,
-            disabled,
             stress,
             stats,
         } = self;
@@ -973,7 +922,6 @@ impl<C: Clone> Clone for Heap<C> {
             perm_free: perm_free.clone(),
             epoch: *epoch,
             threshold: *threshold,
-            disabled: *disabled,
             stress: *stress,
             stats: stats.clone(),
         }
@@ -995,7 +943,6 @@ impl<C: Clone> Clone for Heap<C> {
             perm_free,
             epoch,
             threshold,
-            disabled,
             stress,
             stats,
         } = source;
@@ -1009,7 +956,6 @@ impl<C: Clone> Clone for Heap<C> {
         self.perm_free.clone_from(perm_free);
         self.epoch = *epoch;
         self.threshold = *threshold;
-        self.disabled = *disabled;
         self.stress = *stress;
         self.stats.clone_from(stats);
     }

@@ -16,9 +16,11 @@
 //!   is exhausted, everything reachable from the *rootset* is copied to
 //!   a fresh block (Cheney scan) and the spaces are swapped.
 //! * During some phases (the yacc parser driver in the original) the
-//!   rootset cannot be fully identified, so collection can be
-//!   **disabled**; allocation then grabs extra chunks instead of
-//!   collecting.
+//!   rootset cannot be fully identified, so the original can
+//!   **disable** collection and grab extra chunks instead. This crate
+//!   has no such mode: the interpreter's parser builds a Rust tree and
+//!   allocates nothing here, and every other caller roots what it
+//!   holds, so a disabled region would protect nothing.
 //! * The original's debug mode collects at *every* allocation and
 //!   revokes access to the old semispace with `mprotect`, so any stale
 //!   pointer faults immediately. Our safe-Rust analogue: every

@@ -22,13 +22,6 @@ pub struct GcStats {
     pub bytes_copied: u64,
     /// Objects live after the most recent collection.
     pub live_after_last: u64,
-    /// Allocations that happened while collection was disabled.
-    pub disabled_allocs: u64,
-    /// Extra chunks grabbed because an allocation arrived while the
-    /// collector was disabled and the space was exhausted (the paper's
-    /// "a new chunk of memory is grabbed so that allocation can
-    /// continue").
-    pub chunks_grabbed: u64,
     /// Collections after which the live objects alone filled the
     /// space, so the collection threshold doubled for the collections
     /// to come. Nothing is redone: the young space grows as it fills.

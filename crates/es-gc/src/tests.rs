@@ -115,31 +115,6 @@ fn stress_mode_collects_every_alloc() {
 }
 
 #[test]
-fn disabled_gc_grabs_chunks() {
-    let mut heap: Heap<u32> = Heap::with_threshold(8);
-    heap.gc_disable();
-    for i in 0..100 {
-        heap.alloc_string(format!("v{i}"));
-    }
-    assert_eq!(heap.stats().collections, 0, "no collection while disabled");
-    assert!(
-        heap.stats().chunks_grabbed > 0,
-        "fallback chunks were grabbed"
-    );
-    assert_eq!(heap.stats().disabled_allocs, 100);
-    heap.gc_enable();
-    heap.collect();
-    assert_eq!(heap.len(), 0);
-}
-
-#[test]
-#[should_panic(expected = "gc_enable without matching gc_disable")]
-fn unbalanced_enable_panics() {
-    let mut heap: Heap<u32> = Heap::new();
-    heap.gc_enable();
-}
-
-#[test]
 fn threshold_grows_when_live_set_is_large() {
     let mut heap: Heap<u32> = Heap::with_threshold(8);
     // Keep everything live so the collection cannot reclaim anything.

@@ -10,7 +10,8 @@
 //!   descriptor table, unbounded byte-buffer pipes, a virtual clock
 //!   with per-child rusage (so the paper's Figure 1 `time` output
 //!   reproduces exactly), a fake process table, signal delivery, and
-//!   ~25 simulated coreutils registered as in-process programs.
+//!   42 simulated coreutils (`[` among them) registered as in-process
+//!   programs.
 //!   All tests and benchmarks run on this backend.
 //! * [`RealOs`] — a thin `std::fs`/`std::process` backend so the `es`
 //!   binary is usable as an actual shell. Best-effort: pipes are

@@ -11,6 +11,7 @@ use crate::error::{OsError, OsResult};
 use crate::sim::{Desc, ProcEntry, SimOs};
 use crate::Signal;
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 mod extra;
 mod files;
@@ -23,16 +24,20 @@ mod text;
 /// The type of a simulated program.
 pub type ProgramFn = fn(&mut ProcCtx) -> i32;
 
-/// Registers every simulated program under its command name.
-pub fn install_all(map: &mut BTreeMap<&'static str, ProgramFn>) {
-    text::install(map);
-    files::install(map);
-    misc::install(map);
-    extra::install(map);
-    multi::install(map);
+/// Every simulated program under its command name: one table per
+/// process, built on first use. Every kernel registers all of it in
+/// `/bin`, and nothing adds a program at run time.
+pub(crate) static PROGRAMS: LazyLock<BTreeMap<&'static str, ProgramFn>> = LazyLock::new(|| {
+    let mut map = BTreeMap::new();
+    text::install(&mut map);
+    files::install(&mut map);
+    misc::install(&mut map);
+    extra::install(&mut map);
+    multi::install(&mut map);
     map.insert("grep", grep::grep);
     map.insert("sed", sed::sed);
-}
+    map
+});
 
 /// The execution context handed to a simulated program.
 pub struct ProcCtx<'a> {

@@ -5,10 +5,10 @@ use crate::clock::{
 };
 use crate::error::{OsError, OsResult};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, Syscall};
-use crate::programs::{self, ProgramFn};
+use crate::programs;
 use crate::vfs::Vfs;
 use crate::{OpenMode, Os, Signal};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
 use std::rc::Rc;
 
@@ -78,9 +78,10 @@ pub struct ProcEntry {
 ///
 /// `Clone` copies the whole kernel (descriptors, pipes, clock) except
 /// the filesystem, which it shares copy-on-write: the clone pays for
-/// its own copy of the inode table on its first write. The program
-/// table, the process table and the initial environment are shared
-/// too (`kill` copies the process table before it removes a row). The
+/// its own copy of the inode table on its first write. The process
+/// table and the initial environment are shared too (`kill` copies
+/// the process table before it removes a row); the program table is
+/// one static for the whole process (`programs::PROGRAMS`). The
 /// interpreter's `fork` clones the kernel together with the shell
 /// state, giving true fork semantics; `clone_from` copies into the
 /// buffers the kernel already has, which is how a recycled session
@@ -90,7 +91,6 @@ pub struct SimOs {
     cwd: String,
     files: Vec<Option<OpenFile>>,
     pipes: Vec<Pipe>,
-    programs: Rc<BTreeMap<&'static str, ProgramFn>>,
     /// Virtual nanoseconds since the 1993-01-25 epoch.
     real_ns: u64,
     children: Rusage,
@@ -140,7 +140,6 @@ impl Clone for SimOs {
             cwd,
             files,
             pipes,
-            programs,
             real_ns,
             children,
             console_in,
@@ -161,7 +160,6 @@ impl Clone for SimOs {
             cwd: cwd.clone(),
             files: files.clone(),
             pipes: pipes.clone(),
-            programs: Rc::clone(programs),
             real_ns: *real_ns,
             children: *children,
             console_in: console_in.clone(),
@@ -185,7 +183,6 @@ impl Clone for SimOs {
             cwd,
             files,
             pipes,
-            programs,
             real_ns,
             children,
             console_in,
@@ -205,7 +202,6 @@ impl Clone for SimOs {
         self.cwd.clone_from(cwd);
         self.files.clone_from(files);
         self.pipes.clone_from(pipes);
-        self.programs.clone_from(programs);
         self.real_ns = *real_ns;
         self.children = *children;
         self.console_in.clone_from(console_in);
@@ -233,9 +229,7 @@ impl SimOs {
         for dir in ["/bin", "/usr/bin", "/tmp", "/usr/tmp", "/home/user", "/etc"] {
             vfs.mkdir_all(dir).expect("fresh vfs accepts mkdir");
         }
-        let mut programs = BTreeMap::new();
-        programs::install_all(&mut programs);
-        for name in programs.keys() {
+        for name in programs::PROGRAMS.keys() {
             vfs.put_program(&format!("/bin/{name}"), name)
                 .expect("fresh vfs accepts programs");
         }
@@ -287,7 +281,6 @@ impl SimOs {
             cwd: "/home/user".into(),
             files,
             pipes: Vec::new(),
-            programs: Rc::new(programs),
             real_ns: 0,
             children: Rusage::default(),
             console_in: VecDeque::new(),
@@ -917,17 +910,15 @@ impl Os for SimOs {
             return Err(Self::fault_error(kind, path));
         }
         let ino = self.vfs.lookup(path, &self.cwd)?;
-        let key = match self.vfs.program_of(ino) {
-            Some(k) => k.to_string(),
+        let prog = match self.vfs.program_of(ino) {
+            Some(key) => *programs::PROGRAMS
+                .get(key)
+                .ok_or_else(|| OsError::NoExec(path.clone()))?,
             None if self.vfs.is_executable(path, &self.cwd) => {
                 return Err(OsError::NoExec(path.clone()))
             }
             None => return Err(OsError::Access(path.clone())),
         };
-        let prog = *self
-            .programs
-            .get(key.as_str())
-            .ok_or_else(|| OsError::NoExec(path.clone()))?;
         let pid = self.next_pid;
         self.next_pid += 1;
         let mut ctx = programs::ProcCtx::new(self, argv, env, fds, pid);

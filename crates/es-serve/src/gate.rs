@@ -252,7 +252,7 @@ mod tests {
     fn run(cmd: &str) -> Request {
         Request {
             cmd: cmd.to_string(),
-            limits: Vec::new(),
+            limits: Default::default(),
             fault_seed: None,
         }
     }

@@ -45,6 +45,7 @@
 
 use crate::fiber::{self, Fiber, Stack};
 use crate::gate::SliceGate;
+use es_core::governor::Limits;
 use es_core::Machine;
 use es_os::{Os, SimOs};
 use std::cell::RefCell;
@@ -84,7 +85,7 @@ pub type OsSetup = Rc<dyn Fn(&mut SimOs)>;
 #[derive(Debug)]
 pub struct Request {
     pub cmd: String,
-    pub limits: Vec<(String, u64)>,
+    pub limits: Limits,
     pub fault_seed: Option<u64>,
 }
 
@@ -282,9 +283,8 @@ fn worker_main(gate: &SliceGate, machine: &RefCell<Machine<SimOs>>) {
 /// machine, catching a panic at the slot boundary, and harvests its
 /// console output.
 fn run_command(m: &mut Machine<SimOs>, gate: &SliceGate, req: Request) -> Outcome {
-    for (kind, value) in &req.limits {
-        m.arm_limit(kind, *value)
-            .expect("open admits only known limit kinds");
+    for (kind, value) in req.limits.armed() {
+        m.arm_limit(kind, value);
     }
     if let Some(seed) = req.fault_seed {
         m.os_mut().set_fault_plan(Some(

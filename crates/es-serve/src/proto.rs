@@ -69,6 +69,8 @@ pub enum Frame {
     /// session. Answered by [`Frame::Opened`] or [`Frame::Shed`].
     Open {
         /// Per-session limit spec, merged over the server default.
+        /// The kind names stay strings here; `Server::open` parses
+        /// them, and rejects the open if one names no kind.
         limits: Vec<(String, u64)>,
         /// FaultPlan seed for injected kernel weather, if any.
         fault_seed: Option<u64>,

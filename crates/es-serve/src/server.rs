@@ -31,7 +31,7 @@
 use crate::gate::Phase;
 use crate::pool::{OsSetup, Outcome, Pool, Request, SlotState};
 use crate::proto::{FaultClass, Frame};
-use es_core::governor::Kind;
+use es_core::governor::{Kind, Limits};
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{DefaultHasher, Hasher};
 
@@ -52,7 +52,7 @@ pub struct ServeConfig {
     pub slice_steps: u64,
     /// Limits re-armed before every command of every session (an
     /// `Open` may override individual kinds).
-    pub session_limits: Vec<(String, u64)>,
+    pub session_limits: Vec<(Kind, u64)>,
     /// Kernel setup run before each slot boots (seed `/bin`, etc.).
     pub os_setup: Option<OsSetup>,
 }
@@ -63,7 +63,7 @@ impl Default for ServeConfig {
             capacity: 8,
             high_water: 8,
             slice_steps: 200,
-            session_limits: vec![("steps".to_string(), 200_000)],
+            session_limits: vec![(Kind::Steps, 200_000)],
             os_setup: None,
         }
     }
@@ -132,8 +132,9 @@ impl EventLog {
 
 struct Session {
     slot: usize,
-    /// Merged limit spec, re-armed before every command.
-    limits: Vec<(String, u64)>,
+    /// The config's limits with the `Open`'s over them, re-armed
+    /// before every command.
+    limits: Limits,
     /// Fault weather for the slot, taken by the first command.
     fault_seed: Option<u64>,
     /// Commands accepted but not yet started (FIFO).
@@ -154,7 +155,7 @@ impl Session {
         let cmd = self.pending.take()?;
         Some(Request {
             cmd,
-            limits: self.limits.clone(),
+            limits: self.limits,
             fault_seed: self.fault_seed.take(),
         })
     }
@@ -188,12 +189,6 @@ impl Server {
     /// Boots the pool (all slots warm) and an empty session table.
     pub fn new(cfg: ServeConfig) -> Server {
         assert!(cfg.high_water <= cfg.capacity, "high_water > capacity");
-        assert!(
-            cfg.session_limits
-                .iter()
-                .all(|(k, _)| Kind::parse(k).is_some()),
-            "unknown limit kind in session_limits"
-        );
         let pool = Pool::new(cfg.capacity, cfg.os_setup.clone());
         Server {
             cfg,
@@ -278,9 +273,16 @@ impl Server {
             self.shed(out);
             return;
         }
-        if let Some((bad, _)) = limits.iter().find(|(k, _)| Kind::parse(k).is_none()) {
-            out.push(no_session(0, format!("unknown limit kind '{bad}'")));
-            return;
+        let mut merged = Limits::default();
+        for &(kind, value) in &self.cfg.session_limits {
+            merged.set(kind, Some(value));
+        }
+        for (name, value) in limits {
+            let Some(kind) = Kind::parse(&name) else {
+                out.push(no_session(0, format!("unknown limit kind '{name}'")));
+                return;
+            };
+            merged.set(kind, Some(value));
         }
         let Some(slot) = self.pool.acquire() else {
             // Slots can lag sessions when retired ones are out of
@@ -288,13 +290,6 @@ impl Server {
             self.shed(out);
             return;
         };
-        let mut merged = self.cfg.session_limits.clone();
-        for (k, v) in limits {
-            match merged.iter_mut().find(|(mk, _)| *mk == k) {
-                Some(slot) => slot.1 = v,
-                None => merged.push((k, v)),
-            }
-        }
         let sid = self.next_sid;
         self.next_sid += 1;
         self.sessions.insert(

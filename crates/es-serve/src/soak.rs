@@ -14,6 +14,7 @@
 use crate::pool::{PANIC_PROBE, PROBE_PANIC};
 use crate::proto::{FaultClass, Frame};
 use crate::server::{EventLog, ServeConfig, ServeStats, Server};
+use es_core::governor::Kind;
 use std::collections::VecDeque;
 
 /// What varies between soak runs; everything else about a run's shape
@@ -50,7 +51,7 @@ fn serve_config() -> ServeConfig {
         slice_steps: 150,
         // Tight per-command budgets: runaway loops breach in a few
         // dozen slices instead of hanging the soak.
-        session_limits: vec![("steps".to_string(), 4000), ("output".to_string(), 16384)],
+        session_limits: vec![(Kind::Steps, 4000), (Kind::Output, 16384)],
         os_setup: None,
     }
 }

@@ -1,6 +1,7 @@
 //! Serving-path integration tests: admission, fairness, containment,
 //! recycling purity, drain, and the serve-vs-direct differential.
 
+use es_core::governor::Kind;
 use es_os::SimOs;
 use es_serve::proto::{FaultClass, Frame};
 use es_serve::server::{ServeConfig, Server};
@@ -228,6 +229,27 @@ fn budget_breach_is_survivable_per_command_error() {
     // And the session still closes clean.
     let closed = server.feed(Frame::Close { sid });
     assert_eq!(closed, vec![Frame::Closed { sid }]);
+}
+
+/// An `Open` that names only `output` keeps the config's `steps`
+/// budget: the merge adds kinds, it does not replace the config's.
+#[test]
+fn open_limits_merge_with_config_limits() {
+    let mut server = Server::new(ServeConfig {
+        session_limits: vec![(Kind::Steps, 800)],
+        ..cfg(1, 1)
+    });
+    let sid = open_with(&mut server, vec![("output".into(), 100_000)], None);
+    line(&mut server, sid, "forever {true}");
+    let frames = pump_all(&mut server);
+    let dones = dones_of(&frames, sid);
+    assert_eq!(dones.len(), 1);
+    assert!(!dones[0].0, "the config's steps budget should breach");
+    assert!(
+        dones[0].1.contains("limit steps"),
+        "breach error text: {:?}",
+        dones[0].1
+    );
 }
 
 /// A panic is caught at the slot boundary: the tenant gets a Fault

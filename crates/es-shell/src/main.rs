@@ -33,6 +33,7 @@
 //! is treated as `drain`, so piping a frame script through `es serve`
 //! terminates cleanly.
 
+use es_core::governor::Kind;
 use es_core::{Machine, Options};
 use es_os::{Os, RealOs, SimOs};
 use es_serve::{Frame, ProtoError, ServeConfig, Server};
@@ -48,7 +49,7 @@ struct Args {
     naive_calls: bool,
     stress_gc: bool,
     dump_env: bool,
-    limits: Vec<(String, u64)>,
+    limits: Vec<(Kind, u64)>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -73,8 +74,7 @@ fn parse_args() -> Result<Args, String> {
             "--naive-calls" => out.naive_calls = true,
             "--stress-gc" => out.stress_gc = true,
             "--dump-env" => out.dump_env = true,
-            // An unknown kind is reported when the limit is armed.
-            "--limit" => out.limits.push(limit_spec(argv.next(), false)?),
+            "--limit" => out.limits.push(limit_spec(argv.next())?),
             "-h" | "--help" => {
                 println!(
                     "usage: es [-c CMD] [--real|--sim] \
@@ -102,11 +102,8 @@ fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
         }
     };
     m.heap.set_stress(args.stress_gc);
-    for (kind, value) in &args.limits {
-        if let Err(msg) = m.arm_limit(kind, *value) {
-            eprintln!("es: --limit: {msg}");
-            return 2;
-        }
+    for &(kind, value) in &args.limits {
+        m.arm_limit(kind, value);
     }
     if args.dump_env {
         for (k, v) in m.export_environment().iter() {
@@ -141,9 +138,9 @@ fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
     m.repl()
 }
 
-/// Parses the argument of `--limit`, `KIND=N`. With `known_kind`, a
-/// kind the governor does not have is an error here.
-fn limit_spec(spec: Option<String>, known_kind: bool) -> Result<(String, u64), String> {
+/// Parses the argument of `--limit`, `KIND=N`, for the shell and for
+/// `serve`.
+fn limit_spec(spec: Option<String>) -> Result<(Kind, u64), String> {
     let spec = spec.ok_or("--limit needs a KIND=N argument")?;
     let (kind, value) = spec
         .split_once('=')
@@ -151,10 +148,13 @@ fn limit_spec(spec: Option<String>, known_kind: bool) -> Result<(String, u64), S
     let value: u64 = value
         .parse()
         .map_err(|_| format!("--limit {spec}: '{value}' is not a number"))?;
-    if known_kind && es_core::governor::Kind::parse(kind).is_none() {
-        return Err(format!("--limit {spec}: unknown limit kind '{kind}'"));
-    }
-    Ok((kind.to_string(), value))
+    let kind = Kind::parse(kind).ok_or_else(|| {
+        format!(
+            "--limit {spec}: unknown limit kind '{kind}' (expected {})",
+            Kind::choices()
+        )
+    })?;
+    Ok((kind, value))
 }
 
 fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeConfig, String> {
@@ -170,7 +170,7 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut argv: I) -> Result<ServeConf
             "--capacity" => cfg.capacity = num("--capacity")? as usize,
             "--high-water" => cfg.high_water = num("--high-water")? as usize,
             "--slice-steps" => cfg.slice_steps = num("--slice-steps")?,
-            "--limit" => cfg.session_limits.push(limit_spec(argv.next(), true)?),
+            "--limit" => cfg.session_limits.push(limit_spec(argv.next())?),
             "-h" | "--help" => {
                 println!(
                     "usage: es serve [--capacity N] [--high-water N] \
