@@ -10,9 +10,11 @@
 //! Encoding: list elements are joined with `\x01` (the original also
 //! used control-character separators); string terms travel raw,
 //! closure terms travel as their unparsed
-//! `%closure(a=b)@ * {echo $a}` form. Decoding parses any piece that
-//! looks like (and successfully parses as) a lambda back into a
-//! closure; everything else is a literal string.
+//! `%closure(a=b)@ * {echo $a}` form. A `\x01` or `\x02` inside an
+//! element travels escaped as `\x02a` or `\x02b`, so every element
+//! comes back whole. Decoding parses any piece that looks like (and
+//! successfully parses as) a lambda back into a closure; everything
+//! else is a literal string.
 
 use crate::eval;
 use crate::exception::EsResult;
@@ -21,10 +23,15 @@ use crate::value::{self, ListBuilder, Term};
 use es_gc::Ref;
 use es_os::Os;
 use es_syntax::ast::{Expr, Node};
+use std::borrow::Cow;
 use std::rc::Rc;
 
 /// List-element separator in environment strings.
 pub const SEP: char = '\u{1}';
+
+/// Escape character: `ESC a` stands for a [`SEP`] inside an element,
+/// `ESC b` for an `ESC`.
+const ESC: char = '\u{2}';
 
 /// Variables never exported, beyond the user-controlled `$noexport`.
 const BUILTIN_NOEXPORT: &[&str] = &[
@@ -129,14 +136,54 @@ pub fn encode_value<O: Os + Clone>(m: &Machine<O>, list: Ref) -> (String, bool) 
     let pieces: Vec<String> = value::read_terms(&m.heap, list)
         .into_iter()
         .map(|t| match t {
-            Term::Str(s) => s,
+            Term::Str(s) => escape(s),
             Term::Closure(code, bindings) => {
                 cacheable &= bindings.is_nil();
-                value::unparse_closure(&m.heap, &code, bindings)
+                escape(value::unparse_closure(&m.heap, &code, bindings))
             }
         })
         .collect();
     (pieces.join(&SEP.to_string()), cacheable)
+}
+
+/// Escapes the separator and the escape character inside one element.
+fn escape(piece: String) -> String {
+    if !piece.contains([SEP, ESC]) {
+        return piece;
+    }
+    let mut out = String::with_capacity(piece.len() + 2);
+    for c in piece.chars() {
+        match c {
+            SEP => out.push_str("\u{2}a"),
+            ESC => out.push_str("\u{2}b"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Undoes [`escape`]. An `ESC` not followed by `a` or `b` (a value
+/// from outside es) is kept as it is.
+fn unescape(piece: &str) -> Cow<'_, str> {
+    if !piece.contains(ESC) {
+        return Cow::Borrowed(piece);
+    }
+    let mut out = String::with_capacity(piece.len());
+    let mut chars = piece.chars().peekable();
+    while let Some(c) = chars.next() {
+        match (c, chars.peek()) {
+            (ESC, Some('a')) => {
+                chars.next();
+                out.push(SEP);
+            }
+            (ESC, Some('b')) => {
+                chars.next();
+                out.push(ESC);
+            }
+            (c, _) => out.push(c),
+        }
+    }
+    Cow::Owned(out)
 }
 
 /// Imports the kernel's initial environment: every `NAME=value` pair
@@ -164,6 +211,7 @@ pub fn set_from_encoded<O: Os + Clone>(
     let env = m.heap.push_root(Ref::NIL);
     let mut b = ListBuilder::new(&mut m.heap);
     for piece in encoded.split(SEP) {
+        let piece = &*unescape(piece);
         match decode_piece(m, piece)? {
             Some(term_list) => {
                 let slot = m.heap.push_root(term_list);

@@ -570,8 +570,8 @@ pub fn eval_expr<O: Os + Clone>(
             for _ in 0..count {
                 let (x, y) = (m.heap.root(xs), m.heap.root(ys));
                 word.clear();
-                value::push_text(&m.heap, m.heap.pair_head(x), &mut word);
-                value::push_text(&m.heap, m.heap.pair_head(y), &mut word);
+                word.push_str(&value::term_text(&m.heap, m.heap.pair_head(x)));
+                word.push_str(&value::term_text(&m.heap, m.heap.pair_head(y)));
                 out.push_str(&mut m.heap, &word);
                 if n > 1 {
                     m.heap.set_root(xs, m.heap.pair_tail(m.heap.root(xs)));
@@ -893,6 +893,31 @@ pub fn apply_closure<O: Os + Clone>(
     result
 }
 
+/// Binds `$*` to the list in `args` (when given) and then `$0` to
+/// `name` onto the chain in `chain`: what a function call and `.`
+/// bind for their body.
+pub(crate) fn bind_invocation<O: Os + Clone>(
+    m: &mut Machine<O>,
+    chain: RootSlot,
+    args: Option<RootSlot>,
+    name: &str,
+) {
+    if let Some(args) = args {
+        let b = m
+            .heap
+            .alloc_binding("*", m.heap.root(args), m.heap.root(chain));
+        m.heap.set_root(chain, b);
+    }
+    let zero = m.heap.alloc_str(name);
+    let z = m.heap.push_root(zero);
+    let zl = m.heap.alloc_pair(m.heap.root(z), Ref::NIL);
+    let zs = m.heap.push_root(zl);
+    let b = m
+        .heap
+        .alloc_binding("0", m.heap.root(zs), m.heap.root(chain));
+    m.heap.set_root(chain, b);
+}
+
 fn apply_closure_inner<O: Os + Clone>(
     m: &mut Machine<O>,
     clo_slot: RootSlot,
@@ -932,20 +957,8 @@ fn apply_closure_inner<O: Os + Clone>(
                     let b = m.heap.alloc_binding(p, m.heap.root(v), m.heap.root(chain));
                     m.heap.set_root(chain, b);
                 }
-                if !params.iter().any(|p| p == "*") {
-                    let b = m
-                        .heap
-                        .alloc_binding("*", m.heap.root(cur_args), m.heap.root(chain));
-                    m.heap.set_root(chain, b);
-                }
-                let zero = m.heap.alloc_str(invocation);
-                let z = m.heap.push_root(zero);
-                let zl = m.heap.alloc_pair(m.heap.root(z), Ref::NIL);
-                let zs = m.heap.push_root(zl);
-                let b = m
-                    .heap
-                    .alloc_binding("0", m.heap.root(zs), m.heap.root(chain));
-                m.heap.set_root(chain, b);
+                let star = !params.iter().any(|p| p == "*");
+                bind_invocation(m, chain, star.then_some(cur_args), invocation);
             }
             None => {
                 // A bare `{...}` thunk is transparent: `$*` (and

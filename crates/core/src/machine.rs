@@ -781,12 +781,12 @@ impl<O: Os + Clone> Machine<O> {
 
     /// Replaces shell fd `fd`, returning the previous descriptor (the
     /// caller restores it after the redirected body runs).
-    pub fn set_fd(&mut self, fd: u32, d: Desc) -> Option<Desc> {
+    pub(crate) fn set_fd(&mut self, fd: u32, d: Desc) -> Option<Desc> {
         self.fds.insert(fd, d)
     }
 
     /// Removes shell fd `fd`, returning the previous descriptor.
-    pub fn remove_fd(&mut self, fd: u32) -> Option<Desc> {
+    pub(crate) fn remove_fd(&mut self, fd: u32) -> Option<Desc> {
         self.fds.remove(&fd)
     }
 
@@ -825,9 +825,12 @@ impl<O: Os + Clone> Machine<O> {
 
     /// Runs `body` with shell fd `fd` pointing at `d`, then — on every
     /// exit path, value or exception — closes `d` and restores the
-    /// previous table entry. This is the scope guard all redirection
-    /// primitives hang off: exception safety here is what makes
-    /// `catch` and redirections compose.
+    /// previous table entry. This is the one scope guard under every
+    /// primitive that points an fd at a new descriptor: the
+    /// redirections, `%here`, backquote and each `%pipe` stage (one
+    /// guard for its input, one nested inside for its output); `%close`
+    /// only removes an entry and puts it back. Exception safety here is
+    /// what makes `catch` and redirections compose.
     pub fn with_fd<R>(&mut self, fd: u32, d: Desc, body: impl FnOnce(&mut Self) -> R) -> R {
         let saved = self.set_fd(fd, d);
         let result = body(self);

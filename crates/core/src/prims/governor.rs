@@ -1,7 +1,7 @@
 //! `$&limit` and `$&limits` — the shell-space face of the resource
 //! governor (bound as `%limit`/`limits` in `initial.es`).
 
-use super::{apply_thunk, arg_slot};
+use super::{arg, run_arg};
 use crate::eval::{must_value, Flow};
 use crate::exception::EsResult;
 use crate::governor::{self, Kind};
@@ -20,34 +20,29 @@ pub fn limit_prim<O: Os + Clone>(
     args: RootSlot,
     env: RootSlot,
 ) -> EsResult<Flow> {
-    let strs = m.strings_at(args);
-    if strs.len() < 2 {
+    let (Some(name), Some(text)) = (arg::<String, _>(m, args, 1), arg::<String, _>(m, args, 2))
+    else {
         return Err(m.error("limit: usage: %limit kind value [cmd]"));
-    }
-    let Some(kind) = Kind::parse(&strs[0]) else {
+    };
+    let Some(kind) = Kind::parse(&name) else {
         return Err(m.error(&format!(
-            "limit: unknown kind '{}' (expected {})",
-            strs[0],
+            "limit: unknown kind '{name}' (expected {})",
             Kind::choices()
         )));
     };
-    let value: u64 = match strs[1].parse() {
+    let value: u64 = match text.parse() {
         Ok(v) => v,
-        Err(_) => return Err(m.error(&format!("limit: bad value '{}'", strs[1]))),
+        Err(_) => return Err(m.error(&format!("limit: bad value '{text}'"))),
     };
     let abs = governor::resolve(m, kind, value);
-    let n = value::list_len(&m.heap, m.heap.root(args));
-    if n == 2 {
+    if value::list_len(&m.heap, m.heap.root(args)) == 2 {
         m.governor_mut().set(kind, Some(abs));
         return Ok(Flow::Val(value::true_value(&mut m.heap)));
     }
     // Scoped form: tighten, run the body, restore.
     let snap = m.governor().snapshot();
     m.governor_mut().tighten(kind, abs);
-    let base = m.heap.roots_len();
-    let body = arg_slot(m, args, 3).expect("list_len said there is a third argument");
-    let result = apply_thunk(m, body, env, None);
-    m.heap.truncate_roots(base);
+    let result = run_arg(m, args, 3, env);
     m.governor_mut().restore(snap);
     let flow = result?;
     Ok(Flow::Val(must_value(flow)))

@@ -1,6 +1,6 @@
 //! Process, path, string, and introspection primitives.
 
-use super::{apply_thunk_with_args, arg_slot};
+use super::{apply_thunk_with_args, arg, arg_slot};
 use crate::eval::{must_value, Flow};
 use crate::exception::{EsError, EsResult};
 use crate::machine::{Input, Machine};
@@ -65,12 +65,7 @@ pub fn background<O: Os + Clone>(
 
 /// `$&exit [status]`.
 pub fn exit<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot) -> EsResult<Flow> {
-    let strings = m.strings_at(args);
-    let code = strings
-        .first()
-        .and_then(|s| s.parse::<i32>().ok())
-        .unwrap_or(0);
-    Err(EsError::Exit(code))
+    Err(EsError::Exit(arg(m, args, 1).unwrap_or(0)))
 }
 
 /// `$&time cmd args...` — run the command, report real/user/sys of the
@@ -120,11 +115,9 @@ fn describe_command<O: Os + Clone>(m: &Machine<O>, args: RootSlot) -> String {
 
 /// `$&cd [dir]` — chdir; errors carry the classic `chdir dir:
 /// strerror` message the paper's `in /temp` example shows.
-pub fn cd<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> EsResult<Flow> {
-    let _ = env;
-    let strings = m.strings_at(args);
-    let dir = match strings.first() {
-        Some(d) => d.clone(),
+pub fn cd<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot) -> EsResult<Flow> {
+    let dir = match arg(m, args, 1) {
+        Some(d) => d,
         None => {
             let home = m.get_var("home");
             match home.first() {
@@ -236,10 +229,8 @@ fn search_path<O: Os + Clone>(m: &Machine<O>, name: &str) -> Option<String> {
 /// hook: scan `$path` for an executable; throw `error` if absent.
 /// Figure 2's cache spoofs the hook and calls down to this.
 pub fn pathsearch<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot) -> EsResult<Flow> {
-    let names = m.strings_at(args);
-    let name = match names.first() {
-        Some(n) => n.clone(),
-        None => return Err(m.error("pathsearch: missing name")),
+    let Some(name) = arg::<String, _>(m, args, 1) else {
+        return Err(m.error("pathsearch: missing name"));
     };
     match search_path(m, &name) {
         Some(path) => Ok(Flow::Val(value::list_from_strs(&mut m.heap, &[&path]))),
@@ -250,10 +241,8 @@ pub fn pathsearch<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot) -> EsResult
 /// `$&dot file args...` — source an es script (the Bourne-compatible
 /// `.` command). `$*`/`$0` are bound to the arguments/file lexically.
 pub fn dot<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> EsResult<Flow> {
-    let strings = m.strings_at(args);
-    let file = match strings.first() {
-        Some(f) => f.clone(),
-        None => return Err(m.error(". : missing file name")),
+    let Some(file) = arg::<String, _>(m, args, 1) else {
+        return Err(m.error(". : missing file name"));
     };
     let desc = match es_os::retry_intr(|| m.os_mut().open(&file, es_os::OpenMode::Read)) {
         Ok(d) => d,
@@ -276,18 +265,7 @@ pub fn dot<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> 
     let script_args = m.heap.pair_tail(m.heap.root(args));
     let a_slot = m.heap.push_root(script_args);
     let chain = m.heap.push_root(m.heap.root(env));
-    let b = m
-        .heap
-        .alloc_binding("*", m.heap.root(a_slot), m.heap.root(chain));
-    m.heap.set_root(chain, b);
-    let f = m.heap.alloc_str(&file);
-    let f_slot = m.heap.push_root(f);
-    let fl = m.heap.alloc_pair(m.heap.root(f_slot), Ref::NIL);
-    let fl_slot = m.heap.push_root(fl);
-    let b = m
-        .heap
-        .alloc_binding("0", m.heap.root(fl_slot), m.heap.root(chain));
-    m.heap.set_root(chain, b);
+    crate::eval::bind_invocation(m, chain, Some(a_slot), &file);
     m.push_input(Input::Text { src, pos: 0 });
     let result = crate::eval::eval_node(m, &node, chain, None);
     m.pop_input();
@@ -305,9 +283,8 @@ pub fn dot<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> 
 /// the source is exhausted — this is the engine under Figure 3's
 /// `%parse $prompt`.
 pub fn parse<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot) -> EsResult<Flow> {
-    let prompts = m.strings_at(args);
-    let p1 = prompts.first().cloned().unwrap_or_default();
-    let p2 = prompts.get(1).cloned().unwrap_or_default();
+    let p1: String = arg(m, args, 1).unwrap_or_default();
+    let p2: String = arg(m, args, 2).unwrap_or_default();
     if !p1.is_empty() {
         let _ = m.write_fd(2, p1.as_bytes());
     }

@@ -20,6 +20,7 @@ use crate::machine::Machine;
 use crate::value::{self, ListBuilder};
 use es_gc::{Obj, Ref, RootSlot};
 use es_os::Os;
+use std::str::FromStr;
 
 /// Every primitive name, for `$&primitives`.
 pub const NAMES: &[&str] = &[
@@ -114,7 +115,7 @@ pub fn call<O: Os + Clone>(
         "exit" => misc::exit(m, args),
         "time" => misc::time(m, args, env),
         "wait" => Ok(Flow::Val(value::true_value(&mut m.heap))),
-        "cd" => misc::cd(m, args, env),
+        "cd" => misc::cd(m, args),
         // Strings and variables.
         "flatten" => misc::flatten(m, args),
         "fsplit" => misc::split(m, args, true),
@@ -164,6 +165,37 @@ pub(crate) fn arg_slot<O: Os + Clone>(
 ) -> Option<RootSlot> {
     let t = value::list_nth(&m.heap, m.heap.root(args), i)?;
     Some(m.heap.push_root(t))
+}
+
+/// Reads the `i`-th (1-based) argument as a `T`, rendering only that
+/// term: a string as it is, a closure unparsed (as
+/// [`value::read_strings`] renders it). `None` when the argument is
+/// absent or does not parse; `T = String` reads any argument.
+pub(crate) fn arg<T: FromStr, O: Os + Clone>(
+    m: &Machine<O>,
+    args: RootSlot,
+    i: usize,
+) -> Option<T> {
+    let t = value::list_nth(&m.heap, m.heap.root(args), i)?;
+    value::term_text(&m.heap, t).parse().ok()
+}
+
+/// Applies the `i`-th (1-based) argument as a thunk (see
+/// [`apply_thunk`]) in its own root scope; an absent argument runs
+/// nothing and yields `()`.
+pub(crate) fn run_arg<O: Os + Clone>(
+    m: &mut Machine<O>,
+    args: RootSlot,
+    i: usize,
+    env: RootSlot,
+) -> EsResult<Flow> {
+    let base = m.heap.roots_len();
+    let result = match arg_slot(m, args, i) {
+        Some(cmd) => apply_thunk(m, cmd, env, None),
+        None => Ok(Flow::Val(Ref::NIL)),
+    };
+    m.heap.truncate_roots(base);
+    result
 }
 
 /// Roots the term under the cursor in `rest` and moves the cursor on

@@ -32,6 +32,47 @@ fn boot_runs_initial_es() {
     assert_eq!(m.get_var("home"), vec!["/home/user"]);
 }
 
+/// `prims::NAMES` (what `$&primitives` lists) and `prims::call`'s
+/// match are kept by hand: they name the same primitives, every
+/// `$&name` boot binds and every hook the compiler resolves is among
+/// them, and none raises `unknown primitive` when called bare.
+#[test]
+fn primitive_names_match_their_dispatch() {
+    use crate::prims::NAMES;
+    let mut names: Vec<&str> = NAMES.to_vec();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names, NAMES, "NAMES is sorted, each name once");
+    let dispatched: Vec<&str> = include_str!("prims/mod.rs")
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\" => "))
+        .map(|(name, _)| name)
+        .collect();
+    let mut sorted = dispatched.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, NAMES, "the names `call` matches");
+    let spelled = include_str!("initial.es")
+        .split("$&")
+        .skip(1)
+        .map(|rest| {
+            rest.split(|c: char| !c.is_ascii_alphanumeric())
+                .next()
+                .unwrap_or("")
+        })
+        .filter(|name| !name.is_empty());
+    let hooked = crate::compile::HOOK_PRIMS.iter().map(|(_, prim)| *prim);
+    for name in spelled.chain(hooked) {
+        assert!(NAMES.contains(&name), "$&{name} is not in NAMES");
+    }
+    for name in NAMES {
+        let mut m = machine();
+        m.arm_limit(Kind::Steps, 1000);
+        if let Err(err) = m.run(&format!("$&{name}")) {
+            assert!(!err.contains("unknown primitive"), "$&{name}: {err}");
+        }
+    }
+}
+
 #[test]
 fn echo_builtin() {
     let mut m = machine();
@@ -82,6 +123,28 @@ fn pipe_refuses_non_numeric_fds() {
         assert_eq!(m.os_mut().take_output(), "", "{src}: a stage ran");
     }
     assert_eq!(output(&mut m, "$&pipe {echo a} 1 0 {cat}"), "a\n");
+}
+
+/// Stage k+1 reads on the `in` fd of the pair between stages k and
+/// k+1, and fd 0 keeps its own descriptor unless that pair names it.
+#[test]
+fn pipe_stage_reads_on_the_in_fd_of_its_pair() {
+    let mut m = machine();
+    let open = m.os().open_desc_count();
+    for src in [
+        "$&pipe {echo hi} 1 3 {$&dup 0 3 {cat}}",
+        "$&pipe {echo hi} 1 3 {$&dup 0 3 {cat}} 1 3 {$&dup 0 3 {cat}}",
+        "$&pipe {echo hi} 1 3 {$&dup 0 3 {tr a-z A-Z}} 1 0 {cat}",
+        "echo hi |[1=3] cat >[0=3]",
+    ] {
+        let want = if src.contains("tr") { "HI\n" } else { "hi\n" };
+        assert_eq!(output(&mut m, src), want, "{src}");
+        assert_eq!(m.os().open_desc_count(), open, "{src}: a descriptor leaked");
+    }
+    // Nothing is piped into the last stage's fd 0.
+    assert_eq!(output(&mut m, "echo hi |[1=3] cat"), "");
+    let err = m.run("echo hi | cat >[0=3]").unwrap_err();
+    assert!(err.contains("fd 3 is not open"), "{err}");
 }
 
 #[test]
@@ -643,6 +706,25 @@ fn functions_travel_through_environment() {
     child.run("greet world").unwrap();
     child.run("closed").unwrap();
     assert_eq!(child.os_mut().take_output(), "hello, world\ncaptured\n");
+}
+
+/// An element holding the list separator, or the escape that stands
+/// for it, comes back whole: in a plain variable, and in a string a
+/// closure captured.
+#[test]
+fn separator_inside_an_element_survives_the_environment() {
+    let mut m = machine();
+    m.run("u = a '<\u{1}>' b '\u{2}a' '\u{2}'").unwrap();
+    m.run("let (c = x '<\u{1}>' y) fn f { echo $#c $c(2) }")
+        .unwrap();
+    let env = crate::env::build_environment(&m).to_vec();
+    let mut child_os = SimOs::new();
+    child_os.set_initial_env(env);
+    let mut child = Machine::new(child_os).expect("child boots");
+    assert_eq!(child.get_var("u"), m.get_var("u"));
+    assert_eq!(child.get_var("u").len(), 5);
+    assert_eq!(output(&mut m, "f"), "3 <\u{1}>\n");
+    assert_eq!(output(&mut child, "f"), "3 <\u{1}>\n");
 }
 
 #[test]

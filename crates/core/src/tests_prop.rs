@@ -28,6 +28,13 @@ fn words() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec(word(), 0..8)
 }
 
+/// A machine booted from `parent`'s exported environment.
+fn child_of(parent: &Machine<SimOs>) -> Machine<SimOs> {
+    let mut os = SimOs::new();
+    os.set_initial_env(parent.export_environment().to_vec());
+    Machine::new(os).expect("child boots")
+}
+
 fn quoted_list(items: &[String]) -> String {
     items.iter().map(|w| quote(w)).collect::<Vec<_>>().join(" ")
 }
@@ -158,16 +165,23 @@ proptest! {
     }
 
     /// The environment codec is a lossless round trip for plain
-    /// variables with arbitrary printable contents.
+    /// variables with arbitrary printable contents, the list separator
+    /// and its escape among them.
     #[test]
-    fn prop_env_roundtrip_plain_vars(items in proptest::collection::vec("[ -~&&[^\u{1}]]{0,10}", 0..5)) {
+    fn prop_env_roundtrip_plain_vars(items in proptest::collection::vec("[ -~\u{1}\u{2}]{0,10}", 0..5)) {
         let mut parent = machine();
         parent.run(&format!("payload = {}", quoted_list(&items))).unwrap();
-        let env = parent.export_environment().to_vec();
-        let mut os = SimOs::new();
-        os.set_initial_env(env);
-        let child = Machine::new(os).expect("child boots");
+        let child = child_of(&parent);
         prop_assert_eq!(child.get_var("payload"), parent.get_var("payload"));
+    }
+
+    /// The same holds for the words a function captured.
+    #[test]
+    fn prop_env_roundtrip_captured_vars(items in proptest::collection::vec("[ -~\u{1}\u{2}]{0,10}", 0..5)) {
+        let mut parent = machine();
+        parent.run(&format!("let (c = {}) fn f {{ result $c }}", quoted_list(&items))).unwrap();
+        let mut child = child_of(&parent);
+        prop_assert_eq!(child.run("f").unwrap(), items);
     }
 
     /// whatis output reparses to an equivalent definition: define,

@@ -23,6 +23,7 @@ use crate::machine::Heap;
 use es_gc::{Obj, Ref, RootSlot};
 use es_syntax::ast::Lambda;
 use es_syntax::print;
+use std::borrow::Cow;
 use std::rc::Rc;
 
 /// A term read out of a GC list, for Rust-side consumption.
@@ -163,14 +164,14 @@ pub fn read_strings(heap: &Heap, list: Ref) -> Vec<String> {
         .collect()
 }
 
-/// Appends the text of one term to `out`: a string as is, a closure
+/// The text of one term: a string as is, borrowed; a closure
 /// unparsed (as [`read_strings`] renders it).
-pub fn push_text(heap: &Heap, term: Ref, out: &mut String) {
+pub fn term_text(heap: &Heap, term: Ref) -> Cow<'_, str> {
     match heap.get(term) {
         Obj::Closure(_, bindings) => {
-            out.push_str(&unparse_closure(heap, heap.closure_code(term), *bindings))
+            Cow::Owned(unparse_closure(heap, heap.closure_code(term), *bindings))
         }
-        _ => out.push_str(heap.str_value(term)),
+        _ => Cow::Borrowed(heap.str_value(term)),
     }
 }
 

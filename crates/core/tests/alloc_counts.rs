@@ -3,7 +3,8 @@
 //! them make as many mallocs as one. Boot state is shared, not
 //! copied: a launch makes as many mallocs with 64 more exported
 //! globals, and a recycled session's first file write as many with 64
-//! more boot files. A pipe reads only its descriptor words, so one
+//! more boot files. A pipe reads only its descriptor words, and a
+//! redirection or `%limit` only its fd, file or limit words, so one
 //! under a `let` of 64 words makes as many mallocs as under one, and
 //! `~` and `^` read their words in place, so matching or concatenating
 //! 64 words makes as many as one. A recycle restores the boot image
@@ -229,6 +230,33 @@ fn pipes_make_no_malloc_per_captured_word() {
         pipe_mallocs(1),
         "`true | true` under a 64-word let vs 1"
     );
+}
+
+#[test]
+fn redirections_make_no_malloc_per_captured_word() {
+    // The body is a closure over the `let`, so rendering it renders
+    // every word it captured; a redirection reads only its fd and
+    // file words.
+    fn redirection_mallocs(n: usize, line: &str) -> u64 {
+        let words: Vec<String> = (0..n).map(|i| format!("w{i}")).collect();
+        eval_mallocs(
+            "echo a > /tmp/s",
+            &format!("let (v = {}) {{ {line} }}", words.join(" ")),
+        )
+    }
+    for line in [
+        "true > /tmp/s",
+        "true < /tmp/s",
+        "true >> /tmp/s",
+        "true << 'text'",
+        "%limit steps 1000000 {true}",
+    ] {
+        assert_eq!(
+            redirection_mallocs(64, line),
+            redirection_mallocs(1, line),
+            "`{line}` under a 64-word let vs 1"
+        );
+    }
 }
 
 #[test]

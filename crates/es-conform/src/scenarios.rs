@@ -214,6 +214,14 @@ pub const SCENARIOS: &[Scenario] = &[
         &["seq 3 | tr 123 abc > f7", "cat f7"],
         &["seq", "tr", "cat"],
     ),
+    both(
+        "pipe-fd-designators",
+        &[
+            "echo hi |[1=3] cat >[0=3]",
+            "{echo out; echo err >[1=2]} |[2] tr a-z A-Z",
+        ],
+        &["cat", "tr"],
+    ),
     // ----- backquote substitution ------------------------------------------
     both("backquote-split", &["x = `{seq 3}", "echo $#x $x"], &["seq"]),
     both(
