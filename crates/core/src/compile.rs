@@ -166,10 +166,10 @@ pub fn compile_lambda(lambda: &Rc<Lambda>) -> Code {
     let frame = match &lambda.params {
         Some(params) => {
             let mut f: Frame = vec![Some("0".to_string())];
-            if !params.iter().any(|p| p == "*") {
+            if !params.iter().any(|p| p.text() == "*") {
                 f.push(Some("*".to_string()));
             }
-            f.extend(params.iter().rev().map(|p| Some(p.clone())));
+            f.extend(params.iter().rev().map(|p| Some(p.text().to_string())));
             f
         }
         // A bare block binds `*` only when called with arguments, so

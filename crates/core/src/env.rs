@@ -80,15 +80,14 @@ fn encode_globals<O: Os + Clone>(m: &Machine<O>) -> (Vec<(String, String)>, bool
     let noexport = m.get_var("noexport");
     let mut all_cacheable = true;
     let mut out = Vec::new();
-    for (name, global) in m.globals() {
-        let name = &**name;
+    for (name, sym, global) in m.globals() {
         if BUILTIN_NOEXPORT.contains(&name)
             || noexport.iter().any(|n| n == name)
             || name.contains('=')
         {
             continue;
         }
-        let encoded = if let Some(value) = m.dynamic("", name) {
+        let encoded = if let Some(value) = m.dynamic(sym) {
             all_cacheable = false;
             encode_value(m, value).0
         } else if let Some(cached) = global.export.get() {
@@ -118,7 +117,7 @@ fn encode_globals<O: Os + Clone>(m: &Machine<O>) -> (Vec<(String, String)>, bool
 /// launches a program would fill a boot global's cell without storing
 /// it, and recycle, which restores only what was stored, would miss it.
 pub(crate) fn fill_export_caches<O: Os + Clone>(m: &Machine<O>) {
-    for global in m.globals().values() {
+    for (_, _, global) in m.globals() {
         if global.export.get().is_none() {
             let (encoded, cacheable) = encode_value(m, m.heap.perm(global.slot));
             if cacheable {
@@ -222,8 +221,10 @@ pub fn set_from_encoded<O: Os + Clone>(
         }
     }
     let value_slot = b.head_slot();
-    let transformed = eval::run_settor(m, env, name, value_slot)?;
-    m.assign_raw(Ref::NIL, name, transformed);
+    let settor = m.heap.find_sym("set-", name);
+    let transformed = eval::run_settor(m, env, settor, value_slot)?;
+    let sym = m.heap.intern("", name);
+    m.assign_raw(Ref::NIL, sym, transformed);
     m.heap.truncate_roots(base);
     Ok(())
 }
@@ -237,8 +238,8 @@ fn decode_piece<O: Os + Clone>(m: &mut Machine<O>, piece: &str) -> EsResult<Opti
     if !looks_like_code {
         return Ok(None);
     }
-    let parsed = match es_syntax::parse_program(piece) {
-        Ok(p) => es_syntax::lower(p),
+    let parsed = match m.parse(piece) {
+        Ok(node) => node,
         Err(_) => return Ok(None),
     };
     // Expect exactly one expression that is a lambda/closure literal.

@@ -17,14 +17,13 @@
 
 use crate::exception::{EsError, EsResult};
 use crate::governor::Kind;
-use crate::machine::{Machine, NameBuf};
+use crate::machine::{sym, Machine, NameBuf};
 use crate::prims;
 use crate::value::{self, ListBuilder};
-use es_gc::{Obj, Ref, RootSlot};
+use es_gc::{Obj, Ref, RootSlot, Sym};
 use es_match::Pattern;
 use es_os::Os;
 use es_syntax::ast::{Expr, Node, Word};
-use std::borrow::Cow;
 
 /// Evaluation outcome: a value, or a pending tail call (stored in the
 /// apply loop's slots).
@@ -55,6 +54,10 @@ pub fn must_value(f: Flow) -> Ref {
 /// → `Call`), so the other arms live in their own never-inlined
 /// functions to keep this frame, and with it the Rust stack spent per
 /// es call, small.
+///
+/// A call whose head is a literal word or a `$&name` is resolved from
+/// the tree: the head is neither put in the heap nor copied, and a
+/// word's `fn-` symbol came with the tree.
 pub fn eval_node<O: Os + Clone>(
     m: &mut Machine<O>,
     node: &Node,
@@ -65,8 +68,21 @@ pub fn eval_node<O: Os + Clone>(
         Node::Call(exprs) => {
             crate::governor::charge(m)?;
             let base = m.heap.roots_len();
-            let list = eval_exprs(m, exprs, env, true)?;
-            let flow = apply_slot(m, list, env, tail)?;
+            let flow = match exprs.split_first() {
+                Some((Expr::Word(w), rest)) if w.prefixed_sym().is_some() => {
+                    let fn_sym = Name::word(w).prefixed(m, "fn-");
+                    let args = eval_exprs(m, rest, env, true)?;
+                    apply_named(m, w.text(), fn_sym, args, env, tail, 0)?
+                }
+                Some((Expr::Prim(name), rest)) => {
+                    let args = eval_exprs(m, rest, env, true)?;
+                    prims::call(m, name, args, env, tail)?
+                }
+                _ => {
+                    let list = eval_exprs(m, exprs, env, true)?;
+                    apply_slot(m, list, env, tail)?
+                }
+            };
             Ok(pop_scope(m, base, flow))
         }
         Node::Seq(nodes) => {
@@ -114,11 +130,11 @@ fn eval_assign<O: Os + Clone>(
     let base = m.heap.roots_len();
     let names = names(m, lhs, env)?;
     let values_slot = eval_exprs(m, values, env, false)?;
-    if names.as_slice().is_empty() {
+    if names.len() == 0 {
         m.heap.truncate_roots(base);
         return Err(m.error("assignment to empty name list"));
     }
-    assign_distribute(m, env, names.as_slice(), values_slot)?;
+    assign_distribute(m, env, &names, values_slot)?;
     let out = m.heap.root(values_slot);
     Ok(pop_scope(m, base, Flow::Val(out)))
 }
@@ -134,11 +150,12 @@ fn eval_let<O: Os + Clone>(
     let base = m.heap.roots_len();
     let chain = m.heap.push_root(m.heap.root(env));
     for (name_expr, value_exprs) in bindings {
-        let name = single_name(m, name_expr, chain)?;
+        let names = names(m, name_expr, chain)?;
+        let name = names.single(m)?.intern(m);
         let inner = m.heap.roots_len();
         let value_slot = eval_exprs(m, value_exprs, chain, false)?;
         let value = m.heap.root(value_slot);
-        let binding = m.heap.alloc_binding(&name, value, m.heap.root(chain));
+        let binding = m.heap.alloc_binding(name, value, m.heap.root(chain));
         m.heap.set_root(chain, binding);
         m.heap.truncate_roots(inner);
     }
@@ -158,18 +175,22 @@ fn eval_local<O: Os + Clone>(
     let base = m.heap.roots_len();
     let dyn_base = m.dynamics_len();
     // Evaluate all values in the outer scope first.
-    let mut staged: Vec<(Cow<str>, RootSlot)> = Vec::new();
+    let mut staged: Vec<(Names, RootSlot)> = Vec::new();
     for (name_expr, value_exprs) in bindings {
-        let name = single_name(m, name_expr, env)?;
+        let names = names(m, name_expr, env)?;
+        names.single(m)?;
         let value_slot = eval_exprs(m, value_exprs, env, false)?;
-        staged.push((name, value_slot));
+        staged.push((names, value_slot));
     }
     // Settors fire on dynamic binding too (harmlessly skipped when the
     // settor itself is dynamically nulled — that is exactly the
     // paper's set-path/set-PATH suppression trick).
-    for (name, slot) in &staged {
-        let transformed = run_settor(m, env, name, *slot)?;
-        m.push_dynamic(name, transformed);
+    for (names, slot) in &staged {
+        let name = names.single(m)?;
+        let settor = name.prefixed(m, "set-");
+        let transformed = run_settor(m, env, settor, *slot)?;
+        let sym = name.intern(m);
+        m.push_dynamic(sym, transformed);
     }
     let result = eval_node(m, body, env, None);
     m.pop_dynamics(dyn_base);
@@ -188,9 +209,10 @@ fn eval_for<O: Os + Clone>(
     let base = m.heap.roots_len();
     // Evaluate every list once, up front. Each list's slot is then a
     // cursor that advances one cell per iteration.
-    let mut lists: Vec<(Cow<str>, RootSlot)> = Vec::new();
+    let mut lists: Vec<(Sym, RootSlot)> = Vec::new();
     for (name_expr, value_exprs) in bindings {
-        let name = single_name(m, name_expr, env)?;
+        let names = names(m, name_expr, env)?;
+        let name = names.single(m)?.intern(m);
         let slot = eval_exprs(m, value_exprs, env, false)?;
         lists.push((name, slot));
     }
@@ -205,7 +227,7 @@ fn eval_for<O: Os + Clone>(
             let v = m.heap.push_root(value);
             let binding = m
                 .heap
-                .alloc_binding(name, m.heap.root(v), m.heap.root(chain));
+                .alloc_binding(*name, m.heap.root(v), m.heap.root(chain));
             m.heap.set_root(chain, binding);
         }
         match eval_node(m, body, chain, None) {
@@ -327,21 +349,108 @@ pub fn throw_is<O: Os + Clone>(m: &Machine<O>, e: Ref, name: &str) -> bool {
 
 /// The names an expression in name position denotes: the target of a
 /// `$`-reference, the left side of an assignment, or a `let`, `local`
-/// or `for` name. A literal word lends its own text, so naming a
-/// variable copies nothing; any other expression (`$$x`, `$(fn-$f)`)
-/// is evaluated, and its strings are owned.
+/// or `for` name. A literal word lends its own text and the symbols
+/// its tree was lowered with, so naming a variable copies nothing; any
+/// other expression (`$$x`, `$(fn-$f)`) is evaluated, and its strings
+/// are owned.
 enum Names<'e> {
-    Literal(Cow<'e, str>),
-    Computed(Vec<Cow<'e, str>>),
+    Literal(&'e Word),
+    Computed(Vec<String>),
 }
 
-impl<'e> Names<'e> {
-    fn as_slice(&self) -> &[Cow<'e, str>] {
+impl Names<'_> {
+    fn len(&self) -> usize {
         match self {
-            Names::Literal(name) => std::slice::from_ref(name),
-            Names::Computed(names) => names,
+            Names::Literal(_) => 1,
+            Names::Computed(names) => names.len(),
         }
     }
+
+    fn iter(&self) -> impl Iterator<Item = Name<'_>> {
+        let (word, texts) = match self {
+            Names::Literal(w) => (Some(Name::word(w)), &[][..]),
+            Names::Computed(names) => (None, names.as_slice()),
+        };
+        word.into_iter().chain(texts.iter().map(|t| Name {
+            text: t,
+            sym: None,
+            pre: None,
+        }))
+    }
+
+    /// The one name, for a binding form.
+    fn single<O: Os + Clone>(&self, m: &mut Machine<O>) -> EsResult<Name<'_>> {
+        match self.len() {
+            1 => Ok(self.iter().next().expect("one name")),
+            _ => Err(m.error("binding name must be a single word")),
+        }
+    }
+}
+
+/// One name in name position: its text, and the symbols the tree gave
+/// a literal word (a computed name has none).
+#[derive(Clone, Copy)]
+struct Name<'a> {
+    text: &'a str,
+    /// The name's own symbol.
+    sym: Option<u32>,
+    /// Its `fn-` symbol for a call head, its `set-` one for an assigned
+    /// or `local` name.
+    pre: Option<u32>,
+}
+
+impl<'a> Name<'a> {
+    fn word(w: &'a Word) -> Name<'a> {
+        Name {
+            text: w.text(),
+            sym: w.sym(),
+            pre: w.prefixed_sym(),
+        }
+    }
+
+    /// The name's symbol, or `None` if it was never interned: then no
+    /// variable has it.
+    fn find<O: Os + Clone>(self, m: &Machine<O>) -> Option<Sym> {
+        resolve(m, self.sym, "", self.text)
+    }
+
+    /// The symbol of `prefix` followed by the name, or `None` if it was
+    /// never interned.
+    fn prefixed<O: Os + Clone>(self, m: &Machine<O>, prefix: &str) -> Option<Sym> {
+        resolve(m, self.pre, prefix, self.text)
+    }
+
+    /// The name's symbol, interned if it is new: what a binding or an
+    /// assignment stores under.
+    fn intern<O: Os + Clone>(self, m: &mut Machine<O>) -> Sym {
+        match resolve(m, self.sym, "", self.text) {
+            Some(sym) => sym,
+            None => m.heap.intern("", self.text),
+        }
+    }
+}
+
+/// The symbol of `prefix` followed by `text`: `raw` if a tree gave it,
+/// else the table's, if the name was ever interned. Debug builds check
+/// a tree's symbol against the table's by-name search: a tree runs
+/// only on the machine that lowered it, and its symbols must still be
+/// that machine's.
+fn resolve<O: Os + Clone>(
+    m: &Machine<O>,
+    raw: Option<u32>,
+    prefix: &str,
+    text: &str,
+) -> Option<Sym> {
+    let Some(raw) = raw else {
+        return m.heap.find_sym(prefix, text);
+    };
+    let sym = Sym::from_raw(raw);
+    debug_assert_eq!(
+        m.heap.find_sym(prefix, text),
+        Some(sym),
+        "the tree's symbol for {prefix}{text} is not the table's"
+    );
+    Some(sym)
 }
 
 /// Evaluates `expr` in name position (see [`Names`]). A literal word
@@ -353,26 +462,13 @@ fn names<'e, O: Os + Clone>(
     env: RootSlot,
 ) -> EsResult<Names<'e>> {
     if let Expr::Word(w) = expr {
-        return Ok(Names::Literal(Cow::Borrowed(w.text())));
+        return Ok(Names::Literal(w));
     }
     let base = m.heap.roots_len();
     let slot = eval_expr_rooted(m, expr, env, false)?;
-    let names = m.strings_at(slot).into_iter().map(Cow::Owned).collect();
+    let names = m.strings_at(slot);
     m.heap.truncate_roots(base);
     Ok(Names::Computed(names))
-}
-
-/// Evaluates a name expression that must denote exactly one name.
-fn single_name<'e, O: Os + Clone>(
-    m: &mut Machine<O>,
-    expr: &'e Expr,
-    env: RootSlot,
-) -> EsResult<Cow<'e, str>> {
-    match names(m, expr, env)? {
-        Names::Literal(name) => Ok(name),
-        Names::Computed(mut names) if names.len() == 1 => Ok(names.pop().expect("one name")),
-        Names::Computed(_) => Err(m.error("binding name must be a single word")),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +480,7 @@ fn single_name<'e, O: Os + Clone>(
 fn assign_distribute<O: Os + Clone>(
     m: &mut Machine<O>,
     env: RootSlot,
-    names: &[Cow<str>],
+    names: &Names,
     values_slot: RootSlot,
 ) -> EsResult<()> {
     let n = names.len();
@@ -393,9 +489,11 @@ fn assign_distribute<O: Os + Clone>(
         let base = m.heap.roots_len();
         let value = next_value(m, rest, i + 1 == n);
         let v_slot = m.heap.push_root(value);
-        let transformed = run_settor(m, env, name, v_slot)?;
+        let settor = name.prefixed(m, "set-");
+        let transformed = run_settor(m, env, settor, v_slot)?;
+        let sym = name.intern(m);
         let env_ref = m.heap.root(env);
-        m.assign_raw(env_ref, name, transformed);
+        m.assign_raw(env_ref, sym, transformed);
         m.heap.truncate_roots(base);
     }
     m.heap.truncate_roots(rest.index());
@@ -417,15 +515,16 @@ fn next_value<O: Os + Clone>(m: &mut Machine<O>, rest: RootSlot, last: bool) -> 
 
 /// Runs the `set-name` settor, if any: applies it as a command with
 /// the new value as arguments and returns its result as the value to
-/// actually assign (paper, section "Settor Variables"). Returns the
-/// original value when no settor is set (or it is null).
+/// actually assign (paper, section "Settor Variables"). `settor` is
+/// the symbol of `set-name`, `None` if it was never interned. Returns
+/// the original value when no settor is set (or it is null).
 pub fn run_settor<O: Os + Clone>(
     m: &mut Machine<O>,
     env: RootSlot,
-    name: &str,
+    settor: Option<Sym>,
     value_slot: RootSlot,
 ) -> EsResult<Ref> {
-    let settor = m.lookup(m.heap.root(env), "set-", name);
+    let settor = settor.and_then(|s| m.lookup(m.heap.root(env), s));
     let settor = match settor {
         Some(s) if !s.is_nil() => s,
         _ => return Ok(m.heap.root(value_slot)),
@@ -508,9 +607,8 @@ pub fn eval_expr<O: Os + Clone>(
             let names = names(m, target, env)?;
             let env_ref = m.heap.root(env);
             let count: usize = names
-                .as_slice()
                 .iter()
-                .filter_map(|name| m.lookup(env_ref, "", name))
+                .filter_map(|name| m.lookup(env_ref, name.find(m)?))
                 .map(|v| value::list_len(&m.heap, v))
                 .sum();
             Ok(value::list_from_strs(&mut m.heap, &[&count.to_string()]))
@@ -617,6 +715,7 @@ pub fn eval_expr<O: Os + Clone>(
             for (name, value_exprs) in bindings {
                 let slot = eval_exprs(m, value_exprs, empty_env, false)?;
                 let value = m.heap.root(slot);
+                let name = m.heap.intern("", name);
                 let binding = m.heap.alloc_binding(name, value, m.heap.root(chain));
                 m.heap.set_root(chain, binding);
             }
@@ -639,11 +738,10 @@ pub fn eval_expr<O: Os + Clone>(
 /// `$*(1)`).
 fn var_value<O: Os + Clone>(m: &mut Machine<O>, target: &Expr, env: RootSlot) -> EsResult<Ref> {
     let names = names(m, target, env)?;
-    let names = names.as_slice();
     let base = m.heap.roots_len();
     let mut b = ListBuilder::new(&mut m.heap);
-    for name in names {
-        match m.lookup(m.heap.root(env), "", name) {
+    for name in names.iter() {
+        match name.find(m).and_then(|s| m.lookup(m.heap.root(env), s)) {
             Some(v) if names.len() == 1 => {
                 m.heap.truncate_roots(base);
                 return Ok(v);
@@ -654,10 +752,10 @@ fn var_value<O: Os + Clone>(m: &mut Machine<O>, target: &Expr, env: RootSlot) ->
                 m.heap.truncate_roots(v_slot.index());
             }
             None => {
-                let Ok(i) = name.parse::<usize>() else {
+                let Ok(i) = name.text.parse::<usize>() else {
                     continue;
                 };
-                let star = m.lookup(m.heap.root(env), "", "*");
+                let star = m.lookup(m.heap.root(env), sym::STAR);
                 if let Some(term) = star.and_then(|star| value::list_nth(&m.heap, star, i)) {
                     let t = m.heap.push_root(term);
                     let term = m.heap.root(t);
@@ -702,7 +800,7 @@ pub fn apply_slot<O: Os + Clone>(
             let name = NameBuf::new(&[m.heap.str_value(head)]);
             let base = m.heap.roots_len();
             let args = m.heap.push_root(m.heap.pair_tail(list));
-            let flow = apply_named(m, name.as_str(), args, env, tail, 0)?;
+            let flow = apply_named(m, name.as_str(), None, args, env, tail, 0)?;
             Ok(pop_scope(m, base, flow))
         }
         other => {
@@ -713,10 +811,13 @@ pub fn apply_slot<O: Os + Clone>(
 }
 
 /// Resolves and applies a command named by a string: primitives,
-/// slash-paths, `fn-` variables, then `%pathsearch`.
+/// slash-paths, `fn-` variables, then `%pathsearch`. `fn_sym` is the
+/// symbol of `fn-name` when the caller has it from a tree; otherwise
+/// the name is resolved by its text.
 fn apply_named<O: Os + Clone>(
     m: &mut Machine<O>,
     name: &str,
+    fn_sym: Option<Sym>,
     args: RootSlot,
     env: RootSlot,
     tail: Option<TailSlots>,
@@ -731,13 +832,15 @@ fn apply_named<O: Os + Clone>(
     if name.contains('/') {
         return run_external(m, name, args);
     }
-    let resolved = m.lookup(m.heap.root(env), "fn-", name);
+    let fn_sym = fn_sym.or_else(|| m.heap.find_sym("fn-", name));
+    let resolved = fn_sym.and_then(|s| m.lookup(m.heap.root(env), s));
     if let Some(value) = resolved.filter(|v| !v.is_nil()) {
         return apply_value(m, name, value, args, env, tail, hops);
     }
     // Path search through the (spoofable) %pathsearch hook.
     let base = m.heap.roots_len();
-    let Some(path_list) = call_hook(m, "%pathsearch", name, env, hops)? else {
+    let hook = (sym::FN_PATHSEARCH, "%pathsearch");
+    let Some(path_list) = call_hook(m, hook, name, env, hops)? else {
         return Err(m.error(&format!("{name}: command not found")));
     };
     let p_slot = m.heap.push_root(path_list);
@@ -804,29 +907,27 @@ fn apply_value<O: Os + Clone>(
         Obj::Str(_) => {
             let next_name = NameBuf::new(&[m.heap.str_value(new_head)]);
             let new_args = m.heap.push_root(m.heap.pair_tail(m.heap.root(new_list)));
-            apply_named(m, next_name.as_str(), new_args, env, tail, hops + 1)?
+            apply_named(m, next_name.as_str(), None, new_args, env, tail, hops + 1)?
         }
         _ => apply_slot(m, new_list, env, tail)?,
     };
     Ok(pop_scope(m, base, flow))
 }
 
-/// Calls the hook `fn-<hook>` on one word, as the command `hook word`
-/// would, and returns its value; `None` when the hook is unbound.
-/// `hops` is the caller's count of definitions resolved so far: a
-/// hook that names an unbound command resolves through the hook again,
-/// and the count is what ends that loop.
+/// Calls the hook `hook`, given as the symbol of `fn-<hook>` and its
+/// name, on one word, as the command `hook word` would, and returns
+/// its value; `None` when the hook is unbound. `hops` is the caller's
+/// count of definitions resolved so far: a hook that names an unbound
+/// command resolves through the hook again, and the count is what ends
+/// that loop.
 fn call_hook<O: Os + Clone>(
     m: &mut Machine<O>,
-    hook: &str,
+    (fn_sym, hook): (Sym, &str),
     word: &str,
     env: RootSlot,
     hops: usize,
 ) -> EsResult<Option<Ref>> {
-    let Some(value) = m
-        .lookup(m.heap.root(env), "fn-", hook)
-        .filter(|v| !v.is_nil())
-    else {
+    let Some(value) = m.lookup(m.heap.root(env), fn_sym).filter(|v| !v.is_nil()) else {
         return Ok(None);
     };
     let base = m.heap.roots_len();
@@ -905,7 +1006,7 @@ pub(crate) fn bind_invocation<O: Os + Clone>(
     if let Some(args) = args {
         let b = m
             .heap
-            .alloc_binding("*", m.heap.root(args), m.heap.root(chain));
+            .alloc_binding(sym::STAR, m.heap.root(args), m.heap.root(chain));
         m.heap.set_root(chain, b);
     }
     let zero = m.heap.alloc_str(name);
@@ -914,7 +1015,7 @@ pub(crate) fn bind_invocation<O: Os + Clone>(
     let zs = m.heap.push_root(zl);
     let b = m
         .heap
-        .alloc_binding("0", m.heap.root(zs), m.heap.root(chain));
+        .alloc_binding(sym::ZERO, m.heap.root(zs), m.heap.root(chain));
     m.heap.set_root(chain, b);
 }
 
@@ -954,10 +1055,11 @@ fn apply_closure_inner<O: Os + Clone>(
                 for (i, p) in params.iter().enumerate() {
                     let value = next_value(m, rest, i + 1 == n);
                     let v = m.heap.push_root(value);
+                    let p = Name::word(p).intern(m);
                     let b = m.heap.alloc_binding(p, m.heap.root(v), m.heap.root(chain));
                     m.heap.set_root(chain, b);
                 }
-                let star = !params.iter().any(|p| p == "*");
+                let star = !params.iter().any(|p| p.text() == "*");
                 bind_invocation(m, chain, star.then_some(cur_args), invocation);
             }
             None => {
@@ -965,9 +1067,9 @@ fn apply_closure_inner<O: Os + Clone>(
                 // everything else) stays visible from the enclosing
                 // scope. Explicit arguments, if any, do rebind `$*`.
                 if !m.heap.root(cur_args).is_nil() {
-                    let b = m
-                        .heap
-                        .alloc_binding("*", m.heap.root(cur_args), m.heap.root(chain));
+                    let b =
+                        m.heap
+                            .alloc_binding(sym::STAR, m.heap.root(cur_args), m.heap.root(chain));
                     m.heap.set_root(chain, b);
                 }
             }
@@ -1043,7 +1145,7 @@ pub(crate) fn glob_word<O: Os + Clone>(
     w: &Word,
     env: RootSlot,
 ) -> EsResult<Ref> {
-    if let Some(out) = call_hook(m, "%glob", w.text(), env, 0)? {
+    if let Some(out) = call_hook(m, (sym::FN_GLOB, "%glob"), w.text(), env, 0)? {
         return Ok(out);
     }
     let matches = glob_expand(m, w);

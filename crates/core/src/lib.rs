@@ -55,6 +55,7 @@ mod tests;
 #[cfg(test)]
 mod tests_prop;
 
+pub use es_gc::Sym;
 pub use exception::{EsError, EsResult};
 pub use machine::{Machine, Options, Yield, YieldAction};
 pub use value::Term;

@@ -5,34 +5,48 @@ use crate::eval;
 use crate::exception::{EsError, EsResult};
 use crate::governor::{Governor, Kind, Limits};
 use crate::value::{self, Term};
-use es_gc::{PermSlot, Ref, RootSlot};
+use es_gc::{PermSlot, Ref, RootSlot, Sym};
 use es_os::{Desc, Os};
-use es_syntax::ast::Lambda;
-use es_syntax::{lower, parse_program};
+use es_syntax::ast::{Lambda, Node};
+use es_syntax::{lower_with, parse_program, ParseError};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{BuildHasherDefault, DefaultHasher};
-use std::ops::Bound;
 use std::rc::Rc;
 
 /// The interpreter heap: closure payloads are shared lambda ASTs.
 pub type Heap = es_gc::Heap<Rc<Lambda>>;
 
-/// True if `s` is `prefix` followed by `name`. Compared byte by byte:
-/// names are short, and a call into the C library's `memcmp` for each
-/// binding a lookup passes cost more than the comparison itself.
-fn spells(s: &str, prefix: &str, name: &str) -> bool {
-    let (p, n) = (prefix.as_bytes(), name.as_bytes());
-    s.len() == p.len() + n.len() && s.bytes().eq(p.iter().chain(n).copied())
+/// The names the interpreter itself binds or resolves, interned first
+/// in every machine's table so that their symbols are constants.
+pub(crate) mod sym {
+    use es_gc::Sym;
+
+    /// `$*`, bound by every call.
+    pub(crate) const STAR: Sym = Sym::from_raw(0);
+    /// `$0`, bound by every call.
+    pub(crate) const ZERO: Sym = Sym::from_raw(1);
+    /// The path-search hook.
+    pub(crate) const FN_PATHSEARCH: Sym = Sym::from_raw(2);
+    /// The glob hook.
+    pub(crate) const FN_GLOB: Sym = Sym::from_raw(3);
+    /// `$apid`, set by `$&background`.
+    pub(crate) const APID: Sym = Sym::from_raw(4);
+    /// `$bqstatus`, set by `$&backquote`.
+    pub(crate) const BQSTATUS: Sym = Sym::from_raw(5);
+
+    /// The names, in symbol order.
+    pub(super) const NAMES: [&str; 6] =
+        ["*", "0", "fn-%pathsearch", "fn-%glob", "apid", "bqstatus"];
 }
 
 /// How many bytes of name a [`NameBuf`] holds without a malloc.
 const NAME_BUF: usize = 40;
 
-/// A name assembled on the stack: the `globals` key for a lookup of
-/// `prefix` followed by `name`, or a command name copied out of the
-/// heap so that it outlives the allocations its application makes.
-/// Only a name longer than [`NAME_BUF`] bytes is built in a `String`.
+/// A name assembled on the stack: a command name copied out of the
+/// heap so that it outlives the allocations its application makes, or
+/// a `$&name` term built from a primitive's name. Only a name longer
+/// than [`NAME_BUF`] bytes is built in a `String`.
 pub(crate) enum NameBuf {
     Short(u8, [u8; NAME_BUF]),
     Long(String),
@@ -150,10 +164,10 @@ impl PartialEq for Global {
     }
 }
 
-/// The names of the globals touched since the freeze. std's hasher
+/// The symbols of the globals touched since the freeze. std's hasher
 /// with its default (zero) key, so the set drains in the same order on
 /// every run.
-type Touched = HashSet<Rc<str>, BuildHasherDefault<DefaultHasher>>;
+type Touched = HashSet<Sym, BuildHasherDefault<DefaultHasher>>;
 
 /// An input source for `$&parse` / `$&dot`.
 #[derive(Debug, Clone)]
@@ -176,23 +190,25 @@ pub struct Machine<O: Os + Clone> {
     /// Evaluator options.
     pub opts: Options,
     os: O,
-    /// Keyed by shared names, so cloning the map (recycle, fork, the
-    /// boot image) copies no name.
-    globals: BTreeMap<Rc<str>, Global>,
-    /// The names of the globals stored, created or removed since the
-    /// freeze or the last recycle, holding the map's own key `Rc`s:
-    /// what [`Machine::recycle`] restores. A name the image lacks
-    /// leaves the set when it is removed, so the set never holds more
-    /// names than the session touched and left live, plus the boot
-    /// names it touched. It keeps its capacity, so a store makes no
-    /// malloc once the set is warm.
+    /// The global variables, indexed by the symbol of their name: a
+    /// global is found with one index, and no name is compared.
+    globals: Vec<Option<Global>>,
+    /// The symbols of the globals, sorted by name: the order of the
+    /// export, of `$&vars` and of the hook list.
+    by_name: Vec<Sym>,
+    /// The symbols of the globals stored, created or removed since the
+    /// freeze or the last recycle: what [`Machine::recycle`] restores.
+    /// A name the image lacks leaves the set when it is removed, so the
+    /// set never holds more names than the session touched and left
+    /// live, plus the boot names it touched. It keeps its capacity, so
+    /// a store makes no malloc once the set is warm.
     touched: Touched,
     /// The whole environment export, shared by every launch until
     /// [`Machine::assign_raw`] next creates, stores or removes a
     /// global. See [`env::build_environment`] for when it is used.
     shared_export: OnceCell<Rc<[(String, String)]>>,
     /// Dynamic-binding stack: `(name, value slot)`, innermost last.
-    dynamics: Vec<(String, RootSlot)>,
+    dynamics: Vec<(Sym, RootSlot)>,
     /// The shell's fd table: shell fd → kernel descriptor.
     fds: BTreeMap<u32, Desc>,
     inputs: Vec<Input>,
@@ -230,7 +246,8 @@ impl<O: Os + Clone> Machine<O> {
             heap: Heap::new(),
             opts,
             os,
-            globals: BTreeMap::new(),
+            globals: Vec::new(),
+            by_name: Vec::new(),
             touched: Touched::default(),
             shared_export: OnceCell::new(),
             dynamics: Vec::new(),
@@ -246,6 +263,13 @@ impl<O: Os + Clone> Machine<O> {
         m.fds.insert(0, es_os::STDIN);
         m.fds.insert(1, es_os::STDOUT);
         m.fds.insert(2, es_os::STDERR);
+        for (i, name) in sym::NAMES.iter().enumerate() {
+            assert_eq!(
+                m.heap.intern("", name).index(),
+                i,
+                "fixed symbols come first"
+            );
+        }
         // Variables the interpreter itself relies on.
         m.set_global_strs("ifs", &[" \t\n"]);
         let pid = 5000.to_string();
@@ -265,6 +289,10 @@ impl<O: Os + Clone> Machine<O> {
         // restore it. The image's own `boot_image` is `None` (no
         // recursion); `recycle` keeps the `Rc` it restores from.
         m.heap.freeze();
+        // Boot grew the globals one symbol at a time; a session that
+        // creates a global grows them again, once per machine.
+        m.globals.shrink_to_fit();
+        m.by_name.shrink_to_fit();
         m.boot_image = Some(Rc::new(m.clone()));
         Ok(m)
     }
@@ -280,11 +308,11 @@ impl<O: Os + Clone> Machine<O> {
     /// The restore is field by field, from an exhaustive destructuring
     /// of the image, into the buffers this machine already has: the
     /// heap goes back to the shared boot space with an empty young
-    /// space, the globals named in the touched set are restored by
-    /// [`Machine::restore_globals`], and everything else is copied with
-    /// `clone_from`. Nothing is copied or visited per boot object,
-    /// global or program, so the cost depends on what the session
-    /// changed, not on the size of the boot state.
+    /// space and the boot symbols, the globals named in the touched set
+    /// are restored by [`Machine::restore_globals`], and everything else
+    /// is copied with `clone_from`. Nothing is copied or visited per
+    /// boot object, global or program, so the cost depends on what the
+    /// session changed, not on the size of the boot state.
     pub fn recycle(&mut self) -> bool {
         let Some(image) = self.boot_image.take() else {
             return false;
@@ -294,6 +322,8 @@ impl<O: Os + Clone> Machine<O> {
             opts,
             os,
             globals,
+            // Restored with the globals.
+            by_name: _,
             // The image's set is empty.
             touched: _,
             shared_export,
@@ -308,10 +338,12 @@ impl<O: Os + Clone> Machine<O> {
             yielder: _,
             boot_image: _,
         } = &*image;
+        // The globals first: putting a global back in name order reads
+        // the names of the young symbols the heap's restore drops.
+        self.restore_globals(globals);
         self.heap.clone_from(heap);
         self.opts.clone_from(opts);
         self.os.clone_from(os);
-        self.restore_globals(globals);
         self.shared_export.clone_from(shared_export);
         self.dynamics.clone_from(dynamics);
         if self.fds != *fds {
@@ -327,44 +359,50 @@ impl<O: Os + Clone> Machine<O> {
             "the boot space changed after the freeze"
         );
         debug_assert!(
-            self.same_globals(globals),
+            self.same_globals(&image),
             "recycled globals differ from the boot image's"
         );
         self.boot_image = Some(image);
         true
     }
 
-    /// Makes the globals map equal to `boot`'s by restoring each name
-    /// in the touched set, and empties the set. Every other global is
-    /// the image's already: only [`Machine::assign_raw`] changes a
-    /// global after the freeze, and it adds the name to the set. (The
-    /// values themselves live in the heap's persistent roots, which
-    /// the heap restores.)
-    fn restore_globals(&mut self, boot: &BTreeMap<Rc<str>, Global>) {
-        for name in self.touched.drain() {
-            match boot.get_key_value(&*name) {
-                None => {
-                    self.globals.remove(&*name);
+    /// Makes the globals equal to `boot`'s by restoring each symbol in
+    /// the touched set, and empties the set. Every other global is the
+    /// image's already: only [`Machine::assign_raw`] changes a global
+    /// after the freeze, and it adds the symbol to the set. (The values
+    /// themselves live in the heap's persistent roots, which the heap
+    /// restores.) A global the image lacks has a young symbol or one the
+    /// image leaves empty, so once it is gone, cutting the vector back
+    /// to the image's length leaves only empty entries behind.
+    fn restore_globals(&mut self, boot: &[Option<Global>]) {
+        for sym in self.touched.drain() {
+            let Some(mine) = self.globals.get_mut(sym.index()) else {
+                continue;
+            };
+            match (
+                mine.as_mut(),
+                boot.get(sym.index()).and_then(Option::as_ref),
+            ) {
+                (Some(mine), Some(g)) => mine.clone_from(g),
+                (None, Some(g)) => {
+                    *mine = Some(g.clone());
+                    list(&mut self.by_name, &self.heap, sym);
                 }
-                // A boot name the session removed and created again
-                // has the image's key back (see `assign_raw`).
-                Some((key, g)) => match self.globals.get_mut(&*name) {
-                    Some(mine) => mine.clone_from(g),
-                    None => {
-                        self.globals.insert(Rc::clone(key), g.clone());
-                    }
-                },
+                (Some(_), None) => {
+                    *mine = None;
+                    unlist(&mut self.by_name, sym);
+                }
+                (None, None) => {}
             }
         }
+        self.globals.truncate(boot.len());
     }
 
-    /// True if the globals are exactly `boot`: the same name `Rc`s,
-    /// slots and cached encodings. Recycle's oracle.
-    fn same_globals(&self, boot: &BTreeMap<Rc<str>, Global>) -> bool {
-        self.globals
-            .iter()
-            .map(|(name, g)| (Rc::as_ptr(name), g))
-            .eq(boot.iter().map(|(name, g)| (Rc::as_ptr(name), g)))
+    /// True if the globals are exactly `image`'s: the same symbols,
+    /// slots and cached encodings, in the same name order. Recycle's
+    /// oracle.
+    fn same_globals(&self, image: &Machine<O>) -> bool {
+        self.globals == image.globals && self.by_name == image.by_name
     }
 
     /// True if the globals are the boot image's, as a recycle leaves
@@ -372,7 +410,7 @@ impl<O: Os + Clone> Machine<O> {
     #[cfg(test)]
     pub(crate) fn globals_are_boot(&self) -> bool {
         let image = self.boot_image.as_ref().expect("a booted machine");
-        self.same_globals(&image.globals)
+        self.same_globals(image)
     }
 
     /// The number of names in the touched set.
@@ -459,8 +497,8 @@ impl<O: Os + Clone> Machine<O> {
         // because the parser's stack cannot be registered as roots;
         // this parser builds a Rust tree and allocates nothing in the
         // heap, so there is nothing to protect.
-        let node = match parse_program(src) {
-            Ok(p) => lower(p),
+        let node = match self.parse(src) {
+            Ok(node) => node,
             Err(e) => return Err(self.error(&format!("parse error: {}", e.msg))),
         };
         let base = self.heap.roots_len();
@@ -505,20 +543,21 @@ impl<O: Os + Clone> Machine<O> {
         });
         let result = self.run_text("%interactive-loop");
         self.inputs.pop();
+        self.exit_status(result).unwrap_or_else(|msg| {
+            let _ = self.write_fd(2, format!("es: uncaught exception: {msg}\n").as_bytes());
+            1
+        })
+    }
+
+    /// The exit status a shell reports for what [`Machine::run_text`]
+    /// returned: 0 for a true value and 1 for a false one, or an
+    /// `exit`'s own status. An uncaught exception is the `Err` of its
+    /// message, which the caller reports before exiting 1.
+    pub fn exit_status(&self, result: EsResult<Ref>) -> Result<i32, String> {
         match result {
-            Ok(v) => {
-                if value::truth(&self.heap, v) {
-                    0
-                } else {
-                    1
-                }
-            }
-            Err(EsError::Exit(code)) => code,
-            Err(EsError::Throw(list)) => {
-                let msg = value::read_strings(&self.heap, list).join(" ");
-                let _ = self.write_fd(2, format!("es: uncaught exception: {msg}\n").as_bytes());
-                1
-            }
+            Ok(v) => Ok(i32::from(!value::truth(&self.heap, v))),
+            Err(EsError::Exit(code)) => Ok(code),
+            Err(EsError::Throw(list)) => Err(value::read_strings(&self.heap, list).join(" ")),
         }
     }
 
@@ -538,46 +577,60 @@ impl<O: Os + Clone> Machine<O> {
 
     // ----- variables -------------------------------------------------------------
 
-    /// Resolves the variable named `prefix` followed by `name`: the
+    /// Parses and lowers `src`, interning every name the tree's words
+    /// bind or resolve (see [`es_syntax::lower_with`]): the one way
+    /// source becomes a tree this machine evaluates. Running the same
+    /// text again interns nothing new.
+    pub(crate) fn parse(&mut self, src: &str) -> Result<Node, ParseError> {
+        let program = parse_program(src)?;
+        let heap = &mut self.heap;
+        Ok(lower_with(program, &mut |prefix, name| {
+            heap.intern(prefix, name).raw()
+        }))
+    }
+
+    /// Resolves the variable whose name has the symbol `sym`: the
     /// lexical chain, then dynamic bindings, then globals. A command
-    /// `f` resolves as `lookup(env, "fn-", "f")`, a settor as
-    /// `lookup(env, "set-", "x")`, a plain variable with prefix `""`.
-    /// The two parts are compared in place and the `globals` key is
-    /// built on the stack, so a lookup makes no malloc unless the two
-    /// together pass 40 bytes. The returned ref is valid until the
-    /// next allocation.
-    pub fn lookup(&self, env: Ref, prefix: &str, name: &str) -> Option<Ref> {
+    /// `f` resolves as the symbol of `fn-f`, a settor as that of
+    /// `set-x`. Every binding holds a symbol, so a hop is one integer
+    /// compare, and a global is one index. The returned ref is valid
+    /// until the next allocation.
+    pub fn lookup(&self, env: Ref, sym: Sym) -> Option<Ref> {
         let mut cur = env;
         let found = loop {
             if cur.is_nil() {
-                break self.dynamic(prefix, name).or_else(|| {
-                    let key;
-                    let full = if prefix.is_empty() {
-                        name
-                    } else {
-                        key = NameBuf::new(&[prefix, name]);
-                        key.as_str()
-                    };
-                    self.globals.get(full).map(|g| self.heap.perm(g.slot))
-                });
+                break self
+                    .dynamic(sym)
+                    .or_else(|| self.global(sym).map(|g| self.heap.perm(g.slot)));
             }
-            let (bname, value, next) = self.heap.binding_parts(cur);
-            if spells(bname, prefix, name) {
+            let (bsym, value, next) = self.heap.binding(cur);
+            if bsym == sym {
                 break Some(value);
             }
             cur = next;
         };
         debug_assert_eq!(
             found,
-            self.lookup_joined(env, NameBuf::new(&[prefix, name]).as_str()),
-            "lookup of {prefix:?} ++ {name:?} disagrees with a lookup of the joined name"
+            self.lookup_by_name(env, self.heap.sym_name(sym)),
+            "lookup of {sym:?} disagrees with a lookup of its name {:?}",
+            self.heap.sym_name(sym)
         );
         found
     }
 
+    /// Resolves `prefix` followed by `name` through [`Machine::lookup`],
+    /// for a name known only as text: a computed name, a command named
+    /// by a string in the heap. A name never interned is bound nowhere,
+    /// so it resolves to `None` without a walk.
+    pub fn lookup_name(&self, env: Ref, prefix: &str, name: &str) -> Option<Ref> {
+        let sym = self.heap.find_sym(prefix, name)?;
+        self.lookup(env, sym)
+    }
+
     /// The oracle for [`Machine::lookup`] in debug builds: the same
-    /// search, comparing every binding with the whole name.
-    fn lookup_joined(&self, env: Ref, full: &str) -> Option<Ref> {
+    /// search, comparing every binding's name with `full` as text, and
+    /// finding the global through the symbol table's own by-name search.
+    fn lookup_by_name(&self, env: Ref, full: &str) -> Option<Ref> {
         let mut cur = env;
         while !cur.is_nil() {
             let (bname, value, next) = self.heap.binding_parts(cur);
@@ -589,61 +642,93 @@ impl<O: Os + Clone> Machine<O> {
         self.dynamics
             .iter()
             .rev()
-            .find(|(dname, _)| dname == full)
+            .find(|(dsym, _)| self.heap.sym_name(*dsym) == full)
             .map(|(_, slot)| self.heap.root(*slot))
-            .or_else(|| self.globals.get(full).map(|g| self.heap.perm(g.slot)))
+            .or_else(|| {
+                let sym = self.heap.find_sym("", full)?;
+                self.global(sym).map(|g| self.heap.perm(g.slot))
+            })
     }
 
-    /// The value of the innermost dynamic (`local`) binding of
-    /// `prefix` followed by `name`.
-    pub(crate) fn dynamic(&self, prefix: &str, name: &str) -> Option<Ref> {
+    /// The value of the innermost dynamic (`local`) binding of `sym`.
+    pub(crate) fn dynamic(&self, sym: Sym) -> Option<Ref> {
         self.dynamics
             .iter()
             .rev()
-            .find(|(dname, _)| spells(dname, prefix, name))
+            .find(|(dsym, _)| *dsym == sym)
             .map(|(_, slot)| self.heap.root(*slot))
+    }
+
+    /// The global named by `sym`.
+    fn global(&self, sym: Sym) -> Option<&Global> {
+        self.globals.get(sym.index())?.as_ref()
     }
 
     /// The global hook bindings (`fn-%*`), by name, each with the
     /// environment encoding of its value: what a pooled slot's reset
     /// audit compares with the boot image's through
     /// [`Machine::hooks_match`].
-    pub fn hook_bindings(&self) -> Vec<(Rc<str>, Rc<str>)> {
+    pub fn hook_bindings(&self) -> Vec<(Sym, Rc<str>)> {
         self.hooks()
-            .map(|(name, g)| {
+            .map(|(sym, g)| {
                 let encoded = match g.export.get() {
                     Some(cached) => Rc::clone(cached),
                     None => Rc::from(self.encode_global(g)),
                 };
-                (Rc::clone(name), encoded)
+                (sym, encoded)
             })
             .collect()
     }
 
     /// True if the global hook bindings are exactly `boot`, as
-    /// [`Machine::hook_bindings`] returned them: the same names, each
-    /// bound to a value with the same encoding. `Rc`'s `==` compares
-    /// pointers first, and a recycled machine shares its names and
-    /// cached encodings with the boot image, so checking one clones
-    /// no `Rc` and makes no malloc.
-    pub fn hooks_match(&self, boot: &[(Rc<str>, Rc<str>)]) -> bool {
-        let mut boot = boot.iter();
-        self.hooks().all(|(name, g)| {
-            boot.next().is_some_and(|(boot_name, boot_encoded)| {
-                name == boot_name
-                    && match g.export.get() {
-                        Some(cached) => cached == boot_encoded,
-                        None => *self.encode_global(g) == **boot_encoded,
-                    }
-            })
-        }) && boot.next().is_none()
+    /// [`Machine::hook_bindings`] returned them on this machine or its
+    /// boot image: the same names, each bound to a value with the same
+    /// encoding. The hooks are a run of the globals in name order, so
+    /// this compares that run's symbols with `boot`'s and checks that
+    /// no hook follows it: no name is read past the run's start. `Rc`'s
+    /// `==` compares pointers first, and a recycled machine shares its
+    /// cached encodings with the boot image, so checking one clones no
+    /// `Rc` and makes no malloc.
+    pub fn hooks_match(&self, boot: &[(Sym, Rc<str>)]) -> bool {
+        let start = self.hooks_start();
+        let Some(mine) = self.by_name.get(start..start + boot.len()) else {
+            return false;
+        };
+        let more = self.globals_from(start + boot.len()).next();
+        !more.is_some_and(|(name, ..)| name.starts_with("fn-%"))
+            && mine
+                .iter()
+                .zip(boot)
+                .all(|(&sym, (boot_sym, boot_encoded))| {
+                    let g = self.global(sym).expect("a listed global exists");
+                    sym == *boot_sym
+                        && match g.export.get() {
+                            Some(cached) => cached == boot_encoded,
+                            None => *self.encode_global(g) == **boot_encoded,
+                        }
+                })
     }
 
     /// The `fn-%*` globals, by name.
-    fn hooks(&self) -> impl Iterator<Item = (&Rc<str>, &Global)> {
-        self.globals
-            .range::<str, _>((Bound::Included("fn-%"), Bound::Unbounded))
-            .take_while(|(name, _)| name.starts_with("fn-%"))
+    fn hooks(&self) -> impl Iterator<Item = (Sym, &Global)> {
+        self.globals_from(self.hooks_start())
+            .take_while(|(name, ..)| name.starts_with("fn-%"))
+            .map(|(_, sym, g)| (sym, g))
+    }
+
+    /// Where the `fn-%*` globals start in name order.
+    fn hooks_start(&self) -> usize {
+        self.by_name
+            .partition_point(|&s| self.heap.sym_name(s) < "fn-%")
+    }
+
+    /// The globals from the `start`-th by name on: each one's name,
+    /// symbol and global.
+    fn globals_from(&self, start: usize) -> impl Iterator<Item = (&str, Sym, &Global)> {
+        self.by_name[start..].iter().map(|&sym| {
+            let g = self.global(sym).expect("a listed global exists");
+            (self.heap.sym_name(sym), sym, g)
+        })
     }
 
     /// A fresh encoding of a global's value.
@@ -651,9 +736,10 @@ impl<O: Os + Clone> Machine<O> {
         env::encode_value(self, self.heap.perm(g.slot)).0
     }
 
-    /// The global variables, sorted by name.
-    pub(crate) fn globals(&self) -> &BTreeMap<Rc<str>, Global> {
-        &self.globals
+    /// The global variables, sorted by name: each one's name, symbol
+    /// and global.
+    pub(crate) fn globals(&self) -> impl Iterator<Item = (&str, Sym, &Global)> {
+        self.globals_from(0)
     }
 
     /// The export shared by launches while no global changes.
@@ -661,89 +747,83 @@ impl<O: Os + Clone> Machine<O> {
         &self.shared_export
     }
 
-    /// Assigns `value` to `name`: mutates the innermost lexical
-    /// binding, else the innermost dynamic binding, else the global
-    /// (creating or, when the value is empty, deleting it).
+    /// Assigns `value` to the variable named by `sym`: mutates the
+    /// innermost lexical binding, else the innermost dynamic binding,
+    /// else the global (creating or, when the value is empty, deleting
+    /// it).
     ///
     /// Settor dispatch (`set-name`) is the *evaluator's* job, because
     /// it must run es code; this method is the raw store. After the
-    /// freeze it adds the name of each global it stores, creates or
+    /// freeze it adds the symbol of each global it stores, creates or
     /// removes to the touched set, for [`Machine::recycle`]; removing
-    /// a name the image lacks takes it out again.
-    pub fn assign_raw(&mut self, env: Ref, name: &str, value: Ref) {
+    /// a global the image lacks takes it out again.
+    pub fn assign_raw(&mut self, env: Ref, sym: Sym, value: Ref) {
         let mut cur = env;
         while !cur.is_nil() {
-            let (bname, _, next) = self.heap.binding_parts(cur);
-            if bname == name {
+            let (bsym, _, next) = self.heap.binding(cur);
+            if bsym == sym {
                 self.heap.set_binding_value(cur, value);
                 return;
             }
             cur = next;
         }
-        for (dname, slot) in self.dynamics.iter().rev() {
-            if dname == name {
+        for (dsym, slot) in self.dynamics.iter().rev() {
+            if *dsym == sym {
                 let slot = *slot;
                 self.heap.set_root(slot, value);
                 return;
             }
         }
         self.shared_export.take();
+        let i = sym.index();
         if value.is_nil() {
             // Assigning the empty list removes a global (this is how
             // `fn-x =` undefines a function and how `recache` flushes
             // the Figure 2 path cache).
-            if let Some((key, g)) = self.globals.remove_entry(name) {
+            if let Some(g) = self.globals.get_mut(i).and_then(Option::take) {
                 self.heap.free_perm(g.slot);
+                unlist(&mut self.by_name, sym);
                 // A boot name stays in the set, so that recycle puts
                 // it back; a name the session created leaves it.
                 if let Some(image) = &self.boot_image {
-                    if image.globals.contains_key(name) {
-                        self.touched.insert(key);
+                    if image.global(sym).is_some() {
+                        self.touched.insert(sym);
                     } else {
-                        self.touched.remove(name);
+                        self.touched.remove(&sym);
                     }
                 }
             }
             return;
         }
-        if let Some(g) = self.globals.get_mut(name) {
+        if self.boot_image.is_some() {
+            self.touched.insert(sym);
+        }
+        if let Some(Some(g)) = self.globals.get_mut(i) {
             self.heap.set_perm(g.slot, value);
             g.export.take();
-            if self.boot_image.is_some() {
-                let (key, _) = self.globals.get_key_value(name).expect("just stored");
-                self.touched.insert(Rc::clone(key));
-            }
             return;
         }
         let slot = self.heap.alloc_perm(value);
-        let key = match &self.boot_image {
-            None => Rc::from(name),
-            // A boot name created again gets the image's key back.
-            Some(image) => {
-                let key = match image.globals.get_key_value(name) {
-                    Some((key, _)) => Rc::clone(key),
-                    None => Rc::from(name),
-                };
-                self.touched.insert(Rc::clone(&key));
-                key
-            }
-        };
-        let global = Global {
+        if self.globals.len() <= i {
+            self.globals.resize(i + 1, None);
+        }
+        self.globals[i] = Some(Global {
             slot,
             export: OnceCell::new(),
-        };
-        self.globals.insert(key, global);
+        });
+        list(&mut self.by_name, &self.heap, sym);
     }
 
     /// Sets a global to a list of strings (bootstrap convenience).
     pub fn set_global_strs(&mut self, name: &str, items: &[&str]) {
         let list = value::list_from_strs(&mut self.heap, items);
-        self.assign_raw(Ref::NIL, name, list);
+        let sym = self.heap.intern("", name);
+        self.assign_raw(Ref::NIL, sym, list);
     }
 
     /// Reads a variable as strings (tests/examples convenience).
     pub fn get_var(&self, name: &str) -> Vec<String> {
-        match self.lookup(Ref::NIL, "", name) {
+        match self.lookup_name(Ref::NIL, "", name) {
             Some(v) => value::read_strings(&self.heap, v),
             None => Vec::new(),
         }
@@ -751,14 +831,14 @@ impl<O: Os + Clone> Machine<O> {
 
     /// Sorted global variable names (`$&vars`).
     pub fn global_names(&self) -> Vec<String> {
-        self.globals.keys().map(|k| k.to_string()).collect()
+        self.globals().map(|(name, ..)| name.to_string()).collect()
     }
 
-    /// Pushes a dynamic binding (used by `local`); pop with
-    /// [`Machine::pop_dynamics`].
-    pub fn push_dynamic(&mut self, name: &str, value: Ref) {
+    /// Pushes a dynamic binding of the variable named by `sym` (used by
+    /// `local`); pop with [`Machine::pop_dynamics`].
+    pub fn push_dynamic(&mut self, sym: Sym, value: Ref) {
         let slot = self.heap.push_root(value);
-        self.dynamics.push((name.to_string(), slot));
+        self.dynamics.push((sym, slot));
     }
 
     /// Current dynamic stack depth (for scoped restore).
@@ -922,5 +1002,19 @@ impl<O: Os + Clone> Machine<O> {
     /// Reads the strings of the list in a root slot.
     pub fn strings_at(&self, slot: RootSlot) -> Vec<String> {
         value::read_strings(&self.heap, self.heap.root(slot))
+    }
+}
+
+/// Adds `sym` to `by_name`, in name order.
+fn list(by_name: &mut Vec<Sym>, heap: &Heap, sym: Sym) {
+    let name = heap.sym_name(sym);
+    let at = by_name.partition_point(|&s| heap.sym_name(s) < name);
+    by_name.insert(at, sym);
+}
+
+/// Takes `sym` out of `by_name`.
+fn unlist(by_name: &mut Vec<Sym>, sym: Sym) {
+    if let Some(at) = by_name.iter().position(|&s| s == sym) {
+        by_name.remove(at);
     }
 }

@@ -277,8 +277,8 @@ pub fn eval_prim<O: Os + Clone>(
     env: RootSlot,
 ) -> EsResult<Flow> {
     let src = m.strings_at(args).join(" ");
-    let node = match es_syntax::parse_program(&src) {
-        Ok(p) => es_syntax::lower(p),
+    let node = match m.parse(&src) {
+        Ok(node) => node,
         Err(e) => return Err(m.error(&format!("eval: parse error: {}", e.msg))),
     };
     m.push_input(Input::Text {

@@ -194,7 +194,7 @@ pub fn backquote<O: Os + Clone>(
         .collect();
     // $bqstatus records the command's value.
     let status = m.heap.root(s_slot);
-    m.assign_raw(Ref::NIL, "bqstatus", status);
+    m.assign_raw(Ref::NIL, crate::machine::sym::BQSTATUS, status);
     m.heap.truncate_roots(s_slot.index());
     Ok(Flow::Val(value::list_from_strs(&mut m.heap, &words)))
 }

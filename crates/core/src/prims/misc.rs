@@ -59,7 +59,7 @@ pub fn background<O: Os + Clone>(
     let pid = m.next_bg_pid();
     let pid_str = pid.to_string();
     let pid_list = value::list_from_strs(&mut m.heap, &[&pid_str]);
-    m.assign_raw(Ref::NIL, "apid", pid_list);
+    m.assign_raw(Ref::NIL, crate::machine::sym::APID, pid_list);
     Ok(Flow::Val(value::true_value(&mut m.heap)))
 }
 
@@ -183,7 +183,7 @@ pub fn whatis<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) 
     let names = m.strings_at(args);
     let mut lines = String::new();
     for name in &names {
-        let resolved = m.lookup(m.heap.root(env), "fn-", name);
+        let resolved = m.lookup_name(m.heap.root(env), "fn-", name);
         match resolved {
             Some(v) if !v.is_nil() => {
                 let parts = value::read_strings(&m.heap, v);
@@ -256,8 +256,8 @@ pub fn dot<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> 
         Ok(b) => b,
     };
     let src = String::from_utf8_lossy(&bytes).into_owned();
-    let node = match es_syntax::parse_program(&src) {
-        Ok(p) => es_syntax::lower(p),
+    let node = match m.parse(&src) {
+        Ok(node) => node,
         Err(e) => return Err(m.error(&format!(". {file}: parse error: {}", e.msg))),
     };
     // Bind $* and $0 lexically for the script.
@@ -293,9 +293,8 @@ pub fn parse<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot) -> EsResult<Flow
         None => return Err(m.exception(&["eof"])),
     };
     loop {
-        match es_syntax::parse_program(&acc) {
-            Ok(parsed) => {
-                let node = es_syntax::lower(parsed);
+        match m.parse(&acc) {
+            Ok(node) => {
                 let lambda = std::rc::Rc::new(es_syntax::ast::Lambda {
                     params: None,
                     body: node,

@@ -984,6 +984,7 @@ fn gc_survives_shell_workload() {
     m.run("fn mk n { return @ { result $n } }").unwrap();
     m.run("fns = <>{mk 1} <>{mk 2} <>{mk 3}").unwrap();
     assert_eq!(val(&mut m, "$fns(2)"), vec!["2"]);
+    assert_eq!(val(&mut m, "map @ f {$f} $fns"), vec!["1", "2", "3"]);
     m.heap.set_stress(false);
     // The exact count moves with every allocation the evaluator saves,
     // so the floor is what matters.
@@ -1225,7 +1226,7 @@ fn export_checked(m: &Machine<SimOs>) -> std::rc::Rc<[(String, String)]> {
     let env = m.export_environment();
     for (name, encoded) in env.iter() {
         let value = m
-            .lookup(es_gc::Ref::NIL, "", name)
+            .lookup_name(es_gc::Ref::NIL, "", name)
             .expect("exported names are bound");
         assert_eq!(
             *encoded,
@@ -1971,7 +1972,7 @@ fn recycle_forgets_assignments_to_boot_bindings() {
     let mut cold = boot();
     let mut m = boot();
     let bump = m
-        .lookup(es_gc::Ref::NIL, "fn-", "bump")
+        .lookup_name(es_gc::Ref::NIL, "fn-", "bump")
         .expect("fn-bump imported");
     let closure = m.heap.pair_head(bump);
     assert!(
@@ -2024,7 +2025,8 @@ fn touched_log_stays_bounded() {
         let n = i.to_string();
         m.set_global_strs("prompt", &[&n]);
         m.set_global_strs("fresh", &[&n]);
-        m.assign_raw(es_gc::Ref::NIL, "fresh", es_gc::Ref::NIL);
+        let fresh = m.heap.intern("", "fresh");
+        m.assign_raw(es_gc::Ref::NIL, fresh, es_gc::Ref::NIL);
     }
     m.run("other = 1; fresh = 2; other =; prompt =; prompt = back")
         .unwrap();
@@ -2037,6 +2039,42 @@ fn touched_log_stays_bounded() {
     );
     assert_eq!(m.get_var("fresh"), Vec::<String>::new());
     assert_eq!(m.get_var("prompt"), machine().get_var("prompt"));
+}
+
+/// The symbol table stays bounded: 1000 sessions, each binding 100
+/// computed names no other session binds, leave it at its boot length
+/// after every recycle, as a served slot is recycled between tenants.
+#[test]
+fn recycle_returns_the_symbol_table_to_its_boot_length() {
+    let mut m = machine();
+    let boot = m.heap.symbols_len();
+    let numbers: Vec<String> = (0..100).map(|i| i.to_string()).collect();
+    let numbers = numbers.join(" ");
+    for session in 0..1000 {
+        m.run(&format!("for (i = {numbers}) {{ s{session}-$i = $i }}"))
+            .unwrap();
+        assert_eq!(m.get_var(&format!("s{session}-99")), vec!["99"]);
+        assert!(m.heap.symbols_len() >= boot + 100, "session {session}");
+        assert!(m.recycle());
+        assert_eq!(m.heap.symbols_len(), boot, "after session {session}");
+    }
+}
+
+/// Running one line again interns nothing new: 10 000 runs of a line
+/// that binds, assigns, calls and resolves computed names leave the
+/// table as the first run did.
+#[test]
+fn rerunning_a_line_interns_nothing() {
+    let line = "let (y = 1) { fn f p { result $p $y } }; x = <>{f 2}; \
+                h = x; local (z = $$h) { g = f; result <>{$(fn-$g) 3} $#z }; \
+                for (w = a b) { w2 = $w }";
+    let mut m = machine();
+    m.run(line).unwrap();
+    let after_first = m.heap.symbols_len();
+    for _ in 0..10_000 {
+        m.run_quiet(line).unwrap();
+    }
+    assert_eq!(m.heap.symbols_len(), after_first);
 }
 
 /// Satellite: a recycled machine is bit-for-bit equivalent to a

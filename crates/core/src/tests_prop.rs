@@ -381,7 +381,8 @@ proptest! {
                     prop_assert_eq!(&*m.export_environment(), &*cold, "step {}", i);
                 }
                 1 => {
-                    m.assign_raw(es_gc::Ref::NIL, name, es_gc::Ref::NIL);
+                    let sym = m.heap.intern("", name);
+                    m.assign_raw(es_gc::Ref::NIL, sym, es_gc::Ref::NIL);
                     touched.insert(name);
                 }
                 _ => {
@@ -544,4 +545,116 @@ fn soak_limits_no_panic_no_leak_deterministic_replay() {
         breaches > 256,
         "the step budget should trip constantly, saw {breaches} breaches"
     );
+}
+
+// --------------------------------------------------------------------------
+// Name resolution. Every name is interned once and compared as a
+// symbol; which symbol a name gets depends on what the machine interned
+// before. So a program must behave the same on a fresh machine, on a
+// recycled one whose table was filled by other sessions first, and
+// under GC stress.
+// --------------------------------------------------------------------------
+
+/// Names a generated program binds and resolves: short, past the 40
+/// bytes a stack-built name holds, and non-ASCII.
+const RESOLVED_NAMES: [&str; 6] = [
+    "a",
+    "bb",
+    "a_variable_name_that_is_longer_than_forty_bytes",
+    "ñame",
+    "日本",
+    "x1",
+];
+
+/// One statement of a generated program, over names `n` and `o` and a
+/// distinguishing number `i`: bindings of every kind, settors on
+/// global and lexical names, function definitions and calls, and
+/// computed names. Errors (an unbound command) are part of the outcome.
+fn name_statement(kind: usize, n: &str, o: &str, i: usize) -> String {
+    match kind {
+        0 => format!("{n} = v{i} w{i}"),
+        1 => format!("let ({n} = l{i}) {{ echo let ${n} $#{o} }}"),
+        2 => format!("local ({n} = d{i}) {{ echo local $^{n} $^{o} }}"),
+        3 => format!("for ({n} = f{i} g{i}; {o} = h{i}) {{ echo for ${n} $#{o} }}"),
+        4 => format!("@ {n} {o} {{ echo lambda $^{n} $^{o} $#* }} p{i} q{i} r{i}"),
+        5 => format!("set-{n} = @ {{ result set{i}-$* }}"),
+        6 => format!("{n} = s{i}; echo assigned $^{n}"),
+        7 => format!("let ({n} = o{i}) {{ {n} = n{i}; echo lexical $^{n} }}"),
+        8 => format!("let (set-{n} = @ {{ result L{i}$* }}) {{ {n} = z{i}; echo lexset $^{n} }}"),
+        9 => format!("fn {n} p {{ echo fn{i} $^p $^{o} }}"),
+        10 => format!("{n} c{i}"),
+        11 => format!("h = {n}; echo computed $^$h $#$h"),
+        12 => format!("h = {n}; $(fn-$h) comp{i}"),
+        13 => format!("fn-{n} ="),
+        14 => format!("set-{n} ="),
+        15 => format!("local (set-{n} = ) {{ {n} = q{i}; echo unset $^{n} }}"),
+        _ => format!("catch @ e {{ echo caught $e }} {{ whatis {n} }}"),
+    }
+}
+
+/// Runs `program` one statement at a time; returns each outcome, then
+/// stdout and stderr.
+fn name_outcomes(m: &mut Machine<SimOs>, program: &[String]) -> Vec<String> {
+    let mut out: Vec<String> = program.iter().map(|s| format!("{:?}", m.run(s))).collect();
+    out.push(m.os_mut().take_output());
+    out.push(m.os_mut().take_error());
+    out
+}
+
+/// A machine recycled after a session that bound other names, and that
+/// has since interned more names without binding any: the program's
+/// names get other symbols than on a fresh machine.
+fn reinterned_machine() -> Machine<SimOs> {
+    let mut m = machine();
+    m.run("for (i = 1 2 3 4 5 6 7 8 9 10) { v$i = $i; fn-f$i = {} }")
+        .unwrap();
+    for name in RESOLVED_NAMES {
+        m.run(&format!(
+            "fn pre-{name} {{}}; {name} = 1; let (set-{name} = ) {{}}"
+        ))
+        .unwrap();
+    }
+    assert!(m.recycle());
+    let mut unbound: Vec<String> = RESOLVED_NAMES.iter().map(|n| format!("$#{n}")).collect();
+    unbound.reverse();
+    m.run(&format!(
+        "let (t1 = 1; t2 = 2) {{ result $u1 $#u2 {} }}",
+        unbound.join(" ")
+    ))
+    .unwrap();
+    m.os_mut().take_output();
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Outcomes, stdout and stderr agree between a fresh machine, a
+    /// recycled one that interned other names first, and GC stress.
+    #[test]
+    fn prop_names_resolve_alike_whatever_was_interned_first(
+        statements in proptest::collection::vec(
+            (0usize..17, 0usize..RESOLVED_NAMES.len(), 0usize..RESOLVED_NAMES.len()),
+            1..12,
+        ),
+    ) {
+        let program: Vec<String> = statements
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, n, o))| name_statement(kind, RESOLVED_NAMES[n], RESOLVED_NAMES[o], i))
+            .collect();
+        let want = name_outcomes(&mut machine(), &program);
+        prop_assert_eq!(
+            &name_outcomes(&mut reinterned_machine(), &program),
+            &want,
+            "recycled: {:?}",
+            program
+        );
+        prop_assert_eq!(
+            &name_outcomes(&mut stress_machine(), &program),
+            &want,
+            "stress: {:?}",
+            program
+        );
+    }
 }

@@ -1,6 +1,6 @@
 //! Counted mallocs for evaluation: reading a variable, calling a
-//! function and assigning through a settor copy no name, so 64 of
-//! them make as many mallocs as one. Boot state is shared, not
+//! function and assigning through a settor copy no name, however long,
+//! so 64 of them make as many mallocs as one. Boot state is shared, not
 //! copied: a launch makes as many mallocs with 64 more exported
 //! globals, and a recycled session's first file write as many with 64
 //! more boot files. A pipe reads only its descriptor words, and a
@@ -14,9 +14,12 @@
 //!
 //! A line's *evaluation-only* mallocs are those of `run_text(line)`
 //! minus those of `lower(parse_program(line))` on the same text. They
-//! are counted after a first run of the line and a `$&collect`, so the
-//! heap's space, its text arena and the root stack are already big
-//! enough and a second run grows none of them.
+//! are counted after two runs of the line, each followed by a
+//! `$&collect`, so the heap's spaces, their text arenas and the root
+//! stack are already big enough and a third run grows none of them. (A
+//! collection sizes the space it copies into by what the space it
+//! copies from held, so one run and one collection can leave the next
+//! run a little short.)
 //!
 //! A counting global allocator tallies the allocations made on the
 //! calling thread (the test harness runs tests on parallel threads),
@@ -88,8 +91,10 @@ fn machine_on(os: SimOs, setup: &str) -> Machine<SimOs> {
 /// `setup` (see the module docs).
 fn eval_mallocs(setup: &str, line: &str) -> u64 {
     let mut m = machine(setup);
-    m.run_quiet(line).expect("line runs");
-    m.run_quiet("$&collect").expect("collect runs");
+    for _ in 0..2 {
+        m.run_quiet(line).expect("line runs");
+        m.run_quiet("$&collect").expect("collect runs");
+    }
     let total = counted(|| assert!(m.run_text(line).is_ok(), "line runs"));
     total - front_end_mallocs(line)
 }
@@ -123,6 +128,45 @@ fn settor_assignments_make_no_malloc_per_assignment() {
     let one = eval_mallocs(setup, "s = a");
     let many = eval_mallocs(setup, &repeat("s = a", "; ", 64));
     assert_eq!(many, one, "64 assignments through set-s vs 1");
+}
+
+/// A name past the 40 bytes a name copied to the stack holds.
+const LONG: &str = "a_function_name_longer_than_forty_bytes_by_a_fair_margin";
+
+#[test]
+fn long_names_make_no_malloc_per_call_or_assignment() {
+    assert_eq!(LONG.len(), 56);
+    let setup = format!("fn {LONG} {{}}");
+    let one = eval_mallocs(&setup, LONG);
+    let many = eval_mallocs(&setup, &repeat(LONG, "; ", 64));
+    assert_eq!(many, one, "64 calls of a 56-byte name vs 1");
+    let setup = format!("set-{LONG} = @ v {{ result $v }}");
+    let assign = format!("{LONG} = a");
+    let one = eval_mallocs(&setup, &assign);
+    let many = eval_mallocs(&setup, &repeat(&assign, "; ", 64));
+    assert_eq!(many, one, "64 assignments through a 56-byte settor vs 1");
+}
+
+/// Heap objects a run of `line` allocates, after a first run.
+fn heap_allocs(setup: &str, line: &str) -> u64 {
+    let mut m = machine(setup);
+    m.run_quiet(line).expect("line runs");
+    let before = m.heap.stats().allocated;
+    m.run_quiet(line).expect("line runs");
+    m.heap.stats().allocated - before
+}
+
+/// A call resolves a literal head or a `$&name` from the tree: neither
+/// is put in the heap, so calling `result` with no arguments, through
+/// its function or directly, allocates nothing at all.
+#[test]
+fn a_literal_call_head_allocates_nothing() {
+    assert_eq!(heap_allocs("", "result"), 0);
+    assert_eq!(heap_allocs("", "$&result"), 0);
+    // A computed head is a string in the heap: a variable's list is
+    // shared, and a command's value is built, the string and its cell.
+    assert_eq!(heap_allocs("h = result", "$h"), 0);
+    assert_eq!(heap_allocs("", "<>{result result}"), 2);
 }
 
 /// `n` exported globals, one assignment each.

@@ -1,6 +1,7 @@
 //! The semispace heap: object model, bump allocation, Cheney copy.
 
 use crate::stats::GcStats;
+use crate::symbols::{Sym, Symbols};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -69,14 +70,14 @@ impl RootSlot {
     }
 }
 
-/// A byte range in the heap's text arena: where a `Str`'s bytes or a
-/// `Binding`'s name live in the current semispace.
+/// A byte range in the heap's text arena: where a `Str`'s bytes live
+/// in the current semispace.
 ///
 /// Its fields are private and nothing public reads it. A span is only
 /// meaningful in the epoch that made it (the collector moves the bytes
 /// and rewrites the span), so text is read through
-/// [`Heap::str_value`] and [`Heap::binding_parts`], which take an
-/// epoch-checked [`Ref`]: a stale string panics as any stale ref does.
+/// [`Heap::str_value`], which takes an epoch-checked [`Ref`]: a stale
+/// string panics as any stale ref does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     start: u32,
@@ -127,9 +128,9 @@ fn append_text(text: &mut String, s: &str) -> Span {
 }
 
 /// A heap object: plain data, so a space of them is freed without
-/// visiting one. A string's bytes, a binding's name and a closure's
-/// code live beside the objects, in their space's text arena and code
-/// table.
+/// visiting one. A string's bytes and a closure's code live beside the
+/// objects, in their space's text arena and code table; a binding's
+/// name is a symbol of the heap's symbol table.
 #[derive(Debug, Clone, Copy)]
 pub enum Obj {
     /// An immutable string term; its bytes are in the heap's text arena
@@ -142,11 +143,11 @@ pub enum Obj {
     /// A closure: its code, in the space's code table (read it with
     /// [`Heap::closure_code`]), and the chain of captured bindings.
     Closure(CodeId, Ref),
-    /// A lexical binding frame: `(name, value list, next frame)`, its
-    /// name in the text arena (read it with [`Heap::binding_parts`]).
+    /// A lexical binding frame: `(name, value list, next frame)`
+    /// (read it with [`Heap::binding`] or [`Heap::binding_parts`]).
     /// Binding values are mutable — es lets a closure assign to a
     /// captured variable, visibly to other closures sharing the frame.
-    Binding(Span, Ref, Ref),
+    Binding(Sym, Ref, Ref),
     /// Forwarding entry, only present mid-collection.
     Forward(u32),
 }
@@ -273,6 +274,8 @@ pub struct Heap<C> {
     /// index: the write barrier's log, which the collector treats as
     /// roots. At most one entry per boot binding.
     overlay: Vec<(u32, Ref)>,
+    /// The names bindings carry, frozen with the boot space.
+    symbols: Symbols,
     roots: Vec<Ref>,
     perm: Vec<Ref>,
     perm_free: Vec<usize>,
@@ -323,6 +326,7 @@ impl<C> Heap<C> {
             },
             spare: Space::default(),
             overlay: Vec::new(),
+            symbols: Symbols::default(),
             roots: Vec::new(),
             perm: Vec::new(),
             perm_free: Vec::new(),
@@ -527,11 +531,12 @@ impl<C> Heap<C> {
     }
 
     /// Allocates a binding frame `name = value` chained onto `next`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the text arena would pass `u32::MAX` bytes.
-    pub fn alloc_binding(&mut self, name: &str, value: Ref, next: Ref) -> Ref {
+    /// `name` is a symbol of this heap's table ([`Heap::intern`]).
+    pub fn alloc_binding(&mut self, name: Sym, value: Ref, next: Ref) -> Ref {
+        debug_assert!(
+            name.index() < self.symbols.len(),
+            "{name:?} is not interned"
+        );
         self.check(value);
         self.check(next);
         let (value, next) = if self.slow_alloc() {
@@ -546,8 +551,36 @@ impl<C> Heap<C> {
         } else {
             (value, next)
         };
-        let span = append_text(&mut self.young.text, name);
-        self.bump(Obj::Binding(span, value, next))
+        self.bump(Obj::Binding(name, value, next))
+    }
+
+    // ----- symbols --------------------------------------------------------------
+
+    /// The symbol of `prefix` followed by `name`, interned if it is new.
+    /// A name interned since the freeze is dropped by a `clone_from`
+    /// from the frozen image.
+    pub fn intern(&mut self, prefix: &str, name: &str) -> Sym {
+        self.symbols.intern(prefix, name)
+    }
+
+    /// The symbol of `prefix` followed by `name`, if it was interned.
+    /// Nothing is built: the two parts are hashed and compared in place.
+    pub fn find_sym(&self, prefix: &str, name: &str) -> Option<Sym> {
+        self.symbols.find(prefix, name)
+    }
+
+    /// The name of `sym`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sym` is not a symbol of this heap's table.
+    pub fn sym_name(&self, sym: Sym) -> &str {
+        self.symbols.name(sym)
+    }
+
+    /// The number of names interned, the boot ones included.
+    pub fn symbols_len(&self) -> usize {
+        self.symbols.len()
     }
 
     // ----- access ---------------------------------------------------------------
@@ -697,23 +730,36 @@ impl<C> Heap<C> {
         }
     }
 
-    /// Returns the `(name, value, next)` parts of a `Binding`.
+    /// Returns the `(name, value, next)` parts of a `Binding`, its name
+    /// as a symbol.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` does not refer to a `Binding`.
+    #[track_caller]
+    pub fn binding(&self, r: Ref) -> (Sym, Ref, Ref) {
+        match self.get(r) {
+            Obj::Binding(name, v, next) => {
+                let v = match r.epoch {
+                    BOOT => self.overlay_value(r.idx).unwrap_or(*v),
+                    _ => *v,
+                };
+                (*name, v, *next)
+            }
+            other => panic!("expected Binding, found {}", shape_name(other)),
+        }
+    }
+
+    /// Returns the `(name, value, next)` parts of a `Binding`, its name
+    /// as text.
     ///
     /// # Panics
     ///
     /// Panics if `r` does not refer to a `Binding`.
     #[track_caller]
     pub fn binding_parts(&self, r: Ref) -> (&str, Ref, Ref) {
-        match self.resolve(r) {
-            (Obj::Binding(name, v, next), space) => {
-                let v = match r.epoch {
-                    BOOT => self.overlay_value(r.idx).unwrap_or(*v),
-                    _ => *v,
-                };
-                (&space.text[name.range()], v, *next)
-            }
-            (other, _) => panic!("expected Binding, found {}", shape_name(other)),
-        }
+        let (name, v, next) = self.binding(r);
+        (self.symbols.name(name), v, next)
     }
 
     /// The value the overlay holds for boot binding `idx`, if it was
@@ -761,8 +807,8 @@ impl<C> Heap<C> {
     ///
     /// All live young objects (reachable from the root stack, the
     /// persistent roots and the overlay) are copied into the spare
-    /// space, with the bytes of live strings and binding names and the
-    /// code of live closures; the epoch is bumped, and all previously
+    /// space, with the bytes of live strings and the code of live
+    /// closures; the epoch is bumped, and all previously
     /// issued young [`Ref`]s become stale. Holders must re-read their
     /// refs through root slots. The old space then becomes the spare:
     /// clearing it keeps its buffers and runs one destructor per dead
@@ -810,7 +856,9 @@ impl<C> Heap<C> {
     }
 
     /// Moves every live object into an immutable boot space shared by
-    /// this heap's clones, and empties the young space. Afterwards no
+    /// this heap's clones, and empties the young space; every name
+    /// interned so far moves into the symbol table's boot part, shared
+    /// the same way. Afterwards no
     /// collection copies, scans or stales a boot object, and a lexical
     /// assignment to a boot binding goes to the overlay. The interpreter
     /// freezes once, at the end of boot; the statistics are left as they
@@ -828,6 +876,7 @@ impl<C> Heap<C> {
         space.codes.shrink_to_fit();
         let digest = digest(&space.objs, &space.text);
         self.boot = Rc::new(BootSpace { space, digest });
+        self.symbols.freeze();
         // Release the buffers boot's garbage filled, and the spare sized
         // like them: the young space grows again with what runs after
         // the freeze.
@@ -904,6 +953,7 @@ impl<C: Clone> Clone for Heap<C> {
             young,
             spare: _,
             overlay,
+            symbols,
             roots,
             perm,
             perm_free,
@@ -917,6 +967,7 @@ impl<C: Clone> Clone for Heap<C> {
             young: young.clone(),
             spare: Space::default(),
             overlay: overlay.clone(),
+            symbols: symbols.clone(),
             roots: roots.clone(),
             perm: perm.clone(),
             perm_free: perm_free.clone(),
@@ -929,15 +980,17 @@ impl<C: Clone> Clone for Heap<C> {
 
     /// Becomes a copy of `source` field by field, in the buffers this
     /// heap already has, and keeps its own spare. Restoring a heap from
-    /// its boot image (young space and overlay empty) is then a few
-    /// truncations and the copy of the rootset: no malloc once the
-    /// buffers are big enough, and nothing per boot object.
+    /// its boot image (young space, overlay and young names empty) is
+    /// then a few truncations, one probe per young name and the copy of
+    /// the rootset: no malloc once the buffers are big enough, and
+    /// nothing per boot object.
     fn clone_from(&mut self, source: &Self) {
         let Heap {
             boot,
             young,
             spare: _,
             overlay,
+            symbols,
             roots,
             perm,
             perm_free,
@@ -951,6 +1004,7 @@ impl<C: Clone> Clone for Heap<C> {
         }
         self.young.clone_from(young);
         self.overlay.clone_from(overlay);
+        self.symbols.clone_from(symbols);
         self.roots.clone_from(roots);
         self.perm.clone_from(perm);
         self.perm_free.clone_from(perm_free);
@@ -962,8 +1016,8 @@ impl<C: Clone> Clone for Heap<C> {
 }
 
 /// Copies one object from `from` to `to`, leaving a forwarding entry,
-/// and returns its new ref. A string's bytes, a binding's name or a
-/// closure's code move to `to`'s arena or code table with it.
+/// and returns its new ref. A string's bytes or a closure's code move
+/// to `to`'s arena or code table with it.
 /// Already-forwarded objects are not copied again, which is what
 /// preserves sharing and cycles.
 fn copy_obj<C>(from: &mut Space<C>, to: &mut Space<C>, r: Ref, new_epoch: u32) -> Ref {
@@ -987,14 +1041,13 @@ fn copy_obj<C>(from: &mut Space<C>, to: &mut Space<C>, r: Ref, new_epoch: u32) -
             }
         }
         Obj::Str(span) => Obj::Str(move_text(span)),
-        Obj::Binding(name, v, n) => Obj::Binding(move_text(name), v, n),
         Obj::Closure(code, b) => {
             let code = from.codes[code.0 as usize]
                 .take()
                 .expect("a closure's code moves once");
             Obj::Closure(to.push_code(code), b)
         }
-        pair @ Obj::Pair(..) => pair,
+        obj @ (Obj::Pair(..) | Obj::Binding(..)) => obj,
     };
     from.objs[idx] = Obj::Forward(new_idx);
     to.objs.push(obj);
@@ -1004,8 +1057,9 @@ fn copy_obj<C>(from: &mut Space<C>, to: &mut Space<C>, r: Ref, new_epoch: u32) -
     }
 }
 
-/// FNV-1a over a space's shape: each object's kind, its child refs and
-/// its text. Closure payloads are opaque to the collector and left out.
+/// FNV-1a over a space's shape: each object's kind, its child refs, its
+/// text and a binding's symbol. Closure payloads are opaque to the
+/// collector and left out.
 fn digest(objs: &[Obj], text: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |bytes: &[u8]| {
@@ -1019,7 +1073,10 @@ fn digest(objs: &[Obj], text: &str) -> u64 {
             Obj::Str(span) => ([Ref::NIL; 2], Some(*span)),
             Obj::Pair(a, b) => ([*a, *b], None),
             Obj::Closure(_, b) => ([*b, Ref::NIL], None),
-            Obj::Binding(name, v, n) => ([*v, *n], Some(*name)),
+            Obj::Binding(name, v, n) => {
+                mix(&name.raw().to_le_bytes());
+                ([*v, *n], None)
+            }
             Obj::Forward(n) => ([Ref { idx: *n, epoch: 0 }, Ref::NIL], None),
         };
         mix(shape_name(obj).as_bytes());

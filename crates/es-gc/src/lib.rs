@@ -39,11 +39,10 @@
 //! # The text arena and the code table
 //!
 //! A semispace is three buffers: a `Vec` of [`Obj`]s, one `String`
-//! holding the bytes of every string term and every binding name, and
-//! a table of closure codes. A `Str` or a `Binding` stores a [`Span`]
-//! (offset and length) into the arena, and a `Closure` a [`CodeId`]
-//! into the table, instead of owning an allocation or a payload of its
-//! own. A collection copies a live object's bytes or code into the
+//! holding the bytes of every string term, and a table of closure
+//! codes. A `Str` stores a [`Span`] (offset and length) into the arena,
+//! and a `Closure` a [`CodeId`] into the table, instead of owning an
+//! allocation or a payload of its own. A collection copies a live object's bytes or code into the
 //! to-space's arena or table as it forwards the object.
 //!
 //! The heap keeps one spare semispace: a collection copies into it and
@@ -59,12 +58,24 @@
 //! `Span` and `CodeId` are opaque: their fields are private and no
 //! public method takes or returns one. They mean something only in the
 //! epoch that made them, so text and code are read through
-//! [`Heap::str_value`], [`Heap::binding_parts`] and
-//! [`Heap::closure_code`], which take an epoch-checked [`Ref`]. A stale
+//! [`Heap::str_value`] and [`Heap::closure_code`], which take an
+//! epoch-checked [`Ref`]. A stale
 //! string or closure thus panics like any stale ref, however its old
 //! space's buffers have been reused, and the arena is an ordinary
 //! `String` sliced by range — still no `unsafe`. A string that would
 //! push one arena past `u32::MAX` bytes panics rather than wrap.
+//!
+//! # The symbol table
+//!
+//! A `Binding`'s name is a [`Sym`]: the index of the name in the heap's
+//! symbol table, where each name is interned once ([`Heap::intern`]).
+//! Allocating a binding copies no bytes, a collection moves none, and
+//! telling two binding names apart is one integer compare.
+//! [`Heap::find_sym`] resolves a name without interning it, and
+//! [`Heap::sym_name`] and [`Heap::binding_parts`] give the text back.
+//! The names interned before [`Heap::freeze`] are frozen with the boot
+//! space; `clone_from` from the frozen image drops the ones interned
+//! since, one probe each and no malloc.
 //!
 //! `Clone` (the interpreter's fork and boot image) copies the three
 //! young buffers and the rootset, bumping each closure payload's
@@ -102,9 +113,11 @@
 
 mod heap;
 mod stats;
+mod symbols;
 
 pub use heap::{CodeId, Heap, Obj, PermSlot, Ref, RootSlot, Span};
 pub use stats::GcStats;
+pub use symbols::Sym;
 
 #[cfg(test)]
 mod tests;

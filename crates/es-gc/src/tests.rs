@@ -77,7 +77,8 @@ fn cycles_survive_collection() {
     // A binding whose value list contains a closure that captures the
     // binding itself: the paper's "true recursive structures".
     let mut heap: Heap<u32> = Heap::new();
-    let binding = heap.alloc_binding("self", Ref::NIL, Ref::NIL);
+    let name = heap.intern("", "self");
+    let binding = heap.alloc_binding(name, Ref::NIL, Ref::NIL);
     let b_slot = heap.push_root(binding);
     let clo = heap.alloc_closure(42, heap.root(b_slot));
     let c_slot = heap.push_root(clo);
@@ -147,7 +148,8 @@ fn binding_mutation_is_visible_through_sharing() {
     // Two closures capture the same frame; assignment through one is
     // seen by the other (the paper's lexical-scope sharing semantics).
     let mut heap: Heap<u32> = Heap::new();
-    let frame = heap.alloc_binding("x", Ref::NIL, Ref::NIL);
+    let x = heap.intern("", "x");
+    let frame = heap.alloc_binding(x, Ref::NIL, Ref::NIL);
     let f_slot = heap.push_root(frame);
     let c1 = heap.alloc_closure(1, heap.root(f_slot));
     let c1_slot = heap.push_root(c1);
@@ -166,7 +168,8 @@ fn binding_mutation_is_visible_through_sharing() {
 #[test]
 fn clone_is_independent_fork_image() {
     let mut heap: Heap<u32> = Heap::new();
-    let b = heap.alloc_binding("x", Ref::NIL, Ref::NIL);
+    let x = heap.intern("", "x");
+    let b = heap.alloc_binding(x, Ref::NIL, Ref::NIL);
     let slot = heap.push_root(b);
     let mut child = heap.clone();
     // Mutate the child; parent must be unaffected (fork semantics).
@@ -232,6 +235,7 @@ fn build_list(heap: &mut Heap<u32>, items: &[String]) -> crate::RootSlot {
 fn build_bindings(heap: &mut Heap<u32>, names: &[String]) -> crate::RootSlot {
     let slot = heap.push_root(Ref::NIL);
     for name in names.iter().rev() {
+        let name = heap.intern("", name);
         let b = heap.alloc_binding(name, Ref::NIL, heap.root(slot));
         heap.set_root(slot, b);
     }
@@ -352,7 +356,8 @@ proptest! {
         // Model: a single binding holding a list; ops either push a
         // value onto the list (via mutation) or force a collection.
         let mut heap: Heap<u32> = Heap::with_threshold(16);
-        let b = heap.alloc_binding(&name, Ref::NIL, Ref::NIL);
+        let sym = heap.intern("", &name);
+        let b = heap.alloc_binding(sym, Ref::NIL, Ref::NIL);
         let slot = heap.push_root(b);
         let mut model: Vec<String> = Vec::new();
         for (collect, word) in &ops {
@@ -416,7 +421,8 @@ fn frozen_heap() -> (Heap<u32>, crate::PermSlot, crate::PermSlot) {
     let list = heap.alloc_perm(heap.root(list));
     let zero = heap.alloc_str("zero");
     let value = heap.alloc_pair(zero, Ref::NIL);
-    let binding = heap.alloc_binding("n", value, Ref::NIL);
+    let n = heap.intern("", "n");
+    let binding = heap.alloc_binding(n, value, Ref::NIL);
     let closure = heap.alloc_closure(7, binding);
     let closure = heap.alloc_perm(closure);
     heap.truncate_roots(0);
@@ -611,4 +617,83 @@ fn a_stale_closure_ref_panics_after_its_space_is_reused() {
     heap.collect(); // ... and then the to-space, where `live` takes its slot.
     assert_eq!(*heap.closure_code(heap.root(live)), 2);
     let _ = heap.closure_code(stale);
+}
+
+#[test]
+fn a_name_interns_once_and_reads_back() {
+    let mut heap: Heap<u32> = Heap::new();
+    let x = heap.intern("", "fn-x");
+    assert_eq!(heap.intern("fn-", "x"), x, "a prefix joins its name");
+    assert_eq!(heap.find_sym("fn", "-x"), Some(x));
+    assert_eq!(heap.sym_name(x), "fn-x");
+    assert_eq!(heap.find_sym("", "fn-y"), None, "finding interns nothing");
+    assert_eq!(heap.symbols_len(), 1);
+}
+
+#[test]
+fn a_recycle_drops_the_young_names_in_place() {
+    let mut heap: Heap<u32> = Heap::new();
+    let boot = heap.intern("", "boot");
+    heap.freeze();
+    let image = heap.clone();
+    assert_eq!(heap.symbols_len(), 1);
+    // A small round after a big one runs on the big round's index.
+    for (round, n) in [100, 3, 100].into_iter().enumerate() {
+        let young: Vec<_> = (0..n)
+            .map(|i| heap.intern("", &format!("young-{round}-{i}")))
+            .collect();
+        assert_eq!(heap.intern("", "boot"), boot);
+        for (i, &s) in young.iter().enumerate() {
+            assert_eq!(heap.sym_name(s), format!("young-{round}-{i}"));
+            assert_eq!(heap.find_sym("", &format!("young-{round}-{i}")), Some(s));
+        }
+        heap.clone_from(&image);
+        assert_eq!(heap.symbols_len(), 1);
+        assert_eq!(heap.find_sym("", "young-0-0"), None);
+        assert_eq!(heap.find_sym("", "boot"), Some(boot));
+    }
+}
+
+proptest! {
+    #[test]
+    fn prop_symbols_match_a_model_across_recycles(
+        rounds in proptest::collection::vec(proptest::collection::vec(AnyText, 0..24), 1..4),
+        boot in proptest::collection::vec(AnyText, 0..20),
+    ) {
+        let mut heap: Heap<u32> = Heap::new();
+        let mut model: Vec<String> = Vec::new();
+        for name in &boot {
+            let s = heap.intern("", name);
+            if s.index() == model.len() {
+                model.push(name.clone());
+            }
+            prop_assert_eq!(heap.sym_name(s), name.as_str());
+        }
+        heap.freeze();
+        let image = heap.clone();
+        let boot_len = model.len();
+        for names in &rounds {
+            for name in names {
+                let mid = (0..=name.len() / 2).rev().find(|&i| name.is_char_boundary(i));
+                let (prefix, rest) = name.split_at(mid.unwrap_or(0));
+                let s = heap.intern(prefix, rest);
+                match model.iter().position(|n| n == name) {
+                    Some(i) => prop_assert_eq!(s.index(), i),
+                    None => {
+                        prop_assert_eq!(s.index(), model.len());
+                        model.push(name.clone());
+                    }
+                }
+            }
+            for (i, name) in model.iter().enumerate() {
+                prop_assert_eq!(heap.find_sym("", name).map(|s| s.index()), Some(i));
+            }
+            heap.clone_from(&image);
+            model.truncate(boot_len);
+            prop_assert_eq!(heap.symbols_len(), boot_len);
+            for name in names.iter().filter(|n| !model.contains(n)) {
+                prop_assert_eq!(heap.find_sym("", name), None);
+            }
+        }
+    }
 }

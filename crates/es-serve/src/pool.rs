@@ -223,7 +223,7 @@ struct BootSnapshot {
     /// does; the audit reads it, never the image.
     os: SimOs,
     /// The `fn-%*` globals and their encodings ([`Machine::hook_bindings`]).
-    hooks: Vec<(Rc<str>, Rc<str>)>,
+    hooks: Vec<(es_core::Sym, Rc<str>)>,
     limits: es_core::governor::Limits,
 }
 

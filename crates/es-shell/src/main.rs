@@ -112,13 +112,7 @@ fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
         return 0;
     }
     if let Some(cmd) = &args.command {
-        return match m.run(cmd) {
-            Ok(_) => 0,
-            Err(msg) => {
-                eprintln!("es: {msg}");
-                1
-            }
-        };
+        return run_status(&mut m, cmd);
     }
     if let Some(script) = &args.script {
         let quoted_args: Vec<String> = args
@@ -127,15 +121,21 @@ fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
             .map(|a| es_syntax::print::quote(a))
             .collect();
         let cmd = format!(". {} {}", script, quoted_args.join(" "));
-        return match m.run(&cmd) {
-            Ok(_) => 0,
-            Err(msg) => {
-                eprintln!("es: {msg}");
-                1
-            }
-        };
+        return run_status(&mut m, &cmd);
     }
     m.repl()
+}
+
+/// Runs `src` and returns the exit status the interactive loop would
+/// give it: the truth of its value, or an `exit`'s own status, which
+/// exits silently. An uncaught exception prints `es: ` and its message
+/// on stderr and exits 1.
+fn run_status<O: Os + Clone>(m: &mut Machine<O>, src: &str) -> i32 {
+    let result = m.run_text(src);
+    m.exit_status(result).unwrap_or_else(|msg| {
+        eprintln!("es: {msg}");
+        1
+    })
 }
 
 /// Parses the argument of `--limit`, `KIND=N`, for the shell and for

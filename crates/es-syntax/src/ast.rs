@@ -8,6 +8,10 @@
 
 use std::rc::Rc;
 
+/// The symbol of a word that names nothing, or of a tree lowered
+/// without an interner (see [`crate::lower::lower_with`]).
+pub(crate) const NO_SYM: u32 = u32::MAX;
+
 /// A (possibly partially quoted) word: its text, and the byte ranges
 /// of that text that came from inside `'...'`. Quoted text contributes
 /// no live glob metacharacters and never triggers expansion.
@@ -17,10 +21,27 @@ use std::rc::Rc;
 /// meet). An empty range marks a `''`. A word has one allocation, its
 /// string: an unquoted word has no ranges, and a word with one quoted
 /// run keeps it inline.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+///
+/// A word in a name position also carries the symbols its interpreter
+/// resolves, given by [`crate::lower::lower_with`]: see [`Word::sym`]
+/// and [`Word::prefixed_sym`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Word {
     pub(crate) text: String,
     pub(crate) quoted: Quoted,
+    pub(crate) sym: u32,
+    pub(crate) pre: u32,
+}
+
+impl Default for Word {
+    fn default() -> Word {
+        Word {
+            text: String::new(),
+            quoted: Quoted::None,
+            sym: NO_SYM,
+            pre: NO_SYM,
+        }
+    }
 }
 
 /// The quoted byte ranges of a [`Word`], in order. Nearly every quoted
@@ -58,7 +79,7 @@ impl Word {
     pub fn bare(text: impl Into<String>) -> Word {
         Word {
             text: text.into(),
-            quoted: Quoted::None,
+            ..Word::default()
         }
     }
 
@@ -67,7 +88,11 @@ impl Word {
         let text = text.into();
         let len = u32::try_from(text.len()).expect("a word is shorter than 4 GiB");
         let quoted = Quoted::One((0, len));
-        Word { text, quoted }
+        Word {
+            text,
+            quoted,
+            ..Word::default()
+        }
     }
 
     /// The text, ignoring quoting.
@@ -78,6 +103,22 @@ impl Word {
     /// The text, moved out.
     pub fn into_text(self) -> String {
         self.text
+    }
+
+    /// The symbol of the text, where the word names a variable: a
+    /// `$`-reference's target, an assigned name, a `let`, `local` or
+    /// `for` name, or a lambda parameter. `None` anywhere else, or if
+    /// the tree was lowered without an interner.
+    pub fn sym(&self) -> Option<u32> {
+        (self.sym != NO_SYM).then_some(self.sym)
+    }
+
+    /// The symbol of the text behind the prefix its position implies:
+    /// `fn-` for the literal head of a call (one with no live glob),
+    /// `set-` for an assigned name or a `local` name. `None` anywhere
+    /// else, or if the tree was lowered without an interner.
+    pub fn prefixed_sym(&self) -> Option<u32> {
+        (self.pre != NO_SYM).then_some(self.pre)
     }
 
     /// True if no part of the word was quoted.
@@ -149,7 +190,7 @@ impl Word {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Lambda {
     /// Named parameters, or `None` for `@ *`.
-    pub params: Option<Vec<String>>,
+    pub params: Option<Vec<Word>>,
     /// The body.
     pub body: Node,
 }

@@ -50,5 +50,5 @@ pub mod print;
 mod tests;
 
 pub use ast::{Expr, Lambda, Node, Redirect, Word};
-pub use lower::lower;
+pub use lower::{lower, lower_with};
 pub use parse::{parse_program, ParseError};

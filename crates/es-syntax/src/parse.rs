@@ -272,7 +272,7 @@ impl Parser {
         let mut params = Vec::new();
         loop {
             match self.peek() {
-                Tok::Word(_) => params.push(self.bump_word().into_text()),
+                Tok::Word(_) => params.push(Word::bare(self.bump_word().into_text())),
                 Tok::LBrace => {
                     self.bump();
                     let body = self.seq(&[Tok::RBrace])?;
@@ -281,7 +281,7 @@ impl Parser {
                     // bind to `$*` (unlike a bare `{body}` thunk).
                     let lambda = Lambda {
                         params: if params.is_empty() {
-                            Some(vec!["*".to_string()])
+                            Some(vec![Word::bare("*")])
                         } else {
                             Some(params)
                         },
@@ -536,7 +536,7 @@ impl Parser {
                 let mut params = Vec::new();
                 loop {
                     match self.peek() {
-                        Tok::Word(_) => params.push(self.bump_word().into_text()),
+                        Tok::Word(_) => params.push(Word::bare(self.bump_word().into_text())),
                         Tok::LBrace => break,
                         _ => return self.err("expected parameter or { after @"),
                     }
@@ -549,7 +549,7 @@ impl Parser {
                 // thunk (params: None).
                 Ok(Expr::Lambda(Rc::new(Lambda {
                     params: if params.is_empty() {
-                        Some(vec!["*".to_string()])
+                        Some(vec![Word::bare("*")])
                     } else {
                         Some(params)
                     },

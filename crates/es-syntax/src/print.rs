@@ -90,7 +90,10 @@ fn var_target(t: &Expr) -> String {
 pub fn unparse_lambda(l: &Lambda) -> String {
     match &l.params {
         None => format!("{{{}}}", unparse_node(&l.body)),
-        Some(ps) => format!("@ {} {{{}}}", ps.join(" "), unparse_node(&l.body)),
+        Some(ps) => {
+            let ps: Vec<&str> = ps.iter().map(Word::text).collect();
+            format!("@ {} {{{}}}", ps.join(" "), unparse_node(&l.body))
+        }
     }
 }
 

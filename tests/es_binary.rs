@@ -75,6 +75,32 @@ fn exit_status_propagates() {
 }
 
 #[test]
+fn dash_c_exits_with_the_status_of_exit_silently() {
+    let (out, err, status) = run_es(&["-c", "exit 3"], "");
+    assert_eq!((out.as_str(), err.as_str(), status), ("", "", 3));
+}
+
+/// `-c`, a script and the interactive loop all exit with the truth of
+/// the last command's value.
+#[test]
+fn the_last_value_sets_the_status_everywhere() {
+    for (line, want) in [("false", 1), ("true", 0), ("result 0", 0), ("result 7", 1)] {
+        let (_, err, status) = run_es(&["-c", line], "");
+        assert_eq!(status, want, "-c {line}: {err}");
+        let (_, err, status) = run_es(&[], &format!("{line}\n"));
+        assert_eq!(status, want, "stdin {line}: {err}");
+    }
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    for (body, want) in [("false", 1), ("true", 0), ("exit 4", 4)] {
+        let script = dir.join(format!("status-{want}.es"));
+        std::fs::write(&script, format!("{body}\n")).expect("script written");
+        let path = script.to_str().expect("a UTF-8 path");
+        let (_, err, status) = run_es(&["--real", path], "");
+        assert_eq!(status, want, "script {body}: {err}");
+    }
+}
+
+#[test]
 fn pipeline_and_spoof_through_binary() {
     let session =
         "let (create = $fn-%create) fn %create fd file cmd { throw error writes disabled }\n\
