@@ -67,10 +67,13 @@ serve-soak-check:
 	@out=$$($(MAKE) --no-print-directory -s serve-soak 2>&1) || { echo "$$out"; exit 1; }; \
 		echo "$$out" | grep -oE '0x[0-9a-f]+ [0-9]+ [0-9a-f]{16}' | diff -u BENCH_serve_soak.txt -
 
-# The whole workspace must be rustfmt-formatted and clippy-clean.
+# The whole workspace must be rustfmt-formatted and clippy-clean, and
+# its docs must build with no warning (a doc link to a deleted or
+# private item fails here).
 lint:
 	cargo fmt --all -- --check
 	cargo clippy --workspace --all-targets -- -D warnings
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # perfbench is its own Cargo package (path deps on the crates here), so
 # the workspace build does not compile it. Build it and run its

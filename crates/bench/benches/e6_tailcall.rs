@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use es_bench::{machine_with, run};
-use es_core::governor::{Kind, Limits};
+use es_core::governor::Kind;
 use es_core::Options;
 
 const DEF: &str = "fn count n target { if {~ $n $target} {result done} {count $n^x $target} }";
@@ -28,10 +28,7 @@ fn bench_tailcalls(c: &mut Criterion) {
             BenchmarkId::new("proper-tail-calls", depth),
             &target,
             |b, target| {
-                let mut m = machine_with(Options {
-                    tail_calls: true,
-                    ..Options::default()
-                });
+                let mut m = machine_with(Options { tail_calls: true });
                 run(&mut m, DEF);
                 b.iter(|| run(&mut m, &format!("count '' {target}")));
             },
@@ -40,11 +37,8 @@ fn bench_tailcalls(c: &mut Criterion) {
             BenchmarkId::new("naive-1993", depth),
             &target,
             |b, target| {
-                let mut m = machine_with(Options {
-                    tail_calls: false,
-                    limits: Limits::only(Kind::Depth, 1000),
-                    ..Options::default()
-                });
+                let mut m = machine_with(Options { tail_calls: false });
+                m.arm_limit(Kind::Depth, 1000);
                 run(&mut m, DEF);
                 b.iter(|| run(&mut m, &format!("count '' {target}")));
             },
@@ -56,18 +50,12 @@ fn bench_tailcalls(c: &mut Criterion) {
     eprintln!("\n--- E6 artifact: application-depth high-water mark ---");
     for &depth in &[10usize, 100, 400] {
         let target = target_of(depth);
-        let mut tco = machine_with(Options {
-            tail_calls: true,
-            ..Options::default()
-        });
+        let mut tco = machine_with(Options { tail_calls: true });
         run(&mut tco, DEF);
         tco.max_depth_seen = 0;
         run(&mut tco, &format!("count '' {target}"));
-        let mut naive = machine_with(Options {
-            tail_calls: false,
-            limits: Limits::only(Kind::Depth, 1000),
-            ..Options::default()
-        });
+        let mut naive = machine_with(Options { tail_calls: false });
+        naive.arm_limit(Kind::Depth, 1000);
         run(&mut naive, DEF);
         naive.max_depth_seen = 0;
         run(&mut naive, &format!("count '' {target}"));

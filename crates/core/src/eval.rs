@@ -1,5 +1,13 @@
 //! The evaluator: core AST → values.
 //!
+//! Each control job happens in one place. [`apply_term`] decides how a
+//! command's head is applied (a closure is called, a string resolved
+//! as a command), whether the head came from a list, a definition, a
+//! settor, a hook's result or a control primitive's thunk.
+//! [`caught`] ends every body run under a `break`, `return` or `retry`
+//! catcher. [`bind`] extends every lexical scope: `let`, `for`,
+//! parameters, `$*`, `$0` and `%closure(…)` literals.
+//!
 //! Everything here is written against the copying collector's
 //! discipline: any `Ref` held across an allocation must sit in a root
 //! slot. Functions that return a `Ref` return it *unrooted*; the
@@ -154,9 +162,7 @@ fn eval_let<O: Os + Clone>(
         let name = names.single(m)?.intern(m);
         let inner = m.heap.roots_len();
         let value_slot = eval_exprs(m, value_exprs, chain, false)?;
-        let value = m.heap.root(value_slot);
-        let binding = m.heap.alloc_binding(name, value, m.heap.root(chain));
-        m.heap.set_root(chain, binding);
+        bind(m, chain, name, m.heap.root(value_slot));
         m.heap.truncate_roots(inner);
     }
     // Tail propagates through let: the bindings live in the heap,
@@ -224,27 +230,14 @@ fn eval_for<O: Os + Clone>(
         for (name, slot) in &lists {
             // An exhausted list binds its name to `()`.
             let value = next_value(m, *slot, false);
-            let v = m.heap.push_root(value);
-            let binding = m
-                .heap
-                .alloc_binding(*name, m.heap.root(v), m.heap.root(chain));
-            m.heap.set_root(chain, binding);
+            bind(m, chain, *name, value);
         }
-        match eval_node(m, body, chain, None) {
-            Ok(flow) => {
-                let v = must_value(flow);
-                m.heap.truncate_roots(iter_base);
-                m.heap.set_root(result_slot, v);
-            }
-            Err(EsError::Throw(e)) if throw_is(m, e, "break") => {
-                let v = m.heap.pair_tail(e);
-                m.heap.truncate_roots(iter_base);
+        let result = eval_node(m, body, chain, None);
+        match caught(m, result, "break", iter_base)? {
+            Ended::Value(v) => m.heap.set_root(result_slot, v),
+            Ended::Caught(v) => {
                 m.heap.set_root(result_slot, v);
                 break;
-            }
-            Err(other) => {
-                m.heap.truncate_roots(iter_base);
-                return Err(other);
             }
         }
     }
@@ -339,7 +332,7 @@ pub(crate) fn pop_scope<O: Os + Clone>(m: &mut Machine<O>, base: usize, flow: Fl
 }
 
 /// True if the exception list's first term is the string `name`.
-pub fn throw_is<O: Os + Clone>(m: &Machine<O>, e: Ref, name: &str) -> bool {
+fn throw_is<O: Os + Clone>(m: &Machine<O>, e: Ref, name: &str) -> bool {
     if e.is_nil() {
         return false;
     }
@@ -525,20 +518,11 @@ pub fn run_settor<O: Os + Clone>(
     value_slot: RootSlot,
 ) -> EsResult<Ref> {
     let settor = settor.and_then(|s| m.lookup(m.heap.root(env), s));
-    let settor = match settor {
-        Some(s) if !s.is_nil() => s,
-        _ => return Ok(m.heap.root(value_slot)),
+    let Some(settor) = settor.filter(|s| !s.is_nil()) else {
+        return Ok(m.heap.root(value_slot));
     };
-    let base = m.heap.roots_len();
-    let s_slot = m.heap.push_root(settor);
-    let mut b = ListBuilder::new(&mut m.heap);
-    b.append_slot(&mut m.heap, s_slot);
-    let value = m.heap.root(value_slot);
-    let call_slot = b.finish_onto(&mut m.heap, value);
-    let flow = apply_slot(m, call_slot, env, None)?;
-    let out = must_value(flow);
-    m.heap.truncate_roots(base);
-    Ok(out)
+    let flow = apply_value(m, "<closure>", settor, value_slot, env, None, 0)?;
+    Ok(must_value(flow))
 }
 
 // ---------------------------------------------------------------------------
@@ -714,10 +698,8 @@ pub fn eval_expr<O: Os + Clone>(
             let empty_env = m.heap.push_root(Ref::NIL);
             for (name, value_exprs) in bindings {
                 let slot = eval_exprs(m, value_exprs, empty_env, false)?;
-                let value = m.heap.root(slot);
                 let name = m.heap.intern("", name);
-                let binding = m.heap.alloc_binding(name, value, m.heap.root(chain));
-                m.heap.set_root(chain, binding);
+                bind(m, chain, name, m.heap.root(slot));
             }
             let clo = m.heap.alloc_closure(lambda.clone(), m.heap.root(chain));
             let c = m.heap.push_root(clo);
@@ -774,7 +756,7 @@ fn var_value<O: Os + Clone>(m: &mut Machine<O>, target: &Expr, env: RootSlot) ->
 // Application.
 // ---------------------------------------------------------------------------
 
-/// Applies the (rooted) list as a command.
+/// Applies the (rooted) list as a command: its head to its tail.
 pub fn apply_slot<O: Os + Clone>(
     m: &mut Machine<O>,
     list_slot: RootSlot,
@@ -785,23 +767,39 @@ pub fn apply_slot<O: Os + Clone>(
     if list.is_nil() {
         return Ok(Flow::Val(Ref::NIL));
     }
-    let head = m.heap.pair_head(list);
-    match m.heap.get(head) {
+    let base = m.heap.roots_len();
+    let args = m.heap.push_root(m.heap.pair_tail(list));
+    let flow = apply_term(m, m.heap.pair_head(list), args, "<closure>", env, tail, 0)?;
+    Ok(pop_scope(m, base, flow))
+}
+
+/// Applies one term as a command's head to the rooted `args`: a
+/// closure is called with `$0` bound to `name`, a string is resolved
+/// as a command by [`apply_named`], and anything else cannot be
+/// applied. `hops` counts the definitions resolved to reach `term`.
+/// Every application of a head, however the head was reached, is
+/// decided here.
+pub(crate) fn apply_term<O: Os + Clone>(
+    m: &mut Machine<O>,
+    term: Ref,
+    args: RootSlot,
+    name: &str,
+    env: RootSlot,
+    tail: Option<TailSlots>,
+    hops: usize,
+) -> EsResult<Flow> {
+    match m.heap.get(term) {
         Obj::Closure(..) => {
             let base = m.heap.roots_len();
-            let clo = m.heap.push_root(head);
-            let args = m.heap.push_root(m.heap.pair_tail(list));
-            let flow = call_closure(m, clo, args, "<closure>", tail)?;
+            let clo = m.heap.push_root(term);
+            let flow = call_closure(m, clo, args, name, tail)?;
             Ok(pop_scope(m, base, flow))
         }
         Obj::Str(_) => {
             // Copied to the stack: the heap may move the string while
             // the command runs.
-            let name = NameBuf::new(&[m.heap.str_value(head)]);
-            let base = m.heap.roots_len();
-            let args = m.heap.push_root(m.heap.pair_tail(list));
-            let flow = apply_named(m, name.as_str(), None, args, env, tail, 0)?;
-            Ok(pop_scope(m, base, flow))
+            let name = NameBuf::new(&[m.heap.str_value(term)]);
+            apply_named(m, name.as_str(), None, args, env, tail, hops)
         }
         other => {
             let shape = format!("{other:?}");
@@ -813,7 +811,9 @@ pub fn apply_slot<O: Os + Clone>(
 /// Resolves and applies a command named by a string: primitives,
 /// slash-paths, `fn-` variables, then `%pathsearch`. `fn_sym` is the
 /// symbol of `fn-name` when the caller has it from a tree; otherwise
-/// the name is resolved by its text.
+/// the name is resolved by its text. A primitive is called however
+/// many definitions led to it; any other name past the 64th fails as
+/// a definition loop.
 fn apply_named<O: Os + Clone>(
     m: &mut Machine<O>,
     name: &str,
@@ -823,11 +823,11 @@ fn apply_named<O: Os + Clone>(
     tail: Option<TailSlots>,
     hops: usize,
 ) -> EsResult<Flow> {
-    if hops > 64 {
-        return Err(m.error(&format!("function definition loop resolving {name}")));
-    }
     if let Some(prim) = name.strip_prefix("$&") {
         return prims::call(m, prim, args, env, tail);
+    }
+    if hops > 64 {
+        return Err(m.error(&format!("function definition loop resolving {name}")));
     }
     if name.contains('/') {
         return run_external(m, name, args);
@@ -835,39 +835,31 @@ fn apply_named<O: Os + Clone>(
     let fn_sym = fn_sym.or_else(|| m.heap.find_sym("fn-", name));
     let resolved = fn_sym.and_then(|s| m.lookup(m.heap.root(env), s));
     if let Some(value) = resolved.filter(|v| !v.is_nil()) {
-        return apply_value(m, name, value, args, env, tail, hops);
+        return apply_value(m, name, value, args, env, tail, hops + 1);
     }
     // Path search through the (spoofable) %pathsearch hook.
-    let base = m.heap.roots_len();
     let hook = (sym::FN_PATHSEARCH, "%pathsearch");
-    let Some(path_list) = call_hook(m, hook, name, env, hops)? else {
+    let found = call_hook(m, hook, name, env, hops)?.filter(|p| !p.is_nil());
+    let Some(path_list) = found else {
         return Err(m.error(&format!("{name}: command not found")));
     };
-    let p_slot = m.heap.push_root(path_list);
-    let terms = m.terms_at(p_slot);
-    let only_str = match terms.as_slice() {
-        [crate::value::Term::Str(s)] => Some(s.clone()),
-        _ => None,
-    };
-    let flow = match (only_str, terms.len()) {
-        (Some(path), _) => run_external(m, &path, args)?,
-        (None, 0) => return Err(m.error(&format!("{name}: command not found"))),
-        _ => {
-            // A multi-word result is treated as a command prefix
-            // (lets %pathsearch rewrite invocations).
-            let mut b = ListBuilder::new(&mut m.heap);
-            b.append_slot(&mut m.heap, p_slot);
-            let args_list = m.heap.root(args);
-            let call = b.finish_onto(&mut m.heap, args_list);
-            apply_slot(m, call, env, tail)?
-        }
-    };
-    Ok(pop_scope(m, base, flow))
+    let head = m.heap.pair_head(path_list);
+    if m.heap.pair_tail(path_list).is_nil() && matches!(m.heap.get(head), Obj::Str(_)) {
+        let path = NameBuf::new(&[m.heap.str_value(head)]);
+        return run_external(m, path.as_str(), args);
+    }
+    // Anything else is a command prefix (lets %pathsearch rewrite
+    // invocations).
+    apply_value(m, "<closure>", path_list, args, env, tail, 0)
 }
 
 /// Applies `value`, the definition the command `name` resolved to
-/// (unrooted, non-empty), to the rooted `args`. Every call that
-/// resolves a function, hooks included, comes here.
+/// (unrooted, non-empty), to the rooted `args`, as `value ++ args`
+/// would run. Every call that resolves a function, hooks and settors
+/// included, comes here. A one-term definition is applied as it is (a
+/// closure with `$0` bound to `name`); a longer one is spliced onto
+/// the arguments. `hops` counts the definitions resolved to reach
+/// `value`.
 fn apply_value<O: Os + Clone>(
     m: &mut Machine<O>,
     name: &str,
@@ -877,40 +869,19 @@ fn apply_value<O: Os + Clone>(
     tail: Option<TailSlots>,
     hops: usize,
 ) -> EsResult<Flow> {
-    // A function bound to a primitive, as boot binds every builtin and
-    // hook (`fn-echo = $&echo`, `fn-%pipe = $&pipe`), calls it on these
-    // arguments: what splicing `$&prim ++ args` and resolving that did.
-    // The name is copied: the heap may move it.
-    let head = m.heap.pair_head(value);
-    if m.heap.pair_tail(value).is_nil() && matches!(m.heap.get(head), Obj::Str(_)) {
-        if let Some(prim) = m.heap.str_value(head).strip_prefix("$&") {
-            let prim = NameBuf::new(&[prim]);
-            return prims::call(m, prim.as_str(), args, env, tail);
-        }
+    if m.heap.pair_tail(value).is_nil() {
+        return apply_term(m, m.heap.pair_head(value), args, name, env, tail, hops);
     }
     let base = m.heap.roots_len();
     let v_slot = m.heap.push_root(value);
-    // Single-closure definitions (the common case) apply directly,
-    // binding $0 to the invocation name.
-    if matches!(m.heap.get(head), Obj::Closure(..)) && m.heap.pair_tail(value).is_nil() {
-        let clo = m.heap.push_root(head);
-        let flow = call_closure(m, clo, args, name, tail)?;
-        return Ok(pop_scope(m, base, flow));
-    }
-    // General case: splice `value ++ args` and re-apply.
     let mut b = ListBuilder::new(&mut m.heap);
     b.append_slot(&mut m.heap, v_slot);
     let args_list = m.heap.root(args);
-    let new_list = b.finish_onto(&mut m.heap, args_list);
-    let new_head = m.heap.pair_head(m.heap.root(new_list));
-    let flow = match m.heap.get(new_head) {
-        Obj::Str(_) => {
-            let next_name = NameBuf::new(&[m.heap.str_value(new_head)]);
-            let new_args = m.heap.push_root(m.heap.pair_tail(m.heap.root(new_list)));
-            apply_named(m, next_name.as_str(), None, new_args, env, tail, hops + 1)?
-        }
-        _ => apply_slot(m, new_list, env, tail)?,
-    };
+    let list = b.finish_onto(&mut m.heap, args_list);
+    let list = m.heap.root(list);
+    let (head, rest) = (m.heap.pair_head(list), m.heap.pair_tail(list));
+    let rest = m.heap.push_root(rest);
+    let flow = apply_term(m, head, rest, "<closure>", env, tail, hops)?;
     Ok(pop_scope(m, base, flow))
 }
 
@@ -936,7 +907,7 @@ fn call_hook<O: Os + Clone>(
     let mut b = ListBuilder::new(&mut m.heap);
     b.push_str(&mut m.heap, word);
     let value = m.heap.root(v_slot);
-    let flow = apply_value(m, hook, value, b.head_slot(), env, None, hops)?;
+    let flow = apply_value(m, hook, value, b.head_slot(), env, None, hops + 1)?;
     let out = must_value(flow);
     m.heap.truncate_roots(base);
     Ok(Some(out))
@@ -994,6 +965,13 @@ pub fn apply_closure<O: Os + Clone>(
     result
 }
 
+/// Binds `sym` to `value` (unrooted) onto the chain in `chain`: the
+/// one way a lexical scope is extended.
+pub(crate) fn bind<O: Os + Clone>(m: &mut Machine<O>, chain: RootSlot, sym: Sym, value: Ref) {
+    let b = m.heap.alloc_binding(sym, value, m.heap.root(chain));
+    m.heap.set_root(chain, b);
+}
+
 /// Binds `$*` to the list in `args` (when given) and then `$0` to
 /// `name` onto the chain in `chain`: what a function call and `.`
 /// bind for their body.
@@ -1004,19 +982,38 @@ pub(crate) fn bind_invocation<O: Os + Clone>(
     name: &str,
 ) {
     if let Some(args) = args {
-        let b = m
-            .heap
-            .alloc_binding(sym::STAR, m.heap.root(args), m.heap.root(chain));
-        m.heap.set_root(chain, b);
+        bind(m, chain, sym::STAR, m.heap.root(args));
     }
     let zero = m.heap.alloc_str(name);
-    let z = m.heap.push_root(zero);
-    let zl = m.heap.alloc_pair(m.heap.root(z), Ref::NIL);
-    let zs = m.heap.push_root(zl);
-    let b = m
-        .heap
-        .alloc_binding(sym::ZERO, m.heap.root(zs), m.heap.root(chain));
-    m.heap.set_root(chain, b);
+    let zero = m.heap.alloc_pair(zero, Ref::NIL);
+    bind(m, chain, sym::ZERO, zero);
+}
+
+/// How a body run under a catcher ended.
+pub(crate) enum Ended {
+    /// It finished with this value.
+    Value(Ref),
+    /// A throw of the caught kind carried this value out.
+    Caught(Ref),
+}
+
+/// Ends a body run under a catcher for `kind` (`break`, `return`,
+/// `retry`): drops the body's root scope, which began at `base`, and
+/// gives the body's value, or the value a `kind` throw carried out.
+/// Every other error passes on. Every catcher of those throws comes
+/// here.
+pub(crate) fn caught<O: Os + Clone>(
+    m: &mut Machine<O>,
+    result: EsResult<Flow>,
+    kind: &str,
+    base: usize,
+) -> EsResult<Ended> {
+    m.heap.truncate_roots(base);
+    match result {
+        Ok(flow) => Ok(Ended::Value(must_value(flow))),
+        Err(EsError::Throw(e)) if throw_is(m, e, kind) => Ok(Ended::Caught(m.heap.pair_tail(e))),
+        Err(other) => Err(other),
+    }
 }
 
 fn apply_closure_inner<O: Os + Clone>(
@@ -1053,11 +1050,9 @@ fn apply_closure_inner<O: Os + Clone>(
                 let n = params.len();
                 let rest = m.heap.push_root(m.heap.root(cur_args));
                 for (i, p) in params.iter().enumerate() {
-                    let value = next_value(m, rest, i + 1 == n);
-                    let v = m.heap.push_root(value);
                     let p = Name::word(p).intern(m);
-                    let b = m.heap.alloc_binding(p, m.heap.root(v), m.heap.root(chain));
-                    m.heap.set_root(chain, b);
+                    let value = next_value(m, rest, i + 1 == n);
+                    bind(m, chain, p, value);
                 }
                 let star = !params.iter().any(|p| p.text() == "*");
                 bind_invocation(m, chain, star.then_some(cur_args), invocation);
@@ -1067,42 +1062,32 @@ fn apply_closure_inner<O: Os + Clone>(
                 // everything else) stays visible from the enclosing
                 // scope. Explicit arguments, if any, do rebind `$*`.
                 if !m.heap.root(cur_args).is_nil() {
-                    let b =
-                        m.heap
-                            .alloc_binding(sym::STAR, m.heap.root(cur_args), m.heap.root(chain));
-                    m.heap.set_root(chain, b);
+                    bind(m, chain, sym::STAR, m.heap.root(cur_args));
                 }
             }
         }
-
-        match eval_node(m, &code.body, chain, Some((tail_clo, tail_args))) {
-            Ok(Flow::Tail) => {
-                // Rebind and iterate: this is the proper-tail-call.
-                let c = m.heap.root(tail_clo);
-                catching = catching || m.heap.closure_code(c).params.is_some();
-                m.heap.set_root(cur_clo, c);
-                let a = m.heap.root(tail_args);
-                m.heap.set_root(cur_args, a);
-                m.heap.set_root(tail_clo, Ref::NIL);
-                m.heap.set_root(tail_args, Ref::NIL);
-                invocation = "<tail>";
-                m.heap.truncate_roots(iter_base);
-                continue;
-            }
-            Ok(Flow::Val(v)) => {
-                m.heap.truncate_roots(base);
-                return Ok(Flow::Val(v));
-            }
-            Err(EsError::Throw(e)) if catching && throw_is(m, e, "return") => {
-                let v = m.heap.pair_tail(e);
-                m.heap.truncate_roots(base);
-                return Ok(Flow::Val(v));
-            }
-            Err(other) => {
-                m.heap.truncate_roots(base);
-                return Err(other);
-            }
+        let result = eval_node(m, &code.body, chain, Some((tail_clo, tail_args)));
+        if let Ok(Flow::Tail) = result {
+            // Rebind and iterate: this is the proper-tail-call.
+            let c = m.heap.root(tail_clo);
+            catching = catching || m.heap.closure_code(c).params.is_some();
+            m.heap.set_root(cur_clo, c);
+            let a = m.heap.root(tail_args);
+            m.heap.set_root(cur_args, a);
+            m.heap.set_root(tail_clo, Ref::NIL);
+            m.heap.set_root(tail_args, Ref::NIL);
+            invocation = "<tail>";
+            m.heap.truncate_roots(iter_base);
+            continue;
         }
+        if !catching {
+            // Not a `return` boundary: every throw passes on, so no
+            // kind is caught (even an empty one would catch `throw ''`).
+            m.heap.truncate_roots(base);
+            return result;
+        }
+        let (Ended::Value(v) | Ended::Caught(v)) = caught(m, result, "return", base)?;
+        return Ok(Flow::Val(v));
     }
 }
 

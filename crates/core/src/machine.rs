@@ -43,10 +43,12 @@ pub(crate) mod sym {
 /// How many bytes of name a [`NameBuf`] holds without a malloc.
 const NAME_BUF: usize = 40;
 
-/// A name assembled on the stack: a command name copied out of the
-/// heap so that it outlives the allocations its application makes, or
-/// a `$&name` term built from a primitive's name. Only a name longer
-/// than [`NAME_BUF`] bytes is built in a `String`.
+/// A name assembled on the stack. It has two jobs: holding a string
+/// copied out of the heap that must outlive the allocations made while
+/// it is used (a command head that `eval::apply_term` resolves, a
+/// path that `%pathsearch` returned), and building the `$&name` term
+/// of a primitive named in a tree. Only a name longer than
+/// [`NAME_BUF`] bytes is built in a `String`.
 pub(crate) enum NameBuf {
     Short(u8, [u8; NAME_BUF]),
     Long(String),
@@ -86,24 +88,11 @@ pub struct Options {
     /// evaluator recurses on tail calls like the 1993 implementation,
     /// which experiment E6 measures.
     pub tail_calls: bool,
-    /// Resource limits the machine boots with. The default arms only
-    /// the recursion-depth guard at 150 — deep enough for real shell
-    /// programs, shallow enough that the guard fires before the Rust
-    /// stack runs out even on a 2 MiB test thread in debug builds.
-    /// Raise it (with a bigger thread stack) for deliberately deep
-    /// non-tail recursion.
-    pub limits: Limits,
-    /// Reported by `$&isinteractive`.
-    pub interactive: bool,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        Options {
-            tail_calls: true,
-            limits: Limits::default_interpreter(),
-            interactive: false,
-        }
+        Options { tail_calls: true }
     }
 }
 
@@ -241,7 +230,7 @@ impl<O: Os + Clone> Machine<O> {
 
     /// Boots with explicit [`Options`].
     pub fn with_options(os: O, opts: Options) -> EsResult<Machine<O>> {
-        let governor = Governor::new(opts.limits);
+        let governor = Governor::new(Limits::default_interpreter());
         let mut m = Machine {
             heap: Heap::new(),
             opts,
@@ -309,7 +298,7 @@ impl<O: Os + Clone> Machine<O> {
     /// of the image, into the buffers this machine already has: the
     /// heap goes back to the shared boot space with an empty young
     /// space and the boot symbols, the globals named in the touched set
-    /// are restored by [`Machine::restore_globals`], and everything else
+    /// are restored by `Machine::restore_globals`, and everything else
     /// is copied with `clone_from`. Nothing is copied or visited per
     /// boot object, global or program, so the cost depends on what the
     /// session changed, not on the size of the boot state.
@@ -537,7 +526,6 @@ impl<O: Os + Clone> Machine<O> {
     /// Runs the interactive loop (`%interactive-loop`, Figure 3) until
     /// EOF or exit; returns the shell's exit status.
     pub fn repl(&mut self) -> i32 {
-        self.opts.interactive = true;
         self.inputs.push(Input::Console {
             pending: String::new(),
         });
@@ -936,6 +924,14 @@ impl<O: Os + Clone> Machine<O> {
     /// Pops the current input source.
     pub fn pop_input(&mut self) {
         self.inputs.pop();
+    }
+
+    /// True while the interactive loop reads the console: what
+    /// `$&isinteractive` reports.
+    pub(crate) fn interactive(&self) -> bool {
+        self.inputs
+            .iter()
+            .any(|i| matches!(i, Input::Console { .. }))
     }
 
     /// Reads one line (without the newline) from the current input

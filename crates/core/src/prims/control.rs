@@ -2,7 +2,7 @@
 //! throw/catch, return/break, eval.
 
 use super::{apply_thunk, arg_slot, next_arg};
-use crate::eval::{must_value, throw_is, Flow, TailSlots};
+use crate::eval::{caught, must_value, Ended, Flow, TailSlots};
 use crate::exception::{EsError, EsResult};
 use crate::machine::{Input, Machine};
 use crate::value::{self, ListBuilder};
@@ -99,21 +99,12 @@ pub fn while_prim<O: Os + Clone>(
             Some(b) => b,
             None => break,
         };
-        match apply_thunk(m, body, env, None) {
-            Ok(flow) => {
-                let v = must_value(flow);
-                m.heap.truncate_roots(base);
-                m.heap.set_root(result, v);
-            }
-            Err(EsError::Throw(e)) if throw_is(m, e, "break") => {
-                let v = m.heap.pair_tail(e);
-                m.heap.truncate_roots(base);
+        let flow = apply_thunk(m, body, env, None);
+        match caught(m, flow, "break", base)? {
+            Ended::Value(v) => m.heap.set_root(result, v),
+            Ended::Caught(v) => {
                 m.heap.set_root(result, v);
                 break;
-            }
-            Err(other) => {
-                m.heap.truncate_roots(base);
-                return Err(other);
             }
         }
     }
@@ -129,17 +120,9 @@ pub fn forever<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot)
             Some(b) => b,
             None => return Err(m.error("forever: missing body")),
         };
-        match apply_thunk(m, body, env, None) {
-            Ok(_) => m.heap.truncate_roots(base),
-            Err(EsError::Throw(e)) if throw_is(m, e, "break") => {
-                let v = m.heap.pair_tail(e);
-                m.heap.truncate_roots(base);
-                return Ok(Flow::Val(v));
-            }
-            Err(other) => {
-                m.heap.truncate_roots(base);
-                return Err(other);
-            }
+        let flow = apply_thunk(m, body, env, None);
+        if let Ended::Caught(v) = caught(m, flow, "break", base)? {
+            return Ok(Flow::Val(v));
         }
     }
 }
@@ -233,39 +216,22 @@ pub fn catch<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -
             Some(b) => b,
             None => return Err(m.error("catch: usage: catch handler body")),
         };
-        match apply_thunk(m, body, env, None) {
-            Ok(flow) => {
-                let v = must_value(flow);
+        let e = match apply_thunk(m, body, env, None) {
+            Err(EsError::Throw(e)) => e,
+            done => {
                 m.heap.truncate_roots(base);
-                return Ok(Flow::Val(v));
+                return done;
             }
-            Err(EsError::Throw(e)) => {
-                let e_slot = m.heap.push_root(e);
-                let handler = match arg_slot(m, args, 1) {
-                    Some(h) => h,
-                    None => return Err(m.error("catch: missing handler")),
-                };
-                let exc = m.heap.root(e_slot);
-                match super::apply_thunk_with_args(m, handler, exc, env, None) {
-                    Ok(flow) => {
-                        let v = must_value(flow);
-                        m.heap.truncate_roots(base);
-                        return Ok(Flow::Val(v));
-                    }
-                    Err(EsError::Throw(r)) if throw_is(m, r, "retry") => {
-                        m.heap.truncate_roots(base);
-                        continue;
-                    }
-                    Err(other) => {
-                        m.heap.truncate_roots(base);
-                        return Err(other);
-                    }
-                }
-            }
-            Err(other) => {
-                m.heap.truncate_roots(base);
-                return Err(other);
-            }
+        };
+        let e_slot = m.heap.push_root(e);
+        let handler = match arg_slot(m, args, 1) {
+            Some(h) => h,
+            None => return Err(m.error("catch: missing handler")),
+        };
+        let exc = m.heap.root(e_slot);
+        let flow = super::apply_thunk_with_args(m, handler, exc, env, None);
+        if let Ended::Value(v) = caught(m, flow, "retry", base)? {
+            return Ok(Flow::Val(v));
         }
     }
 }

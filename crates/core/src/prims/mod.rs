@@ -17,8 +17,8 @@ mod misc;
 use crate::eval::{Flow, TailSlots};
 use crate::exception::EsResult;
 use crate::machine::Machine;
-use crate::value::{self, ListBuilder};
-use es_gc::{Obj, Ref, RootSlot};
+use crate::value;
+use es_gc::{Ref, RootSlot};
 use es_os::Os;
 use std::str::FromStr;
 
@@ -137,7 +137,7 @@ pub fn call<O: Os + Clone>(
             Ok(Flow::Val(v))
         }
         "isinteractive" => {
-            let v = if m.opts.interactive {
+            let v = if m.interactive() {
                 value::true_value(&mut m.heap)
             } else {
                 value::false_value(&mut m.heap)
@@ -232,25 +232,10 @@ pub(crate) fn apply_thunk_with_args<O: Os + Clone>(
     tail: Option<TailSlots>,
 ) -> EsResult<Flow> {
     let base = m.heap.roots_len();
-    let extra_slot = m.heap.push_root(extra);
+    let extra = m.heap.push_root(extra);
     let t = m.heap.root(term);
-    let flow = match m.heap.get(t) {
-        Obj::Closure(..) => crate::eval::call_closure(m, term, extra_slot, "<thunk>", tail)?,
-        Obj::Str(_) => {
-            let mut b = ListBuilder::new(&mut m.heap);
-            let t = m.heap.root(term);
-            b.push(&mut m.heap, t);
-            let extra = m.heap.root(extra_slot);
-            let call = b.finish_onto(&mut m.heap, extra);
-            crate::eval::apply_slot(m, call, env, tail)?
-        }
-        other => {
-            let shape = format!("{other:?}");
-            m.heap.truncate_roots(base);
-            return Err(m.error(&format!("cannot apply {shape}")));
-        }
-    };
+    let flow = crate::eval::apply_term(m, t, extra, "<thunk>", env, tail, 0);
     // The tail slots belong to an outer loop, so truncating is safe.
     m.heap.truncate_roots(base);
-    Ok(flow)
+    flow
 }

@@ -1,7 +1,7 @@
 //! Interpreter tests: every example in the paper, plus semantics
 //! corners.
 
-use crate::governor::{Kind, Limits};
+use crate::governor::Kind;
 use crate::machine::{Machine, Options};
 use es_os::{Os, SimOs};
 
@@ -945,15 +945,8 @@ fn tail_calls_do_not_grow_depth() {
 fn naive_mode_grows_depth() {
     let mut os = SimOs::new();
     os.set_initial_env(vec![("PATH".into(), "/bin".into())]);
-    let mut m = Machine::with_options(
-        os,
-        Options {
-            tail_calls: false,
-            limits: Limits::only(Kind::Depth, 64),
-            ..Options::default()
-        },
-    )
-    .expect("machine boots");
+    let mut m = Machine::with_options(os, Options { tail_calls: false }).expect("machine boots");
+    m.arm_limit(Kind::Depth, 64);
     m.run("fn loop n { if {~ $n xxxxxxxxxx} {result done} {loop $n^x} }")
         .unwrap();
     m.max_depth_seen = 0;
@@ -1396,7 +1389,9 @@ fn deeply_nested_closures_survive_collection() {
 fn interactive_flag_primitive() {
     let mut m = machine();
     assert_eq!(val(&mut m, "$&isinteractive"), vec!["1"]);
-    m.opts.interactive = true;
+    m.push_input(crate::machine::Input::Console {
+        pending: String::new(),
+    });
     assert_eq!(val(&mut m, "$&isinteractive"), vec!["0"]);
 }
 
@@ -2320,5 +2315,64 @@ fn builtins_do_what_their_primitives_do() {
                 "`{name} {args}` vs `$&{name} {args}`"
             );
         }
+    }
+}
+
+/// `fn-a1 = a2; …; fn-a<n> = target`: a chain of `n` aliases.
+fn alias_chain(n: usize, target: &str) -> String {
+    let mut src: String = (1..n).map(|i| format!("fn-a{i} = a{}; ", i + 1)).collect();
+    src.push_str(&format!("fn-a{n} = {target}; "));
+    src
+}
+
+/// Each way a command's head is applied binds `$0` as it did, and
+/// counts the definitions it resolves against the same bound: 64
+/// aliases resolve on every route, a primitive is called past the
+/// bound, and a 65th alias ending in a path is a definition loop.
+#[test]
+fn application_binds_dollar_zero_and_bounds_alias_chains() {
+    #[rustfmt::skip]
+    let zero = [
+        ("fn who { echo $0 }; who", "who\n"),
+        ("fn-w = @ { echo $0 } x; w", "<closure>\n"),
+        ("fn-a = b; fn b { echo $0 }; a", "b\n"),
+        ("catch @ { echo $0 } { throw e }", "<thunk>\n"),
+        ("set-v = @ { echo $0; result $* }; v = a", "<closure>\n"),
+        ("fn t { u }; fn u { echo $0 }; t", "<tail>\n"),
+        ("fn %pathsearch { echo $0; result @ { echo $0 } }; nosuch", "%pathsearch\n<closure>\n"),
+        ("fn %pathsearch { result @ { echo $0 $* } x }; nosuch y", "<closure> x y\n"),
+    ];
+    for (src, want) in zero {
+        assert_eq!(outcome(src).0, want, "{src}");
+    }
+    for (n, target, call) in [
+        (64, "$&echo", "a1 hi"),
+        (65, "$&echo", "a1 hi"),
+        (64, "/bin/echo", "a1 hi"),
+        (64, "/bin/echo", "set-x = a1; x = hi"),
+        (64, "/bin/echo", "catch a1 { throw hi }"),
+    ] {
+        let src = alias_chain(n, target) + call;
+        let (out, err, value) = outcome(&src);
+        assert!(value.is_ok(), "{n} {target} {call}: {value:?}");
+        assert_eq!(
+            (out.as_str(), err.as_str()),
+            ("hi\n", ""),
+            "{n} {target} {call}"
+        );
+    }
+    for (n, target, call) in [
+        (66, "$&echo", "a1 hi"),
+        (65, "/bin/echo", "a1 hi"),
+        (65, "/bin/echo", "set-x = a1; x = hi"),
+        (65, "/bin/echo", "catch a1 { throw hi }"),
+    ] {
+        let src = alias_chain(n, target) + call;
+        let (out, _, value) = outcome(&src);
+        let err = value.expect_err(&src);
+        assert!(
+            out.is_empty() && err.contains("function definition loop"),
+            "{n} {target} {call}: {err}"
+        );
     }
 }

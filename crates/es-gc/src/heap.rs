@@ -487,6 +487,20 @@ impl<C> Heap<C> {
         self.alloc_str(&s)
     }
 
+    /// Collects while keeping `refs` alive: returns where they are
+    /// after the collection. The slow path of every allocation whose
+    /// object points at others.
+    #[cold]
+    #[inline(never)]
+    fn collect_keeping<const N: usize>(&mut self, mut refs: [Ref; N]) -> [Ref; N] {
+        let base = self.roots.len();
+        self.roots.extend_from_slice(&refs);
+        self.collect();
+        refs.copy_from_slice(&self.roots[base..]);
+        self.roots.truncate(base);
+        refs
+    }
+
     /// Allocates a list cell.
     ///
     /// # Panics
@@ -496,18 +510,10 @@ impl<C> Heap<C> {
     pub fn alloc_pair(&mut self, head: Ref, tail: Ref) -> Ref {
         self.check(head);
         self.check(tail);
-        let (head, tail) = if self.slow_alloc() {
-            // Root the children: the allocation itself may collect.
-            let base = self.roots.len();
-            self.roots.push(head);
-            self.roots.push(tail);
-            self.collect();
-            let tail = self.roots.pop().expect("root stack underflow");
-            let head = self.roots.pop().expect("root stack underflow");
-            debug_assert_eq!(self.roots.len(), base);
-            (head, tail)
+        let [head, tail] = if self.slow_alloc() {
+            self.collect_keeping([head, tail])
         } else {
-            (head, tail)
+            [head, tail]
         };
         self.bump(Obj::Pair(head, tail))
     }
@@ -516,15 +522,10 @@ impl<C> Heap<C> {
     /// binding chain.
     pub fn alloc_closure(&mut self, code: C, bindings: Ref) -> Ref {
         self.check(bindings);
-        let bindings = if self.slow_alloc() {
-            let base = self.roots.len();
-            self.roots.push(bindings);
-            self.collect();
-            let bindings = self.roots.pop().expect("root stack underflow");
-            debug_assert_eq!(self.roots.len(), base);
-            bindings
+        let [bindings] = if self.slow_alloc() {
+            self.collect_keeping([bindings])
         } else {
-            bindings
+            [bindings]
         };
         let code = self.young.push_code(code);
         self.bump(Obj::Closure(code, bindings))
@@ -539,17 +540,10 @@ impl<C> Heap<C> {
         );
         self.check(value);
         self.check(next);
-        let (value, next) = if self.slow_alloc() {
-            let base = self.roots.len();
-            self.roots.push(value);
-            self.roots.push(next);
-            self.collect();
-            let next = self.roots.pop().expect("root stack underflow");
-            let value = self.roots.pop().expect("root stack underflow");
-            debug_assert_eq!(self.roots.len(), base);
-            (value, next)
+        let [value, next] = if self.slow_alloc() {
+            self.collect_keeping([value, next])
         } else {
-            (value, next)
+            [value, next]
         };
         self.bump(Obj::Binding(name, value, next))
     }

@@ -75,7 +75,7 @@ impl<'a> ProcCtx<'a> {
         }
     }
 
-    /// The program's own name (basename of argv[0]).
+    /// The program's own name (basename of `argv[0]`).
     pub fn name(&self) -> &str {
         &self.name
     }

@@ -92,7 +92,6 @@ fn parse_args() -> Result<Args, String> {
 fn run_shell<O: Os + Clone>(os: O, args: Args) -> i32 {
     let opts = Options {
         tail_calls: !args.naive_calls,
-        ..Options::default()
     };
     let mut m = match Machine::with_options(os, opts) {
         Ok(m) => m,

@@ -1,7 +1,7 @@
 //! The abstract syntax tree.
 //!
 //! One tree covers both the *surface* language (pipes, redirections,
-//! `&&`, `fn` — everything [`crate::lower`] removes) and the *core*
+//! `&&`, `fn` — everything [`crate::lower()`] removes) and the *core*
 //! language the evaluator executes (calls, lambdas, assignments,
 //! bindings, matches). The evaluator rejects surface nodes, which
 //! keeps the sugar→core boundary honest.

@@ -24,8 +24,8 @@
 //!   implicit `^` concatenation rule),
 //! * [`ast`] — one AST covering both surface and core forms,
 //! * [`parse`] — recursive descent producing *surface* nodes,
-//! * [`lower`] — the explicit sugar→core transformation,
-//! * [`print`] — the unparser, producing re-parseable text (used by
+//! * [`lower`](mod@lower) — the explicit sugar→core transformation,
+//! * [`print`](mod@print) — the unparser, producing re-parseable text (used by
 //!   `whatis` and by the environment codec's
 //!   `%closure(a=b)@ * {echo $a}` encoding).
 //!

@@ -38,7 +38,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses a whole program (a sequence of commands). The result is a
-/// *surface* tree; run [`crate::lower`] before evaluating.
+/// *surface* tree; run [`crate::lower()`] before evaluating.
 pub fn parse_program(src: &str) -> Result<Node, ParseError> {
     let toks = lex::tokens(src).map_err(|e| ParseError {
         msg: e.msg,
