@@ -182,6 +182,16 @@ pub const SCENARIOS: &[Scenario] = &[
     ),
     both("cat-missing-file", &["cat /no/such/file"], &["cat"]),
     both(
+        "dev-null",
+        &[
+            "echo hi > /dev/null",
+            "echo ok >> /dev/null",
+            "cat /dev/null",
+            "echo done",
+        ],
+        &["cat"],
+    ),
+    both(
         "unknown-command",
         &["catch @ e m {echo caught $e $m} {definitely-not-here}"],
         &[],

@@ -68,6 +68,15 @@ impl OsError {
         }
     }
 
+    /// The errno a host I/O error stands for, with no operand.
+    pub(crate) fn io(e: std::io::Error) -> OsError {
+        match e.kind() {
+            std::io::ErrorKind::NotFound => OsError::NoEnt(String::new()),
+            std::io::ErrorKind::PermissionDenied => OsError::Access(String::new()),
+            _ => OsError::Io(e.to_string()),
+        }
+    }
+
     /// Is this `EINTR`? Such failures happen *before* any state
     /// changed, so the caller may simply retry the call.
     pub fn is_intr(&self) -> bool {

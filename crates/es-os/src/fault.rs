@@ -6,8 +6,8 @@
 //! partially. The es paper's claim — that redirections, pipes, and the
 //! interactive loop are ordinary function calls — only holds up if the
 //! interpreter under those calls survives this weather, so [`SimOs`]
-//! can be armed with a [`FaultPlan`]: a seeded RNG plus per-syscall
-//! probability and schedule tables consulted at every hooked syscall
+//! can be armed with a [`FaultPlan`]: a seeded RNG plus one injection
+//! probability and a schedule table consulted at every hooked syscall
 //! (`open`/`read`/`write`/`pipe`/`dup`/`close`/`run`/`chdir`).
 //!
 //! Everything is deterministic from the seed: the same plan over the
@@ -41,7 +41,7 @@
 use std::fmt;
 
 /// The syscalls the injection layer hooks, used to index the
-/// per-syscall rate and call-count tables.
+/// per-syscall call-count table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Syscall {
     /// `open(2)` in any mode.
@@ -189,8 +189,9 @@ impl SplitMix64 {
 /// Probability denominator: rates are expressed in parts per 1024.
 pub const RATE_DENOM: u16 = 1024;
 
-/// A seeded fault-injection plan: per-syscall probabilities, explicit
-/// schedule entries, and the event log of everything injected.
+/// A seeded fault-injection plan: one probability for every hooked
+/// syscall, explicit schedule entries, and the event log of everything
+/// injected.
 ///
 /// Plans are cheap to clone (the kernel's `fork` clones them along
 /// with the rest of [`SimOs`]), and two plans built identically always
@@ -199,10 +200,10 @@ pub const RATE_DENOM: u16 = 1024;
 /// [`SimOs`]: crate::SimOs
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    seed: u64,
     rng: SplitMix64,
-    /// Per-syscall injection probability, in parts per [`RATE_DENOM`].
-    rates: [u16; SYSCALL_COUNT],
+    /// Injection probability of each hooked call, in parts per
+    /// [`RATE_DENOM`].
+    rate: u16,
     /// Explicit `(syscall, nth-call, kind)` triggers, checked before
     /// the probabilistic draw.
     schedule: Vec<(Syscall, u64, FaultKind)>,
@@ -213,28 +214,21 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A quiet plan (no probabilistic faults) with the given seed;
-    /// arm it with [`FaultPlan::rate`], [`FaultPlan::uniform_rate`],
-    /// or [`FaultPlan::scheduled`].
+    /// arm it with [`FaultPlan::uniform_rate`] or
+    /// [`FaultPlan::scheduled`].
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
-            seed,
             rng: SplitMix64::new(seed),
-            rates: [0; SYSCALL_COUNT],
+            rate: 0,
             schedule: Vec::new(),
             calls: [0; SYSCALL_COUNT],
             log: Vec::new(),
         }
     }
 
-    /// Sets one syscall's injection probability (parts per 1024).
-    pub fn rate(mut self, syscall: Syscall, per_1024: u16) -> FaultPlan {
-        self.rates[syscall.index()] = per_1024.min(RATE_DENOM);
-        self
-    }
-
     /// Sets every hooked syscall's probability (parts per 1024).
     pub fn uniform_rate(mut self, per_1024: u16) -> FaultPlan {
-        self.rates = [per_1024.min(RATE_DENOM); SYSCALL_COUNT];
+        self.rate = per_1024.min(RATE_DENOM);
         self
     }
 
@@ -242,11 +236,6 @@ impl FaultPlan {
     pub fn scheduled(mut self, syscall: Syscall, nth: u64, kind: FaultKind) -> FaultPlan {
         self.schedule.push((syscall, nth, kind));
         self
-    }
-
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Everything injected so far, in order.
@@ -281,10 +270,9 @@ impl FaultPlan {
         let kind = match scheduled {
             Some(k) => Some(k),
             None => {
-                let rate = self.rates[idx];
-                if rate == 0 || allowed.is_empty() {
+                if self.rate == 0 || allowed.is_empty() {
                     None
-                } else if self.rng.below(RATE_DENOM as u64) < rate as u64 {
+                } else if self.rng.below(RATE_DENOM as u64) < self.rate as u64 {
                     Some(allowed[self.rng.below(allowed.len() as u64) as usize])
                 } else {
                     None

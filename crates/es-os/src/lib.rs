@@ -4,18 +4,27 @@
 //! descriptors, pipes, a filesystem, signals, and a tree of external
 //! programs (`cat`, `tr`, `sort`, ...). A faithful *and deterministic*
 //! reproduction needs that substrate under our control, so this crate
-//! provides two backends behind the [`Os`] trait:
+//! provides two backends behind the [`Os`] trait.
 //!
-//! * [`SimOs`] — a simulated kernel: in-memory VFS ([`vfs::Vfs`]),
-//!   descriptor table, unbounded byte-buffer pipes, a virtual clock
-//!   with per-child rusage (so the paper's Figure 1 `time` output
-//!   reproduces exactly), a fake process table, signal delivery, and
-//!   42 simulated coreutils (`[` among them) registered as in-process
-//!   programs.
+//! Both share one descriptor model: a refcounted table of open
+//! descriptions, unbounded byte-buffer pipes that count their readers
+//! and writers (a write with no reader left is `EPIPE`), and a console
+//! that is captured or passed through to the process's stdio. The
+//! backends differ only in what a file is and in what lies beyond the
+//! descriptors:
+//!
+//! * [`SimOs`] — a simulated kernel: its files are vnodes of an
+//!   in-memory VFS ([`vfs::Vfs`], with a `/dev/null`), and it has a
+//!   virtual clock with per-child rusage (so the paper's Figure 1
+//!   `time` output reproduces exactly), a fake process table, signal
+//!   delivery, and 42 simulated coreutils (`[` among them) registered
+//!   as in-process programs.
 //!   All tests and benchmarks run on this backend.
-//! * [`RealOs`] — a thin `std::fs`/`std::process` backend so the `es`
-//!   binary is usable as an actual shell. Best-effort: pipes are
-//!   staged through buffers rather than real kernel pipes.
+//! * [`RealOs`] — a thin backend so the `es` binary is usable as an
+//!   actual shell: its files are host `std::fs` files, and it runs
+//!   external commands through `std::process`. Pipes are the shared
+//!   buffers, not kernel pipes, and pipeline stages run one after
+//!   another.
 //!
 //! ## Why simulation preserves the paper's behaviour
 //!
@@ -41,6 +50,7 @@
 //! ```
 
 pub mod clock;
+mod desc;
 pub mod error;
 pub mod fault;
 pub mod programs;
@@ -54,10 +64,11 @@ mod real_tests;
 mod tests;
 
 pub use clock::Rusage;
+pub use desc::Desc;
 pub use error::{OsError, OsResult};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, Syscall};
 pub use real::RealOs;
-pub use sim::{Desc, SimOs};
+pub use sim::SimOs;
 pub use vfs::Vfs;
 
 /// How a file should be opened.

@@ -116,12 +116,9 @@ fn cut(ctx: &mut ProcCtx) -> i32 {
     if fields.is_empty() && chars_range.is_none() {
         return ctx.fail("you must specify a list of fields or characters");
     }
-    let data = match input {
-        Some(path) => match ctx.read_file(&path) {
-            Ok(d) => d,
-            Err(e) => return ctx.fail(&e.to_string()),
-        },
-        None => ctx.stdin_all(),
+    let data = match ctx.file_or_stdin(input.as_deref()) {
+        Ok(data) => data,
+        Err(status) => return status,
     };
     let mut out = String::new();
     for line in lines_of(&data) {
@@ -203,12 +200,10 @@ fn printf(ctx: &mut ProcCtx) -> i32 {
 
 /// `nl [file]` — number lines (six-wide, tab separated).
 fn nl(ctx: &mut ProcCtx) -> i32 {
-    let data = match ctx.args().first().cloned() {
-        Some(path) => match ctx.read_file(&path) {
-            Ok(d) => d,
-            Err(e) => return ctx.fail(&e.to_string()),
-        },
-        None => ctx.stdin_all(),
+    let path = ctx.args().first().cloned();
+    let data = match ctx.file_or_stdin(path.as_deref()) {
+        Ok(data) => data,
+        Err(status) => return status,
     };
     let mut out = String::new();
     for (i, line) in lines_of(&data).iter().enumerate() {
@@ -220,12 +215,10 @@ fn nl(ctx: &mut ProcCtx) -> i32 {
 
 /// `tac [file]` — lines in reverse order.
 fn tac(ctx: &mut ProcCtx) -> i32 {
-    let data = match ctx.args().first().cloned() {
-        Some(path) => match ctx.read_file(&path) {
-            Ok(d) => d,
-            Err(e) => return ctx.fail(&e.to_string()),
-        },
-        None => ctx.stdin_all(),
+    let path = ctx.args().first().cloned();
+    let data = match ctx.file_or_stdin(path.as_deref()) {
+        Ok(data) => data,
+        Err(status) => return status,
     };
     let mut out = String::new();
     for line in lines_of(&data).iter().rev() {

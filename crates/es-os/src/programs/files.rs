@@ -37,7 +37,7 @@ fn ls(ctx: &mut ProcCtx) -> i32 {
     let many = paths.len() > 1;
     let cwd = ctx.cwd();
     for (i, path) in paths.iter().enumerate() {
-        if ctx.vfs().is_file(path, &cwd) {
+        if ctx.vfs().lookup(path, &cwd).is_ok() && !ctx.vfs().is_dir(path, &cwd) {
             ctx.out(&format!("{path}\n"));
             continue;
         }
@@ -255,7 +255,7 @@ fn eval_test(ctx: &ProcCtx, args: &[String]) -> Result<bool, String> {
         [op, v] => match op.as_str() {
             "-f" => Ok(ctx.vfs().is_file(v, &cwd)),
             "-d" => Ok(ctx.vfs().is_dir(v, &cwd)),
-            "-e" => Ok(ctx.vfs().is_file(v, &cwd) || ctx.vfs().is_dir(v, &cwd)),
+            "-e" => Ok(ctx.vfs().lookup(v, &cwd).is_ok()),
             "-x" => Ok(ctx.vfs().is_executable(v, &cwd)),
             "-n" => Ok(!v.is_empty()),
             "-z" => Ok(v.is_empty()),

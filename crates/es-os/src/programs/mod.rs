@@ -8,7 +8,8 @@
 //! builtin reports, reproducing Figure 1 of the paper).
 
 use crate::error::{OsError, OsResult};
-use crate::sim::{Desc, ProcEntry, SimOs};
+use crate::sim::{ProcEntry, SimOs};
+use crate::Desc;
 use crate::Signal;
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
@@ -159,6 +160,16 @@ impl<'a> ProcCtx<'a> {
             }
         }
         out
+    }
+
+    /// Reads the file at `path`, or all of standard input when there
+    /// is none. A file that cannot be read is reported as a
+    /// diagnostic, and the error is the program's failure status.
+    pub(crate) fn file_or_stdin(&mut self, path: Option<&str>) -> Result<Vec<u8>, i32> {
+        match path {
+            Some(path) => self.read_file(path).map_err(|e| self.fail(&e.to_string())),
+            None => Ok(self.stdin_all()),
+        }
     }
 
     /// Writes `s` to standard output (ignores EBADF like a real

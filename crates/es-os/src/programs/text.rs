@@ -231,12 +231,9 @@ fn uniq(ctx: &mut ProcCtx) -> i32 {
             other => input = Some(other.to_string()),
         }
     }
-    let data = match input {
-        Some(path) => match ctx.read_file(&path) {
-            Ok(d) => d,
-            Err(e) => return ctx.fail(&e.to_string()),
-        },
-        None => ctx.stdin_all(),
+    let data = match ctx.file_or_stdin(input.as_deref()) {
+        Ok(data) => data,
+        Err(status) => return status,
     };
     let mut out = String::new();
     let mut run: Option<(String, usize)> = None;
@@ -349,12 +346,9 @@ fn wc(ctx: &mut ProcCtx) -> i32 {
 /// `head [-n N | -N] [file]` — first N lines (default 10).
 fn head(ctx: &mut ProcCtx) -> i32 {
     let (n, input) = head_tail_args(ctx);
-    let data = match input {
-        Some(path) => match ctx.read_file(&path) {
-            Ok(d) => d,
-            Err(e) => return ctx.fail(&e.to_string()),
-        },
-        None => ctx.stdin_all(),
+    let data = match ctx.file_or_stdin(input.as_deref()) {
+        Ok(data) => data,
+        Err(status) => return status,
     };
     let mut out = String::new();
     for line in lines_of(&data).into_iter().take(n) {
@@ -368,12 +362,9 @@ fn head(ctx: &mut ProcCtx) -> i32 {
 /// `tail [-n N | -N] [file]` — last N lines (default 10).
 fn tail(ctx: &mut ProcCtx) -> i32 {
     let (n, input) = head_tail_args(ctx);
-    let data = match input {
-        Some(path) => match ctx.read_file(&path) {
-            Ok(d) => d,
-            Err(e) => return ctx.fail(&e.to_string()),
-        },
-        None => ctx.stdin_all(),
+    let data = match ctx.file_or_stdin(input.as_deref()) {
+        Ok(data) => data,
+        Err(status) => return status,
     };
     let lines = lines_of(&data);
     let start = lines.len().saturating_sub(n);

@@ -3,9 +3,11 @@
 //! behaviour.
 //!
 //! Files and directories use `std::fs`; external commands run through
-//! `std::process`. Pipes are staged through in-memory buffers and
-//! pipeline stages run sequentially, exactly like the simulator. The
-//! current directory is tracked per instance (never via
+//! `std::process`. Descriptors, pipes and the console are the one
+//! model both kernels share (the `desc` module), with a host
+//! `fs::File` as this kernel's file kind, so pipeline stages run one
+//! after another through buffered pipes, exactly as on the simulator.
+//! The current directory is tracked per instance (never via
 //! `std::env::set_current_dir`), so several `RealOs` kernels can
 //! coexist in one test process and `cd` behaves like a per-process
 //! property, as on a real kernel.
@@ -22,101 +24,64 @@
 //!   [`Os::absorb_fork`] adopts the child's table, redirections inside
 //!   subshells still agree with the simulator.
 //!
-//! For differential testing, [`RealOs::set_capture`] redirects the
-//! console streams into in-memory buffers (mirroring
-//! [`crate::SimOs::take_output`]) instead of the process's stdio.
+//! The console passes through to the process's stdio unless
+//! [`RealOs::set_capture`] turns capture on, which keeps it in the
+//! same buffers as [`crate::SimOs::take_output`] for differential
+//! testing.
 
 use crate::clock::Rusage;
+use crate::desc::{Desc, Table};
 use crate::error::{OsError, OsResult};
-use crate::sim::Desc;
 use crate::{OpenMode, Os, Signal};
-use std::collections::VecDeque;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
+/// RealOs's file kind: a host file, with the path and mode it was
+/// opened by.
 #[derive(Debug)]
-enum RealKind {
-    StdIn,
-    StdOut,
-    StdErr,
-    /// A real file, remembering how it was opened so `clone` can
-    /// rebuild an equivalent descriptor (fork support).
-    File {
-        file: fs::File,
-        path: PathBuf,
-        mode: OpenMode,
-    },
-    PipeR(usize),
-    PipeW(usize),
+struct HostFile {
+    /// `None` once a `fork` could not reopen the file; I/O on it then
+    /// fails with `EBADF`.
+    file: Option<fs::File>,
+    path: PathBuf,
+    mode: OpenMode,
 }
 
-#[derive(Debug)]
-struct RealFile {
-    kind: RealKind,
-    refs: usize,
+impl HostFile {
+    fn file(&mut self) -> OsResult<&mut fs::File> {
+        self.file.as_mut().ok_or(OsError::BadF)
+    }
+}
+
+impl Clone for HostFile {
+    /// Fork support: re-opens the file by path, positioned at this
+    /// descriptor's offset.
+    fn clone(&self) -> Self {
+        HostFile {
+            file: self
+                .file
+                .as_ref()
+                .and_then(|f| reopen_at(f, &self.path, self.mode)),
+            path: self.path.clone(),
+            mode: self.mode,
+        }
+    }
 }
 
 /// The `std`-backed kernel. See the module docs for fidelity notes.
-#[derive(Debug)]
+///
+/// `Clone` is the shell's `fork`: it copies the descriptor table slot
+/// by slot (same numbers, so the shell's fd table stays valid in the
+/// clone), reopening each host file.
+#[derive(Debug, Clone)]
 pub struct RealOs {
-    files: Vec<Option<RealFile>>,
-    pipes: Vec<Vec<u8>>,
+    fds: Table<HostFile>,
     cwd: PathBuf,
-    /// Console capture (conformance harness): when on, stdio reads and
-    /// writes go through these buffers instead of the process streams.
-    capture: bool,
-    console_in: VecDeque<u8>,
-    console_out: Vec<u8>,
-    console_err: Vec<u8>,
     start: Instant,
     children: Rusage,
-}
-
-impl Clone for RealOs {
-    /// Fork support: rebuilds the descriptor table slot by slot (same
-    /// indices, so the shell's fd table stays valid in the clone).
-    /// File-backed descriptors are re-opened by path and positioned at
-    /// the parent's offset; a file that can no longer be opened leaves
-    /// an empty slot, which subsequent I/O reports as `EBADF`.
-    fn clone(&self) -> Self {
-        let files = self
-            .files
-            .iter()
-            .map(|slot| {
-                let f = slot.as_ref()?;
-                let kind = match &f.kind {
-                    RealKind::StdIn => RealKind::StdIn,
-                    RealKind::StdOut => RealKind::StdOut,
-                    RealKind::StdErr => RealKind::StdErr,
-                    RealKind::PipeR(p) => RealKind::PipeR(*p),
-                    RealKind::PipeW(p) => RealKind::PipeW(*p),
-                    RealKind::File { file, path, mode } => {
-                        let reopened = reopen_at(file, path, *mode)?;
-                        RealKind::File {
-                            file: reopened,
-                            path: path.clone(),
-                            mode: *mode,
-                        }
-                    }
-                };
-                Some(RealFile { kind, refs: f.refs })
-            })
-            .collect();
-        RealOs {
-            files,
-            pipes: self.pipes.clone(),
-            cwd: self.cwd.clone(),
-            capture: self.capture,
-            console_in: self.console_in.clone(),
-            console_out: self.console_out.clone(),
-            console_err: self.console_err.clone(),
-            start: self.start,
-            children: self.children,
-        }
-    }
 }
 
 /// Re-opens `path` the way `mode` originally did — but *without*
@@ -156,26 +121,8 @@ impl RealOs {
     /// the current directory inherited from the process.
     pub fn new() -> RealOs {
         RealOs {
-            files: vec![
-                Some(RealFile {
-                    kind: RealKind::StdIn,
-                    refs: 1,
-                }),
-                Some(RealFile {
-                    kind: RealKind::StdOut,
-                    refs: 1,
-                }),
-                Some(RealFile {
-                    kind: RealKind::StdErr,
-                    refs: 1,
-                }),
-            ],
-            pipes: Vec::new(),
+            fds: Table::new(true),
             cwd: std::env::current_dir().unwrap_or_else(|_| PathBuf::from("/")),
-            capture: false,
-            console_in: VecDeque::new(),
-            console_out: Vec::new(),
-            console_err: Vec::new(),
             start: Instant::now(),
             children: Rusage::default(),
         }
@@ -188,28 +135,28 @@ impl RealOs {
     /// conformance harness uses this to compare RealOs traces against
     /// SimOs byte for byte.
     pub fn set_capture(&mut self, on: bool) {
-        self.capture = on;
+        self.fds.set_passthrough(!on);
     }
 
     /// Queues bytes on the captured standard input (capture mode).
     pub fn push_input(&mut self, text: &str) {
-        self.console_in.extend(text.bytes());
+        self.fds.push_input(text);
     }
 
     /// Takes and clears everything written to the captured stdout.
     pub fn take_output(&mut self) -> String {
-        String::from_utf8_lossy(&std::mem::take(&mut self.console_out)).into_owned()
+        self.fds.take_output()
     }
 
     /// Takes and clears everything written to the captured stderr.
     pub fn take_error(&mut self) -> String {
-        String::from_utf8_lossy(&std::mem::take(&mut self.console_err)).into_owned()
+        self.fds.take_error()
     }
 
     /// Rows in the pipe table, free ones included (tests).
     #[cfg(test)]
     pub(crate) fn pipe_rows(&self) -> usize {
-        self.pipes.len()
+        self.fds.pipe_rows()
     }
 
     /// Resolves `path` against this kernel's current directory and
@@ -236,74 +183,14 @@ impl RealOs {
         out
     }
 
-    fn alloc(&mut self, kind: RealKind) -> Desc {
-        for (i, slot) in self.files.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(RealFile { kind, refs: 1 });
-                return Desc(i as u32);
-            }
-        }
-        self.files.push(Some(RealFile { kind, refs: 1 }));
-        Desc((self.files.len() - 1) as u32)
-    }
-
-    fn file_mut(&mut self, d: Desc) -> OsResult<&mut RealFile> {
-        self.files
-            .get_mut(d.0 as usize)
-            .and_then(|f| f.as_mut())
-            .ok_or(OsError::BadF)
-    }
-
-    /// Puts back bytes a child process was offered on stdin but never
-    /// read: to the front of the source pipe/console buffer, or by
-    /// rewinding a file cursor. Unknown/closed descriptors are a no-op
-    /// (the data was already consumed from them; there is nowhere to
-    /// return it).
-    fn unread(&mut self, d: Desc, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        enum Source {
-            Console,
-            File,
-            Pipe(usize),
-        }
-        let src = match self.files.get(d.0 as usize) {
-            Some(Some(f)) => match &f.kind {
-                RealKind::StdIn => Source::Console,
-                RealKind::File { .. } => Source::File,
-                RealKind::PipeR(p) => Source::Pipe(*p),
-                _ => return,
-            },
-            _ => return,
-        };
-        match src {
-            Source::Console => {
-                for &b in bytes.iter().rev() {
-                    self.console_in.push_front(b);
-                }
-            }
-            Source::File => {
-                if let Some(Some(f)) = self.files.get_mut(d.0 as usize) {
-                    if let RealKind::File { file, .. } = &mut f.kind {
-                        let _ = file.seek(SeekFrom::Current(-(bytes.len() as i64)));
-                    }
-                }
-            }
-            Source::Pipe(p) => {
-                let pipe = &mut self.pipes[p];
-                let mut restored = bytes.to_vec();
-                restored.extend_from_slice(pipe);
-                *pipe = restored;
-            }
-        }
-    }
-
-    fn io_err(e: std::io::Error) -> OsError {
-        match e.kind() {
-            std::io::ErrorKind::NotFound => OsError::NoEnt(String::new()),
-            std::io::ErrorKind::PermissionDenied => OsError::Access(String::new()),
-            _ => OsError::Io(e.to_string()),
+    /// How a child's `fd`, laid out on `d`, is wired: a console
+    /// stream that passes through is inherited, a missing descriptor
+    /// is the null device, and anything else goes through a host pipe.
+    fn stdio(&self, fd: u32, d: Option<Desc>) -> Stdio {
+        match d {
+            None => Stdio::null(),
+            Some(d) if self.fds.is_process_stdio(fd, d) => Stdio::inherit(),
+            Some(_) => Stdio::piped(),
         }
     }
 
@@ -328,114 +215,35 @@ impl Os for RealOs {
         if mode == OpenMode::Read && abs.is_dir() {
             return Err(OsError::IsDir(path.into()));
         }
-        Ok(self.alloc(RealKind::File {
-            file,
+        Ok(self.fds.open(HostFile {
+            file: Some(file),
             path: abs,
             mode,
         }))
     }
 
     fn pipe(&mut self) -> OsResult<(Desc, Desc)> {
-        // Reuse the lowest row no descriptor refers to, emptied, so a
-        // long session's table stays as large as its busiest moment.
-        let mut used = vec![false; self.pipes.len()];
-        for f in self.files.iter().flatten() {
-            if let RealKind::PipeR(p) | RealKind::PipeW(p) = f.kind {
-                used[p] = true;
-            }
-        }
-        let p = match used.iter().position(|&u| !u) {
-            Some(p) => {
-                self.pipes[p] = Vec::new();
-                p
-            }
-            None => {
-                self.pipes.push(Vec::new());
-                self.pipes.len() - 1
-            }
-        };
-        let r = self.alloc(RealKind::PipeR(p));
-        let w = self.alloc(RealKind::PipeW(p));
-        Ok((r, w))
+        Ok(self.fds.pipe())
     }
 
     fn dup(&mut self, d: Desc) -> OsResult<Desc> {
-        self.file_mut(d)?.refs += 1;
-        Ok(d)
+        self.fds.dup(d)
     }
 
     fn close(&mut self, d: Desc) -> OsResult<()> {
-        let idx = d.0 as usize;
-        let f = self
-            .files
-            .get_mut(idx)
-            .and_then(|f| f.as_mut())
-            .ok_or(OsError::BadF)?;
-        f.refs -= 1;
-        if f.refs == 0 {
-            self.files[idx] = None;
-        }
-        Ok(())
+        self.fds.close(d)
     }
 
     fn read(&mut self, d: Desc, buf: &mut [u8]) -> OsResult<usize> {
-        let capture = self.capture;
-        let f = self.file_mut(d)?;
-        match &mut f.kind {
-            RealKind::StdIn => {
-                if capture {
-                    let n = buf.len().min(self.console_in.len());
-                    for b in buf.iter_mut().take(n) {
-                        *b = self.console_in.pop_front().expect("len checked");
-                    }
-                    Ok(n)
-                } else {
-                    std::io::stdin().read(buf).map_err(Self::io_err)
-                }
-            }
-            RealKind::File { file, .. } => file.read(buf).map_err(Self::io_err),
-            RealKind::PipeR(p) => {
-                let p = *p;
-                let pipe = &mut self.pipes[p];
-                let n = buf.len().min(pipe.len());
-                buf[..n].copy_from_slice(&pipe[..n]);
-                pipe.drain(..n);
-                Ok(n)
-            }
-            _ => Err(OsError::BadF),
-        }
+        self.fds.read(d, buf, |host, buf| {
+            host.file()?.read(buf).map_err(OsError::io)
+        })
     }
 
     fn write(&mut self, d: Desc, data: &[u8]) -> OsResult<usize> {
-        let capture = self.capture;
-        let f = self.file_mut(d)?;
-        match &mut f.kind {
-            RealKind::StdOut => {
-                if capture {
-                    self.console_out.extend_from_slice(data);
-                } else {
-                    std::io::stdout().write_all(data).map_err(Self::io_err)?;
-                    let _ = std::io::stdout().flush();
-                }
-                Ok(data.len())
-            }
-            RealKind::StdErr => {
-                if capture {
-                    self.console_err.extend_from_slice(data);
-                } else {
-                    std::io::stderr().write_all(data).map_err(Self::io_err)?;
-                    let _ = std::io::stderr().flush();
-                }
-                Ok(data.len())
-            }
-            RealKind::File { file, .. } => file.write(data).map_err(Self::io_err),
-            RealKind::PipeW(p) => {
-                let p = *p;
-                self.pipes[p].extend_from_slice(data);
-                Ok(data.len())
-            }
-            _ => Err(OsError::BadF),
-        }
+        self.fds.write(d, data, |host, data| {
+            host.file()?.write(data).map_err(OsError::io)
+        })
     }
 
     fn run(
@@ -464,84 +272,57 @@ impl Os for RealOs {
         for (k, v) in env {
             cmd.env(k, v);
         }
-        let lookup =
-            |fds: &[(u32, Desc)], fd: u32| fds.iter().find(|(n, _)| *n == fd).map(|(_, d)| *d);
-        // Stage stdin: the console inherits (or, under capture, hands
-        // over the scripted buffer); files/pipes are drained into a
-        // buffer fed to the child through a real OS pipe. Whatever the
-        // child leaves unread is reclaimed into the source descriptor
-        // afterwards — a child that ignores stdin (`test`, `echo`)
-        // must not destroy pipeline data that later stages still need.
-        let stdin_src = lookup(fds, 0);
-        let stdin_data: Option<Vec<u8>> = match stdin_src {
-            Some(Desc(0)) if !self.capture => None,
-            Some(Desc(0)) => Some(self.console_in.drain(..).collect()),
-            Some(d) => Some(crate::read_all(self, d)?),
-            None => Some(Vec::new()),
+        let desc = |fd: u32| fds.iter().find(|(n, _)| *n == fd).map(|(_, d)| *d);
+        let (stdin_src, out_desc, err_desc) = (desc(0), desc(1), desc(2));
+        // Stdin from a descriptor is drained into a buffer fed to the
+        // child through a host pipe. Whatever the child leaves unread
+        // is reclaimed into the source descriptor afterwards — a child
+        // that ignores stdin (`test`, `echo`) must not destroy pipeline
+        // data that later stages still need.
+        let fed = match stdin_src {
+            Some(d) if !self.fds.is_process_stdio(0, d) => {
+                let data = crate::read_all(self, d)?;
+                let (r, w) = std::io::pipe().map_err(OsError::io)?;
+                cmd.stdin(Stdio::from(r.try_clone().map_err(OsError::io)?));
+                Some((d, r, w, data))
+            }
+            other => {
+                cmd.stdin(self.stdio(0, other));
+                None
+            }
         };
-        let mut stdin_pipe = None;
-        match &stdin_data {
-            Some(_) => {
-                let (r, w) = std::io::pipe().map_err(Self::io_err)?;
-                cmd.stdin(Stdio::from(r.try_clone().map_err(Self::io_err)?));
-                stdin_pipe = Some((r, w));
-            }
-            None => {
-                cmd.stdin(Stdio::inherit());
-            }
-        }
-        let out_desc = lookup(fds, 1);
-        let err_desc = lookup(fds, 2);
-        // Under capture nothing may inherit the process streams —
-        // child output must land in the capture buffers.
-        let inherit_out = !self.capture && out_desc == Some(Desc(1));
-        let inherit_err = !self.capture && (err_desc == Some(Desc(2)) || err_desc.is_none());
-        cmd.stdout(if inherit_out {
-            Stdio::inherit()
-        } else {
-            Stdio::piped()
-        });
-        cmd.stderr(if inherit_err {
-            Stdio::inherit()
-        } else {
-            Stdio::piped()
-        });
+        cmd.stdout(self.stdio(1, out_desc));
+        cmd.stderr(self.stdio(2, err_desc));
         let began = Instant::now();
         let child = cmd.spawn().map_err(|e| Self::path_err(e, path))?;
         // Feed from a thread so a child that never reads stdin cannot
         // deadlock the parent against a full pipe buffer.
-        let feeder = match (stdin_pipe, stdin_data) {
-            (Some((r, mut w)), Some(data)) => Some((
-                r,
-                std::thread::spawn(move || {
-                    let _ = w.write_all(&data);
-                }),
-            )),
-            _ => None,
-        };
+        let feeder = fed.map(|(d, r, mut w, data)| {
+            let feed = std::thread::spawn(move || {
+                let _ = w.write_all(&data);
+            });
+            (d, r, feed)
+        });
         let output = child
             .wait_with_output()
             .map_err(|e| OsError::Io(e.to_string()))?;
-        if let Some((mut r, feed)) = feeder {
+        if let Some((src, mut r, feed)) = feeder {
             // The child has exited; drain what it never consumed (this
             // also unblocks the feeder) and push it back upstream.
             let mut rest = Vec::new();
             let _ = r.read_to_end(&mut rest);
             let _ = feed.join();
-            if let Some(src) = stdin_src {
-                self.unread(src, &rest);
-            }
+            self.fds.unread(src, &rest, |host, n| {
+                if let Ok(file) = host.file() {
+                    let _ = file.seek(SeekFrom::Current(-(n as i64)));
+                }
+            });
         }
-        if !inherit_out {
-            match out_desc {
-                Some(d) => crate::write_all(self, d, &output.stdout)?,
-                None => self.console_out.extend_from_slice(&output.stdout),
-            }
-        }
-        if !inherit_err {
-            match err_desc {
-                Some(d) => crate::write_all(self, d, &output.stderr)?,
-                None => self.console_err.extend_from_slice(&output.stderr),
+        // An inherited or null stream leaves nothing here, so this
+        // writes only what a host pipe caught.
+        for (d, bytes) in [(out_desc, &output.stdout), (err_desc, &output.stderr)] {
+            if let Some(d) = d {
+                crate::write_all(self, d, bytes)?;
             }
         }
         // Approximate child CPU as wall time (measurements use SimOs).
@@ -608,7 +389,7 @@ impl Os for RealOs {
     // advance_ns: trait default no-op — the real clock advances itself.
 
     fn open_desc_count(&self) -> usize {
-        self.files.iter().flatten().count()
+        self.fds.open_desc_count()
     }
 
     fn children_rusage(&self) -> Rusage {

@@ -3,62 +3,48 @@
 use crate::clock::{
     civil_from_ns, Rusage, BYTE_SYS_NS, BYTE_USER_NS, EXEC_SYS_NS, EXEC_USER_NS, SYSCALL_SYS_NS,
 };
+use crate::desc::{same_bytes, Desc, Table};
 use crate::error::{OsError, OsResult};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, Syscall};
 use crate::programs;
 use crate::vfs::Vfs;
 use crate::{OpenMode, Os, Signal};
 use std::collections::VecDeque;
-use std::io::{Read as _, Write as _};
 use std::rc::Rc;
 
-/// A kernel descriptor: an index into the open-description table.
-/// Descriptors are reference counted ([`Os::dup`] shares the
-/// description; each `dup` needs a matching `close`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Desc(pub u32);
-
-/// What an open description refers to.
+/// SimOs's file kind: a VFS file with its cursor and the access it
+/// was opened for.
 #[derive(Debug, Clone, PartialEq)]
-enum FileKind {
-    /// A VFS file with a cursor.
-    Vnode {
-        ino: crate::vfs::Ino,
-        offset: usize,
-        readable: bool,
-        writable: bool,
-        append: bool,
-    },
-    /// Read end of pipe `n`.
-    PipeR(usize),
-    /// Write end of pipe `n`.
-    PipeW(usize),
-    /// The shell's standard input (scripted or interactive).
-    ConsoleIn,
-    /// The shell's standard output (captured, optionally echoed).
-    ConsoleOut,
-    /// The shell's standard error (captured, optionally echoed).
-    ConsoleErr,
+struct Vnode {
+    ino: crate::vfs::Ino,
+    offset: usize,
+    readable: bool,
+    writable: bool,
+    append: bool,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct OpenFile {
-    kind: FileKind,
-    refs: usize,
-}
+impl Vnode {
+    fn read(&mut self, vfs: &Vfs, buf: &mut [u8]) -> OsResult<usize> {
+        if !self.readable {
+            return Err(OsError::BadF);
+        }
+        let n = vfs.read_at(self.ino, self.offset, buf);
+        self.offset += n;
+        Ok(n)
+    }
 
-#[derive(Debug, Clone, Default)]
-struct Pipe {
-    buf: VecDeque<u8>,
-    writers: usize,
-    readers: usize,
-}
-
-impl PartialEq for Pipe {
-    fn eq(&self, other: &Pipe) -> bool {
-        self.readers == other.readers
-            && self.writers == other.writers
-            && same_queue(&self.buf, &other.buf)
+    fn write(&mut self, vfs: &mut Vfs, data: &[u8]) -> OsResult<usize> {
+        if !self.writable {
+            return Err(OsError::BadF);
+        }
+        let at = if self.append {
+            vfs.file_len(self.ino)
+        } else {
+            self.offset
+        };
+        vfs.write_at(self.ino, at, data);
+        self.offset = at + data.len();
+        Ok(data.len())
     }
 }
 
@@ -89,19 +75,14 @@ pub struct ProcEntry {
 pub struct SimOs {
     vfs: Vfs,
     cwd: String,
-    files: Vec<Option<OpenFile>>,
-    pipes: Vec<Pipe>,
+    /// Descriptors, pipes and console (the `desc` module's model); the
+    /// console passes through to the process's stdio in interactive
+    /// mode, which is what makes `es` on this kernel usable at a
+    /// terminal.
+    fds: Table<Vnode>,
     /// Virtual nanoseconds since the 1993-01-25 epoch.
     real_ns: u64,
     children: Rusage,
-    console_in: VecDeque<u8>,
-    console_out: Vec<u8>,
-    console_err: Vec<u8>,
-    /// Write console output to the real stdout/stderr instead of
-    /// capturing it, and fall back to reading real stdin when the
-    /// scripted input runs dry — this is what makes `es --sim` usable
-    /// interactively.
-    interactive: bool,
     signals: VecDeque<Signal>,
     /// Signals scheduled for delivery at a virtual time (sorted by
     /// time). `take_signal` delivers one once the clock reaches it —
@@ -122,7 +103,7 @@ impl std::fmt::Debug for SimOs {
         f.debug_struct("SimOs")
             .field("cwd", &self.cwd)
             .field("real_ns", &self.real_ns)
-            .field("open_files", &self.files.iter().flatten().count())
+            .field("open_files", &self.fds.open_desc_count())
             .finish()
     }
 }
@@ -138,14 +119,9 @@ impl Clone for SimOs {
         let SimOs {
             vfs,
             cwd,
-            files,
-            pipes,
+            fds,
             real_ns,
             children,
-            console_in,
-            console_out,
-            console_err,
-            interactive,
             signals,
             sig_schedule,
             procs,
@@ -158,14 +134,9 @@ impl Clone for SimOs {
         SimOs {
             vfs: vfs.clone(),
             cwd: cwd.clone(),
-            files: files.clone(),
-            pipes: pipes.clone(),
+            fds: fds.clone(),
             real_ns: *real_ns,
             children: *children,
-            console_in: console_in.clone(),
-            console_out: console_out.clone(),
-            console_err: console_err.clone(),
-            interactive: *interactive,
             signals: signals.clone(),
             sig_schedule: sig_schedule.clone(),
             procs: Rc::clone(procs),
@@ -181,14 +152,9 @@ impl Clone for SimOs {
         let SimOs {
             vfs,
             cwd,
-            files,
-            pipes,
+            fds,
             real_ns,
             children,
-            console_in,
-            console_out,
-            console_err,
-            interactive,
             signals,
             sig_schedule,
             procs,
@@ -200,14 +166,9 @@ impl Clone for SimOs {
         } = source;
         self.vfs.clone_from(vfs);
         self.cwd.clone_from(cwd);
-        self.files.clone_from(files);
-        self.pipes.clone_from(pipes);
+        self.fds.clone_from(fds);
         self.real_ns = *real_ns;
         self.children = *children;
-        self.console_in.clone_from(console_in);
-        self.console_out.clone_from(console_out);
-        self.console_err.clone_from(console_err);
-        self.interactive = *interactive;
         self.signals.clone_from(signals);
         self.sig_schedule.clone_from(sig_schedule);
         self.procs.clone_from(procs);
@@ -221,34 +182,30 @@ impl Clone for SimOs {
 
 impl SimOs {
     /// Boots a kernel with the standard filesystem layout (`/bin` full
-    /// of simulated coreutils, `/tmp`, `/usr/tmp`, `/home/user`), a
-    /// fake process table, and descriptors 0/1/2 pre-opened on the
-    /// console.
+    /// of simulated coreutils, `/tmp`, `/usr/tmp`, `/home/user`,
+    /// `/dev/null`), a fake process table, and descriptors 0/1/2
+    /// pre-opened on the console.
     pub fn new() -> SimOs {
         let mut vfs = Vfs::new();
-        for dir in ["/bin", "/usr/bin", "/tmp", "/usr/tmp", "/home/user", "/etc"] {
+        for dir in [
+            "/bin",
+            "/usr/bin",
+            "/tmp",
+            "/usr/tmp",
+            "/home/user",
+            "/etc",
+            "/dev",
+        ] {
             vfs.mkdir_all(dir).expect("fresh vfs accepts mkdir");
         }
+        vfs.put_null("/dev/null")
+            .expect("fresh vfs accepts devices");
         for name in programs::PROGRAMS.keys() {
             vfs.put_program(&format!("/bin/{name}"), name)
                 .expect("fresh vfs accepts programs");
         }
         vfs.put_file("/etc/motd", b"welcome to the es simulation\n")
             .expect("fresh vfs accepts files");
-        let files = vec![
-            Some(OpenFile {
-                kind: FileKind::ConsoleIn,
-                refs: 1,
-            }),
-            Some(OpenFile {
-                kind: FileKind::ConsoleOut,
-                refs: 1,
-            }),
-            Some(OpenFile {
-                kind: FileKind::ConsoleErr,
-                refs: 1,
-            }),
-        ];
         let procs = vec![
             ProcEntry {
                 user: "root".into(),
@@ -279,14 +236,9 @@ impl SimOs {
         SimOs {
             vfs,
             cwd: "/home/user".into(),
-            files,
-            pipes: Vec::new(),
+            fds: Table::new(false),
             real_ns: 0,
             children: Rusage::default(),
-            console_in: VecDeque::new(),
-            console_out: Vec::new(),
-            console_err: Vec::new(),
-            interactive: false,
             signals: VecDeque::new(),
             sig_schedule: Vec::new(),
             procs: Rc::new(procs),
@@ -314,24 +266,24 @@ impl SimOs {
 
     /// Queues bytes on the shell's standard input.
     pub fn push_input(&mut self, text: &str) {
-        self.console_in.extend(text.bytes());
+        self.fds.push_input(text);
     }
 
     /// Takes and clears everything the shell wrote to stdout.
     pub fn take_output(&mut self) -> String {
-        String::from_utf8_lossy(&std::mem::take(&mut self.console_out)).into_owned()
+        self.fds.take_output()
     }
 
     /// Takes and clears everything the shell wrote to stderr.
     pub fn take_error(&mut self) -> String {
-        String::from_utf8_lossy(&std::mem::take(&mut self.console_err)).into_owned()
+        self.fds.take_error()
     }
 
     /// Enables interactive mode: console output goes to the real
     /// stdout/stderr (and is not captured for [`SimOs::take_output`])
     /// and console input falls back to the real stdin.
     pub fn set_interactive(&mut self, on: bool) {
-        self.interactive = on;
+        self.fds.set_passthrough(on);
     }
 
     /// Replaces the environment reported by [`Os::initial_env`].
@@ -391,13 +343,13 @@ impl SimOs {
     /// kernel has 3: stdin/stdout/stderr). Leak checks compare this
     /// against a baseline snapshot.
     pub fn open_desc_count(&self) -> usize {
-        self.files.iter().flatten().count()
+        self.fds.open_desc_count()
     }
 
     /// Rows in the pipe table, live or waiting for reuse.
     #[cfg(test)]
     pub(crate) fn pipe_rows(&self) -> usize {
-        self.pipes.len()
+        self.fds.pipe_rows()
     }
 
     /// Consults the armed plan for this syscall; `None` means proceed
@@ -423,13 +375,6 @@ impl SimOs {
 
     // ---- internals shared with ProcCtx -------------------------------------
 
-    fn file(&self, d: Desc) -> OsResult<&OpenFile> {
-        self.files
-            .get(d.0 as usize)
-            .and_then(|f| f.as_ref())
-            .ok_or(OsError::BadF)
-    }
-
     fn charge_sys(&mut self, bytes: usize) {
         let ns = SYSCALL_SYS_NS + BYTE_SYS_NS * bytes as u64;
         self.real_ns += ns;
@@ -437,114 +382,19 @@ impl SimOs {
     }
 
     pub(crate) fn do_read(&mut self, d: Desc, buf: &mut [u8]) -> OsResult<usize> {
-        let kind = self.file(d)?.kind.clone();
-        let n = match kind {
-            FileKind::Vnode {
-                ino,
-                offset,
-                readable,
-                ..
-            } => {
-                if !readable {
-                    return Err(OsError::BadF);
-                }
-                let n = self.vfs.read_at(ino, offset, buf);
-                if let Some(Some(of)) = self.files.get_mut(d.0 as usize) {
-                    if let FileKind::Vnode { offset, .. } = &mut of.kind {
-                        *offset += n;
-                    }
-                }
-                n
-            }
-            FileKind::PipeR(p) => {
-                let pipe = &mut self.pipes[p];
-                let n = buf.len().min(pipe.buf.len());
-                for b in buf.iter_mut().take(n) {
-                    *b = pipe.buf.pop_front().expect("len checked");
-                }
-                n
-            }
-            FileKind::PipeW(_) | FileKind::ConsoleOut | FileKind::ConsoleErr => {
-                return Err(OsError::BadF)
-            }
-            FileKind::ConsoleIn => {
-                let n = buf.len().min(self.console_in.len());
-                if n == 0 && self.interactive {
-                    // Fall back to the real stdin so the REPL works.
-                    return std::io::stdin()
-                        .read(buf)
-                        .map_err(|e| OsError::Io(e.to_string()));
-                }
-                for b in buf.iter_mut().take(n) {
-                    *b = self.console_in.pop_front().expect("len checked");
-                }
-                n
-            }
-        };
+        let vfs = &self.vfs;
+        let n = self.fds.read(d, buf, |node, buf| node.read(vfs, buf))?;
         self.charge_sys(n);
         Ok(n)
     }
 
     pub(crate) fn do_write(&mut self, d: Desc, data: &[u8]) -> OsResult<usize> {
-        let kind = self.file(d)?.kind.clone();
-        match kind {
-            FileKind::Vnode {
-                ino,
-                offset,
-                writable,
-                append,
-                ..
-            } => {
-                if !writable {
-                    return Err(OsError::BadF);
-                }
-                let at = if append {
-                    self.vfs.file_len(ino)
-                } else {
-                    offset
-                };
-                self.vfs.write_at(ino, at, data);
-                if let Some(Some(of)) = self.files.get_mut(d.0 as usize) {
-                    if let FileKind::Vnode { offset, .. } = &mut of.kind {
-                        *offset = at + data.len();
-                    }
-                }
-            }
-            FileKind::PipeW(p) => {
-                let pipe = &mut self.pipes[p];
-                if pipe.readers == 0 {
-                    return Err(OsError::Pipe);
-                }
-                pipe.buf.extend(data.iter().copied());
-            }
-            // Interactive output goes straight through: nothing would
-            // ever drain a copy kept here.
-            FileKind::ConsoleOut if self.interactive => {
-                let _ = std::io::stdout().write_all(data);
-                let _ = std::io::stdout().flush();
-            }
-            FileKind::ConsoleErr if self.interactive => {
-                let _ = std::io::stderr().write_all(data);
-                let _ = std::io::stderr().flush();
-            }
-            FileKind::ConsoleOut => self.console_out.extend_from_slice(data),
-            FileKind::ConsoleErr => self.console_err.extend_from_slice(data),
-            FileKind::PipeR(_) | FileKind::ConsoleIn => return Err(OsError::BadF),
-        }
-        self.charge_sys(data.len());
-        Ok(data.len())
-    }
-
-    fn alloc_desc(&mut self, kind: FileKind) -> Desc {
-        // Reuse the lowest free slot, like a real descriptor table.
-        for (i, slot) in self.files.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(OpenFile { kind, refs: 1 });
-                return Desc(i as u32);
-            }
-        }
-        self.files.push(Some(OpenFile { kind, refs: 1 }));
-        Desc((self.files.len() - 1) as u32)
+        let vfs = &mut self.vfs;
+        let n = self
+            .fds
+            .write(d, data, |node, data| node.write(vfs, data))?;
+        self.charge_sys(n);
+        Ok(n)
     }
 
     /// Removes pids from the fake process table; returns how many were
@@ -594,31 +444,11 @@ impl SimOs {
             && self.next_pid == other.next_pid
             && self.shell_pid == other.shell_pid
             && same_bytes(self.cwd.as_bytes(), other.cwd.as_bytes())
-            && self.open_files().eq(other.open_files())
-            && self.live_pipes().eq(other.live_pipes())
-            && same_queue(&self.console_in, &other.console_in)
-            && same_bytes(&self.console_out, &other.console_out)
-            && same_bytes(&self.console_err, &other.console_err)
+            && self.fds.same(&other.fds)
             && self.signals == other.signals
             && self.sig_schedule == other.sig_schedule
             && (Rc::ptr_eq(&self.procs, &other.procs) || self.procs == other.procs)
             && self.vfs.same_tree(&other.vfs)
-    }
-
-    /// The open descriptions, with their descriptor numbers.
-    fn open_files(&self) -> impl Iterator<Item = (usize, &OpenFile)> {
-        self.files
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| Some((i, f.as_ref()?)))
-    }
-
-    /// The pipe rows with a live end, with their numbers.
-    fn live_pipes(&self) -> impl Iterator<Item = (usize, &Pipe)> {
-        self.pipes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.readers != 0 || p.writers != 0)
     }
 
     /// Deterministic digest of every tenant-observable piece of kernel
@@ -642,49 +472,15 @@ impl SimOs {
         fnv_u64(&mut h, self.next_pid as u64);
         fnv_u64(&mut h, self.shell_pid as u64);
         fnv_u64(&mut h, self.vfs.digest());
-        for (i, of) in self.open_files() {
-            fnv_u64(&mut h, i as u64);
-            fnv_u64(&mut h, of.refs as u64);
-            match &of.kind {
-                FileKind::Vnode {
-                    ino,
-                    offset,
-                    readable,
-                    writable,
-                    append,
-                } => {
-                    fnv(&mut h, b"vnode");
-                    fnv_u64(&mut h, ino.0 as u64);
-                    fnv_u64(&mut h, *offset as u64);
-                    fnv(&mut h, &[*readable as u8, *writable as u8, *append as u8]);
-                }
-                FileKind::PipeR(p) => {
-                    fnv(&mut h, b"piper");
-                    fnv_u64(&mut h, *p as u64);
-                }
-                FileKind::PipeW(p) => {
-                    fnv(&mut h, b"pipew");
-                    fnv_u64(&mut h, *p as u64);
-                }
-                FileKind::ConsoleIn => fnv(&mut h, b"cin"),
-                FileKind::ConsoleOut => fnv(&mut h, b"cout"),
-                FileKind::ConsoleErr => fnv(&mut h, b"cerr"),
-            }
-        }
-        // Only pipes with a live end are observable; fully closed rows
-        // wait to be reused by the next `pipe`.
-        for (i, pipe) in self.live_pipes() {
-            fnv_u64(&mut h, i as u64);
-            fnv_u64(&mut h, pipe.readers as u64);
-            fnv_u64(&mut h, pipe.writers as u64);
-            let (a, b) = pipe.buf.as_slices();
-            fnv(&mut h, a);
-            fnv(&mut h, b);
-        }
-        fnv(&mut h, self.console_in.as_slices().0);
-        fnv(&mut h, self.console_in.as_slices().1);
-        fnv(&mut h, &self.console_out);
-        fnv(&mut h, &self.console_err);
+        self.fds.digest(&mut h, |h, node| {
+            fnv(h, b"vnode");
+            fnv_u64(h, node.ino.0 as u64);
+            fnv_u64(h, node.offset as u64);
+            fnv(
+                h,
+                &[node.readable as u8, node.writable as u8, node.append as u8],
+            );
+        });
         for sig in &self.signals {
             fnv(&mut h, sig.name().as_bytes());
         }
@@ -701,19 +497,6 @@ impl SimOs {
     }
 }
 
-/// True if the two byte runs are equal. The lengths are compared
-/// first, and two empty runs are equal without a library call: on
-/// some hosts `memcmp` on the dangling pointer of an empty `Vec`
-/// costs 100 times more than on a short equal run (DESIGN.md §4f).
-fn same_bytes(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len() && (a.is_empty() || a == b)
-}
-
-/// `same_bytes` for a queue, whose bytes may wrap around its buffer.
-fn same_queue(a: &VecDeque<u8>, b: &VecDeque<u8>) -> bool {
-    a.len() == b.len() && (a.is_empty() || a == b)
-}
-
 /// FNV-1a's initial state.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
@@ -726,7 +509,7 @@ pub(crate) fn fnv(h: &mut u64, bytes: &[u8]) {
 }
 
 /// FNV-1a over a little-endian u64.
-fn fnv_u64(h: &mut u64, v: u64) {
+pub(crate) fn fnv_u64(h: &mut u64, v: u64) {
     fnv(h, &v.to_le_bytes());
 }
 
@@ -765,7 +548,7 @@ impl Os for SimOs {
             }
         };
         self.charge_sys(0);
-        Ok(self.alloc_desc(FileKind::Vnode {
+        Ok(self.fds.open(Vnode {
             ino,
             offset: 0,
             readable,
@@ -778,29 +561,7 @@ impl Os for SimOs {
         if let Some(kind) = self.inject(Syscall::Pipe, &[FaultKind::Intr, FaultKind::MFile]) {
             return Err(Self::fault_error(kind, "pipe"));
         }
-        // Reuse the lowest fully closed row, like `alloc_desc`, so a
-        // long session's table stays as large as its busiest moment.
-        let fresh = Pipe {
-            buf: VecDeque::new(),
-            writers: 1,
-            readers: 1,
-        };
-        let p = match self
-            .pipes
-            .iter()
-            .position(|p| p.readers == 0 && p.writers == 0)
-        {
-            Some(p) => {
-                self.pipes[p] = fresh;
-                p
-            }
-            None => {
-                self.pipes.push(fresh);
-                self.pipes.len() - 1
-            }
-        };
-        let r = self.alloc_desc(FileKind::PipeR(p));
-        let w = self.alloc_desc(FileKind::PipeW(p));
+        let (r, w) = self.fds.pipe();
         self.charge_sys(0);
         Ok((r, w))
     }
@@ -809,16 +570,7 @@ impl Os for SimOs {
         if let Some(kind) = self.inject(Syscall::Dup, &[FaultKind::Intr, FaultKind::MFile]) {
             return Err(Self::fault_error(kind, "dup"));
         }
-        let kind = self.file(d)?.kind.clone();
-        if let Some(Some(of)) = self.files.get_mut(d.0 as usize) {
-            of.refs += 1;
-        }
-        match kind {
-            FileKind::PipeR(p) => self.pipes[p].readers += 1,
-            FileKind::PipeW(p) => self.pipes[p].writers += 1,
-            _ => {}
-        }
-        Ok(d)
+        self.fds.dup(d)
     }
 
     fn close(&mut self, d: Desc) -> OsResult<()> {
@@ -828,24 +580,7 @@ impl Os for SimOs {
         if let Some(kind) = self.inject(Syscall::Close, &[FaultKind::Intr]) {
             return Err(Self::fault_error(kind, "close"));
         }
-        let idx = d.0 as usize;
-        let of = self
-            .files
-            .get_mut(idx)
-            .and_then(|f| f.as_mut())
-            .ok_or(OsError::BadF)?;
-        of.refs -= 1;
-        let kind = of.kind.clone();
-        let drop_it = of.refs == 0;
-        match kind {
-            FileKind::PipeR(p) => self.pipes[p].readers -= 1,
-            FileKind::PipeW(p) => self.pipes[p].writers -= 1,
-            _ => {}
-        }
-        if drop_it {
-            self.files[idx] = None;
-        }
-        Ok(())
+        self.fds.close(d)
     }
 
     fn read(&mut self, d: Desc, buf: &mut [u8]) -> OsResult<usize> {

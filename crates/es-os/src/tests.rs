@@ -360,6 +360,26 @@ fn ls_and_file_programs() {
     assert!(!os.is_dir("/tmp/dir"));
 }
 
+/// `/dev/null` reads as empty and swallows writes, through the kernel
+/// and through programs, and `ls /dev` lists it.
+#[test]
+fn dev_null_discards_and_reads_empty() {
+    let mut os = SimOs::new();
+    for mode in [OpenMode::Write, OpenMode::Append] {
+        let fd = os.open("/dev/null", mode).unwrap();
+        write_all(&mut os, fd, b"gone").unwrap();
+        os.close(fd).unwrap();
+    }
+    let fd = os.open("/dev/null", OpenMode::Read).unwrap();
+    assert_eq!(read_all(&mut os, fd).unwrap(), b"");
+    os.close(fd).unwrap();
+    assert_eq!(run_prog(&mut os, "cat", &["/dev/null"], "").1, "");
+    assert_eq!(run_prog(&mut os, "ls", &["/dev"], "").1, "null\n");
+    assert_eq!(run_prog(&mut os, "ls", &["/dev/null"], "").1, "/dev/null\n");
+    assert_eq!(run_prog(&mut os, "test", &["-e", "/dev/null"], "").0, 0);
+    assert!(!os.is_file("/dev/null") && !os.is_dir("/dev/null"));
+}
+
 #[test]
 fn test_program_conditions() {
     let mut os = SimOs::new();
@@ -1141,19 +1161,57 @@ fn kernel_compare_is_sensitive_to_every_table() {
     assert_eq!(a.fingerprint(), b.fingerprint());
 }
 
-/// A pipe row is reused once both its ends are closed, so opening and
-/// closing pipes forever keeps the table as large as the most pipes
-/// ever open at once (the REPL and long served sessions open one per
-/// pipeline or backquote).
-#[test]
-fn pipe_rows_are_reused_once_fully_closed() {
-    let mut os = SimOs::new();
+/// The descriptor model both kernels share, checked through the `Os`
+/// trait alone, so that one test holds both kernels to it: EPIPE,
+/// refcounted `dup` and `close` on a pipe and on a file at `path`,
+/// reuse of closed pipe rows, and the captured console. The kernel
+/// must capture its console; `real_tests` runs this on `RealOs`.
+pub(crate) fn check_descriptor_semantics<O: Os>(
+    os: &mut O,
+    path: &str,
+    pipe_rows: fn(&O) -> usize,
+) {
+    let baseline = os.open_desc_count();
+    // A pipe carries bytes, and its closed writer reads as end-of-file.
+    let (r, w) = os.pipe().unwrap();
+    write_all(os, w, b"through").unwrap();
+    os.close(w).unwrap();
+    assert_eq!(read_all(os, r).unwrap(), b"through");
+    os.close(r).unwrap();
+    // A dup'd reader keeps the pipe writable; once the last reader is
+    // closed, a write is EPIPE.
+    let (r, w) = os.pipe().unwrap();
+    let r2 = os.dup(r).unwrap();
+    assert_eq!(r2, r, "dup shares the open description");
+    os.close(r).unwrap();
+    write_all(os, w, b"kept").unwrap();
+    assert_eq!(read_all(os, r2).unwrap(), b"kept");
+    os.close(r2).unwrap();
+    assert_eq!(os.write(w, b"x"), Err(OsError::Pipe));
+    os.close(w).unwrap();
+    // `close` is refcounted on a file too: one reference keeps it
+    // writable, and the last frees the slot, after which the
+    // descriptor is EBADF.
+    let fd = os.open(path, OpenMode::Write).unwrap();
+    let dup = os.dup(fd).unwrap();
+    assert_eq!(os.open_desc_count(), baseline + 1);
+    os.close(fd).unwrap();
+    write_all(os, dup, b"still open\n").unwrap();
+    os.close(dup).unwrap();
+    assert_eq!(os.open_desc_count(), baseline);
+    assert_eq!(os.write(fd, b"x"), Err(OsError::BadF));
+    assert_eq!(os.close(fd), Err(OsError::BadF));
+    // A pipe row is reused once both its ends are closed, so opening
+    // and closing pipes forever keeps the table as large as the most
+    // pipes ever open at once (the REPL and long served sessions open
+    // one per pipeline or backquote).
+    let rows = pipe_rows(os);
     let mut most_open = 0;
     for i in 0..10_000 {
         let width = 1 + i % 3;
         let ends: Vec<_> = (0..width).map(|_| os.pipe().unwrap()).collect();
         most_open = most_open.max(width);
-        write_all(&mut os, ends[0].1, b"left behind").unwrap();
+        write_all(os, ends[0].1, b"left behind").unwrap();
         // Close in a varying order, with an extra dup'd reader.
         let extra = os.dup(ends[width - 1].0).unwrap();
         for &(r, w) in ends.iter().rev() {
@@ -1162,13 +1220,29 @@ fn pipe_rows_are_reused_once_fully_closed() {
         }
         os.close(extra).unwrap();
     }
-    assert!(os.pipe_rows() <= most_open, "{} rows", os.pipe_rows());
-    // A reused row starts empty: the bytes left in row 0 are gone.
+    assert!(
+        pipe_rows(os) <= rows.max(most_open),
+        "{} rows",
+        pipe_rows(os)
+    );
+    // A reused row starts empty: the bytes left behind are gone.
     let (r, w) = os.pipe().unwrap();
     os.close(w).unwrap();
-    assert_eq!(read_all(&mut os, r).unwrap(), b"");
+    assert_eq!(read_all(os, r).unwrap(), b"");
     os.close(r).unwrap();
-    assert!(os.pipe_rows() <= most_open);
+    assert!(pipe_rows(os) <= rows.max(most_open));
+    assert_eq!(os.open_desc_count(), baseline);
+    // The captured console is taken and cleared.
+    write_all(os, STDOUT, b"to stdout\n").unwrap();
+    write_all(os, crate::STDERR, b"to stderr\n").unwrap();
+    let (out, err) = os.take_console();
+    assert_eq!((out.as_str(), err.as_str()), ("to stdout\n", "to stderr\n"));
+    assert_eq!(os.take_console(), (String::new(), String::new()));
+}
+
+#[test]
+fn descriptor_semantics_on_sim_os() {
+    check_descriptor_semantics(&mut SimOs::new(), "/tmp/refcount", SimOs::pipe_rows);
 }
 
 // ----- the shared filesystem and its digest --------------------------------

@@ -39,6 +39,8 @@ pub enum Node {
         /// without a program key).
         executable: bool,
     },
+    /// The null device: it reads as empty and discards what is written.
+    Null,
 }
 
 /// The filesystem: a copy-on-write handle on an inode table whose
@@ -128,6 +130,7 @@ impl Vfs {
                     fnv(h, b"dir");
                     self.hash_dir(ino, path, h);
                 }
+                Node::Null => fnv(h, b"null"),
                 Node::File {
                     data,
                     program,
@@ -184,7 +187,7 @@ impl Vfs {
                     None if last => return Ok(Resolved::Missing(cur)),
                     None => return Err(OsError::NoEnt(path.to_string())),
                 },
-                Node::File { .. } => return Err(OsError::NotDir(path.to_string())),
+                Node::File { .. } | Node::Null => return Err(OsError::NotDir(path.to_string())),
             }
         }
         Ok(Resolved::Found(cur))
@@ -238,7 +241,7 @@ impl Vfs {
         }
     }
 
-    /// Whole contents of the file at `ino`.
+    /// Whole contents of the file at `ino` (none for the null device).
     ///
     /// # Panics
     ///
@@ -246,15 +249,16 @@ impl Vfs {
     pub fn file_data(&self, ino: Ino) -> &[u8] {
         match self.node(ino) {
             Node::File { data, .. } => data,
+            Node::Null => &[],
             Node::Dir(_) => panic!("file_data on a directory"),
         }
     }
 
-    /// Byte length of the file at `ino` (0 for directories).
+    /// Byte length of the file at `ino` (0 for anything else).
     pub fn file_len(&self, ino: Ino) -> usize {
         match self.node(ino) {
             Node::File { data, .. } => data.len(),
-            Node::Dir(_) => 0,
+            Node::Dir(_) | Node::Null => 0,
         }
     }
 
@@ -269,7 +273,8 @@ impl Vfs {
         n
     }
 
-    /// Writes `bytes` at `offset`, zero-filling any gap.
+    /// Writes `bytes` at `offset`, zero-filling any gap (the null
+    /// device discards them).
     pub fn write_at(&mut self, ino: Ino, offset: usize, bytes: &[u8]) {
         match self.node_mut(ino) {
             Node::File { data, .. } => {
@@ -284,6 +289,7 @@ impl Vfs {
                     data.extend_from_slice(bytes);
                 }
             }
+            Node::Null => {}
             Node::Dir(_) => panic!("write_at on a directory"),
         }
     }
@@ -292,6 +298,7 @@ impl Vfs {
     pub fn truncate(&mut self, ino: Ino) {
         match self.node_mut(ino) {
             Node::File { data, .. } => data.clear(),
+            Node::Null => {}
             Node::Dir(_) => panic!("truncate on a directory"),
         }
     }
@@ -303,26 +310,43 @@ impl Vfs {
         match self.resolve(path, cwd)? {
             Resolved::Found(ino) => match self.node(ino) {
                 Node::Dir(_) => Err(OsError::IsDir(path.to_string())),
-                Node::File { .. } if exclusive => Err(OsError::Exists(path.to_string())),
-                Node::File { .. } => Ok(ino),
+                _ if exclusive => Err(OsError::Exists(path.to_string())),
+                _ => Ok(ino),
             },
-            Resolved::Missing(parent) => {
-                let name = Self::normalize(path, cwd)
-                    .pop()
-                    .ok_or_else(|| OsError::Inval(path.to_string()))?;
-                let ino = self.push_node(Node::File {
+            Resolved::Missing(parent) => self.link(
+                parent,
+                path,
+                cwd,
+                Node::File {
                     data: Vec::new(),
                     program: None,
                     executable: false,
-                });
-                match self.node_mut(parent) {
-                    Node::Dir(entries) => {
-                        entries.insert(name, ino);
-                    }
-                    Node::File { .. } => unreachable!("parent is a dir by construction"),
-                }
-                Ok(ino)
+                },
+            ),
+        }
+    }
+
+    /// Puts `node` in directory `parent` under the last component of
+    /// `path`, which resolved as missing there.
+    fn link(&mut self, parent: Ino, path: &str, cwd: &str, node: Node) -> OsResult<Ino> {
+        let name = Self::normalize(path, cwd)
+            .pop()
+            .ok_or_else(|| OsError::Inval(path.to_string()))?;
+        let ino = self.push_node(node);
+        match self.node_mut(parent) {
+            Node::Dir(entries) => {
+                entries.insert(name, ino);
             }
+            _ => unreachable!("parent is a dir by construction"),
+        }
+        Ok(ino)
+    }
+
+    /// Creates the null device at `path`.
+    pub(crate) fn put_null(&mut self, path: &str) -> OsResult<Ino> {
+        match self.resolve(path, "/")? {
+            Resolved::Found(_) => Err(OsError::Exists(path.to_string())),
+            Resolved::Missing(parent) => self.link(parent, path, "/", Node::Null),
         }
     }
 
@@ -330,19 +354,7 @@ impl Vfs {
     pub fn mkdir(&mut self, path: &str, cwd: &str) -> OsResult<Ino> {
         match self.resolve(path, cwd)? {
             Resolved::Found(_) => Err(OsError::Exists(path.to_string())),
-            Resolved::Missing(parent) => {
-                let name = Self::normalize(path, cwd)
-                    .pop()
-                    .ok_or_else(|| OsError::Inval(path.to_string()))?;
-                let ino = self.push_node(Node::Dir(BTreeMap::new()));
-                match self.node_mut(parent) {
-                    Node::Dir(entries) => {
-                        entries.insert(name, ino);
-                    }
-                    Node::File { .. } => unreachable!("parent is a dir by construction"),
-                }
-                Ok(ino)
-            }
+            Resolved::Missing(parent) => self.link(parent, path, cwd, Node::Dir(BTreeMap::new())),
         }
     }
 
@@ -356,7 +368,7 @@ impl Vfs {
             ino = match self.resolve(&next, "/")? {
                 Resolved::Found(i) => match self.node(i) {
                     Node::Dir(_) => i,
-                    Node::File { .. } => return Err(OsError::NotDir(next)),
+                    _ => return Err(OsError::NotDir(next)),
                 },
                 Resolved::Missing(_) => self.mkdir(&next, "/")?,
             };
@@ -380,7 +392,7 @@ impl Vfs {
                 entries.remove(&name);
                 Ok(())
             }
-            Node::File { .. } => unreachable!("parent is a dir by construction"),
+            _ => unreachable!("parent is a dir by construction"),
         }
     }
 
@@ -394,7 +406,7 @@ impl Vfs {
                 return Err(OsError::NotEmpty(path.to_string()))
             }
             Node::Dir(_) => {}
-            Node::File { .. } => return Err(OsError::NotDir(path.to_string())),
+            _ => return Err(OsError::NotDir(path.to_string())),
         }
         let parent_path: String = format!("/{}", comps[..comps.len() - 1].join("/"));
         let parent = self.lookup(&parent_path, "/")?;
@@ -403,7 +415,7 @@ impl Vfs {
                 entries.remove(&name);
                 Ok(())
             }
-            Node::File { .. } => unreachable!("parent is a dir by construction"),
+            _ => unreachable!("parent is a dir by construction"),
         }
     }
 
@@ -412,7 +424,7 @@ impl Vfs {
         let ino = self.lookup(path, cwd)?;
         match self.node(ino) {
             Node::Dir(entries) => Ok(entries.keys().cloned().collect()),
-            Node::File { .. } => Err(OsError::NotDir(path.to_string())),
+            _ => Err(OsError::NotDir(path.to_string())),
         }
     }
 
@@ -450,6 +462,7 @@ impl Vfs {
                 *executable = on;
                 Ok(())
             }
+            Node::Null => Ok(()),
             Node::Dir(_) => Err(OsError::IsDir(path.to_string())),
         }
     }
