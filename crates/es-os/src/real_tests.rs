@@ -36,13 +36,70 @@ fn real_missing_file_is_enoent() {
     assert_eq!(err.strerror(), "No such file or directory");
 }
 
+#[test]
+fn real_pipes_buffer() {
+    let mut os = RealOs::new();
+    let (r, w) = os.pipe().unwrap();
+    write_all(&mut os, w, b"through").unwrap();
+    os.close(w).unwrap();
+    assert_eq!(read_all(&mut os, r).unwrap(), b"through");
+}
+
+/// Closed pipes give their rows back: the table never grows past the
+/// most pipes ever open at once, and a reused row starts empty.
+#[test]
+fn real_pipe_rows_are_reused_once_closed() {
+    let mut os = RealOs::new();
+    let mut most_open = 0;
+    for i in 0..10_000 {
+        let width = 1 + i % 3;
+        let ends: Vec<_> = (0..width).map(|_| os.pipe().unwrap()).collect();
+        most_open = most_open.max(width);
+        write_all(&mut os, ends[0].1, b"left behind").unwrap();
+        // Close in a varying order, with an extra dup'd reader.
+        let extra = os.dup(ends[width - 1].0).unwrap();
+        for &(r, w) in ends.iter().rev() {
+            os.close(w).unwrap();
+            os.close(r).unwrap();
+        }
+        os.close(extra).unwrap();
+    }
+    assert!(os.pipe_rows() <= most_open, "{} rows", os.pipe_rows());
+    let (r, w) = os.pipe().unwrap();
+    os.close(w).unwrap();
+    assert_eq!(read_all(&mut os, r).unwrap(), b"");
+    os.close(r).unwrap();
+    assert!(os.pipe_rows() <= most_open);
+}
+
+#[test]
+fn real_dup_close_refcounting() {
+    let mut os = RealOs::new();
+    let baseline = os.open_desc_count();
+    let path = tmpdir().join("refcount.txt");
+    let path = path.to_str().unwrap();
+    let fd = os.open(path, OpenMode::Write).unwrap();
+    let dup = os.dup(fd).unwrap();
+    assert_eq!(dup, fd, "dup shares the open-file description");
+    assert_eq!(os.open_desc_count(), baseline + 1);
+    os.close(fd).unwrap();
+    // One reference remains: the descriptor must still be writable.
+    write_all(&mut os, dup, b"still open\n").unwrap();
+    os.close(dup).unwrap();
+    assert_eq!(os.open_desc_count(), baseline);
+    // Fully closed now: further I/O is EBADF.
+    assert!(os.write(fd, b"x").is_err());
+    assert!(os.close(fd).is_err());
+    let _ = std::fs::remove_file(path);
+}
+
 /// The descriptor model, held to the same test as on `SimOs`: a write
 /// to a pipe with no reader is EPIPE here too.
 #[test]
 fn real_descriptor_semantics() {
     let mut os = RealOs::new();
     os.set_capture(true);
-    let path = tmpdir().join("refcount.txt");
+    let path = tmpdir().join("descriptor-semantics.txt");
     let path = path.to_str().unwrap();
     crate::tests::check_descriptor_semantics(&mut os, path, RealOs::pipe_rows);
     let _ = std::fs::remove_file(path);
